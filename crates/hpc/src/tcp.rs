@@ -76,6 +76,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dt_codec::bin::{Reader, Writer};
 use parking_lot::Mutex;
 
 use crate::comm::{CommError, Communicator};
@@ -266,10 +267,7 @@ impl TcpRendezvous {
         }
 
         // Phase 2: every listener is now bound — publish the table.
-        let mut table = Vec::with_capacity(2 * size);
-        for p in &ports {
-            table.extend_from_slice(&p.to_le_bytes());
-        }
+        let table = port_table(&ports);
         for s in worker_streams.iter_mut().flatten() {
             s.write_all(&table)?;
         }
@@ -306,15 +304,19 @@ fn rendezvous_loop(listener: TcpListener, mut ports: Vec<u16>, shared: Arc<Share
                     continue;
                 }
                 ports[rank] = port;
-                let mut table = Vec::with_capacity(2 * ports.len());
-                for p in &ports {
-                    table.extend_from_slice(&p.to_le_bytes());
-                }
-                let _ = s.write_all(&table);
+                let _ = s.write_all(&port_table(&ports));
             }
             Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
     }
+}
+
+/// The rendezvous reply: every rank's data port, `u16` each.
+fn port_table(ports: &[u16]) -> Vec<u8> {
+    ports
+        .iter()
+        .fold(&mut Writer::new(), |w, &p| w.u16(p))
+        .finish()
 }
 
 /// Accept the inbound half of the mesh: one connection from every rank
@@ -589,13 +591,16 @@ fn acceptor_loop(
 /// connection generation has replaced this one in the meantime.
 fn reader_loop(mut stream: TcpStream, from: usize, gen: u64, shared: Arc<Shared>) {
     loop {
-        let mut head = [0u8; 20];
+        let mut head = [0u8; FRAME_HEADER_BYTES];
         if stream.read_exact(&mut head).is_err() {
             break;
         }
-        let len = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes")) as usize;
-        let tag = u64::from_le_bytes(head[4..12].try_into().expect("8 bytes"));
-        let delay_us = u64::from_le_bytes(head[12..20].try_into().expect("8 bytes"));
+        // A header that fails its bound is a corrupt or hostile stream:
+        // nothing after it can be trusted to be framed, so the connection
+        // dies exactly as on EOF — before any buffer is sized from it.
+        let Some((len, tag, delay_us)) = decode_frame_header(&head) else {
+            break;
+        };
         let mut payload = vec![0u8; len];
         if stream.read_exact(&mut payload).is_err() {
             break;
@@ -649,7 +654,7 @@ impl Transport for TcpTransport {
             self.shared.inbox.push(to, tag, data, deliver_at);
             return;
         }
-        let frame = frame_bytes(tag, delay_us, &data);
+        let frame = encode_frame(tag, delay_us, &data);
         // A write failure (or an empty slot while a replacement connects)
         // means the peer is gone; its reader thread will notice the EOF —
         // drop the message like any send to the dead.
@@ -705,33 +710,22 @@ impl Transport for TcpTransport {
                 let Some(bytes) = self.coll_recv(r, contrib, "allreduce") else {
                     continue;
                 };
-                let v = decode_f64s(&bytes);
-                assert_eq!(
-                    v.len(),
-                    accum.len(),
-                    "allreduce length mismatch across ranks"
-                );
+                let v = reduce_payload(&bytes, accum.len());
                 for (a, x) in accum.iter_mut().zip(v) {
                     *a += x;
                 }
             }
-            let bytes = encode_f64s(&accum);
+            let bytes = Writer::new().f64s(&accum).finish();
             for r in 1..self.size {
                 self.send(r, result, bytes.clone(), None);
             }
             data.copy_from_slice(&accum);
             Ok(())
         } else {
-            self.send(0, contrib, encode_f64s(data), None);
+            self.send(0, contrib, Writer::new().f64s(data).finish(), None);
             match self.recv_timeout(0, result, WATCHDOG) {
                 Ok(bytes) => {
-                    let v = decode_f64s(&bytes);
-                    assert_eq!(
-                        v.len(),
-                        data.len(),
-                        "allreduce length mismatch across ranks"
-                    );
-                    data.copy_from_slice(&v);
+                    data.copy_from_slice(&reduce_payload(&bytes, data.len()));
                     Ok(())
                 }
                 Err(CommError::RankDead(_)) => Err(CommError::RankDead(0)),
@@ -775,7 +769,7 @@ impl Transport for TcpTransport {
         std::thread::Builder::new()
             .name(format!("tcp-hb-send-{me}"))
             .spawn(move || {
-                let frame = frame_bytes(hb_tag(), 0, &[]);
+                let frame = encode_frame(hb_tag(), 0, &[]);
                 while !shared.shutdown.load(Ordering::SeqCst) {
                     for (j, slot) in peers.iter().enumerate() {
                         if j == me || shared.is_dead(j) {
@@ -867,28 +861,46 @@ impl Drop for TcpTransport {
     }
 }
 
-fn frame_bytes(tag: u64, delay_us: u64, data: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(20 + data.len());
-    frame.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&tag.to_le_bytes());
-    frame.extend_from_slice(&delay_us.to_le_bytes());
-    frame.extend_from_slice(data);
-    frame
+/// Largest payload a frame may carry. A length read off a socket is
+/// checked against this before a buffer is sized from it, so one corrupt
+/// header cannot demand gigabytes.
+pub const MAX_FRAME_BYTES: usize = 1 << 28;
+
+/// Size of the `[payload_len: u32][tag: u64][delay_micros: u64]` header.
+pub const FRAME_HEADER_BYTES: usize = 20;
+
+/// Encode one wire frame (see the module docs for the layout).
+///
+/// # Panics
+/// When `data` is longer than [`MAX_FRAME_BYTES`].
+pub fn encode_frame(tag: u64, delay_us: u64, data: &[u8]) -> Vec<u8> {
+    assert!(
+        data.len() <= MAX_FRAME_BYTES,
+        "frame payload of {} bytes exceeds MAX_FRAME_BYTES",
+        data.len()
+    );
+    Writer::with_capacity(FRAME_HEADER_BYTES + data.len())
+        .u32(data.len() as u32)
+        .u64(tag)
+        .u64(delay_us)
+        .raw(data)
+        .finish()
 }
 
-fn encode_f64s(data: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 * data.len());
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+/// Decode a frame header into `(payload_len, tag, delay_micros)`; `None`
+/// when it is short or names a payload above [`MAX_FRAME_BYTES`].
+pub fn decode_frame_header(head: &[u8]) -> Option<(usize, u64, u64)> {
+    let mut r = Reader::new(head);
+    let header = (r.u32().ok()? as usize, r.u64().ok()?, r.u64().ok()?);
+    (header.0 <= MAX_FRAME_BYTES).then_some(header)
 }
 
-fn decode_f64s(bytes: &[u8]) -> Vec<f64> {
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect()
+/// An allreduce payload: exactly `len` packed `f64`s, or the ranks have
+/// diverged.
+fn reduce_payload(bytes: &[u8], len: usize) -> Vec<f64> {
+    let v = Reader::new(bytes).rest_f64s().unwrap_or_default();
+    assert_eq!(v.len(), len, "allreduce length mismatch across ranks");
+    v
 }
 
 fn read_u32(s: &mut TcpStream) -> io::Result<u32> {
@@ -1050,5 +1062,13 @@ where
         Err(payload) => RankOutcome::Died {
             cause: describe_panic(payload.as_ref()),
         },
+    }
+}
+
+#[cfg(test)]
+impl TcpTransport {
+    /// Queues still held by this rank's inbox.
+    pub(crate) fn pending_queues(&self) -> usize {
+        self.shared.inbox.pending_queues()
     }
 }

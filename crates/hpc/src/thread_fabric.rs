@@ -390,3 +390,11 @@ impl ThreadCluster {
         })
     }
 }
+
+#[cfg(test)]
+impl ThreadTransport {
+    /// Queues still held by this rank's inbox.
+    pub(crate) fn pending_queues(&self) -> usize {
+        self.fabric.inboxes[self.rank].pending_queues()
+    }
+}

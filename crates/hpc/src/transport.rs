@@ -170,6 +170,24 @@ impl Inbox {
         self.signal.notify_all();
     }
 
+    /// Pop the first deliverable message of `key`. A queue goes with its
+    /// last message: every exchange round and collective generation uses
+    /// a fresh tag, so a drained queue left in the map would never be
+    /// used again and the map would grow with the length of the run.
+    fn pop_ready(
+        queues: &mut HashMap<MsgKey, VecDeque<Envelope>>,
+        key: MsgKey,
+        now: Instant,
+    ) -> Option<Vec<u8>> {
+        let q = queues.get_mut(&key)?;
+        let pos = q.iter().position(|m| m.deliver_at <= now)?;
+        let payload = q.remove(pos).expect("position just found").payload;
+        if q.is_empty() {
+            queues.remove(&key);
+        }
+        Some(payload)
+    }
+
     /// Non-blocking take; `sender_dead` is consulted only when nothing is
     /// buffered or in flight from `from`.
     pub(crate) fn try_take(
@@ -179,17 +197,13 @@ impl Inbox {
         sender_dead: &dyn Fn() -> bool,
     ) -> Result<Option<Vec<u8>>, CommError> {
         let mut queues = self.queues.lock();
-        let now = Instant::now();
-        if let Some(q) = queues.get_mut(&(from, tag)) {
-            if let Some(pos) = q.iter().position(|m| m.deliver_at <= now) {
-                let payload = q.remove(pos).expect("position just found").payload;
-                return Ok(Some(payload));
-            }
-            if !q.is_empty() {
-                // Delayed messages still in flight; the sender's death
-                // does not recall them.
-                return Ok(None);
-            }
+        if let Some(payload) = Self::pop_ready(&mut queues, (from, tag), Instant::now()) {
+            return Ok(Some(payload));
+        }
+        if queues.contains_key(&(from, tag)) {
+            // Delayed messages still in flight; the sender's death does
+            // not recall them.
+            return Ok(None);
         }
         if sender_dead() {
             return Err(CommError::RankDead(from));
@@ -210,14 +224,12 @@ impl Inbox {
         let mut queues = self.queues.lock();
         loop {
             let now = Instant::now();
-            let mut earliest_delayed: Option<Instant> = None;
-            if let Some(q) = queues.get_mut(&(from, tag)) {
-                if let Some(pos) = q.iter().position(|m| m.deliver_at <= now) {
-                    let payload = q.remove(pos).expect("position just found").payload;
-                    return Ok(payload);
-                }
-                earliest_delayed = q.iter().map(|m| m.deliver_at).min();
+            if let Some(payload) = Self::pop_ready(&mut queues, (from, tag), now) {
+                return Ok(payload);
             }
+            let earliest_delayed = queues
+                .get(&(from, tag))
+                .and_then(|q| q.iter().map(|m| m.deliver_at).min());
             if earliest_delayed.is_none() && sender_dead() {
                 return Err(CommError::RankDead(from));
             }
@@ -235,6 +247,52 @@ impl Inbox {
                 .saturating_duration_since(now)
                 .max(Duration::from_millis(1));
             self.signal.wait_for(&mut queues, nap);
+        }
+    }
+}
+
+#[cfg(test)]
+impl Inbox {
+    /// Number of `(peer, tag)` queues currently holding messages.
+    pub(crate) fn pending_queues(&self) -> usize {
+        self.queues.lock().len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{FaultPlan, TcpCluster, ThreadCluster};
+    use std::time::Duration;
+
+    /// Each round uses a tag of its own, as exchange rounds and
+    /// collective generations do; after every message is received no
+    /// queue may be left behind on either backend.
+    #[test]
+    fn drained_queues_leave_the_inbox_on_both_backends() {
+        const ROUNDS: u64 = 200;
+        let patience = Duration::from_secs(30);
+        let thread = ThreadCluster::run(2, |comm| {
+            let peer = 1 - comm.rank();
+            for tag in 0..ROUNDS {
+                comm.send(peer, tag, vec![tag as u8]);
+                assert_eq!(comm.recv_timeout(peer, tag, patience), Ok(vec![tag as u8]));
+            }
+            comm.barrier().unwrap();
+            comm.transport().pending_queues()
+        });
+        assert_eq!(thread, vec![0, 0]);
+        let tcp = TcpCluster::run_loopback(2, FaultPlan::none(), |comm| {
+            let peer = 1 - comm.rank();
+            for tag in 0..ROUNDS {
+                comm.send(peer, tag, vec![tag as u8]);
+                assert_eq!(comm.recv_timeout(peer, tag, patience), Ok(vec![tag as u8]));
+                // Collectives ride on generation-numbered tags of their own.
+                comm.barrier().unwrap();
+            }
+            comm.transport().pending_queues()
+        });
+        for outcome in tcp {
+            assert_eq!(outcome.completed(), Some(0));
         }
     }
 }

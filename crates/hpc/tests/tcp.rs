@@ -281,3 +281,50 @@ fn heartbeat_monitor_declares_silent_peers_dead() {
         dead => panic!("rank 0 died: {dead:?}"),
     }
 }
+
+/// A frame header naming more than `MAX_FRAME_BYTES` must end the
+/// connection — the peer reads as dead — before any buffer is sized from
+/// it. Rank 1 is played by hand over raw sockets so the header can lie.
+#[test]
+fn oversize_frame_header_is_connection_death_not_an_allocation() {
+    use dt_hpc::tcp::{encode_frame, MAX_FRAME_BYTES};
+    use dt_hpc::{TcpRendezvous, Transport};
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
+
+    let rendezvous = TcpRendezvous::bind("127.0.0.1:0").unwrap();
+    let addr = rendezvous.local_addr().unwrap();
+    let root = std::thread::spawn(move || {
+        let transport = rendezvous.into_transport(2).unwrap();
+        let good = transport.recv_timeout(1, 6, PATIENCE);
+        let after_bogus = transport.recv_timeout(1, 7, Duration::from_secs(10));
+        (good, after_bogus, transport.is_alive(1))
+    });
+
+    // Check in as rank 1, learn rank 0's data port, dial the mesh.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut checkin = TcpStream::connect(addr).unwrap();
+    checkin.write_all(&1u32.to_le_bytes()).unwrap();
+    let my_port = listener.local_addr().unwrap().port();
+    checkin.write_all(&my_port.to_le_bytes()).unwrap();
+    let mut table = [0u8; 4];
+    checkin.read_exact(&mut table).unwrap();
+    let root_port = u16::from_le_bytes([table[0], table[1]]);
+    let mut mesh = TcpStream::connect(("127.0.0.1", root_port)).unwrap();
+    mesh.write_all(&1u32.to_le_bytes()).unwrap();
+
+    // A well-formed frame first: the hand-built peer speaks the protocol.
+    mesh.write_all(&encode_frame(6, 0, b"ok")).unwrap();
+    // Then a header claiming one byte more than the bound. The socket
+    // stays open, so only the bound — not an EOF — can end the read.
+    let mut bogus = encode_frame(7, 0, b"");
+    bogus[..4].copy_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_le_bytes());
+    mesh.write_all(&bogus).unwrap();
+    mesh.write_all(b"not four gigabytes").unwrap();
+
+    let (good, after_bogus, alive) = root.join().unwrap();
+    assert_eq!(good, Ok(b"ok".to_vec()));
+    assert_eq!(after_bogus, Err(CommError::RankDead(1)));
+    assert!(!alive);
+    drop(mesh);
+}

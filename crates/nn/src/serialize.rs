@@ -8,6 +8,9 @@
 
 use std::fmt;
 
+use dt_codec::text::{Reader, Writer};
+use dt_codec::TextError;
+
 use crate::layer::{Activation, Linear};
 use crate::matrix::Matrix;
 use crate::mlp::Mlp;
@@ -46,6 +49,17 @@ impl fmt::Display for NnFormatError {
 
 impl std::error::Error for NnFormatError {}
 
+impl From<TextError> for NnFormatError {
+    fn from(e: TextError) -> Self {
+        match e {
+            TextError::BadHeader => NnFormatError::BadHeader,
+            TextError::UnsupportedVersion(v) => NnFormatError::UnsupportedVersion(v),
+            TextError::Truncated => NnFormatError::Truncated,
+            e @ TextError::Malformed { .. } => NnFormatError::Malformed(e.to_string()),
+        }
+    }
+}
+
 impl From<std::io::Error> for NnFormatError {
     fn from(e: std::io::Error) -> Self {
         NnFormatError::Io(e.to_string())
@@ -54,27 +68,18 @@ impl From<std::io::Error> for NnFormatError {
 
 /// Serialize an MLP to the versioned text format.
 pub fn save_mlp(mlp: &Mlp) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    writeln!(out, "dtnn v{FORMAT_VERSION}").expect("string write");
-    writeln!(
-        out,
-        "acts {} {}",
-        mlp.hidden_activation().tag(),
-        mlp.output_activation().tag()
-    )
-    .expect("string write");
-    writeln!(out, "layers {}", mlp.layers().len()).expect("string write");
+    let mut w = Writer::new("dtnn", FORMAT_VERSION);
+    w.line("acts")
+        .dec(mlp.hidden_activation().tag())
+        .dec(mlp.output_activation().tag());
+    w.line("layers").dec(mlp.layers().len());
     for l in mlp.layers() {
-        writeln!(out, "layer {} {}", l.out_dim(), l.in_dim()).expect("string write");
-        for v in l.w.data() {
-            writeln!(out, "{:016x}", v.to_bits()).expect("string write");
-        }
-        for v in &l.b {
-            writeln!(out, "{:016x}", v.to_bits()).expect("string write");
+        w.line("layer").dec(l.out_dim()).dec(l.in_dim());
+        for &v in l.w.data().iter().chain(&l.b) {
+            w.row().hex_f64(v);
         }
     }
-    out
+    w.finish()
 }
 
 /// Deserialize an MLP from [`save_mlp`] output.
@@ -82,72 +87,32 @@ pub fn save_mlp(mlp: &Mlp) -> String {
 /// # Errors
 /// Returns a [`NnFormatError`] on any structural or encoding problem.
 pub fn load_mlp(text: &str) -> Result<Mlp, NnFormatError> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or(NnFormatError::BadHeader)?;
-    let version: u32 = header
-        .strip_prefix("dtnn v")
-        .and_then(|v| v.parse().ok())
-        .ok_or(NnFormatError::BadHeader)?;
-    if version != FORMAT_VERSION {
-        return Err(NnFormatError::UnsupportedVersion(version));
-    }
-
-    let acts_line = lines.next().ok_or(NnFormatError::Truncated)?;
-    let mut acts = acts_line
-        .strip_prefix("acts ")
-        .ok_or_else(|| NnFormatError::Malformed("acts line".into()))?
-        .split_whitespace();
-    let hidden = acts
-        .next()
-        .and_then(Activation::from_tag)
-        .ok_or_else(|| NnFormatError::Malformed("hidden activation".into()))?;
-    let output = acts
-        .next()
-        .and_then(Activation::from_tag)
-        .ok_or_else(|| NnFormatError::Malformed("output activation".into()))?;
-
-    let count_line = lines.next().ok_or(NnFormatError::Truncated)?;
-    let num_layers: usize = count_line
-        .strip_prefix("layers ")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| NnFormatError::Malformed("layers line".into()))?;
+    let mut r = Reader::new(text, "dtnn", &[FORMAT_VERSION])?;
+    r.line("acts")?;
+    let mut act = |what| {
+        let tag = r.token(what)?;
+        Activation::from_tag(tag).ok_or_else(|| NnFormatError::Malformed(what.into()))
+    };
+    let (hidden, output) = (act("hidden activation")?, act("output activation")?);
+    let num_layers: usize = r.line("layers")?.dec("layers line")?;
     if num_layers == 0 {
         return Err(NnFormatError::Malformed("zero layers".into()));
     }
-
-    let read_f64 = |lines: &mut std::str::Lines<'_>| -> Result<f64, NnFormatError> {
-        let line = lines.next().ok_or(NnFormatError::Truncated)?;
-        let bits = u64::from_str_radix(line.trim(), 16)
-            .map_err(|_| NnFormatError::Malformed(format!("bad f64 bits: {line}")))?;
-        Ok(f64::from_bits(bits))
-    };
-
-    let mut layers = Vec::with_capacity(num_layers);
+    let mut layers = Vec::new();
     for _ in 0..num_layers {
-        let shape_line = lines.next().ok_or(NnFormatError::Truncated)?;
-        let mut parts = shape_line
-            .strip_prefix("layer ")
-            .ok_or_else(|| NnFormatError::Malformed("layer line".into()))?
-            .split_whitespace();
-        let out_dim: usize = parts
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| NnFormatError::Malformed("layer out_dim".into()))?;
-        let in_dim: usize = parts
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| NnFormatError::Malformed("layer in_dim".into()))?;
-        let mut w = Vec::with_capacity(out_dim * in_dim);
-        for _ in 0..out_dim * in_dim {
-            w.push(read_f64(&mut lines)?);
-        }
-        let mut b = Vec::with_capacity(out_dim);
-        for _ in 0..out_dim {
-            b.push(read_f64(&mut lines)?);
-        }
+        let [out_dim, in_dim]: [usize; 2] = r.line("layer")?.decs("layer shape")?;
+        // Sized by the rows actually present, never by the claimed shape.
+        let mut values = |n: usize| -> Result<Vec<f64>, NnFormatError> {
+            let mut out = Vec::new();
+            for _ in 0..n {
+                out.push(r.row()?.hex_f64("f64 bits")?);
+            }
+            Ok(out)
+        };
+        let w = values(out_dim.saturating_mul(in_dim))?;
+        let b = values(out_dim)?;
         layers.push(Linear::from_params(Matrix::from_vec(out_dim, in_dim, w), b));
     }
-
     Ok(Mlp::from_parts(layers, hidden, output))
 }
 

@@ -28,6 +28,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use dt_codec::text::{Hex64, Reader, Writer};
+use dt_codec::TextError;
 use dt_hpc::FaultPlan;
 use dt_proposal::MoveStats;
 use dt_wanglandau::WalkerCheckpoint;
@@ -95,12 +97,21 @@ impl From<io::Error> for CkptError {
     }
 }
 
+impl From<TextError> for CkptError {
+    fn from(e: TextError) -> Self {
+        match e {
+            TextError::BadHeader | TextError::UnsupportedVersion(_) => CkptError::BadHeader,
+            e => CkptError::Malformed(e.to_string()),
+        }
+    }
+}
+
 fn malformed(what: impl Into<String>) -> CkptError {
     CkptError::Malformed(what.into())
 }
 
 /// One rank's complete resumable state at a checkpoint round.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankCheckpoint {
     /// Exchange attempts so far (initiator side).
     pub exchange_attempts: u64,
@@ -145,98 +156,44 @@ pub struct RankCheckpoint {
     pub walker: WalkerCheckpoint,
 }
 
-fn hex_f64s(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|v| format!("{:016x}", v.to_bits()))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-fn parse_hex_f64s(text: &str) -> Result<Vec<f64>, CkptError> {
-    text.split_whitespace()
-        .map(|tok| {
-            u64::from_str_radix(tok, 16)
-                .map(f64::from_bits)
-                .map_err(|_| malformed(format!("bad f64: {tok}")))
-        })
-        .collect()
-}
-
-fn expect_line<'a>(lines: &mut std::str::Lines<'a>, name: &str) -> Result<&'a str, CkptError> {
-    let line = lines
-        .next()
-        .ok_or_else(|| malformed(format!("missing {name}")))?;
-    line.strip_prefix(name)
-        .map(str::trim_start)
-        .ok_or_else(|| malformed(format!("expected {name} line")))
-}
-
 impl RankCheckpoint {
     /// Serialize to the versioned text format.
     pub fn encode(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        writeln!(s, "dtrewlrank v{VERSION}").expect("write");
-        writeln!(
-            s,
-            "counters {} {} {} {}",
-            self.exchange_attempts, self.exchange_accepted, self.sweeps, self.sweeps_since_check
-        )
-        .expect("write");
-        writeln!(s, "rng {:032x}", self.rng_word_pos).expect("write");
-        writeln!(
-            s,
-            "coll {} {} {}",
-            self.coll_gens[0], self.coll_gens[1], self.coll_gens[2]
-        )
-        .expect("write");
+        let mut w = Writer::new("dtrewlrank", VERSION);
+        w.line("counters")
+            .dec(self.exchange_attempts)
+            .dec(self.exchange_accepted)
+            .dec(self.sweeps)
+            .dec(self.sweeps_since_check);
+        w.line("rng").hex_u128(self.rng_word_pos);
+        w.line("coll").decs(self.coll_gens);
         // Rebalance state is written only when non-default, so runs
         // without dynamic reallocation produce byte-identical files.
-        if self.rebalanced != 0 || self.rt_banked_crossings != 0 || self.rt_banked_moves != 0 {
-            writeln!(
-                s,
-                "rebal {} {} {}",
-                self.rebalanced, self.rt_banked_crossings, self.rt_banked_moves
-            )
-            .expect("write");
+        let rebal = [
+            self.rebalanced,
+            self.rt_banked_crossings,
+            self.rt_banked_moves,
+        ];
+        if rebal != [0; 3] {
+            w.line("rebal").decs(rebal);
         }
         if !self.assignment.is_empty() {
-            writeln!(
-                s,
-                "assign {}",
-                self.assignment
-                    .iter()
-                    .map(|w| w.to_string())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            )
-            .expect("write");
+            w.line("assign").decs(&self.assignment);
         }
         match &self.deep_params {
-            Some(p) => writeln!(s, "deep {}", hex_f64s(p)).expect("write"),
-            None => writeln!(s, "deep -").expect("write"),
+            Some(p) => w.line("deep").hex_f64s(p),
+            None => w.line("deep").dec('-'),
+        };
+        w.line("stats").dec(self.stats.iter().count());
+        for (name, proposed, accepted) in self.stats.iter() {
+            w.row().dec(name).dec(proposed).dec(accepted);
         }
-        let entries: Vec<_> = self.stats.iter().collect();
-        writeln!(s, "stats {}", entries.len()).expect("write");
-        for (name, p, a) in entries {
-            writeln!(s, "{name} {p} {a}").expect("write");
-        }
-        writeln!(s, "sro {} {}", self.sro_counts.len(), self.obs_dim).expect("write");
-        writeln!(s, "sums {}", hex_f64s(&self.sro_sums)).expect("write");
-        writeln!(
-            s,
-            "counts {}",
-            self.sro_counts
-                .iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join(" ")
-        )
-        .expect("write");
-        writeln!(s, "walker").expect("write");
-        s.push_str(&self.walker.encode());
-        s
+        w.line("sro").dec(self.sro_counts.len()).dec(self.obs_dim);
+        w.line("sums").hex_f64s(&self.sro_sums);
+        w.line("counts").decs(&self.sro_counts);
+        w.line("walker");
+        w.embed(&self.walker.encode());
+        w.finish()
     }
 
     /// Restore from [`RankCheckpoint::encode`] output.
@@ -244,134 +201,60 @@ impl RankCheckpoint {
     /// # Errors
     /// [`CkptError`] on structural problems.
     pub fn decode(text: &str) -> Result<Self, CkptError> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or(CkptError::BadHeader)?;
-        if header != format!("dtrewlrank v{VERSION}") {
-            return Err(CkptError::BadHeader);
-        }
-        let counters = expect_line(&mut lines, "counters")?;
-        let nums: Vec<u64> = counters
-            .split_whitespace()
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| malformed(format!("bad counter: {v}")))
-            })
-            .collect::<Result<_, _>>()?;
-        if nums.len() != 4 {
-            return Err(malformed("counters needs 4 fields"));
-        }
-        let rng_word_pos = u128::from_str_radix(expect_line(&mut lines, "rng")?, 16)
-            .map_err(|_| malformed("bad rng position"))?;
+        let mut r = Reader::new(text, "dtrewlrank", &[VERSION])?;
+        let [exchange_attempts, exchange_accepted, sweeps, sweeps_since_check] =
+            r.line("counters")?.decs("counter")?;
+        let rng_word_pos = r.line("rng")?.hex_u128("rng position")?;
         // Optional (files from before the recovery layer lack it): the
         // collective generation counters.
         let mut coll_gens = [0u64; 3];
-        let mut peek = lines.clone();
-        if let Some(rest) = peek.next().and_then(|l| l.strip_prefix("coll ")) {
-            let gens: Vec<u64> = rest
-                .split_whitespace()
-                .map(|v| v.parse().map_err(|_| malformed(format!("bad gen: {v}"))))
-                .collect::<Result<_, _>>()?;
-            if gens.len() != 3 {
-                return Err(malformed("coll needs 3 fields"));
-            }
-            coll_gens.copy_from_slice(&gens);
-            lines = peek;
+        if r.try_line("coll")? {
+            coll_gens = r.decs("collective generation")?;
         }
         // Optional (only runs with dynamic reallocation write them):
         // migration counters and the rank→window assignment.
-        let mut rebalanced = 0u64;
-        let mut rt_banked_crossings = 0u64;
-        let mut rt_banked_moves = 0u64;
-        let mut peek = lines.clone();
-        if let Some(rest) = peek.next().and_then(|l| l.strip_prefix("rebal ")) {
-            let vals: Vec<u64> = rest
-                .split_whitespace()
-                .map(|v| v.parse().map_err(|_| malformed(format!("bad rebal: {v}"))))
-                .collect::<Result<_, _>>()?;
-            if vals.len() != 3 {
-                return Err(malformed("rebal needs 3 fields"));
-            }
-            rebalanced = vals[0];
-            rt_banked_crossings = vals[1];
-            rt_banked_moves = vals[2];
-            lines = peek;
+        let mut rebal = [0u64; 3];
+        if r.try_line("rebal")? {
+            rebal = r.decs("rebal field")?;
         }
         let mut assignment = Vec::new();
-        let mut peek = lines.clone();
-        if let Some(rest) = peek.next().and_then(|l| l.strip_prefix("assign ")) {
-            assignment = rest
-                .split_whitespace()
-                .map(|v| {
-                    v.parse()
-                        .map_err(|_| malformed(format!("bad assignment: {v}")))
-                })
-                .collect::<Result<_, _>>()?;
-            lines = peek;
+        if r.try_line("assign")? {
+            assignment = r.rest_with("assignment", Reader::dec)?;
         }
-        let deep = expect_line(&mut lines, "deep")?;
-        let deep_params = if deep == "-" {
-            None
-        } else {
-            Some(parse_hex_f64s(deep)?)
+        r.line("deep")?;
+        let deep_params = match r.peek() {
+            Some("-") => r.token("deep").map(|_| None)?,
+            _ => Some(r.rest_with("deep parameter", Reader::hex_f64)?),
         };
-        let num_kernels: usize = expect_line(&mut lines, "stats")?
-            .parse()
-            .map_err(|_| malformed("bad stats count"))?;
+        let num_kernels: usize = r.line("stats")?.dec("stats count")?;
         let mut stats = MoveStats::new();
         for _ in 0..num_kernels {
-            let line = lines
-                .next()
-                .ok_or_else(|| malformed("missing stats entry"))?;
-            let mut parts = line.split_whitespace();
-            let name = parts.next().ok_or_else(|| malformed("stats kernel name"))?;
-            let p: u64 = parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| malformed("stats proposed"))?;
-            let a: u64 = parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| malformed("stats accepted"))?;
-            if a > p {
-                return Err(malformed(format!("{name}: accepted {a} > proposed {p}")));
+            let name = r.row()?.token("kernel name")?;
+            let (proposed, accepted) = (r.dec("proposed count")?, r.dec("accepted count")?);
+            if accepted > proposed {
+                return Err(r.malformed("accepted count above proposed").into());
             }
-            stats.record_n(name, p, a);
+            stats.record_n(name, proposed, accepted);
         }
-        let sro = expect_line(&mut lines, "sro")?;
-        let mut sro_parts = sro.split_whitespace();
-        let bins: usize = sro_parts
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| malformed("sro bins"))?;
-        let obs_dim: usize = sro_parts
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| malformed("sro obs_dim"))?;
-        let sro_sums = parse_hex_f64s(expect_line(&mut lines, "sums")?)?;
-        let sro_counts: Vec<u64> = expect_line(&mut lines, "counts")?
-            .split_whitespace()
-            .map(|v| v.parse().map_err(|_| malformed(format!("bad count: {v}"))))
-            .collect::<Result<_, _>>()?;
-        if sro_sums.len() != bins * obs_dim || sro_counts.len() != bins {
+        let [bins, obs_dim]: [usize; 2] = r.line("sro")?.decs("sro shape")?;
+        let sro_sums = r.line("sums")?.rest_with("sro sum", Reader::hex_f64)?;
+        let sro_counts: Vec<u64> = r.line("counts")?.rest_with("sro count", Reader::dec)?;
+        if Some(sro_sums.len()) != bins.checked_mul(obs_dim) || sro_counts.len() != bins {
             return Err(malformed("sro shape mismatch"));
         }
-        let walker_marker = lines.next().ok_or_else(|| malformed("missing walker"))?;
-        if walker_marker != "walker" {
-            return Err(malformed("expected walker marker"));
-        }
-        let walker_text: String = lines.collect::<Vec<_>>().join("\n");
-        let walker = WalkerCheckpoint::decode(&walker_text)
+        r.line("walker")?;
+        let walker = WalkerCheckpoint::decode(r.rest())
             .map_err(|e| malformed(format!("embedded walker: {e}")))?;
         Ok(RankCheckpoint {
-            exchange_attempts: nums[0],
-            exchange_accepted: nums[1],
-            sweeps: nums[2],
-            sweeps_since_check: nums[3],
+            exchange_attempts,
+            exchange_accepted,
+            sweeps,
+            sweeps_since_check,
             rng_word_pos,
             coll_gens,
-            rebalanced,
-            rt_banked_crossings,
-            rt_banked_moves,
+            rebalanced: rebal[0],
+            rt_banked_crossings: rebal[1],
+            rt_banked_moves: rebal[2],
             assignment,
             deep_params,
             stats,
@@ -429,32 +312,16 @@ pub struct RunManifest {
 impl RunManifest {
     /// Serialize to the versioned text format.
     pub fn encode(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        writeln!(s, "dtrewl v{VERSION}").expect("write");
-        writeln!(s, "round {}", self.round).expect("write");
-        writeln!(s, "ranks {}", self.ranks).expect("write");
-        writeln!(s, "digest {:016x}", self.digest).expect("write");
-        let alive: String = self
-            .alive
-            .iter()
-            .map(|&a| if a { '1' } else { '0' })
-            .collect();
-        writeln!(s, "alive {alive}").expect("write");
-        writeln!(s, "faults {}", self.faults.encode()).expect("write");
+        let mut w = Writer::new("dtrewl", VERSION);
+        w.line("round").dec(self.round);
+        w.line("ranks").dec(self.ranks);
+        w.line("digest").hex_u64(self.digest);
+        w.line("alive").mask(&self.alive);
+        w.line("faults").dec(self.faults.encode());
         if !self.assignment.is_empty() {
-            writeln!(
-                s,
-                "assign {}",
-                self.assignment
-                    .iter()
-                    .map(|w| w.to_string())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            )
-            .expect("write");
+            w.line("assign").decs(&self.assignment);
         }
-        s
+        w.finish()
     }
 
     /// Restore from [`RunManifest::encode`] output.
@@ -462,45 +329,28 @@ impl RunManifest {
     /// # Errors
     /// [`CkptError`] on structural problems.
     pub fn decode(text: &str) -> Result<Self, CkptError> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or(CkptError::BadHeader)?;
-        if header != format!("dtrewl v{VERSION}") {
-            return Err(CkptError::BadHeader);
-        }
-        let round: u64 = expect_line(&mut lines, "round")?
-            .parse()
-            .map_err(|_| malformed("bad round"))?;
-        let ranks: usize = expect_line(&mut lines, "ranks")?
-            .parse()
-            .map_err(|_| malformed("bad ranks"))?;
-        let digest = u64::from_str_radix(expect_line(&mut lines, "digest")?, 16)
-            .map_err(|_| malformed("bad digest"))?;
-        let alive: Vec<bool> = expect_line(&mut lines, "alive")?
-            .chars()
-            .map(|c| c == '1')
-            .collect();
+        let mut r = Reader::new(text, "dtrewl", &[VERSION])?;
+        let round = r.line("round")?.dec("round")?;
+        let ranks: usize = r.line("ranks")?.dec("ranks")?;
+        let digest = r.line("digest")?.hex_u64("digest")?;
+        let alive = r.line("alive")?.mask("alive mask")?;
         if alive.len() != ranks {
             return Err(malformed("alive mask length mismatch"));
         }
         // Optional (manifests from before the recovery layer lack it):
         // the fault plan active when the snapshot was taken.
-        let faults = match lines.next().and_then(|l| l.strip_prefix("faults ")) {
-            Some(encoded) => FaultPlan::decode(encoded.trim())
-                .map_err(|e| malformed(format!("bad fault plan: {e}")))?,
-            None => FaultPlan::none(),
+        let faults = if r.try_line("faults")? {
+            FaultPlan::decode(r.rest_of_line())
+                .map_err(|e| malformed(format!("bad fault plan: {e}")))?
+        } else {
+            FaultPlan::none()
         };
         // Optional trailing line: the rank→window assignment (runs with
         // dynamic reallocation only).
-        let assignment: Vec<usize> = match lines.next().and_then(|l| l.strip_prefix("assign ")) {
-            Some(rest) => rest
-                .split_whitespace()
-                .map(|v| {
-                    v.parse()
-                        .map_err(|_| malformed(format!("bad assignment: {v}")))
-                })
-                .collect::<Result<_, _>>()?,
-            None => Vec::new(),
-        };
+        let mut assignment: Vec<usize> = Vec::new();
+        if r.try_line("assign")? {
+            assignment = r.rest_with("assignment", Reader::dec)?;
+        }
         if !assignment.is_empty() && assignment.len() != ranks {
             return Err(malformed("assignment length mismatch"));
         }
@@ -551,10 +401,10 @@ fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
 /// shapes rank state (windows, bins, seeds, kernels, schedules) is in.
 pub fn config_digest(cfg: &RewlConfig) -> u64 {
     let mut stable = format!(
-        "M={} W={} overlap={:016x} bins={} wl={:?} exch={} obs={} seed={} kernel={:?}",
+        "M={} W={} overlap={} bins={} wl={:?} exch={} obs={} seed={} kernel={:?}",
         cfg.num_windows,
         cfg.walkers_per_window,
-        cfg.overlap.to_bits(),
+        Hex64(cfg.overlap.to_bits()),
         cfg.num_bins,
         cfg.wl,
         cfg.exchange_every_sweeps,
@@ -816,6 +666,45 @@ mod tests {
         ));
         let tampered = m.encode().replace("alive 1101", "alive 110");
         assert!(RunManifest::decode(&tampered).is_err());
+    }
+
+    #[test]
+    fn alive_mask_accepts_only_zero_and_one() {
+        // Nothing but `0` may pass for "rank absent".
+        let text = RunManifest {
+            round: 1,
+            ranks: 4,
+            digest: 2,
+            alive: vec![true, true, false, true],
+            faults: FaultPlan::none(),
+            assignment: Vec::new(),
+        }
+        .encode();
+        for bad in ["alive 11x1", "alive 1121", "alive 11 1"] {
+            let tampered = text.replace("alive 1101", bad);
+            assert!(matches!(
+                RunManifest::decode(&tampered),
+                Err(CkptError::Malformed(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn stats_rows_are_validated() {
+        let text = sample_rank().encode();
+        for bad in [
+            "local-swap 100\n",
+            "local-swap many 37\n",
+            "local-swap 100 137\n",
+            "local-swap 100 37 0\n",
+        ] {
+            let tampered = text.replace("local-swap 100 37\n", bad);
+            assert_ne!(tampered, text);
+            assert!(matches!(
+                RankCheckpoint::decode(&tampered),
+                Err(CkptError::Malformed(_))
+            ));
+        }
     }
 
     #[test]

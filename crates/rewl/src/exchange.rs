@@ -44,18 +44,8 @@ pub mod tags {
     pub const SYNC_PARAMS: u64 = 5;
     /// Window leader → walker: averaged deep-proposal weights.
     pub const SYNC_PARAMS_BACK: u64 = 6;
-    /// Gather: a rank's window `ln g` piece.
-    pub const GATHER_LN_G: u64 = 7;
-    /// Gather: a rank's visited-bin mask.
-    pub const GATHER_MASK: u64 = 8;
-    /// Gather: a rank's move statistics.
-    pub const GATHER_STATS: u64 = 9;
-    /// Gather: a rank's counter vector.
-    pub const GATHER_COUNTS: u64 = 10;
-    /// Gather: a rank's SRO accumulator sums.
-    pub const GATHER_SRO_SUMS: u64 = 11;
-    /// Gather: a rank's SRO accumulator counts.
-    pub const GATHER_SRO_COUNTS: u64 = 12;
+    /// Gather: a rank's whole contribution, one framed message.
+    pub const GATHER_PIECE: u64 = 7;
     /// Checkpoint-commit confirmation to rank 0.
     pub const CKPT_META: u64 = 13;
     /// Gather: a rank's telemetry snapshot (multi-process backends only).
@@ -189,45 +179,16 @@ pub enum ExchangeRole {
     Idle,
 }
 
-/// The pairing function: which role `rank` plays in `round`, given the
-/// `walkers_per_window × num_windows` layout. Deterministic and
-/// symmetric — if it names a partner, the partner's role names this rank
-/// back (see the tests).
-pub fn exchange_role(
-    rank: usize,
-    round: u64,
-    walkers_per_window: usize,
-    num_windows: usize,
-) -> ExchangeRole {
-    let w = walkers_per_window;
-    let window = rank / w;
-    let slot = rank % w;
-    let parity = (round % 2) as usize;
-    if window % 2 == parity && window + 1 < num_windows {
-        let partner_slot = (slot + round as usize) % w;
-        ExchangeRole::Initiator {
-            partner: (window + 1) * w + partner_slot,
-        }
-    } else if window % 2 != parity && window > 0 {
-        let initiator_slot = (slot + w - (round as usize % w)) % w;
-        ExchangeRole::Responder {
-            initiator: (window - 1) * w + initiator_slot,
-        }
-    } else {
-        ExchangeRole::Idle
-    }
-}
-
-/// Assignment-aware pairing: [`exchange_role`] generalized to an
-/// arbitrary rank→window map, used once dynamic walker reallocation has
-/// moved ranks between windows. Within each window, members keep a
+/// The pairing function: which role `rank` plays in `round` under the
+/// rank→window map `assignment`. Within each window, members keep a
 /// stable identity given by ascending rank order; the lower window's
 /// member `i` (for `i < min(|lower|, |upper|)`) initiates toward the
-/// upper window's member `(i + round) mod |upper|`. For the uniform
-/// assignment `rank → rank / w` this reduces *exactly* to
-/// [`exchange_role`] (see the tests), so enabling the adaptive path with
-/// no migrations yet changes nothing.
-pub fn exchange_role_assigned(
+/// upper window's member `(i + round) mod |upper|`. Deterministic and
+/// symmetric — if it names a partner, the partner's role names this rank
+/// back. For the uniform assignment `rank → rank / w` this is the classic
+/// slot rotation (see the tests); runs that never rebalance pass that
+/// assignment.
+pub fn exchange_role(
     rank: usize,
     round: u64,
     assignment: &[usize],
@@ -235,43 +196,36 @@ pub fn exchange_role_assigned(
 ) -> ExchangeRole {
     let window = assignment[rank];
     let parity = (round % 2) as usize;
-    let members = |win: usize| -> Vec<usize> {
+    let members = |win: usize| {
         assignment
             .iter()
             .enumerate()
-            .filter(|&(_, &w)| w == win)
+            .filter(move |&(_, &w)| w == win)
             .map(|(r, _)| r)
-            .collect()
     };
+    let idx = members(window)
+        .position(|r| r == rank)
+        .expect("a rank is a member of its own window");
     if window % 2 == parity && window + 1 < num_windows {
-        let lower = members(window);
-        let upper = members(window + 1);
-        if upper.is_empty() {
-            return ExchangeRole::Idle;
-        }
-        let idx = lower.iter().position(|&r| r == rank).expect("own window");
+        let (lower, upper) = (members(window).count(), members(window + 1).count());
         // Only the first min(|lower|, |upper|) members initiate, so the
         // rotation below maps them injectively into the upper window.
-        if idx >= lower.len().min(upper.len()) {
+        if idx >= lower.min(upper) {
             return ExchangeRole::Idle;
         }
-        let partner_idx = (idx + round as usize) % upper.len();
+        let partner = members(window + 1).nth((idx + round as usize) % upper);
         ExchangeRole::Initiator {
-            partner: upper[partner_idx],
+            partner: partner.expect("index below the member count"),
         }
     } else if window % 2 != parity && window > 0 {
-        let lower = members(window - 1);
-        let upper = members(window);
-        if lower.is_empty() {
+        let (lower, upper) = (members(window - 1).count(), members(window).count());
+        let initiator_idx = (idx + upper - (round as usize % upper)) % upper;
+        if initiator_idx >= lower.min(upper) {
             return ExchangeRole::Idle;
         }
-        let idx = upper.iter().position(|&r| r == rank).expect("own window");
-        let initiator_idx = (idx + upper.len() - (round as usize % upper.len())) % upper.len();
-        if initiator_idx >= lower.len().min(upper.len()) {
-            return ExchangeRole::Idle;
-        }
+        let initiator = members(window - 1).nth(initiator_idx);
         ExchangeRole::Responder {
-            initiator: lower[initiator_idx],
+            initiator: initiator.expect("index below the member count"),
         }
     } else {
         ExchangeRole::Idle
@@ -419,12 +373,7 @@ mod tests {
             tags::EXCH_CONFIG,
             tags::SYNC_PARAMS,
             tags::SYNC_PARAMS_BACK,
-            tags::GATHER_LN_G,
-            tags::GATHER_MASK,
-            tags::GATHER_STATS,
-            tags::GATHER_COUNTS,
-            tags::GATHER_SRO_SUMS,
-            tags::GATHER_SRO_COUNTS,
+            tags::GATHER_PIECE,
             tags::CKPT_META,
             tags::GATHER_TELEMETRY,
             tags::RT_STATS,
@@ -444,44 +393,30 @@ mod tests {
         assert!(tags::with_round(tags::EXCH_CONFIG, 1 << 40) < 1 << 63);
     }
 
-    #[test]
-    fn pairing_is_a_symmetric_involution() {
-        for w in 1usize..=4 {
-            for m in 1usize..=5 {
-                let size = w * m;
-                for round in 0..12u64 {
-                    let mut partner_of = vec![None; size];
-                    for (rank, slot) in partner_of.iter_mut().enumerate() {
-                        match exchange_role(rank, round, w, m) {
-                            ExchangeRole::Initiator { partner } => {
-                                assert_eq!(
-                                    exchange_role(partner, round, w, m),
-                                    ExchangeRole::Responder { initiator: rank },
-                                    "w={w} m={m} round={round} rank={rank}"
-                                );
-                                *slot = Some(partner);
-                            }
-                            ExchangeRole::Responder { initiator } => {
-                                assert_eq!(
-                                    exchange_role(initiator, round, w, m),
-                                    ExchangeRole::Initiator { partner: rank },
-                                    "w={w} m={m} round={round} rank={rank}"
-                                );
-                                *slot = Some(initiator);
-                            }
-                            ExchangeRole::Idle => {}
-                        }
-                    }
-                    // The pairing is an involution with no self-pairs, so
-                    // no rank can be claimed by two partners.
-                    for rank in 0..size {
-                        if let Some(p) = partner_of[rank] {
-                            assert_ne!(p, rank);
-                            assert_eq!(partner_of[p], Some(rank));
-                        }
-                    }
-                }
+    /// The uniform rank→window map of a `w × m` layout.
+    fn uniform(w: usize, m: usize) -> Vec<usize> {
+        (0..w * m).map(|r| r / w).collect()
+    }
+
+    /// The closed-form slot rotation the driver used before walkers
+    /// could change windows — kept as the reference the pairing function
+    /// must reproduce on the uniform assignment.
+    fn classic_role(rank: usize, round: u64, w: usize, num_windows: usize) -> ExchangeRole {
+        let window = rank / w;
+        let slot = rank % w;
+        let parity = (round % 2) as usize;
+        if window % 2 == parity && window + 1 < num_windows {
+            let partner_slot = (slot + round as usize) % w;
+            ExchangeRole::Initiator {
+                partner: (window + 1) * w + partner_slot,
             }
+        } else if window % 2 != parity && window > 0 {
+            let initiator_slot = (slot + w - (round as usize % w)) % w;
+            ExchangeRole::Responder {
+                initiator: (window - 1) * w + initiator_slot,
+            }
+        } else {
+            ExchangeRole::Idle
         }
     }
 
@@ -489,13 +424,12 @@ mod tests {
     fn assigned_pairing_reduces_to_legacy_for_uniform_assignment() {
         for w in 1usize..=4 {
             for m in 1usize..=5 {
-                let size = w * m;
-                let assignment: Vec<usize> = (0..size).map(|r| r / w).collect();
+                let assignment = uniform(w, m);
                 for round in 0..24u64 {
-                    for rank in 0..size {
+                    for rank in 0..w * m {
                         assert_eq!(
-                            exchange_role_assigned(rank, round, &assignment, m),
-                            exchange_role(rank, round, w, m),
+                            exchange_role(rank, round, &assignment, m),
+                            classic_role(rank, round, w, m),
                             "w={w} m={m} round={round} rank={rank}"
                         );
                     }
@@ -506,14 +440,18 @@ mod tests {
 
     #[test]
     fn assigned_pairing_is_an_involution_for_skewed_assignments() {
-        // Hand-built unbalanced maps plus a deterministically scrambled
-        // family: the pairing must stay a self-inverse partial matching.
+        // Hand-built unbalanced maps and uniform layouts alike: the
+        // pairing must stay a self-inverse partial matching.
         let cases: Vec<(Vec<usize>, usize)> = vec![
             (vec![0, 0, 0, 1], 2),
             (vec![0, 1, 1, 1], 2),
             (vec![0, 2, 1, 0, 2, 2, 1], 3),
             (vec![1, 0, 3, 2, 0, 1, 2, 3, 3], 4),
             (vec![0, 0, 1, 2, 2, 2, 2], 3),
+            (uniform(1, 1), 1),
+            (uniform(3, 2), 2),
+            (uniform(2, 5), 5),
+            (uniform(4, 3), 3),
         ];
         for (assignment, m) in cases {
             let size = assignment.len();
@@ -521,10 +459,10 @@ mod tests {
                 let mut partner_of = vec![None; size];
                 #[allow(clippy::needless_range_loop)]
                 for rank in 0..size {
-                    match exchange_role_assigned(rank, round, &assignment, m) {
+                    match exchange_role(rank, round, &assignment, m) {
                         ExchangeRole::Initiator { partner } => {
                             assert_eq!(
-                                exchange_role_assigned(partner, round, &assignment, m),
+                                exchange_role(partner, round, &assignment, m),
                                 ExchangeRole::Responder { initiator: rank },
                                 "{assignment:?} round={round} rank={rank}"
                             );
@@ -532,7 +470,7 @@ mod tests {
                         }
                         ExchangeRole::Responder { initiator } => {
                             assert_eq!(
-                                exchange_role_assigned(initiator, round, &assignment, m),
+                                exchange_role(initiator, round, &assignment, m),
                                 ExchangeRole::Initiator { partner: rank },
                                 "{assignment:?} round={round} rank={rank}"
                             );
@@ -556,9 +494,12 @@ mod tests {
     fn every_cross_window_pair_eventually_meets() {
         let (w, m) = (3usize, 2usize);
         let mut met = std::collections::HashSet::new();
+        let assignment = uniform(w, m);
         for round in 0..64u64 {
             for rank in 0..w * m {
-                if let ExchangeRole::Initiator { partner } = exchange_role(rank, round, w, m) {
+                if let ExchangeRole::Initiator { partner } =
+                    exchange_role(rank, round, &assignment, m)
+                {
                     met.insert((rank, partner));
                 }
             }

@@ -1,13 +1,14 @@
 //! The final gather: rank pieces, window averaging, accumulator
 //! reduction, and output assembly at rank 0.
 //!
-//! Every rank ends its run by shipping its window `ln g` piece, visited
-//! mask, move statistics, counters, and SRO accumulator to rank 0 (tags
-//! `GATHER_*`). Rank 0 validates every payload shape — a dead peer, a
-//! timeout, or a malformed message drops that *rank* from the merge, not
-//! the run — averages each window's surviving walkers (aligning their
-//! additive `ln g` constants on co-visited bins), and stitches the
-//! windows into the global density of states.
+//! Every rank ends its run by shipping one [`GatherPiece`] — its final
+//! state in checkpoint form (window `ln g`, visited mask, move statistics,
+//! counters, SRO accumulator totals) — to rank 0 (tag `GATHER_PIECE`).
+//! Rank 0 validates the shape of what arrives — a dead peer, a timeout,
+//! or a malformed message drops that *rank* from the merge, not the run —
+//! averages each window's surviving walkers (aligning their additive
+//! `ln g` constants on co-visited bins), and stitches the windows into the
+//! global density of states.
 
 use std::time::Instant;
 
@@ -15,65 +16,19 @@ use dt_hpc::{Communicator, Transport};
 use dt_proposal::MoveStats;
 use dt_telemetry::RankTelemetry;
 use dt_thermo::MicrocanonicalAccumulator;
-use dt_wanglandau::WlWalker;
 
 use crate::driver::{RecoveryStats, RewlConfig, RewlError, RewlOutput, WindowReport};
 use crate::exchange::{recv_until, tags};
 use crate::merge::merge_windows;
 use crate::windows::WindowLayout;
-use crate::wire;
+use crate::wire::{self, GatherPiece};
 
-/// Data one rank contributes to the final gather.
-pub(crate) struct RankPiece {
-    pub(crate) ln_g: Vec<f64>,
-    pub(crate) mask: Vec<bool>,
-    pub(crate) stats: MoveStats,
-    /// `[exchange_attempts, exchange_accepted, converged, ln_f bits,
-    /// moves, respawns, rejoin_duration_ns, heartbeat_misses,
-    /// round_trips, round_trip_moves, rebalanced]`.
-    pub(crate) counts: Vec<u64>,
-}
-
-/// Number of fields in [`RankPiece::counts`].
-const COUNT_FIELDS: usize = 11;
-
-impl RankPiece {
-    /// Capture this rank's own contribution (rank 0 keeps its piece
-    /// local; every other rank encodes it onto the wire).
-    pub(crate) fn from_walker(walker: &WlWalker, counts: Vec<u64>) -> RankPiece {
-        RankPiece {
-            ln_g: walker.dos().ln_g().to_vec(),
-            mask: walker.visited_mask(),
-            stats: walker.stats().clone(),
-            counts,
-        }
-    }
-}
-
-/// Ship this rank's gather contribution to rank 0.
-pub(crate) fn send_piece<T: Transport>(
-    comm: &Communicator<T>,
-    walker: &WlWalker,
-    counts: &[u64],
-    sro: &MicrocanonicalAccumulator,
-    obs_dim: usize,
-) {
-    comm.send(0, tags::GATHER_LN_G, wire::encode_f64s(walker.dos().ln_g()));
-    comm.send(
-        0,
-        tags::GATHER_MASK,
-        wire::encode_mask(&walker.visited_mask()),
-    );
-    comm.send(0, tags::GATHER_STATS, wire::encode_stats(walker.stats()));
-    comm.send(0, tags::GATHER_COUNTS, wire::encode_u64s(counts));
-    send_accumulator(comm, sro, obs_dim);
-}
-
-/// Receive one rank's gather contribution, validating every shape; any
-/// timeout, dead peer, or malformed payload drops the whole rank. All
-/// receives share the caller's absolute `deadline` (one budget per
-/// collection phase, not per message); `wait_dead` tolerates a peer that
-/// is mid-respawn (recovery mode).
+/// Receive one rank's gather contribution and rebuild its SRO
+/// accumulator, validating every shape; any timeout, dead peer, or
+/// malformed payload drops the whole rank. The receive is bounded by the
+/// caller's absolute `deadline` (one budget per collection phase, not per
+/// message); `wait_dead` tolerates a peer that is mid-respawn (recovery
+/// mode).
 pub(crate) fn recv_rank_piece<T: Transport>(
     comm: &Communicator<T>,
     other: usize,
@@ -82,54 +37,48 @@ pub(crate) fn recv_rank_piece<T: Transport>(
     obs_dim: usize,
     deadline: Instant,
     wait_dead: bool,
-) -> Result<(RankPiece, MicrocanonicalAccumulator), String> {
-    let grab = |tag: u64| -> Result<Vec<u8>, String> {
-        recv_until(comm, other, tag, deadline, wait_dead).map_err(|e| e.to_string())
-    };
-    let ln_g = wire::decode_f64s(&grab(tags::GATHER_LN_G)?).map_err(|e| e.to_string())?;
-    let mask = wire::decode_mask(&grab(tags::GATHER_MASK)?);
-    let stats = wire::decode_stats(&grab(tags::GATHER_STATS)?).map_err(|e| e.to_string())?;
-    let counts = wire::decode_u64s(&grab(tags::GATHER_COUNTS)?).map_err(|e| e.to_string())?;
-    if ln_g.len() != window_bins || mask.len() != window_bins {
+) -> Result<(GatherPiece, MicrocanonicalAccumulator), String> {
+    let bytes = recv_until(comm, other, tags::GATHER_PIECE, deadline, wait_dead)
+        .map_err(|e| e.to_string())?;
+    let piece = wire::decode_piece(&bytes).map_err(|e| e.to_string())?;
+    // Decoding already tied every vector to the counts the piece states.
+    let state = &piece.state;
+    if state.walker.num_bins != window_bins {
         return Err(format!(
-            "piece shape mismatch: {} ln_g / {} mask bins, expected {window_bins}",
-            ln_g.len(),
-            mask.len()
+            "piece shape mismatch: {} bins, expected {window_bins}",
+            state.walker.num_bins
         ));
     }
-    if counts.len() != COUNT_FIELDS {
+    if state.sro_counts.len() != global_bins || state.obs_dim != obs_dim {
         return Err(format!(
-            "counts has {} fields, expected {COUNT_FIELDS}",
-            counts.len()
+            "accumulator shape mismatch: {} bins × {}, expected {global_bins} × {obs_dim}",
+            state.sro_counts.len(),
+            state.obs_dim
         ));
     }
-    let acc = recv_accumulator(comm, other, global_bins, obs_dim, deadline, wait_dead)?;
-    Ok((
-        RankPiece {
-            ln_g,
-            mask,
-            stats,
-            counts,
-        },
-        acc,
-    ))
+    let mut acc = MicrocanonicalAccumulator::new(global_bins, obs_dim);
+    for (b, &count) in state.sro_counts.iter().enumerate() {
+        acc.record_sum(b, &state.sro_sums[b * obs_dim..(b + 1) * obs_dim], count);
+    }
+    Ok((piece, acc))
 }
 
 /// Average the `ln_g` of a window's walkers after aligning their additive
 /// constants on co-visited bins; mask is the union of visited bins.
-pub(crate) fn average_window(members: &[&RankPiece]) -> (Vec<f64>, Vec<bool>) {
-    let bins = members[0].ln_g.len();
-    let reference = members[0];
+pub(crate) fn average_window(members: &[&GatherPiece]) -> (Vec<f64>, Vec<bool>) {
+    let walkers: Vec<_> = members.iter().map(|p| &p.state.walker).collect();
+    let reference = walkers[0];
+    let bins = reference.ln_g.len();
     let mut sum = vec![0.0f64; bins];
     let mut count = vec![0u32; bins];
-    for (mi, piece) in members.iter().enumerate() {
+    for (mi, piece) in walkers.iter().enumerate() {
         // Align to the reference on co-visited bins.
         let mut shift = 0.0;
         if mi > 0 {
             let mut acc = 0.0;
             let mut n = 0usize;
             for b in 0..bins {
-                if piece.mask[b] && reference.mask[b] {
+                if piece.ever_visited[b] && reference.ever_visited[b] {
                     acc += reference.ln_g[b] - piece.ln_g[b];
                     n += 1;
                 }
@@ -139,7 +88,7 @@ pub(crate) fn average_window(members: &[&RankPiece]) -> (Vec<f64>, Vec<bool>) {
             }
         }
         for b in 0..bins {
-            if piece.mask[b] {
+            if piece.ever_visited[b] {
                 sum[b] += piece.ln_g[b] + shift;
                 count[b] += 1;
             }
@@ -174,48 +123,6 @@ pub(crate) fn accumulator_totals(
     (sums, counts)
 }
 
-fn send_accumulator<T: Transport>(
-    comm: &Communicator<T>,
-    acc: &MicrocanonicalAccumulator,
-    obs_dim: usize,
-) {
-    let (sums, counts) = accumulator_totals(acc, obs_dim);
-    comm.send(0, tags::GATHER_SRO_SUMS, wire::encode_f64s(&sums));
-    comm.send(0, tags::GATHER_SRO_COUNTS, wire::encode_u64s(&counts));
-}
-
-fn recv_accumulator<T: Transport>(
-    comm: &Communicator<T>,
-    from: usize,
-    bins: usize,
-    obs_dim: usize,
-    deadline: Instant,
-    wait_dead: bool,
-) -> Result<MicrocanonicalAccumulator, String> {
-    let sums = wire::decode_f64s(
-        &recv_until(comm, from, tags::GATHER_SRO_SUMS, deadline, wait_dead)
-            .map_err(|e| e.to_string())?,
-    )
-    .map_err(|e| e.to_string())?;
-    let counts = wire::decode_u64s(
-        &recv_until(comm, from, tags::GATHER_SRO_COUNTS, deadline, wait_dead)
-            .map_err(|e| e.to_string())?,
-    )
-    .map_err(|e| e.to_string())?;
-    if sums.len() != bins * obs_dim || counts.len() != bins {
-        return Err(format!(
-            "accumulator shape mismatch: {} sums / {} counts for {bins} bins × {obs_dim}",
-            sums.len(),
-            counts.len()
-        ));
-    }
-    let mut acc = MicrocanonicalAccumulator::new(bins, obs_dim);
-    for b in 0..bins {
-        acc.record_sum(b, &sums[b * obs_dim..(b + 1) * obs_dim], counts[b]);
-    }
-    Ok(acc)
-}
-
 /// Rank 0's final step: average each window's surviving walkers, build
 /// the per-window reports, and merge the windows into the global DOS.
 ///
@@ -226,7 +133,7 @@ pub(crate) fn assemble_output(
     layout: &WindowLayout,
     cfg: &RewlConfig,
     assignment: &[usize],
-    per_rank: &[Option<RankPiece>],
+    per_rank: &[Option<GatherPiece>],
     merged_sro: MicrocanonicalAccumulator,
     lost_ranks: Vec<usize>,
     sweeps: u64,
@@ -239,7 +146,7 @@ pub(crate) fn assemble_output(
         // Walker reallocation can leave windows with unequal headcounts;
         // group by the final rank→window assignment, not by rank blocks.
         let started = assignment.iter().filter(|&&a| a == win).count();
-        let members: Vec<&RankPiece> = per_rank
+        let members: Vec<&GatherPiece> = per_rank
             .iter()
             .enumerate()
             .filter(|&(r, _)| assignment[r] == win)
@@ -259,14 +166,15 @@ pub(crate) fn assemble_output(
         let mut ln_f_max = 0.0f64;
         let mut round_trips = 0u64;
         let mut round_trip_moves = 0u64;
-        for p in &members {
+        for p in members.iter().map(|p| &p.state) {
             stats.merge(&p.stats);
-            attempts += p.counts[0];
-            accepted += p.counts[1];
-            all_conv &= p.counts[2] == 1;
-            ln_f_max = ln_f_max.max(f64::from_bits(p.counts[3]));
-            round_trips += p.counts[8];
-            round_trip_moves += p.counts[9];
+            attempts += p.exchange_attempts;
+            accepted += p.exchange_accepted;
+            all_conv &= p.walker.ln_f <= cfg.wl.ln_f_final;
+            ln_f_max = ln_f_max.max(p.walker.ln_f);
+            // Two boundary crossings make one round trip.
+            round_trips += (p.rt_banked_crossings + p.walker.rt_crossings) / 2;
+            round_trip_moves += p.rt_banked_moves + p.walker.rt_crossing_moves;
         }
         reports.push(WindowReport {
             window: win,
@@ -281,15 +189,19 @@ pub(crate) fn assemble_output(
         });
     }
     let (dos, mask) = merge_windows(layout, &pieces);
-    let total_moves = per_rank.iter().flatten().map(|p| p.counts[4]).sum();
+    let total_moves = per_rank
+        .iter()
+        .flatten()
+        .map(|p| p.state.walker.total_moves)
+        .sum();
     let converged_all = reports.iter().all(|r| r.converged);
     let mut recovery = RecoveryStats::default();
     let mut walkers_rebalanced = 0u64;
     for p in per_rank.iter().flatten() {
-        recovery.ranks_respawned += p.counts[5];
-        recovery.rejoin_duration_ns += p.counts[6];
-        recovery.heartbeat_misses += p.counts[7];
-        walkers_rebalanced += p.counts[10];
+        recovery.ranks_respawned += p.respawns;
+        recovery.rejoin_duration_ns += p.rejoin_duration_ns;
+        recovery.heartbeat_misses += p.heartbeat_misses;
+        walkers_rebalanced += p.state.rebalanced;
     }
     Ok(RewlOutput {
         dos,

@@ -91,10 +91,10 @@ pub use driver::pilot_window_costs;
 pub use driver::{
     run_rewl, run_rewl_on, RankRun, RecoveryStats, RewlConfig, RewlError, RewlOutput, WindowReport,
 };
-pub use exchange::{exchange_role, exchange_role_assigned, ExchangeRole};
+pub use exchange::{exchange_role, ExchangeRole};
 pub use merge::merge_windows;
 pub use rebalance::{plan_rebalance, Migration, RtSample};
 pub use serial::run_windows_serial;
 pub use spec::{DeepSpec, KernelSpec};
 pub use windows::WindowLayout;
-pub use wire::{StatsWireError, WireError};
+pub use wire::{GatherPiece, WireError};

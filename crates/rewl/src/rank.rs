@@ -45,14 +45,14 @@ use std::time::{Duration, Instant};
 use crate::checkpoint::{CheckpointSpec, RankCheckpoint, ResumePoint, RunManifest};
 use crate::driver::{RewlConfig, RewlError, RewlOutput};
 use crate::exchange::{
-    self, exchange_role, exchange_role_assigned, recv_recovering, recv_resilient, recv_until, tags,
-    ExchangeRole, COLLECT_DEADLINE,
+    self, exchange_role, recv_recovering, recv_resilient, recv_until, tags, ExchangeRole,
+    COLLECT_DEADLINE,
 };
-use crate::gather::{self, accumulator_totals, RankPiece};
+use crate::gather::{self, accumulator_totals};
 use crate::rebalance::{self, Migration, RtSample};
 use crate::spec::{DeepSpec, KernelSpec};
 use crate::windows::WindowLayout;
-use crate::wire;
+use crate::wire::{self, GatherPiece};
 
 /// What one rank hands back to its driver: the assembled output (rank 0
 /// only, or the error that prevented assembly) plus this rank's telemetry
@@ -259,7 +259,6 @@ pub(crate) struct RankEngine<'a, M, T: Transport> {
     wire_telemetry: bool,
 
     rank: usize,
-    w: usize,
     window: usize,
     m_species: usize,
     num_shells: usize,
@@ -427,7 +426,6 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             digest,
             wire_telemetry,
             rank,
-            w,
             window,
             m_species,
             num_shells,
@@ -677,21 +675,14 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         // replacement replays this round), so the attempt proceeds and
         // waits the partner out instead of being skipped.
         let recovery = self.cfg.recovery;
-        // The assignment-aware pairing reduces exactly to the classic
-        // one for the uniform assignment, but the classic function stays
-        // the default so non-rebalancing runs share zero code with the
-        // adaptive path.
-        let role = if self.cfg.rebalance_every > 0 {
-            exchange_role_assigned(
-                self.rank,
-                self.round,
-                &self.assignment,
-                self.cfg.num_windows,
-            )
-        } else {
-            exchange_role(self.rank, self.round, self.w, self.cfg.num_windows)
-        };
-        match role {
+        // Without rebalancing the assignment stays the uniform `rank / W`
+        // it started as, for which this is the classic slot rotation.
+        match exchange_role(
+            self.rank,
+            self.round,
+            &self.assignment,
+            self.cfg.num_windows,
+        ) {
             ExchangeRole::Initiator { partner } => {
                 if recovery || self.comm.is_alive(partner) {
                     let _span = self.tel.span(Phase::Exchange);
@@ -957,26 +948,18 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     /// Terminal phase: non-root ranks ship their piece to rank 0; rank 0
     /// collects every survivor, merges, and assembles the output.
     fn phase_gather(mut self) -> RankReturn {
-        let converged = self.walker.ln_f() <= self.cfg.wl.ln_f_final;
-        let rt = self.walker.round_trip_stats();
-        let counts = vec![
-            self.exchange_attempts,
-            self.exchange_accepted,
-            u64::from(converged),
-            self.walker.ln_f().to_bits(),
-            self.walker.total_moves(),
-            self.cfg.respawns,
-            self.rejoin_duration_ns,
-            self.comm.heartbeat_misses(),
-            (self.rt_banked_crossings + rt.crossings) / 2,
-            self.rt_banked_moves + rt.crossing_moves,
-            self.rebalanced,
-        ];
+        let piece = GatherPiece {
+            state: self.rank_checkpoint(),
+            respawns: self.cfg.respawns,
+            rejoin_duration_ns: self.rejoin_duration_ns,
+            heartbeat_misses: self.comm.heartbeat_misses(),
+        };
         let wire_tel = self.wire_telemetry && self.tel.is_enabled();
         if self.rank != 0 {
             {
                 let _span = self.tel.span(Phase::Gather);
-                gather::send_piece(&self.comm, &self.walker, &counts, &self.sro, self.obs_dim);
+                self.comm
+                    .send(0, tags::GATHER_PIECE, wire::encode_piece(&piece));
             }
             let snap = self.snapshot();
             if wire_tel {
@@ -991,8 +974,10 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         // Rank 0: collect every surviving rank (including itself). A rank
         // that died (or whose payload is missing/corrupt) is dropped from
         // the merge and recorded as lost.
-        let mut per_rank: Vec<Option<RankPiece>> = Vec::with_capacity(self.comm.size());
-        per_rank.push(Some(RankPiece::from_walker(&self.walker, counts)));
+        // (Its own accumulator seeds the merge directly, so the totals
+        // its piece carries go unused.)
+        let mut per_rank: Vec<Option<GatherPiece>> = Vec::with_capacity(self.comm.size());
+        per_rank.push(Some(piece));
         let mut merged_sro = std::mem::replace(&mut self.sro, MicrocanonicalAccumulator::new(1, 1));
         let mut lost_ranks = Vec::new();
         // ONE deadline bounds the whole collection: every peer is at (or
@@ -1083,29 +1068,23 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         )
     }
 
-    /// One cluster snapshot: every rank persists its state, then rank 0
-    /// commits the round by writing the manifest listing who made it. The
-    /// data-then-commit order means a crash anywhere in here leaves
-    /// either a complete committed snapshot or garbage no reader will
-    /// trust.
-    fn checkpoint_cluster(&mut self, spec: &CheckpointSpec) {
-        let round = self.round;
+    /// This rank's state as a checkpoint — what a cluster snapshot
+    /// persists, and what the final gather ships to rank 0.
+    fn rank_checkpoint(&mut self) -> RankCheckpoint {
         let (sro_sums, sro_counts) = accumulator_totals(&self.sro, self.obs_dim);
-        let rng_word_pos = self.walker.rng_mut().get_word_pos();
-        // Rebalance state is persisted only on rebalancing runs so
-        // non-adaptive checkpoint files stay byte-identical.
-        let rebalancing = self.cfg.rebalance_every > 0;
-        let rc = RankCheckpoint {
+        RankCheckpoint {
             exchange_attempts: self.exchange_attempts,
             exchange_accepted: self.exchange_accepted,
             sweeps: self.sweeps,
             sweeps_since_check: self.sweeps_since_check,
-            rng_word_pos,
+            rng_word_pos: self.walker.rng_mut().get_word_pos(),
             coll_gens: self.comm.collective_generations(),
             rebalanced: self.rebalanced,
             rt_banked_crossings: self.rt_banked_crossings,
             rt_banked_moves: self.rt_banked_moves,
-            assignment: if rebalancing {
+            // Rebalance state is persisted only on rebalancing runs so
+            // non-adaptive checkpoint files stay byte-identical.
+            assignment: if self.cfg.rebalance_every > 0 {
                 self.assignment.clone()
             } else {
                 Vec::new()
@@ -1119,7 +1098,17 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             sro_sums,
             sro_counts,
             walker: self.walker.checkpoint(),
-        };
+        }
+    }
+
+    /// One cluster snapshot: every rank persists its state, then rank 0
+    /// commits the round by writing the manifest listing who made it. The
+    /// data-then-commit order means a crash anywhere in here leaves
+    /// either a complete committed snapshot or garbage no reader will
+    /// trust.
+    fn checkpoint_cluster(&mut self, spec: &CheckpointSpec) {
+        let round = self.round;
+        let rc = self.rank_checkpoint();
         let wrote = match rc.write(&spec.dir, round, self.rank) {
             Ok(()) => true,
             Err(e) => {
@@ -1160,11 +1149,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             digest: self.digest,
             alive,
             faults: self.comm.fault_plan().clone(),
-            assignment: if rebalancing {
-                self.assignment.clone()
-            } else {
-                Vec::new()
-            },
+            assignment: rc.assignment,
         };
         if let Err(e) = manifest.write(&spec.dir) {
             eprintln!("rewl: manifest write at round {round} failed: {e}");

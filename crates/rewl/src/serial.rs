@@ -3,21 +3,22 @@
 use dt_hamiltonian::EnergyModel;
 use dt_hpc::rank_rng;
 use dt_lattice::{Composition, Configuration, NeighborTable};
-use dt_proposal::{MoveStats, ProposalContext};
+use dt_proposal::ProposalContext;
 use dt_telemetry::Telemetry;
 use dt_thermo::MicrocanonicalAccumulator;
 use dt_wanglandau::{EnergyGrid, WlWalker};
 
-use crate::driver::{RewlConfig, RewlError, RewlOutput, WindowReport};
-use crate::gather::{average_window, RankPiece};
-use crate::merge::merge_windows;
+use crate::checkpoint::RankCheckpoint;
+use crate::driver::{RewlConfig, RewlError, RewlOutput};
+use crate::gather::assemble_output;
 use crate::rank::{
     build_kernel, fill_pair_probabilities, init_deep_state, snapshot_rank_telemetry,
 };
 use crate::windows::WindowLayout;
+use crate::wire::GatherPiece;
 
-/// Serial baseline: run each window's walkers one after another (rayon
-/// across ranks, but no replica exchange and no weight sync). Useful as an
+/// Serial baseline: run each window's walkers one after another (no
+/// replica exchange and no weight sync). Useful as an
 /// ablation (what replica exchange buys) and as a debugging reference.
 ///
 /// # Errors
@@ -31,7 +32,6 @@ pub fn run_windows_serial<M: EnergyModel + Sync>(
     (e_min, e_max): (f64, f64),
     cfg: &RewlConfig,
 ) -> Result<RewlOutput, RewlError> {
-    use rayon::prelude::*;
     let layout = WindowLayout::new(
         EnergyGrid::new(e_min, e_max, cfg.num_bins),
         cfg.num_windows,
@@ -43,7 +43,6 @@ pub fn run_windows_serial<M: EnergyModel + Sync>(
     let obs_dim = num_shells * m_species * m_species;
 
     let per_rank: Vec<_> = (0..size)
-        .into_par_iter()
         .map(|rank| {
             let window = rank / cfg.walkers_per_window;
             let grid = layout.window_grid(window);
@@ -111,7 +110,6 @@ pub fn run_windows_serial<M: EnergyModel + Sync>(
                     }
                 }
             }
-            let converged = walker.ln_f() <= cfg.wl.ln_f_final;
             let rt = walker.round_trip_stats();
             let snap = snapshot_rank_telemetry(
                 &tel,
@@ -122,76 +120,40 @@ pub fn run_windows_serial<M: EnergyModel + Sync>(
                 [rt.round_trips(), rt.crossing_ns, 0],
                 None,
             );
-            let counts = vec![
-                0u64,
-                0,
-                u64::from(converged),
-                walker.ln_f().to_bits(),
-                walker.total_moves(),
-                0,
-                0,
-                0,
-                rt.round_trips(),
-                rt.crossing_moves,
-                0,
-            ];
-            (RankPiece::from_walker(&walker, counts), sro, sweeps, snap)
+            let piece = GatherPiece {
+                state: RankCheckpoint {
+                    stats: walker.stats().clone(),
+                    walker: walker.checkpoint(),
+                    ..RankCheckpoint::default()
+                },
+                ..GatherPiece::default()
+            };
+            (piece, sro, sweeps, snap)
         })
         .collect();
 
     let mut merged_sro = MicrocanonicalAccumulator::new(layout.global_grid().num_bins(), obs_dim);
-    for (_, s, _, _) in &per_rank {
-        merged_sro.merge(s);
+    let mut pieces = Vec::with_capacity(size);
+    let mut sweeps = 0;
+    let mut telemetry = Vec::new();
+    for (piece, sro, rank_sweeps, snap) in per_rank {
+        merged_sro.merge(&sro);
+        pieces.push(Some(piece));
+        sweeps = sweeps.max(rank_sweeps);
+        telemetry.extend(snap);
     }
-    let mut pieces = Vec::with_capacity(cfg.num_windows);
-    let mut reports = Vec::with_capacity(cfg.num_windows);
-    for win in 0..cfg.num_windows {
-        let members: Vec<&RankPiece> = per_rank
-            [win * cfg.walkers_per_window..(win + 1) * cfg.walkers_per_window]
-            .iter()
-            .map(|(p, _, _, _)| p)
-            .collect();
-        pieces.push(average_window(&members));
-        let mut stats = MoveStats::new();
-        let mut all_conv = true;
-        let mut ln_f_max = 0.0f64;
-        let mut round_trips = 0u64;
-        let mut round_trip_moves = 0u64;
-        for p in &members {
-            stats.merge(&p.stats);
-            all_conv &= p.counts[2] == 1;
-            ln_f_max = ln_f_max.max(f64::from_bits(p.counts[3]));
-            round_trips += p.counts[8];
-            round_trip_moves += p.counts[9];
-        }
-        reports.push(WindowReport {
-            window: win,
-            exchange_attempts: 0,
-            exchange_accepted: 0,
-            stats,
-            converged: all_conv,
-            ln_f: ln_f_max,
-            lost_walkers: 0,
-            round_trips,
-            round_trip_moves,
-        });
-    }
-    let (dos, mask) = merge_windows(&layout, &pieces);
-    let total_moves = per_rank.iter().map(|(p, _, _, _)| p.counts[4]).sum();
-    let sweeps = per_rank.iter().map(|(_, _, s, _)| *s).max().unwrap_or(0);
-    let telemetry = per_rank.into_iter().filter_map(|(_, _, _, t)| t).collect();
-    Ok(RewlOutput {
-        dos,
-        mask,
-        converged: reports.iter().all(|r| r.converged),
-        windows: reports,
+    // The same assembly as the cluster driver's rank 0, over the uniform
+    // assignment and with no rank lost.
+    let assignment: Vec<usize> = (0..size).map(|r| r / cfg.walkers_per_window).collect();
+    assemble_output(
+        &layout,
+        cfg,
+        &assignment,
+        &pieces,
+        merged_sro,
+        Vec::new(),
         sweeps,
-        sro: merged_sro,
-        total_moves,
-        lost_ranks: Vec::new(),
-        resumed_from: None,
+        None,
         telemetry,
-        recovery: crate::driver::RecoveryStats::default(),
-        walkers_rebalanced: 0,
-    })
+    )
 }

@@ -1,8 +1,8 @@
 //! Byte-level encoding of the messages REWL ranks exchange.
 //!
-//! Kept deliberately simple (little-endian scalars, length-prefixed
-//! vectors) — this plays the role MPI derived datatypes play in the
-//! paper's implementation.
+//! Kept deliberately simple (little-endian scalars, packed vectors,
+//! length-prefixed fields, all through [`dt_codec::bin`]) — this plays
+//! the role MPI derived datatypes play in the paper's implementation.
 //!
 //! Decoders return [`WireError`] instead of panicking: on a faulty
 //! cluster a payload may arrive truncated or be paired with the wrong
@@ -11,14 +11,17 @@
 
 use std::fmt;
 
+use dt_codec::bin::{Reader, Writer};
+use dt_codec::BinError;
 use dt_lattice::{Configuration, Species};
-use dt_proposal::MoveStats;
 use dt_telemetry::{Phase, PhaseStat, RankTelemetry};
+
+use crate::checkpoint::RankCheckpoint;
 
 /// A malformed wire payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// Payload shorter than the fixed-size prefix it must carry.
+    /// Payload shorter than a field it must carry.
     Truncated {
         /// Minimum bytes required.
         needed: usize,
@@ -45,6 +48,8 @@ pub enum WireError {
     BadPhase,
     /// A shipped walker snapshot failed to decode.
     BadWalker,
+    /// A gather piece's rank state failed to decode.
+    BadPiece,
 }
 
 impl fmt::Display for WireError {
@@ -68,6 +73,19 @@ impl fmt::Display for WireError {
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             WireError::BadPhase => write!(f, "unknown telemetry phase name"),
             WireError::BadWalker => write!(f, "malformed walker snapshot"),
+            WireError::BadPiece => write!(f, "malformed gather piece"),
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
+
+impl From<BinError> for WireError {
+    fn from(e: BinError) -> Self {
+        match e {
+            BinError::Truncated { needed, got } => WireError::Truncated { needed, got },
+            BinError::Ragged { element, got } => WireError::Ragged { element, got },
+            BinError::BadUtf8 => WireError::BadUtf8,
         }
     }
 }
@@ -89,14 +107,12 @@ pub fn decode_walker(bytes: &[u8]) -> Result<dt_wanglandau::WalkerCheckpoint, Wi
     dt_wanglandau::WalkerCheckpoint::decode(text).map_err(|_| WireError::BadWalker)
 }
 
-impl std::error::Error for WireError {}
-
 /// Encode `(energy, configuration)` for a replica-exchange transfer.
 pub fn encode_state(energy: f64, config: &Configuration) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + config.num_sites());
-    out.extend_from_slice(&energy.to_le_bytes());
-    out.extend(config.species().iter().map(|s| s.0));
-    out
+    Writer::with_capacity(8 + config.num_sites())
+        .f64(energy)
+        .extend(config.species().iter().map(|s| s.0))
+        .finish()
 }
 
 /// Decode a [`encode_state`] payload, validating every species label
@@ -106,33 +122,28 @@ pub fn encode_state(energy: f64, config: &Configuration) -> Vec<u8> {
 /// [`WireError::Truncated`] when the energy prefix is missing,
 /// [`WireError::BadSpecies`] on an out-of-range label.
 pub fn decode_state(bytes: &[u8], num_species: usize) -> Result<(f64, Configuration), WireError> {
-    if bytes.len() < 8 {
-        return Err(WireError::Truncated {
-            needed: 8,
-            got: bytes.len(),
-        });
-    }
-    let energy = f64::from_le_bytes(bytes[..8].try_into().expect("checked length"));
-    let mut species = Vec::with_capacity(bytes.len() - 8);
-    for &b in &bytes[8..] {
-        if usize::from(b) >= num_species {
-            return Err(WireError::BadSpecies {
-                species: b,
-                num_species,
-            });
-        }
-        species.push(Species(b));
-    }
+    let mut r = Reader::new(bytes);
+    let energy = r.f64()?;
+    let species = r
+        .rest()
+        .iter()
+        .map(|&b| {
+            if usize::from(b) < num_species {
+                Ok(Species(b))
+            } else {
+                Err(WireError::BadSpecies {
+                    species: b,
+                    num_species,
+                })
+            }
+        })
+        .collect::<Result<_, _>>()?;
     Ok((energy, Configuration::from_species(species, num_species)))
 }
 
 /// Encode a vector of `f64`.
 pub fn encode_f64s(values: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+    Writer::new().f64s(values).finish()
 }
 
 /// Decode a [`encode_f64s`] payload.
@@ -140,25 +151,12 @@ pub fn encode_f64s(values: &[f64]) -> Vec<u8> {
 /// # Errors
 /// [`WireError::Ragged`] when the length is not a multiple of 8.
 pub fn decode_f64s(bytes: &[u8]) -> Result<Vec<f64>, WireError> {
-    if bytes.len() % 8 != 0 {
-        return Err(WireError::Ragged {
-            element: 8,
-            got: bytes.len(),
-        });
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect())
+    Ok(Reader::new(bytes).rest_f64s()?)
 }
 
 /// Encode a vector of `u64`.
 pub fn encode_u64s(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+    Writer::new().u64s(values).finish()
 }
 
 /// Decode a [`encode_u64s`] payload.
@@ -166,200 +164,74 @@ pub fn encode_u64s(values: &[u64]) -> Vec<u8> {
 /// # Errors
 /// [`WireError::Ragged`] when the length is not a multiple of 8.
 pub fn decode_u64s(bytes: &[u8]) -> Result<Vec<u64>, WireError> {
-    if bytes.len() % 8 != 0 {
-        return Err(WireError::Ragged {
-            element: 8,
-            got: bytes.len(),
-        });
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect())
+    Ok(Reader::new(bytes).rest_u64s()?)
 }
 
-/// Encode a bool mask as bytes.
-pub fn encode_mask(mask: &[bool]) -> Vec<u8> {
-    mask.iter().map(|&b| u8::from(b)).collect()
+/// What one rank contributes to the final gather, shipped to rank 0 as
+/// one message: its final state in the form a rank's state already has —
+/// its checkpoint, window `ln g`, visited mask, move statistics, exchange
+/// and round-trip counters and SRO totals included — plus the counters of
+/// its process life, which no checkpoint records.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct GatherPiece {
+    /// The rank's state at the end of the run.
+    pub state: RankCheckpoint,
+    /// Supervised respawns of this rank.
+    pub respawns: u64,
+    /// Nanoseconds the last respawn spent rejoining.
+    pub rejoin_duration_ns: u64,
+    /// Heartbeat deadlines this rank saw missed.
+    pub heartbeat_misses: u64,
 }
 
-/// Decode a [`encode_mask`] payload.
-pub fn decode_mask(bytes: &[u8]) -> Vec<bool> {
-    bytes.iter().map(|&b| b != 0).collect()
+/// Encode a [`GatherPiece`]: three counters, then the checkpoint text
+/// (whose `end` sentinel makes the message delimit itself).
+pub fn encode_piece(p: &GatherPiece) -> Vec<u8> {
+    Writer::new()
+        .u64s(&[p.respawns, p.rejoin_duration_ns, p.heartbeat_misses])
+        .raw(p.state.encode().as_bytes())
+        .finish()
 }
 
-/// A malformed [`MoveStats`] payload ([`decode_stats`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StatsWireError {
-    /// The payload is not UTF-8 text.
-    NotUtf8,
-    /// A line is missing one of its three fields, or a count failed to
-    /// parse.
-    MissingField {
-        /// 0-based line index.
-        line: usize,
-        /// Which field was missing or malformed.
-        field: &'static str,
-    },
-    /// A line claims more accepted than proposed moves.
-    AcceptedExceedsProposed {
-        /// Kernel name of the offending line.
-        kernel: String,
-        /// Proposed count.
-        proposed: u64,
-        /// Accepted count.
-        accepted: u64,
-    },
-}
-
-impl fmt::Display for StatsWireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StatsWireError::NotUtf8 => write!(f, "stats payload is not utf-8"),
-            StatsWireError::MissingField { line, field } => {
-                write!(f, "stats line {line}: missing or malformed {field}")
-            }
-            StatsWireError::AcceptedExceedsProposed {
-                kernel,
-                proposed,
-                accepted,
-            } => write!(
-                f,
-                "{kernel}: accepted {accepted} exceeds proposed {proposed}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for StatsWireError {}
-
-/// Encode per-kernel move statistics as newline-separated
-/// `name proposed accepted` records.
-pub fn encode_stats(stats: &MoveStats) -> Vec<u8> {
-    let mut s = String::new();
-    for (name, p, a) in stats.iter() {
-        s.push_str(&format!("{name} {p} {a}\n"));
-    }
-    s.into_bytes()
-}
-
-/// Decode an [`encode_stats`] payload.
+/// Decode an [`encode_piece`] payload.
 ///
 /// # Errors
-/// [`StatsWireError`] on non-UTF-8 payloads, missing/malformed fields, or
-/// an accepted count exceeding its proposed count.
-pub fn decode_stats(bytes: &[u8]) -> Result<MoveStats, StatsWireError> {
-    let text = std::str::from_utf8(bytes).map_err(|_| StatsWireError::NotUtf8)?;
-    let mut stats = MoveStats::new();
-    for (line_no, line) in text.lines().enumerate() {
-        let mut parts = line.split_whitespace();
-        let name = parts.next().ok_or(StatsWireError::MissingField {
-            line: line_no,
-            field: "kernel name",
-        })?;
-        let p: u64 =
-            parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or(StatsWireError::MissingField {
-                    line: line_no,
-                    field: "proposed count",
-                })?;
-        let a: u64 =
-            parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or(StatsWireError::MissingField {
-                    line: line_no,
-                    field: "accepted count",
-                })?;
-        if a > p {
-            return Err(StatsWireError::AcceptedExceedsProposed {
-                kernel: name.to_string(),
-                proposed: p,
-                accepted: a,
-            });
-        }
-        stats.record_n(name, p, a);
-    }
-    Ok(stats)
-}
-
-fn push_str_field(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// A byte cursor for the length-prefixed telemetry payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(WireError::Truncated {
-                needed: self.pos + n,
-                got: self.bytes.len(),
-            });
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn str_field(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?)
-            .map(str::to_string)
-            .map_err(|_| WireError::BadUtf8)
-    }
+/// [`WireError::Truncated`] on a short payload, [`WireError::BadUtf8`] /
+/// [`WireError::BadPiece`] when the rank state does not decode.
+pub fn decode_piece(bytes: &[u8]) -> Result<GatherPiece, WireError> {
+    let mut r = Reader::new(bytes);
+    let (respawns, rejoin_duration_ns, heartbeat_misses) = (r.u64()?, r.u64()?, r.u64()?);
+    let text = std::str::from_utf8(r.rest()).map_err(|_| WireError::BadUtf8)?;
+    Ok(GatherPiece {
+        state: RankCheckpoint::decode(text).map_err(|_| WireError::BadPiece)?,
+        respawns,
+        rejoin_duration_ns,
+        heartbeat_misses,
+    })
 }
 
 /// Encode one rank's telemetry snapshot for a cross-process gather (the
 /// TCP backend ships these to rank 0; the thread backend passes them in
 /// memory).
 pub fn encode_telemetry(tel: &RankTelemetry) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(tel.rank as u64).to_le_bytes());
-    out.extend_from_slice(&(tel.phases.len() as u32).to_le_bytes());
+    let mut w = Writer::new();
+    w.u64(tel.rank as u64).u32(tel.phases.len() as u32);
     for p in &tel.phases {
-        push_str_field(&mut out, p.phase.name());
-        out.extend_from_slice(&p.total_s.to_le_bytes());
-        out.extend_from_slice(&p.count.to_le_bytes());
-        out.extend_from_slice(&p.p50_s.to_le_bytes());
-        out.extend_from_slice(&p.p99_s.to_le_bytes());
+        w.str(p.phase.name())
+            .f64(p.total_s)
+            .u64(p.count)
+            .f64(p.p50_s)
+            .f64(p.p99_s);
     }
-    out.extend_from_slice(&(tel.counters.len() as u32).to_le_bytes());
+    w.u32(tel.counters.len() as u32);
     for (name, v) in &tel.counters {
-        push_str_field(&mut out, name);
-        out.extend_from_slice(&v.to_le_bytes());
+        w.str(name).u64(*v);
     }
-    out.extend_from_slice(&(tel.gauges.len() as u32).to_le_bytes());
+    w.u32(tel.gauges.len() as u32);
     for (name, v) in &tel.gauges {
-        push_str_field(&mut out, name);
-        out.extend_from_slice(&v.to_le_bytes());
+        w.str(name).f64(*v);
     }
-    out
+    w.finish()
 }
 
 /// Decode an [`encode_telemetry`] payload.
@@ -368,32 +240,26 @@ pub fn encode_telemetry(tel: &RankTelemetry) -> Vec<u8> {
 /// [`WireError::Truncated`] on short payloads, [`WireError::BadUtf8`] /
 /// [`WireError::BadPhase`] on malformed names.
 pub fn decode_telemetry(bytes: &[u8]) -> Result<RankTelemetry, WireError> {
-    let mut c = Cursor { bytes, pos: 0 };
-    let rank = c.u64()? as usize;
-    let num_phases = c.u32()? as usize;
-    let mut phases = Vec::with_capacity(num_phases.min(64));
-    for _ in 0..num_phases {
-        let name = c.str_field()?;
-        let phase = Phase::from_name(&name).ok_or(WireError::BadPhase)?;
+    let mut r = Reader::new(bytes);
+    let rank = r.u64()? as usize;
+    // Vectors grow with what the payload holds, never with its counts.
+    let mut phases = Vec::new();
+    for _ in 0..r.u32()? {
         phases.push(PhaseStat {
-            phase,
-            total_s: c.f64()?,
-            count: c.u64()?,
-            p50_s: c.f64()?,
-            p99_s: c.f64()?,
+            phase: Phase::from_name(r.str()?).ok_or(WireError::BadPhase)?,
+            total_s: r.f64()?,
+            count: r.u64()?,
+            p50_s: r.f64()?,
+            p99_s: r.f64()?,
         });
     }
-    let num_counters = c.u32()? as usize;
-    let mut counters = Vec::with_capacity(num_counters.min(64));
-    for _ in 0..num_counters {
-        let name = c.str_field()?;
-        counters.push((name, c.u64()?));
+    let mut counters = Vec::new();
+    for _ in 0..r.u32()? {
+        counters.push((r.str()?.to_string(), r.u64()?));
     }
-    let num_gauges = c.u32()? as usize;
-    let mut gauges = Vec::with_capacity(num_gauges.min(64));
-    for _ in 0..num_gauges {
-        let name = c.str_field()?;
-        gauges.push((name, c.f64()?));
+    let mut gauges = Vec::new();
+    for _ in 0..r.u32()? {
+        gauges.push((r.str()?.to_string(), r.f64()?));
     }
     Ok(RankTelemetry {
         rank,
@@ -430,14 +296,37 @@ mod tests {
     }
 
     #[test]
-    fn mask_round_trip() {
-        let m = vec![true, false, true, true];
-        assert_eq!(decode_mask(&encode_mask(&m)), m);
+    fn gather_piece_round_trips_and_delimits_itself() {
+        let mut stats = dt_proposal::MoveStats::new();
+        stats.record_n("local-swap", 100, 37);
+        let piece = GatherPiece {
+            state: RankCheckpoint {
+                exchange_attempts: 12,
+                exchange_accepted: 4,
+                rebalanced: 2,
+                stats,
+                obs_dim: 2,
+                sro_sums: vec![1.0, 2.0, 0.0, 0.0, 5.5, -0.5],
+                sro_counts: vec![4, 0, 2],
+                walker: sample_walker(),
+                ..RankCheckpoint::default()
+            },
+            respawns: 1,
+            rejoin_duration_ns: 2_000_000,
+            heartbeat_misses: 3,
+        };
+        let bytes = encode_piece(&piece);
+        assert_eq!(decode_piece(&bytes).unwrap(), piece);
+        // Any cut loses at least the trailing newline of `end`, which
+        // alone still decodes to the same piece; anything shorter fails.
+        assert_eq!(decode_piece(&bytes[..bytes.len() - 1]).unwrap(), piece);
+        for cut in 0..bytes.len() - 1 {
+            assert!(decode_piece(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
-    #[test]
-    fn walker_snapshot_round_trips_bit_exact() {
-        let cp = dt_wanglandau::WalkerCheckpoint {
+    fn sample_walker() -> dt_wanglandau::WalkerCheckpoint {
+        dt_wanglandau::WalkerCheckpoint {
             e_min: -2.0,
             e_max: 3.5,
             num_bins: 3,
@@ -455,7 +344,12 @@ mod tests {
             rt_crossings: 3,
             rt_crossing_moves: 250,
             rt_leg_start_moves: 700,
-        };
+        }
+    }
+
+    #[test]
+    fn walker_snapshot_round_trips_bit_exact() {
+        let cp = sample_walker();
         assert_eq!(decode_walker(&encode_walker(&cp)).unwrap(), cp);
         assert_eq!(decode_walker(&[0xff, 0xfe]), Err(WireError::BadUtf8));
         assert_eq!(decode_walker(b"dtwl v9\n"), Err(WireError::BadWalker));
@@ -501,33 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_reject_invalid_lines() {
-        assert_eq!(decode_stats(&[0xff, 0xfe]), Err(StatsWireError::NotUtf8));
-        assert_eq!(
-            decode_stats(b"swap 3\n"),
-            Err(StatsWireError::MissingField {
-                line: 0,
-                field: "accepted count"
-            })
-        );
-        assert_eq!(
-            decode_stats(b"swap three 1\n"),
-            Err(StatsWireError::MissingField {
-                line: 0,
-                field: "proposed count"
-            })
-        );
-        assert_eq!(
-            decode_stats(b"swap 2 5\n"),
-            Err(StatsWireError::AcceptedExceedsProposed {
-                kernel: "swap".into(),
-                proposed: 2,
-                accepted: 5
-            })
-        );
-    }
-
-    #[test]
     fn telemetry_round_trip() {
         use dt_telemetry::Telemetry;
         let tel = Telemetry::enabled();
@@ -557,52 +424,5 @@ mod tests {
             decode_telemetry(&bytes[..bytes.len() - 1]),
             Err(WireError::Truncated { .. })
         ));
-    }
-}
-
-#[cfg(test)]
-mod stats_proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Stats survive the wire bit-exactly for arbitrary kernel names
-        /// and counts.
-        #[test]
-        fn stats_round_trip(
-            entries in proptest::collection::vec(
-                (proptest::collection::vec(0u8..38, 1..16), 0u64..u64::MAX / 2),
-                0..6,
-            ),
-            accept_frac in proptest::collection::vec(0.0f64..=1.0, 6),
-        ) {
-            // Kernel names over [a-z0-9_.] (no whitespace — the format is
-            // line-oriented), built from digit vectors since the vendored
-            // proptest has no regex string strategies.
-            const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_.";
-            let mut stats = MoveStats::new();
-            for (i, ((name_picks, proposed), frac)) in
-                entries.iter().zip(&accept_frac).enumerate()
-            {
-                let name: String = name_picks
-                    .iter()
-                    .map(|&p| ALPHABET[p as usize] as char)
-                    .collect();
-                // Suffix with the index so duplicate names cannot collide.
-                let accepted = (*proposed as f64 * frac) as u64;
-                stats.record_n(&format!("{name}{i}"), *proposed, accepted.min(*proposed));
-            }
-            let back = decode_stats(&encode_stats(&stats)).unwrap();
-            let a: Vec<(String, u64, u64)> =
-                stats.iter().map(|(n, p, c)| (n.to_string(), p, c)).collect();
-            let mut b: Vec<(String, u64, u64)> =
-                back.iter().map(|(n, p, c)| (n.to_string(), p, c)).collect();
-            // MoveStats iteration order is an implementation detail;
-            // compare as sets.
-            let mut a = a;
-            a.sort();
-            b.sort();
-            prop_assert_eq!(a, b);
-        }
     }
 }

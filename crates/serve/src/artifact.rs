@@ -18,8 +18,10 @@
 //! plain JSON because humans read it.
 
 use std::collections::BTreeMap;
+use std::error::Error;
 use std::path::{Path, PathBuf};
 
+use dt_codec::text::{Reader, Writer};
 use dt_telemetry::{parse_json, push_json_string, JsonValue};
 use dt_thermo::MicrocanonicalAccumulator;
 use dt_wanglandau::EnergyGrid;
@@ -262,36 +264,13 @@ impl Artifact {
         std::fs::write(&manifest_path, self.manifest.to_json())
             .map_err(|e| io_err(&manifest_path, e))?;
 
-        let mut dos = String::from("dtdos v1\n");
-        dos.push_str(&format!(
-            "grid {:016x} {:016x} {}\n",
-            self.grid.e_min().to_bits(),
-            self.grid.e_max().to_bits(),
-            self.grid.num_bins()
-        ));
-        for (bin, &lg) in self.ln_g.iter().enumerate() {
-            dos.push_str(&format!(
-                "{:016x} {}\n",
-                lg.to_bits(),
-                u8::from(self.mask[bin])
-            ));
-        }
         let dos_path = dir.join("dos.dat");
-        std::fs::write(&dos_path, dos).map_err(|e| io_err(&dos_path, e))?;
+        std::fs::write(&dos_path, encode_dos(&self.grid, &self.ln_g, &self.mask))
+            .map_err(|e| io_err(&dos_path, e))?;
 
         if let Some(sro) = &self.sro {
-            let mut text = String::from("dtsro v1\n");
-            text.push_str(&format!("shape {} {}\n", sro.num_bins(), sro.obs_dim()));
-            for bin in 0..sro.num_bins() {
-                let (sums, count) = sro.bin_data(bin);
-                text.push_str(&count.to_string());
-                for s in sums {
-                    text.push_str(&format!(" {:016x}", s.to_bits()));
-                }
-                text.push('\n');
-            }
             let sro_path = dir.join("sro.dat");
-            std::fs::write(&sro_path, text).map_err(|e| io_err(&sro_path, e))?;
+            std::fs::write(&sro_path, encode_sro(sro)).map_err(|e| io_err(&sro_path, e))?;
         }
 
         if let Some(text) = &self.surrogate_text {
@@ -308,145 +287,37 @@ impl Artifact {
     /// for structurally invalid contents.
     pub fn load(dir: impl AsRef<Path>) -> Result<Artifact, ServeError> {
         let dir = dir.as_ref();
-        let read = |name: &str| -> Result<String, ServeError> {
-            let path = dir.join(name);
-            std::fs::read_to_string(&path).map_err(|e| ServeError::Io {
-                path,
-                message: e.to_string(),
-            })
-        };
         let bad = |name: &str, what: String| ServeError::BadArtifact {
             path: dir.join(name),
             what,
         };
+        let io_err = |name: &str, e: std::io::Error| ServeError::Io {
+            path: dir.join(name),
+            message: e.to_string(),
+        };
+        let read =
+            |name: &str| std::fs::read_to_string(dir.join(name)).map_err(|e| io_err(name, e));
+        // `Ok(None)` only when the file does not exist.
+        let read_optional = |name: &str| match std::fs::read_to_string(dir.join(name)) {
+            Ok(text) => Ok(Some(text)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(io_err(name, e)),
+        };
 
         let manifest = ArtifactManifest::from_json(&read("manifest.json")?)
             .map_err(|what| bad("manifest.json", what))?;
-
-        let dos_text = read("dos.dat")?;
-        let mut lines = dos_text.lines();
-        if lines.next() != Some("dtdos v1") {
-            return Err(bad("dos.dat", "bad header (want \"dtdos v1\")".into()));
+        let (grid, ln_g, mask) =
+            decode_dos(&read("dos.dat")?).map_err(|e| bad("dos.dat", e.to_string()))?;
+        let sro = read_optional("sro.dat")?
+            .map(|text| decode_sro(&text).map_err(|e| bad("sro.dat", e.to_string())))
+            .transpose()?;
+        let surrogate_text = read_optional("surrogate.dtsur")?;
+        if let Some(text) = &surrogate_text {
+            // Validate eagerly so a corrupt model is a load-time error,
+            // not a 500 on the first /v1/predict.
+            dt_surrogate::SurrogateModel::load(text)
+                .map_err(|e| bad("surrogate.dtsur", e.to_string()))?;
         }
-        let grid_line = lines
-            .next()
-            .ok_or_else(|| bad("dos.dat", "missing grid line".into()))?;
-        let mut g = grid_line
-            .strip_prefix("grid ")
-            .ok_or_else(|| bad("dos.dat", "malformed grid line".into()))?
-            .split_whitespace();
-        let bits = |tok: Option<&str>, what: &str| -> Result<f64, ServeError> {
-            tok.and_then(|t| u64::from_str_radix(t, 16).ok())
-                .map(f64::from_bits)
-                .ok_or_else(|| bad("dos.dat", format!("unparseable {what}")))
-        };
-        let e_min = bits(g.next(), "grid e_min")?;
-        let e_max = bits(g.next(), "grid e_max")?;
-        let num_bins: usize = g
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad("dos.dat", "unparseable bin count".into()))?;
-        let grid_ordered = e_max.partial_cmp(&e_min) == Some(std::cmp::Ordering::Greater);
-        if !grid_ordered || num_bins == 0 {
-            return Err(bad(
-                "dos.dat",
-                format!("degenerate grid [{e_min}, {e_max}] with {num_bins} bins"),
-            ));
-        }
-        let grid = EnergyGrid::new(e_min, e_max, num_bins);
-        let mut ln_g = Vec::with_capacity(num_bins);
-        let mut mask = Vec::with_capacity(num_bins);
-        for line in lines {
-            let mut toks = line.split_whitespace();
-            let lg = bits(toks.next(), "ln g bits")?;
-            match toks.next() {
-                Some("0") => mask.push(false),
-                Some("1") => mask.push(true),
-                _ => return Err(bad("dos.dat", "missing mask flag".into())),
-            }
-            ln_g.push(lg);
-        }
-        if ln_g.len() != num_bins {
-            return Err(bad(
-                "dos.dat",
-                format!("expected {num_bins} bins, found {}", ln_g.len()),
-            ));
-        }
-
-        let sro = match std::fs::read_to_string(dir.join("sro.dat")) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => {
-                return Err(ServeError::Io {
-                    path: dir.join("sro.dat"),
-                    message: e.to_string(),
-                })
-            }
-            Ok(text) => {
-                let mut lines = text.lines();
-                if lines.next() != Some("dtsro v1") {
-                    return Err(bad("sro.dat", "bad header (want \"dtsro v1\")".into()));
-                }
-                let shape = lines
-                    .next()
-                    .and_then(|l| l.strip_prefix("shape "))
-                    .ok_or_else(|| bad("sro.dat", "missing shape line".into()))?;
-                let mut s = shape.split_whitespace();
-                let parse_dim = |tok: Option<&str>, what: &str| -> Result<usize, ServeError> {
-                    tok.and_then(|t| t.parse().ok())
-                        .filter(|&d: &usize| d > 0)
-                        .ok_or_else(|| bad("sro.dat", format!("unparseable {what}")))
-                };
-                let bins = parse_dim(s.next(), "bin count")?;
-                let obs_dim = parse_dim(s.next(), "observable dimension")?;
-                let mut acc = MicrocanonicalAccumulator::new(bins, obs_dim);
-                let mut seen = 0usize;
-                for (bin, line) in lines.enumerate() {
-                    if bin >= bins {
-                        return Err(bad("sro.dat", "more rows than bins".into()));
-                    }
-                    let mut toks = line.split_whitespace();
-                    let count: u64 = toks
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("sro.dat", "unparseable bin count".into()))?;
-                    let mut sums = Vec::with_capacity(obs_dim);
-                    for _ in 0..obs_dim {
-                        sums.push(
-                            toks.next()
-                                .and_then(|t| u64::from_str_radix(t, 16).ok())
-                                .map(f64::from_bits)
-                                .ok_or_else(|| bad("sro.dat", "unparseable sum bits".into()))?,
-                        );
-                    }
-                    acc.record_sum(bin, &sums, count);
-                    seen += 1;
-                }
-                if seen != bins {
-                    return Err(bad(
-                        "sro.dat",
-                        format!("expected {bins} rows, found {seen}"),
-                    ));
-                }
-                Some(acc)
-            }
-        };
-
-        let surrogate_text = match std::fs::read_to_string(dir.join("surrogate.dtsur")) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => {
-                return Err(ServeError::Io {
-                    path: dir.join("surrogate.dtsur"),
-                    message: e.to_string(),
-                })
-            }
-            Ok(text) => {
-                // Validate eagerly so a corrupt model is a load-time
-                // error, not a 500 on the first /v1/predict.
-                dt_surrogate::SurrogateModel::load(&text)
-                    .map_err(|e| bad("surrogate.dtsur", e.to_string()))?;
-                Some(text)
-            }
-        };
 
         Ok(Artifact {
             manifest,
@@ -457,6 +328,89 @@ impl Artifact {
             surrogate_text,
         })
     }
+}
+
+/// Encode `dos.dat` (`dtdos v1`): the energy grid, then one
+/// `<ln g bits> <visited 0|1>` row per bin.
+pub fn encode_dos(grid: &EnergyGrid, ln_g: &[f64], mask: &[bool]) -> String {
+    let mut w = Writer::new("dtdos", 1);
+    w.line("grid")
+        .hex_f64(grid.e_min())
+        .hex_f64(grid.e_max())
+        .dec(grid.num_bins());
+    for (&lg, &visited) in ln_g.iter().zip(mask) {
+        w.row().hex_f64(lg).flag(visited);
+    }
+    w.finish()
+}
+
+/// What `dos.dat` holds: `(grid, ln g per bin, visited mask)`.
+pub type Dos = (EnergyGrid, Vec<f64>, Vec<bool>);
+
+/// Decode [`encode_dos`] output.
+///
+/// # Errors
+/// The first structural problem: a [`dt_codec::TextError`], or a grid or row count
+/// that cannot be.
+pub fn decode_dos(text: &str) -> Result<Dos, Box<dyn Error>> {
+    let mut r = Reader::new(text, "dtdos", &[1])?;
+    r.line("grid")?;
+    let (e_min, e_max) = (r.hex_f64("grid e_min")?, r.hex_f64("grid e_max")?);
+    let num_bins: usize = r.dec("bin count")?;
+    let (mut ln_g, mut mask) = (Vec::new(), Vec::new());
+    while !r.at_end() {
+        ln_g.push(r.row()?.hex_f64("ln g bits")?);
+        mask.push(r.flag("mask flag")?);
+    }
+    let grid_ordered = e_max.partial_cmp(&e_min) == Some(std::cmp::Ordering::Greater);
+    if !grid_ordered || num_bins == 0 {
+        return Err(format!("degenerate grid [{e_min}, {e_max}] with {num_bins} bins").into());
+    }
+    if ln_g.len() != num_bins {
+        return Err(format!("expected {num_bins} bins, found {}", ln_g.len()).into());
+    }
+    Ok((EnergyGrid::new(e_min, e_max, num_bins), ln_g, mask))
+}
+
+/// Encode `sro.dat` (`dtsro v1`): the accumulator shape, then one
+/// `<count> <sum bits>…` row per bin.
+pub fn encode_sro(sro: &MicrocanonicalAccumulator) -> String {
+    let mut w = Writer::new("dtsro", 1);
+    w.line("shape").dec(sro.num_bins()).dec(sro.obs_dim());
+    for bin in 0..sro.num_bins() {
+        let (sums, count) = sro.bin_data(bin);
+        w.row().dec(count).hex_f64s(sums);
+    }
+    w.finish()
+}
+
+/// Decode [`encode_sro`] output.
+///
+/// # Errors
+/// The first structural problem: a [`dt_codec::TextError`], or a shape the rows do
+/// not fill.
+pub fn decode_sro(text: &str) -> Result<MicrocanonicalAccumulator, Box<dyn Error>> {
+    let mut r = Reader::new(text, "dtsro", &[1])?;
+    let [bins, obs_dim]: [usize; 2] = r.line("shape")?.decs("shape")?;
+    // Rows are collected before the accumulator is sized, so memory
+    // follows the file's length and never just the shape it claims.
+    let mut rows: Vec<(u64, Vec<f64>)> = Vec::new();
+    while !r.at_end() {
+        let count = r.row()?.dec("bin count")?;
+        rows.push((count, r.rest_with("sum bits", Reader::hex_f64)?));
+    }
+    if bins == 0 || obs_dim == 0 {
+        return Err(format!("degenerate shape {bins} x {obs_dim}").into());
+    }
+    if rows.len() != bins || rows.iter().any(|(_, sums)| sums.len() != obs_dim) {
+        let found = rows.len();
+        return Err(format!("expected {bins} rows of {obs_dim} sums, found {found}").into());
+    }
+    let mut acc = MicrocanonicalAccumulator::new(bins, obs_dim);
+    for (bin, (count, sums)) in rows.iter().enumerate() {
+        acc.record_sum(bin, sums, *count);
+    }
+    Ok(acc)
 }
 
 /// Every artifact under one registry directory, loaded into memory and
@@ -611,6 +565,26 @@ mod tests {
         assert!(reg.get(&b.manifest.id).is_some());
         assert!(reg.get("unknown").is_none());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dos_and_sro_text_reject_what_the_encoders_never_write() {
+        let art = fixture::fixture_artifact("strict");
+        let dos = encode_dos(&art.grid, &art.ln_g, &art.mask);
+        let (grid, ln_g, mask) = decode_dos(&dos).unwrap();
+        assert_eq!((grid, ln_g, mask), (art.grid, art.ln_g, art.mask));
+        // The visited flag is 0 or 1, and `ln g` is all sixteen digits.
+        let first_row = dos.lines().nth(2).unwrap();
+        assert!(decode_dos(&dos.replacen(" 0\n", " 2\n", 1)).is_err());
+        assert!(decode_dos(&dos.replacen(first_row, &first_row[1..], 1)).is_err());
+        assert!(decode_dos(&dos.replacen("\n", " extra\n", 2)).is_err());
+
+        let sro = encode_sro(art.sro.as_ref().unwrap());
+        assert_eq!(&decode_sro(&sro).unwrap(), art.sro.as_ref().unwrap());
+        // A shape the rows do not fill is refused without being allocated.
+        let shape = sro.lines().nth(1).unwrap();
+        let huge = "shape 99999999999 99999999";
+        assert!(decode_sro(&sro.replacen(shape, huge, 1)).is_err());
     }
 
     #[test]

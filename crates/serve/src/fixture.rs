@@ -81,15 +81,9 @@ pub fn fixture_artifact(tag: &str) -> Artifact {
         Activation::Identity,
         &mut rng,
     );
-    let surrogate_text = format!(
-        "dtsur v1\ndesc {} {}\nnorm {:016x} {:016x}\n{}",
-        num_species,
-        num_shells,
-        (-0.2f64).to_bits(),
-        0.05f64.to_bits(),
-        dt_nn::save_mlp(&net)
-    );
-    SurrogateModel::load(&surrogate_text).expect("fixture surrogate must deserialize");
+    let surrogate_text = SurrogateModel::from_parts(descriptor, net, -0.2, 0.05)
+        .expect("fixture network is sized for its descriptor")
+        .save();
 
     Artifact {
         manifest: ArtifactManifest {

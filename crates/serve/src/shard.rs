@@ -24,11 +24,11 @@
 //!   ids stay below bit 62, so they can never collide with `TAG_REQ`
 //!   or the transport's collective tag bit.
 
-use std::io::Read;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use dt_codec::bin::{Reader, Writer};
 use dt_hpc::{CommError, TcpTransport, Transport};
 
 use crate::api::AppState;
@@ -41,46 +41,36 @@ use crate::ServeError;
 /// collective bit (`1 << 63`) and above every request id.
 pub(crate) const TAG_REQ: u64 = 1 << 62;
 /// Request op: the payload tail is a serialized HTTP request.
-pub(crate) const OP_HTTP: u8 = 0;
+pub const OP_HTTP: u8 = 0;
 /// Request op: drain — finish queued work, reply with a drain summary,
 /// exit.
-pub(crate) const OP_DRAIN: u8 = 1;
+pub const OP_DRAIN: u8 = 1;
 
 /// Frame a router→shard request.
-pub(crate) fn encode_rpc(req_id: u64, op: u8, raw: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9 + raw.len());
-    out.extend_from_slice(&req_id.to_le_bytes());
-    out.push(op);
-    out.extend_from_slice(raw);
-    out
+pub fn encode_rpc(req_id: u64, op: u8, raw: &[u8]) -> Vec<u8> {
+    Writer::with_capacity(9 + raw.len())
+        .u64(req_id)
+        .u8(op)
+        .raw(raw)
+        .finish()
 }
 
 /// Split a router→shard request frame into `(req_id, op, raw)`.
-pub(crate) fn decode_rpc(payload: &[u8]) -> Option<(u64, u8, &[u8])> {
-    if payload.len() < 9 {
-        return None;
-    }
-    let req_id = u64::from_le_bytes(payload[..8].try_into().ok()?);
-    Some((req_id, payload[8], &payload[9..]))
+pub fn decode_rpc(payload: &[u8]) -> Option<(u64, u8, &[u8])> {
+    let mut r = Reader::new(payload);
+    Some((r.u64().ok()?, r.u8().ok()?, r.rest()))
 }
 
 /// Encode a [`Response`] for the shard→router hop:
 /// `[status:u16][ct_len:u16][ct][n_extra:u16]([k_len:u16][k][v_len:u16][v])*[body]`.
-pub(crate) fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + resp.body.len());
-    out.extend_from_slice(&resp.status.to_le_bytes());
-    let ct = resp.content_type.as_bytes();
-    out.extend_from_slice(&(ct.len() as u16).to_le_bytes());
-    out.extend_from_slice(ct);
-    out.extend_from_slice(&(resp.extra_headers.len() as u16).to_le_bytes());
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    let mut w = Writer::with_capacity(16 + resp.body.len());
+    w.u16(resp.status).str16(resp.content_type);
+    w.u16(resp.extra_headers.len() as u16);
     for (k, v) in &resp.extra_headers {
-        out.extend_from_slice(&(k.len() as u16).to_le_bytes());
-        out.extend_from_slice(k.as_bytes());
-        out.extend_from_slice(&(v.len() as u16).to_le_bytes());
-        out.extend_from_slice(v.as_bytes());
+        w.str16(k).str16(v);
     }
-    out.extend_from_slice(resp.body.as_bytes());
-    out
+    w.raw(resp.body.as_bytes()).finish()
 }
 
 /// [`Response`] carries `&'static` names; map decoded strings back onto
@@ -103,36 +93,21 @@ fn intern_header_key(k: &str) -> Option<&'static str> {
 }
 
 /// Decode a shard→router response frame; `None` when truncated.
-pub(crate) fn decode_response(payload: &[u8]) -> Option<Response> {
-    fn take_u16(cur: &mut &[u8]) -> Option<usize> {
-        let mut b = [0u8; 2];
-        cur.read_exact(&mut b).ok()?;
-        Some(usize::from(u16::from_le_bytes(b)))
-    }
-    fn take_str(cur: &mut &[u8], len: usize) -> Option<String> {
-        let mut b = vec![0u8; len];
-        cur.read_exact(&mut b).ok()?;
-        String::from_utf8(b).ok()
-    }
-    let mut cur = payload;
-    let status = take_u16(&mut cur)? as u16;
-    let ct_len = take_u16(&mut cur)?;
-    let ct = take_str(&mut cur, ct_len)?;
-    let n_extra = take_u16(&mut cur)?;
+pub fn decode_response(payload: &[u8]) -> Option<Response> {
+    let mut r = Reader::new(payload);
+    let status = r.u16().ok()?;
+    let content_type = intern_content_type(r.str16().ok()?);
     let mut extra_headers = Vec::new();
-    for _ in 0..n_extra {
-        let k_len = take_u16(&mut cur)?;
-        let k = take_str(&mut cur, k_len)?;
-        let v_len = take_u16(&mut cur)?;
-        let v = take_str(&mut cur, v_len)?;
-        if let Some(k) = intern_header_key(&k) {
-            extra_headers.push((k, v));
+    for _ in 0..r.u16().ok()? {
+        let (k, v) = (r.str16().ok()?, r.str16().ok()?);
+        if let Some(k) = intern_header_key(k) {
+            extra_headers.push((k, v.to_string()));
         }
     }
     Some(Response {
         status,
-        body: String::from_utf8(cur.to_vec()).ok()?,
-        content_type: intern_content_type(&ct),
+        body: String::from_utf8(r.rest().to_vec()).ok()?,
+        content_type,
         extra_headers,
     })
 }

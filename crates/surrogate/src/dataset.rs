@@ -4,7 +4,6 @@ use dt_hamiltonian::EnergyModel;
 use dt_lattice::{Composition, Configuration, NeighborTable, SiteId};
 use dt_nn::Matrix;
 use rand::{Rng, RngExt};
-use rayon::prelude::*;
 
 use crate::descriptor::PairCorrelationDescriptor;
 
@@ -51,11 +50,12 @@ impl Dataset {
         rng: &mut R,
     ) -> Dataset {
         assert!(count > 0);
-        // Draw per-sample seeds up front so generation can parallelize.
+        // Each sample runs on a stream of its own, seeded up front from
+        // the caller's: what one sample draws never shifts the next.
         let seeds: Vec<u64> = (0..count).map(|_| rng.random()).collect();
         let n = comp.num_sites() as f64;
         let rows: Vec<(Vec<f64>, f64)> = seeds
-            .par_iter()
+            .iter()
             .enumerate()
             .map(|(i, &seed)| {
                 use rand::SeedableRng;

@@ -1,5 +1,7 @@
 //! The trained surrogate energy model.
 
+use dt_codec::text::{Reader, Writer};
+use dt_codec::TextError;
 use dt_hamiltonian::{DeltaWorkspace, EnergyModel};
 use dt_lattice::{Configuration, NeighborTable, SiteId, Species};
 use dt_nn::{mse_loss, Activation, Adam, ForwardScratch, Matrix, Mlp, NnFormatError};
@@ -54,6 +56,15 @@ impl std::error::Error for SerializeError {
         match self {
             SerializeError::Net(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+impl From<TextError> for SerializeError {
+    fn from(e: TextError) -> Self {
+        match e {
+            TextError::Malformed { what, .. } => SerializeError::BadField(what),
+            _ => SerializeError::BadHeader,
         }
     }
 }
@@ -239,69 +250,32 @@ impl SurrogateModel {
         self.predict_features(&self.descriptor.compute(config, neighbors))
     }
 
-    /// Serialize to a versioned text format (descriptor layout, target
-    /// normalization, embedded network). Lossless: restored models predict
-    /// bit-identically.
-    pub fn save(&self) -> String {
-        format!(
-            "dtsur v1\ndesc {} {}\nnorm {:016x} {:016x}\n{}",
-            self.descriptor.num_species,
-            self.descriptor.num_shells,
-            self.y_mean.to_bits(),
-            self.y_std.to_bits(),
-            dt_nn::save_mlp(&self.net)
-        )
-    }
-
-    /// Restore a model written by [`SurrogateModel::save`].
+    /// Assemble a model from an already trained network and its target
+    /// normalization.
     ///
     /// # Errors
-    /// Returns a [`SerializeError`] describing the first structural or
-    /// encoding problem encountered.
-    pub fn load(text: &str) -> Result<SurrogateModel, SerializeError> {
-        let mut lines = text.lines();
-        if lines.next() != Some("dtsur v1") {
-            return Err(SerializeError::BadHeader);
-        }
-        let desc = lines
-            .next()
-            .ok_or(SerializeError::MissingField("desc line"))?;
-        let mut d = desc
-            .strip_prefix("desc ")
-            .ok_or(SerializeError::BadField("desc line"))?
-            .split_whitespace();
-        let num_species: usize = d
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or(SerializeError::BadField("num_species"))?;
-        let num_shells: usize = d
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or(SerializeError::BadField("num_shells"))?;
-        let norm = lines
-            .next()
-            .ok_or(SerializeError::MissingField("norm line"))?;
-        let mut n = norm
-            .strip_prefix("norm ")
-            .ok_or(SerializeError::BadField("norm line"))?
-            .split_whitespace();
-        let bits = |tok: Option<&str>| -> Result<f64, SerializeError> {
-            tok.and_then(|t| u64::from_str_radix(t, 16).ok())
-                .map(f64::from_bits)
-                .ok_or(SerializeError::BadField("normalization bits"))
+    /// [`SerializeError::DimensionMismatch`] when the network's input
+    /// width is not the descriptor's feature count.
+    pub fn from_parts(
+        descriptor: PairCorrelationDescriptor,
+        net: Mlp,
+        y_mean: f64,
+        y_std: f64,
+    ) -> Result<SurrogateModel, SerializeError> {
+        // `dim()` is at least either count, so counts above the network's
+        // width are a mismatch already — decided before `dim()` could
+        // overflow on what a hostile file claims.
+        let width = net.in_dim();
+        let counts_fit = descriptor.num_species.max(descriptor.num_shells) <= width;
+        let dim = if counts_fit {
+            descriptor.dim()
+        } else {
+            usize::MAX
         };
-        let y_mean = bits(n.next())?;
-        let y_std = bits(n.next())?;
-        let net_text: String = lines.collect::<Vec<_>>().join("\n");
-        let net = dt_nn::load_mlp(&net_text)?;
-        let descriptor = PairCorrelationDescriptor {
-            num_species,
-            num_shells,
-        };
-        if net.in_dim() != descriptor.dim() {
+        if dim != width {
             return Err(SerializeError::DimensionMismatch {
-                net_in: net.in_dim(),
-                descriptor: descriptor.dim(),
+                net_in: width,
+                descriptor: dim,
             });
         }
         Ok(SurrogateModel {
@@ -310,6 +284,46 @@ impl SurrogateModel {
             y_mean,
             y_std,
         })
+    }
+
+    /// Serialize to a versioned text format (descriptor layout, target
+    /// normalization, embedded network). Lossless: restored models predict
+    /// bit-identically.
+    pub fn save(&self) -> String {
+        let mut w = Writer::new("dtsur", 1);
+        w.line("desc")
+            .dec(self.descriptor.num_species)
+            .dec(self.descriptor.num_shells);
+        w.line("norm").hex_f64(self.y_mean).hex_f64(self.y_std);
+        w.embed(&dt_nn::save_mlp(&self.net));
+        w.finish()
+    }
+
+    /// Restore a model written by [`SurrogateModel::save`].
+    ///
+    /// # Errors
+    /// Returns a [`SerializeError`] describing the first structural or
+    /// encoding problem encountered.
+    pub fn load(text: &str) -> Result<SurrogateModel, SerializeError> {
+        // A line that is absent is a missing field; one that is there but
+        // wrong is a bad one.
+        let line_err = |what| {
+            move |e| match e {
+                TextError::Truncated => SerializeError::MissingField(what),
+                _ => SerializeError::BadField(what),
+            }
+        };
+        let mut r = Reader::new(text, "dtsur", &[1])?;
+        r.line("desc").map_err(line_err("desc line"))?;
+        let descriptor = PairCorrelationDescriptor {
+            num_species: r.dec("num_species")?,
+            num_shells: r.dec("num_shells")?,
+        };
+        r.line("norm").map_err(line_err("norm line"))?;
+        let y_mean = r.hex_f64("normalization bits")?;
+        let y_std = r.hex_f64("normalization bits")?;
+        let net = dt_nn::load_mlp(r.rest())?;
+        SurrogateModel::from_parts(descriptor, net, y_mean, y_std)
     }
 
     /// Write the model to `path` ([`SurrogateModel::save`] format).
@@ -543,6 +557,17 @@ mod tests {
             SerializeError::Net(_)
         ));
         let tampered = text.replacen("desc 4 2", "desc 3 2", 1);
+        assert!(matches!(
+            SurrogateModel::load(&tampered).unwrap_err(),
+            SerializeError::DimensionMismatch { .. }
+        ));
+    }
+
+    #[test]
+    fn hostile_descriptor_counts_are_a_mismatch_not_an_overflow() {
+        let (model, _, _, _) = trained();
+        let huge = format!("desc {} {}", usize::MAX, usize::MAX);
+        let tampered = model.save().replacen("desc 4 2", &huge, 1);
         assert!(matches!(
             SurrogateModel::load(&tampered).unwrap_err(),
             SerializeError::DimensionMismatch { .. }

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use dt_codec::text::{Reader, Writer};
+use dt_codec::TextError;
 use dt_lattice::{Configuration, Species};
 
 use crate::histogram::{DosEstimate, EnergyGrid, VisitHistogram};
@@ -37,8 +39,17 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
+impl From<TextError> for CheckpointError {
+    fn from(e: TextError) -> Self {
+        match e {
+            TextError::BadHeader | TextError::UnsupportedVersion(_) => CheckpointError::BadHeader,
+            e => CheckpointError::Malformed(e.to_string()),
+        }
+    }
+}
+
 /// A serializable snapshot of a Wang–Landau walker.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WalkerCheckpoint {
     /// Energy window.
     pub e_min: f64,
@@ -80,61 +91,35 @@ pub struct WalkerCheckpoint {
 impl WalkerCheckpoint {
     /// Serialize to the versioned text format.
     pub fn encode(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        writeln!(s, "dtwl v{VERSION}").expect("write");
-        writeln!(
-            s,
-            "grid {:016x} {:016x} {}",
-            self.e_min.to_bits(),
-            self.e_max.to_bits(),
-            self.num_bins
-        )
-        .expect("write");
-        writeln!(
-            s,
-            "state {:016x} {:016x} {} {} {} {}",
-            self.energy.to_bits(),
-            self.ln_f.to_bits(),
-            self.total_moves,
-            self.stages,
-            self.num_species,
-            u8::from(self.one_over_t_phase)
-        )
-        .expect("write");
-        let ln_g: Vec<String> = self
-            .ln_g
-            .iter()
-            .map(|v| format!("{:016x}", v.to_bits()))
-            .collect();
-        writeln!(s, "ln_g {}", ln_g.join(" ")).expect("write");
-        let visits: Vec<String> = self.visits.iter().map(|v| v.to_string()).collect();
-        writeln!(s, "visits {}", visits.join(" ")).expect("write");
-        let ever: String = self
-            .ever_visited
-            .iter()
-            .map(|&b| if b { '1' } else { '0' })
-            .collect();
-        writeln!(s, "ever {ever}").expect("write");
-        let species: Vec<String> = self.species.iter().map(|v| v.to_string()).collect();
-        writeln!(s, "species {}", species.join(" ")).expect("write");
+        let mut w = Writer::new("dtwl", VERSION);
+        w.line("grid")
+            .hex_f64(self.e_min)
+            .hex_f64(self.e_max)
+            .dec(self.num_bins);
+        w.line("state")
+            .hex_f64(self.energy)
+            .hex_f64(self.ln_f)
+            .dec(self.total_moves)
+            .dec(self.stages)
+            .dec(self.num_species)
+            .flag(self.one_over_t_phase);
+        w.line("ln_g").hex_f64s(&self.ln_g);
+        w.line("visits").decs(&self.visits);
+        w.line("ever").mask(&self.ever_visited);
+        w.line("species").decs(&self.species);
         // Boundary side is encoded unsigned (0 none, 1 low, 2 high) to
         // keep the token grammar uniform.
-        writeln!(
-            s,
-            "rt {} {} {} {}",
-            match self.rt_last_boundary {
+        w.line("rt")
+            .dec(match self.rt_last_boundary {
                 -1 => 1,
                 1 => 2,
                 _ => 0,
-            },
-            self.rt_crossings,
-            self.rt_crossing_moves,
-            self.rt_leg_start_moves
-        )
-        .expect("write");
-        writeln!(s, "end").expect("write");
-        s
+            })
+            .dec(self.rt_crossings)
+            .dec(self.rt_crossing_moves)
+            .dec(self.rt_leg_start_moves);
+        w.line("end");
+        w.finish()
     }
 
     /// Restore from [`WalkerCheckpoint::encode`] output.
@@ -142,94 +127,20 @@ impl WalkerCheckpoint {
     /// # Errors
     /// Returns [`CheckpointError`] on structural problems.
     pub fn decode(text: &str) -> Result<Self, CheckpointError> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or(CheckpointError::BadHeader)?;
-        let version: u32 = match header {
-            "dtwl v1" => 1,
-            "dtwl v2" => 2,
-            _ => return Err(CheckpointError::BadHeader),
-        };
-        let field =
-            |lines: &mut std::str::Lines<'_>, name: &str| -> Result<String, CheckpointError> {
-                let line = lines
-                    .next()
-                    .ok_or_else(|| CheckpointError::Malformed(format!("missing {name}")))?;
-                line.strip_prefix(&format!("{name} "))
-                    .map(String::from)
-                    .ok_or_else(|| CheckpointError::Malformed(format!("expected {name} line")))
-            };
-        let bits = |tok: &str| -> Result<f64, CheckpointError> {
-            u64::from_str_radix(tok, 16)
-                .map(f64::from_bits)
-                .map_err(|_| CheckpointError::Malformed(format!("bad f64: {tok}")))
-        };
-
-        let grid = field(&mut lines, "grid")?;
-        let mut g = grid.split_whitespace();
-        let e_min = bits(
-            g.next()
-                .ok_or_else(|| CheckpointError::Malformed("e_min".into()))?,
-        )?;
-        let e_max = bits(
-            g.next()
-                .ok_or_else(|| CheckpointError::Malformed("e_max".into()))?,
-        )?;
-        let num_bins: usize = g
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| CheckpointError::Malformed("num_bins".into()))?;
-
-        let state = field(&mut lines, "state")?;
-        let mut st = state.split_whitespace();
-        let energy = bits(
-            st.next()
-                .ok_or_else(|| CheckpointError::Malformed("energy".into()))?,
-        )?;
-        let ln_f = bits(
-            st.next()
-                .ok_or_else(|| CheckpointError::Malformed("ln_f".into()))?,
-        )?;
-        let total_moves: u64 = st
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| CheckpointError::Malformed("total_moves".into()))?;
-        let stages: u32 = st
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| CheckpointError::Malformed("stages".into()))?;
-        let num_species: usize = st
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| CheckpointError::Malformed("num_species".into()))?;
-        let one_over_t_phase = st
-            .next()
-            .and_then(|v| v.parse::<u8>().ok())
-            .map(|v| v != 0)
-            .ok_or_else(|| CheckpointError::Malformed("phase flag".into()))?;
-
-        let ln_g = field(&mut lines, "ln_g")?
-            .split_whitespace()
-            .map(bits)
-            .collect::<Result<Vec<f64>, _>>()?;
-        let visits = field(&mut lines, "visits")?
-            .split_whitespace()
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| CheckpointError::Malformed(format!("bad visit: {v}")))
-            })
-            .collect::<Result<Vec<u64>, _>>()?;
-        let ever_visited: Vec<bool> = field(&mut lines, "ever")?
-            .chars()
-            .map(|c| c == '1')
-            .collect();
-        let species = field(&mut lines, "species")?
-            .split_whitespace()
-            .map(|v| {
-                v.parse::<u8>()
-                    .map_err(|_| CheckpointError::Malformed(format!("bad species: {v}")))
-            })
-            .collect::<Result<Vec<u8>, _>>()?;
-
+        let mut r = Reader::new(text, "dtwl", &[1, VERSION])?;
+        r.line("grid")?;
+        let (e_min, e_max) = (r.hex_f64("e_min")?, r.hex_f64("e_max")?);
+        let num_bins: usize = r.dec("num_bins")?;
+        r.line("state")?;
+        let (energy, ln_f) = (r.hex_f64("energy")?, r.hex_f64("ln_f")?);
+        let total_moves = r.dec("total_moves")?;
+        let stages = r.dec("stages")?;
+        let num_species = r.dec("num_species")?;
+        let one_over_t_phase = r.flag("phase flag")?;
+        let ln_g = r.line("ln_g")?.rest_with("ln_g", Reader::hex_f64)?;
+        let visits: Vec<u64> = r.line("visits")?.rest_with("visit", Reader::dec)?;
+        let ever_visited = r.line("ever")?.mask("ever mask")?;
+        let species = r.line("species")?.rest_with("species", Reader::dec)?;
         if ln_g.len() != num_bins || visits.len() != num_bins || ever_visited.len() != num_bins {
             return Err(CheckpointError::Malformed("bin-count mismatch".into()));
         }
@@ -237,35 +148,11 @@ impl WalkerCheckpoint {
         // v2: round-trip counters plus a trailing `end` sentinel, both
         // required — the sentinel makes any byte truncation detectable.
         // v1 files predate the adaptive-windows layer: counters are zero.
-        let mut rt_last_boundary = 0i8;
-        let mut rt_crossings = 0u64;
-        let mut rt_crossing_moves = 0u64;
-        let mut rt_leg_start_moves = 0u64;
-        if version >= 2 {
-            let rt = field(&mut lines, "rt")?;
-            let vals = rt
-                .split_whitespace()
-                .map(|v| {
-                    v.parse::<u64>()
-                        .map_err(|_| CheckpointError::Malformed(format!("bad rt field: {v}")))
-                })
-                .collect::<Result<Vec<u64>, _>>()?;
-            if vals.len() != 4 || vals[0] > 2 {
-                return Err(CheckpointError::Malformed("bad rt line".into()));
-            }
-            rt_last_boundary = match vals[0] {
-                1 => -1,
-                2 => 1,
-                _ => 0,
-            };
-            rt_crossings = vals[1];
-            rt_crossing_moves = vals[2];
-            rt_leg_start_moves = vals[3];
-            if lines.next() != Some("end") {
-                return Err(CheckpointError::Malformed("missing end sentinel".into()));
-            }
+        let mut rt = [0u64; 4];
+        if r.version() >= 2 {
+            rt = r.line("rt")?.decs("rt field")?;
+            r.line("end")?;
         }
-
         Ok(WalkerCheckpoint {
             e_min,
             e_max,
@@ -280,10 +167,15 @@ impl WalkerCheckpoint {
             total_moves,
             stages,
             one_over_t_phase,
-            rt_last_boundary,
-            rt_crossings,
-            rt_crossing_moves,
-            rt_leg_start_moves,
+            rt_last_boundary: match rt[0] {
+                0 => 0,
+                1 => -1,
+                2 => 1,
+                _ => return Err(CheckpointError::Malformed("bad rt line".into())),
+            },
+            rt_crossings: rt[1],
+            rt_crossing_moves: rt[2],
+            rt_leg_start_moves: rt[3],
         })
     }
 
@@ -387,6 +279,24 @@ mod tests {
         // Everything else restores as usual.
         assert_eq!(back.ln_g, cp.ln_g);
         assert_eq!(back.total_moves, cp.total_moves);
+    }
+
+    #[test]
+    fn ever_mask_and_phase_flag_accept_only_zero_and_one() {
+        // Nothing but `0` may pass for "not visited", nothing but `1` for
+        // "1/t phase on".
+        let text = sample().encode();
+        for bad in [
+            text.replace("ever 101", "ever 1x1"),
+            text.replace("ever 101", "ever 121"),
+            text.replace(" 9 4 1\n", " 9 4 2\n"),
+        ] {
+            assert_ne!(bad, text);
+            assert!(matches!(
+                WalkerCheckpoint::decode(&bad),
+                Err(CheckpointError::Malformed(_))
+            ));
+        }
     }
 
     #[test]
