@@ -672,18 +672,15 @@ fn worker() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let outcome = if recover {
-        cluster::run_cluster_worker_recovering(
-            &runner,
-            rank,
-            spec.size,
-            &rendezvous,
-            plan,
-            respawns,
-        )
-    } else {
-        cluster::run_cluster_worker(&runner, rank, spec.size, &rendezvous, plan)
-    };
+    let outcome = cluster::run_cluster_worker(
+        &runner,
+        rank,
+        spec.size,
+        &rendezvous,
+        plan,
+        recover,
+        respawns,
+    );
     match outcome {
         Ok(WorkerOutcome::Killed) => ExitCode::from(cluster::KILLED_EXIT_CODE),
         Ok(_) => ExitCode::SUCCESS,
@@ -706,19 +703,17 @@ fn run_cluster(
         "cluster: {} ranks as separate processes over loopback TCP (this process is rank 0)",
         spec.size
     );
-    let (report, outcomes) = if runner.config().rewl.recovery {
-        let policy = RecoveryPolicy {
-            max_restarts: arg("--max-restarts", 3u64),
-            ..RecoveryPolicy::default()
-        };
+    let policy = runner.config().rewl.recovery.then(|| RecoveryPolicy {
+        max_restarts: arg("--max-restarts", 3u64),
+        ..RecoveryPolicy::default()
+    });
+    if let Some(policy) = &policy {
         println!(
             "recovery: supervising workers (respawn budget {} per rank)",
             policy.max_restarts
         );
-        cluster::run_cluster_root_recovering(runner, spec, plan, &worker_args, policy)?
-    } else {
-        cluster::run_cluster_root(runner, spec, plan, &worker_args)?
-    };
+    }
+    let (report, outcomes) = cluster::run_cluster_root(runner, spec, plan, &worker_args, policy)?;
     for (i, outcome) in outcomes.iter().enumerate() {
         let rank = i + 1;
         match outcome {

@@ -180,6 +180,14 @@ pub const KILLED_EXIT_CODE: u8 = 86;
 /// is the argv (minus the program name) each worker is re-launched with;
 /// it must rebuild the same configuration this process holds.
 ///
+/// With a `policy` (`--recover`) the reaping thread is a supervisor:
+/// injected kills (exit code [`KILLED_EXIT_CODE`]) are distinguished from
+/// real crashes, and dead workers are respawned with bounded exponential
+/// backoff until `policy.max_restarts` is exhausted — after which the
+/// cluster falls back to graceful degradation. Respawned workers are
+/// re-launched with [`RESPAWN_COUNT_FLAG`] so the replacement rejoins from
+/// its own newest checkpoint.
+///
 /// Returns the report plus one [`WorkerOutcome`] per worker rank
 /// (`1..size`).
 ///
@@ -187,36 +195,6 @@ pub const KILLED_EXIT_CODE: u8 = 86;
 /// [`DeepThermoError::Cluster`] when the mesh cannot be assembled, plus
 /// everything [`DeepThermo::run_cluster_rank`] can return.
 pub fn run_cluster_root(
-    runner: &DeepThermo,
-    spec: ClusterSpec,
-    plan: FaultPlan,
-    worker_args: &[String],
-) -> Result<(DeepThermoReport, Vec<WorkerOutcome>), DeepThermoError> {
-    run_cluster_root_with(runner, spec, plan, worker_args, None)
-}
-
-/// [`run_cluster_root`] with a supervising recovery loop: worker deaths
-/// are reaped concurrently with rank 0's sampling, injected kills (exit
-/// code [`KILLED_EXIT_CODE`]) are distinguished from real crashes, and
-/// dead workers are respawned with bounded exponential backoff until
-/// `policy.max_restarts` is exhausted — after which the cluster falls
-/// back to graceful degradation. Respawned workers are re-launched with
-/// [`RESPAWN_COUNT_FLAG`] so the replacement rejoins from its own newest
-/// checkpoint.
-///
-/// # Errors
-/// Everything [`run_cluster_root`] can return.
-pub fn run_cluster_root_recovering(
-    runner: &DeepThermo,
-    spec: ClusterSpec,
-    plan: FaultPlan,
-    worker_args: &[String],
-    policy: RecoveryPolicy,
-) -> Result<(DeepThermoReport, Vec<WorkerOutcome>), DeepThermoError> {
-    run_cluster_root_with(runner, spec, plan, worker_args, Some(policy))
-}
-
-fn run_cluster_root_with(
     runner: &DeepThermo,
     spec: ClusterSpec,
     plan: FaultPlan,
@@ -270,8 +248,7 @@ fn run_cluster_root_with(
         std::thread::spawn(move || supervise(ctx, workers, &stop_respawn, &abort))
     };
 
-    let recovering = policy.is_some();
-    let mesh = if recovering {
+    let mesh = if policy.is_some() {
         rendezvous.into_transport_recovering(spec.size)
     } else {
         rendezvous.into_transport(spec.size)
@@ -461,6 +438,13 @@ fn supervise(
 /// [`WorkerOutcome::Killed`] (the caller should exit with
 /// [`KILLED_EXIT_CODE`]); any other panic is resumed.
 ///
+/// In a recovering cluster (`recover`) a first life (`respawns == 0`)
+/// dials the rendezvous with re-admission enabled; a replacement life
+/// re-binds its rank id in the existing mesh and resumes from its own
+/// newest checkpoint (the rank engine reads `respawns` out of the
+/// config). Kills already spent on earlier lives are disarmed so the
+/// replacement does not immediately re-die.
+///
 /// # Errors
 /// [`DeepThermoError::Cluster`] when the rendezvous cannot be reached,
 /// plus everything [`DeepThermo::run_cluster_rank`] can return.
@@ -470,45 +454,17 @@ pub fn run_cluster_worker(
     size: usize,
     rendezvous: &str,
     plan: FaultPlan,
-) -> Result<WorkerOutcome, DeepThermoError> {
-    let transport = TcpTransport::connect(rendezvous, rank, size)
-        .map_err(|e| cluster_err(&format!("rank {rank} dial rendezvous {rendezvous}"), e))?;
-    finish_worker(runner, transport, plan)
-}
-
-/// Worker side of a *recovering* cluster: a first life (`respawns == 0`)
-/// dials the rendezvous with re-admission enabled; a replacement life
-/// re-binds its rank id in the existing mesh and resumes from its own
-/// newest checkpoint (the rank engine reads `respawns` out of the
-/// config). Kills already spent on earlier lives are disarmed so the
-/// replacement does not immediately re-die.
-///
-/// # Errors
-/// Everything [`run_cluster_worker`] can return.
-pub fn run_cluster_worker_recovering(
-    runner: &DeepThermo,
-    rank: usize,
-    size: usize,
-    rendezvous: &str,
-    plan: FaultPlan,
+    recover: bool,
     respawns: u64,
 ) -> Result<WorkerOutcome, DeepThermoError> {
-    let transport = if respawns == 0 {
-        TcpTransport::connect_recovering(rendezvous, rank, size)
-    } else {
-        TcpTransport::reconnect(rendezvous, rank, size)
+    let transport = match (recover, respawns) {
+        (false, _) => TcpTransport::connect(rendezvous, rank, size),
+        (true, 0) => TcpTransport::connect_recovering(rendezvous, rank, size),
+        (true, _) => TcpTransport::reconnect(rendezvous, rank, size),
     }
     .map_err(|e| cluster_err(&format!("rank {rank} dial rendezvous {rendezvous}"), e))?;
-    finish_worker(runner, transport, plan.disarm_kills(rank, respawns))
-}
-
-fn finish_worker(
-    runner: &DeepThermo,
-    transport: TcpTransport,
-    plan: FaultPlan,
-) -> Result<WorkerOutcome, DeepThermoError> {
     install_crash_hook();
-    let comm = Communicator::new(transport, plan);
+    let comm = Communicator::new(transport, plan.disarm_kills(rank, respawns));
     match std::panic::catch_unwind(AssertUnwindSafe(|| runner.run_cluster_rank(comm))) {
         Ok(Ok(report)) => {
             debug_assert!(report.is_none(), "only rank 0 assembles a report");

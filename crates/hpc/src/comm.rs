@@ -2,12 +2,15 @@
 //! message-passing backend.
 //!
 //! Semantics mirror the subset of MPI the paper's REWL implementation
-//! needs: tagged point-to-point messages, a barrier, a sum-allreduce, and
-//! a broadcast. The bytes move through a pluggable [`Transport`] — the
-//! in-memory thread fabric ([`crate::ThreadTransport`]) or real loopback
-//! sockets ([`crate::TcpTransport`]) — while everything here stays
-//! backend-agnostic:
+//! needs: tagged point-to-point messages, a barrier and a sum-allreduce.
+//! The bytes move through a pluggable [`Transport`] — in-memory mailboxes
+//! shared between threads ([`crate::ThreadTransport`]) or real loopback
+//! sockets ([`crate::TcpTransport`]) — while everything here is written
+//! once for both:
 //!
+//! - the collectives are point-to-point messages on reserved tags with
+//!   rank 0 coordinating ([`Communicator::allreduce_sum`]), so every
+//!   backend sums in the same (rank) order and fails the same way;
 //! - a [`crate::FaultPlan`] can drop or delay specific messages and crash
 //!   ranks at chosen rounds, deterministically;
 //! - every receive has a deadline-bounded form
@@ -18,16 +21,20 @@
 //!
 //! A rank death (injected or a genuine panic caught by
 //! [`crate::ThreadCluster::run_with_faults`], or a closed connection on
-//! the TCP backend) is announced to the fabric: pending receives from the
-//! dead rank fail fast with [`CommError::RankDead`], and in-flight
-//! collectives complete over the survivors instead of deadlocking.
+//! the TCP backend) is recorded in the survivors' mailboxes: pending
+//! receives from the dead rank fail fast with [`CommError::RankDead`], and
+//! in-flight collectives complete over the survivors instead of
+//! deadlocking — unless the dead rank is the coordinator, which fails them
+//! with [`CommError::RankDead`]`(0)`.
 //!
-//! There are deliberately no infallible `recv`/`broadcast` wrappers: a
-//! dead peer must surface as a [`CommError`] at the call site, never as a
-//! panic deep in the fabric.
+//! There is deliberately no infallible `recv` wrapper: a dead peer must
+//! surface as a [`CommError`] at the call site, never as a panic deep in
+//! the backend.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+use dt_codec::bin::{Reader, Writer};
 
 use crate::fault::{FaultPlan, FaultRuntime, SendFate};
 use crate::thread_fabric::ThreadTransport;
@@ -107,16 +114,49 @@ pub struct TrafficSnapshot {
     pub delayed_sends: u64,
 }
 
+/// Upper bound on every blocking collective wait, so that no wait — even
+/// one reached through an unexpected interleaving — is unbounded. Generous
+/// enough that it only trips on genuine deadlocks.
+const WATCHDOG: Duration = Duration::from_secs(300);
+
+/// How long a recovery-mode coordinator waits for a dead rank to be
+/// replaced before giving up on it (degradation fallback). Far above any
+/// realistic respawn+rejoin time, far below the collective watchdog.
+pub const RECOVERY_DEADLINE: Duration = Duration::from_secs(60);
+
+/// Collective (and heartbeat) tags live above bit 63; driver tags
+/// (`with_round` included) stay below it.
+const COLL_BIT: u64 = 1 << 63;
+const K_BARRIER_ARRIVE: u64 = 1;
+const K_BARRIER_RELEASE: u64 = 2;
+const K_REDUCE_CONTRIB: u64 = 3;
+const K_REDUCE_RESULT: u64 = 4;
+/// Pings of the TCP heartbeat monitor; never reaches a mailbox.
+pub(crate) const K_HEARTBEAT: u64 = 6;
+
+pub(crate) fn coll_tag(kind: u64, generation: u64) -> u64 {
+    debug_assert!(generation < 1 << 56, "collective generation overflow");
+    COLL_BIT | (kind << 56) | generation
+}
+
 /// A rank's handle to the cluster.
 ///
 /// Mirrors an MPI communicator: owned per rank, `Send` so it can move
 /// into the rank's thread (or live in the rank's process on the TCP
-/// backend). Generic over the [`Transport`] moving the bytes; fault
-/// injection and traffic accounting live here, above the backend.
+/// backend). Generic over the [`Transport`] moving the bytes; the
+/// collectives, fault injection and traffic accounting live here, above
+/// the backend.
 pub struct Communicator<T: Transport = ThreadTransport> {
     transport: T,
     faults: FaultRuntime,
     traffic: TrafficCounters,
+    /// Calls made so far of `[barrier, allreduce_sum]`; the third slot is
+    /// reserved (it numbered broadcasts, and `dtrewlrank` checkpoints
+    /// still carry it). Each call tags its frames with its generation, so
+    /// rounds never collide.
+    coll_gens: [AtomicU64; 3],
+    /// Recovery mode: a dead contributor is waited for, not skipped.
+    recovery: AtomicBool,
 }
 
 impl<T: Transport> Communicator<T> {
@@ -128,6 +168,8 @@ impl<T: Transport> Communicator<T> {
             transport,
             faults: FaultRuntime::new(plan),
             traffic: TrafficCounters::default(),
+            coll_gens: Default::default(),
+            recovery: AtomicBool::new(false),
         }
     }
 
@@ -175,23 +217,28 @@ impl<T: Transport> Communicator<T> {
         self.transport.heartbeat_misses()
     }
 
-    /// Toggle transport recovery mode (see [`Transport::set_recovery`]):
-    /// dead peers are treated as temporarily absent so a respawned
-    /// replacement can rejoin in-flight collectives.
+    /// Toggle recovery mode: a dead peer is treated as *temporarily*
+    /// absent — the collective coordinator keeps waiting for its
+    /// contribution (up to [`RECOVERY_DEADLINE`]) instead of skipping it,
+    /// so a respawned replacement can contribute to the generation it
+    /// missed.
     pub fn set_recovery(&self, enabled: bool) {
-        self.transport.set_recovery(enabled);
+        self.recovery.store(enabled, Ordering::SeqCst);
     }
 
-    /// This rank's collective generation counters (see
-    /// [`Transport::collective_generations`]).
+    /// This rank's collective generation counters `[barrier, reduce,
+    /// reserved]`. A rank checkpoint records them.
     pub fn collective_generations(&self) -> [u64; 3] {
-        self.transport.collective_generations()
+        self.coll_gens.each_ref().map(|g| g.load(Ordering::SeqCst))
     }
 
-    /// Restore collective generation counters on a rejoining rank (see
-    /// [`Transport::set_collective_generations`]).
+    /// Restore the collective generation counters on a replacement rank,
+    /// so its collective traffic lands in the generation the survivors
+    /// are parked in.
     pub fn set_collective_generations(&self, gens: [u64; 3]) {
-        self.transport.set_collective_generations(gens);
+        for (slot, g) in self.coll_gens.iter().zip(gens) {
+            slot.store(g, Ordering::SeqCst);
+        }
     }
 
     /// A point-in-time copy of this rank's message-traffic counters.
@@ -288,32 +335,90 @@ impl<T: Transport> Communicator<T> {
 
     /// Block until every *live* rank has entered the barrier. A rank that
     /// dies while others wait releases the barrier over the survivors.
+    /// SPMD, like [`Self::allreduce_sum`], of which it is the zero-element
+    /// case on tags and a generation counter of its own.
     ///
     /// # Errors
-    /// [`CommError::RankDead`] when the barrier's coordinator died (TCP
-    /// backend; the thread fabric completes over survivors).
+    /// [`CommError::RankDead`]`(0)` when the coordinator died.
     pub fn barrier(&self) -> Result<(), CommError> {
-        self.transport.barrier()
+        self.reduce(0, [K_BARRIER_ARRIVE, K_BARRIER_RELEASE], "barrier", &mut [])
     }
 
     /// Element-wise sum allreduce over the *live* ranks: after the call
     /// every surviving rank's `data` holds the sum over all survivors'
-    /// contributions. All ranks must pass equal lengths.
+    /// contributions, added in rank order — bit-identical on every rank
+    /// and every backend. SPMD: every live rank must make the same
+    /// collective calls in the same order, with equal lengths.
+    ///
+    /// Rank 0 coordinates. A dead contributor is skipped — in recovery
+    /// mode only after [`RECOVERY_DEADLINE`], so a replacement can still
+    /// land in the generation it missed. The frames travel on reserved
+    /// tags straight through the transport: the fault plan and the
+    /// traffic counters see driver messages only.
     ///
     /// # Errors
-    /// [`CommError::RankDead`] when the reduction's coordinator died (TCP
-    /// backend); `data` is left untouched in that case.
+    /// [`CommError::RankDead`]`(0)` when the coordinator died; `data` is
+    /// left untouched in that case.
     pub fn allreduce_sum(&self, data: &mut [f64]) -> Result<(), CommError> {
-        self.transport.allreduce_sum(data)
+        self.reduce(1, [K_REDUCE_CONTRIB, K_REDUCE_RESULT], "allreduce", data)
     }
 
-    /// Broadcast from `root`: returns the root's payload on every rank.
-    ///
-    /// # Errors
-    /// [`CommError::RankDead`] on every waiter if the root died before
-    /// providing its payload.
-    pub fn broadcast_checked(&self, root: usize, data: Vec<u8>) -> Result<Vec<u8>, CommError> {
-        self.transport.broadcast_checked(root, data)
+    fn reduce(
+        &self,
+        slot: usize,
+        [up, down]: [u64; 2],
+        what: &str,
+        data: &mut [f64],
+    ) -> Result<(), CommError> {
+        let generation = self.coll_gens[slot].fetch_add(1, Ordering::SeqCst);
+        let (up, down) = (coll_tag(up, generation), coll_tag(down, generation));
+        let t = &self.transport;
+        if t.rank() != 0 {
+            t.send(0, up, Writer::new().f64s(data).finish(), None);
+            return match t.recv_timeout(0, down, WATCHDOG) {
+                Ok(bytes) => {
+                    data.copy_from_slice(&reduce_payload(&bytes, data.len()));
+                    Ok(())
+                }
+                Err(CommError::RankDead(_)) => Err(CommError::RankDead(0)),
+                Err(CommError::Timeout { .. }) => {
+                    panic!("rank {}: {what} watchdog expired", t.rank())
+                }
+            };
+        }
+        for r in 1..t.size() {
+            if let Some(bytes) = self.contribution(r, up, what) {
+                let theirs = reduce_payload(&bytes, data.len());
+                data.iter_mut().zip(theirs).for_each(|(a, x)| *a += x);
+            }
+        }
+        let bytes = Writer::new().f64s(data).finish();
+        for r in 1..t.size() {
+            t.send(r, down, bytes.clone(), None);
+        }
+        Ok(())
+    }
+
+    /// The coordinator's receive of `from`'s part in a collective; `None`
+    /// skips a dead rank. A watchdog timeout is a protocol violation.
+    fn contribution(&self, from: usize, tag: u64, what: &str) -> Option<Vec<u8>> {
+        let started = Instant::now();
+        loop {
+            match self.transport.recv_timeout(from, tag, WATCHDOG) {
+                Ok(payload) => return Some(payload),
+                Err(CommError::RankDead(_)) => {
+                    if !self.recovery.load(Ordering::SeqCst)
+                        || started.elapsed() >= RECOVERY_DEADLINE
+                    {
+                        return None;
+                    }
+                    std::thread::sleep(Duration::from_millis(25));
+                }
+                Err(CommError::Timeout { .. }) => {
+                    panic!("rank 0: {what} watchdog expired")
+                }
+            }
+        }
     }
 
     fn count_recv(&self, bytes: usize) {
@@ -338,12 +443,19 @@ impl<T: Transport> Communicator<T> {
     }
 }
 
+/// An allreduce payload: exactly `len` packed `f64`s, or the ranks have
+/// diverged.
+fn reduce_payload(bytes: &[u8], len: usize) -> Vec<f64> {
+    let v = Reader::new(bytes).rest_f64s().unwrap_or_default();
+    assert_eq!(v.len(), len, "allreduce length mismatch across ranks");
+    v
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use crate::thread_fabric::{RankOutcome, ThreadCluster};
-    use std::time::{Duration, Instant};
+    use crate::{RankOutcome, TcpCluster, ThreadCluster};
 
     /// Receive deadline for test paths where the message is known to be
     /// on its way.
@@ -412,21 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_delivers_root_payload() {
-        let results = ThreadCluster::run(4, |comm| {
-            let mine = if comm.rank() == 2 {
-                vec![9, 9, 9]
-            } else {
-                vec![]
-            };
-            comm.broadcast_checked(2, mine).unwrap()
-        });
-        for r in results {
-            assert_eq!(r, vec![9, 9, 9]);
-        }
-    }
-
-    #[test]
     fn barrier_orders_phases() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let phase1 = AtomicUsize::new(0);
@@ -443,15 +540,11 @@ mod tests {
     fn many_rounds_of_mixed_collectives() {
         let results = ThreadCluster::run(4, |comm| {
             let mut acc = 0.0;
-            for round in 0..10 {
+            for _ in 0..10 {
                 comm.barrier().unwrap();
                 let mut v = vec![1.0];
                 comm.allreduce_sum(&mut v).unwrap();
                 acc += v[0];
-                let b = comm
-                    .broadcast_checked(round % 4, vec![round as u8])
-                    .unwrap();
-                assert_eq!(b, vec![round as u8]);
             }
             acc
         });
@@ -586,8 +679,7 @@ mod tests {
         // Rank 2 dies before ever entering the collectives; the other
         // three must still complete barrier + allreduce, with the sum
         // covering survivors only.
-        let plan = FaultPlan::none().kill_at_round(2, 0);
-        let outcomes = ThreadCluster::run_with_faults(4, plan, |comm| {
+        fn body<T: Transport>(comm: Communicator<T>) -> f64 {
             if comm.rank() == 2 {
                 // Give peers a chance to block in the barrier first, so
                 // the death must actively release them.
@@ -599,35 +691,77 @@ mod tests {
             let mut v = vec![1.0];
             comm.allreduce_sum(&mut v).unwrap();
             v[0]
-        });
-        assert!(outcomes[2].is_dead());
-        for (rank, outcome) in outcomes.iter().enumerate() {
-            if rank == 2 {
-                continue;
-            }
-            match outcome {
-                RankOutcome::Completed(sum) => assert_eq!(*sum, 3.0),
-                dead => panic!("rank {rank} died: {dead:?}"),
+        }
+        let plan = FaultPlan::none().kill_at_round(2, 0);
+        for outcomes in [
+            ThreadCluster::run_with_faults(4, plan.clone(), body),
+            TcpCluster::run_loopback(4, plan, body),
+        ] {
+            assert!(outcomes[2].is_dead());
+            for (rank, outcome) in outcomes.iter().enumerate() {
+                if rank == 2 {
+                    continue;
+                }
+                match outcome {
+                    RankOutcome::Completed(sum) => assert_eq!(*sum, 3.0),
+                    dead => panic!("rank {rank} died: {dead:?}"),
+                }
             }
         }
     }
 
+    /// The sum is taken in rank order whatever order the ranks enter in:
+    /// with these contributions arrival order (3, 2, 1, 0) gives 0.0.
     #[test]
-    fn broadcast_from_dead_root_fails_cleanly() {
-        let plan = FaultPlan::none().kill_at_round(0, 0);
-        let outcomes = ThreadCluster::run_with_faults(3, plan, |comm| {
-            if comm.rank() == 0 {
-                comm.poll_faults(0);
-                unreachable!();
-            }
-            comm.broadcast_checked(0, vec![])
-        });
-        for outcome in &outcomes[1..] {
-            match outcome {
-                RankOutcome::Completed(r) => assert_eq!(r, &Err(CommError::RankDead(0))),
-                dead => panic!("survivor died: {dead:?}"),
-            }
+    fn allreduce_is_rank_ordered_on_both_backends() {
+        fn body<T: Transport>(comm: Communicator<T>) -> Vec<u64> {
+            let mine = [1e16, 1.0, -1e16, 1.0][comm.rank()];
+            (0..50)
+                .map(|_| {
+                    std::thread::sleep(Duration::from_millis(3 - comm.rank() as u64));
+                    let mut v = [mine];
+                    comm.allreduce_sum(&mut v).unwrap();
+                    v[0].to_bits()
+                })
+                .collect()
         }
+        let expected = vec![1.0f64.to_bits(); 50];
+        for sums in ThreadCluster::run(4, body) {
+            assert_eq!(sums, expected, "thread backend");
+        }
+        for outcome in TcpCluster::run_loopback(4, FaultPlan::none(), body) {
+            assert_eq!(outcome.completed(), Some(expected.clone()), "TCP backend");
+        }
+    }
+
+    /// Collective frames bypass the fault runtime: `nth_match` counts the
+    /// driver's messages only, however many barriers and allreduces (whose
+    /// frames also travel rank 1 → rank 0) run in between.
+    #[test]
+    fn fault_plan_counts_driver_messages_only() {
+        let plan = FaultPlan::none().drop_message(1, 0, 2);
+        let outcomes = ThreadCluster::run_with_faults(2, plan, |comm| {
+            let mut arrived = Vec::new();
+            for i in 0..4u64 {
+                comm.barrier().unwrap();
+                comm.allreduce_sum(&mut [1.0]).unwrap();
+                if comm.rank() == 1 {
+                    comm.send(0, 10 + i, vec![i as u8]);
+                }
+                // A thread-backend send is in the mailbox when it returns,
+                // so after this barrier message `i` is there or was eaten.
+                comm.barrier().unwrap();
+                if comm.rank() == 0 {
+                    arrived.push(comm.try_recv(1, 10 + i).unwrap().is_some());
+                }
+            }
+            (arrived, comm.traffic())
+        });
+        let mut outcomes = outcomes.into_iter();
+        let (arrived, _) = outcomes.next().unwrap().completed().expect("rank 0 alive");
+        let (_, sent) = outcomes.next().unwrap().completed().expect("rank 1 alive");
+        assert_eq!(arrived, [true, true, false, true]);
+        assert_eq!((sent.sends, sent.dropped_sends), (3, 1));
     }
 
     #[test]

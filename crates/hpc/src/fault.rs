@@ -423,7 +423,7 @@ fn splitmix(mut z: u64) -> u64 {
 pub(crate) struct FaultRuntime {
     plan: FaultPlan,
     /// How many sends have matched each drop/delay event so far.
-    counters: parking_lot::Mutex<Vec<u64>>,
+    counters: std::sync::Mutex<Vec<u64>>,
     /// The sender's current protocol round (stamped by the per-round
     /// fault poll); round-windowed events (partitions) match against it.
     round: std::sync::atomic::AtomicU64,
@@ -434,7 +434,7 @@ impl FaultRuntime {
         let n = plan.events.len();
         FaultRuntime {
             plan,
-            counters: parking_lot::Mutex::new(vec![0; n]),
+            counters: std::sync::Mutex::new(vec![0; n]),
             round: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -458,7 +458,7 @@ impl FaultRuntime {
             return SendFate::Deliver;
         }
         let round = self.round.load(std::sync::atomic::Ordering::Relaxed);
-        let mut counters = self.counters.lock();
+        let mut counters = crate::transport::lock(&self.counters);
         let mut fate = SendFate::Deliver;
         for (i, event) in self.plan.events.iter().enumerate() {
             if !event.matches_send(from, to, tag, round) {

@@ -7,10 +7,13 @@
 //! exchange, and NCCL/RCCL allreduces for distributing retrained proposal
 //! networks. This crate substitutes that stack with:
 //!
-//! * [`Communicator`] + [`ThreadCluster`] — an MPI-flavored message-passing
-//!   runtime over threads (tagged point-to-point sends, barrier,
-//!   sum-allreduce, broadcast), used for *functionally real* parallel REWL
-//!   runs at laptop scale;
+//! * [`Communicator`] over a [`Transport`] — an MPI-flavored
+//!   message-passing runtime (tagged point-to-point sends, and a barrier
+//!   and a rank-ordered sum-allreduce written once over them) with two
+//!   backends that differ only in how bytes reach a peer's mailbox:
+//!   threads ([`ThreadCluster`]) and loopback sockets ([`TcpCluster`],
+//!   `--cluster tcp:<n>`); used for *functionally real* parallel REWL runs
+//!   at laptop scale;
 //! * [`rank_rng`] — deterministic, independent per-rank ChaCha streams so
 //!   parallel runs are exactly reproducible at any thread count;
 //! * [`GpuSpec`] / [`PerfModel`] — calibrated analytic performance models
@@ -26,7 +29,7 @@
 #![forbid(unsafe_code)]
 
 //!
-//! For robustness work the fabric also simulates an *unreliable* cluster:
+//! For robustness work the runtime also simulates an *unreliable* cluster:
 //! [`FaultPlan`] injects deterministic message drops/delays and rank
 //! kills, receives are deadline-bounded ([`CommError`]), and
 //! [`ThreadCluster::run_with_faults`] converts rank panics into

@@ -1,10 +1,12 @@
 //! The TCP backend: ranks are processes (or threads, in tests) connected
 //! by real `std::net` loopback sockets.
 //!
-//! Implements the same [`Transport`] contract as the thread fabric, so the
-//! whole REWL stack — fault injection, timeouts, the exchange protocol,
-//! checkpointing — runs unchanged over genuine inter-process message
-//! passing (`deepthermo run --cluster tcp:<n>`).
+//! Implements the same [`Transport`] contract as the thread backend —
+//! a send ends in the destination rank's [`Mailbox`], a death is marked in
+//! the survivors' — so everything above it (collectives, fault injection,
+//! timeouts, the exchange protocol, checkpointing) is the same code over
+//! genuine inter-process message passing (`deepthermo run --cluster
+//! tcp:<n>`).
 //!
 //! ## Topology
 //!
@@ -23,23 +25,15 @@
 //! `[payload_len: u32][tag: u64][delay_micros: u64][payload]`, all little
 //! endian. `delay_micros` carries fault-injected delivery delays: the
 //! *receiver* holds the message until the delay elapses, mirroring the
-//! thread fabric's in-flight delay semantics.
+//! thread backend's in-flight delay semantics.
 //!
 //! A reader thread per peer connection demultiplexes frames into the
-//! rank's `Inbox`. A closed or broken connection marks that peer dead,
-//! which unblocks pending receives with [`CommError::RankDead`] — process
-//! exit (clean or crashed) is death notification, no extra protocol
-//! needed. Orderly TCP shutdown delivers buffered frames before the EOF,
-//! so messages sent just before a rank exits still arrive.
-//!
-//! ## Collectives
-//!
-//! Barrier, sum-allreduce, and broadcast run over reserved tags (bit 63
-//! set, disjoint from all driver tags) with rank 0 coordinating barrier
-//! and reduction; each call uses a fresh generation number so rounds never
-//! collide. Dead ranks are skipped — collectives complete over the
-//! survivors, as on the thread fabric — but if the *coordinator* (rank 0)
-//! dies, waiters get [`CommError::RankDead`]`(0)` instead.
+//! rank's [`Mailbox`]. A closed or broken connection marks that peer dead,
+//! which unblocks pending receives with
+//! [`CommError::RankDead`](crate::CommError) — process exit (clean or
+//! crashed) is death notification, no extra protocol needed. Orderly TCP
+//! shutdown delivers buffered frames before the EOF, so messages sent just
+//! before a rank exits still arrive.
 //!
 //! ## Recovery
 //!
@@ -64,48 +58,24 @@
 //!   the peer, and a monitor that was itself starved of CPU re-arms the
 //!   clocks rather than condemning the mesh on stale testimony (only an
 //!   EOF is final);
-//! * in recovery mode the rank-0 coordinator treats a dead contributor as
-//!   *temporarily* absent and keeps waiting (bounded by
-//!   [`RECOVERY_DEADLINE`]) so a rejoining replacement lands in the
-//!   collective generation it missed.
+//! * the collective coordinator's patience with a dead contributor is
+//!   [`Communicator::set_recovery`], not a transport matter.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dt_codec::bin::{Reader, Writer};
-use parking_lot::Mutex;
 
-use crate::comm::{CommError, Communicator};
+use crate::comm::{coll_tag, Communicator, K_HEARTBEAT};
 use crate::fault::FaultPlan;
-use crate::thread_fabric::{describe_panic, install_crash_hook, RankOutcome};
-use crate::transport::{Inbox, Transport, WATCHDOG};
-
-/// Collective tags live above bit 63; driver tags (`with_round` included)
-/// stay below it.
-const COLL_BIT: u64 = 1 << 63;
-const K_BARRIER_ARRIVE: u64 = 1;
-const K_BARRIER_RELEASE: u64 = 2;
-const K_REDUCE_CONTRIB: u64 = 3;
-const K_REDUCE_RESULT: u64 = 4;
-const K_BCAST: u64 = 5;
-const K_HEARTBEAT: u64 = 6;
-
-/// How long a recovery-mode coordinator waits for a dead rank to be
-/// replaced before giving up on it (degradation fallback). Far above any
-/// realistic respawn+rejoin time, far below the collective watchdog.
-pub const RECOVERY_DEADLINE: Duration = Duration::from_secs(60);
+use crate::thread_fabric::{run_rank, spawn_ranks, RankOutcome};
+use crate::transport::{lock, Mailbox, Transport};
 
 /// Poll cadence of the re-admission acceptor threads.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
-
-fn coll_tag(kind: u64, generation: u64) -> u64 {
-    debug_assert!(generation < 1 << 56, "collective generation overflow");
-    COLL_BIT | (kind << 56) | generation
-}
 
 /// The fixed heartbeat tag (generation-free: pings are not sequenced).
 fn hb_tag() -> u64 {
@@ -115,9 +85,7 @@ fn hb_tag() -> u64 {
 /// State shared between a rank's main thread, its per-peer reader
 /// threads, and (in recovery mode) its acceptor/heartbeat threads.
 struct Shared {
-    inbox: Inbox,
-    dead: Vec<AtomicBool>,
-    live: AtomicUsize,
+    mailbox: Mailbox,
     /// Connection generation per peer: bumped when a replacement stream
     /// is installed, so the EOF of a superseded reader cannot kill a
     /// revived peer.
@@ -126,8 +94,6 @@ struct Shared {
     last_seen: Vec<Mutex<Instant>>,
     /// Peers declared dead by the heartbeat monitor (deadline missed).
     hb_misses: AtomicU64,
-    /// Recovery mode: dead peers are temporarily absent, not gone.
-    recovery: AtomicBool,
     /// Tells acceptor/heartbeat threads to exit (set on transport drop).
     shutdown: AtomicBool,
 }
@@ -135,57 +101,23 @@ struct Shared {
 impl Shared {
     fn new(size: usize) -> Self {
         Shared {
-            inbox: Inbox::default(),
-            dead: (0..size).map(|_| AtomicBool::new(false)).collect(),
-            live: AtomicUsize::new(size),
+            mailbox: Mailbox::new(size),
             conn_gen: (0..size).map(|_| AtomicU64::new(0)).collect(),
             last_seen: (0..size).map(|_| Mutex::new(Instant::now())).collect(),
             hb_misses: AtomicU64::new(0),
-            recovery: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
         }
     }
 
-    fn is_dead(&self, rank: usize) -> bool {
-        self.dead[rank].load(Ordering::SeqCst)
-    }
-
-    fn mark_dead(&self, rank: usize) {
-        if self.dead[rank].swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.live.fetch_sub(1, Ordering::SeqCst);
-        self.inbox.notify_all();
-    }
-
-    /// Death announcement from a reader created at connection generation
-    /// `gen`: ignored when a newer connection has been installed since.
-    fn mark_dead_if_current(&self, rank: usize, gen: u64) {
-        if self.conn_gen[rank].load(Ordering::SeqCst) == gen {
-            self.mark_dead(rank);
-        }
-    }
-
-    /// Re-admit a peer: clear its dead flag and restore the live count.
-    fn revive(&self, rank: usize) {
-        if self.dead[rank].swap(false, Ordering::SeqCst) {
-            self.live.fetch_add(1, Ordering::SeqCst);
-            self.inbox.notify_all();
-        }
-    }
-
-    /// Revive from a reader created at connection generation `gen`:
-    /// ignored when a replacement connection has been installed since
-    /// (the stale reader must not resurrect a peer it no longer speaks
-    /// for).
-    fn revive_if_current(&self, rank: usize, gen: u64) {
-        if self.conn_gen[rank].load(Ordering::SeqCst) == gen {
-            self.revive(rank);
-        }
+    /// Whether the reader created at connection generation `gen` still
+    /// speaks for `rank`: once a replacement connection is installed, the
+    /// stale reader may neither kill nor resurrect the peer.
+    fn is_current(&self, rank: usize, gen: u64) -> bool {
+        self.conn_gen[rank].load(Ordering::SeqCst) == gen
     }
 
     fn touch(&self, rank: usize) {
-        *self.last_seen[rank].lock() = Instant::now();
+        *lock(&self.last_seen[rank]) = Instant::now();
     }
 }
 
@@ -351,14 +283,6 @@ pub struct TcpTransport {
     /// index). Reader threads own cloned handles; the re-admission
     /// acceptor installs replacement streams in place.
     peers: Arc<PeerSlots>,
-    // Atomic (not Cell) so a fully connected transport is `Sync`: the
-    // serving fleet shares one `Arc<TcpTransport>` across router worker
-    // threads. Collectives are still single-caller-at-a-time by
-    // contract; the atomics only make concurrent point-to-point sends
-    // and generation snapshots sound.
-    barrier_gen: AtomicU64,
-    reduce_gen: AtomicU64,
-    bcast_gen: AtomicU64,
 }
 
 // Compile-time proof the transport is shareable across threads; the
@@ -449,7 +373,7 @@ impl TcpTransport {
         }
         let transport = Self::finish(rank, size, peers)?;
         for j in unreachable {
-            transport.shared.mark_dead(j);
+            transport.shared.mailbox.mark_dead(j);
         }
         transport.enable_recovery(data_listener)
     }
@@ -469,16 +393,12 @@ impl TcpTransport {
             size,
             shared,
             peers: slots,
-            barrier_gen: AtomicU64::new(0),
-            reduce_gen: AtomicU64::new(0),
-            bcast_gen: AtomicU64::new(0),
         })
     }
 
-    /// Switch on recovery semantics and park `listener` behind the
-    /// re-admission acceptor thread so replacement peers can join later.
+    /// Park `listener` behind the re-admission acceptor thread so
+    /// replacement peers can join later.
     fn enable_recovery(self, listener: TcpListener) -> io::Result<TcpTransport> {
-        self.shared.recovery.store(true, Ordering::SeqCst);
         listener.set_nonblocking(true)?;
         let shared = Arc::clone(&self.shared);
         let peers = Arc::clone(&self.peers);
@@ -487,32 +407,6 @@ impl TcpTransport {
             .name(format!("tcp-acceptor-{rank}"))
             .spawn(move || acceptor_loop(listener, rank, shared, peers))?;
         Ok(self)
-    }
-
-    /// Receive on a collective tag as the coordinator. A dead peer is
-    /// skipped (`None`) — except in recovery mode, where death is assumed
-    /// temporary and the wait continues until [`RECOVERY_DEADLINE`], so a
-    /// rejoining replacement can contribute to the generation it missed.
-    /// A watchdog timeout is a protocol violation.
-    fn coll_recv(&self, from: usize, tag: u64, what: &str) -> Option<Vec<u8>> {
-        let started = Instant::now();
-        loop {
-            match self.recv_timeout(from, tag, WATCHDOG) {
-                Ok(payload) => return Some(payload),
-                Err(CommError::RankDead(_)) => {
-                    if self.shared.recovery.load(Ordering::SeqCst)
-                        && started.elapsed() < RECOVERY_DEADLINE
-                    {
-                        std::thread::sleep(Duration::from_millis(25));
-                        continue;
-                    }
-                    return None;
-                }
-                Err(CommError::Timeout { .. }) => {
-                    panic!("rank {}: {what} watchdog expired", self.rank)
-                }
-            }
-        }
     }
 }
 
@@ -537,8 +431,8 @@ fn announce_to_rendezvous(
 
 /// Wire a (possibly replacement) connection from `from` into the mesh:
 /// bump the connection generation *first* (so a superseded reader's EOF is
-/// ignored from here on), install the write half, spawn the reader, then
-/// revive the peer.
+/// ignored from here on), install the write half, spawn the reader — which
+/// revives the peer before it reads.
 fn install_peer(
     shared: &Arc<Shared>,
     peers: &Arc<PeerSlots>,
@@ -550,12 +444,11 @@ fn install_peer(
     let reader = stream.try_clone()?;
     let gen = shared.conn_gen[from].fetch_add(1, Ordering::SeqCst) + 1;
     shared.touch(from);
-    *peers[from].lock() = Some(stream);
+    *lock(&peers[from]) = Some(stream);
     let shared_reader = Arc::clone(shared);
     std::thread::Builder::new()
         .name(format!("tcp-reader-{my_rank}-from-{from}"))
         .spawn(move || reader_loop(reader, from, gen, shared_reader))?;
-    shared.revive(from);
     Ok(())
 }
 
@@ -586,10 +479,16 @@ fn acceptor_loop(
     }
 }
 
-/// Demultiplex frames from one peer into the rank's inbox; runs until the
-/// connection closes, then announces the peer's death — unless a newer
-/// connection generation has replaced this one in the meantime.
+/// Demultiplex frames from one peer into the rank's mailbox. The peer is
+/// alive while its reader runs: revived on entry (a no-op unless this is a
+/// replacement connection), declared dead when the connection closes —
+/// unless a newer connection generation has replaced this one in the
+/// meantime. Both on this thread, so a connection already closed when it
+/// is installed still ends up dead.
 fn reader_loop(mut stream: TcpStream, from: usize, gen: u64, shared: Arc<Shared>) {
+    if shared.is_current(from, gen) {
+        shared.mailbox.revive(from);
+    }
     loop {
         let mut head = [0u8; FRAME_HEADER_BYTES];
         if stream.read_exact(&mut head).is_err() {
@@ -611,19 +510,22 @@ fn reader_loop(mut stream: TcpStream, from: usize, gen: u64, shared: Arc<Shared>
         // demonstrably still here, so reverse the verdict. EOF death
         // stays final — this reader has exited by then and a stale
         // generation cannot resurrect a genuinely replaced peer.
-        if shared.is_dead(from) {
-            shared.revive_if_current(from, gen);
+        if shared.mailbox.is_dead(from) && shared.is_current(from, gen) {
+            shared.mailbox.revive(from);
         }
         if tag == hb_tag() {
-            // Heartbeats only feed the liveness clock; never the inbox.
+            // Heartbeats only feed the liveness clock; never the mailbox.
             continue;
         }
-        let deliver_at = Instant::now() + Duration::from_micros(delay_us);
-        shared.inbox.push(from, tag, payload, deliver_at);
+        shared
+            .mailbox
+            .push(from, tag, payload, Duration::from_micros(delay_us));
     }
     // EOF is reached only after every buffered frame above was pushed, so
     // the death can never overtake a delivered message.
-    shared.mark_dead_if_current(from, gen);
+    if shared.is_current(from, gen) {
+        shared.mailbox.mark_dead(from);
+    }
 }
 
 impl Transport for TcpTransport {
@@ -635,126 +537,27 @@ impl Transport for TcpTransport {
         self.size
     }
 
-    fn is_alive(&self, rank: usize) -> bool {
-        !self.shared.is_dead(rank)
-    }
-
-    fn live_count(&self) -> usize {
-        self.shared.live.load(Ordering::SeqCst)
-    }
-
     fn send(&self, to: usize, tag: u64, data: Vec<u8>, delay: Option<Duration>) {
         assert!(to < self.size, "send to invalid rank {to}");
-        if self.shared.is_dead(to) {
+        if !self.is_alive(to) {
             return;
         }
-        let delay_us = delay.map_or(0, |d| d.as_micros() as u64);
+        let delay = delay.unwrap_or_default();
         if to == self.rank {
-            let deliver_at = Instant::now() + Duration::from_micros(delay_us);
-            self.shared.inbox.push(to, tag, data, deliver_at);
+            self.shared.mailbox.push(to, tag, data, delay);
             return;
         }
-        let frame = encode_frame(tag, delay_us, &data);
+        let frame = encode_frame(tag, delay.as_micros() as u64, &data);
         // A write failure (or an empty slot while a replacement connects)
         // means the peer is gone; its reader thread will notice the EOF —
         // drop the message like any send to the dead.
-        if let Some(stream) = self.peers[to].lock().as_mut() {
+        if let Some(stream) = lock(&self.peers[to]).as_mut() {
             let _ = stream.write_all(&frame);
         }
     }
 
-    fn try_recv(&self, from: usize, tag: u64) -> Result<Option<Vec<u8>>, CommError> {
-        self.shared
-            .inbox
-            .try_take(from, tag, &|| self.shared.is_dead(from))
-    }
-
-    fn recv_timeout(&self, from: usize, tag: u64, timeout: Duration) -> Result<Vec<u8>, CommError> {
-        self.shared
-            .inbox
-            .take_deadline(from, tag, timeout, &|| self.shared.is_dead(from))
-    }
-
-    fn barrier(&self) -> Result<(), CommError> {
-        let generation = self.barrier_gen.fetch_add(1, Ordering::SeqCst);
-        let arrive = coll_tag(K_BARRIER_ARRIVE, generation);
-        let release = coll_tag(K_BARRIER_RELEASE, generation);
-        if self.rank == 0 {
-            for r in 1..self.size {
-                self.coll_recv(r, arrive, "barrier");
-            }
-            for r in 1..self.size {
-                self.send(r, release, Vec::new(), None);
-            }
-            Ok(())
-        } else {
-            self.send(0, arrive, Vec::new(), None);
-            match self.recv_timeout(0, release, WATCHDOG) {
-                Ok(_) => Ok(()),
-                Err(CommError::RankDead(_)) => Err(CommError::RankDead(0)),
-                Err(CommError::Timeout { .. }) => {
-                    panic!("rank {}: barrier watchdog expired", self.rank)
-                }
-            }
-        }
-    }
-
-    fn allreduce_sum(&self, data: &mut [f64]) -> Result<(), CommError> {
-        let generation = self.reduce_gen.fetch_add(1, Ordering::SeqCst);
-        let contrib = coll_tag(K_REDUCE_CONTRIB, generation);
-        let result = coll_tag(K_REDUCE_RESULT, generation);
-        if self.rank == 0 {
-            // Sum in rank order so the reduction is deterministic.
-            let mut accum = data.to_vec();
-            for r in 1..self.size {
-                let Some(bytes) = self.coll_recv(r, contrib, "allreduce") else {
-                    continue;
-                };
-                let v = reduce_payload(&bytes, accum.len());
-                for (a, x) in accum.iter_mut().zip(v) {
-                    *a += x;
-                }
-            }
-            let bytes = Writer::new().f64s(&accum).finish();
-            for r in 1..self.size {
-                self.send(r, result, bytes.clone(), None);
-            }
-            data.copy_from_slice(&accum);
-            Ok(())
-        } else {
-            self.send(0, contrib, Writer::new().f64s(data).finish(), None);
-            match self.recv_timeout(0, result, WATCHDOG) {
-                Ok(bytes) => {
-                    data.copy_from_slice(&reduce_payload(&bytes, data.len()));
-                    Ok(())
-                }
-                Err(CommError::RankDead(_)) => Err(CommError::RankDead(0)),
-                Err(CommError::Timeout { .. }) => {
-                    panic!("rank {}: allreduce watchdog expired", self.rank)
-                }
-            }
-        }
-    }
-
-    fn broadcast_checked(&self, root: usize, data: Vec<u8>) -> Result<Vec<u8>, CommError> {
-        let generation = self.bcast_gen.fetch_add(1, Ordering::SeqCst);
-        let tag = coll_tag(K_BCAST, generation);
-        if self.rank == root {
-            for r in 0..self.size {
-                if r != root {
-                    self.send(r, tag, data.clone(), None);
-                }
-            }
-            Ok(data)
-        } else {
-            match self.recv_timeout(root, tag, WATCHDOG) {
-                Ok(payload) => Ok(payload),
-                Err(CommError::RankDead(_)) => Err(CommError::RankDead(root)),
-                Err(CommError::Timeout { .. }) => {
-                    panic!("rank {}: broadcast watchdog expired", self.rank)
-                }
-            }
-        }
+    fn mailbox(&self) -> &Mailbox {
+        &self.shared.mailbox
     }
 
     fn start_heartbeats(&self, interval: Duration, deadline: Duration) {
@@ -772,10 +575,10 @@ impl Transport for TcpTransport {
                 let frame = encode_frame(hb_tag(), 0, &[]);
                 while !shared.shutdown.load(Ordering::SeqCst) {
                     for (j, slot) in peers.iter().enumerate() {
-                        if j == me || shared.is_dead(j) {
+                        if j == me || shared.mailbox.is_dead(j) {
                             continue;
                         }
-                        if let Some(s) = slot.lock().as_mut() {
+                        if let Some(s) = lock(slot).as_mut() {
                             let _ = s.write_all(&frame);
                         }
                     }
@@ -805,12 +608,12 @@ impl Transport for TcpTransport {
                         }
                     } else {
                         for j in 0..size {
-                            if j == me || shared.is_dead(j) {
+                            if j == me || shared.mailbox.is_dead(j) {
                                 continue;
                             }
-                            if shared.last_seen[j].lock().elapsed() > deadline {
+                            if lock(&shared.last_seen[j]).elapsed() > deadline {
                                 shared.hb_misses.fetch_add(1, Ordering::SeqCst);
-                                shared.mark_dead(j);
+                                shared.mailbox.mark_dead(j);
                             }
                         }
                     }
@@ -824,24 +627,6 @@ impl Transport for TcpTransport {
     fn heartbeat_misses(&self) -> u64 {
         self.shared.hb_misses.load(Ordering::SeqCst)
     }
-
-    fn set_recovery(&self, enabled: bool) {
-        self.shared.recovery.store(enabled, Ordering::SeqCst);
-    }
-
-    fn collective_generations(&self) -> [u64; 3] {
-        [
-            self.barrier_gen.load(Ordering::SeqCst),
-            self.reduce_gen.load(Ordering::SeqCst),
-            self.bcast_gen.load(Ordering::SeqCst),
-        ]
-    }
-
-    fn set_collective_generations(&self, gens: [u64; 3]) {
-        self.barrier_gen.store(gens[0], Ordering::SeqCst);
-        self.reduce_gen.store(gens[1], Ordering::SeqCst);
-        self.bcast_gen.store(gens[2], Ordering::SeqCst);
-    }
 }
 
 impl Drop for TcpTransport {
@@ -854,7 +639,7 @@ impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for slot in self.peers.iter() {
-            if let Some(stream) = slot.lock().as_ref() {
+            if let Some(stream) = lock(slot).as_ref() {
                 let _ = stream.shutdown(std::net::Shutdown::Both);
             }
         }
@@ -895,14 +680,6 @@ pub fn decode_frame_header(head: &[u8]) -> Option<(usize, u64, u64)> {
     (header.0 <= MAX_FRAME_BYTES).then_some(header)
 }
 
-/// An allreduce payload: exactly `len` packed `f64`s, or the ranks have
-/// diverged.
-fn reduce_payload(bytes: &[u8], len: usize) -> Vec<f64> {
-    let v = Reader::new(bytes).rest_f64s().unwrap_or_default();
-    assert_eq!(v.len(), len, "allreduce length mismatch across ranks");
-    v
-}
-
 fn read_u32(s: &mut TcpStream) -> io::Result<u32> {
     let mut b = [0u8; 4];
     s.read_exact(&mut b)?;
@@ -931,46 +708,18 @@ impl TcpCluster {
         T: Send,
         F: Fn(Communicator<TcpTransport>) -> T + Sync,
     {
-        assert!(size > 0, "cluster needs at least one rank");
-        install_crash_hook();
-        let rendezvous = TcpRendezvous::bind("127.0.0.1:0").expect("bind rendezvous");
-        let addr = rendezvous
-            .local_addr()
-            .expect("rendezvous address")
-            .to_string();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(size);
-            let root_plan = plan.clone();
-            let f_ref = &f;
-            handles.push(scope.spawn(move || {
-                let transport = rendezvous.into_transport(size).expect("rank 0 mesh setup");
-                run_rank(transport, root_plan, f_ref)
-            }));
-            for rank in 1..size {
-                let plan = plan.clone();
-                let addr = addr.clone();
-                let f_ref = &f;
-                handles.push(scope.spawn(move || {
-                    let transport =
-                        TcpTransport::connect(&addr, rank, size).expect("worker mesh setup");
-                    run_rank(transport, plan, f_ref)
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank thread itself must not die"))
-                .collect()
-        })
+        Self::run_loopback_recovering(size, plan, 0, |comm, _| f(comm))
     }
 
-    /// [`Self::run_loopback`] with self-healing: every rank runs under a
-    /// per-rank supervisor that, when the rank dies with restart budget
-    /// left, waits out a bounded exponential backoff, rebuilds the mesh
-    /// through the still-open rendezvous ([`TcpTransport::reconnect`]),
-    /// disarms the kills that already fired, and re-runs `f` with the
-    /// incremented respawn count — the in-process twin of the dt-core
-    /// process supervisor. Rank 0 (rendezvous + collective coordinator)
-    /// is never respawned; its death ends the run as usual.
+    /// [`Self::run_loopback`] with self-healing when `max_restarts > 0`:
+    /// the mesh keeps its listeners open, communicators start in recovery
+    /// mode, and a worker rank that dies with restart budget left waits
+    /// out a bounded exponential backoff, rebuilds its connections through
+    /// the still-open rendezvous ([`TcpTransport::reconnect`]), disarms
+    /// the kills that already fired, and re-runs `f` with the incremented
+    /// respawn count — the in-process twin of the dt-core process
+    /// supervisor. Rank 0 (rendezvous + collective coordinator) is never
+    /// respawned; its death ends the run as usual.
     ///
     /// `f` receives `(comm, respawns)` so the program can rejoin from its
     /// checkpoint rather than start over.
@@ -984,91 +733,35 @@ impl TcpCluster {
         T: Send,
         F: Fn(Communicator<TcpTransport>, u64) -> T + Sync,
     {
-        assert!(size > 0, "cluster needs at least one rank");
-        install_crash_hook();
         let rendezvous = TcpRendezvous::bind("127.0.0.1:0").expect("bind rendezvous");
         let addr = rendezvous
             .local_addr()
             .expect("rendezvous address")
             .to_string();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(size);
-            let root_plan = plan.clone();
-            let f_ref = &f;
-            handles.push(scope.spawn(move || {
-                let transport = rendezvous
-                    .into_transport_recovering(size)
-                    .expect("rank 0 mesh setup");
-                run_rank_with(transport, root_plan, f_ref, 0)
-            }));
-            for rank in 1..size {
-                let plan = plan.clone();
-                let addr = addr.clone();
-                let f_ref = &f;
-                handles.push(scope.spawn(move || {
-                    let mut respawns = 0u64;
-                    loop {
-                        let transport = if respawns == 0 {
-                            TcpTransport::connect_recovering(&addr, rank, size)
-                        } else {
-                            TcpTransport::reconnect(&addr, rank, size)
-                        }
-                        .expect("worker mesh setup");
-                        let armed = plan.disarm_kills(rank, respawns);
-                        match run_rank_with(transport, armed, f_ref, respawns) {
-                            RankOutcome::Died { .. } if respawns < max_restarts => {
-                                let backoff = Duration::from_millis(10 << respawns.min(4));
-                                std::thread::sleep(backoff);
-                                respawns += 1;
-                            }
-                            outcome => return outcome,
-                        }
+        let rendezvous = Mutex::new(Some(rendezvous));
+        let recovering = max_restarts > 0;
+        spawn_ranks(size, |rank| {
+            let mut respawns = 0u64;
+            loop {
+                let transport = if rank == 0 {
+                    let rendezvous = lock(&rendezvous).take().expect("rank 0 has one life");
+                    rendezvous.into_transport_inner(size, recovering)
+                } else if respawns == 0 {
+                    TcpTransport::connect_inner(&addr, rank, size, recovering)
+                } else {
+                    TcpTransport::reconnect(&addr, rank, size)
+                };
+                let transport = transport.expect("mesh setup");
+                let comm = Communicator::new(transport, plan.disarm_kills(rank, respawns));
+                comm.set_recovery(recovering);
+                match run_rank(|| f(comm, respawns)) {
+                    RankOutcome::Died { .. } if rank != 0 && respawns < max_restarts => {
+                        std::thread::sleep(Duration::from_millis(10 << respawns.min(4)));
+                        respawns += 1;
                     }
-                }));
+                    outcome => return outcome,
+                }
             }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank thread itself must not die"))
-                .collect()
         })
-    }
-}
-
-fn run_rank<T, F>(transport: TcpTransport, plan: FaultPlan, f: &F) -> RankOutcome<T>
-where
-    F: Fn(Communicator<TcpTransport>) -> T,
-{
-    let comm = Communicator::new(transport, plan);
-    match catch_unwind(AssertUnwindSafe(|| f(comm))) {
-        Ok(v) => RankOutcome::Completed(v),
-        Err(payload) => RankOutcome::Died {
-            cause: describe_panic(payload.as_ref()),
-        },
-    }
-}
-
-fn run_rank_with<T, F>(
-    transport: TcpTransport,
-    plan: FaultPlan,
-    f: &F,
-    respawns: u64,
-) -> RankOutcome<T>
-where
-    F: Fn(Communicator<TcpTransport>, u64) -> T,
-{
-    let comm = Communicator::new(transport, plan);
-    match catch_unwind(AssertUnwindSafe(|| f(comm, respawns))) {
-        Ok(v) => RankOutcome::Completed(v),
-        Err(payload) => RankOutcome::Died {
-            cause: describe_panic(payload.as_ref()),
-        },
-    }
-}
-
-#[cfg(test)]
-impl TcpTransport {
-    /// Queues still held by this rank's inbox.
-    pub(crate) fn pending_queues(&self) -> usize {
-        self.shared.inbox.pending_queues()
     }
 }

@@ -1,37 +1,45 @@
 //! The pluggable message-passing backend of the simulated cluster.
 //!
-//! [`Transport`] is the seam between the REWL protocol logic (which lives
-//! in [`crate::Communicator`] and above) and the machinery that actually
-//! moves bytes between ranks. Two implementations ship:
+//! [`Transport`] is the seam between the protocol logic (everything in
+//! [`crate::Communicator`] and above: collectives, fault injection,
+//! traffic accounting, the REWL exchange) and the machinery that moves
+//! bytes between ranks. A backend decides two things only — how a byte
+//! vector reaches a peer's [`Mailbox`], and how a peer's death is noticed:
 //!
-//! * [`crate::ThreadTransport`] — the in-memory thread fabric: a rank is
-//!   a thread, a message is a `Vec<u8>` moved between mailboxes, and the
-//!   collectives are condvar-coordinated shared state;
+//! * [`crate::ThreadTransport`] — a rank is a thread, a send pushes a
+//!   `Vec<u8>` straight into the destination rank's mailbox, and the
+//!   cluster harness announces a death to every mailbox when a rank
+//!   panics;
 //! * [`crate::TcpTransport`] — real `std::net` loopback sockets with
-//!   length-prefixed frames, one connection per peer pair, enabling true
-//!   multi-process runs (`deepthermo run --cluster tcp:<n>`).
+//!   length-prefixed frames, one connection per peer pair; per-peer reader
+//!   threads feed the rank's mailbox and a closed connection (or a missed
+//!   heartbeat deadline) is the death notice. Enables true multi-process
+//!   runs (`deepthermo run --cluster tcp:<n>`).
 //!
-//! Everything *above* the trait — fault injection, traffic accounting,
-//! retry schedules, the exchange protocol — is backend-agnostic.
+//! Receiving, liveness queries and the collectives are the same code on
+//! both.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::comm::CommError;
 
-/// Upper bound applied to blocking collective waits so that no wait —
-/// even one reached through an unexpected interleaving — is unbounded.
-/// Generous enough that it only trips on genuine deadlocks.
-pub(crate) const WATCHDOG: Duration = Duration::from_secs(300);
+/// Lock `m`, ignoring poisoning: a rank that panics (an injected kill
+/// included) while holding a mailbox or socket lock must not take its
+/// survivors down with it. Every critical section in this crate leaves
+/// its data valid at each step, so the guard of a poisoned lock is as good
+/// as any other.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A message-passing backend connecting `size` ranks.
 ///
-/// Implementations must provide tagged point-to-point messaging with
-/// per-`(peer, tag)` FIFO order, dead-peer detection, and the three
-/// collectives the REWL driver uses. All collective calls are SPMD: every
-/// live rank must invoke the same collectives in the same order.
+/// Implementations provide tagged point-to-point sends into the
+/// destination's [`Mailbox`] with per-`(peer, tag)` FIFO order, and mark
+/// peers dead in their own rank's mailbox when they notice a death.
 ///
 /// Sends are non-blocking and buffered (MPI eager protocol); sends to
 /// dead ranks are silently discarded. `delay` (injected by the fault
@@ -44,24 +52,32 @@ pub trait Transport: Send {
     /// Number of ranks in the cluster (including dead ones).
     fn size(&self) -> usize;
 
-    /// Whether `rank` is still alive.
-    fn is_alive(&self, rank: usize) -> bool;
-
-    /// Number of ranks currently alive.
-    fn live_count(&self) -> usize;
-
     /// Send `data` to rank `to` under `tag`, optionally held for `delay`
     /// before delivery.
     fn send(&self, to: usize, tag: u64, data: Vec<u8>, delay: Option<Duration>);
 
+    /// This rank's mailbox: what it has been sent, and whom it knows dead.
+    fn mailbox(&self) -> &Mailbox;
+
+    /// Whether `rank` is still alive.
+    fn is_alive(&self, rank: usize) -> bool {
+        !self.mailbox().is_dead(rank)
+    }
+
+    /// Number of ranks currently alive.
+    fn live_count(&self) -> usize {
+        self.mailbox().live_count()
+    }
+
     /// Non-blocking receive: `Ok(Some(..))` if a deliverable message is
-    /// queued, `Ok(None)` if not, `Err(RankDead)` if `from` is dead with
-    /// nothing in flight.
+    /// queued, `Ok(None)` if not.
     ///
     /// # Errors
     /// [`CommError::RankDead`] when `from` is dead and no matching
     /// message remains buffered or in flight.
-    fn try_recv(&self, from: usize, tag: u64) -> Result<Option<Vec<u8>>, CommError>;
+    fn try_recv(&self, from: usize, tag: u64) -> Result<Option<Vec<u8>>, CommError> {
+        self.mailbox().try_take(from, tag)
+    }
 
     /// Blocking receive with a deadline. Already-buffered messages from a
     /// dead sender are still delivered first.
@@ -70,38 +86,15 @@ pub trait Transport: Send {
     /// [`CommError::Timeout`] when `timeout` elapses,
     /// [`CommError::RankDead`] as soon as `from` is known dead with no
     /// matching message in flight.
-    fn recv_timeout(&self, from: usize, tag: u64, timeout: Duration) -> Result<Vec<u8>, CommError>;
-
-    /// Block until every *live* rank has entered the barrier.
-    ///
-    /// # Errors
-    /// [`CommError::RankDead`] when the barrier cannot complete because
-    /// its coordinator died (TCP backend; the thread fabric is
-    /// coordinator-free and completes over survivors).
-    fn barrier(&self) -> Result<(), CommError>;
-
-    /// Element-wise sum allreduce over the *live* ranks: on return every
-    /// surviving rank's `data` holds the sum of all survivors'
-    /// contributions. All ranks must pass equal lengths.
-    ///
-    /// # Errors
-    /// [`CommError::RankDead`] when the reduction's coordinator died
-    /// (TCP backend only); `data` is left untouched in that case.
-    fn allreduce_sum(&self, data: &mut [f64]) -> Result<(), CommError>;
-
-    /// Broadcast from `root`: returns the root's payload on every rank
-    /// (`data` is ignored on non-roots).
-    ///
-    /// # Errors
-    /// [`CommError::RankDead`] on every waiter when the root died before
-    /// providing its payload.
-    fn broadcast_checked(&self, root: usize, data: Vec<u8>) -> Result<Vec<u8>, CommError>;
+    fn recv_timeout(&self, from: usize, tag: u64, timeout: Duration) -> Result<Vec<u8>, CommError> {
+        self.mailbox().take_deadline(from, tag, timeout)
+    }
 
     /// Start heartbeat-based liveness: ping every live peer each
     /// `interval` and declare a peer dead when nothing (heartbeat or
     /// data) has arrived from it for `deadline`. Backends without an
-    /// active failure detector (the thread fabric, where death is
-    /// announced synchronously) ignore this.
+    /// active failure detector (the thread backend, where the harness
+    /// announces deaths synchronously) ignore this.
     fn start_heartbeats(&self, _interval: Duration, _deadline: Duration) {}
 
     /// Number of heartbeat deadlines missed so far (peers declared dead
@@ -109,53 +102,45 @@ pub trait Transport: Send {
     fn heartbeat_misses(&self) -> u64 {
         0
     }
-
-    /// Put the transport in recovery mode: a dead peer is treated as
-    /// *temporarily* absent — coordinator-side collective receives keep
-    /// waiting for it (up to a recovery deadline) instead of skipping it,
-    /// so a respawned replacement can contribute to the generation it
-    /// missed. Backends without re-admission ignore this.
-    fn set_recovery(&self, _enabled: bool) {}
-
-    /// This rank's collective-protocol generation counters
-    /// `[barrier, reduce, broadcast]`. A replacement rank restores these
-    /// from its checkpoint so its collective traffic lands in the same
-    /// generation namespace as the survivors'. Coordinator-free backends
-    /// return zeros.
-    fn collective_generations(&self) -> [u64; 3] {
-        [0; 3]
-    }
-
-    /// Restore the collective generation counters (see
-    /// [`Transport::collective_generations`]). A no-op on backends
-    /// without generation-tagged collectives.
-    fn set_collective_generations(&self, _gens: [u64; 3]) {}
 }
 
 /// Key of a pending message: (source rank, tag).
-pub(crate) type MsgKey = (usize, u64);
+type MsgKey = (usize, u64);
 
 /// A buffered message; `deliver_at` is in the future for delayed sends.
-pub(crate) struct Envelope {
-    pub(crate) deliver_at: Instant,
-    pub(crate) payload: Vec<u8>,
+struct Envelope {
+    deliver_at: Instant,
+    payload: Vec<u8>,
 }
 
-/// One rank's mailbox: per-`(peer, tag)` FIFO queues plus a wakeup
-/// signal. Shared by both backends — the thread fabric holds one per rank
-/// in the shared fabric, the TCP transport holds its own fed by per-peer
-/// reader threads.
-#[derive(Default)]
-pub(crate) struct Inbox {
+/// One rank's mailbox: per-`(peer, tag)` FIFO queues, the rank's view of
+/// which peers are dead, and one wakeup signal for both. Every backend
+/// holds one per rank — the thread cluster shares them all so a send is a
+/// push into the destination's, the TCP transport feeds its own from
+/// per-peer reader threads.
+pub struct Mailbox {
     queues: Mutex<HashMap<MsgKey, VecDeque<Envelope>>>,
     signal: Condvar,
+    dead: Vec<AtomicBool>,
+    live: AtomicUsize,
 }
 
-impl Inbox {
-    /// Enqueue a message and wake any waiter.
-    pub(crate) fn push(&self, from: usize, tag: u64, payload: Vec<u8>, deliver_at: Instant) {
-        self.queues
-            .lock()
+impl Mailbox {
+    /// The mailbox of one rank of a `size`-rank cluster, everyone alive.
+    pub(crate) fn new(size: usize) -> Self {
+        Mailbox {
+            queues: Mutex::default(),
+            signal: Condvar::new(),
+            dead: (0..size).map(|_| AtomicBool::new(false)).collect(),
+            live: AtomicUsize::new(size),
+        }
+    }
+
+    /// Enqueue a message from `from`, receivable once `delay` has passed,
+    /// and wake any waiter.
+    pub(crate) fn push(&self, from: usize, tag: u64, payload: Vec<u8>, delay: Duration) {
+        let deliver_at = Instant::now() + delay;
+        lock(&self.queues)
             .entry((from, tag))
             .or_default()
             .push_back(Envelope {
@@ -165,8 +150,42 @@ impl Inbox {
         self.signal.notify_all();
     }
 
-    /// Wake every waiter (used to announce peer deaths).
-    pub(crate) fn notify_all(&self) {
+    /// Whether this rank knows `rank` to be dead.
+    pub(crate) fn is_dead(&self, rank: usize) -> bool {
+        self.dead[rank].load(Ordering::SeqCst)
+    }
+
+    /// Number of ranks this rank believes alive.
+    pub(crate) fn live_count(&self) -> usize {
+        self.live.load(Ordering::SeqCst)
+    }
+
+    /// Record that `rank` died and wake every waiter, so receives from the
+    /// corpse fail fast. Idempotent.
+    pub(crate) fn mark_dead(&self, rank: usize) {
+        self.set_dead(rank, true);
+    }
+
+    /// Re-admit `rank` (a replacement connected, or a frame proved a
+    /// heartbeat verdict wrong). Idempotent.
+    pub(crate) fn revive(&self, rank: usize) {
+        self.set_dead(rank, false);
+    }
+
+    /// The flag flips under the queue lock, so a receiver is either
+    /// before its liveness check or already parked on the signal — the
+    /// wakeup cannot fall between the two. The live count moves first:
+    /// whoever reads the new flag reads the matching count.
+    fn set_dead(&self, rank: usize, dead: bool) {
+        let _queues = lock(&self.queues);
+        if self.dead[rank].load(Ordering::SeqCst) != dead {
+            if dead {
+                self.live.fetch_sub(1, Ordering::SeqCst);
+            } else {
+                self.live.fetch_add(1, Ordering::SeqCst);
+            }
+            self.dead[rank].store(dead, Ordering::SeqCst);
+        }
         self.signal.notify_all();
     }
 
@@ -188,40 +207,30 @@ impl Inbox {
         Some(payload)
     }
 
-    /// Non-blocking take; `sender_dead` is consulted only when nothing is
-    /// buffered or in flight from `from`.
-    pub(crate) fn try_take(
-        &self,
-        from: usize,
-        tag: u64,
-        sender_dead: &dyn Fn() -> bool,
-    ) -> Result<Option<Vec<u8>>, CommError> {
-        let mut queues = self.queues.lock();
+    /// Non-blocking take; semantics of [`Transport::try_recv`].
+    fn try_take(&self, from: usize, tag: u64) -> Result<Option<Vec<u8>>, CommError> {
+        let mut queues = lock(&self.queues);
         if let Some(payload) = Self::pop_ready(&mut queues, (from, tag), Instant::now()) {
             return Ok(Some(payload));
         }
-        if queues.contains_key(&(from, tag)) {
-            // Delayed messages still in flight; the sender's death does
-            // not recall them.
-            return Ok(None);
-        }
-        if sender_dead() {
+        // Delayed messages still in flight are not recalled by the
+        // sender's death.
+        if !queues.contains_key(&(from, tag)) && self.is_dead(from) {
             return Err(CommError::RankDead(from));
         }
         Ok(None)
     }
 
-    /// Blocking take with a deadline; semantics mirror
+    /// Blocking take with a deadline; semantics of
     /// [`Transport::recv_timeout`].
-    pub(crate) fn take_deadline(
+    fn take_deadline(
         &self,
         from: usize,
         tag: u64,
         timeout: Duration,
-        sender_dead: &dyn Fn() -> bool,
     ) -> Result<Vec<u8>, CommError> {
         let deadline = Instant::now() + timeout;
-        let mut queues = self.queues.lock();
+        let mut queues = lock(&self.queues);
         loop {
             let now = Instant::now();
             if let Some(payload) = Self::pop_ready(&mut queues, (from, tag), now) {
@@ -230,39 +239,41 @@ impl Inbox {
             let earliest_delayed = queues
                 .get(&(from, tag))
                 .and_then(|q| q.iter().map(|m| m.deliver_at).min());
-            if earliest_delayed.is_none() && sender_dead() {
+            if earliest_delayed.is_none() && self.is_dead(from) {
                 return Err(CommError::RankDead(from));
             }
             if now >= deadline {
                 return Err(CommError::Timeout { from, tag });
             }
             // Sleep until whichever comes first: the deadline or the
-            // moment a delayed message matures. Death notifications wake
-            // every mailbox waiter, so re-check on every wakeup.
-            let mut wake = deadline;
-            if let Some(t) = earliest_delayed {
-                wake = wake.min(t);
-            }
-            let nap = wake
+            // moment a delayed message matures. Death notices wake every
+            // waiter, so re-check on every wakeup.
+            let nap = earliest_delayed
+                .map_or(deadline, |t| t.min(deadline))
                 .saturating_duration_since(now)
                 .max(Duration::from_millis(1));
-            self.signal.wait_for(&mut queues, nap);
+            queues = self
+                .signal
+                .wait_timeout(queues, nap)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 }
 
 #[cfg(test)]
-impl Inbox {
+impl Mailbox {
     /// Number of `(peer, tag)` queues currently holding messages.
     pub(crate) fn pending_queues(&self) -> usize {
-        self.queues.lock().len()
+        lock(&self.queues).len()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::{FaultPlan, TcpCluster, ThreadCluster};
-    use std::time::Duration;
+    use std::sync::Arc;
 
     /// Each round uses a tag of its own, as exchange rounds and
     /// collective generations do; after every message is received no
@@ -270,18 +281,8 @@ mod tests {
     #[test]
     fn drained_queues_leave_the_inbox_on_both_backends() {
         const ROUNDS: u64 = 200;
-        let patience = Duration::from_secs(30);
-        let thread = ThreadCluster::run(2, |comm| {
-            let peer = 1 - comm.rank();
-            for tag in 0..ROUNDS {
-                comm.send(peer, tag, vec![tag as u8]);
-                assert_eq!(comm.recv_timeout(peer, tag, patience), Ok(vec![tag as u8]));
-            }
-            comm.barrier().unwrap();
-            comm.transport().pending_queues()
-        });
-        assert_eq!(thread, vec![0, 0]);
-        let tcp = TcpCluster::run_loopback(2, FaultPlan::none(), |comm| {
+        fn body<T: Transport>(comm: crate::Communicator<T>) -> usize {
+            let patience = Duration::from_secs(30);
             let peer = 1 - comm.rank();
             for tag in 0..ROUNDS {
                 comm.send(peer, tag, vec![tag as u8]);
@@ -289,10 +290,27 @@ mod tests {
                 // Collectives ride on generation-numbered tags of their own.
                 comm.barrier().unwrap();
             }
-            comm.transport().pending_queues()
-        });
-        for outcome in tcp {
+            comm.transport().mailbox().pending_queues()
+        }
+        assert_eq!(ThreadCluster::run(2, body), vec![0, 0]);
+        for outcome in TcpCluster::run_loopback(2, FaultPlan::none(), body) {
             assert_eq!(outcome.completed(), Some(0));
         }
+    }
+
+    /// A rank that panics while holding a lock must not poison it for its
+    /// survivors.
+    #[test]
+    fn lock_returns_the_guard_of_a_poisoned_mutex() {
+        let m = Arc::new(Mutex::new(5u32));
+        let m2 = Arc::clone(&m);
+        let died = std::thread::spawn(move || {
+            let _held = lock(&m2);
+            panic!("die holding the lock");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(m.is_poisoned());
+        assert_eq!(*lock(&m), 5);
     }
 }

@@ -58,19 +58,6 @@ proptest! {
         }
     }
 
-    /// Broadcast delivers the root's payload everywhere for any root.
-    #[test]
-    fn broadcast_from_any_root(size in 1usize..6, root_pick in any::<usize>(), byte in any::<u8>()) {
-        let root = root_pick % size;
-        let results = ThreadCluster::run(size, move |comm| {
-            let mine = if comm.rank() == root { vec![byte] } else { vec![] };
-            comm.broadcast_checked(root, mine).unwrap()
-        });
-        for r in results {
-            prop_assert_eq!(&r, &vec![byte]);
-        }
-    }
-
     /// Per-rank RNG streams are deterministic and pairwise distinct.
     #[test]
     fn rng_streams_distinct(seed in any::<u64>(), a in 0u64..64, b in 0u64..64) {

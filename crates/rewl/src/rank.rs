@@ -45,8 +45,7 @@ use std::time::{Duration, Instant};
 use crate::checkpoint::{CheckpointSpec, RankCheckpoint, ResumePoint, RunManifest};
 use crate::driver::{RewlConfig, RewlError, RewlOutput};
 use crate::exchange::{
-    self, exchange_role, recv_recovering, recv_resilient, recv_until, tags, ExchangeRole,
-    COLLECT_DEADLINE,
+    self, exchange_role, recv_step, recv_until, tags, ExchangeRole, COLLECT_DEADLINE,
 };
 use crate::gather::{self, accumulator_totals};
 use crate::rebalance::{self, Migration, RtSample};
@@ -471,12 +470,11 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     }
 
     /// One-shot entry phase. A first life falls straight through; under
-    /// recovery it also arms the transport's recovery mode (dead peers
+    /// recovery it also arms the communicator's recovery mode (dead peers
     /// are waited out, not written off) and heartbeat-based liveness. A
     /// respawned rank additionally restores its collective generation
-    /// counters from the checkpoint, so its next barrier/allreduce/
-    /// broadcast joins exactly the generation the survivors are parked
-    /// in.
+    /// counters from the checkpoint, so its next barrier/allreduce joins
+    /// exactly the generation the survivors are parked in.
     fn phase_rejoin(&mut self) -> EnginePhase {
         if self.cfg.recovery {
             self.comm.set_recovery(true);
@@ -604,14 +602,10 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
                         // this round and sends its weights when it gets
                         // here, so wait instead of skipping. (Nothing to
                         // retransmit — the leader hasn't sent yet.)
-                        let got = if recovery {
-                            recv_recovering(&self.comm, other, tag, || {}).ok()
-                        } else if self.comm.is_alive(other) {
-                            recv_resilient(&self.comm, other, tag).ok()
-                        } else {
-                            None
-                        }
-                        .and_then(|bytes| wire::decode_f64s(&bytes).ok());
+                        let got = (recovery || self.comm.is_alive(other))
+                            .then(|| recv_step(&self.comm, other, tag, recovery, || {}).ok())
+                            .flatten()
+                            .and_then(|bytes| wire::decode_f64s(&bytes).ok());
                         match got {
                             Some(theirs) if theirs.len() == acc.len() => {
                                 for (a, b) in acc.iter_mut().zip(theirs) {
@@ -641,14 +635,10 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
                     let back_tag = tags::with_round(tags::SYNC_PARAMS_BACK, self.round);
                     // If the leader died after our send, the weights died
                     // with it — retransmit them for its replacement.
-                    let avg = if recovery {
-                        recv_recovering(&self.comm, leader, back_tag, || {
-                            self.comm.send(leader, params_tag, payload.clone());
-                        })
-                        .ok()
-                    } else {
-                        recv_resilient(&self.comm, leader, back_tag).ok()
-                    }
+                    let avg = recv_step(&self.comm, leader, back_tag, recovery, || {
+                        self.comm.send(leader, params_tag, payload.clone());
+                    })
+                    .ok()
                     .and_then(|bytes| wire::decode_f64s(&bytes).ok());
                     if let Some(avg) = avg {
                         if avg.len() == params.len() {
@@ -790,14 +780,10 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             let plan_tag = tags::with_round(tags::REBALANCE_PLAN, self.round);
             // If rank 0 died after our send, the sample died with it —
             // retransmit for its replacement.
-            let got = if recovery {
-                recv_recovering(&self.comm, 0, plan_tag, || {
-                    self.comm.send(0, stats_tag, payload.clone());
-                })
-                .ok()
-            } else {
-                recv_resilient(&self.comm, 0, plan_tag).ok()
-            };
+            let got = recv_step(&self.comm, 0, plan_tag, recovery, || {
+                self.comm.send(0, stats_tag, payload.clone());
+            })
+            .ok();
             // A lost or malformed plan reads as no-op for THIS rank only;
             // the resulting assignment skew degrades future exchanges
             // into timeouts (bounded), never a hang — same policy as a
@@ -827,12 +813,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             );
         }
         if self.rank == m.migrant {
-            let recovery = self.cfg.recovery;
-            let got = if recovery {
-                recv_recovering(&self.comm, m.donor, tag, || {}).ok()
-            } else {
-                recv_resilient(&self.comm, m.donor, tag).ok()
-            };
+            let got = recv_step(&self.comm, m.donor, tag, self.cfg.recovery, || {}).ok();
             match got.and_then(|bytes| wire::decode_walker(&bytes).ok()) {
                 Some(cp) => self.adopt_window(m.to_window, cp),
                 // Donor state never arrived (degraded run): re-enter the
