@@ -1,13 +1,17 @@
 //! Criterion benches of the hot computational kernels (supports E10):
-//! energy evaluation, incremental deltas, proposal generation, and the
-//! proposal network's forward pass.
+//! energy evaluation, incremental deltas, proposal generation, the
+//! proposal network's forward pass, and one proposal-training epoch.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dt_bench::HeaSystem;
 use dt_hamiltonian::{DeltaWorkspace, EnergyModel};
 use dt_lattice::{Configuration, Species};
 use dt_nn::Matrix;
-use dt_proposal::{DeepProposal, DeepProposalConfig, LocalSwap, ProposalContext, ProposalKernel};
+use dt_proposal::train::random_training_set;
+use dt_proposal::{
+    DeepProposal, DeepProposalConfig, LocalSwap, ProposalContext, ProposalKernel, ProposalTrainer,
+    TrainerConfig,
+};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -120,6 +124,27 @@ fn bench_kernels(c: &mut Criterion) {
         let x: Vec<f64> = (0..32 * 15).map(|i| (i % 15) as f64 / 15.0).collect();
         let mut scratch = dt_nn::ForwardScratch::for_mlp(&net, 32);
         b.iter(|| black_box(net.forward_into(black_box(&x), 32, &mut scratch)[0]))
+    });
+
+    // One retraining epoch at the `rewl_deep` shape of `bench_e2e`: L=4,
+    // 256 buffered configurations × trainer k=32 = 8 192 rows in chunks
+    // of 256 through a 15→32→32→4 net (the `proposal.train_epoch_ms`
+    // probe, without the e2e harness).
+    c.bench_function("train_epoch_256x32_15x32x32x4", |b| {
+        let mut r = ChaCha8Rng::seed_from_u64(6);
+        let deep = DeepProposal::new(
+            4,
+            2,
+            &DeepProposalConfig {
+                k: 12,
+                hidden: vec![32, 32],
+            },
+            &mut r,
+        );
+        let buffer = random_training_set(&sys.comp, 256, &mut r);
+        let mut trainer = ProposalTrainer::new(deep.layout(), TrainerConfig::default());
+        let mut net = deep.net().clone();
+        b.iter(|| black_box(trainer.train_epoch(&mut net, &buffer, &sys.neighbors, &mut r)))
     });
 
     c.bench_function("neighbor_table_build_l8", |b| {

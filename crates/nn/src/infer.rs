@@ -1,9 +1,10 @@
 //! Batched, allocation-free inference.
 //!
 //! [`crate::Mlp::forward`] allocates a fresh [`Matrix`] per layer per
-//! call, which is fine for training but dominates the cost of the deep
-//! proposal's decode loop, where the network runs once per site per MC
-//! move. The **one inference surface** callers use is
+//! call, which dominates the cost of the deep proposal's decode loop,
+//! where the network runs once per site per MC move (training runs on
+//! the same kernels: see [`crate::train`]). The **one inference
+//! surface** callers use is
 //! [`crate::Mlp::forward_into`] — batch-first (`rows ≥ 1`), fed from a
 //! [`ForwardScratch`]; everything below it is an internal layer:
 //!
@@ -44,16 +45,10 @@ use crate::mlp::Mlp;
 /// subsequent forward is allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardScratch {
-    pub(crate) buf_a: Vec<f64>,
-    pub(crate) buf_b: Vec<f64>,
-    /// Column-major (input-index-major) repack of *every* layer's
-    /// weights, concatenated in layer order, so multi-row forwards read
-    /// contiguous weight lanes. Cached across calls and keyed by
-    /// `packed_version`: repacking happens once per weight update, not
-    /// once per layer per forward.
-    pub(crate) packed_w: Vec<f64>,
-    /// `Mlp` weight version `packed_w` was built from (0 = none).
-    pub(crate) packed_version: u64,
+    /// The forward loop's ring of output buffers at length two: layer
+    /// `i` writes `ring[i % 2]` and reads the other one.
+    pub(crate) ring: [Vec<f64>; 2],
+    pub(crate) packed: PackedWeights,
 }
 
 impl ForwardScratch {
@@ -80,22 +75,58 @@ impl ForwardScratch {
             .max()
             .unwrap_or(0)
             .max(mlp.in_dim());
-        let need = max_rows * widest;
-        if self.buf_a.len() < need {
-            self.buf_a.resize(need, 0.0);
+        for buf in &mut self.ring {
+            grow(buf, max_rows * widest);
         }
-        if self.buf_b.len() < need {
-            self.buf_b.resize(need, 0.0);
-        }
-        let total_w: usize = mlp
+        self.packed.reserve(mlp);
+    }
+}
+
+/// Grow-only resize: the buffers of both scratches never shrink.
+pub(crate) fn grow<T: Clone + Default>(buf: &mut Vec<T>, need: usize) {
+    if buf.len() < need {
+        buf.resize(need, T::default());
+    }
+}
+
+/// Column-major (input-index-major) repack of *every* layer's weights,
+/// concatenated in layer order, so multi-row forwards read contiguous
+/// weight lanes. Cached across calls and keyed by the `Mlp` weight
+/// version it was built from (0 = none): repacking happens once per
+/// weight update, not once per layer per forward.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PackedWeights {
+    w: Vec<f64>,
+    version: u64,
+}
+
+impl PackedWeights {
+    pub(crate) fn reserve(&mut self, mlp: &Mlp) {
+        let total: usize = mlp
             .layers()
             .iter()
             .map(|l| packed_len(l.w.cols(), l.w.rows()))
             .sum();
-        if self.packed_w.len() < total_w {
-            self.packed_w.resize(total_w, 0.0);
-            self.packed_version = 0;
+        if self.w.len() < total {
+            self.w.resize(total, 0.0);
+            self.version = 0;
         }
+    }
+
+    /// The packed weights of `mlp`, repacked first when the cache was
+    /// built from another weight version.
+    pub(crate) fn refresh(&mut self, mlp: &Mlp) -> &[f64] {
+        let version = mlp.weights_version();
+        if self.version != version {
+            let mut off = 0;
+            for layer in mlp.layers() {
+                let wn = packed_len(layer.w.cols(), layer.w.rows());
+                pack_weights_transposed(&layer.w, &mut self.w[off..off + wn]);
+                off += wn;
+            }
+            self.version = version;
+        }
+        &self.w
     }
 }
 
@@ -429,7 +460,7 @@ mod tests {
     fn reference(x: &Matrix, w: &Matrix, bias: &[f64], act: Activation) -> Matrix {
         let mut y = x.matmul_transpose_b(w);
         y.add_row_broadcast(bias);
-        act.forward(&y)
+        y.map(|v| act.apply(v))
     }
 
     #[test]
@@ -539,7 +570,7 @@ mod tests {
             &mut rng,
         );
         let s = ForwardScratch::for_mlp(&mlp, 4);
-        assert!(s.buf_a.len() >= 4 * 17);
-        assert!(s.buf_b.len() >= 4 * 17);
+        assert!(s.ring[0].len() >= 4 * 17);
+        assert!(s.ring[1].len() >= 4 * 17);
     }
 }

@@ -17,8 +17,8 @@ pub enum Activation {
 
 impl Activation {
     /// Apply the activation to one value. This is the scalar kernel both
-    /// [`Activation::forward`] and the fused inference path build on, so
-    /// the two are bit-identical by construction.
+    /// the reference [`crate::Mlp::forward`] and the fused kernels build
+    /// on, so the two are bit-identical by construction.
     #[inline]
     pub fn apply(self, v: f64) -> f64 {
         match self {
@@ -34,35 +34,30 @@ impl Activation {
         }
     }
 
-    /// Apply the activation element-wise.
-    pub fn forward(self, x: &Matrix) -> Matrix {
-        match self {
-            Activation::Identity => x.clone(),
-            _ => x.map(|v| self.apply(v)),
-        }
-    }
-
-    /// `grad_in = grad_out ⊙ f'(preactivation)`.
-    pub fn backward(self, preact: &Matrix, grad_out: &Matrix) -> Matrix {
+    /// `grad ← grad ⊙ f'`, in place, from the layer's *activated* output
+    /// `out = f(preactivation)`: a Relu unit is inactive exactly where its
+    /// output is 0, and tanh' is `1 - out²` — so the training forward
+    /// keeps one buffer per layer, not two, and the backward pass calls
+    /// `tanh` never. (A NaN preactivation, which [`Activation::apply`]
+    /// has already turned into an inactive 0, counts as inactive here;
+    /// the `Matrix` reference, reading the preactivation, let its
+    /// gradient through. Neither surfaces it — Relu's forward is where a
+    /// NaN is lost.)
+    pub fn backward_in_place(self, out: &[f64], grad: &mut [f64]) {
+        debug_assert_eq!(out.len(), grad.len());
         match self {
             Activation::Relu => {
-                let mut g = grad_out.clone();
-                for (gv, &p) in g.data_mut().iter_mut().zip(preact.data()) {
-                    if p <= 0.0 {
-                        *gv = 0.0;
-                    }
+                // A select, not a branch: the pattern is unpredictable.
+                for (g, &h) in grad.iter_mut().zip(out) {
+                    *g = if h <= 0.0 { 0.0 } else { *g };
                 }
-                g
             }
             Activation::Tanh => {
-                let mut g = grad_out.clone();
-                for (gv, &p) in g.data_mut().iter_mut().zip(preact.data()) {
-                    let t = p.tanh();
-                    *gv *= 1.0 - t * t;
+                for (g, &t) in grad.iter_mut().zip(out) {
+                    *g *= 1.0 - t * t;
                 }
-                g
             }
-            Activation::Identity => grad_out.clone(),
+            Activation::Identity => {}
         }
     }
 
@@ -86,8 +81,8 @@ impl Activation {
     }
 }
 
-/// A fully connected layer `y = x · Wᵀ + b` with cached activations for
-/// backprop. Weights are stored `out × in`.
+/// A fully connected layer `y = x · Wᵀ + b` with its gradient
+/// accumulators. Weights are stored `out × in`.
 #[derive(Debug, Clone)]
 pub struct Linear {
     /// Weights, `out_dim × in_dim`.
@@ -98,7 +93,6 @@ pub struct Linear {
     pub gw: Matrix,
     /// Bias gradient accumulator.
     pub gb: Vec<f64>,
-    input_cache: Option<Matrix>,
 }
 
 impl Linear {
@@ -119,7 +113,6 @@ impl Linear {
             gb: vec![0.0; out_dim],
             b: vec![0.0; out_dim],
             w,
-            input_cache: None,
         }
     }
 
@@ -131,7 +124,6 @@ impl Linear {
             gb: vec![0.0; b.len()],
             w,
             b,
-            input_cache: None,
         }
     }
 
@@ -145,35 +137,11 @@ impl Linear {
         self.w.rows()
     }
 
-    /// Inference-only forward (no caching, `&self`).
+    /// Allocating reference forward (`&self`).
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut y = x.matmul_transpose_b(&self.w);
         y.add_row_broadcast(&self.b);
         y
-    }
-
-    /// Training forward: caches the input for the backward pass.
-    pub fn forward_train(&mut self, x: &Matrix) -> Matrix {
-        let y = self.forward(x);
-        self.input_cache = Some(x.clone());
-        y
-    }
-
-    /// Backward pass: accumulates `gw`/`gb` and returns the input gradient.
-    ///
-    /// # Panics
-    /// Panics if called before `forward_train`.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self
-            .input_cache
-            .as_ref()
-            .expect("backward called before forward_train");
-        // dW = dYᵀ · X ; db = colsum(dY) ; dX = dY · W
-        self.gw.add_assign(&grad_out.transpose_a_matmul(x));
-        for (g, s) in self.gb.iter_mut().zip(grad_out.column_sums()) {
-            *g += s;
-        }
-        grad_out.matmul(&self.w)
     }
 
     /// Clear gradient accumulators.
@@ -193,24 +161,26 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::train::{input_grad, TrainScratch};
+    use crate::Mlp;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn relu_forward_backward() {
-        let x = Matrix::from_rows(&[&[-1.0, 2.0]]);
-        let y = Activation::Relu.forward(&x);
-        assert_eq!(y.data(), &[0.0, 2.0]);
-        let g = Activation::Relu.backward(&x, &Matrix::from_rows(&[&[5.0, 5.0]]));
-        assert_eq!(g.data(), &[0.0, 5.0]);
+        let y = [-1.0, 2.0].map(|v| Activation::Relu.apply(v));
+        assert_eq!(y, [0.0, 2.0]);
+        let mut g = [5.0, 5.0];
+        Activation::Relu.backward_in_place(&y, &mut g);
+        assert_eq!(g, [0.0, 5.0]);
     }
 
     #[test]
     fn tanh_backward_matches_derivative() {
-        let x = Matrix::from_rows(&[&[0.3]]);
-        let g = Activation::Tanh.backward(&x, &Matrix::from_rows(&[&[1.0]]));
-        let t = 0.3f64.tanh();
-        assert!((g.data()[0] - (1.0 - t * t)).abs() < 1e-12);
+        let t = Activation::Tanh.apply(0.3);
+        let mut g = [1.0];
+        Activation::Tanh.backward_in_place(&[t], &mut g);
+        assert!((g[0] - (1.0 - t * t)).abs() < 1e-12);
     }
 
     #[test]
@@ -232,13 +202,22 @@ mod tests {
     #[test]
     fn linear_gradients_match_finite_difference() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut l = Linear::new(3, 2, &mut rng);
         let x = Matrix::from_rows(&[&[0.1, -0.2, 0.3], &[1.0, 0.5, -0.5]]);
-        // Loss = sum(y); dL/dy = ones.
-        let ones = Matrix::from_vec(2, 2, vec![1.0; 4]);
-        let _ = l.forward_train(&x);
-        l.zero_grad();
-        let gx = l.backward(&ones);
+        // Loss = sum(y); dL/dy = ones. One identity layer is the bare
+        // `Linear`; its input gradient is the dX kernel's output.
+        let ones = [1.0; 4];
+        let mut net = Mlp::from_parts(
+            vec![Linear::new(3, 2, &mut rng)],
+            Activation::Identity,
+            Activation::Identity,
+        );
+        let mut scratch = TrainScratch::new();
+        let _ = net.forward_train(x.data(), 2, &mut scratch);
+        net.zero_grad();
+        net.backward(x.data(), &ones, &mut scratch);
+        let mut l = net.layers()[0].clone();
+        let mut gx = Matrix::zeros(2, 3);
+        input_grad(&ones, &l.w, gx.data_mut());
 
         let eps = 1e-6;
         // Check a weight gradient.

@@ -19,28 +19,37 @@
 //! allocation-free [`Mlp::forward_into`] (fed from a [`ForwardScratch`];
 //! see the [`infer`] module), which produces bit-identical results per
 //! row for any batch size `rows ≥ 1`. [`Mlp::forward`] is its allocating
-//! reference twin, kept for training diagnostics and tests; the fused
-//! row kernels underneath `forward_into` are implementation details and
-//! no longer part of the public API.
+//! reference twin, kept for diagnostics and tests; the fused row kernels
+//! underneath `forward_into` are implementation details and no longer
+//! part of the public API.
+//!
+//! Training has **one step** on the same engine (see the [`train`]
+//! module): [`Mlp::forward_train`] runs `forward_into`'s loop and
+//! kernels but keeps every layer's output in a caller-owned
+//! [`TrainScratch`], and [`Mlp::backward`] accumulates `gw`/`gb` from
+//! them — bit-identical to the textbook [`Matrix`] products, and
+//! allocation-free once the scratch is warm. Batches, targets and
+//! gradients are flat row-major slices.
 //!
 //! ```
-//! use dt_nn::{Activation, Adam, Matrix, Mlp};
+//! use dt_nn::{Activation, Adam, Mlp, TrainScratch};
 //! use rand::SeedableRng;
 //!
-//! // Learn y = x0 * x1 on random data.
+//! // Learn y = x0 * x1 on three points: 3 rows × 2 features, flat.
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
 //! let mut mlp = Mlp::new(&[2, 16, 1], Activation::Tanh, Activation::Identity, &mut rng);
 //! let mut adam = Adam::with_lr(1e-2);
-//! let x = Matrix::from_rows(&[&[0.5, -0.5], &[1.0, 1.0], &[-1.0, 0.25]]);
-//! let y = Matrix::from_rows(&[&[-0.25], &[1.0], &[-0.25]]);
+//! let x = [0.5, -0.5, 1.0, 1.0, -1.0, 0.25];
+//! let y = [-0.25, 1.0, -0.25];
+//! let mut scratch = TrainScratch::new();
+//! let mut grad = [0.0; 3];
 //! let mut last = f64::INFINITY;
 //! for _ in 0..200 {
-//!     let out = mlp.forward_train(&x);
-//!     let (loss, grad) = dt_nn::mse_loss(&out, &y);
+//!     let out = mlp.forward_train(&x, 3, &mut scratch);
+//!     last = dt_nn::mse_loss(out, &y, &mut grad);
 //!     mlp.zero_grad();
-//!     mlp.backward(&grad);
+//!     mlp.backward(&x, &grad, &mut scratch);
 //!     adam.step(&mut mlp);
-//!     last = loss;
 //! }
 //! assert!(last < 0.05);
 //! ```
@@ -55,6 +64,7 @@ pub mod matrix;
 pub mod mlp;
 pub mod optim;
 pub mod serialize;
+pub mod train;
 
 pub use infer::ForwardScratch;
 pub use layer::{Activation, Linear};
@@ -66,3 +76,4 @@ pub use matrix::Matrix;
 pub use mlp::Mlp;
 pub use optim::{Adam, Sgd};
 pub use serialize::{load_mlp, load_mlp_from_file, save_mlp, save_mlp_to_file, NnFormatError};
+pub use train::TrainScratch;

@@ -13,28 +13,19 @@ use crate::matrix::Matrix;
 
 /// Mean-squared-error loss over all elements.
 ///
-/// Returns `(loss, dL/d_pred)` where the gradient is already divided by the
-/// element count.
-pub fn mse_loss(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
-    assert_eq!(
-        (pred.rows(), pred.cols()),
-        (target.rows(), target.cols()),
-        "mse shape mismatch"
-    );
-    let n = pred.data().len() as f64;
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
+/// Returns the loss and writes `dL/d_pred`, already divided by the
+/// element count, into `grad`.
+pub fn mse_loss(pred: &[f64], target: &[f64], grad: &mut [f64]) -> f64 {
+    assert_eq!(pred.len(), target.len(), "mse shape mismatch");
+    assert_eq!(pred.len(), grad.len(), "mse gradient shape mismatch");
+    let n = pred.len() as f64;
     let mut loss = 0.0;
-    for ((g, &p), &t) in grad
-        .data_mut()
-        .iter_mut()
-        .zip(pred.data())
-        .zip(target.data())
-    {
+    for ((g, &p), &t) in grad.iter_mut().zip(pred).zip(target) {
         let d = p - t;
         loss += d * d;
         *g = 2.0 * d / n;
     }
-    (loss / n, grad)
+    loss / n
 }
 
 /// Row-wise log-softmax with an optional mask of allowed classes.
@@ -86,7 +77,7 @@ pub fn log_softmax_masked_into(logits: &[f64], mask: Option<&[bool]>, out: &mut 
 ///
 /// Returns `(mean loss, dL/d_logits)`.
 pub fn softmax_cross_entropy(logits: &Matrix, targets: &[usize]) -> (f64, Matrix) {
-    softmax_cross_entropy_impl(logits, targets, MaskSource::None)
+    cross_entropy_matrix(logits, targets, MaskSource::None)
 }
 
 /// Masked softmax cross-entropy: per-row class masks (e.g. exhausted
@@ -98,23 +89,23 @@ pub fn softmax_cross_entropy_masked(
     masks: &[Vec<bool>],
 ) -> (f64, Matrix) {
     assert_eq!(masks.len(), targets.len(), "mask count mismatch");
-    softmax_cross_entropy_impl(logits, targets, MaskSource::Rows(masks))
+    cross_entropy_matrix(logits, targets, MaskSource::Rows(masks))
 }
 
-/// [`softmax_cross_entropy_masked`] with the per-row masks flattened into
-/// one `rows × cols` slice — the reusable-buffer form the proposal
-/// trainer feeds so building a minibatch allocates no per-row `Vec`s.
+/// [`softmax_cross_entropy_masked`] over flat row-major buffers — the
+/// form the proposal trainer feeds: `logits`, `masks` and `grad` hold
+/// `targets.len()` rows of equal width, `logp` is per-row scratch for
+/// [`log_softmax_masked_into`]. Returns the mean loss and writes
+/// `dL/d_logits` into `grad`; allocation-free once `logp` holds one row.
 pub fn softmax_cross_entropy_masked_flat(
-    logits: &Matrix,
+    logits: &[f64],
     targets: &[usize],
     masks: &[bool],
-) -> (f64, Matrix) {
-    assert_eq!(
-        masks.len(),
-        logits.rows() * logits.cols(),
-        "flat mask length mismatch"
-    );
-    softmax_cross_entropy_impl(logits, targets, MaskSource::Flat(masks))
+    logp: &mut Vec<f64>,
+    grad: &mut [f64],
+) -> f64 {
+    assert_eq!(masks.len(), logits.len(), "flat mask length mismatch");
+    cross_entropy_rows(logits, targets, MaskSource::Flat(masks), logp, grad)
 }
 
 /// Where per-row class masks come from, if anywhere.
@@ -134,34 +125,53 @@ impl<'a> MaskSource<'a> {
     }
 }
 
-fn softmax_cross_entropy_impl(
+fn cross_entropy_matrix(
     logits: &Matrix,
     targets: &[usize],
     masks: MaskSource<'_>,
 ) -> (f64, Matrix) {
     assert_eq!(logits.rows(), targets.len(), "target count mismatch");
-    let rows = logits.rows();
-    let mut grad = Matrix::zeros(rows, logits.cols());
+    let mut grad = Matrix::zeros(logits.rows(), logits.cols());
+    let mut logp = Vec::with_capacity(logits.cols());
+    let loss = cross_entropy_rows(logits.data(), targets, masks, &mut logp, grad.data_mut());
+    (loss, grad)
+}
+
+fn cross_entropy_rows(
+    logits: &[f64],
+    targets: &[usize],
+    masks: MaskSource<'_>,
+    logp: &mut Vec<f64>,
+    grad: &mut [f64],
+) -> f64 {
+    let rows = targets.len();
+    assert!(rows > 0, "empty batch");
+    assert_eq!(logits.len() % rows, 0, "target count mismatch");
+    assert_eq!(grad.len(), logits.len(), "gradient shape mismatch");
+    let cols = logits.len() / rows;
     let mut loss = 0.0;
-    for (r, &t) in targets.iter().enumerate() {
-        let mask = masks.row(r, logits.cols());
-        let logp = log_softmax_masked(logits.row(r), mask);
+    for (r, ((&t, row), g_row)) in targets
+        .iter()
+        .zip(logits.chunks_exact(cols))
+        .zip(grad.chunks_exact_mut(cols))
+        .enumerate()
+    {
+        let mask = masks.row(r, cols);
+        log_softmax_masked_into(row, mask, logp);
         debug_assert!(
             mask.is_none_or(|m| m[t]),
             "target {t} masked out in row {r}"
         );
         loss -= logp[t];
-        let g_row = grad.row_mut(r);
-        for (c, &lp) in logp.iter().enumerate() {
-            if lp == f64::NEG_INFINITY {
-                g_row[c] = 0.0;
+        for (c, (g, &lp)) in g_row.iter_mut().zip(logp.iter()).enumerate() {
+            *g = if lp == f64::NEG_INFINITY {
+                0.0
             } else {
-                let p = lp.exp();
-                g_row[c] = (p - f64::from(u8::from(c == t))) / rows as f64;
-            }
+                (lp.exp() - f64::from(u8::from(c == t))) / rows as f64
+            };
         }
     }
-    (loss / rows as f64, grad)
+    loss / rows as f64
 }
 
 /// Sample a class index from log-probabilities (as produced by
@@ -195,11 +205,10 @@ mod tests {
 
     #[test]
     fn mse_known_value() {
-        let p = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let t = Matrix::from_rows(&[&[0.0, 4.0]]);
-        let (loss, grad) = mse_loss(&p, &t);
+        let mut grad = [0.0; 2];
+        let loss = mse_loss(&[1.0, 2.0], &[0.0, 4.0], &mut grad);
         assert!((loss - 2.5).abs() < 1e-12); // (1 + 4)/2
-        assert_eq!(grad.data(), &[1.0, -2.0]);
+        assert_eq!(grad, [1.0, -2.0]);
     }
 
     #[test]

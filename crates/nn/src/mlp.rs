@@ -5,8 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::Rng;
 
 use crate::infer::{
-    linear_forward_fused, linear_forward_fused_packed, pack_weights_transposed, packed_len,
-    ForwardScratch,
+    linear_forward_fused, linear_forward_fused_packed, packed_len, ForwardScratch, PackedWeights,
 };
 use crate::layer::{Activation, Linear};
 use crate::matrix::Matrix;
@@ -29,8 +28,6 @@ pub struct Mlp {
     layers: Vec<Linear>,
     hidden_act: Activation,
     out_act: Activation,
-    /// Pre-activation caches from the last `forward_train`.
-    preacts: Vec<Matrix>,
     /// Weight version for [`ForwardScratch`] repack caching; bumped on
     /// every mutable layer access.
     version: u64,
@@ -56,7 +53,6 @@ impl Mlp {
             layers,
             hidden_act,
             out_act,
-            preacts: Vec::new(),
             version: next_weights_version(),
         }
     }
@@ -68,7 +64,6 @@ impl Mlp {
             layers,
             hidden_act,
             out_act,
-            preacts: Vec::new(),
             version: next_weights_version(),
         }
     }
@@ -127,15 +122,12 @@ impl Mlp {
     /// and allocation-free once warmed.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut h = x.clone();
-        let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            let pre = layer.forward(&h);
-            let act = if i == last {
-                self.out_act
-            } else {
-                self.hidden_act
-            };
-            h = act.forward(&pre);
+            h = layer.forward(&h);
+            let act = self.activation(i);
+            for v in h.data_mut() {
+                *v = act.apply(*v);
+            }
         }
         h
     }
@@ -161,49 +153,62 @@ impl Mlp {
         rows: usize,
         scratch: &'a mut ForwardScratch,
     ) -> &'a [f64] {
-        assert!(x.len() >= rows * self.in_dim(), "input rows too short");
         scratch.reserve(self, rows);
-        let ForwardScratch {
-            buf_a,
-            buf_b,
-            packed_w,
-            packed_version,
-        } = scratch;
-        let packed = rows >= 2 && cfg!(target_feature = "avx");
-        if packed && *packed_version != self.version {
-            // Multi-row batch: repack every layer's weights so the column
-            // loop vectorizes. The pack is cached across forwards and
-            // invalidated only when the weights change, so its cost
-            // amortizes over entire sampling runs, not just one batch.
-            // Bit-identical to the scalar tile. Without AVX the vector
-            // lanes are too narrow to beat the scalar tile's eight
-            // accumulator chains, so the packed path is compiled out on
-            // baseline targets.
-            let mut off = 0;
-            for layer in &self.layers {
-                let wn = packed_len(layer.w.cols(), layer.w.rows());
-                pack_weights_transposed(&layer.w, &mut packed_w[off..off + wn]);
-                off += wn;
-            }
-            *packed_version = self.version;
+        self.forward_ring(x, rows, &mut scratch.packed, &mut scratch.ring)
+    }
+
+    /// Activation applied after layer `i`.
+    pub(crate) fn activation(&self, i: usize) -> Activation {
+        if i + 1 == self.layers.len() {
+            self.out_act
+        } else {
+            self.hidden_act
         }
-        let last = self.layers.len() - 1;
+    }
+
+    /// The one forward loop, under inference and training alike: layer
+    /// `i` reads `x` (`i = 0`) or the previous slot and writes
+    /// `ring[i % ring.len()]`. A ring of two ping-pongs
+    /// ([`Mlp::forward_into`]); a ring of one buffer per layer keeps
+    /// every layer's output for the backward pass
+    /// ([`Mlp::forward_train`]). Every slot must already hold `rows` rows
+    /// of the widest layer writing to it. Returns the last layer's
+    /// output.
+    pub(crate) fn forward_ring<'a>(
+        &self,
+        x: &[f64],
+        rows: usize,
+        packed: &mut PackedWeights,
+        ring: &'a mut [Vec<f64>],
+    ) -> &'a [f64] {
+        assert!(x.len() >= rows * self.in_dim(), "input rows too short");
+        // Multi-row batch: repack every layer's weights so the column
+        // loop vectorizes. The pack is cached across forwards and
+        // invalidated only when the weights change, so its cost
+        // amortizes over entire sampling runs, not just one batch.
+        // Bit-identical to the scalar tile. Without AVX the vector
+        // lanes are too narrow to beat the scalar tile's eight
+        // accumulator chains, so the packed path is compiled out on
+        // baseline targets.
+        let packed_w = (rows >= 2 && cfg!(target_feature = "avx")).then(|| packed.refresh(self));
+        let slots = ring.len();
         let mut off = 0;
         for (i, layer) in self.layers.iter().enumerate() {
-            let act = if i == last {
-                self.out_act
-            } else {
-                self.hidden_act
-            };
-            // Ping-pong: x → a → b → a → …
+            let act = self.activation(i);
             let (src, dst): (&[f64], &mut [f64]) = if i == 0 {
-                (x, buf_a.as_mut_slice())
-            } else if i % 2 == 1 {
-                (buf_a.as_slice(), buf_b.as_mut_slice())
+                (x, ring[0].as_mut_slice())
             } else {
-                (buf_b.as_slice(), buf_a.as_mut_slice())
+                // Distinct slots, so one split borrows both.
+                let (prev, cur) = ((i - 1) % slots, i % slots);
+                if prev < cur {
+                    let (lo, hi) = ring.split_at_mut(cur);
+                    (lo[prev].as_slice(), hi[0].as_mut_slice())
+                } else {
+                    let (lo, hi) = ring.split_at_mut(prev);
+                    (hi[0].as_slice(), lo[cur].as_mut_slice())
+                }
             };
-            if packed {
+            if let Some(packed_w) = packed_w {
                 let wn = packed_len(layer.w.cols(), layer.w.rows());
                 linear_forward_fused_packed(
                     src,
@@ -220,54 +225,18 @@ impl Mlp {
                 linear_forward_fused(src, rows, &layer.w, &layer.b, act, dst);
             }
         }
-        let out = rows * self.out_dim();
-        if last % 2 == 0 {
-            &buf_a[..out]
-        } else {
-            &buf_b[..out]
-        }
+        &ring[(self.layers.len() - 1) % slots][..rows * self.out_dim()]
     }
 
-    /// Training forward pass: caches pre-activations for [`Mlp::backward`].
-    pub fn forward_train(&mut self, x: &Matrix) -> Matrix {
-        self.preacts.clear();
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
-        for i in 0..self.layers.len() {
-            let pre = self.layers[i].forward_train(&h);
-            let act = if i == last {
-                self.out_act
-            } else {
-                self.hidden_act
-            };
-            h = act.forward(&pre);
-            self.preacts.push(pre);
-        }
-        h
+    /// Weight version [`PackedWeights`] caches are keyed by.
+    pub(crate) fn weights_version(&self) -> u64 {
+        self.version
     }
 
-    /// Backward pass from an output gradient; accumulates layer gradients.
-    ///
-    /// # Panics
-    /// Panics if `forward_train` was not called first.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        assert_eq!(
-            self.preacts.len(),
-            self.layers.len(),
-            "backward called before forward_train"
-        );
-        let last = self.layers.len() - 1;
-        let mut grad = grad_out.clone();
-        for i in (0..self.layers.len()).rev() {
-            let act = if i == last {
-                self.out_act
-            } else {
-                self.hidden_act
-            };
-            let g_pre = act.backward(&self.preacts[i], &grad);
-            grad = self.layers[i].backward(&g_pre);
-        }
-        grad
+    /// Mutable layers *without* a weight-version bump — for the backward
+    /// pass, which writes only the gradient accumulators.
+    pub(crate) fn grad_layers_mut(&mut self) -> &mut [Linear] {
+        &mut self.layers
     }
 
     /// Zero every gradient accumulator.
@@ -337,6 +306,7 @@ mod tests {
     use super::*;
     use crate::loss::mse_loss;
     use crate::optim::Sgd;
+    use crate::train::TrainScratch;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -353,11 +323,12 @@ mod tests {
     #[test]
     fn forward_equals_forward_train() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut mlp = Mlp::new(&[3, 6, 2], Activation::Tanh, Activation::Identity, &mut rng);
+        let mlp = Mlp::new(&[3, 6, 2], Activation::Tanh, Activation::Identity, &mut rng);
         let x = Matrix::from_rows(&[&[0.1, 0.2, -0.3], &[1.0, -1.0, 0.5]]);
         let a = mlp.forward(&x);
-        let b = mlp.forward_train(&x);
-        assert_eq!(a, b);
+        let mut scratch = TrainScratch::new();
+        let b = mlp.forward_train(x.data(), 2, &mut scratch);
+        assert_eq!(a.data(), b);
     }
 
     #[test]
@@ -365,17 +336,19 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut mlp = Mlp::new(&[2, 4, 1], Activation::Tanh, Activation::Identity, &mut rng);
         let x = Matrix::from_rows(&[&[0.3, -0.7], &[0.5, 0.1]]);
-        let y = Matrix::from_rows(&[&[1.0], &[-1.0]]);
+        let y = [1.0, -1.0];
 
-        let out = mlp.forward_train(&x);
-        let (_, grad) = mse_loss(&out, &y);
+        let mut scratch = TrainScratch::new();
+        let mut grad = [0.0; 2];
+        let out = mlp.forward_train(x.data(), 2, &mut scratch);
+        mse_loss(out, &y, &mut grad);
         mlp.zero_grad();
-        mlp.backward(&grad);
+        mlp.backward(x.data(), &grad, &mut scratch);
 
         let eps = 1e-6;
         let loss_of = |mlp: &Mlp| -> f64 {
             let out = mlp.forward(&x);
-            mse_loss(&out, &y).0
+            mse_loss(out.data(), &y, &mut [0.0; 2])
         };
         // Spot-check several parameters in every layer.
         for li in 0..mlp.layers().len() {
@@ -404,16 +377,17 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut mlp = Mlp::new(&[1, 8, 1], Activation::Tanh, Activation::Identity, &mut rng);
         let xs: Vec<f64> = (0..16).map(|i| i as f64 / 8.0 - 1.0).collect();
-        let x = Matrix::from_vec(16, 1, xs.clone());
-        let y = Matrix::from_vec(16, 1, xs.iter().map(|&v| v * v).collect());
+        let y: Vec<f64> = xs.iter().map(|&v| v * v).collect();
         let mut sgd = Sgd::new(0.05);
+        let mut scratch = TrainScratch::new();
+        let mut grad = [0.0; 16];
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..1000 {
-            let out = mlp.forward_train(&x);
-            let (loss, grad) = mse_loss(&out, &y);
+            let out = mlp.forward_train(&xs, 16, &mut scratch);
+            let loss = mse_loss(out, &y, &mut grad);
             mlp.zero_grad();
-            mlp.backward(&grad);
+            mlp.backward(&xs, &grad, &mut scratch);
             sgd.step(&mut mlp);
             first.get_or_insert(loss);
             last = loss;
@@ -445,11 +419,11 @@ mod tests {
     fn grad_clipping_bounds_norm() {
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let mut mlp = Mlp::new(&[2, 4, 2], Activation::Relu, Activation::Identity, &mut rng);
-        let x = Matrix::from_rows(&[&[10.0, -10.0]]);
-        let out = mlp.forward_train(&x);
-        let big = out.map(|_| 100.0);
+        let x = [10.0, -10.0];
+        let mut scratch = TrainScratch::new();
+        let _ = mlp.forward_train(&x, 1, &mut scratch);
         mlp.zero_grad();
-        mlp.backward(&big);
+        mlp.backward(&x, &[100.0; 2], &mut scratch);
         mlp.clip_grad_norm(1.0);
         assert!(mlp.grad_norm() <= 1.0 + 1e-9);
     }

@@ -162,6 +162,7 @@ mod tests {
     use super::*;
     use crate::layer::Activation;
     use crate::loss::mse_loss;
+    use crate::train::TrainScratch;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -174,23 +175,25 @@ mod tests {
             &mut rng,
         );
         // XOR-ish continuous target: y = x0 * x1.
-        let x = Matrix::from_rows(&[
-            &[-1.0, -1.0],
-            &[-1.0, 1.0],
-            &[1.0, -1.0],
-            &[1.0, 1.0],
-            &[0.5, 0.5],
-            &[-0.5, 0.5],
-        ]);
-        let y = Matrix::from_vec(6, 1, x.data().chunks(2).map(|p| p[0] * p[1]).collect());
+        let x = [
+            -1.0, -1.0, //
+            -1.0, 1.0, //
+            1.0, -1.0, //
+            1.0, 1.0, //
+            0.5, 0.5, //
+            -0.5, 0.5,
+        ];
+        let y: Vec<f64> = x.chunks(2).map(|p| p[0] * p[1]).collect();
         let mut sgd = Sgd::with_momentum(0.05, 0.9);
         let mut adam = Adam::with_lr(0.01);
+        let mut scratch = TrainScratch::new();
+        let mut grad = [0.0; 6];
         let mut last = 0.0;
         for _ in 0..steps {
-            let out = mlp.forward_train(&x);
-            let (loss, grad) = mse_loss(&out, &y);
+            let out = mlp.forward_train(&x, 6, &mut scratch);
+            let loss = mse_loss(out, &y, &mut grad);
             mlp.zero_grad();
-            mlp.backward(&grad);
+            mlp.backward(&x, &grad, &mut scratch);
             if opt_is_adam {
                 adam.step(&mut mlp);
             } else {
@@ -231,12 +234,13 @@ mod tests {
             &mut rng,
         );
         let w0 = mlp.layers()[0].w[(0, 0)];
-        let x = Matrix::from_rows(&[&[1000.0]]);
-        let out = mlp.forward_train(&x);
-        let target = out.map(|v| v + 1e6);
-        let (_, grad) = mse_loss(&out, &target);
+        let x = [1000.0];
+        let mut scratch = TrainScratch::new();
+        let mut grad = [0.0];
+        let out = mlp.forward_train(&x, 1, &mut scratch);
+        mse_loss(out, &[out[0] + 1e6], &mut grad);
         mlp.zero_grad();
-        mlp.backward(&grad);
+        mlp.backward(&x, &grad, &mut scratch);
         let mut adam = Adam::with_lr(0.01);
         adam.step(&mut mlp);
         let dw = (mlp.layers()[0].w[(0, 0)] - w0).abs();

@@ -4,7 +4,7 @@
 
 use dt_nn::{
     load_mlp, log_softmax_masked, mse_loss, save_mlp, softmax_cross_entropy, Activation, Matrix,
-    Mlp,
+    Mlp, TrainScratch,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -84,12 +84,14 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut mlp = Mlp::new(&[3, hidden, 2], Activation::Tanh, Activation::Identity, &mut rng);
         let x = Matrix::from_rows(&[&[0.2, -0.4, 0.6]]);
-        let y = Matrix::from_rows(&[&[0.5, -0.5]]);
-        let out = mlp.forward_train(&x);
-        let (_, grad) = mse_loss(&out, &y);
+        let y = [0.5, -0.5];
+        let mut scratch = TrainScratch::new();
+        let mut grad = [0.0; 2];
+        let out = mlp.forward_train(x.data(), 1, &mut scratch);
+        mse_loss(out, &y, &mut grad);
         mlp.zero_grad();
-        mlp.backward(&grad);
-        let loss_of = |m: &Mlp| mse_loss(&m.forward(&x), &y).0;
+        mlp.backward(x.data(), &grad, &mut scratch);
+        let loss_of = |m: &Mlp| mse_loss(m.forward(&x).data(), &y, &mut [0.0; 2]);
         let eps = 1e-6;
         // Check one weight per layer.
         for li in 0..mlp.layers().len() {

@@ -12,7 +12,7 @@
 use std::collections::VecDeque;
 
 use dt_lattice::{Configuration, NeighborTable, SiteId};
-use dt_nn::{softmax_cross_entropy_masked_flat, Adam, Matrix, Mlp};
+use dt_nn::{softmax_cross_entropy_masked_flat, Adam, Mlp, TrainScratch};
 use dt_telemetry::{Phase, Telemetry};
 use rand::Rng;
 
@@ -68,7 +68,16 @@ impl SampleBuffer {
 /// Hyperparameters of the proposal trainer.
 #[derive(Debug, Clone)]
 pub struct TrainerConfig {
-    /// Sites decoded per training configuration (match the kernel's `k`).
+    /// Sites decoded per training configuration. Meant to match the
+    /// kernel's `k`, and in practice it does not: the CLI
+    /// (`--k`, default 12), the `rewl_deep` benchmark workload (12) and
+    /// the `GOLDEN_DEEP` fingerprint run (4) all set
+    /// `DeepProposalConfig::k` and leave this at its default of 32, so
+    /// the net is trained on 32-site contexts and deployed on 12-site
+    /// ones, at 2.7× the training rows. Aligning the two changes every
+    /// deep trajectory and is left to a PR that re-baselines the
+    /// fingerprints and does nothing else (see ROADMAP, deep-proposal
+    /// item).
     pub k: usize,
     /// Adam learning rate.
     pub lr: f64,
@@ -92,18 +101,28 @@ impl Default for TrainerConfig {
 /// Trains a proposal network from buffered walker samples.
 ///
 /// Minibatch assembly is fully batched: every teacher-forced context row
-/// of a chunk goes into one feature matrix and the network runs one
-/// multi-row forward/backward per chunk. The per-row species masks are
-/// kept in a single flat reused buffer (no per-row `Vec<bool>`), and the
-/// decode bookkeeping buffers are reused across configurations.
+/// of a chunk goes into one flat feature buffer and the network runs one
+/// multi-row `dt-nn` training step per chunk. Features, targets, masks,
+/// the loss gradient, the decode bookkeeping and the step's
+/// [`TrainScratch`] are all owned here and reused, so an epoch over a
+/// buffer no larger than one already seen performs no heap allocation.
 #[derive(Debug)]
 pub struct ProposalTrainer {
     cfg: TrainerConfig,
     layout: FeatureLayout,
     adam: Adam,
     site_buf: Vec<SiteId>,
-    /// Flat `rows × m` mask buffer, reused across chunks.
+    /// Flat `rows × dim` context rows of the current chunk.
+    features: Vec<f64>,
+    /// Species index each row must predict.
+    targets: Vec<usize>,
+    /// Flat `rows × m` allowed-species masks.
     mask_buf: Vec<bool>,
+    /// Flat `rows × m` loss gradient.
+    grad: Vec<f64>,
+    /// One row of log-probabilities for the loss.
+    logp: Vec<f64>,
+    scratch: TrainScratch,
     /// Per-config decided flags, reused across configurations.
     decided_buf: Vec<bool>,
     /// Per-config multiset budget, reused across configurations.
@@ -117,7 +136,12 @@ impl ProposalTrainer {
         let m = layout.num_species;
         ProposalTrainer {
             adam: Adam::with_lr(cfg.lr),
-            mask_buf: Vec::with_capacity(cfg.configs_per_batch * cfg.k * m),
+            features: Vec::new(),
+            targets: Vec::new(),
+            mask_buf: Vec::new(),
+            grad: Vec::new(),
+            logp: Vec::with_capacity(m),
+            scratch: TrainScratch::new(),
             decided_buf: Vec::new(),
             remaining_buf: vec![0; m],
             cfg,
@@ -161,15 +185,18 @@ impl ProposalTrainer {
         let mut total_loss = 0.0;
         let mut total_rows = 0usize;
 
-        let configs: Vec<&Configuration> = buffer.iter().map(|(c, _)| c).collect();
-        for chunk in configs.chunks(self.cfg.configs_per_batch) {
-            let rows = chunk.len() * k.min(chunk[0].num_sites());
-            let mut features = Matrix::zeros(rows, dim);
-            let mut targets = Vec::with_capacity(rows);
+        let mut start = 0;
+        while start < buffer.len() {
+            let end = (start + self.cfg.configs_per_batch).min(buffer.len());
+            let rows = (end - start) * k.min(buffer.items[start].0.num_sites());
+            let chunk = buffer.items.range(start..end);
+            start = end;
+            self.features.resize(rows * dim, 0.0);
+            self.grad.resize(rows * m, 0.0);
+            self.targets.clear();
             self.mask_buf.clear();
-            let mut row = 0usize;
 
-            for config in chunk {
+            for (config, _) in chunk {
                 let n = config.num_sites();
                 let kk = k.min(n);
                 let mut sites = std::mem::take(&mut self.site_buf);
@@ -187,8 +214,9 @@ impl ProposalTrainer {
                     self.remaining_buf[config.species_at(s).index()] += 1;
                 }
                 for (step, &site) in sites.iter().enumerate() {
+                    let row = self.targets.len();
                     self.layout.fill(
-                        features.row_mut(row),
+                        &mut self.features[row * dim..(row + 1) * dim],
                         site,
                         neighbors,
                         config.species(),
@@ -198,23 +226,28 @@ impl ProposalTrainer {
                         step as f64 / kk as f64,
                     );
                     let target = config.species_at(site);
-                    targets.push(target.index());
+                    self.targets.push(target.index());
                     self.mask_buf
                         .extend(self.remaining_buf.iter().map(|&r| r > 0));
                     self.remaining_buf[target.index()] -= 1;
                     self.decided_buf[site as usize] = true;
-                    row += 1;
                 }
                 self.site_buf = sites;
             }
-            debug_assert_eq!(row, rows);
+            debug_assert_eq!(self.targets.len(), rows);
 
             // All rows were built upfront, so the whole chunk runs one
             // multi-row forward (and one backward) — never row-by-row.
-            let out = net.forward_train(&features);
-            let (loss, grad) = softmax_cross_entropy_masked_flat(&out, &targets, &self.mask_buf);
+            let out = net.forward_train(&self.features, rows, &mut self.scratch);
+            let loss = softmax_cross_entropy_masked_flat(
+                out,
+                &self.targets,
+                &self.mask_buf,
+                &mut self.logp,
+                &mut self.grad,
+            );
             net.zero_grad();
-            net.backward(&grad);
+            net.backward(&self.features, &self.grad, &mut self.scratch);
             net.clip_grad_norm(self.cfg.grad_clip);
             self.adam.step(net);
 

@@ -1,6 +1,7 @@
 //! Asserts that warmed-up teacher-forced replay — the hot path on every
-//! deep-proposal Metropolis–Hastings step — performs **zero heap
-//! allocations**, using a counting global allocator.
+//! deep-proposal Metropolis–Hastings step — and a second training epoch
+//! over a same-sized buffer perform **zero heap allocations**, using a
+//! counting global allocator.
 //!
 //! This file must stay a single `#[test]`: the counter is process-global,
 //! and concurrent tests in the same binary would race it.
@@ -9,8 +10,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use dt_lattice::{Composition, Configuration, SiteId, Species, Structure, Supercell};
+use dt_proposal::train::random_training_set;
 use dt_proposal::{
-    DeepProposal, DeepProposalConfig, ProposalContext, ProposalKernel, ProposedMove,
+    DeepProposal, DeepProposalConfig, ProposalContext, ProposalKernel, ProposalTrainer,
+    ProposedMove, TrainerConfig,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -96,6 +99,34 @@ fn warmed_replay_is_allocation_free() {
     assert_eq!(
         count, 0,
         "warmed-up replay must not allocate, saw {count} allocations"
+    );
+
+    // Retraining: the first epoch grows the trainer's flat buffers, the
+    // training scratch and Adam's moments; every later epoch over a
+    // buffer of that size (short last chunk included: 11 = 4 + 4 + 3)
+    // reuses them.
+    let buffer = random_training_set(&comp, 11, &mut rng);
+    let mut trainer = ProposalTrainer::new(
+        kern.layout(),
+        TrainerConfig {
+            k: 8,
+            configs_per_batch: 4,
+            ..TrainerConfig::default()
+        },
+    );
+    let first = trainer
+        .train_epoch(kern.net_mut(), &buffer, &nt, &mut rng)
+        .unwrap();
+    let mut second = f64::NAN;
+    let count = allocations_in(|| {
+        second = trainer
+            .train_epoch(kern.net_mut(), &buffer, &nt, &mut rng)
+            .unwrap();
+    });
+    assert!(first.is_finite() && second.is_finite());
+    assert_eq!(
+        count, 0,
+        "a second train_epoch must not allocate, saw {count} allocations"
     );
 
     // Sanity check that the counter actually counts.

@@ -66,6 +66,29 @@ pub(crate) struct DeepState {
     pub(crate) spec: DeepSpec,
 }
 
+impl DeepState {
+    /// The retrain cadence, once for the REWL engine and the serial
+    /// baseline: on every `train_every_sweeps`-th sweep with a non-empty
+    /// buffer, run `epochs_per_round` epochs drawing site subsets from
+    /// the walker's own stream. Returns whether the network changed, i.e.
+    /// whether the walker's kernel must be rebuilt from it.
+    pub(crate) fn retrain(
+        &mut self,
+        sweeps: u64,
+        neighbors: &NeighborTable,
+        rng: &mut dyn rand::Rng,
+    ) -> bool {
+        if sweeps % self.spec.train_every_sweeps != 0 || self.buffer.is_empty() {
+            return false;
+        }
+        for _ in 0..self.spec.epochs_per_round {
+            self.trainer
+                .train_epoch(self.deep.net_mut(), &self.buffer, neighbors, rng);
+        }
+        true
+    }
+}
+
 pub(crate) fn build_kernel(
     spec: &KernelSpec,
     deep_state: &Option<DeepState>,
@@ -566,20 +589,10 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     /// race the failure detector the way electing "first live rank"
     /// would.
     fn phase_retrain(&mut self) -> EnginePhase {
-        let mut kernel_dirty = false;
-        if let Some(ds) = self.deep_state.as_mut() {
-            if self.sweeps % ds.spec.train_every_sweeps == 0 && !ds.buffer.is_empty() {
-                for _ in 0..ds.spec.epochs_per_round {
-                    ds.trainer.train_epoch(
-                        ds.deep.net_mut(),
-                        &ds.buffer,
-                        self.neighbors,
-                        self.walker.rng_mut(),
-                    );
-                }
-                kernel_dirty = true;
-            }
-        }
+        let mut kernel_dirty = self
+            .deep_state
+            .as_mut()
+            .is_some_and(|ds| ds.retrain(self.sweeps, self.neighbors, self.walker.rng_mut()));
         // Members of this window in ascending rank order; the leader is
         // the lowest rank. Under the uniform assignment this is exactly
         // the classic `window·W .. (window+1)·W` block with leader

@@ -97,15 +97,7 @@ pub fn run_windows_serial<M: EnergyModel + Sync>(
                     if sweeps % ds.spec.sample_every_sweeps == 0 {
                         ds.buffer.push(walker.config().clone(), walker.energy());
                     }
-                    if sweeps % ds.spec.train_every_sweeps == 0 && !ds.buffer.is_empty() {
-                        for _ in 0..ds.spec.epochs_per_round {
-                            ds.trainer.train_epoch(
-                                ds.deep.net_mut(),
-                                &ds.buffer,
-                                neighbors,
-                                walker.rng_mut(),
-                            );
-                        }
+                    if ds.retrain(sweeps, neighbors, walker.rng_mut()) {
                         walker.set_kernel(build_kernel(&cfg.kernel, &deep_state));
                     }
                 }

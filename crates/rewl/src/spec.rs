@@ -11,7 +11,9 @@ pub struct DeepSpec {
     /// Probability mass of the deep kernel in the local+deep mixture
     /// (0 < weight < 1; the rest goes to local swaps).
     pub deep_weight: f64,
-    /// Trainer hyperparameters.
+    /// Trainer hyperparameters. `trainer.k` does not follow
+    /// `proposal.k`: a spec that sets only the latter trains on 32-site
+    /// contexts whatever it deploys on — see [`TrainerConfig::k`].
     pub trainer: TrainerConfig,
     /// Retrain every this many sweeps.
     pub train_every_sweeps: u64,

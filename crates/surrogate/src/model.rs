@@ -4,7 +4,7 @@ use dt_codec::text::{Reader, Writer};
 use dt_codec::TextError;
 use dt_hamiltonian::{DeltaWorkspace, EnergyModel};
 use dt_lattice::{Configuration, NeighborTable, SiteId, Species};
-use dt_nn::{mse_loss, Activation, Adam, ForwardScratch, Matrix, Mlp, NnFormatError};
+use dt_nn::{mse_loss, Activation, Adam, ForwardScratch, Matrix, Mlp, NnFormatError, TrainScratch};
 use rand::Rng;
 
 use crate::dataset::Dataset;
@@ -167,15 +167,18 @@ impl SurrogateModel {
         dims.push(1);
         let mut net = Mlp::new(&dims, Activation::Tanh, Activation::Identity, rng);
         let mut adam = Adam::with_lr(opts.lr);
+        // Full batch: one `dt-nn` training step per epoch.
+        let (x, rows) = (train.x.data(), train.len());
+        let mut scratch = TrainScratch::new();
+        let mut grad = vec![0.0; rows];
         let mut final_loss = f64::INFINITY;
         for _ in 0..opts.epochs {
-            let out = net.forward_train(&train.x);
-            let (loss, grad) = mse_loss(&out, &y_norm);
+            let out = net.forward_train(x, rows, &mut scratch);
+            final_loss = mse_loss(out, y_norm.data(), &mut grad);
             net.zero_grad();
-            net.backward(&grad);
+            net.backward(x, &grad, &mut scratch);
             net.clip_grad_norm(10.0);
             adam.step(&mut net);
-            final_loss = loss;
         }
 
         let model = SurrogateModel {
