@@ -1,6 +1,7 @@
 //! Criterion benches of the hot computational kernels (supports E10):
 //! energy evaluation, incremental deltas, proposal generation, the
-//! proposal network's forward pass, and one proposal-training epoch.
+//! proposal network's forward pass, one proposal-training epoch, and
+//! the serving path's number writer and `/v1/thermo` handler.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dt_bench::HeaSystem;
@@ -12,6 +13,9 @@ use dt_proposal::{
     DeepProposal, DeepProposalConfig, LocalSwap, ProposalContext, ProposalKernel, ProposalTrainer,
     TrainerConfig,
 };
+use dt_serve::fixture::fixture_artifact;
+use dt_serve::http::Request;
+use dt_serve::{AppState, ArtifactRegistry};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -152,6 +156,54 @@ fn bench_kernels(c: &mut Criterion) {
             let cell = dt_lattice::Supercell::cubic(dt_lattice::Structure::bcc(), 8);
             black_box(cell.neighbor_table(2))
         })
+    });
+
+    // The numbers of one 256-point `/v1/thermo` body (5 series × 256),
+    // with the magnitudes and digit counts a served curve has.
+    c.bench_function("push_f64_x1280", |b| {
+        let values: Vec<f64> = (0..1280)
+            .map(|i| (i as f64 * 0.37).sin() * 10f64.powi(i % 7 - 3))
+            .collect();
+        let mut out = String::with_capacity(32 * values.len());
+        b.iter(|| {
+            out.clear();
+            for &v in black_box(&values) {
+                dt_telemetry::push_f64(&mut out, v);
+            }
+            black_box(out.len())
+        })
+    });
+
+    // `AppState::handle` on a 256-point grid, as `bench_e2e`'s
+    // `serve.handle_{miss,hit}_us` probes drive it: a miss evaluates,
+    // encodes and inserts (a new grid per call), a hit clones the body.
+    let thermo_request = |t_min: f64| Request {
+        method: "POST".into(),
+        target: "/v1/thermo".into(),
+        http11: true,
+        headers: Vec::new(),
+        body: format!(
+            "{{\"artifact\":\"fixture-bench\",\"t_min\":{t_min},\"t_max\":3000,\"num_t\":256}}"
+        )
+        .into_bytes(),
+    };
+    let serve_state = || {
+        let mut registry = ArtifactRegistry::new();
+        registry.insert(fixture_artifact("bench"));
+        AppState::new(registry, 1024).expect("fixture artifact")
+    };
+    c.bench_function("handle_thermo_miss_256", |b| {
+        let state = serve_state();
+        let mut t_min = 300.0;
+        b.iter(|| {
+            t_min += 1e-3;
+            black_box(state.handle(&thermo_request(t_min)).status)
+        })
+    });
+    c.bench_function("handle_thermo_hit_256", |b| {
+        let state = serve_state();
+        let request = thermo_request(300.0);
+        b.iter(|| black_box(state.handle(black_box(&request)).status))
     });
 }
 

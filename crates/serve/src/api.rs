@@ -41,6 +41,10 @@ pub const MAX_TEMPERATURES: usize = 4096;
 /// Most feature rows accepted by one `/v1/predict` call.
 pub const MAX_PREDICT_ROWS: usize = 4096;
 
+/// Most bytes [`push_f64`] writes for one number (`-d.{16 digits}e-308`)
+/// plus its separator: bodies reserve this per number up front.
+const MAX_NUMBER_BYTES: usize = 25;
+
 /// Per-endpoint latency histogram names, as exported by `/metrics`.
 const LATENCY_HISTOGRAMS: &[&str] = &[
     "latency_healthz_ns",
@@ -277,10 +281,7 @@ impl AppState {
         // The curve is a pure function of (artifact, T-grid): key the
         // cache on the exact bit patterns so distinct grids never
         // collide and identical grids always hit.
-        let mut key = artifact.manifest.id.clone();
-        for t in &temps {
-            key.push_str(&format!("|{:016x}", t.to_bits()));
-        }
+        let key = ResponseCache::key(&artifact.manifest.id, &temps);
         // Single-flight fill: under a cold-key stampede, one caller
         // evaluates the curve while every concurrent twin parks on the
         // flight and shares the body — `thermo_evaluations` counts
@@ -344,7 +345,12 @@ impl AppState {
         let fractions = artifact.manifest.fractions();
         let (grid_energies, grid_ln_g) = artifact.grid_dos_masked();
 
-        let mut body = String::from("{\"artifact\":");
+        // Two series of one bracketed obs_dim row per temperature; the
+        // second is rendered beside the first and appended after it.
+        let series_bytes = temps.len() * (sro.obs_dim() * MAX_NUMBER_BYTES + 3);
+        let mut body =
+            String::with_capacity(256 + temps.len() * MAX_NUMBER_BYTES + 2 * series_bytes);
+        body.push_str("{\"artifact\":");
         push_json_string(&mut body, &artifact.manifest.id);
         body.push_str(",\"species\":[");
         for (i, s) in artifact.manifest.species.iter().enumerate() {
@@ -364,7 +370,7 @@ impl AppState {
         }
         // Flat shell-major layout: index = shell*m*m + a*m + b.
         body.push_str("],\"pair_probabilities\":[");
-        let mut alphas = String::new();
+        let mut alphas = String::with_capacity(series_bytes);
         for (ti, &t) in temps.iter().enumerate() {
             let beta = 1.0 / (KB_EV_PER_K * t);
             let mean = sro.canonical_average(&grid_energies, &grid_ln_g, beta);
@@ -453,7 +459,9 @@ impl AppState {
             .counter("predict_rows_total")
             .add(preds.len() as u64);
 
-        let mut body = String::from("{\"artifact\":");
+        let mut body =
+            String::with_capacity(96 + artifact.manifest.id.len() + preds.len() * MAX_NUMBER_BYTES);
+        body.push_str("{\"artifact\":");
         push_json_string(&mut body, &artifact.manifest.id);
         body.push_str(&format!(",\"count\":{},\"per_site_energy\":[", preds.len()));
         for (i, p) in preds.iter().enumerate() {
@@ -552,7 +560,8 @@ fn requested_temperatures(v: &JsonValue) -> Result<Vec<f64>, Response> {
 /// shortest-round-trip form, so a client parsing them with a correct
 /// `f64` parser recovers the exact bits `canonical_curve` produced.
 fn thermo_body(id: &str, curve: &[ThermoPoint]) -> String {
-    let mut body = String::from("{\"artifact\":");
+    let mut body = String::with_capacity(128 + id.len() + 5 * curve.len() * MAX_NUMBER_BYTES);
+    body.push_str("{\"artifact\":");
     push_json_string(&mut body, id);
     body.push_str(",\"kb_ev_per_k\":");
     push_f64(&mut body, KB_EV_PER_K);
@@ -694,6 +703,36 @@ mod tests {
         assert_eq!(header(&other, "x-cache"), Some("miss"));
         assert_eq!(st.metrics.counter("thermo_cache_hits").get(), 1);
         assert_eq!(st.metrics.counter("thermo_cache_misses").get(), 2);
+    }
+
+    #[test]
+    fn cache_key_is_the_exact_grid_however_it_was_spelled() {
+        let st = state();
+        let generated = st.handle(&post(
+            "/v1/thermo",
+            "{\"artifact\":\"fixture-api\",\"t_min\":300,\"t_max\":3000,\"num_t\":17}",
+        ));
+        assert_eq!(header(&generated, "x-cache"), Some("miss"));
+        let explicit = |temps: &[f64]| {
+            let list: Vec<String> = temps.iter().map(|t| format!("{t}")).collect();
+            post(
+                "/v1/thermo",
+                &format!(
+                    "{{\"artifact\":\"fixture-api\",\"temperatures\":[{}]}}",
+                    list.join(",")
+                ),
+            )
+        };
+        // The same numbers sent as a list are the same entry...
+        let mut temps = dt_thermo::try_temperature_grid(300.0, 3000.0, 17).unwrap();
+        let listed = st.handle(&explicit(&temps));
+        assert_eq!(header(&listed, "x-cache"), Some("hit"));
+        assert_eq!(listed.body, generated.body);
+        // ...and one ulp on one of them is another.
+        temps[8] = f64::from_bits(temps[8].to_bits() + 1);
+        let nudged = st.handle(&explicit(&temps));
+        assert_eq!(header(&nudged, "x-cache"), Some("miss"));
+        assert_ne!(nudged.body, generated.body);
     }
 
     #[test]

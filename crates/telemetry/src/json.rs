@@ -34,11 +34,12 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Write `v` as a JSON number (JSON has no NaN/Infinity; they become 0).
+/// Write `v` as a JSON number: the bytes of Rust's `{:e}` (shortest
+/// digits that round-trip, exact ties rounded up), produced on the
+/// stack. JSON has no NaN/Infinity; they become 0.
 pub fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        let s = format!("{v:e}");
-        out.push_str(&s);
+        out.push_str(crate::ryu::format_exp(v, &mut [0; 32]));
     } else {
         out.push('0');
     }
@@ -352,15 +353,21 @@ fn string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 })
             }
             _ => {
-                // Input is &str, so multi-byte UTF-8 runs are valid;
-                // copy the whole scalar in one step.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| JsonError {
+                // Copy the whole run of plain characters in one step.
+                // It ends at the next quote, backslash or control byte
+                // — all ASCII, so on a character boundary of the &str
+                // this came from.
+                let rest = &bytes[*pos..];
+                let end = rest
+                    .iter()
+                    .position(|b| matches!(b, b'"' | b'\\' | 0x00..=0x1f))
+                    .unwrap_or(rest.len());
+                let run = std::str::from_utf8(&rest[..end]).map_err(|_| JsonError {
                     at: *pos,
                     expected: "valid UTF-8",
                 })?;
-                let c = rest.chars().next().expect("non-empty by loop guard");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos += run.len();
             }
         }
     }
@@ -531,6 +538,111 @@ mod tests {
         // Lone high surrogate must be rejected.
         assert!(parse_json(r#""\ud83d""#).is_err());
         assert!(parse_json(r#""\ud83dA""#).is_err());
+    }
+
+    /// The string scanner as it was before it copied runs whole: one
+    /// scalar per step. Kept as the reference the run-copying scanner
+    /// must agree with, values and error offsets alike.
+    fn reference_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+        let bytes = text.as_bytes();
+        let err = |at: usize, expected: &'static str| Err(JsonError { at, expected });
+        if bytes.get(*pos) != Some(&b'"') {
+            return err(*pos, "'\"' to open a string");
+        }
+        *pos += 1;
+        let mut out = String::new();
+        while let Some(&b) = bytes.get(*pos) {
+            match b {
+                b'"' => {
+                    *pos += 1;
+                    return Ok(out);
+                }
+                b'\\' => {
+                    *pos += 1;
+                    let simple = match bytes.get(*pos) {
+                        Some(b'"') => Some('"'),
+                        Some(b'\\') => Some('\\'),
+                        Some(b'/') => Some('/'),
+                        Some(b'b') => Some('\u{0008}'),
+                        Some(b'f') => Some('\u{000c}'),
+                        Some(b'n') => Some('\n'),
+                        Some(b'r') => Some('\r'),
+                        Some(b't') => Some('\t'),
+                        Some(b'u') => None,
+                        _ => return err(*pos, "a valid escape character"),
+                    };
+                    *pos += 1;
+                    if let Some(c) = simple {
+                        out.push(c);
+                        continue;
+                    }
+                    let hi = hex4(bytes, pos)?;
+                    let c = if !(0xd800..0xdc00).contains(&hi) {
+                        char::from_u32(hi)
+                    } else if bytes[*pos..].starts_with(b"\\u") {
+                        *pos += 2;
+                        let lo = hex4(bytes, pos)?;
+                        if !(0xdc00..0xe000).contains(&lo) {
+                            return err(*pos, "a low surrogate after a high surrogate");
+                        }
+                        char::from_u32(0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00))
+                    } else {
+                        None
+                    };
+                    match c {
+                        Some(c) => out.push(c),
+                        None => return err(*pos, "a valid unicode escape"),
+                    }
+                }
+                0x00..=0x1f => return err(*pos, "no raw control characters in string"),
+                _ => {
+                    let c = text[*pos..].chars().next().expect("loop guard");
+                    out.push(c);
+                    *pos += c.len_utf8();
+                }
+            }
+        }
+        err(*pos, "'\"' to close a string")
+    }
+
+    #[test]
+    fn run_copying_scanner_agrees_with_the_char_by_char_reference() {
+        // Pieces of string-literal source: plain runs, 2/3/4-byte
+        // scalars, every escape, \u in the BMP, surrogate pairs, and
+        // the malformed kinds (bad escape, short \u, lone or mispaired
+        // surrogates).
+        let pieces: Vec<&str> = r#"a plain-run é ß € 😀 𝄞 \" \\ \/ \b \f \n \r \t \u00e9 \u20AC
+            \ud83d\ude00 \uD834\uDD1E \x \u12 \ud83d \ud83dA \ud83d\u0041 \ude00"#
+            .split_whitespace()
+            .collect();
+        let agree = |text: &str| {
+            let (mut new_pos, mut ref_pos) = (0, 0);
+            let new = string(text.as_bytes(), &mut new_pos);
+            let reference = reference_string(text, &mut ref_pos);
+            assert_eq!(new, reference, "{text:?}");
+            if new.is_ok() {
+                assert_eq!(new_pos, ref_pos, "{text:?}");
+            }
+        };
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..2000 {
+            let mut literal = String::from("\"");
+            for _ in 0..1 + state % 7 {
+                // xorshift64: any spread over the pieces will do.
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                literal.push_str(pieces[(state % pieces.len() as u64) as usize]);
+            }
+            literal.push_str("\" tail");
+            agree(&literal);
+            // A raw control byte before every character, and the
+            // literal cut short at every character.
+            for (at, _) in literal.char_indices() {
+                agree(&format!("{}\u{1}{}", &literal[..at], &literal[at..]));
+                agree(&literal[..at]);
+            }
+        }
     }
 
     #[test]

@@ -44,6 +44,7 @@
 pub mod json;
 pub mod registry;
 pub mod report;
+mod ryu;
 pub mod span;
 
 pub use json::{parse_json, push_f64, push_json_string, validate_json, JsonError, JsonValue};
