@@ -96,8 +96,7 @@ impl MetropolisSampler {
             apply_move(&mut self.config, &proposal.mv);
             self.energy += delta;
         }
-        let name = self.kernel.last_kernel_name().to_string();
-        self.stats.record(&name, accepted);
+        self.stats.record(self.kernel.last_kernel_name(), accepted);
         accepted
     }
 

@@ -27,9 +27,8 @@
 //! log-probabilities, surrogate batch prediction — build all rows and run
 //! one k-row pass through [`crate::Mlp::forward_into`]. Genuinely
 //! autoregressive decoding (sampling step t+1 needs the species drawn at
-//! step t) cannot batch across *sites*, but walkers sharing a network
-//! decode in lockstep so each step is still one W-row pass; only a lone
-//! walker ever runs batch-1, and even there the scratch removes all
+//! step t) cannot batch across *sites* and runs batch-1 — one walker per
+//! rank, one decode per proposal — where the scratch still removes all
 //! per-step allocation.
 
 use crate::layer::Activation;

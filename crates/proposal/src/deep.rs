@@ -36,7 +36,7 @@ use dt_nn::{log_softmax_masked_into, sample_categorical, Activation, ForwardScra
 use dt_telemetry::{Phase, Telemetry};
 use rand::Rng;
 
-use crate::kinds::{Proposal, ProposalContext, ProposalKernel, ProposalSlot, ProposedMove};
+use crate::kinds::{Proposal, ProposalContext, ProposalKernel, ProposedMove};
 use crate::local::sample_distinct_sites;
 
 /// Describes the feature vector consumed by the proposal network.
@@ -121,78 +121,17 @@ impl Default for DeepProposalConfig {
     }
 }
 
-/// Flattened per-walker scratch for the lockstep multi-walker decoder
-/// ([`ProposalKernel::propose_batch`] on [`DeepProposal`]). All buffers
-/// are walker-major and grow-only, so a warmed kernel decodes any batch
-/// up to the warmed width without touching the allocator.
-#[derive(Debug, Clone, Default)]
-struct LockstepLanes {
-    /// Selected sites, `W × k`.
-    sites: Vec<SiteId>,
-    /// Working species arrays, `W × n`.
-    work: Vec<Species>,
-    /// Decided flags, `W × n`.
-    decided: Vec<bool>,
-    /// Remaining multiset budgets, `W × m`.
-    remaining: Vec<usize>,
-    /// Species sampled by the forward decode, `W × k`.
-    new_species: Vec<Species>,
-    /// Old species on the selected sites, `W × k`.
-    old_species: Vec<Species>,
-    /// Accumulated forward log-probabilities, `W`.
-    log_q_forward: Vec<f64>,
-    /// One decode step's feature rows, `W × dim`.
-    step_feat: Vec<f64>,
-}
-
-impl LockstepLanes {
-    /// Grow every lane for `w` walkers on an `n`-site lattice (`k` sites
-    /// per move, `m` species, `dim` features). Grow-only; a no-op once
-    /// warmed.
-    fn reserve(&mut self, w: usize, n: usize, k: usize, m: usize, dim: usize) {
-        if self.sites.len() < w * k {
-            self.sites.resize(w * k, 0);
-        }
-        if self.work.len() < w * n {
-            self.work.resize(w * n, Species(0));
-        }
-        if self.decided.len() < w * n {
-            self.decided.resize(w * n, true);
-        }
-        if self.remaining.len() < w * m {
-            self.remaining.resize(w * m, 0);
-        }
-        if self.new_species.len() < w * k {
-            self.new_species.resize(w * k, Species(0));
-        }
-        if self.old_species.len() < w * k {
-            self.old_species.resize(w * k, Species(0));
-        }
-        if self.log_q_forward.len() < w {
-            self.log_q_forward.resize(w, 0.0);
-        }
-        if self.step_feat.len() < w * dim {
-            self.step_feat.resize(w * dim, 0.0);
-        }
-    }
-}
-
 /// The deep autoregressive proposal kernel.
 ///
 /// All inference runs on the batched engine in `dt-nn`. The forward
 /// decode is genuinely autoregressive (each step's context depends on the
-/// previous step's sampled species), so a single walker decodes batch-1
-/// out of a reused [`ForwardScratch`] — but across a batch of walkers
-/// ([`ProposalKernel::propose_batch`]) the decode runs in **lockstep**:
-/// every walker's step-`t` context row is built, the shared network runs
-/// once as a W-row matmul, and each walker samples its species from its
-/// own RNG stream in ascending slot order. Teacher-forced replay — the
-/// reverse log-probability and [`DeepProposal::log_prob_of_reassignment`]
-/// — knows every context row upfront and runs **one (W·k)-row forward**.
-/// Both are bit-identical to the batch-1 path because the engine's
-/// per-row accumulation order is batch-size-independent and each slot's
-/// randomness comes from its own stream. After warm-up a proposal
-/// allocates only its returned move lists.
+/// previous step's sampled species), so it decodes batch-1 out of a
+/// reused [`ForwardScratch`]. Teacher-forced replay — the reverse
+/// log-probability and [`DeepProposal::log_prob_of_reassignment`] — knows
+/// every context row upfront and runs **one k-row forward**, bit-identical
+/// to k batch-1 passes because the engine's per-row accumulation order is
+/// batch-size-independent. After warm-up a proposal allocates only its
+/// returned move list.
 #[derive(Debug, Clone)]
 pub struct DeepProposal {
     net: Mlp,
@@ -222,10 +161,6 @@ pub struct DeepProposal {
     new_species: Vec<Species>,
     /// Old species on the selected sites (`k`), for reverse replay.
     old_species: Vec<Species>,
-    /// Per-walker lanes for the lockstep multi-walker decoder.
-    lanes: LockstepLanes,
-    /// Achieved batch width of the most recent call.
-    last_batch_rows: usize,
 }
 
 impl DeepProposal {
@@ -279,25 +214,13 @@ impl DeepProposal {
             site_buf: Vec::new(),
             decided: Vec::new(),
             work: Vec::new(),
-            lanes: LockstepLanes::default(),
-            last_batch_rows: 1,
         }
     }
 
     /// Pre-size every internal buffer for a system of `num_sites` sites so
     /// the first proposal is already steady-state (no warm-up
-    /// allocations). Drivers call this once per rank before sampling;
-    /// equivalent to [`DeepProposal::warm_up_for`] with a single walker.
+    /// allocations). Drivers call this once per rank before sampling.
     pub fn warm_up(&mut self, num_sites: usize) {
-        self.warm_up_for(num_sites, 1);
-    }
-
-    /// Pre-size every internal buffer — including the lockstep lanes —
-    /// for batches of up to `walkers` walkers on a `num_sites` lattice,
-    /// so the first [`ProposalKernel::propose_batch`] call is already
-    /// steady-state.
-    pub fn warm_up_for(&mut self, num_sites: usize, walkers: usize) {
-        let w = walkers.max(1);
         let k = self.k.min(num_sites);
         let dim = self.layout.dim();
         let m = self.layout.num_species;
@@ -306,16 +229,15 @@ impl DeepProposal {
             self.decided.resize(num_sites, true);
         }
         self.work.reserve(num_sites);
-        if self.batch_feat.len() < w * k * dim {
-            self.batch_feat.resize(w * k * dim, 0.0);
+        if self.batch_feat.len() < k * dim {
+            self.batch_feat.resize(k * dim, 0.0);
         }
-        if self.batch_mask.len() < w * k * m {
-            self.batch_mask.resize(w * k * m, false);
+        if self.batch_mask.len() < k * m {
+            self.batch_mask.resize(k * m, false);
         }
         self.new_species.reserve(k);
         self.old_species.reserve(k);
-        self.lanes.reserve(w, num_sites, k, m, dim);
-        self.scratch.reserve(&self.net, w * k);
+        self.scratch.reserve(&self.net, k);
     }
 
     /// Attach a telemetry handle; each proposal records one
@@ -328,12 +250,6 @@ impl DeepProposal {
     /// Sites updated per proposal.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// Change the update size.
-    pub fn set_k(&mut self, k: usize) {
-        assert!(k >= 2);
-        self.k = k;
     }
 
     /// The feature layout.
@@ -349,13 +265,6 @@ impl DeepProposal {
     /// Mutable access for training.
     pub fn net_mut(&mut self) -> &mut Mlp {
         &mut self.net
-    }
-
-    /// Replace the network (e.g. after a broadcast of retrained weights).
-    pub fn set_net(&mut self, net: Mlp) {
-        assert_eq!(net.in_dim(), self.layout.dim());
-        assert_eq!(net.out_dim(), self.layout.num_species);
-        self.net = net;
     }
 
     /// Exact log-probability that, starting from `config`, the constrained
@@ -571,7 +480,6 @@ impl ProposalKernel for DeepProposal {
             .zip(self.new_species.iter().copied())
             .collect();
         self.site_buf = sites;
-        self.last_batch_rows = 1;
         Proposal {
             mv: ProposedMove::Reassign { moves },
             log_q_forward,
@@ -579,198 +487,8 @@ impl ProposalKernel for DeepProposal {
         }
     }
 
-    /// The lockstep multi-walker decoder: one W-row forward per decode
-    /// step, one (W·k)-row forward for every reverse replay, each slot's
-    /// randomness drawn from its own stream in ascending slot order —
-    /// bit-identical, slot for slot, to single-slot
-    /// [`ProposalKernel::propose`] calls.
-    ///
-    /// # Panics
-    /// Panics when the slots' configurations do not share a lattice size.
-    fn propose_batch(
-        &mut self,
-        slots: &mut [ProposalSlot<'_>],
-        ctx: &ProposalContext<'_>,
-        out: &mut Vec<Proposal>,
-    ) {
-        out.clear();
-        let w = slots.len();
-        if w == 0 {
-            self.last_batch_rows = 0;
-            return;
-        }
-        let n = slots[0].config.num_sites();
-        assert!(
-            slots.iter().all(|s| s.config.num_sites() == n),
-            "lockstep decode needs a shared lattice across slots"
-        );
-        let k = self.k.min(n);
-        let m = self.layout.num_species;
-        let dim = self.layout.dim();
-        self.last_batch_rows = w;
-
-        // Clone the handle so the span's borrow does not pin `self`.
-        let tel = self.tel.clone();
-        let _span = tel.span(Phase::Inference);
-
-        // Grow-only; a no-op once warmed via `warm_up_for`.
-        self.lanes.reserve(w, n, k, m, dim);
-        if self.batch_feat.len() < w * k * dim {
-            self.batch_feat.resize(w * k * dim, 0.0);
-        }
-        if self.batch_mask.len() < w * k * m {
-            self.batch_mask.resize(w * k * m, false);
-        }
-
-        // --- Per-slot site selection and lane initialization, slot order.
-        // Each slot's draws match a single-slot `propose` exactly.
-        for (i, slot) in slots.iter_mut().enumerate() {
-            let mut sites = std::mem::take(&mut self.site_buf);
-            sample_distinct_sites(n, k, &mut sites, slot.rng);
-            self.lanes.sites[i * k..(i + 1) * k].copy_from_slice(&sites);
-            self.site_buf = sites;
-            self.lanes.work[i * n..(i + 1) * n].copy_from_slice(slot.config.species());
-            self.lanes.decided[i * n..(i + 1) * n].fill(true);
-            self.lanes.remaining[i * m..(i + 1) * m].fill(0);
-            for t in 0..k {
-                let site = self.lanes.sites[i * k + t];
-                let old = slot.config.species_at(site);
-                self.lanes.decided[i * n + site as usize] = false;
-                self.lanes.old_species[i * k + t] = old;
-                self.lanes.remaining[i * m + old.index()] += 1;
-            }
-            self.lanes.log_q_forward[i] = 0.0;
-        }
-
-        // --- Lockstep forward decode: each step builds every walker's
-        // context row, runs ONE W-row forward, then samples per walker in
-        // slot order from that walker's own stream.
-        let layout = self.layout;
-        for t in 0..k {
-            {
-                let lanes = &mut self.lanes;
-                for i in 0..w {
-                    layout.fill(
-                        &mut lanes.step_feat[i * dim..(i + 1) * dim],
-                        lanes.sites[i * k + t],
-                        ctx.neighbors,
-                        &lanes.work[i * n..(i + 1) * n],
-                        &lanes.decided[i * n..(i + 1) * n],
-                        &lanes.remaining[i * m..(i + 1) * m],
-                        k - t,
-                        t as f64 / k as f64,
-                    );
-                }
-            }
-            let logits =
-                self.net
-                    .forward_into(&self.lanes.step_feat[..w * dim], w, &mut self.scratch);
-            for (i, slot) in slots.iter_mut().enumerate() {
-                self.mask.clear();
-                self.mask.extend(
-                    self.lanes.remaining[i * m..(i + 1) * m]
-                        .iter()
-                        .map(|&r| r > 0),
-                );
-                log_softmax_masked_into(
-                    &logits[i * m..(i + 1) * m],
-                    Some(&self.mask),
-                    &mut self.logp,
-                );
-                let (chosen, lp) = sample_categorical(&self.logp, slot.rng);
-                let s = Species(chosen as u8);
-                let site = self.lanes.sites[i * k + t];
-                self.lanes.log_q_forward[i] += lp;
-                self.lanes.remaining[i * m + chosen] -= 1;
-                self.lanes.new_species[i * k + t] = s;
-                self.lanes.work[i * n + site as usize] = s;
-                self.lanes.decided[i * n + site as usize] = true;
-            }
-        }
-
-        // --- Batched reverse replay: contexts are the *original*
-        // configurations (decoded selected sites carry the old species),
-        // and every target is known upfront — so all W·k rows run as ONE
-        // forward.
-        for (i, slot) in slots.iter().enumerate() {
-            self.lanes.work[i * n..(i + 1) * n].copy_from_slice(slot.config.species());
-            self.lanes.decided[i * n..(i + 1) * n].fill(true);
-            self.lanes.remaining[i * m..(i + 1) * m].fill(0);
-            for t in 0..k {
-                let site = self.lanes.sites[i * k + t];
-                self.lanes.decided[i * n + site as usize] = false;
-                self.lanes.remaining[i * m + self.lanes.old_species[i * k + t].index()] += 1;
-            }
-        }
-        {
-            let lanes = &mut self.lanes;
-            let batch_feat = &mut self.batch_feat;
-            let batch_mask = &mut self.batch_mask;
-            for i in 0..w {
-                for t in 0..k {
-                    let row = i * k + t;
-                    let site = lanes.sites[i * k + t];
-                    layout.fill(
-                        &mut batch_feat[row * dim..(row + 1) * dim],
-                        site,
-                        ctx.neighbors,
-                        &lanes.work[i * n..(i + 1) * n],
-                        &lanes.decided[i * n..(i + 1) * n],
-                        &lanes.remaining[i * m..(i + 1) * m],
-                        k - t,
-                        t as f64 / k as f64,
-                    );
-                    for (allowed, &r) in batch_mask[row * m..(row + 1) * m]
-                        .iter_mut()
-                        .zip(&lanes.remaining[i * m..(i + 1) * m])
-                    {
-                        *allowed = r > 0;
-                    }
-                    let target = lanes.old_species[i * k + t];
-                    lanes.remaining[i * m + target.index()] -= 1;
-                    lanes.work[i * n + site as usize] = target;
-                    lanes.decided[i * n + site as usize] = true;
-                }
-            }
-        }
-        let logits =
-            self.net
-                .forward_into(&self.batch_feat[..w * k * dim], w * k, &mut self.scratch);
-        out.reserve(w);
-        for i in 0..w {
-            let mut log_q_reverse = 0.0;
-            for t in 0..k {
-                let row = i * k + t;
-                log_softmax_masked_into(
-                    &logits[row * m..(row + 1) * m],
-                    Some(&self.batch_mask[row * m..(row + 1) * m]),
-                    &mut self.logp,
-                );
-                log_q_reverse += self.logp[self.lanes.old_species[i * k + t].index()];
-            }
-            let moves: Vec<(SiteId, Species)> = self.lanes.sites[i * k..(i + 1) * k]
-                .iter()
-                .copied()
-                .zip(self.lanes.new_species[i * k..(i + 1) * k].iter().copied())
-                .collect();
-            out.push(Proposal {
-                mv: ProposedMove::Reassign { moves },
-                log_q_forward: self.lanes.log_q_forward[i],
-                log_q_reverse,
-            });
-        }
-    }
-
     fn name(&self) -> &str {
         "deep-autoregressive"
-    }
-
-    fn last_batch_rows(&self) -> usize {
-        self.last_batch_rows
-    }
-
-    fn typical_update_size(&self) -> usize {
-        self.k
     }
 }
 

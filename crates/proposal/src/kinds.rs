@@ -22,16 +22,6 @@ pub enum ProposedMove {
     },
 }
 
-impl ProposedMove {
-    /// Number of sites whose species may change.
-    pub fn touched_sites(&self) -> usize {
-        match self {
-            ProposedMove::Swap { .. } => 2,
-            ProposedMove::Reassign { moves } => moves.len(),
-        }
-    }
-}
-
 /// A proposed move together with the log proposal probabilities needed for
 /// the Metropolis–Hastings correction:
 /// `A = min(1, [π(x') q(x|x')] / [π(x) q(x'|x)])`.
@@ -64,14 +54,8 @@ pub struct ProposalContext<'a> {
     pub composition: &'a Composition,
 }
 
-/// One walker's view of a batched proposal call: its configuration and
-/// its private RNG stream.
-///
-/// Kernels must draw each slot's randomness from that slot's own stream
-/// only, visiting slots in ascending order, so a batched call consumes
-/// every per-walker stream exactly as `slots.len()` sequential
-/// [`ProposalKernel::propose`] calls would — this is what makes batched
-/// decoding bit-identical to batch-1.
+/// One configuration and its private RNG stream: the argument of
+/// [`ProposalKernel::propose_batch`].
 pub struct ProposalSlot<'a> {
     /// The walker's current configuration.
     pub config: &'a Configuration,
@@ -81,24 +65,15 @@ pub struct ProposalSlot<'a> {
 
 /// A Monte Carlo proposal kernel.
 ///
-/// The engine surface is **batch-first**: drivers hand the kernel one
-/// [`ProposalSlot`] per walker and call
-/// [`ProposalKernel::propose_batch`], which lets kernels that run a
-/// shared network (the deep autoregressive proposal) decode every walker
-/// in lockstep — one W-row matmul per decode step instead of W row
-/// products. Kernels with no cross-walker structure implement only the
-/// single-slot [`ProposalKernel::propose`]; the default `propose_batch`
-/// adapter loops it over the slots in order, so the two surfaces are
-/// always bit-identical.
+/// The engines (`WlWalker::step`, `MetropolisSampler::step`) call
+/// [`ProposalKernel::propose`]: one walker per rank, one proposal per
+/// step, drawn from that walker's RNG stream.
 ///
 /// Kernels may keep internal scratch buffers (hence `&mut self`) but must
 /// not carry statistical state between proposals: each call must be a
-/// valid draw from `q(·|x)` for the current configuration `x`. That
-/// statelessness is also what makes sharing one kernel instance across a
-/// batch of walkers semantically valid.
+/// valid draw from `q(·|x)` for the current configuration `x`.
 pub trait ProposalKernel: Send {
-    /// Draw a proposed move from the current configuration (single-slot
-    /// path; the engines call [`ProposalKernel::propose_batch`]).
+    /// Draw a proposed move from the current configuration.
     fn propose(
         &mut self,
         config: &Configuration,
@@ -106,14 +81,11 @@ pub trait ProposalKernel: Send {
         rng: &mut dyn Rng,
     ) -> Proposal;
 
-    /// Draw one proposal per slot, appended to `out` in slot order
-    /// (`out` is cleared first; it is a caller-owned buffer so steady
-    /// state reuses its allocation).
-    ///
-    /// The default adapter loops [`ProposalKernel::propose`] over the
-    /// slots; batching kernels override it. Either way slot `i`'s
-    /// proposal must be bit-identical to a single-slot `propose` call on
-    /// slot `i`'s configuration and RNG stream.
+    /// Adapter: [`ProposalKernel::propose`] once per slot, in slot order,
+    /// each from its slot's own stream, the proposals appended to `out`
+    /// (cleared first). No engine calls it and no kernel overrides it; it
+    /// stays because the frozen benchmark's proposal probe times its
+    /// kernels through it with one slot.
     fn propose_batch(
         &mut self,
         slots: &mut [ProposalSlot<'_>],
@@ -136,28 +108,6 @@ pub trait ProposalKernel: Send {
     fn last_kernel_name(&self) -> &str {
         self.name()
     }
-
-    /// Name of the sub-kernel that produced slot `slot` of the most
-    /// recent batch, for per-component acceptance attribution. Plain
-    /// kernels answer every slot with
-    /// [`ProposalKernel::last_kernel_name`]; mixtures override this with
-    /// the per-slot component draw.
-    fn batch_kernel_name(&self, slot: usize) -> &str {
-        let _ = slot;
-        self.last_kernel_name()
-    }
-
-    /// Rows actually decoded together in the most recent call — the
-    /// achieved batch size, exported as the `proposal_batch_rows`
-    /// telemetry gauge so degraded batching is visible. Kernels that
-    /// decode row-at-a-time (including the default `propose_batch`
-    /// adapter) report 1.
-    fn last_batch_rows(&self) -> usize {
-        1
-    }
-
-    /// Number of sites a typical proposal updates (for cost models).
-    fn typical_update_size(&self) -> usize;
 }
 
 /// Apply a move to a configuration.
@@ -249,6 +199,5 @@ mod tests {
             log_q_reverse: -3.0,
         };
         assert_eq!(p.log_q_ratio(), -1.0);
-        assert_eq!(p.mv.touched_sites(), 2);
     }
 }

@@ -52,10 +52,6 @@ impl ProposalKernel for LocalSwap {
     fn name(&self) -> &str {
         "local-swap"
     }
-
-    fn typical_update_size(&self) -> usize {
-        2
-    }
 }
 
 /// Nearest-neighbor swap: exchange a site with one of its first-shell
@@ -103,10 +99,6 @@ impl ProposalKernel for NeighborSwap {
 
     fn name(&self) -> &str {
         "neighbor-swap"
-    }
-
-    fn typical_update_size(&self) -> usize {
-        2
     }
 }
 
@@ -192,10 +184,6 @@ impl ProposalKernel for RandomReassign {
 
     fn name(&self) -> &str {
         "random-reassign"
-    }
-
-    fn typical_update_size(&self) -> usize {
-        self.k
     }
 }
 

@@ -8,30 +8,17 @@
 use dt_lattice::Configuration;
 use rand::{Rng, RngExt};
 
-use crate::kinds::{Proposal, ProposalContext, ProposalKernel, ProposalSlot};
+use crate::kinds::{Proposal, ProposalContext, ProposalKernel};
 
-/// A state-independent mixture of proposal kernels.
-///
-/// Batched calls are dispatched **grouped**: each slot first draws its
-/// component from its own RNG stream (the same draw the single-slot path
-/// makes), then every component receives its slots as one sub-batch in
-/// ascending slot order — so a deep component still decodes its share of
-/// the walkers in lockstep, and every slot's result is bit-identical to
-/// the single-slot path.
+/// A state-independent mixture of proposal kernels: each proposal first
+/// draws its component from the caller's RNG stream, then the component
+/// draws the move from the same stream.
 pub struct ProposalMix {
     kernels: Vec<(Box<dyn ProposalKernel>, f64)>,
     cumulative: Vec<f64>,
     /// Index of the kernel used for the most recent proposal.
     last_used: usize,
     name: String,
-    /// Per-slot component draws of the most recent batch.
-    picks: Vec<usize>,
-    /// Scatter buffer: slot-ordered results assembled from sub-batches.
-    staged: Vec<Option<Proposal>>,
-    /// Reused output buffer for component sub-batches.
-    sub_out: Vec<Proposal>,
-    /// Largest sub-batch handed to any component in the last call.
-    last_batch_rows: usize,
 }
 
 impl ProposalMix {
@@ -66,10 +53,6 @@ impl ProposalMix {
             cumulative,
             last_used: 0,
             name,
-            picks: Vec::new(),
-            staged: Vec::new(),
-            sub_out: Vec::new(),
-            last_batch_rows: 1,
         }
     }
 
@@ -79,31 +62,6 @@ impl ProposalMix {
             .iter()
             .position(|&c| u < c)
             .unwrap_or(self.kernels.len() - 1)
-    }
-
-    /// Number of component kernels.
-    pub fn len(&self) -> usize {
-        self.kernels.len()
-    }
-
-    /// True when the mixture has no kernels (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
-    }
-
-    /// Name of the kernel used for the most recent proposal.
-    pub fn last_kernel_name(&self) -> &str {
-        self.kernels[self.last_used].0.name()
-    }
-
-    /// Index of the kernel used for the most recent proposal.
-    pub fn last_kernel_index(&self) -> usize {
-        self.last_used
-    }
-
-    /// Mutable access to a component kernel (e.g. to retrain a deep one).
-    pub fn kernel_mut(&mut self, idx: usize) -> &mut dyn ProposalKernel {
-        &mut *self.kernels[idx].0
     }
 }
 
@@ -117,77 +75,7 @@ impl ProposalKernel for ProposalMix {
         let u: f64 = rng.random();
         let idx = self.pick(u);
         self.last_used = idx;
-        self.picks.clear();
-        self.picks.push(idx);
-        self.last_batch_rows = 1;
         self.kernels[idx].0.propose(config, ctx, rng)
-    }
-
-    fn propose_batch(
-        &mut self,
-        slots: &mut [ProposalSlot<'_>],
-        ctx: &ProposalContext<'_>,
-        out: &mut Vec<Proposal>,
-    ) {
-        out.clear();
-        let w = slots.len();
-        if w == 0 {
-            self.picks.clear();
-            self.last_batch_rows = 0;
-            return;
-        }
-        // Phase 1: every slot draws its component from its own stream, in
-        // slot order — exactly the draw the single-slot path makes.
-        self.picks.clear();
-        for slot in slots.iter_mut() {
-            let u: f64 = slot.rng.random();
-            let idx = self.pick(u);
-            self.picks.push(idx);
-        }
-        self.last_used = *self.picks.last().expect("w > 0");
-
-        // Phase 2: grouped dispatch — each component gets its slots as one
-        // sub-batch (ascending slot order preserved), then results scatter
-        // back into slot order.
-        self.staged.clear();
-        self.staged.resize_with(w, || None);
-        let picks = std::mem::take(&mut self.picks);
-        let mut max_group = 0usize;
-        for c in 0..self.kernels.len() {
-            let count = picks.iter().filter(|&&p| p == c).count();
-            if count == 0 {
-                continue;
-            }
-            max_group = max_group.max(count);
-            let mut group: Vec<ProposalSlot<'_>> = Vec::with_capacity(count);
-            for (slot, &p) in slots.iter_mut().zip(&picks) {
-                if p == c {
-                    group.push(ProposalSlot {
-                        config: slot.config,
-                        rng: &mut *slot.rng,
-                    });
-                }
-            }
-            let mut sub = std::mem::take(&mut self.sub_out);
-            self.kernels[c].0.propose_batch(&mut group, ctx, &mut sub);
-            assert_eq!(sub.len(), count, "component produced a partial batch");
-            let mut drained = sub.drain(..);
-            for (i, &p) in picks.iter().enumerate() {
-                if p == c {
-                    self.staged[i] = Some(drained.next().expect("sub-batch length checked"));
-                }
-            }
-            drop(drained);
-            self.sub_out = sub;
-        }
-        self.picks = picks;
-        self.last_batch_rows = max_group;
-        out.reserve(w);
-        out.extend(
-            self.staged
-                .drain(..)
-                .map(|p| p.expect("every slot receives a proposal")),
-        );
     }
 
     fn name(&self) -> &str {
@@ -195,34 +83,7 @@ impl ProposalKernel for ProposalMix {
     }
 
     fn last_kernel_name(&self) -> &str {
-        // The inherent method (resolves explicitly to avoid any ambiguity
-        // with this trait method).
-        ProposalMix::last_kernel_name(self)
-    }
-
-    fn batch_kernel_name(&self, slot: usize) -> &str {
-        self.picks
-            .get(slot)
-            .map_or(&self.name, |&p| self.kernels[p].0.name())
-    }
-
-    fn last_batch_rows(&self) -> usize {
-        self.last_batch_rows
-    }
-
-    fn typical_update_size(&self) -> usize {
-        // Weighted mean update size, rounded up.
-        let total: f64 = self
-            .kernels
-            .iter()
-            .zip(&self.cumulative)
-            .scan(0.0, |prev, ((k, _), &c)| {
-                let w = c - *prev;
-                *prev = c;
-                Some(w * k.typical_update_size() as f64)
-            })
-            .sum();
-        total.ceil() as usize
+        self.kernels[self.last_used].0.name()
     }
 }
 
@@ -249,14 +110,16 @@ mod tests {
             (Box::new(LocalSwap::new()), 3.0),
             (Box::new(RandomReassign::new(4)), 1.0),
         ]);
-        let mut counts = [0usize; 2];
+        let mut local = 0usize;
         for _ in 0..4000 {
             let _ = mix.propose(&config, &ctx, &mut rng);
-            counts[mix.last_kernel_index()] += 1;
+            match mix.last_kernel_name() {
+                "local-swap" => local += 1,
+                other => assert_eq!(other, "random-reassign"),
+            }
         }
-        let frac = counts[0] as f64 / 4000.0;
+        let frac = local as f64 / 4000.0;
         assert!((frac - 0.75).abs() < 0.03, "local fraction {frac}");
-        assert_eq!(mix.len(), 2);
         assert_eq!(mix.name(), "local-swap+random-reassign");
     }
 
@@ -264,14 +127,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_weight_rejected() {
         let _ = ProposalMix::new(vec![(Box::new(LocalSwap::new()), 0.0)]);
-    }
-
-    #[test]
-    fn typical_update_size_is_weighted() {
-        let mix = ProposalMix::new(vec![
-            (Box::new(LocalSwap::new()), 1.0),
-            (Box::new(RandomReassign::new(10)), 1.0),
-        ]);
-        assert_eq!(mix.typical_update_size(), 6);
     }
 }

@@ -17,11 +17,7 @@ impl MoveStats {
 
     /// Record one proposal outcome for `kernel`.
     pub fn record(&mut self, kernel: &str, accepted: bool) {
-        let entry = self.counts.entry(kernel.to_string()).or_insert((0, 0));
-        entry.0 += 1;
-        if accepted {
-            entry.1 += 1;
-        }
+        self.record_n(kernel, 1, u64::from(accepted));
     }
 
     /// Record `proposed` proposals of which `accepted` were accepted, in
@@ -35,9 +31,14 @@ impl MoveStats {
             accepted <= proposed,
             "{kernel}: accepted {accepted} > proposed {proposed}"
         );
-        let entry = self.counts.entry(kernel.to_string()).or_insert((0, 0));
-        entry.0 += proposed;
-        entry.1 += accepted;
+        // Look up by `&str`: this runs once per Monte Carlo move, and a
+        // name is allocated only the first time it is seen.
+        if let Some(entry) = self.counts.get_mut(kernel) {
+            entry.0 += proposed;
+            entry.1 += accepted;
+        } else {
+            self.counts.insert(kernel.to_string(), (proposed, accepted));
+        }
     }
 
     /// `(proposed, accepted)` for a kernel, zero if unseen.

@@ -201,62 +201,13 @@ proptest! {
         prop_assert_eq!(changed, 2);
     }
 
-    /// The lockstep decoder is **bit-identical** to sequential batch-1:
-    /// `propose_batch` over W walkers must reproduce W independent
-    /// `propose` calls exactly — same moves, same forward/reverse log-q
-    /// bits, and each per-walker RNG left at the same stream position.
+    /// The provided `propose_batch` adapter — which the frozen benchmark's
+    /// proposal probe calls — over W slots of a local + random-reassign +
+    /// deep mixture equals W `propose` calls in slot order: same moves,
+    /// same forward/reverse log-q bits, and each slot's RNG left at the
+    /// same stream position.
     #[test]
-    fn lockstep_batch_is_bit_identical_to_sequential(
-        seed in any::<u64>(),
-        w in 1usize..6,
-        k in 2usize..8,
-    ) {
-        let (_, nt, comp) = fixture();
-        let ctx = ProposalContext { neighbors: &nt, composition: &comp };
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let configs: Vec<Configuration> =
-            (0..w).map(|_| Configuration::random(&comp, &mut rng)).collect();
-        let mut kern = DeepProposal::new(
-            4, 2, &DeepProposalConfig { k, hidden: vec![10] }, &mut rng);
-
-        // Identical per-walker RNG streams for both code paths.
-        let mut rngs_seq: Vec<ChaCha8Rng> =
-            (0..w as u64).map(|i| ChaCha8Rng::seed_from_u64(seed ^ (i + 1))).collect();
-        let mut rngs_batch = rngs_seq.clone();
-
-        let seq: Vec<Proposal> = configs
-            .iter()
-            .zip(&mut rngs_seq)
-            .map(|(c, r)| kern.propose(c, &ctx, r))
-            .collect();
-
-        let mut slots: Vec<ProposalSlot<'_>> = configs
-            .iter()
-            .zip(&mut rngs_batch)
-            .map(|(c, r)| ProposalSlot { config: c, rng: r })
-            .collect();
-        let mut out = Vec::new();
-        kern.propose_batch(&mut slots, &ctx, &mut out);
-        drop(slots);
-
-        prop_assert_eq!(out.len(), w);
-        prop_assert_eq!(kern.last_batch_rows(), w);
-        for (i, (b, s)) in out.iter().zip(&seq).enumerate() {
-            prop_assert_eq!(&b.mv, &s.mv, "moves diverge at slot {}", i);
-            prop_assert_eq!(b.log_q_forward.to_bits(), s.log_q_forward.to_bits());
-            prop_assert_eq!(b.log_q_reverse.to_bits(), s.log_q_reverse.to_bits());
-            prop_assert_eq!(
-                rngs_batch[i].get_word_pos(), rngs_seq[i].get_word_pos(),
-                "slot {} consumed a different number of RNG words", i
-            );
-        }
-    }
-
-    /// The mixture's grouped batch dispatch — component picks drawn per
-    /// slot, sub-batches routed to each kernel, results scattered back —
-    /// is bit-identical to sequential per-slot proposals too.
-    #[test]
-    fn mix_batch_is_bit_identical_to_sequential(seed in any::<u64>(), w in 1usize..7) {
+    fn mix_batch_is_bit_identical_to_sequential(seed in any::<u64>(), w in 1usize..6) {
         let (_, nt, comp) = fixture();
         let ctx = ProposalContext { neighbors: &nt, composition: &comp };
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -299,7 +250,10 @@ proptest! {
             prop_assert_eq!(&b.mv, &s.mv, "moves diverge at slot {}", i);
             prop_assert_eq!(b.log_q_forward.to_bits(), s.log_q_forward.to_bits());
             prop_assert_eq!(b.log_q_reverse.to_bits(), s.log_q_reverse.to_bits());
-            prop_assert_eq!(rngs_batch[i].get_word_pos(), rngs_seq[i].get_word_pos());
+            prop_assert_eq!(
+                rngs_batch[i].get_word_pos(), rngs_seq[i].get_word_pos(),
+                "slot {} consumed a different number of RNG words", i
+            );
         }
     }
 }

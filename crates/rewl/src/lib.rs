@@ -22,14 +22,12 @@
 //! with optional weight averaging across the walkers of a window
 //! (simulating the paper's NCCL/RCCL allreduce).
 //!
-//! Three drivers are provided:
+//! Two drivers are provided:
 //! * [`run_rewl`] — ranks on a [`dt_hpc::ThreadCluster`], full exchange
 //!   protocol over tagged messages (the faithful parallel implementation);
 //! * [`run_rewl_on`] — ONE rank of the same protocol on any
 //!   [`dt_hpc::Transport`] (the entry point for multi-process clusters,
-//!   e.g. TCP workers — see [`dt_hpc::TcpTransport`]);
-//! * [`run_windows_serial`] — windows run one after another without
-//!   exchange (a baseline and a debugging aid).
+//!   e.g. TCP workers — see [`dt_hpc::TcpTransport`]).
 //!
 //! The per-rank logic itself lives in `rank` (a phase state machine),
 //! [`exchange`] (the swap protocol and message tags), and `gather`
@@ -78,7 +76,6 @@ pub(crate) mod gather;
 pub mod merge;
 pub(crate) mod rank;
 pub mod rebalance;
-pub mod serial;
 pub mod spec;
 pub mod windows;
 pub mod wire;
@@ -94,7 +91,6 @@ pub use driver::{
 pub use exchange::{exchange_role, ExchangeRole};
 pub use merge::merge_windows;
 pub use rebalance::{plan_rebalance, Migration, RtSample};
-pub use serial::run_windows_serial;
 pub use spec::{DeepSpec, KernelSpec};
 pub use windows::WindowLayout;
 pub use wire::{GatherPiece, WireError};

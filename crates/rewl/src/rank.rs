@@ -30,7 +30,7 @@
 //! died with the victim, retransmit to) the returning peer.
 
 use dt_hamiltonian::EnergyModel;
-use dt_hpc::{rank_rng, Communicator, TrafficSnapshot, Transport};
+use dt_hpc::{rank_rng, Communicator, Transport};
 use dt_lattice::{sro::ordered_pair_counts, Composition, Configuration, NeighborTable};
 use dt_proposal::{
     DeepProposal, LocalSwap, ProposalContext, ProposalKernel, ProposalMix, ProposalTrainer,
@@ -59,25 +59,19 @@ use crate::wire::{self, GatherPiece};
 pub(crate) type RankReturn = (Option<Result<RewlOutput, RewlError>>, Option<RankTelemetry>);
 
 /// Per-rank deep-proposal state.
-pub(crate) struct DeepState {
-    pub(crate) deep: DeepProposal,
-    pub(crate) trainer: ProposalTrainer,
-    pub(crate) buffer: SampleBuffer,
-    pub(crate) spec: DeepSpec,
+struct DeepState {
+    deep: DeepProposal,
+    trainer: ProposalTrainer,
+    buffer: SampleBuffer,
+    spec: DeepSpec,
 }
 
 impl DeepState {
-    /// The retrain cadence, once for the REWL engine and the serial
-    /// baseline: on every `train_every_sweeps`-th sweep with a non-empty
-    /// buffer, run `epochs_per_round` epochs drawing site subsets from
-    /// the walker's own stream. Returns whether the network changed, i.e.
-    /// whether the walker's kernel must be rebuilt from it.
-    pub(crate) fn retrain(
-        &mut self,
-        sweeps: u64,
-        neighbors: &NeighborTable,
-        rng: &mut dyn rand::Rng,
-    ) -> bool {
+    /// The retrain cadence: on every `train_every_sweeps`-th sweep with a
+    /// non-empty buffer, run `epochs_per_round` epochs drawing site subsets
+    /// from the walker's own stream. Returns whether the network changed,
+    /// i.e. whether the walker's kernel must be rebuilt from it.
+    fn retrain(&mut self, sweeps: u64, neighbors: &NeighborTable, rng: &mut dyn rand::Rng) -> bool {
         if sweeps % self.spec.train_every_sweeps != 0 || self.buffer.is_empty() {
             return false;
         }
@@ -89,10 +83,7 @@ impl DeepState {
     }
 }
 
-pub(crate) fn build_kernel(
-    spec: &KernelSpec,
-    deep_state: &Option<DeepState>,
-) -> Box<dyn ProposalKernel> {
+fn build_kernel(spec: &KernelSpec, deep_state: &Option<DeepState>) -> Box<dyn ProposalKernel> {
     match spec {
         KernelSpec::LocalSwap => Box::new(LocalSwap::new()),
         KernelSpec::RandomGlobal { k, weight } => Box::new(ProposalMix::new(vec![
@@ -121,7 +112,7 @@ pub(crate) fn build_kernel(
 
 /// Build per-rank deep-proposal state (when the kernel spec asks for it),
 /// consuming setup RNG exactly as the walker-construction path expects.
-pub(crate) fn init_deep_state(
+fn init_deep_state(
     kernel: &KernelSpec,
     comp: &Composition,
     num_shells: usize,
@@ -151,7 +142,7 @@ pub(crate) fn init_deep_state(
 
 /// Directed pair probabilities `p_s(a,b)` of a configuration, written
 /// shell-major into `out` (`len = num_shells · m²`).
-pub(crate) fn fill_pair_probabilities(
+fn fill_pair_probabilities(
     config: &Configuration,
     neighbors: &NeighborTable,
     num_shells: usize,
@@ -168,73 +159,6 @@ pub(crate) fn fill_pair_probabilities(
             *o = c as f64 / total;
         }
     }
-}
-
-/// Snapshot one rank's telemetry, folding in the sampler's acceptance
-/// statistics, exchange counters, self-healing counters, and (on the
-/// cluster drivers) the transport's message-traffic counters. Returns
-/// `None` when disabled.
-pub(crate) fn snapshot_rank_telemetry(
-    tel: &Telemetry,
-    rank: usize,
-    walker: &WlWalker,
-    [exchange_attempts, exchange_accepted, sweeps]: [u64; 3],
-    [respawns, rejoin_duration_ns, heartbeat_misses]: [u64; 3],
-    [round_trips, round_trip_ns, walkers_rebalanced]: [u64; 3],
-    traffic: Option<TrafficSnapshot>,
-) -> Option<RankTelemetry> {
-    if !tel.is_enabled() {
-        return None;
-    }
-    tel.set_gauge("ln_f", walker.ln_f());
-    // Achieved proposal-decode batch width: 1 on cluster ranks (one
-    // walker per rank today), W under a lockstep multi-walker sweep — a
-    // degraded value flags batching lost to e.g. a dead walker.
-    tel.set_gauge(
-        "proposal_batch_rows",
-        walker.kernel().last_batch_rows() as f64,
-    );
-    let mut snap = tel.snapshot(rank);
-    for (name, proposed, accepted) in walker.stats().iter() {
-        snap.counters.push((format!("proposed_{name}"), proposed));
-        snap.counters.push((format!("accepted_{name}"), accepted));
-    }
-    snap.counters
-        .push(("exchange_attempts".into(), exchange_attempts));
-    snap.counters
-        .push(("exchange_accepted".into(), exchange_accepted));
-    snap.counters.push(("sweeps".into(), sweeps));
-    snap.counters
-        .push((recovery_counters::RANKS_RESPAWNED.into(), respawns));
-    snap.counters.push((
-        recovery_counters::REJOIN_DURATION_NS.into(),
-        rejoin_duration_ns,
-    ));
-    snap.counters
-        .push((recovery_counters::HEARTBEAT_MISSES.into(), heartbeat_misses));
-    snap.counters
-        .push((adaptive_counters::ROUND_TRIPS_TOTAL.into(), round_trips));
-    snap.counters
-        .push((adaptive_counters::ROUND_TRIP_NS.into(), round_trip_ns));
-    snap.counters.push((
-        adaptive_counters::WALKERS_REBALANCED_TOTAL.into(),
-        walkers_rebalanced,
-    ));
-    if let Some(t) = traffic {
-        snap.counters.push(("comm_sends".into(), t.sends));
-        snap.counters.push(("comm_send_bytes".into(), t.send_bytes));
-        snap.counters.push(("comm_recvs".into(), t.recvs));
-        snap.counters.push(("comm_recv_bytes".into(), t.recv_bytes));
-        snap.counters.push(("comm_timeouts".into(), t.timeouts));
-        snap.counters
-            .push(("comm_dead_peer_errors".into(), t.dead_peer_errors));
-        snap.counters
-            .push(("comm_dropped_sends".into(), t.dropped_sends));
-        snap.counters
-            .push(("comm_delayed_sends".into(), t.delayed_sends));
-    }
-    snap.counters.sort();
-    Some(snap)
 }
 
 /// The phases of one rank's life. `Rejoin` runs exactly once at startup;
@@ -543,9 +467,6 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
 
     /// `exchange_every_sweeps` WL sweeps, with flatness checks, SRO
     /// observations, and deep-sample collection on their own cadences.
-    /// Sweeps draw proposals through the batch-first `propose_batch`
-    /// surface (each rank hosts one walker, so the achieved batch is 1;
-    /// the `proposal_batch_rows` gauge records it per snapshot).
     fn phase_sample(&mut self) -> EnginePhase {
         let ctx = ProposalContext {
             neighbors: self.neighbors,
@@ -1041,25 +962,57 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         (Some(result), rank_tel)
     }
 
+    /// Snapshot this rank's telemetry, folding in the sampler's acceptance
+    /// statistics, exchange counters, self-healing counters, and the
+    /// transport's message-traffic counters. Returns `None` when disabled.
     fn snapshot(&self) -> Option<RankTelemetry> {
+        if !self.tel.is_enabled() {
+            return None;
+        }
+        self.tel.set_gauge("ln_f", self.walker.ln_f());
+        let mut snap = self.tel.snapshot(self.rank);
+        for (name, proposed, accepted) in self.walker.stats().iter() {
+            snap.counters.push((format!("proposed_{name}"), proposed));
+            snap.counters.push((format!("accepted_{name}"), accepted));
+        }
         let rt = self.walker.round_trip_stats();
-        snapshot_rank_telemetry(
-            &self.tel,
-            self.rank,
-            &self.walker,
-            [self.exchange_attempts, self.exchange_accepted, self.sweeps],
+        let t = self.comm.traffic();
+        snap.counters.extend(
             [
-                self.cfg.respawns,
-                self.rejoin_duration_ns,
-                self.comm.heartbeat_misses(),
-            ],
-            [
-                (self.rt_banked_crossings + rt.crossings) / 2,
-                self.rt_banked_ns + rt.crossing_ns,
-                self.rebalanced,
-            ],
-            Some(self.comm.traffic()),
-        )
+                ("exchange_attempts", self.exchange_attempts),
+                ("exchange_accepted", self.exchange_accepted),
+                ("sweeps", self.sweeps),
+                (recovery_counters::RANKS_RESPAWNED, self.cfg.respawns),
+                (
+                    recovery_counters::REJOIN_DURATION_NS,
+                    self.rejoin_duration_ns,
+                ),
+                (
+                    recovery_counters::HEARTBEAT_MISSES,
+                    self.comm.heartbeat_misses(),
+                ),
+                (
+                    adaptive_counters::ROUND_TRIPS_TOTAL,
+                    (self.rt_banked_crossings + rt.crossings) / 2,
+                ),
+                (
+                    adaptive_counters::ROUND_TRIP_NS,
+                    self.rt_banked_ns + rt.crossing_ns,
+                ),
+                (adaptive_counters::WALKERS_REBALANCED_TOTAL, self.rebalanced),
+                ("comm_sends", t.sends),
+                ("comm_send_bytes", t.send_bytes),
+                ("comm_recvs", t.recvs),
+                ("comm_recv_bytes", t.recv_bytes),
+                ("comm_timeouts", t.timeouts),
+                ("comm_dead_peer_errors", t.dead_peer_errors),
+                ("comm_dropped_sends", t.dropped_sends),
+                ("comm_delayed_sends", t.delayed_sends),
+            ]
+            .map(|(name, v)| (name.to_string(), v)),
+        );
+        snap.counters.sort();
+        Some(snap)
     }
 
     /// This rank's state as a checkpoint — what a cluster snapshot

@@ -5,7 +5,7 @@
 use dt_hamiltonian::{exact::ExactDos, PairHamiltonian};
 use dt_lattice::{Composition, Structure, Supercell};
 use dt_proposal::{DeepProposalConfig, TrainerConfig};
-use dt_rewl::{run_rewl, run_windows_serial, DeepSpec, KernelSpec, RewlConfig};
+use dt_rewl::{run_rewl, DeepSpec, KernelSpec, RewlConfig};
 use dt_wanglandau::{LnfSchedule, WlParams};
 
 fn system() -> (
@@ -105,17 +105,6 @@ fn rewl_is_deterministic() {
     )
     .unwrap();
     assert_ne!(a.dos.ln_g(), c.dos.ln_g(), "different seeds must differ");
-}
-
-#[test]
-fn serial_windows_match_exact_too() {
-    let (_, nt, comp, h) = system();
-    let mut cfg = base_config(KernelSpec::LocalSwap, 5);
-    cfg.max_sweeps = 400_000;
-    let out = run_windows_serial(&h, &nt, &comp, (-0.645, -0.155), &cfg).unwrap();
-    assert!(out.converged);
-    let err = compare_to_exact(&out, &comp, &h);
-    assert!(err < 0.4, "max |Δ ln g| = {err}");
 }
 
 #[test]

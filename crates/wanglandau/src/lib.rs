@@ -20,11 +20,6 @@
 //!   `A = min(1, exp(ln g(E) − ln g(E') + ln q_rev − ln q_fwd))` so the
 //!   deep, asymmetric proposals of `dt-proposal` sample the same ensemble
 //!   as classical swaps,
-//! * [`walker::sweep_lockstep`] — one sweep over a *batch* of walkers
-//!   sharing a kernel, drawing every step's proposals through the
-//!   batch-first `propose_batch` surface so a deep kernel decodes all
-//!   walkers in lockstep (one W-row matmul per decode step) while staying
-//!   bit-identical to per-walker sweeps,
 //! * [`range::explore_energy_range`] — quench-based range discovery used to
 //!   lay out energy windows before sampling.
 //!
@@ -44,4 +39,4 @@ pub use checkpoint::{CheckpointError, WalkerCheckpoint};
 pub use histogram::{DosEstimate, EnergyGrid, VisitHistogram};
 pub use range::explore_energy_range;
 pub use schedule::{LnfSchedule, WlParams};
-pub use walker::{sweep_lockstep, LockstepState, RoundTripStats, WlProgress, WlWalker};
+pub use walker::{RoundTripStats, WlProgress, WlWalker};

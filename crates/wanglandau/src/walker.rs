@@ -1,13 +1,10 @@
 //! The Wang–Landau walker.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use dt_hamiltonian::{DeltaWorkspace, EnergyModel};
 use dt_lattice::{Configuration, NeighborTable, SiteId};
-use dt_proposal::{
-    apply_move, move_delta, MoveStats, Proposal, ProposalContext, ProposalKernel, ProposalSlot,
-};
+use dt_proposal::{apply_move, move_delta, MoveStats, ProposalContext, ProposalKernel};
 use dt_telemetry::{Phase, Telemetry};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -84,8 +81,6 @@ pub struct WlWalker {
     stages: u32,
     rng: ChaCha8Rng,
     tel: Telemetry,
-    /// Reused output buffer for the batch-first proposal surface.
-    batch_out: Vec<Proposal>,
     /// Last window boundary touched: 0 = none yet, -1 = low extreme,
     /// +1 = high extreme.
     rt_last_boundary: i8,
@@ -138,7 +133,6 @@ impl WlWalker {
             stages: 0,
             rng: ChaCha8Rng::seed_from_u64(seed),
             tel: Telemetry::disabled(),
-            batch_out: Vec::with_capacity(1),
             rt_last_boundary: 0,
             rt_crossings: 0,
             rt_crossing_moves: 0,
@@ -201,11 +195,6 @@ impl WlWalker {
     /// One Monte Carlo proposal with the Wang–Landau acceptance rule
     /// (including the asymmetric-proposal correction). Returns whether the
     /// move was accepted.
-    ///
-    /// The proposal is drawn through the batch-first surface
-    /// ([`ProposalKernel::propose_batch`] with this walker as the only
-    /// slot), so single-walker and lockstep multi-walker sampling run the
-    /// same kernel code path.
     pub fn step<M: EnergyModel>(
         &mut self,
         model: &M,
@@ -213,34 +202,7 @@ impl WlWalker {
         ctx: &ProposalContext<'_>,
     ) -> bool {
         debug_assert!(self.in_window(), "step() outside the energy window");
-        let mut out = std::mem::take(&mut self.batch_out);
-        {
-            let mut slots = [ProposalSlot {
-                config: &self.config,
-                rng: &mut self.rng,
-            }];
-            self.kernel.propose_batch(&mut slots, ctx, &mut out);
-        }
-        let proposal = out.pop().expect("kernel produced no proposal");
-        let accepted = self.accept_proposal(&proposal, model, neighbors);
-        self.stats
-            .record(self.kernel.batch_kernel_name(0), accepted);
-        self.batch_out = out;
-        accepted
-    }
-
-    /// The accept/record half of a WL step: evaluate the energy delta,
-    /// apply the Wang–Landau acceptance rule to an externally drawn
-    /// proposal, and bump the DOS/histogram for the resulting bin.
-    /// Acceptance statistics are NOT recorded here — callers attribute
-    /// them per kernel name ([`WlWalker::step`] per move,
-    /// [`sweep_lockstep`] aggregated per sweep).
-    pub fn accept_proposal<M: EnergyModel>(
-        &mut self,
-        proposal: &Proposal,
-        model: &M,
-        neighbors: &NeighborTable,
-    ) -> bool {
+        let proposal = self.kernel.propose(&self.config, ctx, &mut self.rng);
         self.total_moves += 1;
         let delta = {
             let _span = self.tel.span(Phase::EnergyEval);
@@ -273,6 +235,7 @@ impl WlWalker {
         self.dos.bump(self.bin, self.schedule.ln_f());
         self.hist.record(self.bin);
         self.note_boundary();
+        self.stats.record(self.kernel.last_kernel_name(), accepted);
         accepted
     }
 
@@ -334,15 +297,6 @@ impl WlWalker {
         // checkpoint taken after a reset still restores exactly.
         self.rt_crossing_ns = 0;
         self.rt_leg_start = None;
-    }
-
-    /// This walker's view for a batched proposal call: its configuration
-    /// and private RNG stream.
-    pub fn proposal_slot(&mut self) -> ProposalSlot<'_> {
-        ProposalSlot {
-            config: &self.config,
-            rng: &mut self.rng,
-        }
     }
 
     /// One sweep = `num_sites` proposals.
@@ -521,16 +475,6 @@ impl WlWalker {
         &self.tel
     }
 
-    /// Borrow the proposal kernel (e.g. to read its achieved batch size).
-    pub fn kernel(&self) -> &dyn ProposalKernel {
-        &*self.kernel
-    }
-
-    /// Borrow the kernel mutably (for in-place retraining).
-    pub fn kernel_mut(&mut self) -> &mut dyn ProposalKernel {
-        &mut *self.kernel
-    }
-
     /// The walker's private RNG (REWL uses it for exchange decisions).
     pub fn rng_mut(&mut self) -> &mut ChaCha8Rng {
         &mut self.rng
@@ -594,7 +538,6 @@ impl WlWalker {
             stages: cp.stages,
             rng: ChaCha8Rng::seed_from_u64(seed),
             tel: Telemetry::disabled(),
-            batch_out: Vec::with_capacity(1),
             rt_last_boundary: cp.rt_last_boundary,
             rt_crossings: cp.rt_crossings,
             rt_crossing_moves: cp.rt_crossing_moves,
@@ -610,99 +553,6 @@ impl WlWalker {
             rt_crossing_ns: 0,
             rt_leg_start: None,
         }
-    }
-}
-
-/// Reusable scratch for [`sweep_lockstep`]: the proposal output buffer
-/// and the per-walker, per-kernel acceptance counters aggregated over a
-/// sweep.
-#[derive(Debug, Default)]
-pub struct LockstepState {
-    proposals: Vec<Proposal>,
-    counts: Vec<BTreeMap<String, (u64, u64)>>,
-}
-
-impl LockstepState {
-    /// Empty scratch; buffers grow on first use and are reused after.
-    pub fn new() -> Self {
-        LockstepState::default()
-    }
-}
-
-/// One lockstep sweep over a batch of walkers sharing `kernel`: each of
-/// the `num_sites` steps draws every walker's proposal through ONE
-/// [`ProposalKernel::propose_batch`] call — so a batching kernel (the
-/// deep autoregressive proposal) runs each network layer once per decode
-/// step as a W-row matmul — then applies each walker's WL acceptance from
-/// its own RNG stream.
-///
-/// Because every kernel draws slot randomness from that slot's own stream
-/// in ascending order, and kernels carry no statistical state between
-/// proposals, this is bit-identical (configurations, DOS, histograms,
-/// RNG positions) to calling [`WlWalker::sweep`] on each walker with its
-/// own copy of the kernel.
-///
-/// Acceptance statistics are aggregated per walker and per component
-/// kernel over the whole sweep and flushed once through
-/// [`MoveStats::record_n`], yielding the same counters as per-move
-/// recording. Each walker's telemetry gets a [`Phase::MoveBatch`] span
-/// and a `proposal_batch_rows` gauge recording the achieved batch width.
-///
-/// # Panics
-/// Panics when the walkers' configurations do not share a lattice size
-/// (the batch must be a window of walkers on one system).
-pub fn sweep_lockstep<M: EnergyModel>(
-    walkers: &mut [WlWalker],
-    kernel: &mut dyn ProposalKernel,
-    model: &M,
-    neighbors: &NeighborTable,
-    ctx: &ProposalContext<'_>,
-    state: &mut LockstepState,
-) {
-    let w = walkers.len();
-    if w == 0 {
-        return;
-    }
-    let steps = walkers[0].config.num_sites();
-    assert!(
-        walkers.iter().all(|wk| wk.config.num_sites() == steps),
-        "lockstep sweep needs a shared lattice across walkers"
-    );
-    let tels: Vec<Telemetry> = walkers.iter().map(|wk| wk.tel.clone()).collect();
-    let _spans: Vec<_> = tels.iter().map(|t| t.span(Phase::MoveBatch)).collect();
-    state.counts.resize_with(w, BTreeMap::new);
-    for c in &mut state.counts {
-        c.clear();
-    }
-    for _ in 0..steps {
-        let mut out = std::mem::take(&mut state.proposals);
-        {
-            let mut slots: Vec<ProposalSlot<'_>> =
-                walkers.iter_mut().map(WlWalker::proposal_slot).collect();
-            kernel.propose_batch(&mut slots, ctx, &mut out);
-        }
-        debug_assert_eq!(out.len(), w, "kernel produced a partial batch");
-        for (i, (wk, proposal)) in walkers.iter_mut().zip(&out).enumerate() {
-            let accepted = wk.accept_proposal(proposal, model, neighbors);
-            let entry = state
-                .counts
-                .get_mut(i)
-                .expect("sized above")
-                .entry(kernel.batch_kernel_name(i).to_string())
-                .or_insert((0, 0));
-            entry.0 += 1;
-            entry.1 += u64::from(accepted);
-        }
-        out.clear();
-        state.proposals = out;
-    }
-    let rows = kernel.last_batch_rows();
-    for (wk, counts) in walkers.iter_mut().zip(&state.counts) {
-        for (name, &(proposed, accepted)) in counts {
-            wk.stats.record_n(name, proposed, accepted);
-        }
-        wk.tel.set_gauge("proposal_batch_rows", rows as f64);
-        wk.total_sweeps += 1;
     }
 }
 
