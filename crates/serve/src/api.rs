@@ -2,10 +2,11 @@
 //! service.
 //!
 //! Everything here is synchronous and deterministic so it can be tested
-//! without sockets. The transport layer ([`crate::server`]) owns
-//! threads, queues, and deadlines; this module owns JSON parsing,
-//! artifact lookup, thermodynamics evaluation, the response cache, and
-//! the metrics it all emits.
+//! without sockets. The engine ([`crate::reactor`]) owns threads,
+//! queues, and deadlines; this module owns JSON parsing, artifact
+//! lookup, thermodynamics evaluation, the response cache, and the
+//! metrics it all emits. The router ([`crate::router`]) serves the same
+//! endpoint set and shares this module's answer to any other request.
 //!
 //! ## Endpoints
 //!
@@ -119,7 +120,7 @@ impl AppState {
     /// Dispatch one request, recording request metrics.
     pub fn handle(&self, req: &Request) -> Response {
         let start = Instant::now();
-        let (endpoint, resp) = self.route(req);
+        let (latency, resp) = self.route(req);
         self.metrics.counter("requests_total").inc();
         if resp.status >= 500 {
             self.metrics.counter("responses_5xx").inc();
@@ -127,30 +128,22 @@ impl AppState {
             self.metrics.counter("responses_4xx").inc();
         }
         self.metrics
-            .histogram(latency_name(endpoint))
+            .histogram(latency)
             .record(start.elapsed().as_nanos() as u64);
         resp
     }
 
+    /// The response plus the latency histogram it is recorded in.
     fn route(&self, req: &Request) -> (&'static str, Response) {
         match (req.method.as_str(), req.target.as_str()) {
-            ("GET", "/healthz") => ("healthz", self.healthz()),
-            ("GET", "/metrics") => ("metrics", self.metrics_snapshot()),
-            ("GET", "/v1/artifacts") => ("artifacts", self.list_artifacts()),
-            ("POST", "/v1/thermo") => ("thermo", self.thermo(&req.body)),
-            ("POST", "/v1/sro") => ("sro", self.sro(&req.body)),
-            ("POST", "/v1/predict") => ("predict", self.predict(&req.body)),
-            ("POST", "/v1/shutdown") => ("shutdown", self.begin_shutdown()),
-            (_, "/healthz" | "/metrics" | "/v1/artifacts") => {
-                ("other", Response::error(405, "endpoint only supports GET"))
-            }
-            (_, "/v1/thermo" | "/v1/sro" | "/v1/predict" | "/v1/shutdown") => {
-                ("other", Response::error(405, "endpoint only supports POST"))
-            }
-            (_, target) => (
-                "other",
-                Response::error(404, &format!("no such endpoint: {target}")),
-            ),
+            ("GET", "/healthz") => ("latency_healthz_ns", self.healthz()),
+            ("GET", "/metrics") => ("latency_metrics_ns", self.metrics_snapshot()),
+            ("GET", "/v1/artifacts") => ("latency_artifacts_ns", self.list_artifacts()),
+            ("POST", "/v1/thermo") => ("latency_thermo_ns", self.thermo(&req.body)),
+            ("POST", "/v1/sro") => ("latency_sro_ns", self.sro(&req.body)),
+            ("POST", "/v1/predict") => ("latency_predict_ns", self.predict(&req.body)),
+            ("POST", "/v1/shutdown") => ("latency_shutdown_ns", self.begin_shutdown()),
+            _ => ("latency_other_ns", no_route(req)),
         }
     }
 
@@ -485,16 +478,17 @@ impl AppState {
     }
 }
 
-fn latency_name(endpoint: &str) -> &'static str {
-    match endpoint {
-        "healthz" => "latency_healthz_ns",
-        "metrics" => "latency_metrics_ns",
-        "artifacts" => "latency_artifacts_ns",
-        "thermo" => "latency_thermo_ns",
-        "sro" => "latency_sro_ns",
-        "predict" => "latency_predict_ns",
-        "shutdown" => "latency_shutdown_ns",
-        _ => "latency_other_ns",
+/// The answer to a request no endpoint takes: `405` on a known path
+/// with the wrong method, `404` on any other path.
+pub(crate) fn no_route(req: &Request) -> Response {
+    match req.target.as_str() {
+        "/healthz" | "/metrics" | "/v1/artifacts" => {
+            Response::error(405, "endpoint only supports GET")
+        }
+        "/v1/thermo" | "/v1/sro" | "/v1/predict" | "/v1/shutdown" => {
+            Response::error(405, "endpoint only supports POST")
+        }
+        target => Response::error(404, &format!("no such endpoint: {target}")),
     }
 }
 

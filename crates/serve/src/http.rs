@@ -1,17 +1,21 @@
-//! A minimal HTTP/1.1 layer over `std::io` streams.
+//! A minimal HTTP/1.1 layer over byte buffers.
 //!
 //! The workspace builds fully offline from vendored crates, so there is
 //! no external HTTP stack; this module implements exactly the subset
-//! the query service needs: request-line + header parsing with hard
-//! size limits, `Content-Length` bodies (chunked transfer is refused
-//! with `501`), keep-alive accounting, and response serialization.
-//! Every parse failure is a typed [`HttpReadError`] that the server
-//! maps to a `4xx` — malformed traffic must never panic a worker.
+//! the query service needs: an incremental request parser with hard
+//! size limits ([`try_parse_request`], fed by the reactor as bytes
+//! arrive and by a shard on each forwarded request), `Content-Length`
+//! bodies (chunked transfer is refused with `501`), keep-alive
+//! accounting, and response serialization. Every parse failure is a
+//! typed [`HttpReadError`] that the engine maps to a `4xx` — malformed
+//! traffic must never panic a worker.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// Upper bound on the request line plus all headers.
 pub const MAX_HEADER_BYTES: usize = 8 * 1024;
+/// Largest request body the engine and the shards accept (`413` beyond).
+pub const MAX_BODY_BYTES: usize = 1 << 20;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,11 +57,6 @@ impl Request {
 /// Why a request could not be read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpReadError {
-    /// The peer closed the connection before sending a request line —
-    /// the normal end of a keep-alive session, not an error condition.
-    Closed,
-    /// The socket read timed out.
-    Timeout,
     /// Syntactically invalid request (maps to `400`).
     Malformed(&'static str),
     /// Headers exceeded [`MAX_HEADER_BYTES`] (maps to `431`).
@@ -73,108 +72,22 @@ pub enum HttpReadError {
     /// A protocol feature this server does not implement (maps to
     /// `501`).
     Unsupported(&'static str),
-    /// The underlying transport failed mid-request.
-    Io(String),
 }
 
 impl std::fmt::Display for HttpReadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpReadError::Closed => write!(f, "connection closed"),
-            HttpReadError::Timeout => write!(f, "read timed out"),
             HttpReadError::Malformed(what) => write!(f, "malformed request: {what}"),
             HttpReadError::HeadersTooLarge => write!(f, "headers exceed {MAX_HEADER_BYTES} bytes"),
             HttpReadError::BodyTooLarge { declared, limit } => {
                 write!(f, "declared body of {declared} bytes exceeds limit {limit}")
             }
             HttpReadError::Unsupported(what) => write!(f, "unsupported: {what}"),
-            HttpReadError::Io(e) => write!(f, "transport error: {e}"),
         }
     }
 }
 
 impl std::error::Error for HttpReadError {}
-
-fn io_error(e: std::io::Error) -> HttpReadError {
-    match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => HttpReadError::Timeout,
-        std::io::ErrorKind::UnexpectedEof => HttpReadError::Malformed("truncated request"),
-        _ => HttpReadError::Io(e.to_string()),
-    }
-}
-
-/// Read one line (through `\n`), bounding total header bytes consumed.
-fn read_line<R: BufRead>(
-    reader: &mut R,
-    consumed: &mut usize,
-    first: bool,
-) -> Result<String, HttpReadError> {
-    let mut buf = Vec::new();
-    loop {
-        let available = reader.fill_buf().map_err(io_error)?;
-        if available.is_empty() {
-            return if first && buf.is_empty() {
-                Err(HttpReadError::Closed)
-            } else {
-                Err(HttpReadError::Malformed("truncated request"))
-            };
-        }
-        let newline = available.iter().position(|&b| b == b'\n');
-        let take = newline.map_or(available.len(), |i| i + 1);
-        if *consumed + take > MAX_HEADER_BYTES {
-            return Err(HttpReadError::HeadersTooLarge);
-        }
-        buf.extend_from_slice(&available[..take]);
-        reader.consume(take);
-        *consumed += take;
-        if newline.is_some() {
-            break;
-        }
-    }
-    while matches!(buf.last(), Some(b'\n' | b'\r')) {
-        buf.pop();
-    }
-    String::from_utf8(buf).map_err(|_| HttpReadError::Malformed("non-UTF-8 header bytes"))
-}
-
-/// Read and parse one request from a buffered stream, bounding the body
-/// at `max_body` bytes.
-///
-/// # Errors
-/// [`HttpReadError::Closed`] on clean EOF before the request line; any
-/// other variant for timeouts, oversized, or malformed input.
-pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Request, HttpReadError> {
-    let mut consumed = 0usize;
-    let request_line = read_line(reader, &mut consumed, true)?;
-    let (method, target, http11) = parse_request_line(&request_line)?;
-
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(reader, &mut consumed, false)?;
-        if line.is_empty() {
-            break;
-        }
-        headers.push(parse_header_line(&line)?);
-    }
-
-    let content_length = validate_headers(&headers)?;
-    if content_length > max_body {
-        return Err(HttpReadError::BodyTooLarge {
-            declared: content_length,
-            limit: max_body,
-        });
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(io_error)?;
-
-    Ok(Request {
-        method,
-        target,
-        http11,
-        headers,
-        body,
-    })
-}
 
 /// Parse `METHOD TARGET HTTP/1.x` into its validated parts.
 fn parse_request_line(line: &str) -> Result<(String, String, bool), HttpReadError> {
@@ -211,10 +124,9 @@ fn parse_header_line(line: &str) -> Result<(String, String), HttpReadError> {
     Ok((name.to_ascii_lowercase(), value.trim().to_string()))
 }
 
-/// Message-framing checks shared by the blocking and incremental
-/// parsers: refuse chunked transfer, refuse duplicate `Content-Length`
-/// (RFC 9110 §8.6 — a smuggling vector when two lengths disagree), and
-/// return the single declared body length.
+/// Message-framing checks: refuse chunked transfer, refuse duplicate
+/// `Content-Length` (RFC 9110 §8.6 — a smuggling vector when two
+/// lengths disagree), and return the single declared body length.
 fn validate_headers(headers: &[(String, String)]) -> Result<usize, HttpReadError> {
     if headers
         .iter()
@@ -239,8 +151,8 @@ fn validate_headers(headers: &[(String, String)]) -> Result<usize, HttpReadError
 /// Index just past the head terminator (`\r\n\r\n` or bare `\n\n`), if
 /// the buffer holds a complete head yet.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
-    // A lone `\n\n` also terminates (the line reader tolerates missing
-    // `\r`), so scan for either form in one pass.
+    // A lone `\n\n` also terminates (lines may omit the `\r`), so
+    // scan for either form in one pass.
     let mut i = 0;
     while i < buf.len() {
         if buf[i] == b'\n' {
@@ -266,8 +178,7 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 /// the rest of the bytes.
 ///
 /// # Errors
-/// The same [`HttpReadError`] variants as [`read_request`], except
-/// `Closed`/`Timeout` (EOF and pacing are the reactor's business).
+/// [`HttpReadError`] for oversized, malformed, or unsupported input.
 pub fn try_parse_request(
     buf: &[u8],
     max_body: usize,
@@ -443,17 +354,20 @@ pub fn write_response<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn parse(raw: &str) -> Result<Request, HttpReadError> {
-        read_request(&mut BufReader::new(raw.as_bytes()), 1024)
+    /// `Ok(None)` is "wait for more bytes".
+    fn parse(raw: &str) -> Result<Option<Request>, HttpReadError> {
+        try_parse_request(raw.as_bytes(), 1024).map(|r| r.map(|(req, _)| req))
+    }
+
+    fn request(raw: &str) -> Request {
+        parse(raw).unwrap().expect("a complete request")
     }
 
     #[test]
     fn parses_a_post_with_body() {
         let req =
-            parse("POST /v1/thermo HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}")
-                .unwrap();
+            request("POST /v1/thermo HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}");
         assert_eq!(req.method, "POST");
         assert_eq!(req.target, "/v1/thermo");
         assert!(req.http11);
@@ -464,24 +378,24 @@ mod tests {
 
     #[test]
     fn parses_a_bodyless_get() {
-        let req = parse("GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let req = request("GET /healthz HTTP/1.1\r\n\r\n");
         assert_eq!(req.method, "GET");
         assert!(req.body.is_empty());
     }
 
     #[test]
     fn connection_close_semantics() {
-        let req = parse("GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let req = request("GET / HTTP/1.1\r\nConnection: close\r\n\r\n");
         assert!(req.wants_close());
-        let req = parse("GET / HTTP/1.0\r\n\r\n").unwrap();
+        let req = request("GET / HTTP/1.0\r\n\r\n");
         assert!(req.wants_close());
-        let req = parse("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
+        let req = request("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n");
         assert!(!req.wants_close());
     }
 
     #[test]
     fn malformed_requests_are_typed_errors() {
-        assert_eq!(parse(""), Err(HttpReadError::Closed));
+        assert_eq!(parse(""), Ok(None));
         assert!(matches!(
             parse("NOT-HTTP\r\n\r\n"),
             Err(HttpReadError::Malformed(_))
@@ -502,10 +416,10 @@ mod tests {
             parse("POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"),
             Err(HttpReadError::Malformed(_))
         ));
-        assert!(matches!(
+        assert_eq!(
             parse("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort"),
-            Err(HttpReadError::Malformed(_))
-        ));
+            Ok(None)
+        );
     }
 
     #[test]
@@ -526,10 +440,9 @@ mod tests {
 
     #[test]
     fn header_lookup_is_case_insensitive() {
-        let req = parse(
+        let req = request(
             "POST / HTTP/1.1\r\nX-Request-ID: abc\r\ncOnTeNt-LeNgTh: 2\r\nConnection: CLOSE\r\n\r\nhi",
-        )
-        .unwrap();
+        );
         // Mixed-case wire names parse, and lookups match in any case.
         assert_eq!(req.header("x-request-id"), Some("abc"));
         assert_eq!(req.header("X-Request-Id"), Some("abc"));
@@ -551,12 +464,8 @@ mod tests {
             parse("POST / HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nhi"),
             Err(HttpReadError::Malformed("duplicate content-length"))
         );
-        // The incremental parser applies the identical validation.
         assert_eq!(
-            try_parse_request(
-                b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi",
-                1024
-            ),
+            parse("POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi"),
             Err(HttpReadError::Malformed("duplicate content-length"))
         );
     }
@@ -620,8 +529,7 @@ mod tests {
 
     #[test]
     fn serialized_requests_reparse_identically() {
-        let req = parse("POST /v1/sro HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}")
-            .unwrap();
+        let req = request("POST /v1/sro HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}");
         let wire = serialize_request(&req);
         let (back, consumed) = try_parse_request(&wire, 1024).unwrap().unwrap();
         assert_eq!(consumed, wire.len());

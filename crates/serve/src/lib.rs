@@ -18,17 +18,20 @@
 //!   directly on the producing run's data.
 //! * [`Server`] — a hand-rolled HTTP/1.1 JSON API (the workspace is
 //!   offline/vendored; no external HTTP stack) over a readiness-driven
-//!   event loop ([`reactor`]): nonblocking sockets polled by reactor
-//!   threads, parsed requests flowing through a bounded `crossbeam`
-//!   channel into a worker pool. Saturation returns `429` instead of
-//!   queueing unboundedly, queued requests carry a deadline (`503`
-//!   when exceeded), malformed or oversized bodies map to `4xx` —
-//!   never a worker panic — and shutdown drains in-flight requests
-//!   before the engine exits.
+//!   event loop ([`reactor`]): nonblocking sockets polled by one
+//!   reactor thread, parsed requests flowing through a bounded queue
+//!   into a worker pool. Saturation returns `429` instead of queueing
+//!   unboundedly, queued requests carry a deadline (`503` when
+//!   exceeded), malformed or oversized bodies map to `4xx` — never a
+//!   worker panic — and shutdown drains in-flight requests before the
+//!   engine exits.
 //! * [`Router`] / [`shard`] — the horizontal-scale tier: a router
 //!   consistent-hashes artifact ids ([`HashRing`]) onto N shard
 //!   processes, each owning a disjoint slice of the registry, over the
 //!   `dt-hpc` TCP mesh (rendezvous bootstrap, framed RPC, liveness).
+//!   The router runs the same engine and returns the same
+//!   [`ServeHandle`]; a shard submits forwarded requests to the same
+//!   worker pool, so all three serve with one set of semantics.
 //! * [`ResponseCache`] — single-flight LRU response cache for
 //!   `POST /v1/thermo`; `canonical_curve` is pure, so identical
 //!   `(artifact, T-grid)` requests are served from memory, and
@@ -64,7 +67,7 @@ pub use api::AppState;
 pub use artifact::{Artifact, ArtifactManifest, ArtifactRegistry};
 pub use cache::{LruCache, ResponseCache};
 pub use ring::HashRing;
-pub use router::{Fleet, Router, RouterConfig, RouterHandle};
+pub use router::{Fleet, Router, RouterConfig};
 pub use server::{ServeConfig, ServeHandle, ServeStats, Server};
 pub use shard::{run_shard, ShardConfig, ShardStats};
 pub use singleflight::SingleFlight;
@@ -95,8 +98,8 @@ pub enum ServeError {
         /// Rendered `std::io::Error`.
         message: String,
     },
-    /// The server configuration is inconsistent (zero workers, zero
-    /// queue depth, ...).
+    /// The server configuration is unusable (zero workers, zero queue
+    /// depth, a router off rank 0, ...).
     BadConfig(String),
 }
 

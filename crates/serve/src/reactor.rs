@@ -1,54 +1,59 @@
-//! A readiness-driven event loop: the serving engine under both tiers.
+//! A readiness-driven event loop and the one worker pool behind it: the
+//! serving engine under both tiers and inside every shard.
 //!
 //! ```text
-//!            accept + read + parse             bounded channel
-//! clients ──▶ reactor thread × R ──try_send──▶ [queue] ──recv──▶ worker × N
-//!                ▲    │ full? queue 429, close       │ waited > deadline? 503
-//!                │    │ parse error? 4xx, close      │ panic? 500
-//!                │    └─ nonblocking sockets, poll(2)│
-//!                └──── completions (wake pipe) ◀─────┘
+//!            accept + read + parse            bounded job queue
+//! clients ──▶ reactor thread ──submit──▶ [queue] ──pop──▶ worker × N
+//!               ▲    │ full? 429, close    ▲         │ waited > deadline? 503
+//!               │    │ parse error? 4xx    │         │ panic? 500
+//!               │    └─ poll(2) over       │         ├─ Reply::Conn ─┐
+//!               │      nonblocking sockets │         └─ Reply::Rpc ──┼─▶ mesh → router
+//!               └──── completions (mpsc + wake pipe) ◀───────────────┘
+//! router ─mesh─▶ shard receive loop ─submit┘
 //! ```
 //!
-//! The old transport was thread-per-connection with blocking reads: a
-//! worker was *occupied* by an idle keep-alive connection. Here R
-//! reactor threads own the sockets — each runs `poll(2)` over its
+//! One reactor thread owns the sockets: it runs `poll(2)` over its
 //! accepted connections, reads whatever bytes are ready, and feeds the
 //! incremental parser ([`crate::http::try_parse_request`]); only a
 //! *complete* request occupies a worker, so ten thousand idle
 //! connections cost ten thousand buffers, not ten thousand threads.
 //! Workers return responses over a completion channel and wake the
-//! owning reactor through a self-pipe; the reactor serializes the
-//! response into the connection's write buffer and drains it under
-//! `POLLOUT`, so a wedged client cannot stall anything but itself.
+//! reactor through a self-pipe; the reactor serializes the response
+//! into the connection's write buffer and drains it under `POLLOUT`, so
+//! a wedged client cannot stall anything but itself.
 //!
-//! With `reactors > 1` the listener is shared (sharded accept): every
-//! reactor polls the same listening socket and the kernel spreads
-//! wakeups across them. Backpressure semantics are unchanged from the
-//! blocking engine: the worker queue is bounded (`429` when full),
-//! queued requests carry deadlines (`503` when stale), and handler
-//! panics are contained (`500`).
+//! `Workers` is the only worker pool in the crate. Each `Job` says
+//! where its answer goes: `Reply::Conn` back to the reactor, or
+//! `Reply::Rpc` onto the fleet mesh, which is how a shard
+//! ([`crate::shard`]) serves the router's requests with the engine's
+//! semantics: the queue is bounded (`429` when full), queued jobs carry
+//! deadlines (`503` when stale), and handler panics are contained
+//! (`500`).
 //!
 //! This module owns the crate's only `unsafe` code: the three-line FFI
 //! binding to `poll(2)` in the private `sys` module — `std` links libc
 //! on every Unix target, so no external crate is needed.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-
+use dt_hpc::{TcpTransport, Transport};
 use dt_telemetry::MetricsRegistry;
 
-use crate::http::{try_parse_request, write_response, HttpReadError, Request, Response};
-use crate::server::ServeConfig;
+use crate::http::{
+    try_parse_request, write_response, HttpReadError, Request, Response, MAX_BODY_BYTES,
+};
+use crate::server::{ServeConfig, ServeHandle};
+use crate::shard::encode_response;
 use crate::ServeError;
 
 /// The three-line `poll(2)` binding. `#![deny(unsafe_code)]` holds for
@@ -118,46 +123,200 @@ pub(crate) trait App: Send + Sync + 'static {
     fn handle(&self, req: &Request) -> Response;
     /// Whether a graceful drain has been requested.
     fn shutdown_requested(&self) -> bool;
+    /// Begin a graceful drain (a router drains its shards first).
+    fn shutdown(&self);
     /// The counter registry (`connections_admitted` etc. live here).
     fn metrics(&self) -> &MetricsRegistry;
 }
 
-/// A parsed request travelling reactor → queue → worker.
-struct Job {
-    token: u64,
-    req: Request,
-    enqueued: Instant,
-    completion: CompletionHandle,
+/// A parsed request waiting for a worker.
+pub(crate) struct Job {
+    pub(crate) req: Request,
+    pub(crate) enqueued: Instant,
+    pub(crate) reply: Reply,
 }
 
-/// A finished response travelling worker → owning reactor.
+/// Where a job's response goes.
+pub(crate) enum Reply {
+    /// To the reactor, for connection `token`.
+    Conn { token: u64, to: Completions },
+    /// To the router (rank 0 of the fleet mesh), tagged `req_id`.
+    Rpc {
+        req_id: u64,
+        transport: Arc<TcpTransport>,
+    },
+}
+
+impl Reply {
+    fn send(self, response: Response, close: bool) {
+        match self {
+            Reply::Conn { token, to } => {
+                let _ = to.tx.send(Completion {
+                    token,
+                    response,
+                    close,
+                });
+                // A full pipe means a wakeup is already pending; that's enough.
+                let _ = (&*to.wake).write(&[1]);
+            }
+            Reply::Rpc { req_id, transport } => {
+                transport.send(0, req_id, encode_response(&response), None);
+            }
+        }
+    }
+}
+
+/// A finished response travelling worker → reactor.
 struct Completion {
     token: u64,
     response: Response,
     close: bool,
 }
 
-/// The worker's way back to the reactor that owns the connection: a
-/// completion channel plus a self-pipe write end to interrupt `poll`.
+/// The workers' way back to the reactor: a completion channel plus a
+/// self-pipe write end to interrupt `poll`.
 #[derive(Clone)]
-struct CompletionHandle {
+pub(crate) struct Completions {
     tx: Sender<Completion>,
     wake: Arc<UnixStream>,
 }
 
-impl CompletionHandle {
-    fn complete(&self, token: u64, response: Response, close: bool) {
-        let _ = self.tx.send(Completion {
-            token,
-            response,
-            close,
-        });
-        // A full pipe means a wakeup is already pending; that's enough.
-        let _ = (&*self.wake).write(&[1]);
+/// The bounded job queue between the submitters and the workers.
+struct JobQueue {
+    /// The queued jobs, and whether the queue is closed.
+    state: Mutex<(VecDeque<Job>, bool)>,
+    ready: Condvar,
+    depth: usize,
+}
+
+impl JobQueue {
+    fn new(depth: usize) -> JobQueue {
+        JobQueue {
+            state: Mutex::new((VecDeque::new(), false)),
+            ready: Condvar::new(),
+            depth,
+        }
+    }
+
+    /// Queue `job`; `false` (and the job dropped) when `depth` jobs
+    /// already wait.
+    fn submit(&self, job: Job) -> bool {
+        let mut state = self.state.lock().expect("job queue lock");
+        if state.0.len() >= self.depth {
+            return false;
+        }
+        state.0.push_back(job);
+        drop(state);
+        self.ready.notify_one();
+        true
+    }
+
+    /// The oldest job, blocking until one arrives; `None` once the
+    /// queue is closed and empty.
+    fn pop(&self) -> Option<Job> {
+        let mut state = self.state.lock().expect("job queue lock");
+        loop {
+            if let Some(job) = state.0.pop_front() {
+                return Some(job);
+            }
+            if state.1 {
+                return None;
+            }
+            state = self.ready.wait(state).expect("job queue lock");
+        }
+    }
+
+    fn close(&self) {
+        self.state.lock().expect("job queue lock").1 = true;
+        self.ready.notify_all();
     }
 }
 
-/// One accepted connection owned by a reactor.
+/// The worker pool: `N` threads popping one bounded queue. Dropping it
+/// closes the queue without waiting; [`Workers::finish`] also waits.
+pub(crate) struct Workers {
+    queue: Arc<JobQueue>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Workers {
+    /// Spawn `workers` threads answering `app`'s jobs from a queue of
+    /// `queue_depth`; a job older than `deadline` is answered `503`.
+    ///
+    /// # Errors
+    /// [`ServeError::BadConfig`] for zero workers or a zero queue
+    /// depth, or when a thread cannot be spawned.
+    pub(crate) fn start(
+        app: Arc<dyn App>,
+        workers: usize,
+        queue_depth: usize,
+        deadline: Duration,
+    ) -> Result<Workers, ServeError> {
+        if workers == 0 || queue_depth == 0 {
+            return Err(ServeError::BadConfig(
+                "workers and queue_depth must be > 0".into(),
+            ));
+        }
+        let mut pool = Workers {
+            queue: Arc::new(JobQueue::new(queue_depth)),
+            threads: Vec::with_capacity(workers),
+        };
+        for i in 0..workers {
+            let (queue, app) = (Arc::clone(&pool.queue), Arc::clone(&app));
+            let thread = std::thread::Builder::new()
+                .name(format!("dt-serve-worker-{i}"))
+                .spawn(move || work(&queue, &*app, deadline))
+                .map_err(|e| ServeError::BadConfig(format!("spawning worker: {e}")))?;
+            pool.threads.push(thread);
+        }
+        Ok(pool)
+    }
+
+    /// Queue `job` for a worker; `false` when the queue is full.
+    pub(crate) fn submit(&self, job: Job) -> bool {
+        self.queue.submit(job)
+    }
+
+    /// Answer every queued job, then stop the workers.
+    pub(crate) fn finish(mut self) {
+        self.queue.close();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        self.queue.close();
+    }
+}
+
+/// One worker's whole life: answer jobs until the queue closes.
+fn work(queue: &JobQueue, app: &dyn App, deadline: Duration) {
+    let expired = app.metrics().counter("deadline_expired");
+    let panics = app.metrics().counter("handler_panics");
+    while let Some(job) = queue.pop() {
+        let (response, close) = if job.enqueued.elapsed() > deadline {
+            expired.inc();
+            (Response::error(503, "queue deadline exceeded"), true)
+        } else {
+            // A panicking handler answers 500 and costs only this
+            // request — the worker thread survives.
+            let response = match catch_unwind(AssertUnwindSafe(|| app.handle(&job.req))) {
+                Ok(resp) => resp,
+                Err(_) => {
+                    panics.inc();
+                    Response::error(500, "internal error")
+                }
+            };
+            (response, job.req.wants_close() || app.shutdown_requested())
+        };
+        job.reply.send(response, close);
+    }
+}
+
+/// One accepted connection owned by the reactor.
 struct Conn {
     stream: TcpStream,
     /// Bytes read but not yet consumed by the parser.
@@ -230,143 +389,53 @@ impl Conn {
 /// pipelines aggressively while a request is in flight.
 const READ_HIGH_WATER: usize = 256 * 1024;
 
-/// A running engine: reactor and worker threads, bound address.
-pub(crate) struct Engine {
-    addr: std::net::SocketAddr,
-    reactors: Vec<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl Engine {
-    /// The bound listen address (useful with port 0).
-    pub(crate) fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// Wait for drain: reactors exit once every admitted request is
-    /// answered and every connection closed; workers exit when the job
-    /// queue disconnects.
-    pub(crate) fn join(mut self) {
-        for r in self.reactors.drain(..) {
-            let _ = r.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-/// Bind and spawn `cfg.reactors` reactor threads plus `cfg.workers`
-/// handler threads over a shared bounded queue.
-pub(crate) fn start_engine<A: App>(app: &Arc<A>, cfg: &ServeConfig) -> Result<Engine, ServeError> {
-    let bind_err = |message: String| ServeError::Bind {
+/// Start `cfg.workers` workers, bind `cfg.addr`, and spawn the reactor
+/// thread, which finishes the workers once it has drained.
+pub(crate) fn start_engine(
+    app: Arc<dyn App>,
+    cfg: &ServeConfig,
+) -> Result<ServeHandle, ServeError> {
+    let workers = Workers::start(
+        Arc::clone(&app),
+        cfg.workers,
+        cfg.queue_depth,
+        cfg.queue_deadline,
+    )?;
+    let bind_err = |e: std::io::Error| ServeError::Bind {
         addr: cfg.addr.clone(),
-        message,
+        message: e.to_string(),
     };
-    let listener = TcpListener::bind(&cfg.addr).map_err(|e| bind_err(e.to_string()))?;
-    let addr = listener.local_addr().map_err(|e| bind_err(e.to_string()))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| bind_err(e.to_string()))?;
-
-    let (job_tx, job_rx) = bounded::<Job>(cfg.queue_depth);
-
-    let mut workers = Vec::with_capacity(cfg.workers);
-    for i in 0..cfg.workers {
-        let rx = job_rx.clone();
-        let app = Arc::clone(app);
-        let deadline = cfg.queue_deadline;
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("dt-serve-worker-{i}"))
-                .spawn(move || worker_loop(&rx, &*app, deadline))
-                .map_err(|e| bind_err(format!("spawning worker: {e}")))?,
-        );
-    }
-    drop(job_rx);
-
-    let mut reactors = Vec::with_capacity(cfg.reactors);
-    for i in 0..cfg.reactors {
-        // Sharded accept: every reactor polls a dup of the same
-        // listening socket; the kernel spreads accept wakeups.
-        let listener = listener.try_clone().map_err(|e| bind_err(e.to_string()))?;
-        let (wake_rx, wake_tx) = UnixStream::pair().map_err(|e| bind_err(e.to_string()))?;
-        wake_rx
-            .set_nonblocking(true)
-            .map_err(|e| bind_err(e.to_string()))?;
-        wake_tx
-            .set_nonblocking(true)
-            .map_err(|e| bind_err(e.to_string()))?;
-        // Completions outstanding are bounded by jobs in flight, so
-        // this capacity can never block a worker.
-        let (comp_tx, comp_rx) = bounded::<Completion>(cfg.queue_depth + cfg.workers + 1);
-        let completion = CompletionHandle {
-            tx: comp_tx,
-            wake: Arc::new(wake_tx),
-        };
-        let app = Arc::clone(app);
-        let jobs = job_tx.clone();
-        let max_body = cfg.max_body_bytes;
-        reactors.push(
-            std::thread::Builder::new()
-                .name(format!("dt-serve-reactor-{i}"))
-                .spawn(move || {
-                    reactor_loop(
-                        listener,
-                        &*app,
-                        max_body,
-                        &jobs,
-                        &comp_rx,
-                        &wake_rx,
-                        &completion,
-                    );
-                })
-                .map_err(|e| bind_err(format!("spawning reactor: {e}")))?,
-        );
-    }
-    drop(job_tx);
-
-    Ok(Engine {
-        addr,
-        reactors,
-        workers,
-    })
+    let listener = TcpListener::bind(&cfg.addr).map_err(bind_err)?;
+    let addr = listener.local_addr().map_err(bind_err)?;
+    listener.set_nonblocking(true).map_err(bind_err)?;
+    let (wake_rx, wake_tx) = UnixStream::pair().map_err(bind_err)?;
+    wake_rx.set_nonblocking(true).map_err(bind_err)?;
+    wake_tx.set_nonblocking(true).map_err(bind_err)?;
+    let (tx, done) = channel();
+    let to = Completions {
+        tx,
+        wake: Arc::new(wake_tx),
+    };
+    let reactor_app = Arc::clone(&app);
+    let reactor = std::thread::Builder::new()
+        .name("dt-serve-reactor".into())
+        .spawn(move || {
+            reactor_loop(listener, &*reactor_app, &workers, &done, &wake_rx, &to);
+            workers.finish();
+        })
+        .map_err(bind_err)?;
+    Ok(ServeHandle { app, addr, reactor })
 }
 
-/// Handle queued requests until every reactor has dropped its sender.
-fn worker_loop<A: App>(rx: &Receiver<Job>, app: &A, deadline: Duration) {
-    let expired = app.metrics().counter("deadline_expired");
-    let panics = app.metrics().counter("handler_panics");
-    while let Ok(job) = rx.recv() {
-        let (response, close) = if job.enqueued.elapsed() > deadline {
-            expired.inc();
-            (Response::error(503, "queue deadline exceeded"), true)
-        } else {
-            // A panicking handler answers 500 and costs only this
-            // request — the worker thread survives.
-            let response = match catch_unwind(AssertUnwindSafe(|| app.handle(&job.req))) {
-                Ok(resp) => resp,
-                Err(_) => {
-                    panics.inc();
-                    Response::error(500, "internal error")
-                }
-            };
-            (response, job.req.wants_close() || app.shutdown_requested())
-        };
-        job.completion.complete(job.token, response, close);
-    }
-}
-
-/// The poll loop: one reactor's whole life.
+/// The poll loop: the reactor's whole life.
 #[allow(clippy::too_many_lines)]
-fn reactor_loop<A: App>(
+fn reactor_loop(
     listener: TcpListener,
-    app: &A,
-    max_body: usize,
-    jobs: &Sender<Job>,
-    comp_rx: &Receiver<Completion>,
+    app: &dyn App,
+    workers: &Workers,
+    done: &Receiver<Completion>,
     wake_rx: &UnixStream,
-    completion: &CompletionHandle,
+    to: &Completions,
 ) {
     let admitted = app.metrics().counter("connections_admitted");
     let rejected = app.metrics().counter("queue_rejections");
@@ -374,6 +443,9 @@ fn reactor_loop<A: App>(
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token: u64 = 0;
     let mut draining = false;
+    let dispatch = |token: u64, conn: &mut Conn, dead: &mut Vec<u64>| {
+        parse_and_dispatch(token, conn, workers, to, &rejected, dead);
+    };
 
     loop {
         // ---- build the poll set: wake pipe, listener, every conn ----
@@ -431,7 +503,7 @@ fn reactor_loop<A: App>(
 
         // ---- worker completions: fill write buffers ----
         let mut dead: Vec<u64> = Vec::new();
-        while let Some(comp) = comp_rx.try_recv() {
+        while let Ok(comp) = done.try_recv() {
             let Some(conn) = conns.get_mut(&comp.token) else {
                 continue; // connection vanished while the worker ran
             };
@@ -447,9 +519,7 @@ fn reactor_loop<A: App>(
                 } else {
                     // Response fully flushed: a pipelined request may
                     // already be buffered.
-                    parse_and_dispatch(
-                        comp.token, conn, max_body, jobs, completion, &rejected, &mut dead,
-                    );
+                    dispatch(comp.token, conn, &mut dead);
                 }
             }
         }
@@ -469,7 +539,6 @@ fn reactor_loop<A: App>(
                         conns.insert(next_token, Conn::new(stream));
                         next_token += 1;
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(_) => break,
                 }
             }
@@ -498,9 +567,7 @@ fn reactor_loop<A: App>(
                     continue;
                 }
                 if !conn.in_flight && !conn.write_pending() {
-                    parse_and_dispatch(
-                        token, conn, max_body, jobs, completion, &rejected, &mut dead,
-                    );
+                    dispatch(token, conn, &mut dead);
                 }
             }
             // POLLERR/POLLHUP with nothing in flight: the peer is gone.
@@ -569,74 +636,169 @@ fn read_ready(conn: &mut Conn) -> bool {
 
 /// Try to parse one complete request off `conn.rbuf` and hand it to
 /// the workers; answer protocol errors and queue-full inline.
-#[allow(clippy::too_many_arguments)]
 fn parse_and_dispatch(
     token: u64,
     conn: &mut Conn,
-    max_body: usize,
-    jobs: &Sender<Job>,
-    completion: &CompletionHandle,
+    workers: &Workers,
+    to: &Completions,
     rejected: &dt_telemetry::Counter,
     dead: &mut Vec<u64>,
 ) {
     if conn.protocol_dead || conn.in_flight {
         return;
     }
-    match try_parse_request(&conn.rbuf, max_body) {
+    let response = match try_parse_request(&conn.rbuf, MAX_BODY_BYTES) {
         Ok(None) => {
-            if conn.eof && !conn.in_flight && !conn.write_pending() {
+            if conn.eof && !conn.write_pending() {
                 dead.push(token);
             }
+            return;
         }
         Ok(Some((req, consumed))) => {
             conn.rbuf.drain(..consumed);
-            match jobs.try_send(Job {
-                token,
+            let job = Job {
                 req,
                 enqueued: Instant::now(),
-                completion: completion.clone(),
-            }) {
-                Ok(()) => conn.in_flight = true,
-                Err(TrySendError::Full(_)) => {
-                    rejected.inc();
-                    conn.protocol_dead = true;
-                    if !conn.send_response(
-                        &Response::error(429, "service saturated, retry later"),
-                        true,
-                    ) || !conn.write_pending() && conn.close_after_write
-                    {
-                        dead.push(token);
-                    }
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    conn.protocol_dead = true;
-                    if !conn.send_response(&Response::error(503, "service is shutting down"), true)
-                        || !conn.write_pending() && conn.close_after_write
-                    {
-                        dead.push(token);
-                    }
-                }
-            }
-        }
-        Err(e) => {
-            // Framing is unreliable after a protocol error: answer and
-            // close, exactly like the blocking engine did.
-            conn.protocol_dead = true;
-            let response = match &e {
-                HttpReadError::BodyTooLarge { .. } => Response::error(413, &e.to_string()),
-                HttpReadError::HeadersTooLarge => Response::error(431, &e.to_string()),
-                HttpReadError::Unsupported(_) => Response::error(501, &e.to_string()),
-                HttpReadError::Io(_) | HttpReadError::Closed | HttpReadError::Timeout => {
-                    dead.push(token);
-                    return;
-                }
-                HttpReadError::Malformed(_) => Response::error(400, &e.to_string()),
+                reply: Reply::Conn {
+                    token,
+                    to: to.clone(),
+                },
             };
-            if !conn.send_response(&response, true)
-                || !conn.write_pending() && conn.close_after_write
-            {
-                dead.push(token);
+            if workers.submit(job) {
+                conn.in_flight = true;
+                return;
             }
+            rejected.inc();
+            Response::error(429, "service saturated, retry later")
         }
+        // Framing is unreliable after a protocol error: answer and
+        // close, exactly like the blocking engine did.
+        Err(e @ HttpReadError::BodyTooLarge { .. }) => Response::error(413, &e.to_string()),
+        Err(e @ HttpReadError::HeadersTooLarge) => Response::error(431, &e.to_string()),
+        Err(e @ HttpReadError::Unsupported(_)) => Response::error(501, &e.to_string()),
+        Err(e @ HttpReadError::Malformed(_)) => Response::error(400, &e.to_string()),
+    };
+    conn.protocol_dead = true;
+    if !conn.send_response(&response, true) || !conn.write_pending() {
+        dead.push(token);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Answers every request with its own target.
+    struct Echo(MetricsRegistry);
+
+    impl App for Echo {
+        fn handle(&self, req: &Request) -> Response {
+            Response::json(200, req.target.clone())
+        }
+        fn shutdown_requested(&self) -> bool {
+            false
+        }
+        fn shutdown(&self) {}
+        fn metrics(&self) -> &MetricsRegistry {
+            &self.0
+        }
+    }
+
+    fn echo_workers(workers: usize, queue_depth: usize) -> Workers {
+        let app = Arc::new(Echo(MetricsRegistry::new()));
+        Workers::start(app, workers, queue_depth, Duration::from_secs(60)).unwrap()
+    }
+
+    /// A completion sink whose wake pipe never fills up the test.
+    fn completions() -> (Completions, Receiver<Completion>, UnixStream) {
+        let (wake_rx, wake_tx) = UnixStream::pair().unwrap();
+        wake_tx.set_nonblocking(true).unwrap();
+        let (tx, rx) = channel();
+        let to = Completions {
+            tx,
+            wake: Arc::new(wake_tx),
+        };
+        (to, rx, wake_rx)
+    }
+
+    fn job(token: u64, to: &Completions) -> Job {
+        Job {
+            req: Request {
+                method: "GET".into(),
+                target: format!("/{token}"),
+                http11: true,
+                headers: Vec::new(),
+                body: Vec::new(),
+            },
+            enqueued: Instant::now(),
+            reply: Reply::Conn {
+                token,
+                to: to.clone(),
+            },
+        }
+    }
+
+    /// Every answered token, sorted, after checking each body echoes it.
+    fn answered(rx: &Receiver<Completion>) -> Vec<u64> {
+        let mut tokens: Vec<u64> = rx
+            .try_iter()
+            .map(|c| {
+                assert_eq!(c.response.body, format!("/{}", c.token));
+                c.token
+            })
+            .collect();
+        tokens.sort_unstable();
+        tokens
+    }
+
+    #[test]
+    fn submit_refuses_at_depth_without_blocking() {
+        let (to, _rx, _wake) = completions();
+        let queue = JobQueue::new(2);
+        assert!(queue.submit(job(1, &to)));
+        assert!(queue.submit(job(2, &to)));
+        assert!(!queue.submit(job(3, &to)), "a full queue refuses at once");
+        assert_eq!(queue.pop().unwrap().req.target, "/1");
+        assert!(queue.submit(job(3, &to)));
+        assert_eq!(queue.pop().unwrap().req.target, "/2");
+        assert_eq!(queue.pop().unwrap().req.target, "/3");
+        queue.close();
+        assert!(queue.pop().is_none());
+    }
+
+    #[test]
+    fn finish_answers_every_queued_job() {
+        let (to, rx, _wake) = completions();
+        let workers = echo_workers(1, 16);
+        for token in 0..16 {
+            assert!(workers.submit(job(token, &to)));
+        }
+        workers.finish();
+        assert_eq!(answered(&rx), (0..16).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn each_job_is_answered_exactly_once() {
+        const SUBMITTERS: u64 = 4;
+        const PER_SUBMITTER: u64 = 250;
+        let (to, rx, _wake) = completions();
+        let workers = echo_workers(3, 8);
+        std::thread::scope(|s| {
+            for t in 0..SUBMITTERS {
+                let (workers, to) = (&workers, &to);
+                s.spawn(move || {
+                    for token in t * PER_SUBMITTER..(t + 1) * PER_SUBMITTER {
+                        while !workers.submit(job(token, to)) {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+        });
+        workers.finish();
+        assert_eq!(
+            answered(&rx),
+            (0..SUBMITTERS * PER_SUBMITTER).collect::<Vec<_>>()
+        );
     }
 }

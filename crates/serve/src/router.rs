@@ -22,11 +22,12 @@ use std::time::{Duration, Instant};
 use dt_hpc::{CommError, TcpRendezvous, TcpTransport, Transport};
 use dt_telemetry::{parse_json, push_f64, push_json_string, JsonValue, MetricsRegistry};
 
+use crate::api::no_route;
 use crate::artifact::ArtifactRegistry;
 use crate::http::{serialize_request, Request, Response};
-use crate::reactor::{start_engine, App, Engine};
+use crate::reactor::{start_engine, App};
 use crate::ring::HashRing;
-use crate::server::{ServeConfig, ServeStats};
+use crate::server::{ServeConfig, ServeHandle, ServeStats};
 use crate::shard::{
     decode_response, encode_rpc, run_shard, ShardConfig, ShardStats, OP_DRAIN, OP_HTTP, TAG_REQ,
 };
@@ -36,7 +37,7 @@ use crate::ServeError;
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// The HTTP front-door engine configuration (listen address,
-    /// reactors, workers, queue depth, ...).
+    /// workers, queue depth, ...).
     pub serve: ServeConfig,
     /// How long one router→shard RPC may take before the client gets
     /// `504 Gateway Timeout`.
@@ -265,13 +266,7 @@ impl RouterState {
             ("GET", "/v1/artifacts") => self.artifacts_fanout(),
             ("POST", "/v1/thermo" | "/v1/sro" | "/v1/predict") => self.forward(req),
             ("POST", "/v1/shutdown") => self.fleet_shutdown(),
-            (_, "/healthz" | "/metrics" | "/v1/artifacts") => {
-                Response::error(405, "endpoint only supports GET")
-            }
-            (_, "/v1/thermo" | "/v1/sro" | "/v1/predict" | "/v1/shutdown") => {
-                Response::error(405, "endpoint only supports POST")
-            }
-            (_, target) => Response::error(404, &format!("no such endpoint: {target}")),
+            _ => no_route(req),
         }
     }
 }
@@ -290,6 +285,12 @@ impl App for RouterState {
 
     fn shutdown_requested(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
+    }
+
+    /// Shards first, then the front door — the same path as
+    /// `POST /v1/shutdown`.
+    fn shutdown(&self) {
+        let _ = self.fleet_shutdown();
     }
 
     fn metrics(&self) -> &MetricsRegistry {
@@ -315,14 +316,15 @@ pub struct Router;
 impl Router {
     /// Start the HTTP engine over an already-connected fleet mesh.
     /// `transport` must be rank 0 of a `(shards + 1)`-size transport.
+    /// The returned handle's [`ServeHandle::shutdown`] drains every
+    /// shard before the front door; its [`ServeHandle::join`] reports
+    /// the front door's stats (shards exit on their own once drained,
+    /// or once the router's transport drops).
     ///
     /// # Errors
     /// [`ServeError::BadConfig`] when called off rank 0 or with no
     /// shards; engine bind/config errors otherwise.
-    pub fn start(
-        transport: TcpTransport,
-        config: RouterConfig,
-    ) -> Result<RouterHandle, ServeError> {
+    pub fn start(transport: TcpTransport, config: RouterConfig) -> Result<ServeHandle, ServeError> {
         if transport.rank() != 0 {
             return Err(ServeError::BadConfig(
                 "the router must be rank 0 of the fleet mesh".into(),
@@ -333,7 +335,6 @@ impl Router {
                 "a fleet needs at least one shard".into(),
             ));
         }
-        config.serve.validate()?;
         let state = Arc::new(RouterState {
             ring: HashRing::new(transport.size() - 1),
             transport: Arc::new(transport),
@@ -343,35 +344,7 @@ impl Router {
             started: Instant::now(),
             rpc_deadline: config.rpc_deadline,
         });
-        let engine = start_engine(&state, &config.serve)?;
-        Ok(RouterHandle { state, engine })
-    }
-}
-
-/// A running router: lifecycle mirror of [`crate::ServeHandle`].
-pub struct RouterHandle {
-    state: Arc<RouterState>,
-    engine: Engine,
-}
-
-impl RouterHandle {
-    /// The bound front-door address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.engine.local_addr()
-    }
-
-    /// Drain the fleet programmatically: shards first, then the front
-    /// door — the same path as `POST /v1/shutdown`.
-    pub fn shutdown(&self) {
-        let _ = self.state.fleet_shutdown();
-    }
-
-    /// Wait for the front door to finish draining; returns its engine
-    /// stats. Shard processes exit on their own once drained (or once
-    /// the router's transport drops).
-    pub fn join(self) -> ServeStats {
-        self.engine.join();
-        ServeStats::from_metrics(&self.state.metrics)
+        start_engine(state, &config.serve)
     }
 }
 
@@ -380,7 +353,7 @@ impl RouterHandle {
 /// slices the same `registry` by the shared hash ring, exactly as the
 /// multi-process deployment does.
 pub struct Fleet {
-    router: RouterHandle,
+    router: ServeHandle,
     shards: Vec<std::thread::JoinHandle<Result<ShardStats, ServeError>>>,
     kills: Vec<Arc<AtomicBool>>,
 }

@@ -1,26 +1,26 @@
 //! The standalone (single-process) server: configuration, lifecycle
-//! handle, and lifetime stats over the shared reactor engine.
+//! handle, and lifetime stats over the reactor engine.
 //!
-//! The actual transport — nonblocking sockets, `poll(2)` readiness,
+//! The transport — nonblocking sockets, `poll(2)` readiness, the
 //! bounded worker queue, graceful drain — lives in [`crate::reactor`];
 //! this module binds it to [`AppState`] (the registry + endpoints) and
 //! keeps the public `Server`/`ServeHandle`/`ServeStats` surface that
 //! the CLI, benches, and tests use. The router tier
 //! ([`crate::router`]) drives the very same engine with its own
-//! application state.
+//! application state and gets the same [`ServeHandle`] back.
 //!
-//! Backpressure is explicit and unchanged from the blocking engine it
-//! replaced: the request queue is a bounded `crossbeam` channel (queue
-//! full answers `429`), every queued request carries its enqueue time
-//! (a worker that dequeues it after the deadline answers `503`), and
+//! Backpressure is explicit: the request queue is bounded (queue full
+//! answers `429`), every queued request carries its enqueue time (a
+//! worker that dequeues it after the deadline answers `503`), and
 //! handler panics are contained with `catch_unwind` (`500`). Shutdown
 //! (via [`ServeHandle::shutdown`] or `POST /v1/shutdown`) flips a
-//! shared flag: reactors stop accepting, close idle connections,
-//! finish in-flight requests, and exit; [`ServeHandle::join`] returns
-//! the final [`ServeStats`].
+//! shared flag: the reactor stops accepting, closes idle connections,
+//! finishes in-flight requests, and exits; [`ServeHandle::join`]
+//! returns the final [`ServeStats`].
 
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dt_telemetry::MetricsRegistry;
@@ -28,28 +28,26 @@ use dt_telemetry::MetricsRegistry;
 use crate::api::AppState;
 use crate::artifact::ArtifactRegistry;
 use crate::http::{Request, Response};
-use crate::reactor::{start_engine, App, Engine};
+use crate::reactor::{start_engine, App};
 use crate::ServeError;
 
-/// Tuning knobs for a [`Server`] (and, with `shards`, a fleet tier).
+/// Tuning knobs for a [`Server`] (and, through
+/// [`crate::RouterConfig::serve`], for a router's front door).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Listen address, e.g. `"127.0.0.1:8080"` (`:0` picks a free port).
     pub addr: String,
     /// Worker threads handling parsed requests.
     pub workers: usize,
-    /// Reactor (event-loop) threads sharing the listener; more than
-    /// one shards the accept path.
-    pub reactors: usize,
-    /// Bounded queue depth between the reactors and the workers;
+    /// Bounded queue depth between the reactor and the workers;
     /// requests beyond this return `429`.
     pub queue_depth: usize,
-    /// Largest accepted request body, in bytes (`413` beyond).
-    pub max_body_bytes: usize,
     /// Longest a request may wait in the queue before a worker answers
     /// `503` instead of doing stale work.
     pub queue_deadline: Duration,
-    /// `/v1/thermo` response cache capacity (0 disables caching).
+    /// `/v1/thermo` response cache capacity (0 disables caching). A
+    /// router ignores it: its shards cache, each per its
+    /// [`crate::ShardConfig`].
     pub cache_capacity: usize,
 }
 
@@ -58,34 +56,10 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            reactors: 1,
             queue_depth: 128,
-            max_body_bytes: 1 << 20,
             queue_deadline: Duration::from_secs(2),
             cache_capacity: 256,
         }
-    }
-}
-
-impl ServeConfig {
-    /// Reject configurations the engine cannot run.
-    ///
-    /// # Errors
-    /// [`ServeError::BadConfig`] for zero workers/reactors/queue/body.
-    pub(crate) fn validate(&self) -> Result<(), ServeError> {
-        if self.workers == 0 {
-            return Err(ServeError::BadConfig("workers must be > 0".into()));
-        }
-        if self.reactors == 0 {
-            return Err(ServeError::BadConfig("reactors must be > 0".into()));
-        }
-        if self.queue_depth == 0 {
-            return Err(ServeError::BadConfig("queue_depth must be > 0".into()));
-        }
-        if self.max_body_bytes == 0 {
-            return Err(ServeError::BadConfig("max_body_bytes must be > 0".into()));
-        }
-        Ok(())
     }
 }
 
@@ -93,7 +67,7 @@ impl ServeConfig {
 /// [`ServeHandle::join`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServeStats {
-    /// Connections accepted by the reactors.
+    /// Connections accepted by the reactor.
     pub connections_admitted: u64,
     /// Requests rejected with `429` because the worker queue was full.
     pub queue_rejections: u64,
@@ -107,7 +81,7 @@ pub struct ServeStats {
 
 impl ServeStats {
     /// Snapshot the engine counters out of a metrics registry.
-    pub(crate) fn from_metrics(m: &MetricsRegistry) -> ServeStats {
+    fn from_metrics(m: &MetricsRegistry) -> ServeStats {
         ServeStats {
             connections_admitted: m.counter("connections_admitted").get(),
             queue_rejections: m.counter("queue_rejections").get(),
@@ -127,6 +101,10 @@ impl App for AppState {
         AppState::shutdown_requested(self)
     }
 
+    fn shutdown(&self) {
+        self.request_shutdown();
+    }
+
     fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
@@ -142,48 +120,44 @@ impl Server {
     /// Bind, spawn the reactor and worker threads, and return a handle.
     ///
     /// # Errors
-    /// [`ServeError::BadConfig`] for zero workers/reactors/queue/body,
-    /// [`ServeError::Bind`] when the listen socket cannot be created,
-    /// or any [`AppState::new`] error.
+    /// [`ServeError::BadConfig`] for zero workers or a zero queue
+    /// depth, [`ServeError::Bind`] when the listen socket cannot be
+    /// created, or any [`AppState::new`] error.
     pub fn start(
         registry: ArtifactRegistry,
         config: ServeConfig,
     ) -> Result<ServeHandle, ServeError> {
-        config.validate()?;
         let state = Arc::new(AppState::new(registry, config.cache_capacity)?);
-        let engine = start_engine(&state, &config)?;
-        Ok(ServeHandle { state, engine })
+        start_engine(state, &config)
     }
 }
 
-/// A running server: the shared state plus the engine to join.
+/// A running server or router: the application it serves plus the
+/// reactor thread to join.
 pub struct ServeHandle {
-    state: Arc<AppState>,
-    engine: Engine,
+    pub(crate) app: Arc<dyn App>,
+    pub(crate) addr: SocketAddr,
+    pub(crate) reactor: JoinHandle<()>,
 }
 
 impl ServeHandle {
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.engine.local_addr()
-    }
-
-    /// The shared application state (registry, metrics, drain flag).
-    pub fn state(&self) -> &Arc<AppState> {
-        &self.state
+        self.addr
     }
 
     /// Begin a graceful drain: stop accepting, finish what's queued and
-    /// in flight. Idempotent; `POST /v1/shutdown` flips the same flag.
+    /// in flight. A router drains every shard first. Idempotent;
+    /// `POST /v1/shutdown` takes the same path.
     pub fn shutdown(&self) {
-        self.state.request_shutdown();
+        self.app.shutdown();
     }
 
     /// Wait for the drain to complete and report lifetime stats.
     /// Requests admitted before shutdown are all answered first.
     pub fn join(self) -> ServeStats {
-        self.engine.join();
-        ServeStats::from_metrics(&self.state.metrics)
+        let _ = self.reactor.join();
+        ServeStats::from_metrics(self.app.metrics())
     }
 }
 
@@ -259,23 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_accept_serves_across_reactors() {
-        let handle = start_fixture_server(ServeConfig {
-            reactors: 2,
-            ..ServeConfig::default()
-        });
-        let addr = handle.local_addr();
-        for _ in 0..8 {
-            let (status, _) = roundtrip(addr, "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
-            assert_eq!(status, 200);
-        }
-        handle.shutdown();
-        let stats = handle.join();
-        assert_eq!(stats.requests_handled, 8);
-        assert_eq!(stats.connections_admitted, 8);
-    }
-
-    #[test]
     fn pipelined_requests_are_answered_in_order() {
         let handle = start_fixture_server(ServeConfig::default());
         let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
@@ -329,7 +286,7 @@ mod tests {
                 ..ServeConfig::default()
             },
             ServeConfig {
-                reactors: 0,
+                queue_depth: 0,
                 ..ServeConfig::default()
             },
         ] {

@@ -23,18 +23,26 @@
 //! * response — tag `req_id`, payload an encoded [`Response`]. Request
 //!   ids stay below bit 62, so they can never collide with `TAG_REQ`
 //!   or the transport's collective tag bit.
+//!
+//! The receive loop only decodes, parses and submits: requests run on
+//! the HTTP engine's worker pool ([`crate::reactor`]) with its
+//! semantics — a full queue (1 024 jobs) answers `429`, a job that
+//! waited past the default queue deadline answers `503`, and a handler
+//! panic answers `500`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dt_codec::bin::{Reader, Writer};
 use dt_hpc::{CommError, TcpTransport, Transport};
 
 use crate::api::AppState;
 use crate::artifact::ArtifactRegistry;
-use crate::http::{try_parse_request, Response};
+use crate::http::{try_parse_request, Response, MAX_BODY_BYTES};
+use crate::reactor::{Job, Reply, Workers};
 use crate::ring::HashRing;
+use crate::server::ServeConfig;
 use crate::ServeError;
 
 /// Tag carrying router→shard requests. Sits below the transport's
@@ -113,43 +121,30 @@ pub fn decode_response(payload: &[u8]) -> Option<Response> {
 }
 
 /// Tuning for one shard process.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Worker threads evaluating requests (default 2).
+    /// Worker threads evaluating requests.
     pub workers: usize,
-    /// `/v1/thermo` response cache capacity (default 256).
+    /// `/v1/thermo` response cache capacity (0 disables caching).
     pub cache_capacity: usize,
-    /// Largest accepted request body in bytes (default 1 MiB).
-    pub max_body_bytes: usize,
-    /// Chaos hook: when this flag flips, the dispatcher exits abruptly
+    /// Chaos hook: when this flag flips, the receive loop exits abruptly
     /// — no drain, no reply — as if the process were killed. The
     /// transport teardown is what the router's liveness then observes.
     pub kill: Option<Arc<AtomicBool>>,
 }
 
-impl ShardConfig {
-    fn workers(&self) -> usize {
-        if self.workers == 0 {
-            2
-        } else {
-            self.workers
-        }
-    }
-    fn cache_capacity(&self) -> usize {
-        if self.cache_capacity == 0 {
-            256
-        } else {
-            self.cache_capacity
-        }
-    }
-    fn max_body_bytes(&self) -> usize {
-        if self.max_body_bytes == 0 {
-            1 << 20
-        } else {
-            self.max_body_bytes
+impl Default for ShardConfig {
+    fn default() -> Self {
+        ShardConfig {
+            workers: 2,
+            cache_capacity: 256,
+            kill: None,
         }
     }
 }
+
+/// Jobs a shard holds for its workers before answering `429`.
+const SHARD_QUEUE_DEPTH: usize = 1024;
 
 /// What one shard did over its lifetime, reported when it exits.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -171,8 +166,8 @@ pub struct ShardStats {
 /// [`HashRing`], so the slices are disjoint and cover every id.
 ///
 /// # Errors
-/// [`ServeError::BadConfig`] when called on rank 0, or any
-/// [`AppState::new`] error from the sliced registry.
+/// [`ServeError::BadConfig`] when called on rank 0 or with zero
+/// workers, or any [`AppState::new`] error from the sliced registry.
 pub fn run_shard(
     transport: TcpTransport,
     mut registry: ArtifactRegistry,
@@ -190,76 +185,77 @@ pub fn run_shard(
     registry.retain(|id| ring.shard_for(id) == shard_index);
     let owned = registry.len();
 
-    let state = Arc::new(AppState::new(registry, config.cache_capacity())?);
+    let state = Arc::new(AppState::new(registry, config.cache_capacity)?);
     let transport = Arc::new(transport);
-    let max_body = config.max_body_bytes();
+    // The engine's own worker pool: workers answer straight onto the
+    // transport (sends are thread-safe and buffered).
+    let workers = Workers::start(
+        state.clone(),
+        config.workers,
+        SHARD_QUEUE_DEPTH,
+        ServeConfig::default().queue_deadline,
+    )?;
+    let rejected = state.metrics.counter("queue_rejections");
+    let reply = |req_id: u64, resp: &Response| {
+        transport.send(0, req_id, encode_response(resp), None);
+    };
 
-    // Same worker-pool shape as the HTTP engine, minus the sockets: the
-    // dispatcher feeds parsed-enough jobs to workers, workers answer
-    // straight onto the transport (sends are thread-safe and buffered).
-    let (tx, rx) = crossbeam::channel::bounded::<(u64, Vec<u8>)>(1024);
-    let mut workers = Vec::with_capacity(config.workers());
-    for _ in 0..config.workers() {
-        let rx = rx.clone();
-        let state = Arc::clone(&state);
-        let transport = Arc::clone(&transport);
-        workers.push(std::thread::spawn(move || {
-            while let Ok((req_id, raw)) = rx.recv() {
-                let resp = answer(&state, &raw, max_body);
-                transport.send(0, req_id, encode_response(&resp), None);
-            }
-        }));
-    }
-    drop(rx);
-
-    loop {
-        if let Some(kill) = &config.kill {
-            if kill.load(Ordering::SeqCst) {
-                // Abrupt death: drop everything without replying. The
-                // workers exit on channel disconnect; dropping the last
-                // transport handle tears the sockets down, which is how
-                // the router learns this slice is gone.
-                drop(tx);
-                for w in workers {
-                    let _ = w.join();
-                }
-                break;
-            }
+    // `Some(req_id)` when the router asked us to drain.
+    let drain = loop {
+        // Abrupt death: stop receiving, no drain summary. Once the
+        // queued jobs are answered, dropping the last transport handle
+        // tears the sockets down, which is how the router learns this
+        // slice is gone.
+        if config
+            .kill
+            .as_ref()
+            .is_some_and(|k| k.load(Ordering::SeqCst))
+        {
+            break None;
         }
         match transport.recv_timeout(0, TAG_REQ, Duration::from_millis(100)) {
             Ok(payload) => {
                 let Some((req_id, op, raw)) = decode_rpc(&payload) else {
                     continue; // undecodable frame: drop it
                 };
-                match op {
-                    OP_DRAIN => {
-                        state.request_shutdown();
-                        drop(tx);
-                        // Everything already queued is answered first;
-                        // the drain summary is the last frame out.
-                        for w in workers {
-                            let _ = w.join();
+                if op == OP_DRAIN {
+                    break Some(req_id);
+                }
+                match try_parse_request(raw, MAX_BODY_BYTES) {
+                    Ok(Some((req, _))) => {
+                        let job = Job {
+                            req,
+                            enqueued: Instant::now(),
+                            reply: Reply::Rpc {
+                                req_id,
+                                transport: Arc::clone(&transport),
+                            },
+                        };
+                        if !workers.submit(job) {
+                            rejected.inc();
+                            reply(
+                                req_id,
+                                &Response::error(429, "service saturated, retry later"),
+                            );
                         }
-                        let summary = Response::json(200, state.drain_summary());
-                        transport.send(0, req_id, encode_response(&summary), None);
-                        break;
                     }
-                    _ => {
-                        let _ = tx.send((req_id, raw.to_vec()));
-                    }
+                    Ok(None) => reply(req_id, &Response::error(400, "truncated forwarded request")),
+                    Err(e) => reply(req_id, &Response::error(400, &e.to_string())),
                 }
             }
             // Quiet interval: keep serving while the router lives.
-            Err(CommError::Timeout { .. }) if transport.is_alive(0) => continue,
+            Err(CommError::Timeout { .. }) if transport.is_alive(0) => {}
             // Router gone (EOF or heartbeat miss): nothing left to serve.
-            Err(_) => {
-                drop(tx);
-                for w in workers {
-                    let _ = w.join();
-                }
-                break;
-            }
+            Err(_) => break None,
         }
+    };
+
+    // Everything already queued is answered first; a drain summary is
+    // the last frame out.
+    state.request_shutdown();
+    workers.finish();
+    if let Some(req_id) = drain {
+        reply(req_id, &Response::json(200, state.drain_summary()));
     }
 
     Ok(ShardStats {
@@ -267,24 +263,6 @@ pub fn run_shard(
         requests_handled: state.metrics.counter("requests_total").get(),
         handler_panics: state.metrics.counter("handler_panics").get(),
     })
-}
-
-/// Parse the forwarded wire bytes and run the handler, mapping parse
-/// failures and panics to error responses exactly like the HTTP engine.
-fn answer(state: &Arc<AppState>, raw: &[u8], max_body: usize) -> Response {
-    let req = match try_parse_request(raw, max_body) {
-        Ok(Some((req, _))) => req,
-        Ok(None) => return Response::error(400, "truncated forwarded request"),
-        Err(e) => return Response::error(400, &e.to_string()),
-    };
-    let state2 = Arc::clone(state);
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || state2.handle(&req))) {
-        Ok(resp) => resp,
-        Err(_) => {
-            state.metrics.counter("handler_panics").inc();
-            Response::error(500, "handler panicked")
-        }
-    }
 }
 
 #[cfg(test)]

@@ -303,6 +303,34 @@ fn fleet_saturation_sheds_load_with_429() {
 }
 
 #[test]
+fn shard_cache_capacity_zero_means_no_cache() {
+    // An explicit zero is the setting, not "use the default": the
+    // fleet caches nothing, exactly like a standalone `--cache 0`.
+    let registry = fleet_registry(2);
+    let fleet = Fleet::launch(
+        2,
+        &registry,
+        RouterConfig::default(),
+        &ShardConfig {
+            cache_capacity: 0,
+            ..ShardConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = fleet.local_addr();
+    let query = format!(
+        "{{\"artifact\":\"{}\",\"temperatures\":[321,654,987]}}",
+        registry.ids()[0]
+    );
+    for _ in 0..2 {
+        let (status, headers, body) = post(addr, "/v1/thermo", &query);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(header(&headers, "x-cache"), Some("miss"));
+    }
+    fleet.join();
+}
+
+#[test]
 fn shutdown_endpoint_drains_router_and_every_shard() {
     let registry = fleet_registry(4);
     let fleet = launch(2, &registry);

@@ -7,6 +7,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use dt_serve::fixture::fixture_artifact;
+use dt_serve::http::MAX_BODY_BYTES;
 use dt_serve::{Artifact, ArtifactRegistry, ServeConfig, ServeHandle, Server};
 use dt_telemetry::{parse_json, JsonValue};
 use dt_thermo::KB_EV_PER_K;
@@ -176,16 +177,16 @@ fn concurrent_clients_get_bit_identical_curves() {
 
 #[test]
 fn abuse_suite_yields_4xx_and_leaves_the_server_healthy() {
-    let handle = start(ServeConfig {
-        max_body_bytes: 4096,
-        ..ServeConfig::default()
-    });
+    let handle = start(ServeConfig::default());
     let addr = handle.local_addr();
 
     // Oversized body: declared length beyond the limit.
     let (status, _, _) = exchange(
         addr,
-        "POST /v1/thermo HTTP/1.1\r\ncontent-length: 999999\r\nconnection: close\r\n\r\n",
+        &format!(
+            "POST /v1/thermo HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        ),
     );
     assert_eq!(status, 413);
 
