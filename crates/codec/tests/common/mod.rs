@@ -79,9 +79,7 @@ pub fn rank_plain() -> RankCheckpoint {
 pub fn piece() -> GatherPiece {
     GatherPiece {
         state: rank_full(),
-        respawns: 1,
-        rejoin_duration_ns: 2_000_000,
-        heartbeat_misses: 3,
+        reserved: [1, 2_000_000, 3],
     }
 }
 

@@ -101,9 +101,7 @@ fn formats(salt: u64) -> Vec<Format> {
     telemetry.gauges[0].1 = finite;
     let piece = GatherPiece {
         state: rank.clone(),
-        respawns: salt % 5,
-        rejoin_duration_ns: salt >> 3,
-        heartbeat_misses: salt % 7,
+        reserved: [salt % 5, salt >> 3, salt % 7],
     };
     let sur = dt_serve::fixture::fixture_artifact("c")
         .surrogate_text

@@ -86,14 +86,18 @@ run / info flags:
   --cluster tcp:N        run N ranks as separate processes over loopback
                          TCP (N must equal windows x walkers); the result
                          is bit-identical to the in-process run
-  --kill R:ROUND         (with --cluster) crash worker rank R at exchange
-                         round ROUND to exercise degraded mode
-  --recover              (with --cluster) self-heal: supervise workers,
-                         respawn dead ranks with backoff, and rejoin them
-                         from their checkpoints — a recovered run is
-                         bit-identical to a fault-free one
-  --max-restarts N       (with --recover) respawn budget per rank; after
-                         that the survivors degrade     (default 3)
+  --kill R:ROUND         (with --cluster) crash rank R at exchange round
+                         ROUND; without --recover the survivors degrade
+                         around it, the one mode whose result differs
+                         from a fault-free run
+  --recover              (with --cluster) fail-stop + restart: the first
+                         lost rank stops the cluster, and every rank
+                         restarts from the newest complete checkpoint
+                         (taken every 10 rounds) — the run ends
+                         bit-identical to a fault-free one, or with an
+                         error, never degraded
+  --max-restarts N       (with --recover) whole-cluster restarts allowed;
+                         one more death is an error     (default 3)
   --chaos-seed S         (with --cluster) deterministic multi-fault
                          schedule (kill + message drops/delays) derived
                          entirely from S; recorded into the checkpoint
@@ -540,15 +544,14 @@ fn build_config() -> Result<DeepThermoConfig, DeepThermoError> {
         })),
     };
     cfg.rewl.recovery = has_flag("--recover");
-    cfg.rewl.respawns = arg(cluster::RESPAWN_COUNT_FLAG, 0u64);
     cfg.rewl.adaptive_windows = has_flag("--adaptive-windows");
     cfg.rewl.rebalance_every = arg("--rebalance-every", 0u64);
     Ok(cfg.with_telemetry(has_flag("--telemetry")))
 }
 
-/// Recovery needs a checkpoint for the replacement to rejoin from; when
-/// `--recover` is on and no `--checkpoint` was given, every process of
-/// the cluster derives the same default directory under `--out`.
+/// A restart resumes from a checkpoint; when `--recover` is on and no
+/// `--checkpoint` was given, every process of the cluster derives the
+/// same default directory under `--out`.
 fn apply_recovery_defaults(cfg: &mut DeepThermoConfig) {
     if cfg.rewl.recovery && cfg.rewl.checkpoint.is_none() {
         let out = arg("--out", "deepthermo-out".to_string());
@@ -609,8 +612,12 @@ fn apply_cluster_checkpoint(cfg: &mut DeepThermoConfig) {
 
 /// The fault plan shared by every process of a cluster run: a seeded
 /// chaos schedule (when `--chaos-seed` is given), plus any explicit
-/// `--kill` event.
+/// `--kill` event. A rank of a restarted life (nonzero
+/// [`cluster::RESPAWN_COUNT_FLAG`]) replays fault-free.
 fn cluster_fault_plan(size: usize) -> Result<FaultPlan, DeepThermoError> {
+    if arg(cluster::RESPAWN_COUNT_FLAG, 0u64) > 0 {
+        return Ok(FaultPlan::none());
+    }
     let mut plan = match opt_arg("--chaos-seed") {
         Some(v) => {
             let seed: u64 = v.parse().map_err(|_| DeepThermoError::Cluster {
@@ -621,8 +628,8 @@ fn cluster_fault_plan(size: usize) -> Result<FaultPlan, DeepThermoError> {
         None => FaultPlan::none(),
     };
     if let Some(v) = opt_arg("--kill") {
-        let kill =
-            cluster::parse_kill(&v).map_err(|message| DeepThermoError::Cluster { message })?;
+        let kill = cluster::parse_kill(&v, size)
+            .map_err(|message| DeepThermoError::Cluster { message })?;
         for e in kill.events() {
             if let FaultEvent::KillAtRound { rank, round } = e {
                 plan = plan.kill_at_round(*rank, *round);
@@ -656,8 +663,6 @@ fn worker() -> ExitCode {
     };
     apply_cluster_checkpoint(&mut cfg);
     apply_recovery_defaults(&mut cfg);
-    let recover = cfg.rewl.recovery;
-    let respawns = cfg.rewl.respawns;
     let plan = match cluster_fault_plan(spec.size) {
         Ok(p) => p,
         Err(e) => {
@@ -672,15 +677,7 @@ fn worker() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let outcome = cluster::run_cluster_worker(
-        &runner,
-        rank,
-        spec.size,
-        &rendezvous,
-        plan,
-        recover,
-        respawns,
-    );
+    let outcome = cluster::run_cluster_worker(&runner, rank, spec.size, &rendezvous, plan);
     match outcome {
         Ok(WorkerOutcome::Killed) => ExitCode::from(cluster::KILLED_EXIT_CODE),
         Ok(_) => ExitCode::SUCCESS,
@@ -709,21 +706,21 @@ fn run_cluster(
     });
     if let Some(policy) = &policy {
         println!(
-            "recovery: supervising workers (respawn budget {} per rank)",
+            "recovery: supervising the cluster (budget {} whole-cluster restarts)",
             policy.max_restarts
         );
     }
     let (report, outcomes) = cluster::run_cluster_root(runner, spec, plan, &worker_args, policy)?;
-    for (i, outcome) in outcomes.iter().enumerate() {
-        let rank = i + 1;
+    for (rank, outcome) in outcomes.iter().enumerate() {
+        let who = if rank == 0 { "root" } else { "worker" };
         match outcome {
             WorkerOutcome::Completed => {}
             WorkerOutcome::Killed => {
-                println!("worker rank {rank} died from the injected fault; survivors degraded")
+                println!("{who} rank {rank} died from the injected fault; survivors degraded")
             }
-            WorkerOutcome::Failed => eprintln!("warning: worker rank {rank} exited abnormally"),
+            WorkerOutcome::Failed => eprintln!("warning: {who} rank {rank} exited abnormally"),
             WorkerOutcome::Recovered { respawns } => {
-                println!("worker rank {rank} recovered after {respawns} supervised respawn(s)")
+                println!("{who} rank {rank} recovered after {respawns} supervised respawn(s)")
             }
         }
     }
@@ -754,13 +751,13 @@ fn run() -> ExitCode {
     if cluster_spec.is_some() {
         apply_cluster_checkpoint(&mut cfg);
         apply_recovery_defaults(&mut cfg);
-        if cfg.rewl.recovery {
-            if let Some(spec) = cfg.rewl.checkpoint.as_ref() {
-                println!(
-                    "recovery: checkpointing every round into {} (replacements rejoin from it)",
-                    spec.dir.display()
-                );
-            }
+        if let Some(spec) = cfg.rewl.checkpoint.as_ref().filter(|_| cfg.rewl.recovery) {
+            println!(
+                "recovery: checkpointing every {} rounds into {} (a lost rank restarts every \
+                 rank from the newest complete snapshot)",
+                spec.every_rounds,
+                spec.dir.display()
+            );
         }
     } else if cfg.rewl.recovery {
         eprintln!("warning: --recover only applies to --cluster runs; ignoring");

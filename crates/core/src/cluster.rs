@@ -16,30 +16,31 @@
 //!
 //! A fault-free cluster run is bit-identical to the thread backend under
 //! the same seed, and `--kill R:ROUND` injects the same simulated rank
-//! death the thread fabric supports — the process exits cleanly with
-//! [`WorkerOutcome::Killed`] and the survivors degrade exactly as they
-//! do in-process.
+//! death the thread fabric supports — the process exits with
+//! [`KILLED_EXIT_CODE`] and the survivors degrade exactly as they do
+//! in-process.
 //!
-//! With `--recover` the root becomes a **supervisor**: it reaps worker
-//! exits while rank 0 samples, distinguishes injected kills (exit code
-//! [`KILLED_EXIT_CODE`]) from real crashes, and respawns dead workers
-//! with bounded exponential backoff under a per-rank restart budget
-//! ([`RecoveryPolicy`]). A replacement process re-binds its rank id in
-//! the mesh, restores its state from its own newest checkpoint, and
-//! replays its death round — converging to the same answer, bit for bit,
-//! as a fault-free run. When the budget is exhausted the cluster falls
-//! back to graceful degradation (see DESIGN.md, "Failure model").
+//! With `--recover` every rank runs fail-stop (`RewlConfig::recovery`)
+//! and the root becomes a **supervisor**: the first death it sees — a
+//! worker exit, or rank 0's own `PeerLost` or injected crash — ends the
+//! life of the whole cluster. The supervisor stops every worker, binds a
+//! fresh rendezvous, respawns all workers and re-runs rank 0; every rank
+//! resumes fault-free ([`FaultPlan::none`]) from the newest complete
+//! checkpoint, so the run ends bit-identical to a fault-free one.
+//! Restarts back off exponentially under a budget ([`RecoveryPolicy`]);
+//! a death past the budget is an error naming the checkpoint to resume
+//! from, never a degraded run (see DESIGN.md, "Fault tolerance").
 
 use std::panic::AssertUnwindSafe;
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::{Child, Command, ExitStatus};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dt_hpc::{
     install_crash_hook, Communicator, FaultPlan, SimulatedCrash, TcpRendezvous, TcpTransport,
 };
+use dt_rewl::{checkpoint::config_digest, load_resume_point, RewlError};
 
 use crate::error::DeepThermoError;
 use crate::pipeline::DeepThermo;
@@ -49,9 +50,9 @@ use crate::report::DeepThermoReport;
 pub const WORKER_RANK_FLAG: &str = "--worker-rank";
 /// Hidden flag carrying the rendezvous address.
 pub const RENDEZVOUS_FLAG: &str = "--rendezvous";
-/// Hidden flag carrying how many times a worker has been respawned by the
-/// supervisor; a nonzero value tells the replacement to resume from its
-/// own newest checkpoint and rejoin the mesh instead of bootstrapping.
+/// Hidden flag carrying the cluster's restart generation: how many times
+/// the supervisor restarted every rank before this life. A worker of a
+/// restarted life (generation above 0) runs fault-free.
 pub const RESPAWN_COUNT_FLAG: &str = "--respawn-count";
 
 /// A parsed `--cluster` argument.
@@ -103,14 +104,15 @@ impl ClusterSpec {
     }
 }
 
-/// Parse a `--kill R:ROUND` value into a fault plan. Every process of
-/// the cluster parses the same forwarded flag, so they all hold the same
-/// plan — kill events fire on the owning rank's own communicator, just
-/// like on the thread fabric.
+/// Parse a `--kill R:ROUND` value for a `size`-rank cluster into a fault
+/// plan. Every process of the cluster parses the same forwarded flag, so
+/// they all hold the same plan — kill events fire on the owning rank's
+/// own communicator, just like on the thread fabric.
 ///
 /// # Errors
-/// A human-readable message when the value is not `rank:round`.
-pub fn parse_kill(arg: &str) -> Result<FaultPlan, String> {
+/// A human-readable message when the value is not `rank:round` or the
+/// rank is not one of the cluster's.
+pub fn parse_kill(arg: &str, size: usize) -> Result<FaultPlan, String> {
     let (rank, round) = arg
         .split_once(':')
         .ok_or_else(|| format!("bad --kill value {arg:?} (expected RANK:ROUND)"))?;
@@ -120,6 +122,12 @@ pub fn parse_kill(arg: &str) -> Result<FaultPlan, String> {
     let round: u64 = round
         .parse()
         .map_err(|_| format!("bad round in --kill {arg:?}"))?;
+    if rank >= size {
+        return Err(format!(
+            "--kill {arg} names rank {rank}, but a {size}-rank cluster has ranks 0..={}",
+            size - 1
+        ));
+    }
     Ok(FaultPlan::none().kill_at_round(rank, round))
 }
 
@@ -129,7 +137,7 @@ fn cluster_err(what: &str, e: impl std::fmt::Display) -> DeepThermoError {
     }
 }
 
-/// How a worker process ended, as judged by the root from its exit code.
+/// How a rank's process ended, as judged by the root from its exit code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerOutcome {
     /// The worker ran its rank to completion.
@@ -140,22 +148,22 @@ pub enum WorkerOutcome {
     /// The worker failed for a real reason (nonzero exit, signal, or a
     /// wait failure).
     Failed,
-    /// The worker died at least once but a supervised replacement
-    /// rejoined from its checkpoint and ran the rank to completion.
+    /// The rank died at least once, each death restarted the whole
+    /// cluster, and its last life ran to completion.
     Recovered {
-        /// How many times the rank was respawned.
+        /// How many cluster restarts this rank's deaths caused.
         respawns: u64,
     },
 }
 
-/// Supervisor policy for `--recover`: how often and how patiently a dead
-/// worker is respawned before the cluster falls back to degradation.
+/// Supervisor policy for `--recover`: how many whole-cluster restarts a
+/// run may take, and how patiently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
-    /// Respawn budget *per rank*; once exhausted the rank stays dead and
-    /// the survivors degrade around it exactly as with recovery off.
+    /// Cluster restarts allowed over the whole run; the next death is an
+    /// error.
     pub max_restarts: u64,
-    /// First respawn delay; doubles per attempt (exponential backoff).
+    /// First restart delay; doubles per restart (exponential backoff).
     pub backoff_base: Duration,
     /// Ceiling on the backoff delay.
     pub backoff_cap: Duration,
@@ -175,25 +183,46 @@ impl Default for RecoveryPolicy {
 /// can tell injected faults apart from real failures.
 pub const KILLED_EXIT_CODE: u8 = 86;
 
-/// Root side of a multi-process run: bind the rendezvous, spawn the
-/// workers, run rank 0, evaluate, then reap the children. `worker_args`
-/// is the argv (minus the program name) each worker is re-launched with;
-/// it must rebuild the same configuration this process holds.
+/// A rank's death in one life of the cluster.
+struct Death {
+    rank: usize,
+    /// An injected kill; it wins a tie when a restart is attributed.
+    injected: bool,
+    /// When the supervisor saw it.
+    at: Instant,
+    cause: String,
+}
+
+/// How one life of the cluster ended.
+struct Life {
+    /// Rank 0's report, or the error that ended it.
+    root: Result<DeepThermoReport, DeepThermoError>,
+    /// One outcome per worker, index `rank - 1`.
+    workers: Vec<WorkerOutcome>,
+    /// The deaths the supervisor saw, rank 0's included.
+    deaths: Vec<Death>,
+}
+
+/// Root side of a multi-process run: spawn the workers, run rank 0,
+/// evaluate, then reap the children. `worker_args` is the argv (minus the
+/// program name) each worker is re-launched with; it must rebuild the
+/// same configuration this process holds.
 ///
-/// With a `policy` (`--recover`) the reaping thread is a supervisor:
-/// injected kills (exit code [`KILLED_EXIT_CODE`]) are distinguished from
-/// real crashes, and dead workers are respawned with bounded exponential
-/// backoff until `policy.max_restarts` is exhausted — after which the
-/// cluster falls back to graceful degradation. Respawned workers are
-/// re-launched with [`RESPAWN_COUNT_FLAG`] so the replacement rejoins from
-/// its own newest checkpoint.
+/// With a `policy` (`--recover`) the first death restarts the whole
+/// cluster — every worker stopped and respawned with the next
+/// [`RESPAWN_COUNT_FLAG`] generation, rank 0 re-run — after an
+/// exponential backoff, until `policy.max_restarts` is spent. The restart
+/// is attributed to the first rank that died, an injected kill winning a
+/// tie. Without a policy dead workers are only reaped, and the survivors
+/// degrade around them.
 ///
-/// Returns the report plus one [`WorkerOutcome`] per worker rank
-/// (`1..size`).
+/// Returns the report plus one [`WorkerOutcome`] per rank, rank 0
+/// included.
 ///
 /// # Errors
-/// [`DeepThermoError::Cluster`] when the mesh cannot be assembled, plus
-/// everything [`DeepThermo::run_cluster_rank`] can return.
+/// [`DeepThermoError::Cluster`] when the mesh cannot be assembled or a
+/// death finds the restart budget spent, plus everything
+/// [`DeepThermo::run_cluster_rank`] can return.
 pub fn run_cluster_root(
     runner: &DeepThermo,
     spec: ClusterSpec,
@@ -202,102 +231,183 @@ pub fn run_cluster_root(
     policy: Option<RecoveryPolicy>,
 ) -> Result<(DeepThermoReport, Vec<WorkerOutcome>), DeepThermoError> {
     spec.validate_against(runner)?;
+    let exe = std::env::current_exe().map_err(|e| cluster_err("locate own executable", e))?;
+    install_crash_hook();
+    let mut respawns = vec![0u64; spec.size];
+    let mut restarts = 0u64;
+    loop {
+        // A fault plan describes the first life; every restart is a
+        // fault-free replay from the newest complete checkpoint.
+        let life_plan = if restarts == 0 {
+            plan.clone()
+        } else {
+            FaultPlan::none()
+        };
+        let life = run_life(
+            runner,
+            &exe,
+            worker_args,
+            spec.size,
+            restarts,
+            life_plan,
+            policy.is_some(),
+        )?;
+        let error = match life.root {
+            Ok(mut report) => {
+                report.restarts = restarts;
+                let outcomes = std::iter::once(WorkerOutcome::Completed)
+                    .chain(life.workers)
+                    .zip(&respawns)
+                    .map(|(outcome, &n)| match outcome {
+                        WorkerOutcome::Completed if n > 0 => {
+                            WorkerOutcome::Recovered { respawns: n }
+                        }
+                        outcome => outcome,
+                    })
+                    .collect();
+                return Ok((report, outcomes));
+            }
+            Err(error) => error,
+        };
+        // The first death, an injected kill winning a tie.
+        let first = life.deaths.into_iter().min_by_key(|d| (!d.injected, d.at));
+        let (Some(policy), Some(Death { rank, cause, .. })) = (policy, first) else {
+            return Err(error);
+        };
+        if restarts >= policy.max_restarts {
+            return Err(DeepThermoError::Cluster {
+                message: format!(
+                    "rank {rank} {cause} after {restarts} restart(s), the budget of \
+                     --max-restarts; {}",
+                    newest_checkpoint(runner, spec.size)
+                ),
+            });
+        }
+        let delay = policy
+            .backoff_base
+            .saturating_mul(1u32 << restarts.min(16))
+            .min(policy.backoff_cap);
+        restarts += 1;
+        respawns[rank] += 1;
+        eprintln!(
+            "cluster: rank {rank} {cause} — restarting all {} ranks from the newest complete \
+             checkpoint in {:.1} ms (restart {restarts}/{})",
+            spec.size,
+            delay.as_secs_f64() * 1e3,
+            policy.max_restarts,
+        );
+        std::thread::sleep(delay);
+    }
+}
+
+/// Where a rerun would resume, for the error that ends a run whose
+/// restart budget is spent.
+fn newest_checkpoint(runner: &DeepThermo, size: usize) -> String {
+    let rewl = &runner.config().rewl;
+    let Some(spec) = rewl.checkpoint.as_ref() else {
+        return "no checkpoint directory is configured".to_string();
+    };
+    match load_resume_point(&spec.dir, config_digest(rewl), size) {
+        Some(rp) => format!(
+            "the newest complete checkpoint is round {} in {}; a rerun resumes from it",
+            rp.round,
+            spec.dir.display()
+        ),
+        None => format!("{} holds no complete checkpoint yet", spec.dir.display()),
+    }
+}
+
+/// One life of the cluster: bind a rendezvous, spawn every worker as
+/// restart generation `generation`, run rank 0 on this thread, and reap
+/// the workers. With `fail_fast` (`--recover`) the first worker death
+/// kills every other worker; rank 0 ending without a report always does.
+fn run_life(
+    runner: &DeepThermo,
+    exe: &Path,
+    args: &[String],
+    size: usize,
+    generation: u64,
+    plan: FaultPlan,
+    fail_fast: bool,
+) -> Result<Life, DeepThermoError> {
     let rendezvous =
         TcpRendezvous::bind("127.0.0.1:0").map_err(|e| cluster_err("bind rendezvous", e))?;
     let addr = rendezvous
         .local_addr()
         .map_err(|e| cluster_err("read rendezvous address", e))?
         .to_string();
-    let exe = std::env::current_exe().map_err(|e| cluster_err("locate own executable", e))?;
-
-    let mut workers: Vec<Supervised> = Vec::with_capacity(spec.size - 1);
-    for rank in 1..spec.size {
-        match spawn_worker(&exe, worker_args, rank, &addr, 0) {
-            Ok(child) => workers.push(Supervised {
-                rank,
-                child,
-                respawns: 0,
-                injected_deaths: 0,
-                done: None,
-            }),
+    let mut children = Vec::with_capacity(size - 1);
+    for rank in 1..size {
+        match spawn_worker(exe, args, rank, &addr, generation) {
+            Ok(child) => children.push(child),
             Err(e) => {
                 // Don't leave already-spawned workers dialing a mesh
                 // that will never assemble.
-                for mut w in workers {
-                    let _ = w.child.kill();
-                    let _ = w.child.wait();
+                for mut child in children {
+                    let _ = child.kill();
+                    let _ = child.wait();
                 }
                 return Err(e);
             }
         }
     }
-
-    // The supervisor reaps (and under a recovery policy, respawns)
-    // workers while rank 0 samples on this thread.
-    let ctx = SupervisorCtx {
-        exe,
-        args: worker_args.to_vec(),
-        addr,
-        policy,
-    };
-    let stop_respawn = Arc::new(AtomicBool::new(false));
-    let abort = Arc::new(AtomicBool::new(false));
-    let supervisor = {
-        let stop_respawn = Arc::clone(&stop_respawn);
-        let abort = Arc::clone(&abort);
-        std::thread::spawn(move || supervise(ctx, workers, &stop_respawn, &abort))
-    };
-
-    let mesh = if policy.is_some() {
-        rendezvous.into_transport_recovering(spec.size)
-    } else {
-        rendezvous.into_transport(spec.size)
-    };
-    let result = match mesh {
-        Ok(transport) => {
-            let comm = Communicator::new(transport, plan);
-            runner.run_cluster_rank(comm)
+    let abort = AtomicBool::new(false);
+    let (root, at, (workers, mut deaths)) = std::thread::scope(|scope| {
+        let abort = &abort;
+        let reaper = scope.spawn(move || reap(children, fail_fast, abort));
+        let root = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let transport = rendezvous
+                .into_transport(size)
+                .map_err(|e| cluster_err("assemble TCP mesh", e))?;
+            runner.run_cluster_rank(Communicator::new(transport, plan))
+        }));
+        let at = Instant::now();
+        if !matches!(root, Ok(Ok(Some(_)))) {
+            abort.store(true, Ordering::SeqCst);
         }
-        Err(e) => Err(cluster_err("assemble TCP mesh", e)),
+        (root, at, reaper.join().expect("the reaper does not panic"))
+    });
+    let mut rank0_died = |injected, cause| {
+        deaths.push(Death {
+            rank: 0,
+            injected,
+            at,
+            cause,
+        })
     };
-
-    // Rank 0 is done (or failed): no further respawns make sense. On
-    // failure, reap the children instead of waiting on a broken mesh.
-    stop_respawn.store(true, Ordering::SeqCst);
-    if result.is_err() {
-        abort.store(true, Ordering::SeqCst);
-    }
-    let outcomes = supervisor.join().unwrap_or_default();
-
-    let report = result?.ok_or_else(|| DeepThermoError::Cluster {
-        message: "rank 0 produced no report".to_string(),
-    })?;
-    Ok((report, outcomes))
-}
-
-/// One worker under supervision.
-struct Supervised {
-    rank: usize,
-    child: Child,
-    respawns: u64,
-    injected_deaths: u64,
-    done: Option<WorkerOutcome>,
-}
-
-/// Everything the supervisor needs to re-launch a worker.
-struct SupervisorCtx {
-    exe: PathBuf,
-    args: Vec<String>,
-    addr: String,
-    policy: Option<RecoveryPolicy>,
+    let root = match root {
+        Ok(Ok(Some(report))) => Ok(report),
+        Ok(Ok(None)) => Err(DeepThermoError::Cluster {
+            message: "rank 0 produced no report".to_string(),
+        }),
+        Ok(Err(error)) => {
+            if let DeepThermoError::Sampling(lost @ RewlError::PeerLost { .. }) = &error {
+                rank0_died(false, format!("stopped: {lost}"));
+            }
+            Err(error)
+        }
+        Err(payload) => {
+            let Some(crash) = payload.downcast_ref::<SimulatedCrash>() else {
+                std::panic::resume_unwind(payload)
+            };
+            rank0_died(true, "died from an injected fault".to_string());
+            let cause = format!("simulated crash of rank 0 at round {}", crash.round);
+            Err(RewlError::RootRankDied(cause).into())
+        }
+    };
+    Ok(Life {
+        root,
+        workers,
+        deaths,
+    })
 }
 
 fn spawn_worker(
-    exe: &PathBuf,
+    exe: &Path,
     args: &[String],
     rank: usize,
     addr: &str,
-    respawns: u64,
+    generation: u64,
 ) -> Result<Child, DeepThermoError> {
     let mut cmd = Command::new(exe);
     cmd.args(args)
@@ -305,8 +415,8 @@ fn spawn_worker(
         .arg(rank.to_string())
         .arg(RENDEZVOUS_FLAG)
         .arg(addr);
-    if respawns > 0 {
-        cmd.arg(RESPAWN_COUNT_FLAG).arg(respawns.to_string());
+    if generation > 0 {
+        cmd.arg(RESPAWN_COUNT_FLAG).arg(generation.to_string());
     }
     cmd.spawn()
         .map_err(|e| cluster_err(&format!("spawn worker rank {rank}"), e))
@@ -323,113 +433,64 @@ fn classify_exit(status: ExitStatus) -> WorkerOutcome {
     }
 }
 
-/// The supervisor loop: poll every live worker, reap exits, respawn dead
-/// workers under the recovery policy (exponential backoff, per-rank
-/// budget), and drain the rest once `stop_respawn` is raised. `abort`
-/// kills whatever is still running (rank 0 failed; the mesh is gone).
-fn supervise(
-    ctx: SupervisorCtx,
-    mut workers: Vec<Supervised>,
-    stop_respawn: &AtomicBool,
+/// How long the reaper lets workers stop on their own once the life is
+/// over — fail-stop ranks exit as soon as they see the loss — before it
+/// kills them. Their own exit codes are what attributes the death.
+const STOP_GRACE: Duration = Duration::from_secs(1);
+
+/// Reap one life's workers (index `rank - 1`) until every one has ended,
+/// recording each death. Once `abort` is raised — or, with `fail_fast`,
+/// once a worker died — the life is over: a worker still running
+/// [`STOP_GRACE`] later is killed and reads `Failed`, not as a death.
+fn reap(
+    mut children: Vec<Child>,
+    fail_fast: bool,
     abort: &AtomicBool,
-) -> Vec<WorkerOutcome> {
+) -> (Vec<WorkerOutcome>, Vec<Death>) {
+    let mut outcomes: Vec<Option<WorkerOutcome>> = vec![None; children.len()];
+    let mut deaths = Vec::new();
+    let mut over: Option<Instant> = None;
     loop {
-        if abort.load(Ordering::SeqCst) {
-            for w in &mut workers {
-                if w.done.is_none() {
-                    let _ = w.child.kill();
-                    let _ = w.child.wait();
-                    w.done = Some(WorkerOutcome::Failed);
-                }
-            }
+        if abort.load(Ordering::SeqCst) || (fail_fast && !deaths.is_empty()) {
+            over.get_or_insert_with(Instant::now);
         }
-        let mut pending = false;
-        for w in &mut workers {
-            if w.done.is_some() {
+        let kill = over.is_some_and(|t| t.elapsed() >= STOP_GRACE);
+        for (rank, (child, slot)) in (1..).zip(children.iter_mut().zip(&mut outcomes)) {
+            if slot.is_some() {
                 continue;
             }
-            let status = match w.child.try_wait() {
-                Ok(Some(status)) => status,
-                Ok(None) => {
-                    pending = true;
+            let outcome = match child.try_wait() {
+                Ok(Some(status)) => classify_exit(status),
+                Ok(None) if kill => {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                    *slot = Some(WorkerOutcome::Failed);
                     continue;
                 }
-                Err(_) => {
-                    w.done = Some(WorkerOutcome::Failed);
-                    continue;
-                }
+                Ok(None) => continue,
+                Err(_) => WorkerOutcome::Failed,
             };
-            match classify_exit(status) {
-                WorkerOutcome::Completed => {
-                    w.done = Some(if w.respawns > 0 {
-                        WorkerOutcome::Recovered {
-                            respawns: w.respawns,
-                        }
-                    } else {
-                        WorkerOutcome::Completed
-                    });
-                }
-                death => {
-                    let injected = death == WorkerOutcome::Killed;
-                    if injected {
-                        w.injected_deaths += 1;
-                    }
-                    let respawnable = ctx
-                        .policy
-                        .filter(|p| w.respawns < p.max_restarts)
-                        .filter(|_| !stop_respawn.load(Ordering::SeqCst));
-                    match respawnable {
-                        Some(p) => {
-                            let delay = p
-                                .backoff_base
-                                .saturating_mul(1u32 << w.respawns.min(16) as u32)
-                                .min(p.backoff_cap);
-                            eprintln!(
-                                "cluster: worker rank {} {} — respawning in {:.1} ms \
-                                 (attempt {}/{})",
-                                w.rank,
-                                if injected {
-                                    "died from an injected fault".to_string()
-                                } else {
-                                    format!("crashed ({status})")
-                                },
-                                delay.as_secs_f64() * 1e3,
-                                w.respawns + 1,
-                                p.max_restarts,
-                            );
-                            std::thread::sleep(delay);
-                            w.respawns += 1;
-                            match spawn_worker(&ctx.exe, &ctx.args, w.rank, &ctx.addr, w.respawns) {
-                                Ok(child) => {
-                                    w.child = child;
-                                    pending = true;
-                                }
-                                Err(e) => {
-                                    eprintln!("cluster: respawn of rank {} failed: {e}", w.rank);
-                                    w.done = Some(WorkerOutcome::Failed);
-                                }
-                            }
-                        }
-                        None => {
-                            if ctx.policy.is_some() && !stop_respawn.load(Ordering::SeqCst) {
-                                eprintln!(
-                                    "cluster: worker rank {} exhausted its restart budget; \
-                                     survivors degrade around it",
-                                    w.rank
-                                );
-                            }
-                            w.done = Some(death);
-                        }
-                    }
-                }
+            if outcome != WorkerOutcome::Completed {
+                let injected = outcome == WorkerOutcome::Killed;
+                let cause = if injected {
+                    "died from an injected fault"
+                } else {
+                    "exited abnormally"
+                };
+                deaths.push(Death {
+                    rank,
+                    injected,
+                    at: Instant::now(),
+                    cause: cause.to_string(),
+                });
             }
+            *slot = Some(outcome);
         }
-        if !pending && workers.iter().all(|w| w.done.is_some()) {
-            break;
+        if outcomes.iter().all(Option::is_some) {
+            return (outcomes.into_iter().flatten().collect(), deaths);
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    workers.into_iter().map(|w| w.done.unwrap()).collect()
 }
 
 /// Worker side of a multi-process run: dial the rendezvous as `rank`,
@@ -437,13 +498,6 @@ fn supervise(
 /// [`SimulatedCrash`] is caught and returned as
 /// [`WorkerOutcome::Killed`] (the caller should exit with
 /// [`KILLED_EXIT_CODE`]); any other panic is resumed.
-///
-/// In a recovering cluster (`recover`) a first life (`respawns == 0`)
-/// dials the rendezvous with re-admission enabled; a replacement life
-/// re-binds its rank id in the existing mesh and resumes from its own
-/// newest checkpoint (the rank engine reads `respawns` out of the
-/// config). Kills already spent on earlier lives are disarmed so the
-/// replacement does not immediately re-die.
 ///
 /// # Errors
 /// [`DeepThermoError::Cluster`] when the rendezvous cannot be reached,
@@ -454,17 +508,11 @@ pub fn run_cluster_worker(
     size: usize,
     rendezvous: &str,
     plan: FaultPlan,
-    recover: bool,
-    respawns: u64,
 ) -> Result<WorkerOutcome, DeepThermoError> {
-    let transport = match (recover, respawns) {
-        (false, _) => TcpTransport::connect(rendezvous, rank, size),
-        (true, 0) => TcpTransport::connect_recovering(rendezvous, rank, size),
-        (true, _) => TcpTransport::reconnect(rendezvous, rank, size),
-    }
-    .map_err(|e| cluster_err(&format!("rank {rank} dial rendezvous {rendezvous}"), e))?;
+    let transport = TcpTransport::connect(rendezvous, rank, size)
+        .map_err(|e| cluster_err(&format!("rank {rank} dial rendezvous {rendezvous}"), e))?;
     install_crash_hook();
-    let comm = Communicator::new(transport, plan.disarm_kills(rank, respawns));
+    let comm = Communicator::new(transport, plan);
     match std::panic::catch_unwind(AssertUnwindSafe(|| runner.run_cluster_rank(comm))) {
         Ok(Ok(report)) => {
             debug_assert!(report.is_none(), "only rank 0 assembles a report");
@@ -506,9 +554,11 @@ mod tests {
 
     #[test]
     fn kill_flag_parses_into_a_fault_plan() {
-        assert!(parse_kill("3:5").is_ok());
-        assert!(parse_kill("3").is_err());
-        assert!(parse_kill("a:5").is_err());
-        assert!(parse_kill("3:b").is_err());
+        assert!(parse_kill("3:5", 4).is_ok());
+        assert!(parse_kill("3", 4).is_err());
+        assert!(parse_kill("a:5", 4).is_err());
+        assert!(parse_kill("3:b", 4).is_err());
+        let outside = parse_kill("4:5", 4).unwrap_err();
+        assert!(outside.contains("ranks 0..=3"), "{outside}");
     }
 }

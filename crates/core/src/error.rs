@@ -108,10 +108,11 @@ pub enum DeepThermoError {
     /// unreadable or malformed `dtmat` file, inconsistent counts, or a
     /// structure that cannot expose the requested shells.
     Material(MaterialError),
-    /// The multi-process cluster could not be assembled: a socket bind,
+    /// The multi-process cluster could not be assembled — a socket bind,
     /// worker spawn, or rendezvous handshake failed before sampling
-    /// started. (Rank deaths *during* sampling are degraded-mode events,
-    /// not errors.)
+    /// started — or, under `--recover`, a rank died with the restart
+    /// budget spent. (Without `--recover`, rank deaths during sampling
+    /// are degraded-mode events, not errors.)
     Cluster {
         /// What the orchestrator was doing when it failed.
         message: String,

@@ -354,7 +354,7 @@ impl DeepThermo {
             stats,
             lost_ranks: out.lost_ranks,
             resumed_from: out.resumed_from,
-            recovery: out.recovery,
+            restarts: 0,
             walkers_rebalanced: out.walkers_rebalanced,
             telemetry: out.telemetry,
         })

@@ -1,7 +1,7 @@
 //! Run reports and text/CSV rendering.
 
 use dt_proposal::MoveStats;
-use dt_rewl::{RecoveryStats, WindowReport};
+use dt_rewl::WindowReport;
 use dt_telemetry::RankTelemetry;
 use dt_thermo::{MicrocanonicalAccumulator, ThermoPoint};
 use dt_wanglandau::DosEstimate;
@@ -56,9 +56,9 @@ pub struct DeepThermoReport {
     pub lost_ranks: Vec<usize>,
     /// Checkpoint round the run resumed from, if it did.
     pub resumed_from: Option<u64>,
-    /// Self-healing counters (supervised respawns, rejoin time,
-    /// heartbeat misses); all-zero unless the run recovered a rank.
-    pub recovery: RecoveryStats,
+    /// Times the `--recover` supervisor restarted the whole cluster from
+    /// its newest complete checkpoint; zero unless a rank died.
+    pub restarts: u64,
     /// Walker migrations performed by the dynamic rebalance planner;
     /// zero unless the run sampled with `rebalance_every > 0`.
     pub walkers_rebalanced: u64,
@@ -134,12 +134,10 @@ impl DeepThermoReport {
                 self.lost_ranks
             ));
         }
-        if self.recovery.ranks_respawned > 0 {
+        if self.restarts > 0 {
             s.push_str(&format!(
-                "ranks respawned: {} (rejoin {:.1} ms, heartbeat misses: {})\n",
-                self.recovery.ranks_respawned,
-                self.recovery.rejoin_duration_ns as f64 / 1e6,
-                self.recovery.heartbeat_misses
+                "ranks respawned: {} (whole-cluster restarts from the newest complete checkpoint)\n",
+                self.restarts
             ));
         }
         s.push_str(&format!("ln g range: {:.1}\n", self.ln_g_range));
@@ -213,7 +211,7 @@ mod tests {
             stats: MoveStats::new(),
             lost_ranks: vec![],
             resumed_from: None,
-            recovery: RecoveryStats::default(),
+            restarts: 0,
             walkers_rebalanced: 0,
             telemetry: vec![],
         }
@@ -263,13 +261,13 @@ mod tests {
     fn summary_surfaces_recovery_counters_only_when_nonzero() {
         let mut r = dummy();
         assert!(!r.summary().contains("ranks respawned"));
-        r.recovery = RecoveryStats {
-            ranks_respawned: 2,
-            rejoin_duration_ns: 1_500_000,
-            heartbeat_misses: 3,
-        };
+        r.restarts = 2;
         let s = r.summary();
-        assert!(s.contains("ranks respawned: 2"), "{s}");
-        assert!(s.contains("heartbeat misses: 3"), "{s}");
+        assert!(
+            s.contains(
+                "ranks respawned: 2 (whole-cluster restarts from the newest complete checkpoint)"
+            ),
+            "{s}"
+        );
     }
 }

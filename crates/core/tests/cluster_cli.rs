@@ -201,6 +201,29 @@ fn tcp_cluster_cli_recovers_a_killed_worker_bit_for_bit() {
 }
 
 #[test]
+fn tcp_cluster_cli_rejects_a_kill_of_a_rank_outside_the_cluster() {
+    let dir = scratch("kill-range");
+    let out_dir = dir.join("out");
+    let mut args: Vec<&str> = BASE.to_vec();
+    args.extend_from_slice(&[
+        "--cluster",
+        "tcp:4",
+        "--kill",
+        "9:3",
+        "--out",
+        out_dir.to_str().unwrap(),
+    ]);
+    let out = deepthermo(&args);
+    assert!(!out.status.success(), "rank 9 is not in a 4-rank cluster");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("rank 9") && stderr.contains("ranks 0..=3"),
+        "error must name the valid range:\n{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn tcp_cluster_cli_rejects_a_rank_count_that_mismatches_the_plan() {
     let dir = scratch("mismatch");
     let out_dir = dir.join("out");

@@ -31,8 +31,8 @@
 //! surface as a [`CommError`] at the call site, never as a panic deep in
 //! the backend.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use dt_codec::bin::{Reader, Writer};
 
@@ -119,22 +119,15 @@ pub struct TrafficSnapshot {
 /// enough that it only trips on genuine deadlocks.
 const WATCHDOG: Duration = Duration::from_secs(300);
 
-/// How long a recovery-mode coordinator waits for a dead rank to be
-/// replaced before giving up on it (degradation fallback). Far above any
-/// realistic respawn+rejoin time, far below the collective watchdog.
-pub const RECOVERY_DEADLINE: Duration = Duration::from_secs(60);
-
-/// Collective (and heartbeat) tags live above bit 63; driver tags
-/// (`with_round` included) stay below it.
+/// Collective tags live above bit 63; driver tags (`with_round`
+/// included) stay below it.
 const COLL_BIT: u64 = 1 << 63;
 const K_BARRIER_ARRIVE: u64 = 1;
 const K_BARRIER_RELEASE: u64 = 2;
 const K_REDUCE_CONTRIB: u64 = 3;
 const K_REDUCE_RESULT: u64 = 4;
-/// Pings of the TCP heartbeat monitor; never reaches a mailbox.
-pub(crate) const K_HEARTBEAT: u64 = 6;
 
-pub(crate) fn coll_tag(kind: u64, generation: u64) -> u64 {
+fn coll_tag(kind: u64, generation: u64) -> u64 {
     debug_assert!(generation < 1 << 56, "collective generation overflow");
     COLL_BIT | (kind << 56) | generation
 }
@@ -155,8 +148,6 @@ pub struct Communicator<T: Transport = ThreadTransport> {
     /// still carry it). Each call tags its frames with its generation, so
     /// rounds never collide.
     coll_gens: [AtomicU64; 3],
-    /// Recovery mode: a dead contributor is waited for, not skipped.
-    recovery: AtomicBool,
 }
 
 impl<T: Transport> Communicator<T> {
@@ -169,7 +160,6 @@ impl<T: Transport> Communicator<T> {
             faults: FaultRuntime::new(plan),
             traffic: TrafficCounters::default(),
             coll_gens: Default::default(),
-            recovery: AtomicBool::new(false),
         }
     }
 
@@ -205,40 +195,10 @@ impl<T: Transport> Communicator<T> {
         self.faults.plan()
     }
 
-    /// Start heartbeat-based liveness on backends that support it (see
-    /// [`Transport::start_heartbeats`]).
-    pub fn start_heartbeats(&self, interval: Duration, deadline: Duration) {
-        self.transport.start_heartbeats(interval, deadline);
-    }
-
-    /// Heartbeat deadlines missed so far (see
-    /// [`Transport::heartbeat_misses`]).
-    pub fn heartbeat_misses(&self) -> u64 {
-        self.transport.heartbeat_misses()
-    }
-
-    /// Toggle recovery mode: a dead peer is treated as *temporarily*
-    /// absent — the collective coordinator keeps waiting for its
-    /// contribution (up to [`RECOVERY_DEADLINE`]) instead of skipping it,
-    /// so a respawned replacement can contribute to the generation it
-    /// missed.
-    pub fn set_recovery(&self, enabled: bool) {
-        self.recovery.store(enabled, Ordering::SeqCst);
-    }
-
     /// This rank's collective generation counters `[barrier, reduce,
     /// reserved]`. A rank checkpoint records them.
     pub fn collective_generations(&self) -> [u64; 3] {
         self.coll_gens.each_ref().map(|g| g.load(Ordering::SeqCst))
-    }
-
-    /// Restore the collective generation counters on a replacement rank,
-    /// so its collective traffic lands in the generation the survivors
-    /// are parked in.
-    pub fn set_collective_generations(&self, gens: [u64; 3]) {
-        for (slot, g) in self.coll_gens.iter().zip(gens) {
-            slot.store(g, Ordering::SeqCst);
-        }
     }
 
     /// A point-in-time copy of this rank's message-traffic counters.
@@ -350,11 +310,9 @@ impl<T: Transport> Communicator<T> {
     /// and every backend. SPMD: every live rank must make the same
     /// collective calls in the same order, with equal lengths.
     ///
-    /// Rank 0 coordinates. A dead contributor is skipped — in recovery
-    /// mode only after [`RECOVERY_DEADLINE`], so a replacement can still
-    /// land in the generation it missed. The frames travel on reserved
-    /// tags straight through the transport: the fault plan and the
-    /// traffic counters see driver messages only.
+    /// Rank 0 coordinates and skips a dead contributor. The frames
+    /// travel on reserved tags straight through the transport: the fault
+    /// plan and the traffic counters see driver messages only.
     ///
     /// # Errors
     /// [`CommError::RankDead`]`(0)` when the coordinator died; `data` is
@@ -387,9 +345,15 @@ impl<T: Transport> Communicator<T> {
             };
         }
         for r in 1..t.size() {
-            if let Some(bytes) = self.contribution(r, up, what) {
-                let theirs = reduce_payload(&bytes, data.len());
-                data.iter_mut().zip(theirs).for_each(|(a, x)| *a += x);
+            // A dead contributor is skipped; a watchdog timeout is a
+            // protocol violation.
+            match t.recv_timeout(r, up, WATCHDOG) {
+                Ok(bytes) => {
+                    let theirs = reduce_payload(&bytes, data.len());
+                    data.iter_mut().zip(theirs).for_each(|(a, x)| *a += x);
+                }
+                Err(CommError::RankDead(_)) => {}
+                Err(CommError::Timeout { .. }) => panic!("rank 0: {what} watchdog expired"),
             }
         }
         let bytes = Writer::new().f64s(data).finish();
@@ -397,28 +361,6 @@ impl<T: Transport> Communicator<T> {
             t.send(r, down, bytes.clone(), None);
         }
         Ok(())
-    }
-
-    /// The coordinator's receive of `from`'s part in a collective; `None`
-    /// skips a dead rank. A watchdog timeout is a protocol violation.
-    fn contribution(&self, from: usize, tag: u64, what: &str) -> Option<Vec<u8>> {
-        let started = Instant::now();
-        loop {
-            match self.transport.recv_timeout(from, tag, WATCHDOG) {
-                Ok(payload) => return Some(payload),
-                Err(CommError::RankDead(_)) => {
-                    if !self.recovery.load(Ordering::SeqCst)
-                        || started.elapsed() >= RECOVERY_DEADLINE
-                    {
-                        return None;
-                    }
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(CommError::Timeout { .. }) => {
-                    panic!("rank 0: {what} watchdog expired")
-                }
-            }
-        }
     }
 
     fn count_recv(&self, bytes: usize) {
@@ -456,6 +398,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::{RankOutcome, TcpCluster, ThreadCluster};
+    use std::time::Instant;
 
     /// Receive deadline for test paths where the message is known to be
     /// on its way.

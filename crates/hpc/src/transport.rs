@@ -12,9 +12,9 @@
 //!   panics;
 //! * [`crate::TcpTransport`] — real `std::net` loopback sockets with
 //!   length-prefixed frames, one connection per peer pair; per-peer reader
-//!   threads feed the rank's mailbox and a closed connection (or a missed
-//!   heartbeat deadline) is the death notice. Enables true multi-process
-//!   runs (`deepthermo run --cluster tcp:<n>`).
+//!   threads feed the rank's mailbox and a closed connection is the death
+//!   notice. Enables true multi-process runs (`deepthermo run --cluster
+//!   tcp:<n>`).
 //!
 //! Receiving, liveness queries and the collectives are the same code on
 //! both.
@@ -89,19 +89,6 @@ pub trait Transport: Send {
     fn recv_timeout(&self, from: usize, tag: u64, timeout: Duration) -> Result<Vec<u8>, CommError> {
         self.mailbox().take_deadline(from, tag, timeout)
     }
-
-    /// Start heartbeat-based liveness: ping every live peer each
-    /// `interval` and declare a peer dead when nothing (heartbeat or
-    /// data) has arrived from it for `deadline`. Backends without an
-    /// active failure detector (the thread backend, where the harness
-    /// announces deaths synchronously) ignore this.
-    fn start_heartbeats(&self, _interval: Duration, _deadline: Duration) {}
-
-    /// Number of heartbeat deadlines missed so far (peers declared dead
-    /// by the heartbeat monitor rather than by connection teardown).
-    fn heartbeat_misses(&self) -> u64 {
-        0
-    }
 }
 
 /// Key of a pending message: (source rank, tag).
@@ -162,29 +149,16 @@ impl Mailbox {
 
     /// Record that `rank` died and wake every waiter, so receives from the
     /// corpse fail fast. Idempotent.
-    pub(crate) fn mark_dead(&self, rank: usize) {
-        self.set_dead(rank, true);
-    }
-
-    /// Re-admit `rank` (a replacement connected, or a frame proved a
-    /// heartbeat verdict wrong). Idempotent.
-    pub(crate) fn revive(&self, rank: usize) {
-        self.set_dead(rank, false);
-    }
-
+    ///
     /// The flag flips under the queue lock, so a receiver is either
     /// before its liveness check or already parked on the signal — the
     /// wakeup cannot fall between the two. The live count moves first:
     /// whoever reads the new flag reads the matching count.
-    fn set_dead(&self, rank: usize, dead: bool) {
+    pub(crate) fn mark_dead(&self, rank: usize) {
         let _queues = lock(&self.queues);
-        if self.dead[rank].load(Ordering::SeqCst) != dead {
-            if dead {
-                self.live.fetch_sub(1, Ordering::SeqCst);
-            } else {
-                self.live.fetch_add(1, Ordering::SeqCst);
-            }
-            self.dead[rank].store(dead, Ordering::SeqCst);
+        if !self.dead[rank].load(Ordering::SeqCst) {
+            self.live.fetch_sub(1, Ordering::SeqCst);
+            self.dead[rank].store(true, Ordering::SeqCst);
         }
         self.signal.notify_all();
     }

@@ -206,88 +206,6 @@ fn traffic_counters_work_over_tcp() {
     assert_eq!((t1.recvs, t1.recv_bytes), (1, 10));
 }
 
-#[test]
-fn killed_worker_is_replaced_and_rejoins_collectives() {
-    // Rank 1 is killed at round 1, respawned by the recovering harness,
-    // and rejoins the allreduce generation it missed. Survivors wait for
-    // the replacement (recovery-mode coordinator), so every round's sum
-    // covers all three ranks — exactly the fault-free result.
-    let plan = FaultPlan::none().kill_at_round(1, 1);
-    let results = TcpCluster::run_loopback_recovering(3, plan, 2, |comm, respawns| {
-        // Emulate checkpoint rejoin: a respawned life resumes at the
-        // round it died in, with its collective counters restored.
-        let start = if respawns > 0 { 1 } else { 0 };
-        comm.set_collective_generations([0, start, 0]);
-        let mut acc = 0.0;
-        for round in start..3u64 {
-            comm.poll_faults(round);
-            let mut v = vec![1.0];
-            comm.allreduce_sum(&mut v).unwrap();
-            acc += v[0];
-        }
-        (comm.rank(), respawns, acc)
-    });
-    for outcome in results {
-        let (rank, respawns, acc) = outcome.completed().expect("every rank completes");
-        if rank == 1 {
-            assert_eq!(respawns, 1, "the victim must have been respawned once");
-            assert_eq!(acc, 2.0 * 3.0, "replacement replays rounds 1..3");
-        } else {
-            assert_eq!(respawns, 0);
-            assert_eq!(acc, 3.0 * 3.0, "no round may degrade to survivors-only");
-        }
-    }
-}
-
-#[test]
-fn heartbeats_keep_idle_peers_alive() {
-    let results = TcpCluster::run_loopback(2, FaultPlan::none(), |comm| {
-        comm.start_heartbeats(Duration::from_millis(15), Duration::from_millis(250));
-        // Several deadlines' worth of silence on the data path: only the
-        // heartbeats keep the liveness clocks fresh.
-        std::thread::sleep(Duration::from_millis(600));
-        let snapshot = (comm.live_count(), comm.heartbeat_misses());
-        // Hold both ranks until both have sampled; otherwise the first to
-        // exit tears the connection down under the other's feet.
-        comm.barrier().unwrap();
-        snapshot
-    });
-    for outcome in results {
-        let (live, misses) = outcome.completed().expect("completed");
-        assert_eq!(live, 2, "pinged peers must stay alive");
-        assert_eq!(misses, 0);
-    }
-}
-
-#[test]
-fn heartbeat_monitor_declares_silent_peers_dead() {
-    let results = TcpCluster::run_loopback(2, FaultPlan::none(), |comm| {
-        if comm.rank() == 0 {
-            comm.start_heartbeats(Duration::from_millis(10), Duration::from_millis(60));
-            let deadline = Instant::now() + PATIENCE;
-            while comm.is_alive(1) {
-                assert!(Instant::now() < deadline, "heartbeat monitor never fired");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            comm.heartbeat_misses()
-        } else {
-            // Stay connected but silent: no heartbeats, no data. Only the
-            // monitor (not an EOF) can declare us dead.
-            std::thread::sleep(Duration::from_millis(500));
-            0
-        }
-    });
-    match &results[0] {
-        RankOutcome::Completed(misses) => {
-            assert!(
-                *misses >= 1,
-                "the death must be attributed to a missed deadline"
-            );
-        }
-        dead => panic!("rank 0 died: {dead:?}"),
-    }
-}
-
 /// A frame header naming more than `MAX_FRAME_BYTES` must end the
 /// connection — the peer reads as dead — before any buffer is sized from
 /// it. Rank 1 is played by hand over raw sockets so the header can lie.

@@ -125,11 +125,11 @@ pub struct RankCheckpoint {
     /// the same per-rank seed, so the stream continues bit-exactly).
     pub rng_word_pos: u128,
     /// The communicator's collective generation counters
-    /// `[barrier, reduce, reserved]` at the checkpoint round. A
-    /// replacement rank restores these so its collective traffic lands in
-    /// the same generation namespace as the survivors'. The third slot
-    /// numbered broadcasts, which are gone; the `coll` line keeps it
-    /// because the `dtrewlrank` bytes are pinned.
+    /// `[barrier, reduce, reserved]` at the checkpoint round. Written for
+    /// the record and ignored on resume: a resumed cluster starts every
+    /// rank's counters afresh, together. The third slot numbered
+    /// broadcasts, which are gone; the `coll` line keeps it because the
+    /// `dtrewlrank` bytes are pinned.
     pub coll_gens: [u64; 3],
     /// Walker migrations this rank has undergone (dynamic reallocation).
     pub rebalanced: u64,
@@ -518,36 +518,6 @@ pub fn load_resume_point(dir: &Path, digest: u64, num_ranks: usize) -> Option<Re
         });
     }
     None
-}
-
-/// The respawn path: resume ONE rank from its own newest decodable rank
-/// file, ignoring manifest commit status. A killed rank writes its file
-/// at the start of the round it dies in, so its newest file is an exact
-/// image of the death point — but rank 0 may still be collecting commit
-/// confirmations when the supervisor respawns the worker, so the newest
-/// *manifest* can lag one round behind. Resuming from the lagging
-/// manifest would replay a round the survivors have already finished;
-/// the own file can't. Other ranks' slots are `None` (the replacement
-/// only restores itself). `None` when the rank never checkpointed — the
-/// replacement then starts fresh, which is exact when the death predates
-/// the first snapshot.
-pub fn load_own_resume_point(dir: &Path, rank: usize, num_ranks: usize) -> Option<ResumePoint> {
-    let (round, cp) = newest_rank_checkpoint(dir, rank, u64::MAX)?;
-    let mut ranks: Vec<Option<RankCheckpoint>> = vec![None; num_ranks];
-    ranks[rank] = Some(cp);
-    // The manifest (when one is committed for this round) carries the
-    // recorded plan; plan validation already happened at cluster launch,
-    // so a missing manifest just means an empty plan here.
-    let faults = fs::read_to_string(manifest_path(dir, round))
-        .ok()
-        .and_then(|text| RunManifest::decode(&text).ok())
-        .map(|m| m.faults)
-        .unwrap_or_else(FaultPlan::none);
-    Some(ResumePoint {
-        round,
-        ranks,
-        faults,
-    })
 }
 
 #[cfg(test)]

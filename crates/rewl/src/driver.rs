@@ -59,18 +59,16 @@ pub struct RewlConfig {
     /// traffic into [`RewlOutput::telemetry`]. Off by default; when off
     /// the instrumentation reduces to a single branch per site.
     pub telemetry: bool,
-    /// Self-healing mode: dead peers are treated as temporarily absent
-    /// (a supervisor is expected to respawn them), survivors wait for
-    /// replacements instead of degrading, and the cluster snapshots
-    /// every round so a replacement always finds an exact image of its
-    /// death point. Requires `checkpoint` to be set to be useful.
+    /// Fail-stop mode, for clusters whose launcher restarts every rank
+    /// from the newest complete checkpoint when one dies (`deepthermo run
+    /// --recover`). A protocol receive that fails — a dead peer, or an
+    /// exhausted deadline — or a converge vote counting fewer than all
+    /// ranks ends this rank's life with [`RewlError::PeerLost`] instead of
+    /// degrading around the loss, so every manifest the run commits lists
+    /// every rank. Honoured by [`run_rewl_on`] only: the thread ranks of
+    /// [`run_rewl`] share one process and always degrade. Pair it with
+    /// `checkpoint`, or a restart starts over from scratch.
     pub recovery: bool,
-    /// How many times THIS rank's process has already been respawned by
-    /// its supervisor. `0` for a first life. A respawned rank resumes
-    /// from its own newest rank file (not the committed manifest, which
-    /// may lag the death round) and restores its collective generation
-    /// counters so it rejoins the exact protocol point where it died.
-    pub respawns: u64,
     /// Place window boundaries with
     /// [`WindowLayout::equal_diffusion`] instead of the uniform layout,
     /// seeding the cost profile from a deterministic pilot pass
@@ -102,7 +100,6 @@ impl Default for RewlConfig {
             checkpoint: None,
             telemetry: false,
             recovery: false,
-            respawns: 0,
             adaptive_windows: false,
             rebalance_every: 0,
         }
@@ -115,7 +112,7 @@ impl Default for RewlConfig {
 /// message, a failed checkpoint write) are *not* errors — they are
 /// reported through [`WindowReport::lost_walkers`] and
 /// [`RewlOutput::lost_ranks`]. These variants cover the cases where no
-/// meaningful output exists at all.
+/// meaningful output exists at all, and fail-stop's refusal to degrade.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RewlError {
     /// Rank 0 — the gather root that assembles the output — died.
@@ -144,6 +141,16 @@ pub enum RewlError {
         /// The plan this run was configured with.
         requested: String,
     },
+    /// Fail-stop mode ([`RewlConfig::recovery`]) ended this rank's life:
+    /// a peer died or went silent. Restart every rank from the newest
+    /// complete checkpoint.
+    PeerLost {
+        /// The rank that was lost (rank 0 when the coordinator died, or
+        /// counted a contributor missing that this rank cannot name).
+        peer: usize,
+        /// The exchange round in which the loss was noticed.
+        round: u64,
+    },
 }
 
 impl std::fmt::Display for RewlError {
@@ -164,6 +171,9 @@ impl std::fmt::Display for RewlError {
                 "checkpoint records fault plan `{recorded}` but this run requested \
                  `{requested}` — refusing to resume under a different failure schedule"
             ),
+            RewlError::PeerLost { peer, round } => {
+                write!(f, "lost rank {peer} in round {round} (fail-stop)")
+            }
         }
     }
 }
@@ -236,28 +246,10 @@ pub struct RewlOutput {
     /// Per-rank telemetry snapshots (surviving ranks only, in rank
     /// order). Empty unless [`RewlConfig::telemetry`] was set.
     pub telemetry: Vec<RankTelemetry>,
-    /// Self-healing statistics aggregated over the gathered ranks. All
-    /// zero on a run without recovery (or without faults).
-    pub recovery: RecoveryStats,
     /// Walker migrations applied by dynamic reallocation, summed over
     /// the gathered ranks (each migration counts once, on the migrant).
     /// Zero unless [`RewlConfig::rebalance_every`] was set.
     pub walkers_rebalanced: u64,
-}
-
-/// Aggregate self-healing statistics of one run, summed over the ranks
-/// that made it to the final gather.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Total respawns across all ranks (a rank respawned twice counts
-    /// twice).
-    pub ranks_respawned: u64,
-    /// Total wall-clock nanoseconds replacement ranks spent restoring
-    /// state and rejoining the cluster.
-    pub rejoin_duration_ns: u64,
-    /// Heartbeat deadlines missed across all ranks (each one marked a
-    /// peer dead ahead of any socket-level signal).
-    pub heartbeat_misses: u64,
 }
 
 /// Seed the adaptive window solver with a deterministic pilot pass: one
@@ -372,26 +364,14 @@ fn build_layout<M: EnergyModel>(
 /// checkpoint directory as a side effect. `Ok(None)` when checkpointing
 /// is off, the directory is unusable, or no consistent snapshot exists.
 ///
-/// A respawned rank (`cfg.respawns > 0`) bypasses the committed manifest
-/// and resumes from its own newest rank file: the file was written at the
-/// start of the round it died in, which may be newer than the last
-/// manifest rank 0 managed to commit (the supervisor can respawn a worker
-/// faster than the coordinator collects commit confirmations). Resuming
-/// one round behind the survivors would desynchronize the whole protocol;
-/// the own-file round is exact by construction.
-///
 /// # Errors
 /// [`RewlError::FaultPlanMismatch`] when the manifest records a different
 /// (non-empty vs different) fault schedule than `requested`. An empty
 /// requested plan resumes anything — "rerun without faults" is the normal
-/// recovery action after a faulty run. Respawned ranks skip the check:
-/// their plan was validated when the cluster launched, and the supervisor
-/// hands them a disarmed variant (spent kills removed) that would never
-/// compare equal.
+/// recovery action after a faulty run, and what a restarted cluster does.
 fn find_resume_point(
     cfg: &RewlConfig,
     digest: u64,
-    rank: usize,
     size: usize,
     requested: &FaultPlan,
 ) -> Result<Option<ResumePoint>, RewlError> {
@@ -404,9 +384,6 @@ fn find_resume_point(
             spec.dir.display()
         );
         return Ok(None);
-    }
-    if cfg.respawns > 0 {
-        return Ok(checkpoint::load_own_resume_point(&spec.dir, rank, size));
     }
     match checkpoint::load_resume_point(&spec.dir, digest, size) {
         Some(rp) => {
@@ -452,7 +429,7 @@ pub fn run_rewl<M: EnergyModel + Sync>(
     let layout = build_layout(model, neighbors, comp, (e_min, e_max), cfg);
     let size = cfg.num_windows * cfg.walkers_per_window;
     let digest = checkpoint::config_digest(cfg);
-    let resume = find_resume_point(cfg, digest, 0, size, &cfg.faults)?;
+    let resume = find_resume_point(cfg, digest, size, &cfg.faults)?;
     let resume_ref = resume.as_ref();
 
     let outcomes = ThreadCluster::run_with_faults(size, cfg.faults.clone(), |comm| {
@@ -470,7 +447,7 @@ pub fn run_rewl<M: EnergyModel + Sync>(
             RankOutcome::Completed((result, tel)) => {
                 telemetry.extend(tel);
                 if rank == 0 {
-                    root = Some(result.expect("rank 0 assembles the output"));
+                    root = Some(result);
                 }
             }
             RankOutcome::Died { cause } => {
@@ -480,7 +457,9 @@ pub fn run_rewl<M: EnergyModel + Sync>(
             }
         }
     }
-    let mut out = root.expect("rank 0 completes or dies")?;
+    let mut out = root
+        .expect("rank 0 completes or dies")?
+        .expect("rank 0 assembles the output");
     out.telemetry = telemetry;
     Ok(out)
 }
@@ -513,7 +492,9 @@ pub struct RankRun {
 /// # Errors
 /// Same failure modes as [`run_rewl`], surfaced on rank 0:
 /// [`RewlError::WindowLost`] when a window loses every walker. (A dead
-/// rank 0 cannot return at all — supervise the process instead.)
+/// rank 0 cannot return at all — supervise the process instead.) With
+/// [`RewlConfig::recovery`] set, every rank returns
+/// [`RewlError::PeerLost`] once the cluster has lost a rank.
 ///
 /// # Panics
 /// Panics when a walker cannot reach its assigned energy window during
@@ -534,8 +515,8 @@ pub fn run_rewl_on<M: EnergyModel, T: Transport>(
     );
     let layout = build_layout(model, neighbors, comp, (e_min, e_max), cfg);
     let digest = checkpoint::config_digest(cfg);
-    let resume = find_resume_point(cfg, digest, comm.rank(), size, comm.fault_plan())?;
-    let (result, telemetry) = RankEngine::new(
+    let resume = find_resume_point(cfg, digest, size, comm.fault_plan())?;
+    let (output, telemetry) = RankEngine::new(
         comm,
         model,
         neighbors,
@@ -547,15 +528,8 @@ pub fn run_rewl_on<M: EnergyModel, T: Transport>(
         true,
     )
     .run();
-    match result {
-        Some(Ok(output)) => Ok(RankRun {
-            output: Some(output),
-            telemetry,
-        }),
-        Some(Err(e)) => Err(e),
-        None => Ok(RankRun {
-            output: None,
-            telemetry,
-        }),
-    }
+    Ok(RankRun {
+        output: output?,
+        telemetry,
+    })
 }

@@ -15,9 +15,9 @@
 //! 4. on acceptance both sides cross-ship `(E, configuration)` and apply
 //!    the swap after validating it lands in their own window.
 //!
-//! Every receive is deadline-bounded (`recv_resilient`, `recv_step`): a
-//! dead or silent partner aborts the attempt — state untouched — instead
-//! of hanging the round. Message tags carry the round number
+//! Every receive is deadline-bounded (`recv_resilient`): a dead or silent
+//! partner aborts the attempt — state untouched — instead of hanging the
+//! round. Message tags carry the round number
 //! ([`tags::with_round`]) so a straggler's late frames can never be
 //! mistaken for the current round's.
 
@@ -73,15 +73,10 @@ const RECV_RETRIES: u32 = 6;
 /// known to be at (or past) the same protocol point.
 pub(crate) const COLLECT_DEADLINE: Duration = Duration::from_secs(30);
 
-/// How long a protocol step waits out a peer that may be mid-respawn
-/// (recovery mode): covers supervisor backoff, reconnect, and the
-/// replacement's replay of the death round up to this protocol point.
-pub(crate) const RECOVERY_PATIENCE: Duration = Duration::from_secs(60);
-
 /// Deadline-bounded receive with exponential backoff. Returns the first
 /// hard failure: a dead peer immediately, a timeout after the full retry
 /// budget. Never blocks unboundedly.
-fn recv_resilient<T: Transport>(
+pub(crate) fn recv_resilient<T: Transport>(
     comm: &Communicator<T>,
     from: usize,
     tag: u64,
@@ -104,14 +99,12 @@ fn recv_resilient<T: Transport>(
 /// peers in sequence. A flat per-message timeout there overshoots by
 /// `ranks × timeout` in the worst case; one deadline bounds the whole
 /// phase instead. Backoff still doubles between attempts (capped), and a
-/// dead peer fails immediately unless `wait_dead` is set (recovery mode:
-/// the peer may be mid-respawn and its payload still coming).
+/// dead peer fails immediately.
 pub(crate) fn recv_until<T: Transport>(
     comm: &Communicator<T>,
     from: usize,
     tag: u64,
     deadline: Instant,
-    wait_dead: bool,
 ) -> Result<Vec<u8>, CommError> {
     let mut timeout = RECV_BASE;
     loop {
@@ -121,50 +114,10 @@ pub(crate) fn recv_until<T: Transport>(
         }
         match comm.recv_timeout(from, tag, timeout.min(remaining)) {
             Ok(bytes) => return Ok(bytes),
-            Err(dead @ CommError::RankDead(_)) if !wait_dead => return Err(dead),
-            // Dead but tolerated: poll gently until the replacement
-            // reconnects or the deadline expires.
-            Err(CommError::RankDead(_)) => std::thread::sleep(Duration::from_millis(25)),
+            Err(dead @ CommError::RankDead(_)) => return Err(dead),
             Err(_) => {}
         }
         timeout = (timeout * 2).min(Duration::from_secs(2));
-    }
-}
-
-/// The receive of a request/response protocol step whose peer may be
-/// mid-respawn. Without `recovery` this is [`recv_resilient`]. With it,
-/// the receive outlasts a respawning peer up to [`RECOVERY_PATIENCE`], and
-/// invokes `retransmit` whenever the peer is up but silent: a request sent
-/// into the peer's previous life died with it, so the requester must
-/// replay it for the replacement (pass `|| {}` when nothing was sent yet).
-/// Round-scoped tags make the duplicates harmless — the receiver consumes
-/// at most one copy per round and stale frames can never match a later
-/// round's tag.
-pub(crate) fn recv_step<T: Transport>(
-    comm: &Communicator<T>,
-    from: usize,
-    tag: u64,
-    recovery: bool,
-    mut retransmit: impl FnMut(),
-) -> Result<Vec<u8>, CommError> {
-    if !recovery {
-        return recv_resilient(comm, from, tag);
-    }
-    let deadline = Instant::now() + RECOVERY_PATIENCE;
-    loop {
-        match comm.recv_timeout(from, tag, Duration::from_millis(250)) {
-            Ok(bytes) => return Ok(bytes),
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(e);
-                }
-                if matches!(e, CommError::RankDead(_)) {
-                    std::thread::sleep(Duration::from_millis(25));
-                } else if comm.is_alive(from) {
-                    retransmit();
-                }
-            }
-        }
     }
 }
 
@@ -248,19 +201,13 @@ pub(crate) fn exchange_as_initiator<T: Transport>(
     partner: usize,
     round: u64,
     m_species: usize,
-    recovery: bool,
 ) -> Result<bool, CommError> {
-    let energy_tag = tags::with_round(tags::EXCH_ENERGY, round);
-    let energy_payload = wire::encode_f64s(&[walker.energy()]);
-    comm.send(partner, energy_tag, energy_payload.clone());
-    // The opening receive is the only one that can face a partner
-    // mid-respawn: a kill fires at the start of a round, so once the
-    // reply arrives the partner is a live (replacement) process and the
-    // rest of the handshake flows at normal pace.
-    let reply_tag = tags::with_round(tags::EXCH_REPLY, round);
-    let reply_bytes = recv_step(comm, partner, reply_tag, recovery, || {
-        comm.send(partner, energy_tag, energy_payload.clone());
-    })?;
+    comm.send(
+        partner,
+        tags::with_round(tags::EXCH_ENERGY, round),
+        wire::encode_f64s(&[walker.energy()]),
+    );
+    let reply_bytes = recv_resilient(comm, partner, tags::with_round(tags::EXCH_REPLY, round))?;
     // reply = [valid, E_b, ln_gB(E_b) - ln_gB(E_a)]
     let reply = wire::decode_f64s(&reply_bytes).unwrap_or_default();
     let mut accepted = false;
@@ -304,13 +251,8 @@ pub(crate) fn exchange_as_responder<T: Transport>(
     initiator: usize,
     round: u64,
     m_species: usize,
-    recovery: bool,
 ) -> Result<bool, CommError> {
-    // Nothing was sent yet, so there is nothing to retransmit — the
-    // opening receive just waits out a respawning initiator, which will
-    // (re)send its energy when its replay reaches this protocol point.
-    let energy_tag = tags::with_round(tags::EXCH_ENERGY, round);
-    let e_a_bytes = recv_step(comm, initiator, energy_tag, recovery, || {})?;
+    let e_a_bytes = recv_resilient(comm, initiator, tags::with_round(tags::EXCH_ENERGY, round))?;
     let e_a = wire::decode_f64s(&e_a_bytes)
         .ok()
         .and_then(|v| v.first().copied());
@@ -553,9 +495,9 @@ mod tests {
             let mut walker = walker_on(grid.clone(), &h, &nt, &comp, 40 + comm.rank() as u64);
             let e_before = walker.energy();
             let swapped = if comm.rank() == 0 {
-                exchange_as_initiator(&comm, &mut walker, 1, 0, comp.num_species(), false)
+                exchange_as_initiator(&comm, &mut walker, 1, 0, comp.num_species())
             } else {
-                exchange_as_responder(&comm, &mut walker, 0, 0, comp.num_species(), false)
+                exchange_as_responder(&comm, &mut walker, 0, 0, comp.num_species())
             };
             (e_before, swapped.unwrap(), walker.energy())
         });
@@ -600,9 +542,9 @@ mod tests {
             };
             let e_before = walker.energy();
             let swapped = if comm.rank() == 0 {
-                exchange_as_initiator(&comm, &mut walker, 1, 3, comp.num_species(), false)
+                exchange_as_initiator(&comm, &mut walker, 1, 3, comp.num_species())
             } else {
-                exchange_as_responder(&comm, &mut walker, 0, 3, comp.num_species(), false)
+                exchange_as_responder(&comm, &mut walker, 0, 3, comp.num_species())
             };
             (e_before, swapped.unwrap(), walker.energy())
         });

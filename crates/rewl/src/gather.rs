@@ -17,7 +17,7 @@ use dt_proposal::MoveStats;
 use dt_telemetry::RankTelemetry;
 use dt_thermo::MicrocanonicalAccumulator;
 
-use crate::driver::{RecoveryStats, RewlConfig, RewlError, RewlOutput, WindowReport};
+use crate::driver::{RewlConfig, RewlError, RewlOutput, WindowReport};
 use crate::exchange::{recv_until, tags};
 use crate::merge::merge_windows;
 use crate::windows::WindowLayout;
@@ -27,8 +27,7 @@ use crate::wire::{self, GatherPiece};
 /// accumulator, validating every shape; any timeout, dead peer, or
 /// malformed payload drops the whole rank. The receive is bounded by the
 /// caller's absolute `deadline` (one budget per collection phase, not per
-/// message); `wait_dead` tolerates a peer that is mid-respawn (recovery
-/// mode).
+/// message).
 pub(crate) fn recv_rank_piece<T: Transport>(
     comm: &Communicator<T>,
     other: usize,
@@ -36,10 +35,8 @@ pub(crate) fn recv_rank_piece<T: Transport>(
     global_bins: usize,
     obs_dim: usize,
     deadline: Instant,
-    wait_dead: bool,
 ) -> Result<(GatherPiece, MicrocanonicalAccumulator), String> {
-    let bytes = recv_until(comm, other, tags::GATHER_PIECE, deadline, wait_dead)
-        .map_err(|e| e.to_string())?;
+    let bytes = recv_until(comm, other, tags::GATHER_PIECE, deadline).map_err(|e| e.to_string())?;
     let piece = wire::decode_piece(&bytes).map_err(|e| e.to_string())?;
     // Decoding already tied every vector to the counts the piece states.
     let state = &piece.state;
@@ -195,14 +192,7 @@ pub(crate) fn assemble_output(
         .map(|p| p.state.walker.total_moves)
         .sum();
     let converged_all = reports.iter().all(|r| r.converged);
-    let mut recovery = RecoveryStats::default();
-    let mut walkers_rebalanced = 0u64;
-    for p in per_rank.iter().flatten() {
-        recovery.ranks_respawned += p.respawns;
-        recovery.rejoin_duration_ns += p.rejoin_duration_ns;
-        recovery.heartbeat_misses += p.heartbeat_misses;
-        walkers_rebalanced += p.state.rebalanced;
-    }
+    let walkers_rebalanced = per_rank.iter().flatten().map(|p| p.state.rebalanced).sum();
     Ok(RewlOutput {
         dos,
         mask,
@@ -214,7 +204,6 @@ pub(crate) fn assemble_output(
         lost_ranks,
         resumed_from: resumed_round,
         telemetry,
-        recovery,
         walkers_rebalanced,
     })
 }

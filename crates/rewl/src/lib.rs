@@ -50,21 +50,21 @@
 //! *different* non-empty plan is refused with
 //! [`RewlError::FaultPlanMismatch`].
 //!
-//! ## Recovery (self-healing)
+//! ## Fail-stop
 //!
-//! With [`RewlConfig::recovery`] on (process clusters only), a dead rank
-//! is not merely degraded around — it comes back. Recovery forces
-//! checkpoint cadence 1 and orders each round *checkpoint, then poll
-//! faults*, so a killed rank always leaves an exact image of its death
-//! round; a respawned process (nonzero [`RewlConfig::respawns`]) resumes
-//! from its own newest rank file via [`load_own_resume_point`], runs a
-//! `Rejoin` phase that restores walker state, RNG word position, and the
-//! transport's collective generation counters, then replays the death
-//! round. First receives of each protocol step wait with recovery
-//! patience and retransmit; round-scoped tags make replayed duplicates
-//! harmless. The healed run is bit-identical to a fault-free one (see
-//! `tests/tcp_backend.rs`), and [`RewlOutput::recovery`] carries the
-//! respawn/rejoin/heartbeat counters.
+//! With [`RewlConfig::recovery`] on (process clusters, through
+//! [`run_rewl_on`]) a rank does not degrade around a loss: the first
+//! failed protocol receive, or a converge vote that counts fewer than all
+//! ranks, ends its life with [`RewlError::PeerLost`]. The loss spreads as
+//! each rank exits, so the whole cluster stops, and its launcher restarts
+//! every rank from the newest complete snapshot through
+//! [`load_resume_point`] — ordinary checkpoint/restart. Rank 0 cannot
+//! commit a snapshot with a rank missing, because the missing
+//! confirmation ends its life first, so every snapshot such a run writes
+//! is complete. For the local and random-global kernels the restarted
+//! run is bit-identical to a fault-free one (see `tests/tcp_backend.rs`);
+//! the deep kernel's sample buffer is not persisted, so its restarts
+//! are not.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -81,13 +81,10 @@ pub mod windows;
 pub mod wire;
 
 pub use checkpoint::{
-    load_own_resume_point, load_resume_point, CheckpointSpec, CkptError, RankCheckpoint,
-    ResumePoint, RunManifest,
+    load_resume_point, CheckpointSpec, CkptError, RankCheckpoint, ResumePoint, RunManifest,
 };
 pub use driver::pilot_window_costs;
-pub use driver::{
-    run_rewl, run_rewl_on, RankRun, RecoveryStats, RewlConfig, RewlError, RewlOutput, WindowReport,
-};
+pub use driver::{run_rewl, run_rewl_on, RankRun, RewlConfig, RewlError, RewlOutput, WindowReport};
 pub use exchange::{exchange_role, ExchangeRole};
 pub use merge::merge_windows;
 pub use rebalance::{plan_rebalance, Migration, RtSample};

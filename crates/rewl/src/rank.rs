@@ -1,15 +1,14 @@
 //! The per-rank REWL engine: one walker's life as an explicit state
 //! machine over a pluggable [`Transport`].
 //!
-//! Each rank's life starts with a one-shot `Rejoin` phase, then steps
-//! through the round phases
+//! Each rank's life steps through the round phases
 //!
 //! ```text
-//! Rejoin → Checkpoint → Sample → Retrain → Exchange → Rebalance → Converge
-//!               ↑                                                    │
-//!               └──────────────── not converged ─────────────────────┘
-//!                                                                    ↓ converged / cap
-//!                                                                 Gather
+//! Checkpoint → Sample → Retrain → Exchange → Rebalance → Converge
+//!     ↑                                                    │
+//!     └──────────────── not converged ─────────────────────┘
+//!                                                          ↓ converged / cap
+//!                                                       Gather
 //! ```
 //!
 //! `Rebalance` is a strict no-op unless [`RewlConfig::rebalance_every`]
@@ -22,30 +21,28 @@
 //! consumption are identical on every backend, so a fault-free run
 //! produces bit-identical `ln g` regardless of the wire underneath.
 //!
-//! With [`RewlConfig::recovery`] set the same state machine self-heals: a
-//! killed rank's supervisor respawns it, `Rejoin` restores its collective
-//! generation counters from the checkpoint it wrote at the start of its
-//! death round, and the replacement replays that round bit-exactly while
-//! the survivors' recovery-mode receives wait out (and, where a request
-//! died with the victim, retransmit to) the returning peer.
+//! A failed receive degrades the step it belongs to — unless fail-stop
+//! ([`RewlConfig::recovery`], `run_rewl_on` only) is on, where it ends
+//! the rank's life with [`RewlError::PeerLost`] for the launcher to
+//! restart the cluster from its newest complete checkpoint.
 
 use dt_hamiltonian::EnergyModel;
-use dt_hpc::{rank_rng, Communicator, Transport};
+use dt_hpc::{rank_rng, CommError, Communicator, Transport};
 use dt_lattice::{sro::ordered_pair_counts, Composition, Configuration, NeighborTable};
 use dt_proposal::{
     DeepProposal, LocalSwap, ProposalContext, ProposalKernel, ProposalMix, ProposalTrainer,
     RandomReassign, SampleBuffer,
 };
-use dt_telemetry::{adaptive_counters, recovery_counters, Phase, RankTelemetry, Telemetry};
+use dt_telemetry::{adaptive_counters, Phase, RankTelemetry, Telemetry};
 use dt_thermo::MicrocanonicalAccumulator;
 use dt_wanglandau::WlWalker;
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::checkpoint::{CheckpointSpec, RankCheckpoint, ResumePoint, RunManifest};
 use crate::driver::{RewlConfig, RewlError, RewlOutput};
 use crate::exchange::{
-    self, exchange_role, recv_step, recv_until, tags, ExchangeRole, COLLECT_DEADLINE,
+    self, exchange_role, recv_resilient, recv_until, tags, ExchangeRole, COLLECT_DEADLINE,
 };
 use crate::gather::{self, accumulator_totals};
 use crate::rebalance::{self, Migration, RtSample};
@@ -54,9 +51,9 @@ use crate::windows::WindowLayout;
 use crate::wire::{self, GatherPiece};
 
 /// What one rank hands back to its driver: the assembled output (rank 0
-/// only, or the error that prevented assembly) plus this rank's telemetry
-/// snapshot (when enabled).
-pub(crate) type RankReturn = (Option<Result<RewlOutput, RewlError>>, Option<RankTelemetry>);
+/// only; `None` elsewhere) or the error that ended the rank, plus this
+/// rank's telemetry snapshot (when enabled and the rank finished).
+pub(crate) type RankReturn = (Result<Option<RewlOutput>, RewlError>, Option<RankTelemetry>);
 
 /// Per-rank deep-proposal state.
 struct DeepState {
@@ -161,17 +158,13 @@ fn fill_pair_probabilities(
     }
 }
 
-/// The phases of one rank's life. `Rejoin` runs exactly once at startup;
-/// each round then visits
+/// The phases of one rank's life. Each round visits
 /// `Checkpoint → Sample → Retrain → Exchange → Rebalance → Converge`;
 /// the converge decision loops back or falls through to the terminal
 /// `Gather`. `Rebalance` is a strict no-op (no messages, no RNG draws)
 /// unless [`RewlConfig::rebalance_every`] is set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EnginePhase {
-    /// One-shot entry: arm recovery mode, and (for a respawned rank)
-    /// restore collective generations from the checkpoint.
-    Rejoin,
     /// Cluster snapshot (if due) + fault poll (start of round).
     Checkpoint,
     /// `exchange_every_sweeps` WL sweeps with SRO observation.
@@ -203,6 +196,9 @@ pub(crate) struct RankEngine<'a, M, T: Transport> {
     /// process backends). The thread driver collects snapshots in memory
     /// instead and keeps this off, so its message schedule is unchanged.
     wire_telemetry: bool,
+    /// A failed receive ends this rank's life ([`RewlError::PeerLost`])
+    /// instead of degrading the step.
+    fail_stop: bool,
 
     rank: usize,
     window: usize,
@@ -222,14 +218,6 @@ pub(crate) struct RankEngine<'a, M, T: Transport> {
     sweeps_since_check: u64,
     resumed_round: Option<u64>,
     round: u64,
-    /// Collective generation counters restored from this rank's
-    /// checkpoint (replacement ranks only).
-    ckpt_coll_gens: Option<[u64; 3]>,
-    /// When this engine was constructed — the respawn-to-rejoin clock.
-    started: Instant,
-    /// Nanoseconds this (respawned) rank spent restoring state and
-    /// rejoining the cluster. Zero on a first life.
-    rejoin_duration_ns: u64,
     /// The cluster-wide rank→window assignment. Starts uniform
     /// (`rank / W`) and is mutated in lockstep on every rank by applied
     /// rebalance plans; identical everywhere by construction.
@@ -251,6 +239,10 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     /// deep-proposal state, and accumulators. Setup draws from the rank
     /// RNG in a fixed order, so every backend consumes the stream
     /// identically.
+    ///
+    /// `standalone` marks a rank on a transport of its own
+    /// ([`crate::run_rewl_on`]): it ships telemetry over the wire, and its
+    /// exit is visible to its peers, so fail-stop applies to it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         comm: Communicator<T>,
@@ -261,9 +253,8 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         cfg: &'a RewlConfig,
         digest: u64,
         resume: Option<&'a ResumePoint>,
-        wire_telemetry: bool,
+        standalone: bool,
     ) -> Self {
-        let started = Instant::now();
         let rank = comm.rank();
         let w = cfg.walkers_per_window;
         // Rank→window assignment: uniform on a fresh start, or — when
@@ -301,7 +292,6 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
                 && rc.walker.e_min.to_bits() == grid.e_min().to_bits()
                 && rc.walker.e_max.to_bits() == grid.e_max().to_bits()
         });
-        let ckpt_coll_gens = rank_state.map(|rc| rc.coll_gens);
         let (rebalanced, rt_banked_crossings, rt_banked_moves) = rank_state
             .map(|rc| (rc.rebalanced, rc.rt_banked_crossings, rc.rt_banked_moves))
             .unwrap_or((0, 0, 0));
@@ -370,7 +360,8 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             layout,
             cfg,
             digest,
-            wire_telemetry,
+            wire_telemetry: standalone,
+            fail_stop: standalone && cfg.recovery,
             rank,
             window,
             m_species,
@@ -388,9 +379,6 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             sweeps_since_check,
             resumed_round,
             round: resumed_round.unwrap_or(0),
-            ckpt_coll_gens,
-            started,
-            rejoin_duration_ns: 0,
             assignment,
             rebalanced,
             rt_banked_crossings,
@@ -401,68 +389,59 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
 
     /// Drive the state machine to completion.
     pub(crate) fn run(mut self) -> RankReturn {
-        let mut phase = EnginePhase::Rejoin;
+        let mut phase = EnginePhase::Checkpoint;
         loop {
-            phase = match phase {
-                EnginePhase::Rejoin => self.phase_rejoin(),
+            let next = match phase {
                 EnginePhase::Checkpoint => self.phase_checkpoint(),
-                EnginePhase::Sample => self.phase_sample(),
+                EnginePhase::Sample => Ok(self.phase_sample()),
                 EnginePhase::Retrain => self.phase_retrain(),
                 EnginePhase::Exchange => self.phase_exchange(),
                 EnginePhase::Rebalance => self.phase_rebalance(),
                 EnginePhase::Converge => self.phase_converge(),
                 EnginePhase::Gather => return self.phase_gather(),
             };
+            phase = match next {
+                Ok(next) => next,
+                Err(lost) => return (Err(lost), None),
+            };
         }
     }
 
-    /// One-shot entry phase. A first life falls straight through; under
-    /// recovery it also arms the communicator's recovery mode (dead peers
-    /// are waited out, not written off) and heartbeat-based liveness. A
-    /// respawned rank additionally restores its collective generation
-    /// counters from the checkpoint, so its next barrier/allreduce joins
-    /// exactly the generation the survivors are parked in.
-    fn phase_rejoin(&mut self) -> EnginePhase {
-        if self.cfg.recovery {
-            self.comm.set_recovery(true);
-            self.comm
-                .start_heartbeats(Duration::from_millis(250), Duration::from_secs(5));
+    /// The fail-stop error for a loss of `peer` in this round.
+    fn lost(&self, peer: usize) -> RewlError {
+        RewlError::PeerLost {
+            peer,
+            round: self.round,
         }
-        if self.cfg.respawns > 0 {
-            if let Some(gens) = self.ckpt_coll_gens {
-                self.comm.set_collective_generations(gens);
-            }
-            self.rejoin_duration_ns = self.started.elapsed().as_nanos() as u64;
-            eprintln!(
-                "rewl: rank {} rejoined at round {} (respawn #{}, {:.1} ms)",
-                self.rank,
-                self.round,
-                self.cfg.respawns,
-                self.rejoin_duration_ns as f64 / 1e6,
-            );
+    }
+
+    /// Judge a protocol receive from `peer`: a failure degrades the step
+    /// (`Ok(None)`), or under fail-stop ends this rank's life.
+    fn received<V>(&self, peer: usize, got: Result<V, CommError>) -> Result<Option<V>, RewlError> {
+        match got {
+            Ok(v) => Ok(Some(v)),
+            Err(_) if self.fail_stop => Err(self.lost(peer)),
+            Err(_) => Ok(None),
         }
-        EnginePhase::Checkpoint
     }
 
     /// Start of round: the periodic cluster snapshot (if due), THEN the
-    /// fault poll. Snapshot-before-kill means an injected death always
-    /// leaves an exact on-disk image of its own round, which is what a
-    /// replacement rank resumes from; under recovery the cadence is
-    /// forced to every round for the same reason. (Checkpoint writes
-    /// consume no walker RNG, so the extra snapshots cannot perturb the
-    /// stream.)
-    fn phase_checkpoint(&mut self) -> EnginePhase {
+    /// fault poll, so a rank killed at a snapshot round has already
+    /// written and confirmed its file and the round still commits.
+    /// (Checkpoint writes consume no walker RNG, so snapshots cannot
+    /// perturb the stream.)
+    fn phase_checkpoint(&mut self) -> Result<EnginePhase, RewlError> {
         let cfg = self.cfg;
         if let Some(spec) = cfg.checkpoint.as_ref() {
-            let every = if cfg.recovery { 1 } else { spec.every_rounds };
-            if self.round > 0 && self.round % every == 0 && Some(self.round) != self.resumed_round {
+            let due = self.round > 0 && self.round % spec.every_rounds == 0;
+            if due && Some(self.round) != self.resumed_round {
                 let tel = self.tel.clone();
                 let _span = tel.span(Phase::Checkpoint);
-                self.checkpoint_cluster(spec);
+                self.checkpoint_cluster(spec)?;
             }
         }
         self.comm.poll_faults(self.round);
-        EnginePhase::Sample
+        Ok(EnginePhase::Sample)
     }
 
     /// `exchange_every_sweeps` WL sweeps, with flatness checks, SRO
@@ -503,146 +482,122 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     }
 
     /// Deep retraining plus window-wide weight averaging (simulated
-    /// allreduce). The leader slot is fixed (first rank of the window):
-    /// if the leader is dead the window skips syncing and every walker
-    /// keeps local weights; if a member is dead (or its message lost)
-    /// the leader averages over whatever arrived. A fixed leader cannot
-    /// race the failure detector the way electing "first live rank"
-    /// would.
-    fn phase_retrain(&mut self) -> EnginePhase {
+    /// allreduce, see [`Self::average_weights`]).
+    fn phase_retrain(&mut self) -> Result<EnginePhase, RewlError> {
         let mut kernel_dirty = self
             .deep_state
             .as_mut()
             .is_some_and(|ds| ds.retrain(self.sweeps, self.neighbors, self.walker.rng_mut()));
-        // Members of this window in ascending rank order; the leader is
-        // the lowest rank. Under the uniform assignment this is exactly
-        // the classic `window·W .. (window+1)·W` block with leader
-        // `window·W`, so the message schedule is unchanged; after a
-        // rebalance it follows the walkers to their new windows.
+        let params = self
+            .deep_state
+            .as_ref()
+            .filter(|ds| ds.spec.sync_weights)
+            .map(|ds| ds.deep.net().flatten_params());
         let peers = self.window_peers();
-        let leader = peers[0];
-        if let Some(ds) = self.deep_state.as_mut() {
-            if ds.spec.sync_weights && peers.len() > 1 {
+        if let Some(params) = params.filter(|_| peers.len() > 1) {
+            let averaged = {
                 let _span = self.tel.span(Phase::Allreduce);
-                let recovery = self.cfg.recovery;
-                let params = ds.deep.net().flatten_params();
-                if self.rank == leader {
-                    let mut acc = params.clone();
-                    let mut contributors = 1.0f64;
-                    for &other in &peers[1..] {
-                        let tag = tags::with_round(tags::SYNC_PARAMS, self.round);
-                        // Under recovery a dead member is only
-                        // *temporarily* absent: its replacement replays
-                        // this round and sends its weights when it gets
-                        // here, so wait instead of skipping. (Nothing to
-                        // retransmit — the leader hasn't sent yet.)
-                        let got = (recovery || self.comm.is_alive(other))
-                            .then(|| recv_step(&self.comm, other, tag, recovery, || {}).ok())
-                            .flatten()
-                            .and_then(|bytes| wire::decode_f64s(&bytes).ok());
-                        match got {
-                            Some(theirs) if theirs.len() == acc.len() => {
-                                for (a, b) in acc.iter_mut().zip(theirs) {
-                                    *a += b;
-                                }
-                                contributors += 1.0;
-                            }
-                            _ => {}
-                        }
-                    }
-                    for a in &mut acc {
-                        *a /= contributors;
-                    }
-                    let payload = wire::encode_f64s(&acc);
-                    for &other in &peers[1..] {
-                        self.comm.send(
-                            other,
-                            tags::with_round(tags::SYNC_PARAMS_BACK, self.round),
-                            payload.clone(),
-                        );
-                    }
-                    ds.deep.net_mut().set_params(&acc);
-                } else if recovery || self.comm.is_alive(leader) {
-                    let params_tag = tags::with_round(tags::SYNC_PARAMS, self.round);
-                    let payload = wire::encode_f64s(&params);
-                    self.comm.send(leader, params_tag, payload.clone());
-                    let back_tag = tags::with_round(tags::SYNC_PARAMS_BACK, self.round);
-                    // If the leader died after our send, the weights died
-                    // with it — retransmit them for its replacement.
-                    let avg = recv_step(&self.comm, leader, back_tag, recovery, || {
-                        self.comm.send(leader, params_tag, payload.clone());
-                    })
-                    .ok()
-                    .and_then(|bytes| wire::decode_f64s(&bytes).ok());
-                    if let Some(avg) = avg {
-                        if avg.len() == params.len() {
-                            ds.deep.net_mut().set_params(&avg);
-                        }
-                    }
-                }
-                kernel_dirty = true;
+                self.average_weights(&peers, params)?
+            };
+            if let (Some(ds), Some(avg)) = (self.deep_state.as_mut(), averaged) {
+                ds.deep.net_mut().set_params(&avg);
             }
+            kernel_dirty = true;
         }
         if kernel_dirty {
             self.walker
                 .set_kernel(build_kernel(&self.cfg.kernel, &self.deep_state));
         }
-        EnginePhase::Exchange
+        Ok(EnginePhase::Exchange)
+    }
+
+    /// Average deep-proposal weights over this window's `peers` (ascending
+    /// rank order; the leader is the lowest rank — under the uniform
+    /// assignment exactly the classic `window·W` block, and after a
+    /// rebalance it follows the walkers to their new windows). Returns the
+    /// weights to adopt, `None` to keep the local ones. A dead leader
+    /// means the window skips syncing; the leader averages over whichever
+    /// members answered. A fixed leader cannot race the failure detector
+    /// the way electing "first live rank" would.
+    fn average_weights(
+        &self,
+        peers: &[usize],
+        params: Vec<f64>,
+    ) -> Result<Option<Vec<f64>>, RewlError> {
+        let up = tags::with_round(tags::SYNC_PARAMS, self.round);
+        let down = tags::with_round(tags::SYNC_PARAMS_BACK, self.round);
+        // Under fail-stop a dead peer is not skipped: its receive fails.
+        let reachable = |r: usize| self.fail_stop || self.comm.is_alive(r);
+        let leader = peers[0];
+        if self.rank != leader {
+            if !reachable(leader) {
+                return Ok(None);
+            }
+            self.comm.send(leader, up, wire::encode_f64s(&params));
+            let avg = self.received(leader, recv_resilient(&self.comm, leader, down))?;
+            return Ok(avg
+                .and_then(|bytes| wire::decode_f64s(&bytes).ok())
+                .filter(|avg| avg.len() == params.len()));
+        }
+        let mut acc = params;
+        let mut contributors = 1.0f64;
+        for &other in peers[1..].iter().filter(|&&r| reachable(r)) {
+            let got = self.received(other, recv_resilient(&self.comm, other, up))?;
+            if let Some(theirs) = got
+                .and_then(|bytes| wire::decode_f64s(&bytes).ok())
+                .filter(|theirs| theirs.len() == acc.len())
+            {
+                for (a, b) in acc.iter_mut().zip(theirs) {
+                    *a += b;
+                }
+                contributors += 1.0;
+            }
+        }
+        for a in &mut acc {
+            *a /= contributors;
+        }
+        let payload = wire::encode_f64s(&acc);
+        for &other in &peers[1..] {
+            self.comm.send(other, down, payload.clone());
+        }
+        Ok(Some(acc))
     }
 
     /// Replica exchange with this round's paired rank, if the pairing
     /// function names one and it is alive. Dead partners are skipped
     /// outright; a partner that dies mid-protocol surfaces as a bounded
-    /// comm error inside the handshake and voids the attempt.
-    fn phase_exchange(&mut self) -> EnginePhase {
-        // Under recovery a dead partner is only temporarily absent (its
-        // replacement replays this round), so the attempt proceeds and
-        // waits the partner out instead of being skipped.
-        let recovery = self.cfg.recovery;
+    /// comm error inside the handshake and voids the attempt (fail-stop
+    /// aside, where either ends the rank).
+    fn phase_exchange(&mut self) -> Result<EnginePhase, RewlError> {
         // Without rebalancing the assignment stays the uniform `rank / W`
         // it started as, for which this is the classic slot rotation.
-        match exchange_role(
+        let (peer, initiates) = match exchange_role(
             self.rank,
             self.round,
             &self.assignment,
             self.cfg.num_windows,
         ) {
-            ExchangeRole::Initiator { partner } => {
-                if recovery || self.comm.is_alive(partner) {
-                    let _span = self.tel.span(Phase::Exchange);
-                    self.exchange_attempts += 1;
-                    match exchange::exchange_as_initiator(
-                        &self.comm,
-                        &mut self.walker,
-                        partner,
-                        self.round,
-                        self.m_species,
-                        recovery,
-                    ) {
-                        Ok(true) => self.exchange_accepted += 1,
-                        Ok(false) => {}
-                        // Lost partner or lost message: abandon this
-                        // exchange, keep local state, carry on.
-                        Err(_) => {}
-                    }
-                }
-            }
-            ExchangeRole::Responder { initiator } => {
-                if recovery || self.comm.is_alive(initiator) {
-                    let _span = self.tel.span(Phase::Exchange);
-                    let _ = exchange::exchange_as_responder(
-                        &self.comm,
-                        &mut self.walker,
-                        initiator,
-                        self.round,
-                        self.m_species,
-                        recovery,
-                    );
-                }
-            }
-            ExchangeRole::Idle => {}
+            ExchangeRole::Initiator { partner } => (partner, true),
+            ExchangeRole::Responder { initiator } => (initiator, false),
+            ExchangeRole::Idle => return Ok(EnginePhase::Rebalance),
+        };
+        if !self.fail_stop && !self.comm.is_alive(peer) {
+            return Ok(EnginePhase::Rebalance);
         }
-        EnginePhase::Rebalance
+        let _span = self.tel.span(Phase::Exchange);
+        let (comm, walker, round, m) = (&self.comm, &mut self.walker, self.round, self.m_species);
+        let swapped = if initiates {
+            self.exchange_attempts += 1;
+            exchange::exchange_as_initiator(comm, walker, peer, round, m)
+        } else {
+            exchange::exchange_as_responder(comm, walker, peer, round, m)
+        };
+        // A lost partner or message abandons the exchange with local
+        // state kept. Only the initiator counts accepted swaps.
+        if self.received(peer, swapped)? == Some(true) && initiates {
+            self.exchange_accepted += 1;
+        }
+        Ok(EnginePhase::Rebalance)
     }
 
     /// Ranks currently assigned to this rank's window, ascending.
@@ -660,12 +615,11 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     /// phase is a strict no-op: no messages, no RNG draws — the protocol
     /// (and every golden fingerprint) is bit-identical to a build without
     /// this phase.
-    fn phase_rebalance(&mut self) -> EnginePhase {
+    fn phase_rebalance(&mut self) -> Result<EnginePhase, RewlError> {
         let every = self.cfg.rebalance_every;
         if every == 0 || (self.round + 1) % every != 0 {
-            return EnginePhase::Converge;
+            return Ok(EnginePhase::Converge);
         }
-        let recovery = self.cfg.recovery;
         let rt = self.walker.round_trip_stats();
         let sample = [rt.crossings, rt.crossing_moves, rt.pending_moves];
         let plan = if self.rank == 0 {
@@ -679,13 +633,9 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             // sample just exempts that rank from this round's plan.
             let deadline = Instant::now() + COLLECT_DEADLINE;
             for (other, slot) in samples.iter_mut().enumerate().skip(1) {
-                if let Ok(bytes) = recv_until(
-                    &self.comm,
-                    other,
-                    tags::with_round(tags::RT_STATS, self.round),
-                    deadline,
-                    recovery,
-                ) {
+                let tag = tags::with_round(tags::RT_STATS, self.round);
+                let got = recv_until(&self.comm, other, tag, deadline);
+                if let Some(bytes) = self.received(other, got)? {
                     if let Ok(vals) = wire::decode_u64s(&bytes) {
                         if vals.len() == 3 {
                             *slot = Some(RtSample {
@@ -709,15 +659,9 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             plan
         } else {
             let stats_tag = tags::with_round(tags::RT_STATS, self.round);
-            let payload = wire::encode_u64s(&sample);
-            self.comm.send(0, stats_tag, payload.clone());
+            self.comm.send(0, stats_tag, wire::encode_u64s(&sample));
             let plan_tag = tags::with_round(tags::REBALANCE_PLAN, self.round);
-            // If rank 0 died after our send, the sample died with it —
-            // retransmit for its replacement.
-            let got = recv_step(&self.comm, 0, plan_tag, recovery, || {
-                self.comm.send(0, stats_tag, payload.clone());
-            })
-            .ok();
+            let got = self.received(0, recv_resilient(&self.comm, 0, plan_tag))?;
             // A lost or malformed plan reads as no-op for THIS rank only;
             // the resulting assignment skew degrades future exchanges
             // into timeouts (bounded), never a hang — same policy as a
@@ -728,16 +672,16 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
                 })
         };
         if let Some(m) = plan {
-            self.apply_rebalance(m);
+            self.apply_rebalance(m)?;
         }
-        EnginePhase::Converge
+        Ok(EnginePhase::Converge)
     }
 
     /// Apply one broadcast migration on every rank in lockstep: the
     /// donor ships its full WL state to the migrant, the migrant adopts
     /// it (keeping its OWN RNG stream and move counters), and everyone
     /// updates the shared assignment.
-    fn apply_rebalance(&mut self, m: Migration) {
+    fn apply_rebalance(&mut self, m: Migration) -> Result<(), RewlError> {
         let tag = tags::with_round(tags::REBALANCE_STATE, self.round);
         if self.rank == m.donor {
             self.comm.send(
@@ -747,7 +691,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             );
         }
         if self.rank == m.migrant {
-            let got = recv_step(&self.comm, m.donor, tag, self.cfg.recovery, || {}).ok();
+            let got = self.received(m.donor, recv_resilient(&self.comm, m.donor, tag))?;
             match got.and_then(|bytes| wire::decode_walker(&bytes).ok()) {
                 Some(cp) => self.adopt_window(m.to_window, cp),
                 // Donor state never arrived (degraded run): re-enter the
@@ -760,6 +704,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         if self.rank == m.migrant {
             self.window = m.to_window;
         }
+        Ok(())
     }
 
     /// Adopt a donor's WL state on the target window. The migrant keeps
@@ -835,7 +780,8 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     /// generation see identical sums, so the stop decision is collective
     /// and no rank can exit the round loop while a peer keeps waiting
     /// for it: `[Σ converged, Σ 1 (= contributors), Σ hit-sweep-cap]`.
-    fn phase_converge(&mut self) -> EnginePhase {
+    /// Under fail-stop a vote short of any rank ends every rank's life.
+    fn phase_converge(&mut self) -> Result<EnginePhase, RewlError> {
         let mut flags = [
             f64::from(u8::from(self.walker.ln_f() <= self.cfg.wl.ln_f_final)),
             1.0,
@@ -845,18 +791,25 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             let _span = self.tel.span(Phase::Allreduce);
             self.comm.allreduce_sum(&mut flags)
         };
-        if reduced.is_err() {
+        if self.received(0, reduced)?.is_none() {
             // The collective coordinator died. No collective decision is
             // possible any more; fall through to the gather (sends to a
             // dead rank 0 are discarded harmlessly).
-            return EnginePhase::Gather;
+            return Ok(EnginePhase::Gather);
+        }
+        let contributors = flags[1].round() as usize;
+        if self.fail_stop && contributors < self.comm.size() {
+            // Only rank 0 knows whom it counted missing; name the first
+            // rank this one sees dead.
+            let size = self.comm.size();
+            let peer = (0..size).find(|&r| !self.comm.is_alive(r));
+            return Err(self.lost(peer.unwrap_or(0)));
         }
         self.round += 1;
-        let contributors = flags[1].round() as usize;
         if flags[0].round() as usize >= contributors || flags[2] > 0.5 {
-            EnginePhase::Gather
+            Ok(EnginePhase::Gather)
         } else {
-            EnginePhase::Checkpoint
+            Ok(EnginePhase::Checkpoint)
         }
     }
 
@@ -865,9 +818,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     fn phase_gather(mut self) -> RankReturn {
         let piece = GatherPiece {
             state: self.rank_checkpoint(),
-            respawns: self.cfg.respawns,
-            rejoin_duration_ns: self.rejoin_duration_ns,
-            heartbeat_misses: self.comm.heartbeat_misses(),
+            reserved: [0; 3],
         };
         let wire_tel = self.wire_telemetry && self.tel.is_enabled();
         if self.rank != 0 {
@@ -883,12 +834,13 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
                         .send(0, tags::GATHER_TELEMETRY, wire::encode_telemetry(snap));
                 }
             }
-            return (None, snap);
+            return (Ok(None), snap);
         }
 
         // Rank 0: collect every surviving rank (including itself). A rank
         // that died (or whose payload is missing/corrupt) is dropped from
-        // the merge and recorded as lost.
+        // the merge and recorded as lost — or, under fail-stop, ends the
+        // run.
         // (Its own accumulator seeds the merge directly, so the totals
         // its piece carries go unused.)
         let mut per_rank: Vec<Option<GatherPiece>> = Vec::with_capacity(self.comm.size());
@@ -911,12 +863,12 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
                     self.global_bins,
                     self.obs_dim,
                     deadline,
-                    self.cfg.recovery,
                 ) {
                     Ok((piece, acc)) => {
                         merged_sro.merge(&acc);
                         per_rank.push(Some(piece));
                     }
+                    Err(_) if self.fail_stop => return (Err(self.lost(other)), None),
                     Err(why) => {
                         eprintln!("rewl: dropping rank {other} from the gather: {why}");
                         per_rank.push(None);
@@ -935,16 +887,12 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
                 if piece.is_none() {
                     continue;
                 }
-                if let Ok(bytes) = recv_until(
-                    &self.comm,
-                    other,
-                    tags::GATHER_TELEMETRY,
-                    deadline,
-                    self.cfg.recovery,
-                ) {
-                    if let Ok(snap) = wire::decode_telemetry(&bytes) {
-                        telemetry.push(snap);
+                let got = recv_until(&self.comm, other, tags::GATHER_TELEMETRY, deadline);
+                match self.received(other, got) {
+                    Ok(got) => {
+                        telemetry.extend(got.and_then(|bytes| wire::decode_telemetry(&bytes).ok()))
                     }
+                    Err(lost) => return (Err(lost), None),
                 }
             }
         }
@@ -959,12 +907,12 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             self.resumed_round,
             telemetry,
         );
-        (Some(result), rank_tel)
+        (result.map(Some), rank_tel)
     }
 
     /// Snapshot this rank's telemetry, folding in the sampler's acceptance
-    /// statistics, exchange counters, self-healing counters, and the
-    /// transport's message-traffic counters. Returns `None` when disabled.
+    /// statistics, exchange and round-trip counters, and the transport's
+    /// message-traffic counters. Returns `None` when disabled.
     fn snapshot(&self) -> Option<RankTelemetry> {
         if !self.tel.is_enabled() {
             return None;
@@ -982,15 +930,6 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
                 ("exchange_attempts", self.exchange_attempts),
                 ("exchange_accepted", self.exchange_accepted),
                 ("sweeps", self.sweeps),
-                (recovery_counters::RANKS_RESPAWNED, self.cfg.respawns),
-                (
-                    recovery_counters::REJOIN_DURATION_NS,
-                    self.rejoin_duration_ns,
-                ),
-                (
-                    recovery_counters::HEARTBEAT_MISSES,
-                    self.comm.heartbeat_misses(),
-                ),
                 (
                     adaptive_counters::ROUND_TRIPS_TOTAL,
                     (self.rt_banked_crossings + rt.crossings) / 2,
@@ -1052,8 +991,8 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     /// commits the round by writing the manifest listing who made it. The
     /// data-then-commit order means a crash anywhere in here leaves
     /// either a complete committed snapshot or garbage no reader will
-    /// trust.
-    fn checkpoint_cluster(&mut self, spec: &CheckpointSpec) {
+    /// trust. Under fail-stop only a snapshot listing every rank commits.
+    fn checkpoint_cluster(&mut self, spec: &CheckpointSpec) -> Result<(), RewlError> {
         let round = self.round;
         let rc = self.rank_checkpoint();
         let wrote = match rc.write(&spec.dir, round, self.rank) {
@@ -1072,7 +1011,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
                 tags::with_round(tags::CKPT_META, round),
                 vec![u8::from(wrote)],
             );
-            return;
+            return Ok(());
         }
         // Rank 0 commits: collect confirmations (one shared deadline for
         // the whole commit round), then write the manifest.
@@ -1080,15 +1019,19 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         alive[0] = wrote;
         let deadline = Instant::now() + COLLECT_DEADLINE;
         for (other, made_it) in alive.iter_mut().enumerate().skip(1) {
-            if let Ok(meta) = recv_until(
+            let meta = recv_until(
                 &self.comm,
                 other,
                 tags::with_round(tags::CKPT_META, round),
                 deadline,
-                self.cfg.recovery,
-            ) {
+            );
+            if let Some(meta) = self.received(other, meta)? {
                 *made_it = meta.first() == Some(&1);
             }
+        }
+        if self.fail_stop && alive.contains(&false) {
+            // A rank failed to write: leave the round uncommitted.
+            return Ok(());
         }
         let manifest = RunManifest {
             round,
@@ -1101,5 +1044,6 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         if let Err(e) = manifest.write(&spec.dir) {
             eprintln!("rewl: manifest write at round {round} failed: {e}");
         }
+        Ok(())
     }
 }

@@ -170,25 +170,21 @@ pub fn decode_u64s(bytes: &[u8]) -> Result<Vec<u64>, WireError> {
 /// What one rank contributes to the final gather, shipped to rank 0 as
 /// one message: its final state in the form a rank's state already has —
 /// its checkpoint, window `ln g`, visited mask, move statistics, exchange
-/// and round-trip counters and SRO totals included — plus the counters of
-/// its process life, which no checkpoint records.
+/// and round-trip counters and SRO totals included.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GatherPiece {
     /// The rank's state at the end of the run.
     pub state: RankCheckpoint,
-    /// Supervised respawns of this rank.
-    pub respawns: u64,
-    /// Nanoseconds the last respawn spent rejoining.
-    pub rejoin_duration_ns: u64,
-    /// Heartbeat deadlines this rank saw missed.
-    pub heartbeat_misses: u64,
+    /// Three words the pinned wire format keeps ahead of the state; the
+    /// engine writes zeros and nothing reads them.
+    pub reserved: [u64; 3],
 }
 
-/// Encode a [`GatherPiece`]: three counters, then the checkpoint text
-/// (whose `end` sentinel makes the message delimit itself).
+/// Encode a [`GatherPiece`]: the three reserved words, then the checkpoint
+/// text (whose `end` sentinel makes the message delimit itself).
 pub fn encode_piece(p: &GatherPiece) -> Vec<u8> {
     Writer::new()
-        .u64s(&[p.respawns, p.rejoin_duration_ns, p.heartbeat_misses])
+        .u64s(&p.reserved)
         .raw(p.state.encode().as_bytes())
         .finish()
 }
@@ -200,13 +196,11 @@ pub fn encode_piece(p: &GatherPiece) -> Vec<u8> {
 /// [`WireError::BadPiece`] when the rank state does not decode.
 pub fn decode_piece(bytes: &[u8]) -> Result<GatherPiece, WireError> {
     let mut r = Reader::new(bytes);
-    let (respawns, rejoin_duration_ns, heartbeat_misses) = (r.u64()?, r.u64()?, r.u64()?);
+    let reserved = [r.u64()?, r.u64()?, r.u64()?];
     let text = std::str::from_utf8(r.rest()).map_err(|_| WireError::BadUtf8)?;
     Ok(GatherPiece {
         state: RankCheckpoint::decode(text).map_err(|_| WireError::BadPiece)?,
-        respawns,
-        rejoin_duration_ns,
-        heartbeat_misses,
+        reserved,
     })
 }
 
@@ -311,9 +305,7 @@ mod tests {
                 walker: sample_walker(),
                 ..RankCheckpoint::default()
             },
-            respawns: 1,
-            rejoin_duration_ns: 2_000_000,
-            heartbeat_misses: 3,
+            reserved: [1, 2_000_000, 3],
         };
         let bytes = encode_piece(&piece);
         assert_eq!(decode_piece(&bytes).unwrap(), piece);

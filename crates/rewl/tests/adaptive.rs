@@ -6,10 +6,12 @@
 //!    rebalancing) still converges and reports round-trip statistics;
 //! 2. the adaptive protocol is backend-agnostic: thread fabric and
 //!    loopback TCP produce bit-identical output under the same seed;
-//! 3. the adaptive protocol composes with self-healing: a mid-run rank
-//!    kill under recovery mode converges to exactly the fault-free
+//! 3. the adaptive protocol composes with fail-stop restarts: a mid-run
+//!    rank kill under recovery mode converges to exactly the fault-free
 //!    answer, bit for bit — rebalance plans are deterministic given the
-//!    run seed, so the respawned rank replays the same migrations.
+//!    run seed, so the restarted cluster replays the same migrations.
+
+mod common;
 
 use dt_hamiltonian::PairHamiltonian;
 use dt_hpc::{FaultPlan, RankOutcome, TcpCluster};
@@ -163,12 +165,12 @@ fn adaptive_tcp_run_matches_thread_backend_bit_for_bit() {
     assert_bit_identical(&thread_out, &tcp_out);
 }
 
-/// The adaptive protocol composes with self-healing: adaptive windows +
-/// periodic rebalancing + a mid-run rank kill under recovery mode must
-/// converge to exactly the fault-free answer. This pins two properties
-/// at once: rebalance plans are deterministic given the run seed, and a
-/// respawned rank restores its window assignment (possibly migrated)
-/// from its checkpoint.
+/// The adaptive protocol composes with fail-stop restarts: adaptive
+/// windows + periodic rebalancing + a mid-run rank kill under recovery
+/// mode must converge to exactly the fault-free answer. This pins two
+/// properties at once: rebalance plans are deterministic given the run
+/// seed, and a restarted rank restores its window assignment (possibly
+/// migrated) from its checkpoint.
 #[test]
 fn adaptive_recovery_run_is_bit_identical_to_fault_free() {
     let (_, nt, comp, h) = system();
@@ -180,31 +182,15 @@ fn adaptive_recovery_run_is_bit_identical_to_fault_free() {
     let mut cfg = adaptive_config(5);
     cfg.checkpoint = Some(CheckpointSpec::new(&dir).every_rounds(1));
     cfg.recovery = true;
-    let size = cfg.num_windows * cfg.walkers_per_window;
     // Rank 1 dies at round 3 — the round right after a rebalance round
-    // (cadence 2 fires at rounds 1, 3, 5, ...), so the respawned rank
-    // must restore a possibly-migrated assignment from its checkpoint
-    // and replay the round-3 rebalance deterministically.
+    // (cadence 2 fires at rounds 1, 3, 5, ...), so the restarted cluster
+    // must restore a possibly-migrated assignment from the round-3
+    // snapshot and replay the round-3 rebalance deterministically.
     let plan = FaultPlan::none().kill_at_round(1, 3);
-    let outcomes = TcpCluster::run_loopback_recovering(size, plan, 2, |comm, respawns| {
-        let mut life_cfg = cfg.clone();
-        life_cfg.respawns = respawns;
-        run_rewl_on(comm, &h, &nt, &comp, RANGE, &life_cfg)
-    });
-    let mut root = None;
-    for (rank, outcome) in outcomes.into_iter().enumerate() {
-        let run = outcome
-            .completed()
-            .unwrap_or_else(|| panic!("rank {rank} must complete under recovery"))
-            .expect("no unrecoverable error");
-        if rank == 0 {
-            root = run.output;
-        }
-    }
-    let out = root.expect("rank 0 assembles the output");
+    let (out, restarts) = common::run_restarting(&h, &nt, &comp, RANGE, &cfg, plan);
 
     assert_eq!(out.lost_ranks, Vec::<usize>::new(), "no rank stays lost");
-    assert_eq!(out.recovery.ranks_respawned, 1, "one supervised respawn");
+    assert_eq!(restarts, 1, "one whole-cluster restart");
     assert_bit_identical(&baseline, &out);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,11 +1,15 @@
 //! The REWL pipeline over the TCP transport: the same rank engine on
 //! loopback sockets must reproduce the thread backend bit-for-bit on a
 //! fault-free run, survive an injected rank kill with graceful
-//! degradation, and checkpoint/resume identically.
+//! degradation, checkpoint/resume identically, and — under fail-stop —
+//! heal any loss bit-for-bit by restarting the cluster.
+
+mod common;
 
 use dt_hamiltonian::PairHamiltonian;
-use dt_hpc::{FaultPlan, RankOutcome, TcpCluster};
+use dt_hpc::{FaultEvent, FaultPlan, RankOutcome, TcpCluster};
 use dt_lattice::{Composition, Structure, Supercell};
+use dt_rewl::exchange::tags;
 use dt_rewl::{run_rewl, run_rewl_on, CheckpointSpec, KernelSpec, RewlConfig, RewlOutput};
 use dt_wanglandau::{LnfSchedule, WlParams};
 
@@ -155,55 +159,77 @@ fn tcp_cluster_checkpoints_and_resumes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The self-healing gate: a tcp cluster that loses a walker mid-run
-/// under recovery mode (supervised respawn + checkpoint rejoin) must
-/// converge to exactly the fault-free answer, bit for bit — no lost
-/// ranks, no degraded windows, same DOS, same SRO, same move counts.
-#[test]
-fn killed_rank_with_recovery_is_bit_identical_to_fault_free() {
+/// A fail-stop cluster that loses a rank to `plan`, restarted whole
+/// from its newest complete checkpoint (every `cadence` rounds): returns
+/// the healed output, the restarts it took, and the fault-free baseline.
+fn heal(label: &str, cadence: u64, plan: FaultPlan) -> (RewlOutput, u64, RewlOutput) {
     let (_, nt, comp, h) = system();
-    let dir = std::env::temp_dir().join(format!("dtrewl-tcp-recover-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("dtrewl-tcp-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-
     // Fault-free baseline on the thread backend (itself bit-identical to
     // fault-free TCP, covered above).
     let baseline = run_rewl(&h, &nt, &comp, RANGE, &base_config(5)).unwrap();
-
     let mut cfg = base_config(5);
-    cfg.checkpoint = Some(CheckpointSpec::new(&dir).every_rounds(1));
+    cfg.checkpoint = Some(CheckpointSpec::new(&dir).every_rounds(cadence));
     cfg.recovery = true;
-    let size = cfg.num_windows * cfg.walkers_per_window;
-    // Rank 1 (window 0, slot 1 — a retrain member and exchange peer)
-    // dies at round 3; the supervising harness respawns it and the
-    // replacement rejoins from its round-3 checkpoint.
-    let plan = FaultPlan::none().kill_at_round(1, 3);
-    let outcomes = TcpCluster::run_loopback_recovering(size, plan, 2, |comm, respawns| {
-        let mut life_cfg = cfg.clone();
-        life_cfg.respawns = respawns;
-        run_rewl_on(comm, &h, &nt, &comp, RANGE, &life_cfg)
-    });
-    let mut root = None;
-    for (rank, outcome) in outcomes.into_iter().enumerate() {
-        let run = outcome
-            .completed()
-            .unwrap_or_else(|| panic!("rank {rank} must complete under recovery"))
-            .expect("no unrecoverable error");
-        if rank == 0 {
-            root = run.output;
-        }
-    }
-    let out = root.expect("rank 0 assembles the output");
+    let (out, restarts) = common::run_restarting(&h, &nt, &comp, RANGE, &cfg, plan);
+    let _ = std::fs::remove_dir_all(&dir);
+    (out, restarts, baseline)
+}
 
+/// The self-healing gate: a tcp cluster that loses a walker mid-run
+/// under fail-stop, restarted whole from the round-3 snapshot the victim
+/// confirmed before it died, must converge to exactly the fault-free
+/// answer, bit for bit — no lost ranks, no degraded windows, same DOS,
+/// same SRO, same move counts.
+#[test]
+fn killed_rank_with_recovery_is_bit_identical_to_fault_free() {
+    // Rank 1 (window 0, slot 1 — an exchange peer) dies at round 3.
+    let (out, restarts, baseline) = heal("recover", 1, FaultPlan::none().kill_at_round(1, 3));
+    assert_eq!(restarts, 1, "one whole-cluster restart");
+    assert_eq!(out.resumed_from, Some(3));
     assert_eq!(out.lost_ranks, Vec::<usize>::new(), "no rank stays lost");
     assert_eq!(out.windows[0].lost_walkers, 0);
     assert_eq!(out.windows[1].lost_walkers, 0);
-    assert_eq!(out.recovery.ranks_respawned, 1, "one supervised respawn");
-    assert!(
-        out.recovery.rejoin_duration_ns > 0,
-        "the replacement must report its rejoin time"
-    );
     assert_bit_identical(&baseline, &out);
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A kill between snapshots costs the rounds since the last one: the
+/// restart resumes from round 5 and replays 5–7 bit-exactly.
+#[test]
+fn kill_between_checkpoints_resumes_from_the_last_one_bit_identically() {
+    let (out, restarts, baseline) = heal("between", 5, FaultPlan::none().kill_at_round(2, 7));
+    assert_eq!(restarts, 1);
+    assert_eq!(out.resumed_from, Some(5));
+    assert_bit_identical(&baseline, &out);
+}
+
+/// Rank 0 — the collective coordinator and gather root — is restarted
+/// like any other rank.
+#[test]
+fn killed_root_rank_heals_bit_for_bit_through_a_restart() {
+    let (out, restarts, baseline) = heal("root", 2, FaultPlan::none().kill_at_round(0, 3));
+    assert_eq!(restarts, 1);
+    assert_eq!(out.resumed_from, Some(2));
+    assert_bit_identical(&baseline, &out);
+}
+
+/// A message lost for good is a loss like a death: the receiver's
+/// deadline runs out, fail-stop ends the life, and the fault-free replay
+/// from the round-5 snapshot heals it bit for bit.
+#[test]
+fn dropped_exchange_message_heals_bit_for_bit_through_a_restart() {
+    // Rank 1 always initiates toward rank 3; drop its round-6 opener.
+    let plan = FaultPlan::new(vec![FaultEvent::DropMessage {
+        from: 1,
+        to: 3,
+        tag: Some(tags::with_round(tags::EXCH_ENERGY, 6)),
+        nth_match: 0,
+    }]);
+    let (out, restarts, baseline) = heal("drop", 5, plan);
+    assert_eq!(restarts, 1);
+    assert_eq!(out.resumed_from, Some(5));
+    assert_bit_identical(&baseline, &out);
 }
 
 /// Telemetry flows back over the wire: rank 0's output carries a

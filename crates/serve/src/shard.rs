@@ -6,7 +6,7 @@
 //! an `(N+1)`-size [`TcpTransport`] bootstrapped through the same
 //! [`dt_hpc::TcpRendezvous`] the REWL driver uses. Shard registration
 //! *is* rendezvous (the mesh forms when all ranks connect), liveness
-//! *is* the transport's EOF/heartbeat detection, and the router→shard
+//! *is* the transport's EOF detection, and the router→shard
 //! hop rides the existing framed wire codec.
 //!
 //! On startup a shard loads the full registry directory, builds the
@@ -245,7 +245,7 @@ pub fn run_shard(
             }
             // Quiet interval: keep serving while the router lives.
             Err(CommError::Timeout { .. }) if transport.is_alive(0) => {}
-            // Router gone (EOF or heartbeat miss): nothing left to serve.
+            // Router gone (its connection closed): nothing left to serve.
             Err(_) => break None,
         }
     };

@@ -50,7 +50,6 @@ pub mod span;
 pub use json::{parse_json, push_f64, push_json_string, validate_json, JsonError, JsonValue};
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use report::{
-    adaptive_counters, phase_table, recovery_counters, to_jsonl, PhaseBreakdown, PhaseStat,
-    RankTelemetry,
+    adaptive_counters, phase_table, to_jsonl, PhaseBreakdown, PhaseStat, RankTelemetry,
 };
 pub use span::{Phase, SpanGuard, Telemetry};

@@ -3,21 +3,6 @@
 use crate::json::{push_f64, push_json_string};
 use crate::span::Phase;
 
-/// Canonical counter names of the self-healing (recovery) layer, as they
-/// appear in [`RankTelemetry::counters`] and the JSONL export. Kept in
-/// one place so dashboards, tests, and the CLI grep for the same
-/// strings.
-pub mod recovery_counters {
-    /// Times this rank's process was respawned by its supervisor (0 on a
-    /// first life; the cluster total is the number of recoveries).
-    pub const RANKS_RESPAWNED: &str = "ranks_respawned";
-    /// Nanoseconds a respawned rank spent restoring checkpoint state and
-    /// rejoining the cluster.
-    pub const REJOIN_DURATION_NS: &str = "rejoin_duration_ns";
-    /// Heartbeat deadlines this rank's liveness monitor saw peers miss.
-    pub const HEARTBEAT_MISSES: &str = "heartbeat_misses";
-}
-
 /// Canonical counter names of the adaptive-windows layer (round-trip
 /// instrumentation and dynamic walker reallocation), as they appear in
 /// [`RankTelemetry::counters`] and the JSONL export.
