@@ -26,7 +26,7 @@ fn main() {
     cfg.temperatures = dt_thermo::temperature_grid(100.0, 3000.0, 60);
 
     println!("# E5: SRO(T) of NbMoTaW N={}", cfg.material.num_sites());
-    let runner = DeepThermo::nbmotaw(cfg).expect("valid config");
+    let runner = DeepThermo::from_material(cfg).expect("valid config");
     let report = runner.run().expect("sampling failed");
 
     // Reweighted curves for every unlike pair.

@@ -24,7 +24,7 @@ fn main() {
     let n = cfg.material.num_sites();
 
     println!("# E4: thermodynamics of NbMoTaW N={n}");
-    let report = DeepThermo::nbmotaw(cfg)
+    let report = DeepThermo::from_material(cfg)
         .expect("valid config")
         .run()
         .expect("sampling failed");

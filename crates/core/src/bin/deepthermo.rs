@@ -1,227 +1,320 @@
-//! The `deepthermo` command-line interface.
+//! The `deepthermo` command-line interface: `run` and `info` sample a
+//! material, `serve`, `route` and `shard` answer thermodynamics queries
+//! over converged artifacts (DESIGN.md, "Serving architecture" and
+//! "Serving fleet"), and `fixture` writes a demo artifact.
 //!
-//! Run `deepthermo help` for the full usage text. Modes:
-//!
-//! * `run` — execute the full pipeline on equiatomic NbMoTaW and write
-//!   `thermo.csv`, `dos.csv`, `sro.csv`, and `summary.txt` into `--out`.
-//!   With `--checkpoint DIR` the cluster snapshots itself as it runs and
-//!   a rerun resumes from the newest consistent snapshot. With
-//!   `--telemetry` it records per-rank phase timings. With
-//!   `--export-artifact DIR` the converged run is also exported into a
-//!   serving registry.
-//! * `info` — print the configured material and sampling plan.
-//! * `serve` — load an artifact registry and answer thermodynamics
-//!   queries over HTTP until `POST /v1/shutdown` (see DESIGN.md,
-//!   "Serving architecture"). With `--shards N` the process becomes a
-//!   router and re-executes itself as N shard processes, each serving a
-//!   disjoint consistent-hash slice of the registry (DESIGN.md,
-//!   "Serving fleet").
-//! * `route` / `shard` — the two fleet tiers as standalone modes, for
-//!   deployments where shards run on their own hosts: `route` binds the
-//!   rendezvous and fronts the fleet, `shard` dials in as one rank.
-//! * `fixture` — write a synthetic demo artifact into a registry, so
-//!   `serve` can be exercised without a converged run.
-//!
-//! Pipeline failures (inconsistent flags, a dead root rank, unreadable
-//! checkpoint directories) are rendered with their full error chain and
-//! exit nonzero instead of panicking.
+//! [`MODES`] and [`FLAGS`] are the whole interface: the flag table is
+//! the only code that reads argv, and `deepthermo help` is rendered from
+//! the two. A mode's flags are parsed strictly before any work — an
+//! unknown flag, a flag without its value, a value that does not parse
+//! or an unknown kernel is an error. Every mode returns
+//! `Result<(), DeepThermoError>`; `main` renders the error with its full
+//! source chain and exits nonzero.
 
+use std::fmt::Display;
 use std::fs;
 use std::path::PathBuf;
-use std::process::ExitCode;
+use std::process::{Command, ExitCode};
+use std::str::FromStr;
 
-use deepthermo::cluster::{self, ClusterSpec, RecoveryPolicy, WorkerOutcome};
+use deepthermo::cluster::{self, cluster_err, ClusterSpec, WorkerOutcome};
 use deepthermo::hamiltonian::Material;
-use deepthermo::hpc::{FaultEvent, FaultPlan, TcpRendezvous, TcpTransport};
+use deepthermo::hpc::{FaultPlan, TcpRendezvous, TcpTransport};
+use deepthermo::proposal::DeepProposalConfig;
 use deepthermo::rewl::{CheckpointSpec, DeepSpec, KernelSpec};
 use deepthermo::{DeepThermo, DeepThermoConfig, DeepThermoError, DeepThermoReport, MaterialSpec};
 use dt_serve::{
-    run_shard, ArtifactRegistry, Router, RouterConfig, ServeConfig, Server, ShardConfig,
+    run_shard, ArtifactRegistry, Router, RouterConfig, ServeConfig, ServeHandle, ServeStats,
+    Server, ShardConfig,
 };
 
 /// Hidden flag carrying a shard's rank when `serve --shards N` re-execs
 /// itself as the shard tier (mirrors [`cluster::WORKER_RANK_FLAG`]).
 const SHARD_RANK_FLAG: &str = "--shard-rank";
 
-const USAGE: &str = "\
-deepthermo — deep-learning accelerated parallel Monte Carlo for HEA thermodynamics
+// The modes, as bits of `Flag::modes`.
+const RUN: u8 = 1;
+const INFO: u8 = 1 << 1;
+const SERVE: u8 = 1 << 2;
+const ROUTE: u8 = 1 << 3;
+const SHARD: u8 = 1 << 4;
+const FIXTURE: u8 = 1 << 5;
 
-usage: deepthermo <mode> [flags]
+/// Every mode: its name, its bit, and its line of `help`.
+#[rustfmt::skip]
+const MODES: &[(&str, u8, &str)] = &[
+    ("run", RUN, "Sample the configured material and write thermo/DOS/SRO curves."),
+    ("info", INFO, "Print the configured material and sampling plan."),
+    ("serve", SERVE, "Serve converged artifacts over an HTTP/JSON API; with --shards N, boot a sharded fleet (router + N shard processes) instead of a single server."),
+    ("route", ROUTE, "Run only the router tier of a fleet, rendezvousing with externally launched shards."),
+    ("shard", SHARD, "Run one shard of a fleet, dialing a router's rendezvous."),
+    ("fixture", FIXTURE, "Write a synthetic demo artifact into a registry."),
+];
 
-modes:
-  run       Sample the configured material and write thermo/DOS/SRO curves.
-  info      Print the configured material and sampling plan.
-  serve     Serve converged artifacts over an HTTP/JSON API; with
-            --shards N, boot a sharded fleet (router + N shard
-            processes) instead of a single server.
-  route     Run only the router tier of a fleet, rendezvousing with
-            externally launched shards.
-  shard     Run one shard of a fleet, dialing a router's rendezvous.
-  fixture   Write a synthetic demo artifact into a registry.
-  help      Show this message.
-
-run / info flags:
-  --material NAME|PATH   alloy system: a registry name (nbmotaw, crconi)
-                         or a path to a `dtmat v1` material file
-                                                      (default nbmotaw)
-  --l N                  supercell edge in unit cells (default 3)
-  --kernel K             deep | local | random        (default deep)
-  --seed S               master RNG seed              (default 2023)
-  --windows N            REWL energy windows          (default 2)
-  --walkers N            walkers per window           (default 2)
-  --bins N               global energy bins           (default 16·L², ≤512)
-  --lnf X                final ln f target            (default 1e-4)
-  --max-sweeps N         sweeps budget per walker     (default 300000)
-  --tmin K --tmax K      temperature range            (default 100..3000)
-  --tpoints N            temperature grid points      (default 100)
-  --out DIR              output directory             (default deepthermo-out)
-  --checkpoint DIR       snapshot into DIR and resume from it on rerun
-  --export-artifact DIR  also export the run into a serving registry
-  --telemetry            record per-rank phase timings
-  --adaptive-windows     place window boundaries by equal estimated
-                         diffusion cost (cheap pilot pass) instead of
-                         equal widths
-  --rebalance-every N    reassign walkers from fast windows to slow ones
-                         every N exchange rounds      (default 0 = off)
-  --cluster tcp:N        run N ranks as separate processes over loopback
-                         TCP (N must equal windows x walkers); the result
-                         is bit-identical to the in-process run
-  --kill R:ROUND         (with --cluster) crash rank R at exchange round
-                         ROUND; without --recover the survivors degrade
-                         around it, the one mode whose result differs
-                         from a fault-free run
-  --recover              (with --cluster) fail-stop + restart: the first
-                         lost rank stops the cluster, and every rank
-                         restarts from the newest complete checkpoint
-                         (taken every 10 rounds) — the run ends
-                         bit-identical to a fault-free one, or with an
-                         error, never degraded
-  --max-restarts N       (with --recover) whole-cluster restarts allowed;
-                         one more death is an error     (default 3)
-  --chaos-seed S         (with --cluster) deterministic multi-fault
-                         schedule (kill + message drops/delays) derived
-                         entirely from S; recorded into the checkpoint
-                         manifest and verified on resume
-  --chaos-rounds N       (with --chaos-seed) rounds the schedule spans
-                                                        (default 20)
-
-serve flags:
-  --registry DIR         artifact registry to load    (default deepthermo-registry)
-  --addr HOST:PORT       listen address               (default 127.0.0.1:8080)
-  --serve-workers N      worker threads               (default 4)
-  --queue-depth N        bounded admission queue      (default 128)
-  --cache N              /v1/thermo LRU cache entries (default 256)
-  --shards N             boot a fleet: this process becomes the router
-                         and re-executes itself as N shard processes,
-                         each owning a disjoint hash-ring slice of the
-                         registry                     (default 0 = single server)
-
-route flags (plus the serve flags above, minus --registry):
-  --rendezvous HOST:PORT address to bind for shard registration (required)
-  --shards N             how many shards will dial in (required)
-
-shard flags:
-  --rendezvous HOST:PORT router rendezvous to dial    (required)
-  --rank R               this shard's rank, 1..=N     (required)
-  --shards N             fleet shard count            (required)
-  --registry DIR         artifact registry to load    (default deepthermo-registry)
-  --serve-workers N      worker threads               (default 2)
-  --cache N              /v1/thermo LRU cache entries (default 256)
-
-fixture flags:
-  --registry DIR         registry to write into       (default deepthermo-registry)
-  --tag NAME             artifact id suffix (fixture-NAME) (default demo)
-
-endpoints (serve/route): GET /healthz /metrics /v1/artifacts,
-POST /v1/thermo /v1/sro /v1/predict /v1/shutdown — see DESIGN.md.
-";
-
-fn arg<T: std::str::FromStr>(flag: &str, default: T) -> T {
-    std::env::args()
-        .skip_while(|a| a != flag)
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// One flag of the modes in `modes`. A flag whose default differs
+/// between modes has one row per default.
+struct Flag {
+    modes: u8,
+    name: &'static str,
+    /// The value's form, shown in `help` and in parse errors; empty for
+    /// a switch.
+    metavar: &'static str,
+    /// The value when the flag is absent; empty when there is none.
+    default: &'static str,
+    /// Empty for the hidden flags a process re-executes itself with.
+    help: &'static str,
 }
 
-fn opt_arg(flag: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != flag).nth(1)
+/// Every flag the binary reads, in `help` order.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { modes: RUN | INFO, name: "--material", metavar: "NAME|PATH", default: "nbmotaw", help: "alloy system: a registry name (nbmotaw, crconi) or a path to a `dtmat v1` material file" },
+    Flag { modes: RUN | INFO, name: "--l", metavar: "N", default: "3", help: "supercell edge in unit cells" },
+    Flag { modes: RUN | INFO, name: "--kernel", metavar: "deep|local|random", default: "deep", help: "proposal kernel" },
+    Flag { modes: RUN | INFO, name: "--k", metavar: "N", default: "12", help: "sites per deep or random global update" },
+    Flag { modes: RUN | INFO, name: "--seed", metavar: "S", default: "2023", help: "master RNG seed" },
+    Flag { modes: RUN | INFO, name: "--windows", metavar: "N", default: "2", help: "REWL energy windows" },
+    Flag { modes: RUN | INFO, name: "--walkers", metavar: "N", default: "2", help: "walkers per window" },
+    Flag { modes: RUN | INFO, name: "--bins", metavar: "N", default: "", help: "global energy bins (default 16·L², at most 512)" },
+    Flag { modes: RUN | INFO, name: "--lnf", metavar: "X", default: "1e-4", help: "final ln f target" },
+    Flag { modes: RUN | INFO, name: "--max-sweeps", metavar: "N", default: "300000", help: "sweeps budget per walker" },
+    Flag { modes: RUN | INFO, name: "--tmin", metavar: "K", default: "100", help: "lowest temperature of the curves" },
+    Flag { modes: RUN | INFO, name: "--tmax", metavar: "K", default: "3000", help: "highest temperature of the curves" },
+    Flag { modes: RUN | INFO, name: "--tpoints", metavar: "N", default: "100", help: "temperature grid points" },
+    Flag { modes: RUN | INFO, name: "--adaptive-windows", metavar: "", default: "", help: "place window boundaries by equal estimated diffusion cost (cheap pilot pass) instead of equal widths" },
+    Flag { modes: RUN | INFO, name: "--rebalance-every", metavar: "N", default: "0", help: "reassign walkers from fast windows to slow ones every N exchange rounds; 0 = off" },
+    Flag { modes: RUN, name: "--out", metavar: "DIR", default: "deepthermo-out", help: "output directory" },
+    Flag { modes: RUN, name: "--checkpoint", metavar: "DIR", default: "", help: "snapshot into DIR and resume from it on rerun" },
+    Flag { modes: RUN, name: "--export-artifact", metavar: "DIR", default: "", help: "also export the run into a serving registry" },
+    Flag { modes: RUN, name: "--telemetry", metavar: "", default: "", help: "record per-rank phase timings" },
+    Flag { modes: RUN, name: "--cluster", metavar: "tcp:N", default: "", help: "run N ranks as separate processes over loopback TCP (N must equal windows x walkers); the result is bit-identical to the in-process run" },
+    Flag { modes: RUN, name: "--kill", metavar: "R:ROUND", default: "", help: "(with --cluster) crash rank R at exchange round ROUND; without --recover the survivors degrade around it, the one mode whose result differs from a fault-free run" },
+    Flag { modes: RUN, name: "--recover", metavar: "", default: "", help: "(with --cluster) fail-stop + restart: the first lost rank stops the cluster, and every rank restarts from the newest complete checkpoint (every 10 rounds, into --checkpoint or OUT/checkpoints) — the run ends bit-identical to a fault-free one, or with an error, never degraded" },
+    Flag { modes: RUN, name: "--max-restarts", metavar: "N", default: "3", help: "(with --recover) whole-cluster restarts allowed; one more death is an error" },
+    Flag { modes: RUN, name: "--chaos-seed", metavar: "S", default: "", help: "(with --cluster) deterministic multi-fault schedule (kill + message drops/delays) derived entirely from S; recorded into the checkpoint manifest and verified on resume" },
+    Flag { modes: RUN, name: "--chaos-rounds", metavar: "N", default: "20", help: "(with --chaos-seed) rounds the schedule spans" },
+    Flag { modes: RUN, name: cluster::WORKER_RANK_FLAG, metavar: "R", default: "", help: "" },
+    Flag { modes: RUN, name: cluster::RESPAWN_COUNT_FLAG, metavar: "G", default: "0", help: "" },
+    Flag { modes: RUN | SERVE, name: cluster::RENDEZVOUS_FLAG, metavar: "HOST:PORT", default: "", help: "" },
+    Flag { modes: SERVE, name: SHARD_RANK_FLAG, metavar: "R", default: "", help: "" },
+    Flag { modes: SERVE | ROUTE, name: "--addr", metavar: "HOST:PORT", default: "127.0.0.1:8080", help: "listen address" },
+    Flag { modes: SERVE | ROUTE, name: "--serve-workers", metavar: "N", default: "4", help: "worker threads" },
+    Flag { modes: SERVE | ROUTE, name: "--queue-depth", metavar: "N", default: "128", help: "bounded admission queue" },
+    Flag { modes: SERVE | ROUTE | SHARD, name: "--cache", metavar: "N", default: "256", help: "/v1/thermo LRU cache entries" },
+    Flag { modes: SERVE | SHARD, name: "--registry", metavar: "DIR", default: "deepthermo-registry", help: "artifact registry to load" },
+    Flag { modes: SERVE, name: "--shards", metavar: "N", default: "0", help: "boot a fleet: this process becomes the router and re-executes itself as N shard processes, each owning a disjoint hash-ring slice of the registry; 0 = single server" },
+    Flag { modes: ROUTE, name: cluster::RENDEZVOUS_FLAG, metavar: "HOST:PORT", default: "", help: "address to bind for shard registration (required)" },
+    Flag { modes: ROUTE, name: "--shards", metavar: "N", default: "", help: "how many shards will dial in (required)" },
+    Flag { modes: SHARD, name: cluster::RENDEZVOUS_FLAG, metavar: "HOST:PORT", default: "", help: "router rendezvous to dial (required)" },
+    Flag { modes: SHARD, name: "--rank", metavar: "R", default: "", help: "this shard's rank, 1..=N (required)" },
+    Flag { modes: SHARD, name: "--shards", metavar: "N", default: "", help: "fleet shard count (required)" },
+    Flag { modes: SHARD, name: "--serve-workers", metavar: "N", default: "2", help: "worker threads" },
+    Flag { modes: FIXTURE, name: "--registry", metavar: "DIR", default: "deepthermo-registry", help: "registry to write into" },
+    Flag { modes: FIXTURE, name: "--tag", metavar: "NAME", default: "demo", help: "artifact id suffix (fixture-NAME)" },
+];
+
+/// The row of `name` among the flags of `mode`.
+fn row(mode: u8, name: &str) -> Option<&'static Flag> {
+    FLAGS.iter().find(|f| f.modes & mode != 0 && f.name == name)
 }
 
-fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
+fn mode_names(modes: u8) -> String {
+    let names: Vec<&str> = MODES
+        .iter()
+        .filter(|m| m.1 & modes != 0)
+        .map(|m| m.0)
+        .collect();
+    names.join(" / ")
 }
 
-/// Render a pipeline error with its full source chain.
-fn render_error(e: &DeepThermoError) {
-    eprintln!("error: {e}");
-    let mut source = std::error::Error::source(e);
-    while let Some(cause) = source {
-        eprintln!("  caused by: {cause}");
-        source = cause.source();
+/// The `help` text: the modes, then every visible row of [`FLAGS`],
+/// grouped by the modes that share it.
+fn usage() -> String {
+    let mut out = "deepthermo — deep-learning accelerated parallel Monte Carlo for HEA \
+                   thermodynamics\n\nusage: deepthermo <mode> [flags]\n\nmodes:\n"
+        .to_string();
+    for (name, _, about) in MODES.iter().chain([&("help", 0, "Show this message.")]) {
+        wrap(&mut out, &format!("  {name}"), about, 12);
+    }
+    let mut section = 0;
+    for f in FLAGS.iter().filter(|f| !f.help.is_empty()) {
+        if f.modes != section {
+            section = f.modes;
+            out += &format!("\n{} flags:\n", mode_names(section));
+        }
+        let mut help = f.help.to_string();
+        if !f.default.is_empty() {
+            help += &format!(" (default {})", f.default);
+        }
+        let lead = format!("  {} {}", f.name, f.metavar);
+        wrap(&mut out, lead.trim_end(), &help, 25);
+    }
+    out + "\nendpoints (serve/route): GET /healthz /metrics /v1/artifacts,\n\
+           POST /v1/thermo /v1/sro /v1/predict /v1/shutdown — see DESIGN.md.\n"
+}
+
+/// Append `lead`, then `text` word-wrapped into a column starting at
+/// `column`; a `lead` too wide for the column gets a line of its own.
+fn wrap(out: &mut String, lead: &str, text: &str, column: usize) {
+    const WIDTH: usize = 78;
+    let mut line = format!("{lead:<w$}", w = column - 1);
+    if line.chars().count() >= column {
+        *out += &format!("{line}\n");
+        line = " ".repeat(column - 1);
+    }
+    for word in text.split(' ') {
+        let len = line.chars().count();
+        if len >= column && len + 1 + word.chars().count() > WIDTH {
+            *out += &format!("{line}\n");
+            line = " ".repeat(column - 1);
+        }
+        line = format!("{line} {word}");
+    }
+    *out += &format!("{line}\n");
+}
+
+/// The flags one invocation gave, checked against the rows of its mode.
+struct Args {
+    /// The mode whose rows and defaults this invocation reads.
+    mode: u8,
+    given: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    /// Parse `argv` (the words after the mode) strictly against the rows
+    /// of `mode`.
+    fn parse(mode: u8, argv: &[String]) -> Result<Args, DeepThermoError> {
+        let mut given: Vec<(&'static str, String)> = Vec::new();
+        let mut words = argv.iter();
+        while let Some(word) = words.next() {
+            let Some(flag) = row(mode, word) else {
+                return Err(DeepThermoError::Usage(format!(
+                    "unknown flag {word:?} for `{}`",
+                    mode_names(mode)
+                )));
+            };
+            let value = if flag.metavar.is_empty() {
+                String::new()
+            } else {
+                match words.next() {
+                    Some(v) if !v.starts_with("--") => v.clone(),
+                    _ => {
+                        return Err(DeepThermoError::Usage(format!(
+                            "{} expects {}, got no value",
+                            flag.name, flag.metavar
+                        )))
+                    }
+                }
+            };
+            if given.iter().any(|(name, _)| *name == flag.name) {
+                return Err(DeepThermoError::Usage(format!("{} given twice", flag.name)));
+            }
+            given.push((flag.name, value));
+        }
+        Ok(Args { mode, given })
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|(n, _)| *n == name)
+    }
+
+    /// `name`'s value — as given, else its row's default — parsed as
+    /// `T`; `None` when it has neither.
+    fn opt<T: FromStr>(&self, name: &str) -> Result<Option<T>, DeepThermoError>
+    where
+        T::Err: Display,
+    {
+        let flag = row(self.mode, name).expect("every flag read is a row of its mode");
+        let value = match self.given.iter().find(|(n, _)| *n == name) {
+            Some((_, v)) => v.as_str(),
+            None if flag.default.is_empty() => return Ok(None),
+            None => flag.default,
+        };
+        value.parse().map(Some).map_err(|e| {
+            DeepThermoError::Usage(format!(
+                "{name} expects {}, got {value:?}: {e}",
+                flag.metavar
+            ))
+        })
+    }
+
+    /// Like [`Args::opt`], for a flag the mode cannot do without.
+    fn get<T: FromStr>(&self, name: &str) -> Result<T, DeepThermoError>
+    where
+        T::Err: Display,
+    {
+        self.opt(name)?.ok_or_else(|| {
+            DeepThermoError::Usage(format!("`{}` needs {name}", mode_names(self.mode)))
+        })
     }
 }
 
 fn main() -> ExitCode {
-    // A worker process re-launched by `--cluster` carries hidden flags;
-    // it runs its rank silently and never touches the filesystem.
-    if opt_arg(cluster::WORKER_RANK_FLAG).is_some() {
-        return worker();
-    }
-    // Likewise for a shard process re-launched by `serve --shards N`.
-    if opt_arg(SHARD_RANK_FLAG).is_some() {
-        return shard_child();
-    }
-    let mode = std::env::args().nth(1).unwrap_or_default();
-    match mode.as_str() {
-        "run" => run(),
-        "info" => info(),
-        "serve" => serve(),
-        "route" => route_mode(),
-        "shard" => shard_mode(),
-        "fixture" => write_fixture(),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        "" => {
-            eprint!("{USAGE}");
-            ExitCode::FAILURE
-        }
-        other => {
-            eprintln!("unknown mode {other:?}\n");
-            eprint!("{USAGE}");
+    match dispatch() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            let mut source = std::error::Error::source(&e);
+            while let Some(cause) = source {
+                eprintln!("  caused by: {cause}");
+                source = cause.source();
+            }
             ExitCode::FAILURE
         }
     }
 }
 
+fn dispatch() -> Result<(), DeepThermoError> {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((mode, flags)) = argv.split_first() else {
+        return Err(DeepThermoError::Usage("no mode given".to_string()));
+    };
+    if matches!(mode.as_str(), "help" | "--help" | "-h") {
+        print!("{}", usage());
+        return Ok(());
+    }
+    let Some(&(_, bit, _)) = MODES.iter().find(|m| m.0 == mode) else {
+        return Err(DeepThermoError::Usage(format!("unknown mode {mode:?}")));
+    };
+    let args = Args::parse(bit, flags)?;
+    match bit {
+        RUN if args.has(cluster::WORKER_RANK_FLAG) => worker(&args),
+        RUN => run(&args),
+        INFO => info(&args),
+        SERVE if args.has(SHARD_RANK_FLAG) => shard_child(&args),
+        SERVE => serve(&args),
+        ROUTE => route_mode(&args),
+        SHARD => shard_mode(&args),
+        _ => write_fixture(&args),
+    }
+}
+
 /// Load the `--registry` directory, with a populate hint on failure.
-fn load_registry() -> Result<ArtifactRegistry, ExitCode> {
-    let registry_dir = arg("--registry", "deepthermo-registry".to_string());
-    let registry = ArtifactRegistry::open(&registry_dir).map_err(|e| {
-        eprintln!("error: {e}");
-        eprintln!("  (populate a registry with `deepthermo run --export-artifact {registry_dir}` or `deepthermo fixture --registry {registry_dir}`)");
-        ExitCode::FAILURE
+fn load_registry(args: &Args) -> Result<ArtifactRegistry, DeepThermoError> {
+    let dir: String = args.get("--registry")?;
+    let registry = ArtifactRegistry::open(&dir).inspect_err(|_| {
+        eprintln!("hint: populate a registry with `deepthermo run --export-artifact {dir}` or `deepthermo fixture --registry {dir}`");
     })?;
     if registry.is_empty() {
-        eprintln!("warning: registry {registry_dir} holds no artifacts; only /healthz and /metrics will be useful");
+        eprintln!(
+            "warning: registry {dir} holds no artifacts; only /healthz and /metrics will be useful"
+        );
     }
     Ok(registry)
 }
 
 /// The HTTP front-door configuration shared by `serve` and `route`.
-fn serve_config() -> ServeConfig {
-    ServeConfig {
-        addr: arg("--addr", "127.0.0.1:8080".to_string()),
-        workers: arg("--serve-workers", 4),
-        queue_depth: arg("--queue-depth", 128),
-        cache_capacity: arg("--cache", 256),
+fn serve_config(args: &Args) -> Result<ServeConfig, DeepThermoError> {
+    Ok(ServeConfig {
+        addr: args.get("--addr")?,
+        workers: args.get("--serve-workers")?,
+        queue_depth: args.get("--queue-depth")?,
+        cache_capacity: args.get("--cache")?,
         ..ServeConfig::default()
-    }
+    })
 }
 
-fn print_serve_stats(stats: &dt_serve::ServeStats) {
+fn print_serve_stats(stats: &ServeStats) {
     println!(
         "drained: {} requests handled, {} connections admitted, {} rejected (429), {} deadline-expired (503), {} handler panics",
         stats.requests_handled,
@@ -232,23 +325,15 @@ fn print_serve_stats(stats: &dt_serve::ServeStats) {
     );
 }
 
-fn serve() -> ExitCode {
-    let shards: usize = arg("--shards", 0);
+fn serve(args: &Args) -> Result<(), DeepThermoError> {
+    let shards: usize = args.get("--shards")?;
+    let config = serve_config(args)?;
+    let registry = load_registry(args)?;
     if shards > 0 {
-        return serve_fleet(shards);
+        return serve_fleet(&registry, shards, config);
     }
-    let registry = match load_registry() {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
     let loaded: Vec<String> = registry.ids().iter().map(|s| s.to_string()).collect();
-    let handle = match Server::start(registry, serve_config()) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let handle = Server::start(registry, config)?;
     println!(
         "deepthermo serve: listening on http://{} ({} artifacts: {})",
         handle.local_addr(),
@@ -259,88 +344,47 @@ fn serve() -> ExitCode {
         "stop with: curl -X POST http://{}/v1/shutdown",
         handle.local_addr()
     );
-    let stats = handle.join();
-    print_serve_stats(&stats);
-    ExitCode::SUCCESS
+    print_serve_stats(&handle.join());
+    Ok(())
 }
 
 /// `serve --shards N`: become the router and re-execute this binary as
 /// `N` shard processes, exactly like `run --cluster` re-executes its
-/// workers. Each shard loads the same `--registry` and keeps only its
-/// hash-ring slice; the router consistent-hashes requests across them.
-fn serve_fleet(shards: usize) -> ExitCode {
-    // Validate the registry up front for a friendly error, even though
-    // only the shard processes actually serve from it.
-    let registry = match load_registry() {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let rendezvous = match TcpRendezvous::bind("127.0.0.1:0") {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: cannot bind shard rendezvous: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let rendezvous_addr = match rendezvous.local_addr() {
-        Ok(a) => a.to_string(),
-        Err(e) => {
-            eprintln!("error: cannot read rendezvous address: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: cannot locate own executable: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// workers. Each shard loads the same `--registry` (validated here for a
+/// friendly error) and keeps only its hash-ring slice; the router
+/// consistent-hashes requests across them.
+fn serve_fleet(
+    registry: &ArtifactRegistry,
+    shards: usize,
+    serve: ServeConfig,
+) -> Result<(), DeepThermoError> {
+    let rendezvous = TcpRendezvous::bind("127.0.0.1:0")
+        .map_err(|e| cluster_err("cannot bind shard rendezvous", e))?;
+    let addr = rendezvous
+        .local_addr()
+        .map_err(|e| cluster_err("cannot read rendezvous address", e))?
+        .to_string();
+    let exe =
+        std::env::current_exe().map_err(|e| cluster_err("cannot locate own executable", e))?;
     let passthrough: Vec<String> = std::env::args().skip(1).collect();
     let mut children = Vec::with_capacity(shards);
-    for rank in 1..=shards {
-        let spawned = std::process::Command::new(&exe)
-            .args(&passthrough)
-            .arg(SHARD_RANK_FLAG)
-            .arg(rank.to_string())
-            .arg(cluster::RENDEZVOUS_FLAG)
-            .arg(&rendezvous_addr)
-            .spawn();
-        match spawned {
-            Ok(child) => children.push(child),
-            Err(e) => {
-                eprintln!("error: cannot spawn shard {}: {e}", rank - 1);
-                for mut c in children {
-                    let _ = c.kill();
-                }
-                return ExitCode::FAILURE;
-            }
+    let started = (|| {
+        for rank in 1..=shards {
+            let child = Command::new(&exe)
+                .args(&passthrough)
+                .args([SHARD_RANK_FLAG, &rank.to_string()])
+                .args([cluster::RENDEZVOUS_FLAG, &addr])
+                .spawn()
+                .map_err(|e| cluster_err(&format!("cannot spawn shard {}", rank - 1), e))?;
+            children.push(child);
         }
-    }
-    let transport = match rendezvous.into_transport(shards + 1) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: fleet rendezvous failed: {e}");
-            for mut c in children {
-                let _ = c.kill();
-            }
-            return ExitCode::FAILURE;
+        start_router(rendezvous, shards, serve)
+    })();
+    let handle = started.inspect_err(|_| {
+        for child in &mut children {
+            let _ = child.kill();
         }
-    };
-    let config = RouterConfig {
-        serve: serve_config(),
-        ..RouterConfig::default()
-    };
-    let handle = match Router::start(transport, config) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("error: {e}");
-            for mut c in children {
-                let _ = c.kill();
-            }
-            return ExitCode::FAILURE;
-        }
-    };
+    })?;
     println!(
         "deepthermo serve: router on http://{} fronting {shards} shard processes ({} artifacts sliced by consistent hashing)",
         handle.local_addr(),
@@ -350,223 +394,267 @@ fn serve_fleet(shards: usize) -> ExitCode {
         "stop with: curl -X POST http://{}/v1/shutdown  (drains every shard first)",
         handle.local_addr()
     );
-    let stats = handle.join();
-    print_serve_stats(&stats);
-    let mut failures = 0;
+    print_serve_stats(&handle.join());
+    let mut failed = Vec::new();
     for (shard, mut child) in children.into_iter().enumerate() {
         match child.wait() {
             Ok(status) if status.success() => {}
-            Ok(status) => {
-                eprintln!("warning: shard {shard} exited abnormally: {status}");
-                failures += 1;
-            }
-            Err(e) => {
-                eprintln!("warning: cannot reap shard {shard}: {e}");
-                failures += 1;
-            }
+            Ok(status) => failed.push(format!("shard {shard} exited abnormally: {status}")),
+            Err(e) => failed.push(format!("cannot reap shard {shard}: {e}")),
         }
     }
-    if failures == 0 {
-        ExitCode::SUCCESS
+    if failed.is_empty() {
+        Ok(())
     } else {
-        ExitCode::FAILURE
+        Err(DeepThermoError::Cluster {
+            message: failed.join("; "),
+        })
     }
 }
 
-/// Entry point of a shard process re-launched by `serve --shards N`:
-/// dial the rendezvous, serve our ring slice, exit when drained.
-fn shard_child() -> ExitCode {
-    let (Some(rank), Some(addr)) = (
-        opt_arg(SHARD_RANK_FLAG).and_then(|v| v.parse::<usize>().ok()),
-        opt_arg(cluster::RENDEZVOUS_FLAG),
-    ) else {
-        eprintln!("error: malformed shard invocation (these flags are internal)");
-        return ExitCode::FAILURE;
+/// Wait for `shards` shards to dial `rendezvous`, then open the router's
+/// HTTP front door.
+fn start_router(
+    rendezvous: TcpRendezvous,
+    shards: usize,
+    serve: ServeConfig,
+) -> Result<ServeHandle, DeepThermoError> {
+    let transport = rendezvous
+        .into_transport(shards + 1)
+        .map_err(|e| cluster_err("fleet rendezvous failed", e))?;
+    let config = RouterConfig {
+        serve,
+        ..RouterConfig::default()
     };
-    let shards: usize = arg("--shards", 0);
-    run_shard_process(rank, shards + 1, &addr, false)
+    Router::start(transport, config).map_err(DeepThermoError::from)
+}
+
+/// Entry point of a shard process re-launched by `serve --shards N`:
+/// dial the rendezvous, serve our ring slice, exit when drained. The
+/// serve flags it was not given take the shard tier's defaults.
+fn shard_child(args: &Args) -> Result<(), DeepThermoError> {
+    let rank = args.get(SHARD_RANK_FLAG)?;
+    let addr: String = args.get(cluster::RENDEZVOUS_FLAG)?;
+    let shard = Args {
+        mode: SHARD,
+        given: args.given.clone(),
+    };
+    run_shard_process(&shard, rank, &addr, false)
 }
 
 /// `shard` mode: one externally managed shard of a fleet whose router
 /// runs `deepthermo route` (or `serve --shards` on another host).
-fn shard_mode() -> ExitCode {
-    let Some(addr) = opt_arg(cluster::RENDEZVOUS_FLAG) else {
-        eprintln!("error: shard mode needs --rendezvous HOST:PORT (the router's rendezvous)");
-        return ExitCode::FAILURE;
-    };
-    let rank: usize = arg("--rank", 0);
-    let shards: usize = arg("--shards", 0);
-    if rank == 0 || shards == 0 || rank > shards {
-        eprintln!("error: shard mode needs --rank R in 1..=N and --shards N");
-        return ExitCode::FAILURE;
+fn shard_mode(args: &Args) -> Result<(), DeepThermoError> {
+    let addr: String = args.get(cluster::RENDEZVOUS_FLAG)?;
+    let rank: usize = args.get("--rank")?;
+    if rank == 0 || rank > args.get("--shards")? {
+        return Err(DeepThermoError::Usage(
+            "--rank R must lie in 1..=N of --shards N".into(),
+        ));
     }
-    run_shard_process(rank, shards + 1, &addr, true)
+    run_shard_process(args, rank, &addr, true)
 }
 
-fn run_shard_process(rank: usize, size: usize, addr: &str, verbose: bool) -> ExitCode {
-    let registry = match load_registry() {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let transport = match TcpTransport::connect(addr, rank, size) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: shard rank {rank} cannot join the fleet at {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_shard_process(
+    args: &Args,
+    rank: usize,
+    addr: &str,
+    verbose: bool,
+) -> Result<(), DeepThermoError> {
+    let size = args.get::<usize>("--shards")? + 1;
     let config = ShardConfig {
-        workers: arg("--serve-workers", 2),
-        cache_capacity: arg("--cache", 256),
+        workers: args.get("--serve-workers")?,
+        cache_capacity: args.get("--cache")?,
         ..ShardConfig::default()
     };
+    let registry = load_registry(args)?;
+    let transport = TcpTransport::connect(addr, rank, size).map_err(|e| {
+        cluster_err(
+            &format!("shard rank {rank} cannot join the fleet at {addr}"),
+            e,
+        )
+    })?;
     if verbose {
         println!("shard {}: joined fleet at {addr} as rank {rank}", rank - 1);
     }
-    match run_shard(transport, registry, &config) {
-        Ok(stats) => {
-            if verbose {
-                println!(
-                    "shard {} drained: {} artifacts owned, {} requests handled, {} handler panics",
-                    rank - 1,
-                    stats.artifacts,
-                    stats.requests_handled,
-                    stats.handler_panics
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+    let stats = run_shard(transport, registry, &config)?;
+    if verbose {
+        println!(
+            "shard {} drained: {} artifacts owned, {} requests handled, {} handler panics",
+            rank - 1,
+            stats.artifacts,
+            stats.requests_handled,
+            stats.handler_panics
+        );
     }
+    Ok(())
 }
 
 /// `route` mode: only the router tier. Binds the rendezvous at the
 /// given address, waits for `--shards N` externally launched shards to
 /// dial in, then opens the HTTP front door.
-fn route_mode() -> ExitCode {
-    let Some(addr) = opt_arg(cluster::RENDEZVOUS_FLAG) else {
-        eprintln!("error: route mode needs --rendezvous HOST:PORT to bind for shard registration");
-        return ExitCode::FAILURE;
-    };
-    let shards: usize = arg("--shards", 0);
+fn route_mode(args: &Args) -> Result<(), DeepThermoError> {
+    let addr: String = args.get(cluster::RENDEZVOUS_FLAG)?;
+    let shards: usize = args.get("--shards")?;
     if shards == 0 {
-        eprintln!("error: route mode needs --shards N (how many shards will dial in)");
-        return ExitCode::FAILURE;
+        return Err(DeepThermoError::Usage(
+            "route needs at least one shard".into(),
+        ));
     }
-    let rendezvous = match TcpRendezvous::bind(&addr) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: cannot bind rendezvous {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let serve = serve_config(args)?;
+    let rendezvous = TcpRendezvous::bind(&addr)
+        .map_err(|e| cluster_err(&format!("cannot bind rendezvous {addr}"), e))?;
     println!("route: waiting for {shards} shards at {addr} (start them with `deepthermo shard --rendezvous {addr} --shards {shards} --rank R`)");
-    let transport = match rendezvous.into_transport(shards + 1) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: fleet rendezvous failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let config = RouterConfig {
-        serve: serve_config(),
-        ..RouterConfig::default()
-    };
-    let handle = match Router::start(transport, config) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let handle = start_router(rendezvous, shards, serve)?;
     println!(
         "route: router on http://{} fronting {shards} shards",
         handle.local_addr()
     );
-    let stats = handle.join();
-    print_serve_stats(&stats);
-    ExitCode::SUCCESS
+    print_serve_stats(&handle.join());
+    Ok(())
 }
 
-fn write_fixture() -> ExitCode {
-    let registry_dir = arg("--registry", "deepthermo-registry".to_string());
-    let tag = arg("--tag", "demo".to_string());
-    let artifact = dt_serve::fixture::fixture_artifact(&tag);
-    match artifact.save(&registry_dir) {
-        Ok(dir) => {
-            println!(
-                "wrote fixture artifact {} to {}",
-                artifact.manifest.id,
-                dir.display()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn build_config() -> Result<DeepThermoConfig, DeepThermoError> {
-    let l: usize = arg("--l", 3);
-    let material = Material::resolve(&arg("--material", "nbmotaw".to_string()))
-        .map_err(DeepThermoError::from)?;
-    let mut cfg = DeepThermoConfig::quick_demo().with_seed(arg("--seed", 2023));
-    cfg.material = MaterialSpec::new(material, l);
-    cfg.rewl.num_windows = arg("--windows", 2);
-    cfg.rewl.walkers_per_window = arg("--walkers", 2);
-    cfg.rewl.num_bins = arg("--bins", (16 * l * l).min(512));
-    cfg.rewl.wl.ln_f_final = arg("--lnf", 1e-4);
-    cfg.rewl.max_sweeps = arg("--max-sweeps", 300_000u64);
-    cfg.temperatures = dt_thermo::temperature_grid(
-        arg("--tmin", 100.0),
-        arg("--tmax", 3000.0),
-        arg("--tpoints", 100),
+fn write_fixture(args: &Args) -> Result<(), DeepThermoError> {
+    let registry: PathBuf = args.get("--registry")?;
+    let artifact = dt_serve::fixture::fixture_artifact(&args.get::<String>("--tag")?);
+    let dir = artifact.save(&registry)?;
+    println!(
+        "wrote fixture artifact {} to {}",
+        artifact.manifest.id,
+        dir.display()
     );
-    let kernel: String = arg("--kernel", "deep".to_string());
-    cfg.rewl.kernel = match kernel.as_str() {
+    Ok(())
+}
+
+/// The material and sampling plan shared by `run` and `info`.
+fn build_config(args: &Args) -> Result<DeepThermoConfig, DeepThermoError> {
+    let l: usize = args.get("--l")?;
+    let material = Material::resolve(&args.get::<String>("--material")?)?;
+    let mut cfg = DeepThermoConfig::quick_demo().with_seed(args.get("--seed")?);
+    cfg.material = MaterialSpec::new(material, l);
+    cfg.rewl.num_windows = args.get("--windows")?;
+    cfg.rewl.walkers_per_window = args.get("--walkers")?;
+    cfg.rewl.num_bins = args.opt("--bins")?.unwrap_or((16 * l * l).min(512));
+    cfg.rewl.wl.ln_f_final = args.get("--lnf")?;
+    cfg.rewl.max_sweeps = args.get("--max-sweeps")?;
+    let (t_min, t_max) = (args.get("--tmin")?, args.get("--tmax")?);
+    cfg.temperatures = dt_thermo::try_temperature_grid(t_min, t_max, args.get("--tpoints")?)
+        .map_err(|e| DeepThermoError::Usage(format!("--tmin/--tmax/--tpoints: {e}")))?;
+    let k = args.get("--k")?;
+    cfg.rewl.kernel = match args.get::<String>("--kernel")?.as_str() {
         "local" => KernelSpec::LocalSwap,
-        "random" => KernelSpec::RandomGlobal {
-            k: arg("--k", 12),
-            weight: 0.2,
-        },
-        _ => KernelSpec::Deep(Box::new(DeepSpec {
-            proposal: deepthermo::proposal::DeepProposalConfig {
-                k: arg("--k", 12),
+        "random" => KernelSpec::RandomGlobal { k, weight: 0.2 },
+        "deep" => KernelSpec::Deep(Box::new(DeepSpec {
+            proposal: DeepProposalConfig {
+                k,
                 hidden: vec![32, 32],
             },
             deep_weight: 0.15,
             ..DeepSpec::default()
         })),
+        other => {
+            return Err(DeepThermoError::Usage(format!(
+                "--kernel expects deep|local|random, got {other:?}"
+            )))
+        }
     };
-    cfg.rewl.recovery = has_flag("--recover");
-    cfg.rewl.adaptive_windows = has_flag("--adaptive-windows");
-    cfg.rewl.rebalance_every = arg("--rebalance-every", 0u64);
-    Ok(cfg.with_telemetry(has_flag("--telemetry")))
+    cfg.rewl.adaptive_windows = args.has("--adaptive-windows");
+    cfg.rewl.rebalance_every = args.get("--rebalance-every")?;
+    Ok(cfg)
 }
 
-/// A restart resumes from a checkpoint; when `--recover` is on and no
-/// `--checkpoint` was given, every process of the cluster derives the
-/// same default directory under `--out`.
-fn apply_recovery_defaults(cfg: &mut DeepThermoConfig) {
-    if cfg.rewl.recovery && cfg.rewl.checkpoint.is_none() {
-        let out = arg("--out", "deepthermo-out".to_string());
-        cfg.rewl.checkpoint = Some(CheckpointSpec::new(PathBuf::from(out).join("checkpoints")));
+/// The configuration every process of a `run` builds from the same
+/// flags. `--checkpoint` is the one checkpoint setting; under
+/// `--recover` (cluster runs only) it defaults to `OUT/checkpoints`, so
+/// a restart has a snapshot to resume from.
+fn run_config(args: &Args, clustered: bool) -> Result<DeepThermoConfig, DeepThermoError> {
+    let mut cfg = build_config(args)?.with_telemetry(args.has("--telemetry"));
+    cfg.rewl.recovery = clustered && args.has("--recover");
+    let dir = match args.opt::<PathBuf>("--checkpoint")? {
+        None if cfg.rewl.recovery => Some(args.get::<PathBuf>("--out")?.join("checkpoints")),
+        dir => dir,
+    };
+    cfg.rewl.checkpoint = dir.map(CheckpointSpec::new);
+    Ok(cfg)
+}
+
+/// The fault plan shared by every process of a cluster run: a seeded
+/// chaos schedule (when `--chaos-seed` is given), plus any explicit
+/// `--kill` event. A rank of a restarted life (nonzero
+/// [`cluster::RESPAWN_COUNT_FLAG`]) replays fault-free.
+fn cluster_fault_plan(args: &Args, size: usize) -> Result<FaultPlan, DeepThermoError> {
+    if args.get::<u64>(cluster::RESPAWN_COUNT_FLAG)? > 0 {
+        return Ok(FaultPlan::none());
+    }
+    let rounds = args.get("--chaos-rounds")?;
+    let mut plan = match args.opt("--chaos-seed")? {
+        Some(seed) => FaultPlan::chaos(seed, size, rounds),
+        None => FaultPlan::none(),
+    };
+    if let Some(kill) = args.opt::<String>("--kill")? {
+        let kill = cluster::parse_kill(&kill, size)
+            .map_err(|message| DeepThermoError::Cluster { message })?;
+        for e in kill.events() {
+            plan.push(e.clone());
+        }
+    }
+    Ok(plan)
+}
+
+/// Entry point of a `--worker-rank` process: dial the rendezvous, run
+/// one rank, exit. A simulated crash exits with a reserved code so the
+/// root can tell it apart from a real failure.
+fn worker(args: &Args) -> Result<(), DeepThermoError> {
+    let rank = args.get(cluster::WORKER_RANK_FLAG)?;
+    let rendezvous: String = args.get(cluster::RENDEZVOUS_FLAG)?;
+    let spec: ClusterSpec = args.get("--cluster")?;
+    let plan = cluster_fault_plan(args, spec.size)?;
+    let runner = DeepThermo::from_material(run_config(args, true)?)?;
+    match cluster::run_cluster_worker(&runner, rank, spec.size, &rendezvous, plan)? {
+        WorkerOutcome::Killed => std::process::exit(cluster::KILLED_EXIT_CODE.into()),
+        _ => Ok(()),
     }
 }
 
-fn info() -> ExitCode {
-    let runner = match build_config().and_then(DeepThermo::from_material) {
-        Ok(r) => r,
-        Err(e) => {
-            render_error(&e);
-            return ExitCode::FAILURE;
+/// Root side of `run --cluster`: spawn the workers, run rank 0, report
+/// per-worker outcomes.
+fn run_cluster(
+    runner: &DeepThermo,
+    spec: ClusterSpec,
+    plan: FaultPlan,
+    max_restarts: Option<u64>,
+) -> Result<DeepThermoReport, DeepThermoError> {
+    let worker_args: Vec<String> = std::env::args().skip(1).collect();
+    println!(
+        "cluster: {} ranks as separate processes over loopback TCP (this process is rank 0)",
+        spec.size
+    );
+    if let Some(n) = max_restarts {
+        println!(
+            "recovery: supervising the cluster (budget {n} whole-cluster restarts from the \
+             newest complete snapshot)"
+        );
+    }
+    let (report, outcomes) =
+        cluster::run_cluster_root(runner, spec, plan, &worker_args, max_restarts)?;
+    for (rank, outcome) in outcomes.iter().enumerate() {
+        let who = if rank == 0 { "root" } else { "worker" };
+        match outcome {
+            WorkerOutcome::Completed => {}
+            WorkerOutcome::Killed => {
+                println!("{who} rank {rank} died from the injected fault; survivors degraded")
+            }
+            WorkerOutcome::Failed => eprintln!("warning: {who} rank {rank} exited abnormally"),
+            WorkerOutcome::Recovered { respawns } => {
+                println!("{who} rank {rank} recovered after {respawns} supervised respawn(s)")
+            }
         }
-    };
+    }
+    Ok(report)
+}
+
+fn info(args: &Args) -> Result<(), DeepThermoError> {
+    let runner = DeepThermo::from_material(build_config(args)?)?;
     let comp = runner.composition();
     let mat = runner.config().material.material();
     println!(
@@ -595,173 +683,42 @@ fn info() -> ExitCode {
         runner.config().rewl.walkers_per_window
     );
     println!("kernel: {}", runner.config().rewl.kernel.label());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// In cluster mode every process must hold the same checkpoint spec in
-/// its config *before* sampling starts (there is no shared
-/// `run_resumable` call to inject it), so `--checkpoint` is applied to
-/// the config directly.
-fn apply_cluster_checkpoint(cfg: &mut DeepThermoConfig) {
-    if let Some(dir) = opt_arg("--checkpoint") {
-        if cfg.rewl.checkpoint.is_none() {
-            cfg.rewl.checkpoint = Some(CheckpointSpec::new(dir));
+fn run(args: &Args) -> Result<(), DeepThermoError> {
+    let cluster: Option<ClusterSpec> = args.opt("--cluster")?;
+    if cluster.is_none() {
+        let cluster_only = [
+            "--kill",
+            "--recover",
+            "--max-restarts",
+            "--chaos-seed",
+            "--chaos-rounds",
+        ];
+        for flag in cluster_only.into_iter().filter(|f| args.has(f)) {
+            eprintln!("warning: {flag} only applies to --cluster runs; ignoring");
         }
     }
-}
-
-/// The fault plan shared by every process of a cluster run: a seeded
-/// chaos schedule (when `--chaos-seed` is given), plus any explicit
-/// `--kill` event. A rank of a restarted life (nonzero
-/// [`cluster::RESPAWN_COUNT_FLAG`]) replays fault-free.
-fn cluster_fault_plan(size: usize) -> Result<FaultPlan, DeepThermoError> {
-    if arg(cluster::RESPAWN_COUNT_FLAG, 0u64) > 0 {
-        return Ok(FaultPlan::none());
-    }
-    let mut plan = match opt_arg("--chaos-seed") {
-        Some(v) => {
-            let seed: u64 = v.parse().map_err(|_| DeepThermoError::Cluster {
-                message: format!("bad --chaos-seed value {v:?} (expected an integer)"),
-            })?;
-            FaultPlan::chaos(seed, size, arg("--chaos-rounds", 20u64))
-        }
-        None => FaultPlan::none(),
+    let cfg = run_config(args, cluster.is_some())?;
+    let plan = cluster
+        .map(|spec| cluster_fault_plan(args, spec.size))
+        .transpose()?;
+    let max_restarts: u64 = args.get("--max-restarts")?;
+    let max_restarts = cfg.rewl.recovery.then_some(max_restarts);
+    let out_dir: PathBuf = args.get("--out")?;
+    let export: Option<PathBuf> = args.opt("--export-artifact")?;
+    let io_error = |path: PathBuf, e: std::io::Error| DeepThermoError::Io {
+        path,
+        message: e.to_string(),
     };
-    if let Some(v) = opt_arg("--kill") {
-        let kill = cluster::parse_kill(&v, size)
-            .map_err(|message| DeepThermoError::Cluster { message })?;
-        for e in kill.events() {
-            if let FaultEvent::KillAtRound { rank, round } = e {
-                plan = plan.kill_at_round(*rank, *round);
-            }
-        }
-    }
-    Ok(plan)
-}
-
-/// Entry point of a `--worker-rank` process: dial the rendezvous, run
-/// one rank, exit. A simulated crash exits with a reserved code so the
-/// root can tell it apart from a real failure.
-fn worker() -> ExitCode {
-    let (rank, rendezvous, spec) = match (
-        opt_arg(cluster::WORKER_RANK_FLAG).and_then(|v| v.parse::<usize>().ok()),
-        opt_arg(cluster::RENDEZVOUS_FLAG),
-        opt_arg("--cluster").map(|v| ClusterSpec::parse(&v)),
-    ) {
-        (Some(rank), Some(addr), Some(Ok(spec))) => (rank, addr, spec),
-        _ => {
-            eprintln!("error: malformed worker invocation (these flags are internal)");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut cfg = match build_config() {
-        Ok(c) => c,
-        Err(e) => {
-            render_error(&e);
-            return ExitCode::FAILURE;
-        }
-    };
-    apply_cluster_checkpoint(&mut cfg);
-    apply_recovery_defaults(&mut cfg);
-    let plan = match cluster_fault_plan(spec.size) {
-        Ok(p) => p,
-        Err(e) => {
-            render_error(&e);
-            return ExitCode::FAILURE;
-        }
-    };
-    let runner = match DeepThermo::from_material(cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            render_error(&e);
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = cluster::run_cluster_worker(&runner, rank, spec.size, &rendezvous, plan);
-    match outcome {
-        Ok(WorkerOutcome::Killed) => ExitCode::from(cluster::KILLED_EXIT_CODE),
-        Ok(_) => ExitCode::SUCCESS,
-        Err(e) => {
-            render_error(&e);
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Root side of `run --cluster`: spawn the workers, run rank 0, report
-/// per-worker outcomes.
-fn run_cluster(
-    runner: &DeepThermo,
-    spec: ClusterSpec,
-) -> Result<DeepThermoReport, DeepThermoError> {
-    let plan = cluster_fault_plan(spec.size)?;
-    let worker_args: Vec<String> = std::env::args().skip(1).collect();
-    println!(
-        "cluster: {} ranks as separate processes over loopback TCP (this process is rank 0)",
-        spec.size
-    );
-    let policy = runner.config().rewl.recovery.then(|| RecoveryPolicy {
-        max_restarts: arg("--max-restarts", 3u64),
-        ..RecoveryPolicy::default()
-    });
-    if let Some(policy) = &policy {
+    fs::create_dir_all(&out_dir).map_err(|e| io_error(out_dir.clone(), e))?;
+    if let Some(spec) = &cfg.rewl.checkpoint {
         println!(
-            "recovery: supervising the cluster (budget {} whole-cluster restarts)",
-            policy.max_restarts
+            "checkpointing every {} rounds into {} (reruns resume from the newest snapshot)",
+            spec.every_rounds,
+            spec.dir.display()
         );
-    }
-    let (report, outcomes) = cluster::run_cluster_root(runner, spec, plan, &worker_args, policy)?;
-    for (rank, outcome) in outcomes.iter().enumerate() {
-        let who = if rank == 0 { "root" } else { "worker" };
-        match outcome {
-            WorkerOutcome::Completed => {}
-            WorkerOutcome::Killed => {
-                println!("{who} rank {rank} died from the injected fault; survivors degraded")
-            }
-            WorkerOutcome::Failed => eprintln!("warning: {who} rank {rank} exited abnormally"),
-            WorkerOutcome::Recovered { respawns } => {
-                println!("{who} rank {rank} recovered after {respawns} supervised respawn(s)")
-            }
-        }
-    }
-    Ok(report)
-}
-
-fn run() -> ExitCode {
-    let out_dir: PathBuf = PathBuf::from(arg("--out", "deepthermo-out".to_string()));
-    if let Err(e) = fs::create_dir_all(&out_dir) {
-        eprintln!("cannot create {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
-    let cluster_spec = match opt_arg("--cluster").map(|v| ClusterSpec::parse(&v)) {
-        Some(Ok(spec)) => Some(spec),
-        Some(Err(msg)) => {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-        None => None,
-    };
-    let mut cfg = match build_config() {
-        Ok(c) => c,
-        Err(e) => {
-            render_error(&e);
-            return ExitCode::FAILURE;
-        }
-    };
-    if cluster_spec.is_some() {
-        apply_cluster_checkpoint(&mut cfg);
-        apply_recovery_defaults(&mut cfg);
-        if let Some(spec) = cfg.rewl.checkpoint.as_ref().filter(|_| cfg.rewl.recovery) {
-            println!(
-                "recovery: checkpointing every {} rounds into {} (a lost rank restarts every \
-                 rank from the newest complete snapshot)",
-                spec.every_rounds,
-                spec.dir.display()
-            );
-        }
-    } else if cfg.rewl.recovery {
-        eprintln!("warning: --recover only applies to --cluster runs; ignoring");
-        cfg.rewl.recovery = false;
     }
     println!(
         "deepthermo: {} N={}, kernel={}, {} windows x {} walkers, seed {}",
@@ -773,32 +730,10 @@ fn run() -> ExitCode {
         cfg.rewl.seed
     );
     let start = std::time::Instant::now();
-    let runner = match DeepThermo::from_material(cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            render_error(&e);
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = match (cluster_spec, opt_arg("--checkpoint")) {
-        (Some(spec), dir) => {
-            if let Some(dir) = dir {
-                println!("checkpointing into {dir} (reruns resume from the newest snapshot)");
-            }
-            run_cluster(&runner, spec)
-        }
-        (None, Some(dir)) => {
-            println!("checkpointing into {dir} (reruns resume from the newest snapshot)");
-            runner.run_resumable(dir)
-        }
-        (None, None) => runner.run(),
-    };
-    let report = match outcome {
-        Ok(r) => r,
-        Err(e) => {
-            render_error(&e);
-            return ExitCode::FAILURE;
-        }
+    let runner = DeepThermo::from_material(cfg)?;
+    let report = match cluster.zip(plan) {
+        Some((spec, plan)) => run_cluster(&runner, spec, plan, max_restarts)?,
+        None => runner.run()?,
     };
     println!(
         "sampling finished in {:.1} s ({} total moves)",
@@ -806,42 +741,28 @@ fn run() -> ExitCode {
         report.total_moves
     );
     print!("{}", report.summary());
+    let mut outputs = vec![
+        ("thermo.csv", report.thermo_csv()),
+        ("dos.csv", report.dos_csv()),
+        ("sro.csv", report.sro_csv()),
+        ("summary.txt", report.summary()),
+    ];
     if !report.telemetry.is_empty() {
         println!("{}", report.phase_table());
+        outputs.push(("telemetry.jsonl", report.telemetry_jsonl()));
     }
-
-    let write = |name: &str, contents: String| -> std::io::Result<()> {
-        fs::write(out_dir.join(name), contents)
-    };
-    let mut result = write("thermo.csv", report.thermo_csv())
-        .and_then(|()| write("dos.csv", report.dos_csv()))
-        .and_then(|()| write("sro.csv", report.sro_csv()))
-        .and_then(|()| write("summary.txt", report.summary()));
-    let mut written = "thermo.csv, dos.csv, sro.csv, summary.txt".to_string();
-    if !report.telemetry.is_empty() {
-        result = result.and_then(|()| write("telemetry.jsonl", report.telemetry_jsonl()));
-        written.push_str(", telemetry.jsonl");
+    for (name, contents) in &outputs {
+        let path = out_dir.join(name);
+        fs::write(&path, contents).map_err(|e| io_error(path, e))?;
     }
-    if let Some(registry_dir) = opt_arg("--export-artifact") {
-        match runner.export_artifact(&report, &registry_dir) {
-            Ok(dir) => println!("exported serving artifact to {}", dir.display()),
-            Err(e) => {
-                render_error(&e);
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(registry_dir) = export {
+        let dir = runner.export_artifact(&report, registry_dir)?;
+        println!("exported serving artifact to {}", dir.display());
     }
-    match result {
-        Ok(()) => {
-            println!("wrote {written} to {}", out_dir.display());
-            if !report.converged {
-                eprintln!("warning: run hit max sweeps before ln f target");
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("failed to write outputs: {e}");
-            ExitCode::FAILURE
-        }
+    let written: Vec<&str> = outputs.iter().map(|(name, _)| *name).collect();
+    println!("wrote {} to {}", written.join(", "), out_dir.display());
+    if !report.converged {
+        eprintln!("warning: run hit max sweeps before ln f target");
     }
+    Ok(())
 }

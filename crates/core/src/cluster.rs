@@ -27,8 +27,8 @@
 //! fresh rendezvous, respawns all workers and re-runs rank 0; every rank
 //! resumes fault-free ([`FaultPlan::none`]) from the newest complete
 //! checkpoint, so the run ends bit-identical to a fault-free one.
-//! Restarts back off exponentially under a budget ([`RecoveryPolicy`]);
-//! a death past the budget is an error naming the checkpoint to resume
+//! Restarts back off exponentially under a budget (`--max-restarts`); a
+//! death past the budget is an error naming the checkpoint to resume
 //! from, never a degraded run (see DESIGN.md, "Fault tolerance").
 
 use std::panic::AssertUnwindSafe;
@@ -62,13 +62,15 @@ pub struct ClusterSpec {
     pub size: usize,
 }
 
-impl ClusterSpec {
+impl std::str::FromStr for ClusterSpec {
+    type Err = String;
+
     /// Parse a `--cluster` value of the form `tcp:<ranks>`.
     ///
     /// # Errors
     /// A human-readable message when the backend is not `tcp` or the
     /// rank count is missing, malformed, or below 2.
-    pub fn parse(arg: &str) -> Result<ClusterSpec, String> {
+    fn from_str(arg: &str) -> Result<ClusterSpec, String> {
         let ranks = arg
             .strip_prefix("tcp:")
             .ok_or_else(|| format!("unsupported cluster spec {arg:?} (expected tcp:<ranks>)"))?;
@@ -82,7 +84,9 @@ impl ClusterSpec {
         }
         Ok(ClusterSpec { size })
     }
+}
 
+impl ClusterSpec {
     /// Check the rank count against the sampling plan: the REWL driver
     /// needs exactly one rank per walker.
     ///
@@ -131,7 +135,9 @@ pub fn parse_kill(arg: &str, size: usize) -> Result<FaultPlan, String> {
     Ok(FaultPlan::none().kill_at_round(rank, round))
 }
 
-fn cluster_err(what: &str, e: impl std::fmt::Display) -> DeepThermoError {
+/// A [`DeepThermoError::Cluster`] for the step `what` of assembling or
+/// running a cluster of processes, which failed with `e`.
+pub fn cluster_err(what: &str, e: impl std::fmt::Display) -> DeepThermoError {
     DeepThermoError::Cluster {
         message: format!("{what}: {e}"),
     }
@@ -156,28 +162,11 @@ pub enum WorkerOutcome {
     },
 }
 
-/// Supervisor policy for `--recover`: how many whole-cluster restarts a
-/// run may take, and how patiently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Cluster restarts allowed over the whole run; the next death is an
-    /// error.
-    pub max_restarts: u64,
-    /// First restart delay; doubles per restart (exponential backoff).
-    pub backoff_base: Duration,
-    /// Ceiling on the backoff delay.
-    pub backoff_cap: Duration,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_restarts: 3,
-            backoff_base: Duration::from_millis(100),
-            backoff_cap: Duration::from_secs(2),
-        }
-    }
-}
+/// Delay before the first whole-cluster restart; it doubles per restart
+/// up to [`RESTART_BACKOFF_CAP`].
+const RESTART_BACKOFF: Duration = Duration::from_millis(100);
+/// Ceiling on the restart delay.
+const RESTART_BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 /// Exit code a worker uses to report a *simulated* crash, so the root
 /// can tell injected faults apart from real failures.
@@ -208,12 +197,12 @@ struct Life {
 /// program name) each worker is re-launched with; it must rebuild the
 /// same configuration this process holds.
 ///
-/// With a `policy` (`--recover`) the first death restarts the whole
+/// With `max_restarts` (`--recover`) the first death restarts the whole
 /// cluster — every worker stopped and respawned with the next
 /// [`RESPAWN_COUNT_FLAG`] generation, rank 0 re-run — after an
-/// exponential backoff, until `policy.max_restarts` is spent. The restart
-/// is attributed to the first rank that died, an injected kill winning a
-/// tie. Without a policy dead workers are only reaped, and the survivors
+/// exponential backoff, until that budget is spent. The restart is
+/// attributed to the first rank that died, an injected kill winning a
+/// tie. Without it dead workers are only reaped, and the survivors
 /// degrade around them.
 ///
 /// Returns the report plus one [`WorkerOutcome`] per rank, rank 0
@@ -228,7 +217,7 @@ pub fn run_cluster_root(
     spec: ClusterSpec,
     plan: FaultPlan,
     worker_args: &[String],
-    policy: Option<RecoveryPolicy>,
+    max_restarts: Option<u64>,
 ) -> Result<(DeepThermoReport, Vec<WorkerOutcome>), DeepThermoError> {
     spec.validate_against(runner)?;
     let exe = std::env::current_exe().map_err(|e| cluster_err("locate own executable", e))?;
@@ -250,7 +239,7 @@ pub fn run_cluster_root(
             spec.size,
             restarts,
             life_plan,
-            policy.is_some(),
+            max_restarts.is_some(),
         )?;
         let error = match life.root {
             Ok(mut report) => {
@@ -271,10 +260,10 @@ pub fn run_cluster_root(
         };
         // The first death, an injected kill winning a tie.
         let first = life.deaths.into_iter().min_by_key(|d| (!d.injected, d.at));
-        let (Some(policy), Some(Death { rank, cause, .. })) = (policy, first) else {
+        let (Some(max_restarts), Some(Death { rank, cause, .. })) = (max_restarts, first) else {
             return Err(error);
         };
-        if restarts >= policy.max_restarts {
+        if restarts >= max_restarts {
             return Err(DeepThermoError::Cluster {
                 message: format!(
                     "rank {rank} {cause} after {restarts} restart(s), the budget of \
@@ -283,18 +272,16 @@ pub fn run_cluster_root(
                 ),
             });
         }
-        let delay = policy
-            .backoff_base
+        let delay = RESTART_BACKOFF
             .saturating_mul(1u32 << restarts.min(16))
-            .min(policy.backoff_cap);
+            .min(RESTART_BACKOFF_CAP);
         restarts += 1;
         respawns[rank] += 1;
         eprintln!(
             "cluster: rank {rank} {cause} — restarting all {} ranks from the newest complete \
-             checkpoint in {:.1} ms (restart {restarts}/{})",
+             checkpoint in {:.1} ms (restart {restarts}/{max_restarts})",
             spec.size,
             delay.as_secs_f64() * 1e3,
-            policy.max_restarts,
         );
         std::thread::sleep(delay);
     }
@@ -532,16 +519,15 @@ mod tests {
 
     #[test]
     fn cluster_spec_parses_tcp_sizes() {
-        assert_eq!(ClusterSpec::parse("tcp:4"), Ok(ClusterSpec { size: 4 }));
-        assert!(ClusterSpec::parse("tcp:1").is_err());
-        assert!(ClusterSpec::parse("tcp:").is_err());
-        assert!(ClusterSpec::parse("mpi:4").is_err());
-        assert!(ClusterSpec::parse("4").is_err());
+        assert_eq!("tcp:4".parse(), Ok(ClusterSpec { size: 4 }));
+        for bad in ["tcp:1", "tcp:", "mpi:4", "4"] {
+            assert!(bad.parse::<ClusterSpec>().is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn cluster_spec_must_match_the_sampling_plan() {
-        let runner = DeepThermo::nbmotaw(crate::DeepThermoConfig::quick_demo()).unwrap();
+        let runner = DeepThermo::from_material(crate::DeepThermoConfig::quick_demo()).unwrap();
         let rewl = &runner.config().rewl;
         let need = rewl.num_windows * rewl.walkers_per_window;
         assert!(ClusterSpec { size: need }.validate_against(&runner).is_ok());

@@ -1,8 +1,8 @@
 //! Top-level run configuration.
 
 use dt_hamiltonian::{Material, MaterialError};
-use dt_lattice::{Composition, SpeciesSet, Structure};
-use dt_rewl::{DeepSpec, KernelSpec, RewlConfig};
+use dt_lattice::Composition;
+use dt_rewl::{KernelSpec, RewlConfig};
 use dt_wanglandau::{LnfSchedule, WlParams};
 
 use crate::error::ConfigError;
@@ -32,11 +32,6 @@ impl MaterialSpec {
         MaterialSpec::new(Material::nbmotaw(), l)
     }
 
-    /// The CrCoNi-flavoured FCC ordering alloy from the registry.
-    pub fn crconi(l: usize) -> Self {
-        MaterialSpec::new(Material::crconi(), l)
-    }
-
     /// The full alloy-system definition.
     pub fn material(&self) -> &Material {
         &self.material
@@ -45,21 +40,6 @@ impl MaterialSpec {
     /// Supercell edge in conventional cells.
     pub fn l(&self) -> usize {
         self.l
-    }
-
-    /// Crystal structure.
-    pub fn structure(&self) -> &Structure {
-        self.material.structure()
-    }
-
-    /// Species names.
-    pub fn species(&self) -> &SpeciesSet {
-        self.material.species()
-    }
-
-    /// Interaction shells the Hamiltonian couples.
-    pub fn num_shells(&self) -> usize {
-        self.material.num_shells()
     }
 
     /// Number of lattice sites (`L³ ·` atoms per cell).
@@ -73,12 +53,6 @@ impl MaterialSpec {
     /// Propagates ratio/site-count validation failures.
     pub fn composition(&self) -> Result<Composition, MaterialError> {
         self.material.composition(self.num_sites())
-    }
-
-    /// Same supercell with a different alloy system.
-    pub fn with_material(mut self, material: Material) -> Self {
-        self.material = material;
-        self
     }
 }
 
@@ -107,7 +81,6 @@ impl DeepThermoConfig {
             rewl: RewlConfig {
                 num_windows: 4,
                 walkers_per_window: 2,
-                overlap: 0.75,
                 num_bins: 128,
                 wl: WlParams {
                     ln_f_initial: 1.0,
@@ -121,8 +94,6 @@ impl DeepThermoConfig {
                     },
                     sweeps_per_check: 20,
                 },
-                exchange_every_sweeps: 10,
-                observe_every_sweeps: 2,
                 max_sweeps: 2_000_000,
                 seed: 2023,
                 kernel: KernelSpec::Deep(Box::default()),
@@ -154,18 +125,6 @@ impl DeepThermoConfig {
         cfg
     }
 
-    /// Switch the proposal kernel.
-    pub fn with_kernel(mut self, kernel: KernelSpec) -> Self {
-        self.rewl.kernel = kernel;
-        self
-    }
-
-    /// Switch to deep proposals with a custom spec.
-    pub fn with_deep(mut self, spec: DeepSpec) -> Self {
-        self.rewl.kernel = KernelSpec::Deep(Box::new(spec));
-        self
-    }
-
     /// Change the master seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.rewl.seed = seed;
@@ -179,20 +138,13 @@ impl DeepThermoConfig {
         self
     }
 
-    /// A validating builder seeded from [`DeepThermoConfig::standard`].
-    pub fn builder() -> DeepThermoConfigBuilder {
-        DeepThermoConfigBuilder {
-            cfg: DeepThermoConfig::standard(),
-        }
-    }
-
     /// Check the configuration for inconsistencies that would make a run
     /// meaningless (or panic deep inside the sampler).
     ///
     /// # Errors
     /// The first [`ConfigError`] found.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.material.species().is_empty() {
+        if self.material.material().species().is_empty() {
             return Err(ConfigError::EmptyComposition);
         }
         if self.material.l() == 0 {
@@ -220,113 +172,6 @@ impl DeepThermoConfig {
     }
 }
 
-/// Validating builder for [`DeepThermoConfig`]; obtained from
-/// [`DeepThermoConfig::builder`]. Starts from the `standard()` preset;
-/// [`build`](DeepThermoConfigBuilder::build) rejects inconsistent
-/// settings instead of letting them panic mid-run.
-#[derive(Debug, Clone)]
-pub struct DeepThermoConfigBuilder {
-    cfg: DeepThermoConfig,
-}
-
-impl DeepThermoConfigBuilder {
-    /// Replace the whole material specification.
-    pub fn material(mut self, material: MaterialSpec) -> Self {
-        self.cfg.material = material;
-        self
-    }
-
-    /// Supercell edge, keeping the configured alloy system.
-    pub fn supercell_l(mut self, l: usize) -> Self {
-        self.cfg.material = MaterialSpec::new(self.cfg.material.material().clone(), l);
-        self
-    }
-
-    /// Number of energy windows `M`.
-    pub fn windows(mut self, m: usize) -> Self {
-        self.cfg.rewl.num_windows = m;
-        self
-    }
-
-    /// Walkers per window `W`.
-    pub fn walkers_per_window(mut self, w: usize) -> Self {
-        self.cfg.rewl.walkers_per_window = w;
-        self
-    }
-
-    /// Window overlap fraction.
-    pub fn overlap(mut self, overlap: f64) -> Self {
-        self.cfg.rewl.overlap = overlap;
-        self
-    }
-
-    /// Global energy bins.
-    pub fn num_bins(mut self, bins: usize) -> Self {
-        self.cfg.rewl.num_bins = bins;
-        self
-    }
-
-    /// Master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.rewl.seed = seed;
-        self
-    }
-
-    /// Proposal kernel.
-    pub fn kernel(mut self, kernel: KernelSpec) -> Self {
-        self.cfg.rewl.kernel = kernel;
-        self
-    }
-
-    /// Hard sweep cap per walker.
-    pub fn max_sweeps(mut self, sweeps: u64) -> Self {
-        self.cfg.rewl.max_sweeps = sweeps;
-        self
-    }
-
-    /// Wang–Landau convergence target.
-    pub fn ln_f_final(mut self, ln_f: f64) -> Self {
-        self.cfg.rewl.wl.ln_f_final = ln_f;
-        self
-    }
-
-    /// Temperature grid (K) for the thermodynamic curves.
-    pub fn temperatures(mut self, temperatures: Vec<f64>) -> Self {
-        self.cfg.temperatures = temperatures;
-        self
-    }
-
-    /// Record per-rank telemetry during sampling.
-    pub fn telemetry(mut self, on: bool) -> Self {
-        self.cfg.rewl.telemetry = on;
-        self
-    }
-
-    /// Place window boundaries by equalizing estimated diffusion cost
-    /// (from a cheap pilot pass) instead of equal widths.
-    pub fn adaptive_windows(mut self, on: bool) -> Self {
-        self.cfg.rewl.adaptive_windows = on;
-        self
-    }
-
-    /// Reassign walkers from fast windows to slow ones every `rounds`
-    /// exchange rounds (0 disables rebalancing).
-    pub fn rebalance_every(mut self, rounds: u64) -> Self {
-        self.cfg.rewl.rebalance_every = rounds;
-        self
-    }
-
-    /// Validate and produce the configuration.
-    ///
-    /// # Errors
-    /// The first [`ConfigError`] found by
-    /// [`DeepThermoConfig::validate`].
-    pub fn build(self) -> Result<DeepThermoConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,12 +186,9 @@ mod tests {
     fn builders_chain() {
         let cfg = DeepThermoConfig::quick_demo()
             .with_seed(7)
-            .with_kernel(KernelSpec::RandomGlobal { k: 8, weight: 0.2 });
+            .with_telemetry(true);
         assert_eq!(cfg.rewl.seed, 7);
-        assert!(matches!(
-            cfg.rewl.kernel,
-            KernelSpec::RandomGlobal { k: 8, .. }
-        ));
+        assert!(cfg.rewl.telemetry);
     }
 
     #[test]
@@ -358,68 +200,38 @@ mod tests {
     }
 
     #[test]
-    fn builder_accepts_consistent_settings() {
-        let cfg = DeepThermoConfig::builder()
-            .supercell_l(3)
-            .windows(2)
-            .walkers_per_window(2)
-            .num_bins(48)
-            .seed(9)
-            .telemetry(true)
-            .adaptive_windows(true)
-            .rebalance_every(4)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.rewl.num_windows, 2);
-        assert_eq!(cfg.rewl.seed, 9);
-        assert!(cfg.rewl.telemetry);
-        assert!(cfg.rewl.adaptive_windows);
-        assert_eq!(cfg.rewl.rebalance_every, 4);
-    }
-
-    #[test]
-    fn builder_rejects_inconsistent_settings() {
+    fn validate_rejects_inconsistent_settings() {
+        let rejects = |edit: fn(&mut DeepThermoConfig)| {
+            let mut cfg = DeepThermoConfig::standard();
+            assert_eq!(cfg.validate(), Ok(()));
+            edit(&mut cfg);
+            cfg.validate().unwrap_err()
+        };
+        assert_eq!(rejects(|c| c.rewl.num_windows = 0), ConfigError::NoWindows);
         assert_eq!(
-            DeepThermoConfig::builder().windows(0).build().unwrap_err(),
-            ConfigError::NoWindows
-        );
-        assert_eq!(
-            DeepThermoConfig::builder()
-                .walkers_per_window(0)
-                .build()
-                .unwrap_err(),
+            rejects(|c| c.rewl.walkers_per_window = 0),
             ConfigError::NoWalkers
         );
         assert_eq!(
-            DeepThermoConfig::builder()
-                .overlap(1.5)
-                .build()
-                .unwrap_err(),
+            rejects(|c| c.rewl.overlap = 1.5),
             ConfigError::BadOverlap(1.5)
         );
         assert_eq!(
-            DeepThermoConfig::builder()
-                .windows(8)
-                .num_bins(10)
-                .build()
-                .unwrap_err(),
+            rejects(|c| {
+                c.rewl.num_windows = 8;
+                c.rewl.num_bins = 10;
+            }),
             ConfigError::TooFewBins {
                 bins: 10,
                 windows: 8
             }
         );
         assert_eq!(
-            DeepThermoConfig::builder()
-                .supercell_l(0)
-                .build()
-                .unwrap_err(),
+            rejects(|c| c.material = MaterialSpec::nbmotaw(0)),
             ConfigError::EmptySupercell
         );
         assert_eq!(
-            DeepThermoConfig::builder()
-                .temperatures(vec![])
-                .build()
-                .unwrap_err(),
+            rejects(|c| c.temperatures.clear()),
             ConfigError::NoTemperatures
         );
     }

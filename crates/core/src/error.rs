@@ -1,26 +1,27 @@
 //! The workspace-level error type.
 //!
 //! Every fallible public entry point of the pipeline —
-//! [`DeepThermo::run`](crate::DeepThermo::run),
-//! [`run_resumable`](crate::DeepThermo::run_resumable),
-//! [`evaluate`](crate::DeepThermo::evaluate) — returns
-//! [`DeepThermoError`], which wraps the typed errors of the sub-crates
-//! (sampling, communication, wire decoding, model serialization) plus
-//! configuration and I/O failures of the pipeline itself. Degraded but
-//! survivable situations (dead walkers, lost messages) are *not* errors;
-//! they are reported inside the [`DeepThermoReport`](crate::DeepThermoReport).
+//! [`DeepThermo::from_material`](crate::DeepThermo::from_material),
+//! [`run`](crate::DeepThermo::run),
+//! [`run_cluster_rank`](crate::DeepThermo::run_cluster_rank),
+//! [`evaluate`](crate::DeepThermo::evaluate) — and every mode of the
+//! `deepthermo` binary returns [`DeepThermoError`], which wraps the typed
+//! errors of the sub-crates (sampling, materials, model serialization,
+//! serving) plus configuration, command-line, cluster and I/O failures of
+//! the pipeline itself. Degraded but survivable situations (dead walkers,
+//! lost messages) are *not* errors; they are reported inside the
+//! [`DeepThermoReport`](crate::DeepThermoReport).
 
 use std::path::PathBuf;
 
 use dt_hamiltonian::MaterialError;
-use dt_hpc::CommError;
-use dt_rewl::{RewlError, WireError};
+use dt_rewl::RewlError;
+use dt_serve::ServeError;
 use dt_surrogate::SerializeError;
 
 /// An inconsistency in a [`DeepThermoConfig`](crate::DeepThermoConfig),
 /// caught at construction time by
-/// [`DeepThermoConfig::validate`](crate::DeepThermoConfig::validate) and
-/// the [`builder`](crate::DeepThermoConfig::builder).
+/// [`DeepThermoConfig::validate`](crate::DeepThermoConfig::validate).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// `num_windows` is zero.
@@ -44,13 +45,6 @@ pub enum ConfigError {
     /// The temperature grid is empty, so no thermodynamic curve can be
     /// evaluated.
     NoTemperatures,
-    /// The energy model's species count disagrees with the material's.
-    SpeciesMismatch {
-        /// Species the model was parameterized for.
-        model: usize,
-        /// Species the material declares.
-        material: usize,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -68,10 +62,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::EmptyComposition => write!(f, "the material declares no species"),
             ConfigError::EmptySupercell => write!(f, "supercell edge L must be at least 1"),
             ConfigError::NoTemperatures => write!(f, "the temperature grid is empty"),
-            ConfigError::SpeciesMismatch { model, material } => write!(
-                f,
-                "energy model has {model} species but the material has {material}"
-            ),
         }
     }
 }
@@ -86,11 +76,6 @@ pub enum DeepThermoError {
     /// The parallel sampler failed unrecoverably (root rank death, a
     /// whole window lost).
     Sampling(RewlError),
-    /// A communication failure surfaced outside the sampler's own
-    /// degraded-mode handling.
-    Comm(CommError),
-    /// A wire payload could not be decoded.
-    Wire(WireError),
     /// A serialized surrogate/proposal model could not be loaded.
     Model(SerializeError),
     /// A filesystem operation of the pipeline failed.
@@ -108,15 +93,21 @@ pub enum DeepThermoError {
     /// unreadable or malformed `dtmat` file, inconsistent counts, or a
     /// structure that cannot expose the requested shells.
     Material(MaterialError),
-    /// The multi-process cluster could not be assembled — a socket bind,
-    /// worker spawn, or rendezvous handshake failed before sampling
-    /// started — or, under `--recover`, a rank died with the restart
-    /// budget spent. (Without `--recover`, rank deaths during sampling
-    /// are degraded-mode events, not errors.)
+    /// A multi-process cluster or serving fleet could not be assembled —
+    /// a socket bind, process spawn, or rendezvous handshake failed — or
+    /// one of its processes failed: under `--recover`, a rank died with
+    /// the restart budget spent; in a fleet, a shard exited abnormally.
+    /// (Without `--recover`, rank deaths during sampling are
+    /// degraded-mode events, not errors.)
     Cluster {
         /// What the orchestrator was doing when it failed.
         message: String,
     },
+    /// Loading, binding or serving an artifact registry failed.
+    Serve(ServeError),
+    /// The command line is malformed: an unknown mode or flag, a flag
+    /// missing its value, or a value that does not parse.
+    Usage(String),
 }
 
 impl std::fmt::Display for DeepThermoError {
@@ -124,8 +115,6 @@ impl std::fmt::Display for DeepThermoError {
         match self {
             DeepThermoError::Config(e) => write!(f, "invalid configuration: {e}"),
             DeepThermoError::Sampling(e) => write!(f, "sampling failed: {e}"),
-            DeepThermoError::Comm(e) => write!(f, "communication failed: {e}"),
-            DeepThermoError::Wire(e) => write!(f, "malformed wire payload: {e}"),
             DeepThermoError::Model(e) => write!(f, "model deserialization failed: {e}"),
             DeepThermoError::Io { path, message } => {
                 write!(f, "I/O failed on {}: {message}", path.display())
@@ -133,11 +122,11 @@ impl std::fmt::Display for DeepThermoError {
             DeepThermoError::NoVisitedBins => {
                 write!(f, "sampling visited no energy bins; nothing to evaluate")
             }
-            DeepThermoError::Cluster { message } => {
-                write!(f, "cluster setup failed: {message}")
-            }
-            DeepThermoError::Material(e) => {
-                write!(f, "invalid material: {e}")
+            DeepThermoError::Cluster { message } => write!(f, "cluster failed: {message}"),
+            DeepThermoError::Material(e) => write!(f, "invalid material: {e}"),
+            DeepThermoError::Serve(e) => write!(f, "serving failed: {e}"),
+            DeepThermoError::Usage(message) => {
+                write!(f, "{message} (see `deepthermo help`)")
             }
         }
     }
@@ -148,13 +137,13 @@ impl std::error::Error for DeepThermoError {
         match self {
             DeepThermoError::Config(e) => Some(e),
             DeepThermoError::Sampling(e) => Some(e),
-            DeepThermoError::Comm(e) => Some(e),
-            DeepThermoError::Wire(e) => Some(e),
             DeepThermoError::Model(e) => Some(e),
             DeepThermoError::Material(e) => Some(e),
+            DeepThermoError::Serve(e) => Some(e),
             DeepThermoError::Io { .. }
             | DeepThermoError::NoVisitedBins
-            | DeepThermoError::Cluster { .. } => None,
+            | DeepThermoError::Cluster { .. }
+            | DeepThermoError::Usage(_) => None,
         }
     }
 }
@@ -171,15 +160,9 @@ impl From<RewlError> for DeepThermoError {
     }
 }
 
-impl From<CommError> for DeepThermoError {
-    fn from(e: CommError) -> Self {
-        DeepThermoError::Comm(e)
-    }
-}
-
-impl From<WireError> for DeepThermoError {
-    fn from(e: WireError) -> Self {
-        DeepThermoError::Wire(e)
+impl From<ServeError> for DeepThermoError {
+    fn from(e: ServeError) -> Self {
+        DeepThermoError::Serve(e)
     }
 }
 
@@ -220,8 +203,8 @@ mod tests {
             DeepThermoError::Sampling(_)
         ));
         assert!(matches!(
-            DeepThermoError::from(CommError::RankDead(3)),
-            DeepThermoError::Comm(_)
+            DeepThermoError::from(ServeError::BadConfig("zero workers".into())),
+            DeepThermoError::Serve(_)
         ));
         assert!(matches!(
             DeepThermoError::from(SerializeError::BadHeader),

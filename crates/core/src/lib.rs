@@ -23,7 +23,7 @@
 //!
 //! // A small NbMoTaW supercell with fast-converging settings.
 //! let config = DeepThermoConfig::quick_demo();
-//! let report = DeepThermo::nbmotaw(config)?.run()?;
+//! let report = DeepThermo::from_material(config)?.run()?;
 //! assert!(report.converged);
 //! // The order–disorder transition shows up as a heat-capacity peak.
 //! assert!(report.transition_temperature > 0.0);
@@ -56,8 +56,8 @@ pub mod error;
 pub mod pipeline;
 pub mod report;
 
-pub use cluster::{ClusterSpec, RecoveryPolicy, WorkerOutcome};
-pub use config::{DeepThermoConfig, DeepThermoConfigBuilder, MaterialSpec};
+pub use cluster::{ClusterSpec, WorkerOutcome};
+pub use config::{DeepThermoConfig, MaterialSpec};
 pub use error::{ConfigError, DeepThermoError};
 pub use pipeline::DeepThermo;
 pub use report::{DeepThermoReport, SroCurve};

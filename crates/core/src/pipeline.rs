@@ -1,6 +1,8 @@
 //! The DeepThermo pipeline: material → parallel sampling → thermodynamics.
 
-use dt_hamiltonian::{nbmotaw, EnergyModel, MaterialError, PairHamiltonian, KB_EV_PER_K};
+use std::path::{Path, PathBuf};
+
+use dt_hamiltonian::{EnergyModel, MaterialError, PairHamiltonian, KB_EV_PER_K};
 use dt_hpc::{Communicator, Transport};
 use dt_lattice::{Composition, NeighborTable, Species, Supercell};
 use dt_proposal::MoveStats;
@@ -11,14 +13,13 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::config::DeepThermoConfig;
-use crate::error::{ConfigError, DeepThermoError};
+use crate::error::DeepThermoError;
 use crate::report::{DeepThermoReport, SroCurve};
 
 /// A configured DeepThermo run: the material, its energy model, and the
 /// sampling plan.
 pub struct DeepThermo {
     cfg: DeepThermoConfig,
-    cell: Supercell,
     neighbors: NeighborTable,
     comp: Composition,
     model: PairHamiltonian,
@@ -36,57 +37,19 @@ impl DeepThermo {
     /// cannot expose the requested shells or the composition ratios are
     /// invalid.
     pub fn from_material(cfg: DeepThermoConfig) -> Result<Self, DeepThermoError> {
-        let model = cfg.material.material().hamiltonian().clone();
-        DeepThermo::with_model(cfg, model)
-    }
-
-    /// Equiatomic NbMoTaW with the built-in EPI Hamiltonian — a thin
-    /// compatibility wrapper; prefer [`DeepThermo::from_material`],
-    /// which honors whatever material the config carries.
-    ///
-    /// # Errors
-    /// [`DeepThermoError::Config`] when the configuration is
-    /// inconsistent (see [`DeepThermoConfig::validate`]).
-    pub fn nbmotaw(cfg: DeepThermoConfig) -> Result<Self, DeepThermoError> {
-        let model = nbmotaw();
-        DeepThermo::with_model(cfg, model)
-    }
-
-    /// Any pair Hamiltonian over the configured material.
-    ///
-    /// # Errors
-    /// [`DeepThermoError::Config`] when the configuration is
-    /// inconsistent or the model's species count disagrees with the
-    /// material's.
-    pub fn with_model(
-        cfg: DeepThermoConfig,
-        model: PairHamiltonian,
-    ) -> Result<Self, DeepThermoError> {
         cfg.validate()?;
-        if model.num_species() != cfg.material.species().len() {
-            return Err(ConfigError::SpeciesMismatch {
-                model: model.num_species(),
-                material: cfg.material.species().len(),
-            }
-            .into());
-        }
-        let cell = Supercell::cubic(cfg.material.structure().clone(), cfg.material.l());
-        let neighbors = cell
+        let material = cfg.material.material();
+        let model = material.hamiltonian().clone();
+        let neighbors = Supercell::cubic(material.structure().clone(), cfg.material.l())
             .try_neighbor_table(model.num_shells())
             .map_err(MaterialError::from)?;
         let comp = cfg.material.composition()?;
         Ok(DeepThermo {
             cfg,
-            cell,
             neighbors,
             comp,
             model,
         })
-    }
-
-    /// The supercell.
-    pub fn supercell(&self) -> &Supercell {
-        &self.cell
     }
 
     /// The neighbor table.
@@ -112,15 +75,20 @@ impl DeepThermo {
     /// Run the full pipeline: range discovery → REWL sampling → DOS
     /// normalization → thermodynamics + SRO curves.
     ///
+    /// With `config().rewl.checkpoint` set the cluster snapshots itself
+    /// into that directory and resumes from the newest consistent
+    /// snapshot when one exists. Range discovery is seeded from the
+    /// config, so a restarted run rebuilds the same windows and the
+    /// snapshot stays valid.
+    ///
     /// # Errors
-    /// [`DeepThermoError::Sampling`] when the parallel sampler fails
-    /// unrecoverably, [`DeepThermoError::NoVisitedBins`] when it
+    /// [`DeepThermoError::Io`] when the checkpoint directory cannot be
+    /// created, [`DeepThermoError::Sampling`] when the parallel sampler
+    /// fails unrecoverably, [`DeepThermoError::NoVisitedBins`] when it
     /// produces nothing to evaluate.
     pub fn run(&self) -> Result<DeepThermoReport, DeepThermoError> {
-        // 1. Discover the reachable energy range.
+        self.create_checkpoint_dir()?;
         let range = self.discover_range();
-
-        // 2. Parallel sampling.
         let out = run_rewl(
             &self.model,
             &self.neighbors,
@@ -131,35 +99,18 @@ impl DeepThermo {
         self.evaluate(out)
     }
 
-    /// Run the full pipeline with periodic cluster checkpoints under
-    /// `dir`, resuming from the newest consistent snapshot when one
-    /// exists. Range discovery is seeded from the config, so a restarted
-    /// run rebuilds the same windows and the snapshot stays valid.
-    ///
-    /// # Errors
-    /// [`DeepThermoError::Io`] when the checkpoint directory cannot be
-    /// created, plus everything [`DeepThermo::run`] can return.
-    pub fn run_resumable(
-        &self,
-        dir: impl Into<std::path::PathBuf>,
-    ) -> Result<DeepThermoReport, DeepThermoError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(|e| DeepThermoError::Io {
-            path: dir.clone(),
-            message: e.to_string(),
-        })?;
-        let range = self.discover_range();
-        let mut rewl_cfg = self.cfg.rewl.clone();
-        if rewl_cfg.checkpoint.is_none() {
-            rewl_cfg.checkpoint = Some(dt_rewl::CheckpointSpec::new(dir));
+    /// Create the configured checkpoint directory, so an unusable one
+    /// fails the run instead of leaving it without snapshots.
+    fn create_checkpoint_dir(&self) -> Result<(), DeepThermoError> {
+        match &self.cfg.rewl.checkpoint {
+            Some(spec) => std::fs::create_dir_all(&spec.dir).map_err(|e| io_error(&spec.dir, e)),
+            None => Ok(()),
         }
-        let out = run_rewl(&self.model, &self.neighbors, &self.comp, range, &rewl_cfg)?;
-        self.evaluate(out)
     }
 
     /// Discover the reachable energy range by seeded quenches. The RNG
     /// is derived from the config seed alone, so every process of a
-    /// multi-process cluster (and every restart of a resumable run)
+    /// multi-process cluster (and every restart of a checkpointed run)
     /// rebuilds the exact same windows.
     fn discover_range(&self) -> (f64, f64) {
         let mut rng = ChaCha8Rng::seed_from_u64(self.cfg.rewl.seed ^ 0x5eed);
@@ -181,8 +132,8 @@ impl DeepThermo {
     /// root — evaluates the merged output into the usual report. All
     /// other ranks return `Ok(None)` once their pieces are shipped.
     ///
-    /// Checkpointing honors `config().rewl.checkpoint` exactly as the
-    /// in-process driver does: every rank snapshots into the shared
+    /// Checkpointing honors `config().rewl.checkpoint` exactly as
+    /// [`DeepThermo::run`] does: every rank snapshots into the shared
     /// directory and a rerun resumes from the newest consistent round.
     ///
     /// # Errors
@@ -193,6 +144,7 @@ impl DeepThermo {
         &self,
         comm: Communicator<T>,
     ) -> Result<Option<DeepThermoReport>, DeepThermoError> {
+        self.create_checkpoint_dir()?;
         let range = self.discover_range();
         let run = run_rewl_on(
             comm,
@@ -221,8 +173,8 @@ impl DeepThermo {
     pub fn export_artifact(
         &self,
         report: &DeepThermoReport,
-        registry_dir: impl AsRef<std::path::Path>,
-    ) -> Result<std::path::PathBuf, DeepThermoError> {
+        registry_dir: impl AsRef<Path>,
+    ) -> Result<PathBuf, DeepThermoError> {
         let mat = self.cfg.material.material();
         let manifest = dt_serve::ArtifactManifest {
             id: dt_serve::ArtifactManifest::conventional_id(
@@ -232,19 +184,17 @@ impl DeepThermo {
             ),
             material: mat.display_name().to_string(),
             material_key: mat.key().to_string(),
-            structure: self.cfg.material.structure().name().to_string(),
+            structure: mat.structure().name().to_string(),
             l: self.cfg.material.l(),
-            num_sites: self.cell.num_sites(),
-            species: self
-                .cfg
-                .material
+            num_sites: self.comp.num_sites(),
+            species: mat
                 .species()
                 .iter()
                 .map(|(_, name)| name.to_string())
                 .collect(),
             counts: self.comp.counts().to_vec(),
             seed: self.cfg.rewl.seed,
-            num_shells: self.cfg.material.num_shells(),
+            num_shells: mat.num_shells(),
             sweeps: report.sweeps,
             converged: report.converged,
         };
@@ -260,10 +210,7 @@ impl DeepThermo {
         };
         artifact
             .save(registry_dir.as_ref())
-            .map_err(|e| DeepThermoError::Io {
-                path: registry_dir.as_ref().to_path_buf(),
-                message: e.to_string(),
-            })
+            .map_err(|e| io_error(registry_dir.as_ref(), e))
     }
 
     /// Turn a raw REWL output into the thermodynamic report (exposed so
@@ -320,11 +267,8 @@ impl DeepThermo {
                     let ca_cb = fractions[a as usize] * fractions[b as usize];
                     points.push((t, 1.0 - p / ca_cb));
                 }
-                let label = format!(
-                    "{}-{}",
-                    self.cfg.material.species().name(Species(a)),
-                    self.cfg.material.species().name(Species(b))
-                );
+                let species = self.cfg.material.material().species();
+                let label = format!("{}-{}", species.name(Species(a)), species.name(Species(b)));
                 sro_curves.push(SroCurve {
                     shell: 0,
                     pair: (a, b),
@@ -361,6 +305,13 @@ impl DeepThermo {
     }
 }
 
+fn io_error(path: &Path, e: impl std::fmt::Display) -> DeepThermoError {
+    DeepThermoError::Io {
+        path: path.to_path_buf(),
+        message: e.to_string(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,7 +319,7 @@ mod tests {
 
     #[test]
     fn quick_demo_runs_end_to_end() {
-        let report = DeepThermo::nbmotaw(DeepThermoConfig::quick_demo())
+        let report = DeepThermo::from_material(DeepThermoConfig::quick_demo())
             .unwrap()
             .run()
             .unwrap();
@@ -398,10 +349,9 @@ mod tests {
     fn resumable_run_writes_checkpoints() {
         let dir = std::env::temp_dir().join(format!("dtcore-resumable-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let report = DeepThermo::nbmotaw(DeepThermoConfig::quick_demo())
-            .unwrap()
-            .run_resumable(&dir)
-            .unwrap();
+        let mut cfg = DeepThermoConfig::quick_demo();
+        cfg.rewl.checkpoint = Some(dt_rewl::CheckpointSpec::new(&dir));
+        let report = DeepThermo::from_material(cfg).unwrap().run().unwrap();
         assert!(report.converged);
         assert!(
             std::fs::read_dir(&dir).unwrap().count() > 0,
@@ -414,7 +364,8 @@ mod tests {
     fn exported_artifact_reproduces_the_report_bit_exactly() {
         let dir = std::env::temp_dir().join(format!("dtcore-export-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let runner = DeepThermo::nbmotaw(DeepThermoConfig::quick_demo().with_seed(11)).unwrap();
+        let runner =
+            DeepThermo::from_material(DeepThermoConfig::quick_demo().with_seed(11)).unwrap();
         let report = runner.run().unwrap();
         let adir = runner.export_artifact(&report, &dir).unwrap();
 
@@ -441,7 +392,7 @@ mod tests {
 
     #[test]
     fn report_csvs_are_well_formed() {
-        let report = DeepThermo::nbmotaw(DeepThermoConfig::quick_demo().with_seed(5))
+        let report = DeepThermo::from_material(DeepThermoConfig::quick_demo().with_seed(5))
             .unwrap()
             .run()
             .unwrap();

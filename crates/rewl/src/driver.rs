@@ -30,7 +30,8 @@ pub struct RewlConfig {
     pub num_windows: usize,
     /// Walkers per window `W` (total ranks = `M·W`).
     pub walkers_per_window: usize,
-    /// Window overlap fraction (0.75 is the REWL standard).
+    /// Window overlap fraction, in (0, 1). Every preset uses the REWL
+    /// standard 0.75; E9's ablation (`fig_replica_exchange`) sweeps it.
     pub overlap: f64,
     /// Bins of the global energy grid.
     pub num_bins: usize,
@@ -53,7 +54,10 @@ pub struct RewlConfig {
     pub faults: FaultPlan,
     /// Periodic cluster checkpointing; `None` disables persistence. When
     /// set, [`run_rewl`] also *resumes* from the newest consistent
-    /// snapshot found in the directory (see [`crate::checkpoint`]).
+    /// snapshot found in the directory (see [`crate::checkpoint`]). This
+    /// is the one place a run's checkpoint directory is configured;
+    /// `deepthermo::DeepThermo` creates it up front and fails the run
+    /// when it cannot.
     pub checkpoint: Option<CheckpointSpec>,
     /// Record per-rank phase timings, acceptance counters, and message
     /// traffic into [`RewlOutput::telemetry`]. Off by default; when off

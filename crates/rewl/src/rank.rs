@@ -491,7 +491,6 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         let params = self
             .deep_state
             .as_ref()
-            .filter(|ds| ds.spec.sync_weights)
             .map(|ds| ds.deep.net().flatten_params());
         let peers = self.window_peers();
         if let Some(params) = params.filter(|_| peers.len() > 1) {

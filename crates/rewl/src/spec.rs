@@ -23,8 +23,11 @@ pub struct DeepSpec {
     pub buffer_capacity: usize,
     /// Record a sample every this many sweeps.
     pub sample_every_sweeps: u64,
-    /// Average network weights across the walkers of a window after each
-    /// retraining round (the simulated NCCL/RCCL allreduce).
+    /// Ignored: the walkers of a window always average their network
+    /// weights after each retraining round (the simulated NCCL/RCCL
+    /// allreduce). Kept so existing struct literals still compile; it
+    /// still feeds `config_digest` through `Debug`, so checkpoints stay
+    /// keyed as before.
     pub sync_weights: bool,
 }
 

@@ -40,7 +40,7 @@ fn main() -> Result<(), DeepThermoError> {
             .ln_num_configurations()
     });
 
-    let runner = DeepThermo::nbmotaw(config)?;
+    let runner = DeepThermo::from_material(config)?;
     let report = runner.run()?;
 
     println!(

@@ -11,7 +11,7 @@
 //! Warren–Cowley parameter's collapse across T_c.
 
 use deepthermo::hamiltonian::KB_EV_PER_K;
-use deepthermo::rewl::{DeepSpec, KernelSpec};
+use deepthermo::rewl::KernelSpec;
 use deepthermo::{DeepThermo, DeepThermoConfig, DeepThermoError};
 
 fn main() -> Result<(), DeepThermoError> {
@@ -21,13 +21,14 @@ fn main() -> Result<(), DeepThermoError> {
         .and_then(|v| v.parse().ok())
         .unwrap_or(3usize);
 
-    let mut config = DeepThermoConfig::quick_demo().with_deep(DeepSpec::default());
+    let mut config = DeepThermoConfig::quick_demo();
+    config.rewl.kernel = KernelSpec::Deep(Box::default());
     config.material = deepthermo::MaterialSpec::nbmotaw(l);
     config.rewl.max_sweeps = 150_000;
     let n = config.material.num_sites();
     println!("Phase transition of NbMoTaW, {n} atoms, deep proposals on\n");
 
-    let runner = DeepThermo::nbmotaw(config)?;
+    let runner = DeepThermo::from_material(config)?;
     let report = runner.run()?;
     assert!(matches!(runner.config().rewl.kernel, KernelSpec::Deep(_)));
 

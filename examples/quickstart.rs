@@ -20,7 +20,7 @@ fn main() -> Result<(), DeepThermoError> {
         config.rewl.walkers_per_window
     );
 
-    let runner = DeepThermo::nbmotaw(config)?;
+    let runner = DeepThermo::from_material(config)?;
     let report = runner.run()?;
 
     println!("\n== summary =====================================");

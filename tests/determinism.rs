@@ -6,7 +6,7 @@ use deepthermo::{DeepThermo, DeepThermoConfig};
 #[test]
 fn pipeline_is_bitwise_deterministic() {
     let run = |seed: u64| {
-        let report = DeepThermo::nbmotaw(DeepThermoConfig::quick_demo().with_seed(seed))
+        let report = DeepThermo::from_material(DeepThermoConfig::quick_demo().with_seed(seed))
             .unwrap()
             .run()
             .unwrap();
@@ -33,7 +33,7 @@ fn pipeline_is_bitwise_deterministic() {
 #[test]
 fn deep_kernel_pipeline_is_deterministic_too() {
     use deepthermo::proposal::DeepProposalConfig;
-    use deepthermo::rewl::DeepSpec;
+    use deepthermo::rewl::{DeepSpec, KernelSpec};
     let spec = DeepSpec {
         proposal: DeepProposalConfig {
             k: 6,
@@ -48,12 +48,11 @@ fn deep_kernel_pipeline_is_deterministic_too() {
         ..DeepSpec::default()
     };
     let run = |seed: u64| {
-        let mut cfg = DeepThermoConfig::quick_demo()
-            .with_deep(spec.clone())
-            .with_seed(seed);
+        let mut cfg = DeepThermoConfig::quick_demo().with_seed(seed);
+        cfg.rewl.kernel = KernelSpec::Deep(Box::new(spec.clone()));
         cfg.rewl.max_sweeps = 20_000;
         cfg.rewl.wl.ln_f_final = 1e-2;
-        let report = DeepThermo::nbmotaw(cfg).unwrap().run().unwrap();
+        let report = DeepThermo::from_material(cfg).unwrap().run().unwrap();
         (report.dos.ln_g().to_vec(), report.total_moves)
     };
     let a = run(55);

@@ -140,7 +140,7 @@ fn deep_and_local_kernels_sample_the_same_dos() {
 
 #[test]
 fn full_pipeline_physics_is_sane() {
-    let report = DeepThermo::nbmotaw(DeepThermoConfig::quick_demo().with_seed(77))
+    let report = DeepThermo::from_material(DeepThermoConfig::quick_demo().with_seed(77))
         .unwrap()
         .run()
         .unwrap();

@@ -1,7 +1,9 @@
 //! Every [`DeepThermoError`] variant a user can hit must be reachable
 //! through the public API — and arrive as a typed error, not a panic.
 
-use deepthermo::hpc::FaultPlan;
+use deepthermo::hamiltonian::{Material, MaterialError, PairHamiltonian};
+use deepthermo::hpc::{FaultPlan, RankOutcome, TcpCluster};
+use deepthermo::rewl::CheckpointSpec;
 use deepthermo::surrogate::{SerializeError, SurrogateModel};
 use deepthermo::{ConfigError, DeepThermo, DeepThermoConfig, DeepThermoError};
 
@@ -9,7 +11,7 @@ use deepthermo::{ConfigError, DeepThermo, DeepThermoConfig, DeepThermoError};
 fn inconsistent_config_is_a_typed_error() {
     let mut cfg = DeepThermoConfig::quick_demo();
     cfg.rewl.num_windows = 0;
-    match DeepThermo::nbmotaw(cfg) {
+    match DeepThermo::from_material(cfg) {
         Err(DeepThermoError::Config(ConfigError::NoWindows)) => {}
         Ok(_) => panic!("expected Config(NoWindows), got Ok"),
         Err(other) => panic!("expected Config(NoWindows), got {other:?}"),
@@ -18,37 +20,76 @@ fn inconsistent_config_is_a_typed_error() {
     let mut cfg = DeepThermoConfig::quick_demo();
     cfg.rewl.overlap = 2.0;
     assert!(matches!(
-        DeepThermo::nbmotaw(cfg),
+        DeepThermo::from_material(cfg),
         Err(DeepThermoError::Config(ConfigError::BadOverlap(_)))
     ));
 }
 
 #[test]
 fn mismatched_model_is_a_typed_error() {
-    // A binary Hamiltonian against the quaternary NbMoTaW material.
-    let h = deepthermo::hamiltonian::PairHamiltonian::from_pairs(2, 1, &[(0, 0, 1, -0.01)]);
-    match DeepThermo::with_model(DeepThermoConfig::quick_demo(), h) {
-        Err(DeepThermoError::Config(ConfigError::SpeciesMismatch {
-            model: 2,
-            material: 4,
+    // A binary Hamiltonian against the quaternary NbMoTaW species.
+    let h = PairHamiltonian::from_pairs(2, 1, &[(0, 0, 1, -0.01)]);
+    let nb = Material::nbmotaw();
+    let built = Material::new(
+        "mismatched",
+        "Mismatched",
+        nb.structure().clone(),
+        nb.species().clone(),
+        vec![1.0; 4],
+        1,
+        h,
+    );
+    match built.map_err(DeepThermoError::from) {
+        Err(DeepThermoError::Material(MaterialError::SpeciesCountMismatch {
+            species: 4,
+            hamiltonian: 2,
         })) => {}
-        Ok(_) => panic!("expected SpeciesMismatch, got Ok"),
-        Err(other) => panic!("expected SpeciesMismatch, got {other:?}"),
+        Ok(_) => panic!("expected SpeciesCountMismatch, got Ok"),
+        Err(other) => panic!("expected SpeciesCountMismatch, got {other:?}"),
     }
 }
 
-#[test]
-fn unusable_checkpoint_dir_is_an_io_error() {
-    // A plain file where the checkpoint directory should go.
-    let blocker = std::env::temp_dir().join(format!("dt-error-paths-{}", std::process::id()));
+/// A runner whose checkpoint directory sits under a plain file, so it
+/// cannot be created; `label` keeps concurrent tests apart.
+fn blocked_checkpoint_runner(label: &str) -> (DeepThermo, std::path::PathBuf) {
+    let blocker =
+        std::env::temp_dir().join(format!("dt-error-paths-{label}-{}", std::process::id()));
     std::fs::write(&blocker, b"not a directory").unwrap();
-    let runner = DeepThermo::nbmotaw(DeepThermoConfig::quick_demo()).unwrap();
-    match runner.run_resumable(blocker.join("snapshots")) {
+    let mut cfg = DeepThermoConfig::quick_demo();
+    cfg.rewl.checkpoint = Some(CheckpointSpec::new(blocker.join("snapshots")));
+    (DeepThermo::from_material(cfg).unwrap(), blocker)
+}
+
+fn assert_io_error<T: std::fmt::Debug>(result: Result<T, DeepThermoError>) {
+    match result {
         Err(DeepThermoError::Io { path, message }) => {
             assert!(path.ends_with("snapshots"));
             assert!(!message.is_empty());
         }
         other => panic!("expected Io, got {other:?}"),
+    }
+}
+
+#[test]
+fn unusable_checkpoint_dir_is_an_io_error() {
+    let (runner, blocker) = blocked_checkpoint_runner("threads");
+    assert_io_error(runner.run());
+    std::fs::remove_file(&blocker).unwrap();
+}
+
+#[test]
+fn unusable_checkpoint_dir_is_an_io_error_on_every_cluster_rank() {
+    let (runner, blocker) = blocked_checkpoint_runner("tcp");
+    let size = 4;
+    let outcomes = TcpCluster::run_loopback(size, FaultPlan::none(), |comm| {
+        runner.run_cluster_rank(comm)
+    });
+    assert_eq!(outcomes.len(), size);
+    for outcome in outcomes {
+        match outcome {
+            RankOutcome::Completed(result) => assert_io_error(result),
+            RankOutcome::Died { cause } => panic!("no rank may die: {cause}"),
+        }
     }
     std::fs::remove_file(&blocker).unwrap();
 }
@@ -68,7 +109,7 @@ fn corrupt_model_text_converts_into_the_workspace_error() {
 fn root_rank_death_surfaces_as_a_sampling_error() {
     let mut cfg = DeepThermoConfig::quick_demo();
     cfg.rewl.faults = FaultPlan::none().kill_at_round(0, 2);
-    let runner = DeepThermo::nbmotaw(cfg).unwrap();
+    let runner = DeepThermo::from_material(cfg).unwrap();
     match runner.run() {
         Err(DeepThermoError::Sampling(e)) => {
             assert!(e.to_string().contains("rank 0"), "cause: {e}");
