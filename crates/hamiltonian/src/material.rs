@@ -549,7 +549,9 @@ impl Material {
                     })?;
                     let v = rest[3]
                         .parse::<f64>()
-                        .map_err(|_| err(lineno, format!("bad epi value '{}'", rest[3])))?;
+                        .ok()
+                        .filter(|v| v.is_finite())
+                        .ok_or_else(|| err(lineno, format!("bad epi value '{}'", rest[3])))?;
                     epi.push((shell, a.index(), b.index(), v));
                 }
                 "end" => {
@@ -705,6 +707,39 @@ mod tests {
             Material::parse(text),
             Err(MaterialError::Parse { .. })
         ));
+    }
+
+    fn parse_epi_value(value: &str) -> Result<Material, MaterialError> {
+        Material::parse(&format!(
+            "dtmat v1\nname x\nstructure bcc\nshells 1\nspecies A B\nepi 0 A B {value}\nend\n"
+        ))
+    }
+
+    fn assert_bad_epi_value_on_line_6(value: &str) {
+        match parse_epi_value(value) {
+            Err(MaterialError::Parse { line, message }) => {
+                assert_eq!(line, 6);
+                assert!(message.contains("bad epi value"), "{message}");
+            }
+            other => panic!("epi value {value}: unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parse_rejects_nan_epi() {
+        assert_bad_epi_value_on_line_6("nan");
+    }
+
+    #[test]
+    fn parse_rejects_infinite_epi() {
+        assert_bad_epi_value_on_line_6("inf");
+        assert_bad_epi_value_on_line_6("-inf");
+    }
+
+    #[test]
+    fn parse_rejects_overflowing_epi() {
+        assert_bad_epi_value_on_line_6("1e400");
+        assert!(parse_epi_value("1e300").is_ok());
     }
 
     #[test]

@@ -8,15 +8,16 @@ use crate::model::{DeltaWorkspace, EnergyModel, WorkspaceExt};
 /// interaction matrices, the standard on-lattice cluster expansion for
 /// configurational thermodynamics of alloys.
 ///
-/// Interactions are stored flat (`v[shell][a*m + b]`, eV per *undirected*
-/// pair); the energy is computed over directed neighbor pairs with a factor
-/// `1/2`, which is exact for the image-multiplicity neighbor tables of
-/// `dt-lattice`.
+/// Interactions are stored as one flat `[shell][a][b]` slab (eV per
+/// *undirected* pair); the energy is computed over directed neighbor pairs
+/// with a factor `1/2`, which is exact for the image-multiplicity neighbor
+/// tables of `dt-lattice`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairHamiltonian {
     num_species: usize,
-    /// `v[shell][a*m + b]`, symmetric in (a, b).
-    v: Vec<Vec<f64>>,
+    num_shells: usize,
+    /// `v[(shell*m + a)*m + b]`, symmetric in (a, b).
+    v: Vec<f64>,
 }
 
 impl PairHamiltonian {
@@ -43,7 +44,8 @@ impl PairHamiltonian {
         }
         PairHamiltonian {
             num_species,
-            v: matrices,
+            num_shells: matrices.len(),
+            v: matrices.concat(),
         }
     }
 
@@ -65,7 +67,14 @@ impl PairHamiltonian {
     /// Interaction energy of an `(a, b)` pair in `shell`.
     #[inline(always)]
     pub fn v(&self, shell: usize, a: Species, b: Species) -> f64 {
-        self.v[shell][a.index() * self.num_species + b.index()]
+        self.row(shell, a)[b.index()]
+    }
+
+    /// `V_shell(s, ·)`: the `m` interactions of species `s` in `shell`.
+    #[inline(always)]
+    fn row(&self, shell: usize, s: Species) -> &[f64] {
+        let m = self.num_species;
+        &self.v[(shell * m + s.index()) * m..][..m]
     }
 
     /// Energy of every directed pair touching `site`, i.e.
@@ -75,8 +84,8 @@ impl PairHamiltonian {
         let species = config.species();
         let si = species[site as usize];
         let mut e = 0.0;
-        for shell in 0..self.v.len() {
-            let row = &self.v[shell][si.index() * self.num_species..][..self.num_species];
+        for shell in 0..self.num_shells {
+            let row = self.row(shell, si);
             for &j in neighbors.neighbors(site, shell) {
                 e += row[species[j as usize].index()];
             }
@@ -98,8 +107,8 @@ impl PairHamiltonian {
         F: Fn(SiteId) -> Species,
     {
         let mut e = 0.0;
-        for shell in 0..self.v.len() {
-            let row = &self.v[shell][s_site.index() * self.num_species..][..self.num_species];
+        for shell in 0..self.num_shells {
+            let row = self.row(shell, s_site);
             for &j in neighbors.neighbors(site, shell) {
                 e += row[lookup(j).index()];
             }
@@ -113,12 +122,12 @@ impl PairHamiltonian {
     pub fn random_alloy_energy_per_site(&self, neighbors: &NeighborTable, fracs: &[f64]) -> f64 {
         let m = self.num_species;
         let mut e = 0.0;
-        for shell in 0..self.v.len() {
+        for (shell, v) in self.v.chunks_exact(m * m).enumerate() {
             let z = neighbors.coordination(shell) as f64;
             let mut mean_v = 0.0;
             for a in 0..m {
                 for b in 0..m {
-                    mean_v += fracs[a] * fracs[b] * self.v[shell][a * m + b];
+                    mean_v += fracs[a] * fracs[b] * v[a * m + b];
                 }
             }
             e += 0.5 * z * mean_v;
@@ -133,19 +142,16 @@ impl EnergyModel for PairHamiltonian {
     }
 
     fn num_shells(&self) -> usize {
-        self.v.len()
+        self.num_shells
     }
 
     fn total_energy(&self, config: &Configuration, neighbors: &NeighborTable) -> f64 {
         let species = config.species();
-        let m = self.num_species;
         let mut total = 0.0;
-        for shell in 0..self.v.len() {
-            let v = &self.v[shell];
+        for shell in 0..self.num_shells {
             let mut shell_sum = 0.0;
             for i in 0..neighbors.num_sites() as SiteId {
-                let a = species[i as usize].index() * m;
-                let row = &v[a..a + m];
+                let row = self.row(shell, species[i as usize]);
                 let mut site_sum = 0.0;
                 for &j in neighbors.neighbors(i, shell) {
                     site_sum += row[species[j as usize].index()];
@@ -164,35 +170,20 @@ impl EnergyModel for PairHamiltonian {
         a: SiteId,
         b: SiteId,
     ) -> f64 {
-        if a == b {
-            return 0.0;
-        }
+        // Also covers `a == b`.
         let species = config.species();
-        let sa = species[a as usize];
-        let sb = species[b as usize];
-        if sa == sb {
+        if species[a as usize] == species[b as usize] {
             return 0.0;
         }
-        // ΔE = [E'(a) + E'(b)] - [E(a) + E(b)] computed over pairs touching
-        // a or b; the a–b pair itself is double counted identically before
-        // and after except that V(sb, σ_b→sa) terms need care. We evaluate
-        // "after" energies with an explicit two-site override, which handles
-        // adjacency (including multiple periodic images) exactly.
-        let before = self.site_energy(config, neighbors, a)
-            + self.site_energy(config, neighbors, b)
-            - self.pair_energy_between(config, neighbors, a, b);
-        let lookup = |j: SiteId| {
-            if j == a {
-                sb
-            } else if j == b {
-                sa
-            } else {
-                species[j as usize]
-            }
-        };
-        let after = self.site_energy_with(neighbors, a, sb, lookup)
-            + self.site_energy_with(neighbors, b, sa, lookup)
-            - self.pair_energy_between_species(neighbors, a, b, sb, sa);
+        // ΔE = [E'(a) + E'(b) − E'(a–b)] − [E(a) + E(b) − E(a–b)] over the
+        // directed pairs touching a or b, the direct a–b pairs (with image
+        // multiplicity) subtracted once. Each sum gets the same terms in the
+        // same order as its own pass over the list would, so ΔE is bit-stable.
+        let (before_a, after_a, pair_before, pair_after) =
+            self.swap_pass(species, neighbors, a, a, b);
+        let (before_b, after_b, _, _) = self.swap_pass(species, neighbors, b, a, b);
+        let before = before_a + before_b - pair_before;
+        let after = after_a + after_b - pair_after;
         after - before
     }
 
@@ -245,11 +236,10 @@ impl EnergyModel for PairHamiltonian {
         // Subtract the double-counted internal pairs of the "after" state.
         for &(site, new_s) in moves {
             let mut internal = 0.0;
-            for shell in 0..self.v.len() {
+            for shell in 0..self.num_shells {
                 for &j in neighbors.neighbors(site, shell) {
                     if workspace.in_move(j) {
-                        internal +=
-                            self.v[shell][new_s.index() * self.num_species + lookup(j).index()];
+                        internal += self.v(shell, new_s, lookup(j));
                     }
                 }
             }
@@ -268,39 +258,46 @@ impl EnergyModel for PairHamiltonian {
 }
 
 impl PairHamiltonian {
-    /// Energy of the direct pairs between sites `a` and `b` (with image
-    /// multiplicity) using current species.
-    fn pair_energy_between(
+    /// One pass over `site`'s shells (`site` is `a` or `b`) for the swap of
+    /// `a` and `b`: `(before, after, pair_before, pair_after)`, where
+    /// `before`/`after` are the energies of the directed pairs leaving
+    /// `site` with current and swapped species, and `pair_*` the energies
+    /// of those that end on `b` — the a–b pairs on `a`'s pass; callers
+    /// ignore them on `b`'s.
+    #[inline(always)]
+    fn swap_pass(
         &self,
-        config: &Configuration,
+        species: &[Species],
         neighbors: &NeighborTable,
+        site: SiteId,
         a: SiteId,
         b: SiteId,
-    ) -> f64 {
-        let sa = config.species_at(a);
-        let sb = config.species_at(b);
-        self.pair_energy_between_species(neighbors, a, b, sa, sb)
-    }
-
-    /// Energy of the direct a–b pairs with explicit species.
-    fn pair_energy_between_species(
-        &self,
-        neighbors: &NeighborTable,
-        a: SiteId,
-        b: SiteId,
-        sa: Species,
-        sb: Species,
-    ) -> f64 {
-        let mut e = 0.0;
-        for shell in 0..self.v.len() {
-            let mult = neighbors
-                .neighbors(a, shell)
-                .iter()
-                .filter(|&&j| j == b)
-                .count() as f64;
-            e += mult * self.v[shell][sa.index() * self.num_species + sb.index()];
+    ) -> (f64, f64, f64, f64) {
+        let (sa, sb) = (species[a as usize], species[b as usize]);
+        let (s_now, s_new) = if site == a { (sa, sb) } else { (sb, sa) };
+        let (mut before, mut after) = (0.0, 0.0);
+        let (mut pair_before, mut pair_after) = (0.0, 0.0);
+        for shell in 0..self.num_shells {
+            let row_now = self.row(shell, s_now);
+            let row_new = self.row(shell, s_new);
+            let mut mult = 0u32;
+            for &j in neighbors.neighbors(site, shell) {
+                let sj = species[j as usize];
+                before += row_now[sj.index()];
+                let sj_new = if j == a {
+                    sb
+                } else if j == b {
+                    sa
+                } else {
+                    sj
+                };
+                after += row_new[sj_new.index()];
+                mult += u32::from(j == b);
+            }
+            pair_before += f64::from(mult) * self.v(shell, sa, sb);
+            pair_after += f64::from(mult) * self.v(shell, sb, sa);
         }
-        e
+        (before, after, pair_before, pair_after)
     }
 
     /// Σ_{j∈nb(site)∩S} V(σ_site, σ_j) over all shells (current species).
@@ -314,8 +311,8 @@ impl PairHamiltonian {
         let species = config.species();
         let s = species[site as usize];
         let mut e = 0.0;
-        for shell in 0..self.v.len() {
-            let row = &self.v[shell][s.index() * self.num_species..][..self.num_species];
+        for shell in 0..self.num_shells {
+            let row = self.row(shell, s);
             for &j in neighbors.neighbors(site, shell) {
                 if workspace.in_move(j) {
                     e += row[species[j as usize].index()];
@@ -328,9 +325,10 @@ impl PairHamiltonian {
     fn bound(&self, neighbors: &NeighborTable, pick: fn(f64, f64) -> f64) -> f64 {
         let n = neighbors.num_sites() as f64;
         let mut total = 0.0;
-        for shell in 0..self.v.len() {
+        let m2 = self.num_species * self.num_species;
+        for (shell, v) in self.v.chunks_exact(m2).enumerate() {
             let z = neighbors.coordination(shell) as f64;
-            let extreme = self.v[shell].iter().copied().fold(self.v[shell][0], pick);
+            let extreme = v.iter().copied().fold(v[0], pick);
             total += 0.5 * n * z * extreme;
         }
         total
