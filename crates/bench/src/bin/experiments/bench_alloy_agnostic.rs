@@ -18,44 +18,17 @@
 //!
 //! Writes `--out` (default `BENCH_alloy_agnostic.json`) and exits
 //! nonzero when any gate fails — the CI fence for the material layer.
-//!
-//! ```text
-//! cargo run -p dt-bench --release --bin bench_alloy_agnostic \
-//!     [-- --l 2 --r2-gate 0.9 --out BENCH_alloy_agnostic.json]
-//! ```
 
-use dt_bench::{arg, print_csv, timed, HeaSystem};
+use dt_bench::{rewl_config, timed, HeaSystem};
 use dt_hamiltonian::Material;
-use dt_rewl::{run_rewl, KernelSpec, RewlConfig};
+use dt_rewl::KernelSpec;
 use dt_surrogate::{Dataset, PairCorrelationDescriptor, SamplingStrategy, SurrogateModel};
 use dt_thermo::{canonical_curve, temperature_grid, KB_EV_PER_K};
-use dt_wanglandau::{explore_energy_range, LnfSchedule, WlParams};
+use dt_wanglandau::explore_energy_range;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn rewl_config(seed: u64, max_sweeps: u64) -> RewlConfig {
-    RewlConfig {
-        num_windows: 2,
-        walkers_per_window: 2,
-        overlap: 0.75,
-        num_bins: 40,
-        wl: WlParams {
-            ln_f_initial: 1.0,
-            ln_f_final: 1e-3,
-            schedule: LnfSchedule::OneOverT {
-                flatness: 0.7,
-                reduction: 0.5,
-            },
-            sweeps_per_check: 10,
-        },
-        exchange_every_sweeps: 10,
-        observe_every_sweeps: 4,
-        max_sweeps,
-        seed,
-        kernel: KernelSpec::LocalSwap,
-        ..RewlConfig::default()
-    }
-}
+use crate::{Args, Report, Run};
 
 struct MaterialResult {
     key: String,
@@ -95,16 +68,8 @@ fn run_material(mat: &Material, l: usize, max_sweeps: u64, train_count: usize) -
 
     // REWL to convergence on the true Hamiltonian.
     let range = explore_energy_range(&sys.model, &sys.neighbors, &sys.comp, 30, 0.02, &mut rng);
-    let (out, wall_s) = timed(|| {
-        run_rewl(
-            &sys.model,
-            &sys.neighbors,
-            &sys.comp,
-            range,
-            &rewl_config(5, max_sweeps),
-        )
-        .expect("REWL run failed")
-    });
+    let cfg = rewl_config(2, 2, 40, 1e-3, max_sweeps, 5, KernelSpec::LocalSwap);
+    let (out, wall_s) = timed(|| sys.rewl(range, &cfg));
 
     // Canonical thermodynamics from the sampled DOS.
     let mut dos = out.dos.clone();
@@ -133,15 +98,14 @@ fn run_material(mat: &Material, l: usize, max_sweeps: u64, train_count: usize) -
     }
 }
 
-fn main() {
-    let l: usize = arg("--l", 2);
-    let max_sweeps: u64 = arg("--max-sweeps", 200_000);
-    let r2_gate: f64 = arg("--r2-gate", 0.9);
-    let train_count: usize = arg("--train-count", 240);
-    let out_path: String = arg("--out", "BENCH_alloy_agnostic.json".to_string());
+pub fn run(args: &Args, out: &mut Report) -> Run {
+    let l: usize = args.get("--l")?;
+    let max_sweeps: u64 = args.get("--max-sweeps")?;
+    let r2_gate: f64 = args.get("--r2-gate")?;
+    let train_count: usize = args.get("--train-count")?;
 
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
+    let mut materials = Vec::new();
     let mut pass = true;
     for name in Material::builtin_names() {
         let mat = Material::builtin(name).expect("registry name");
@@ -154,53 +118,31 @@ fn main() {
             "{},{},{},{:.1},{:.4},{:.3},{},{}",
             r.key, r.converged, r.sweeps, r.wall_s, r.r2, r.s_hot_frac, r.cv_ok, mat_pass
         ));
-        json_rows.push(format!(
-            "    {{\"material\": \"{}\", \"structure\": \"{}\", \"species\": {}, \
-             \"shells\": {}, \"converged\": {}, \"sweeps\": {}, \"wall_s\": {:.2}, \
-             \"surrogate_r2\": {:.4}, \"s_hot_over_s_max\": {:.4}, \"cv_nonnegative\": {}, \
-             \"pass\": {}}}",
+        materials.push(format!(
+            "{},{},{},{},{:.2},{:.4}",
             r.key,
             mat.structure().name(),
             mat.num_species(),
             mat.num_shells(),
-            r.converged,
-            r.sweeps,
             r.wall_s,
-            r.r2,
-            r.s_hot_frac,
-            r.cv_ok,
-            mat_pass
+            r.s_hot_frac
         ));
     }
 
-    print_csv(
+    out.table(
         "material,converged,sweeps,wall_s,surrogate_r2,s_hot_frac,cv_ok,pass",
-        &rows,
+        rows,
     );
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"E17\",\n",
-            "  \"fixture\": {{\"l\": {l}, \"windows\": 2, \"walkers_per_window\": 2, ",
-            "\"bins\": 40, \"train_count\": {tc}}},\n",
-            "  \"materials\": [\n{rows}\n  ],\n",
-            "  \"gate\": {{\"min_surrogate_r2\": {r2:.2}, ",
-            "\"s_hot_frac_range\": [0.6, 1.02], \"all_converged\": true}},\n",
-            "  \"pass\": {pass}\n",
-            "}}\n"
-        ),
-        l = l,
-        tc = train_count,
-        rows = json_rows.join(",\n"),
-        r2 = r2_gate,
-        pass = pass,
+    out.record(
+        "material,structure,species,shells,wall_s,s_hot_over_s_max",
+        materials,
     );
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    eprintln!("wrote {out_path}");
-
+    out.record(
+        "l,windows,walkers_per_window,bins,train_count,min_surrogate_r2,s_hot_frac_min,s_hot_frac_max",
+        vec![format!("{l},2,2,40,{train_count},{r2_gate:.2},0.6,1.02")],
+    );
     if !pass {
-        eprintln!("FAIL: alloy-agnostic gate — see {out_path}");
-        std::process::exit(1);
+        out.fail("alloy-agnostic gate — see the pass column".to_string());
     }
+    Ok(())
 }

@@ -18,60 +18,19 @@
 //! writes the measurements to `--out` (default `BENCH_inference.json`).
 //! Exits nonzero if identity or the gate fails, so CI can use it as a
 //! regression fence.
-//!
-//! ```text
-//! cargo run -p dt-bench --release --bin bench_inference \
-//!     [-- --l 4 --pairs 16 --reps 100 --gate 3.0 --out BENCH_inference.json]
-//! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::num::NonZeroUsize;
 
-use dt_bench::{arg, print_csv, timed, HeaSystem};
+use dt_bench::{timed, HeaSystem};
 use dt_lattice::{Configuration, NeighborTable, SiteId, Species};
 use dt_nn::{log_softmax_masked, ForwardScratch, Matrix, Mlp};
-use dt_proposal::{
-    DeepProposal, DeepProposalConfig, FeatureLayout, ProposalContext, ProposalKernel, ProposedMove,
-};
+use dt_proposal::{DeepProposal, DeepProposalConfig, FeatureLayout, ProposalKernel, ProposedMove};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-struct CountingAllocator;
+use crate::allocations_in;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Count heap allocations performed by `f`.
-fn allocations_in(f: impl FnOnce()) -> usize {
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    f();
-    COUNTING.store(false, Ordering::SeqCst);
-    ALLOCATIONS.load(Ordering::SeqCst)
-}
+use crate::{Args, Report, Run};
 
 /// The seed implementation of teacher-forced replay: one allocating
 /// batch-1 forward per site.
@@ -119,19 +78,18 @@ fn replay_batch1(
     total
 }
 
-fn main() {
-    let l: usize = arg("--l", 4);
-    let k: usize = arg("--k", 32);
-    let pairs: usize = arg("--pairs", 16);
-    let reps: usize = arg("--reps", 100);
-    let passes: usize = arg("--passes", 5);
+pub fn run(args: &Args, out: &mut Report) -> Run {
+    let l: usize = args.get("--l")?;
+    let k: usize = args.get("--k")?;
+    let pairs = args.get::<NonZeroUsize>("--pairs")?.get();
+    let reps = args.get::<NonZeroUsize>("--reps")?.get();
+    let passes = args.get::<NonZeroUsize>("--passes")?.get();
     // The packed vector kernel is compiled out below AVX (see
     // dt-nn::infer); without it only the scalar-tile engine runs, so the
     // default gate drops accordingly. CI builds with
     // `-C target-cpu=x86-64-v3` and pins `--gate 3.0`.
     let avx = cfg!(target_feature = "avx");
-    let gate: f64 = arg("--gate", if avx { 3.0 } else { 1.5 });
-    let out_path: String = arg("--out", "BENCH_inference.json".to_string());
+    let gate: f64 = args.get("--gate")?;
     if !avx {
         eprintln!(
             "note: compiled without AVX; packed kernel inactive \
@@ -140,10 +98,7 @@ fn main() {
     }
 
     let sys = HeaSystem::nbmotaw(l);
-    let ctx = ProposalContext {
-        neighbors: &sys.neighbors,
-        composition: &sys.comp,
-    };
+    let ctx = sys.ctx();
     let mut rng = ChaCha8Rng::seed_from_u64(13);
     let config = Configuration::random(&sys.comp, &mut rng);
     let mut kern = DeepProposal::new(
@@ -275,16 +230,16 @@ fn main() {
         let (_, sec) = timed(|| {
             for _ in 0..reps {
                 for row in chunk.chunks_exact(dim) {
-                    let out = net.forward(&Matrix::row_vector(row));
-                    sink2 += out.data()[0];
+                    let logits = net.forward(&Matrix::row_vector(row));
+                    sink2 += logits.data()[0];
                 }
             }
         });
         train_b1_rows_s = train_b1_rows_s.max(train_total_rows / sec);
         let (_, sec) = timed(|| {
             for _ in 0..reps {
-                let out = net.forward_into(&chunk, train_rows, &mut scratch);
-                sink2 += out[0];
+                let logits = net.forward_into(&chunk, train_rows, &mut scratch);
+                sink2 += logits[0];
             }
         });
         train_batched_rows_s = train_batched_rows_s.max(train_total_rows / sec);
@@ -292,9 +247,9 @@ fn main() {
     assert!(sink2.is_finite());
     let train_speedup = train_batched_rows_s / train_b1_rows_s;
 
-    print_csv(
+    out.table(
         "workload,batch1_rows_per_s,batched_rows_per_s,speedup,allocs_per_forward_batch1,allocs_per_forward_batched",
-        &[
+        vec![
             format!(
                 "reverse_replay,{replay_b1_rows_s:.0},{replay_batched_rows_s:.0},{replay_speedup:.2},{allocs_batch1:.1},{allocs_batched:.1}"
             ),
@@ -303,45 +258,17 @@ fn main() {
             ),
         ],
     );
-
-    let pass = replay_speedup >= gate && train_speedup >= gate;
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"E13\",\n",
-            "  \"fixture\": {{\"l\": {l}, \"k\": {k}, \"hidden\": [64, 64], \"pairs\": {pairs}, \"reps\": {reps}}},\n",
-            "  \"reverse_replay\": {{\"batch1_rows_per_s\": {rb1:.1}, \"batched_rows_per_s\": {rb:.1}, \"speedup\": {rs:.3}}},\n",
-            "  \"training_forward\": {{\"batch1_rows_per_s\": {tb1:.1}, \"batched_rows_per_s\": {tb:.1}, \"speedup\": {ts:.3}}},\n",
-            "  \"allocs_per_forward\": {{\"batch1\": {ab1:.2}, \"batched\": {ab:.2}}},\n",
-            "  \"avx\": {avx},\n",
-            "  \"bit_identical\": true,\n",
-            "  \"gate\": {gate:.1},\n",
-            "  \"pass\": {pass}\n",
-            "}}\n"
-        ),
-        l = l,
-        k = k,
-        pairs = pairs,
-        reps = reps,
-        rb1 = replay_b1_rows_s,
-        rb = replay_batched_rows_s,
-        rs = replay_speedup,
-        tb1 = train_b1_rows_s,
-        tb = train_batched_rows_s,
-        ts = train_speedup,
-        ab1 = allocs_batch1,
-        ab = allocs_batched,
-        avx = avx,
-        gate = gate,
-        pass = pass,
+    out.record(
+        "l,k,hidden,pairs,reps,passes,avx,bit_identical,replay_speedup,training_speedup,gate",
+        vec![format!(
+            "{l},{k},64x64,{pairs},{reps},{passes},{avx},true,{replay_speedup:.3},{train_speedup:.3},{gate:.1}"
+        )],
     );
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    eprintln!("wrote {out_path}");
-
+    let pass = replay_speedup >= gate && train_speedup >= gate;
     if !pass {
-        eprintln!(
-            "FAIL: speedup gate {gate}x not met (replay {replay_speedup:.2}x, training {train_speedup:.2}x)"
-        );
-        std::process::exit(1);
+        out.fail(format!(
+            "speedup gate {gate}x not met (replay {replay_speedup:.2}x, training {train_speedup:.2}x)"
+        ));
     }
+    Ok(())
 }

@@ -25,45 +25,28 @@
 //! Writes `--out` (default `BENCH_rewl_adaptive.json`) and exits
 //! nonzero when a run fails to converge, the spread fails to shrink, or
 //! the gate fails — a CI regression fence.
-//!
-//! ```text
-//! cargo run -p dt-bench --release --bin bench_rewl_adaptive \
-//!     [-- --l 3 --seeds 3 --gate 1.3 --out BENCH_rewl_adaptive.json]
-//! ```
 
-use dt_bench::{arg, print_csv, timed, HeaSystem};
+use std::num::NonZeroU64;
+
+use dt_bench::{rewl_config, timed, HeaSystem};
 use dt_hpc::{
     reproject_with_imbalance, weak_scaling_table, window_imbalance_factor, GpuSpec, WorkloadShape,
 };
-use dt_rewl::{run_rewl, KernelSpec, RewlConfig, RewlOutput};
-use dt_wanglandau::{explore_energy_range, LnfSchedule, WlParams};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use dt_rewl::{KernelSpec, RewlConfig, RewlOutput};
+use dt_wanglandau::LnfSchedule;
+
+use crate::{Args, Report, Run};
 
 fn config(seed: u64, adaptive: bool) -> RewlConfig {
-    RewlConfig {
-        num_windows: 4,
-        walkers_per_window: 2,
-        overlap: 0.75,
-        num_bins: 64,
-        wl: WlParams {
-            ln_f_initial: 1.0,
-            ln_f_final: 1e-4,
-            schedule: LnfSchedule::Flatness {
-                flatness: 0.8,
-                reduction: 0.5,
-            },
-            sweeps_per_check: 20,
-        },
-        exchange_every_sweeps: 10,
-        observe_every_sweeps: 4,
-        max_sweeps: 400_000,
-        seed,
-        kernel: KernelSpec::LocalSwap,
-        adaptive_windows: adaptive,
-        rebalance_every: if adaptive { 4 } else { 0 },
-        ..RewlConfig::default()
-    }
+    let mut cfg = rewl_config(4, 2, 64, 1e-4, 400_000, seed, KernelSpec::LocalSwap);
+    cfg.wl.schedule = LnfSchedule::Flatness {
+        flatness: 0.8,
+        reduction: 0.5,
+    };
+    cfg.wl.sweeps_per_check = 20;
+    cfg.adaptive_windows = adaptive;
+    cfg.rebalance_every = if adaptive { 4 } else { 0 };
+    cfg
 }
 
 /// Mean moves per round trip for every window; windows that never
@@ -82,18 +65,16 @@ fn spread(costs: &[f64]) -> f64 {
     max / min.max(1.0)
 }
 
-fn main() {
-    let l: usize = arg("--l", 3);
-    let seeds: u64 = arg("--seeds", 3);
-    let gate: f64 = arg("--gate", 1.3);
-    let out_path: String = arg("--out", "BENCH_rewl_adaptive.json".to_string());
+pub fn run(args: &Args, out: &mut Report) -> Run {
+    let l: usize = args.get("--l")?;
+    let seeds = args.get::<NonZeroU64>("--seeds")?.get();
+    let gate: f64 = args.get("--gate")?;
 
     let sys = HeaSystem::nbmotaw(l);
-    let mut rng = ChaCha8Rng::seed_from_u64(0);
-    let range = explore_energy_range(&sys.model, &sys.neighbors, &sys.comp, 30, 0.02, &mut rng);
+    let range = sys.energy_range(30);
 
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
+    let mut walls = Vec::new();
     let mut uniform_sweeps = 0u64;
     let mut adaptive_sweeps = 0u64;
     let mut uniform_wall = 0.0f64;
@@ -105,26 +86,8 @@ fn main() {
     let mut adaptive_cost_sum = vec![0.0f64; 4];
 
     for seed in 1..=seeds {
-        let (uni, uni_s) = timed(|| {
-            run_rewl(
-                &sys.model,
-                &sys.neighbors,
-                &sys.comp,
-                range,
-                &config(seed, false),
-            )
-            .expect("uniform run failed")
-        });
-        let (ada, ada_s) = timed(|| {
-            run_rewl(
-                &sys.model,
-                &sys.neighbors,
-                &sys.comp,
-                range,
-                &config(seed, true),
-            )
-            .expect("adaptive run failed")
-        });
+        let (uni, uni_s) = timed(|| sys.rewl(range, &config(seed, false)));
+        let (ada, ada_s) = timed(|| sys.rewl(range, &config(seed, true)));
         all_converged &= uni.converged && ada.converged;
 
         let uni_costs = window_costs(&uni);
@@ -145,20 +108,15 @@ fn main() {
             "{seed},{},{},{speedup:.2},{uni_spread:.2},{ada_spread:.2},{}",
             uni.sweeps, ada.sweeps, ada.walkers_rebalanced
         ));
-        json_rows.push(format!(
-            "    {{\"seed\": {seed}, \
-             \"uniform\": {{\"sweeps\": {}, \"wall_s\": {uni_s:.2}, \"converged\": {}, \
-             \"rt_spread\": {uni_spread:.3}}}, \
-             \"adaptive\": {{\"sweeps\": {}, \"wall_s\": {ada_s:.2}, \"converged\": {}, \
-             \"rt_spread\": {ada_spread:.3}, \"walkers_rebalanced\": {}}}, \
-             \"speedup\": {speedup:.3}}}",
-            uni.sweeps, uni.converged, ada.sweeps, ada.converged, ada.walkers_rebalanced
+        walls.push(format!(
+            "{seed},{uni_s:.2},{},{ada_s:.2},{}",
+            uni.converged, ada.converged
         ));
     }
 
-    print_csv(
+    out.table(
         "seed,uniform_sweeps,adaptive_sweeps,speedup,uniform_rt_spread,adaptive_rt_spread,walkers_rebalanced",
-        &rows,
+        rows,
     );
 
     // E7/E8 reprojection: weak-scaling efficiency at the paper's
@@ -172,48 +130,28 @@ fn main() {
 
     let speedup = uniform_sweeps as f64 / adaptive_sweeps as f64;
     let wall_speedup = uniform_wall / adaptive_wall;
-    let pass = all_converged && spread_shrinks && speedup >= gate;
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"E16\",\n",
-            "  \"fixture\": {{\"l\": {l}, \"windows\": 4, \"walkers_per_window\": 2, ",
-            "\"bins\": 64, \"overlap\": 0.75, \"seeds\": {seeds}}},\n",
-            "  \"runs\": [\n{runs}\n  ],\n",
-            "  \"aggregate\": {{\"uniform_sweeps\": {us}, \"adaptive_sweeps\": {as_}, ",
-            "\"speedup\": {sp:.3}, \"wall_speedup\": {wsp:.3}}},\n",
-            "  \"projection_3000_gpus\": {{\"uniform_imbalance\": {uif:.3}, ",
-            "\"adaptive_imbalance\": {aif:.3}, \"uniform_efficiency\": {ue:.3}, ",
-            "\"adaptive_efficiency\": {ae:.3}}},\n",
-            "  \"gate\": {{\"min_speedup\": {gate:.2}, \"speedup\": {sp:.3}, ",
-            "\"all_converged\": {conv}, \"spread_shrinks\": {shrink}}},\n",
-            "  \"pass\": {pass}\n",
-            "}}\n"
-        ),
-        l = l,
-        seeds = seeds,
-        runs = json_rows.join(",\n"),
-        us = uniform_sweeps,
-        as_ = adaptive_sweeps,
-        sp = speedup,
-        wsp = wall_speedup,
-        uif = window_imbalance_factor(&uni_costs),
-        aif = window_imbalance_factor(&ada_costs),
-        ue = uni_eff,
-        ae = ada_eff,
-        gate = gate,
-        conv = all_converged,
-        shrink = spread_shrinks,
-        pass = pass,
+    out.record(
+        "seed,uniform_wall_s,uniform_converged,adaptive_wall_s,adaptive_converged",
+        walls,
     );
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    eprintln!("wrote {out_path}");
-
+    out.record(
+        "l,windows,walkers_per_window,bins,overlap,seeds,uniform_sweeps,adaptive_sweeps,\
+         speedup,wall_speedup,uniform_imbalance,adaptive_imbalance,uniform_efficiency_3000,\
+         adaptive_efficiency_3000,gate,all_converged,spread_shrinks",
+        vec![format!(
+            "{l},4,2,64,0.75,{seeds},{uniform_sweeps},{adaptive_sweeps},{speedup:.3},\
+             {wall_speedup:.3},{:.3},{:.3},{uni_eff:.3},{ada_eff:.3},{gate:.2},\
+             {all_converged},{spread_shrinks}",
+            window_imbalance_factor(&uni_costs),
+            window_imbalance_factor(&ada_costs),
+        )],
+    );
+    let pass = all_converged && spread_shrinks && speedup >= gate;
     if !pass {
-        eprintln!(
-            "FAIL: adaptive windows gate — speedup {speedup:.2}x (need {gate:.2}x), \
+        out.fail(format!(
+            "adaptive windows gate — speedup {speedup:.2}x (need {gate:.2}x), \
              all_converged={all_converged}, spread_shrinks={spread_shrinks}"
-        );
-        std::process::exit(1);
+        ));
     }
+    Ok(())
 }

@@ -16,27 +16,30 @@
 //!   5x the single-shard p99.
 //!
 //! The scaling gates need real parallelism: on fewer than
-//! `--min-cores` (default 8) hardware threads a 4-shard fleet cannot
-//! beat one shard on wall clock, so the gates are reported but not
-//! enforced (`gates_enforced: false` in the JSON).
+//! [`MIN_CORES`] hardware threads a 4-shard fleet cannot beat one shard
+//! on wall clock, so the gates are reported but not enforced
+//! (`gates_enforced: false` in the JSON).
 //!
 //! Writes `--out` (default `BENCH_serve_sharded.json`) and exits
 //! nonzero if an enforced gate fails.
-//!
-//! ```text
-//! cargo run -p dt-bench --release --bin bench_serve_sharded \
-//!     [-- --keys 32 --connections 8 --requests 400 --gate 3.0]
-//! ```
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use dt_bench::arg;
+use std::num::NonZeroUsize;
+
 use dt_serve::fixture::fixture_artifact;
 use dt_serve::{ArtifactRegistry, Fleet, RouterConfig, ServeConfig, ShardConfig};
 use dt_telemetry::{parse_json, JsonValue};
+
+use crate::{Args, Report, Run};
+
+/// Hardware threads below which the scaling gates are reported only.
+const MIN_CORES: usize = 8;
+/// Worker threads of each measured fleet's router.
+const SERVE_WORKERS: usize = 8;
 
 /// Read one HTTP response off a keep-alive stream: (status, body).
 fn read_response<R: BufRead>(reader: &mut R) -> (u16, String) {
@@ -217,10 +220,9 @@ fn measure(
     registry: &ArtifactRegistry,
     connections: usize,
     requests: usize,
-    workers: usize,
     num_t: usize,
 ) -> (f64, f64, f64) {
-    let fleet = launch(shards, registry, workers);
+    let fleet = launch(shards, registry, SERVE_WORKERS);
     let addr = fleet.local_addr();
     for key in keys.iter() {
         let (status, body) = request(addr, &post_thermo_raw(&thermo_body(key, num_t)));
@@ -266,26 +268,24 @@ fn stampede(requesters: usize, num_t: usize) -> (u64, usize) {
     (evaluations, oks)
 }
 
-fn main() {
-    let num_keys: usize = arg("--keys", 32);
-    let connections: usize = arg("--connections", 8);
-    let requests: usize = arg("--requests", 400);
-    let num_t: usize = arg("--num-t", 64);
-    let workers: usize = arg("--serve-workers", 8);
-    let gate: f64 = arg("--gate", 3.0);
-    let min_cores: usize = arg("--min-cores", 8);
-    let out_path: String = arg("--out", "BENCH_serve_sharded.json".to_string());
+pub fn run(args: &Args, out: &mut Report) -> Run {
+    let num_keys = args.get::<NonZeroUsize>("--keys")?.get();
+    let connections = args.get::<NonZeroUsize>("--connections")?.get();
+    let requests = args.get::<NonZeroUsize>("--requests")?.get();
+    let num_t: usize = args.get("--num-t")?;
+    let gate: f64 = args.get("--gate")?;
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // A 4-shard fleet runs 1 router + 4 shard dispatchers + worker
     // pools; without enough hardware threads the shards time-slice one
     // core and wall-clock scaling is physically impossible.
-    let gates_enforced = cores >= min_cores;
+    let gates_enforced = cores >= MIN_CORES;
 
     let keys: Arc<Vec<String>> =
         Arc::new((0..num_keys).map(|i| format!("fixture-z{i:02}")).collect());
     let registry = fleet_registry(&keys);
-    println!(
+    writeln!(
+        out,
         "# E14: sharded serve — {num_keys} Zipf(1.0) keys, {connections} connections x \
          {requests} requests, {cores} cores (scaling gates {})",
         if gates_enforced {
@@ -300,72 +300,55 @@ fn main() {
     let requesters = 64;
     let (evaluations, oks) = stampede(requesters, 512);
     let stampede_pass = evaluations == 1 && oks == requesters;
-    println!("# stampede: {requesters} requesters -> {evaluations} evaluation(s), {oks} x 200");
+    writeln!(
+        out,
+        "# stampede: {requesters} requesters -> {evaluations} evaluation(s), {oks} x 200"
+    );
 
-    let (rps1, p50_1, p99_1) = measure(1, &keys, &registry, connections, requests, workers, num_t);
-    let (rps4, p50_4, p99_4) = measure(4, &keys, &registry, connections, requests, workers, num_t);
+    let (rps1, p50_1, p99_1) = measure(1, &keys, &registry, connections, requests, num_t);
+    let (rps4, p50_4, p99_4) = measure(4, &keys, &registry, connections, requests, num_t);
     let scaling = rps4 / rps1;
     let tail_ratio = p99_4 / p99_1;
-    println!("# 1 shard: {rps1:.0} req/s, p50 {p50_1:.1} us, p99 {p99_1:.1} us");
-    println!("# 4 shards: {rps4:.0} req/s, p50 {p50_4:.1} us, p99 {p99_4:.1} us");
-    println!("# scaling {scaling:.2}x (gate {gate:.1}x), p99 ratio {tail_ratio:.2}x (gate 5x)");
-
-    let scaling_pass = scaling >= gate;
-    let tail_pass = tail_ratio < 5.0;
-    let pass = stampede_pass && (!gates_enforced || (scaling_pass && tail_pass));
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"E14\",\n",
-            "  \"fixture\": {{\"keys\": {keys}, \"connections\": {connections}, \"requests\": {requests}, \"num_t\": {num_t}}},\n",
-            "  \"stampede\": {{\"requesters\": {requesters}, \"evaluations\": {evaluations}, \"ok_responses\": {oks}, \"pass\": {stampede_pass}}},\n",
-            "  \"shards_1\": {{\"req_per_s\": {rps1:.1}, \"p50_us\": {p50_1:.1}, \"p99_us\": {p99_1:.1}}},\n",
-            "  \"shards_4\": {{\"req_per_s\": {rps4:.1}, \"p50_us\": {p50_4:.1}, \"p99_us\": {p99_4:.1}}},\n",
-            "  \"scaling\": {scaling:.3},\n",
-            "  \"p99_ratio\": {tail_ratio:.3},\n",
-            "  \"cores\": {cores},\n",
-            "  \"gate\": {gate:.1},\n",
-            "  \"gates_enforced\": {gates_enforced},\n",
-            "  \"pass\": {pass}\n",
-            "}}\n"
-        ),
-        keys = num_keys,
-        connections = connections,
-        requests = requests,
-        num_t = num_t,
-        requesters = requesters,
-        evaluations = evaluations,
-        oks = oks,
-        stampede_pass = stampede_pass,
-        rps1 = rps1,
-        p50_1 = p50_1,
-        p99_1 = p99_1,
-        rps4 = rps4,
-        p50_4 = p50_4,
-        p99_4 = p99_4,
-        scaling = scaling,
-        tail_ratio = tail_ratio,
-        cores = cores,
-        gate = gate,
-        gates_enforced = gates_enforced,
-        pass = pass,
+    writeln!(
+        out,
+        "# 1 shard: {rps1:.0} req/s, p50 {p50_1:.1} us, p99 {p99_1:.1} us"
     );
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    eprintln!("wrote {out_path}");
+    writeln!(
+        out,
+        "# 4 shards: {rps4:.0} req/s, p50 {p50_4:.1} us, p99 {p99_4:.1} us"
+    );
+    writeln!(
+        out,
+        "# scaling {scaling:.2}x (gate {gate:.1}x), p99 ratio {tail_ratio:.2}x (gate 5x)"
+    );
 
-    if !pass {
-        if !stampede_pass {
-            eprintln!(
-                "FAIL: stampede gate — expected 1 evaluation and {requesters} x 200, \
-                 got {evaluations} and {oks}"
-            );
-        }
-        if gates_enforced && !scaling_pass {
-            eprintln!("FAIL: scaling gate — {scaling:.2}x < {gate:.1}x");
-        }
-        if gates_enforced && !tail_pass {
-            eprintln!("FAIL: tail gate — p99 ratio {tail_ratio:.2}x >= 5x");
-        }
-        std::process::exit(1);
+    out.record(
+        "shards,req_per_s,p50_us,p99_us",
+        vec![
+            format!("1,{rps1:.1},{p50_1:.1},{p99_1:.1}"),
+            format!("4,{rps4:.1},{p50_4:.1},{p99_4:.1}"),
+        ],
+    );
+    out.record(
+        "keys,connections,requests,num_t,cores,requesters,evaluations,ok_responses,\
+         stampede_pass,scaling,p99_ratio,gate,gates_enforced",
+        vec![format!(
+            "{num_keys},{connections},{requests},{num_t},{cores},{requesters},{evaluations},\
+             {oks},{stampede_pass},{scaling:.3},{tail_ratio:.3},{gate:.1},{gates_enforced}"
+        )],
+    );
+    if !stampede_pass {
+        out.fail(format!(
+            "stampede gate — expected 1 evaluation and {requesters} x 200, \
+             got {evaluations} and {oks}"
+        ));
     }
+    let (scaling_pass, tail_pass) = (scaling >= gate, tail_ratio < 5.0);
+    if gates_enforced && !scaling_pass {
+        out.fail(format!("scaling gate — {scaling:.2}x < {gate:.1}x"));
+    }
+    if gates_enforced && !tail_pass {
+        out.fail(format!("tail gate — p99 ratio {tail_ratio:.2}x >= 5x"));
+    }
+    Ok(())
 }

@@ -4,40 +4,16 @@
 //!    fraction grows.
 //! 2. Training cadence: how often retraining pays off.
 //! 3. 1/t vs flatness-only schedule: final ln f and sweeps.
-//!
-//! ```text
-//! cargo run -p dt-bench --release --bin fig_ablation [-- --l 3]
-//! ```
 
-use dt_bench::{arg, print_csv, HeaSystem};
+use dt_bench::{rewl_config, HeaSystem};
 use dt_proposal::{DeepProposalConfig, TrainerConfig};
-use dt_rewl::{run_rewl, DeepSpec, KernelSpec, RewlConfig};
-use dt_wanglandau::{explore_energy_range, LnfSchedule, WlParams};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use dt_rewl::{DeepSpec, KernelSpec, RewlConfig};
+use dt_wanglandau::LnfSchedule;
+
+use crate::{Args, Report, Run};
 
 fn base_cfg(kernel: KernelSpec) -> RewlConfig {
-    RewlConfig {
-        num_windows: 2,
-        walkers_per_window: 2,
-        overlap: 0.75,
-        num_bins: 48,
-        wl: WlParams {
-            ln_f_initial: 1.0,
-            ln_f_final: 1e-3,
-            schedule: LnfSchedule::OneOverT {
-                flatness: 0.7,
-                reduction: 0.5,
-            },
-            sweeps_per_check: 10,
-        },
-        exchange_every_sweeps: 10,
-        observe_every_sweeps: 4,
-        max_sweeps: 60_000,
-        seed: 11,
-        kernel,
-        ..RewlConfig::default()
-    }
+    rewl_config(2, 2, 48, 1e-3, 60_000, 11, kernel)
 }
 
 fn deep_spec(weight: f64, train_every: u64) -> DeepSpec {
@@ -59,48 +35,48 @@ fn deep_spec(weight: f64, train_every: u64) -> DeepSpec {
     }
 }
 
-fn main() {
-    let l: usize = arg("--l", 3);
+pub fn run(args: &Args, out: &mut Report) -> Run {
+    let l: usize = args.get("--l")?;
     let sys = HeaSystem::nbmotaw(l);
-    let mut rng = ChaCha8Rng::seed_from_u64(0);
-    let range = explore_energy_range(&sys.model, &sys.neighbors, &sys.comp, 30, 0.02, &mut rng);
+    let range = sys.energy_range(30);
 
-    println!("# ablation 1: deep mixture weight");
+    writeln!(out, "# ablation 1: deep mixture weight");
     let mut rows = Vec::new();
     for weight in [0.05f64, 0.2, 0.5] {
         let cfg = base_cfg(KernelSpec::Deep(Box::new(deep_spec(weight, 50))));
-        let out =
-            run_rewl(&sys.model, &sys.neighbors, &sys.comp, range, &cfg).expect("sampling failed");
+        let res = sys.rewl(range, &cfg);
         let mut deep_acc = 0.0;
-        for w in &out.windows {
+        for w in &res.windows {
             if let Some(a) = w.stats.acceptance("deep-autoregressive") {
                 deep_acc = a;
             }
         }
         rows.push(format!(
             "{weight},{},{deep_acc:.4},{}",
-            out.sweeps, out.converged
+            res.sweeps, res.converged
         ));
     }
-    print_csv("deep_weight,sweeps,deep_acceptance,converged", &rows);
+    out.table("deep_weight,sweeps,deep_acceptance,converged", rows);
 
-    println!("\n# ablation 2: training cadence (sweeps between retrains)");
+    writeln!(
+        out,
+        "\n# ablation 2: training cadence (sweeps between retrains)"
+    );
     let mut rows = Vec::new();
     for cadence in [25u64, 100, 1000] {
         let cfg = base_cfg(KernelSpec::Deep(Box::new(deep_spec(0.2, cadence))));
-        let out =
-            run_rewl(&sys.model, &sys.neighbors, &sys.comp, range, &cfg).expect("sampling failed");
+        let res = sys.rewl(range, &cfg);
         let mut deep_acc = 0.0;
-        for w in &out.windows {
+        for w in &res.windows {
             if let Some(a) = w.stats.acceptance("deep-autoregressive") {
                 deep_acc = a;
             }
         }
-        rows.push(format!("{cadence},{},{deep_acc:.4}", out.sweeps));
+        rows.push(format!("{cadence},{},{deep_acc:.4}", res.sweeps));
     }
-    print_csv("train_every_sweeps,sweeps,deep_acceptance", &rows);
+    out.table("train_every_sweeps,sweeps,deep_acceptance", rows);
 
-    println!("\n# ablation 3: ln f schedule");
+    writeln!(out, "\n# ablation 3: ln f schedule");
     let mut rows = Vec::new();
     for (name, schedule) in [
         (
@@ -120,13 +96,13 @@ fn main() {
     ] {
         let mut cfg = base_cfg(KernelSpec::LocalSwap);
         cfg.wl.schedule = schedule;
-        let out =
-            run_rewl(&sys.model, &sys.neighbors, &sys.comp, range, &cfg).expect("sampling failed");
-        let ln_f_max = out.windows.iter().map(|w| w.ln_f).fold(0.0f64, f64::max);
+        let res = sys.rewl(range, &cfg);
+        let ln_f_max = res.windows.iter().map(|w| w.ln_f).fold(0.0f64, f64::max);
         rows.push(format!(
             "{name},{},{ln_f_max:.3e},{}",
-            out.sweeps, out.converged
+            res.sweeps, res.converged
         ));
     }
-    print_csv("schedule,sweeps,final_lnf_max,converged", &rows);
+    out.table("schedule,sweeps,final_lnf_max,converged", rows);
+    Ok(())
 }

@@ -5,32 +5,27 @@
 //! keep a usable acceptance at large k. Measured here in the canonical
 //! ensemble at fixed temperature, starting from an equilibrated
 //! configuration.
-//!
-//! ```text
-//! cargo run -p dt-bench --release --bin fig_acceptance [-- --l 3 --t 900]
-//! ```
 
-use dt_bench::{arg, print_csv, HeaSystem};
+use dt_bench::HeaSystem;
 use dt_lattice::Configuration;
-use dt_metropolis::MetropolisSampler;
 use dt_proposal::{
-    DeepProposal, DeepProposalConfig, LocalSwap, ProposalContext, ProposalKernel, ProposalTrainer,
-    RandomReassign, SampleBuffer, TrainerConfig,
+    DeepProposal, DeepProposalConfig, LocalSwap, ProposalKernel, ProposalTrainer, RandomReassign,
+    SampleBuffer, TrainerConfig,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn main() {
-    let l: usize = arg("--l", 3);
-    let t: f64 = arg("--t", 900.0);
+use crate::{Args, Report, Run};
+
+pub fn run(args: &Args, out: &mut Report) -> Run {
+    let l: usize = args.get("--l")?;
+    let t: f64 = args.get("--t")?;
     let sys = HeaSystem::nbmotaw(l);
-    let ctx = ProposalContext {
-        neighbors: &sys.neighbors,
-        composition: &sys.comp,
-    };
+    let ctx = sys.ctx();
     let mut rng = ChaCha8Rng::seed_from_u64(0);
 
-    println!(
+    writeln!(
+        out,
         "# E2: acceptance vs update size, NbMoTaW N={}, T={t} K",
         sys.num_sites()
     );
@@ -39,28 +34,14 @@ fn main() {
     // deep kernel (the paper's on-the-fly loop, frozen for measurement).
     let mut buffer = SampleBuffer::new(128);
     let start = Configuration::random(&sys.comp, &mut rng);
-    let mut equilibrator = MetropolisSampler::new(
-        t,
-        start,
-        &sys.model,
-        &sys.neighbors,
-        Box::new(LocalSwap::new()),
-        1,
-    );
+    let mut equilibrator = sys.metropolis(t, start, Box::new(LocalSwap::new()), 1);
     equilibrator.run(&sys.model, &sys.neighbors, &ctx, 600, 600, 5, |c, e| {
         buffer.push(c.clone(), e);
     });
     let equilibrated = equilibrator.config().clone();
 
     let measure = |kernel: Box<dyn ProposalKernel>, seed: u64| -> f64 {
-        let mut sampler = MetropolisSampler::new(
-            t,
-            equilibrated.clone(),
-            &sys.model,
-            &sys.neighbors,
-            kernel,
-            seed,
-        );
+        let mut sampler = sys.metropolis(t, equilibrated.clone(), kernel, seed);
         for _ in 0..4000 {
             sampler.step(&sys.model, &sys.neighbors, &ctx);
         }
@@ -104,10 +85,17 @@ fn main() {
             "{k},{local:.4},{naive:.6},{acc_untrained:.4},{acc_trained:.4}"
         ));
     }
-    print_csv(
+    out.table(
         "k,local_swap,random_global,deep_untrained,deep_trained",
-        &rows,
+        rows,
     );
-    println!("\n# expected shape: random_global collapses with k; deep_trained");
-    println!("# stays well above it (the paper's motivation for DL proposals)");
+    writeln!(
+        out,
+        "\n# expected shape: random_global collapses with k; deep_trained"
+    );
+    writeln!(
+        out,
+        "# stays well above it (the paper's motivation for DL proposals)"
+    );
+    Ok(())
 }

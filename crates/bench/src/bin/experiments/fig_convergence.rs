@@ -9,32 +9,27 @@
 //!    on a mid-range window (flatness schedule);
 //! 3. **Autocorrelation** — integrated autocorrelation time of the energy
 //!    at fixed temperature.
-//!
-//! ```text
-//! cargo run -p dt-bench --release --bin fig_convergence [-- --l 3]
-//! ```
 
-use dt_bench::{arg, print_csv, HeaSystem};
+use dt_bench::HeaSystem;
 use dt_lattice::Configuration;
-use dt_metropolis::{integrated_autocorrelation_time, MetropolisSampler};
+use dt_metropolis::integrated_autocorrelation_time;
 use dt_proposal::{
-    DeepProposal, DeepProposalConfig, LocalSwap, ProposalContext, ProposalKernel, ProposalMix,
-    ProposalTrainer, RandomReassign, SampleBuffer, TrainerConfig,
+    DeepProposal, DeepProposalConfig, LocalSwap, ProposalKernel, ProposalMix, ProposalTrainer,
+    RandomReassign, SampleBuffer, TrainerConfig,
 };
 use dt_wanglandau::{explore_energy_range, EnergyGrid, LnfSchedule, WlParams, WlWalker};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn main() {
-    let l: usize = arg("--l", 3);
+use crate::{Args, Report, Run};
+
+pub fn run(args: &Args, out: &mut Report) -> Run {
+    let l: usize = args.get("--l")?;
     let sys = HeaSystem::nbmotaw(l);
-    let ctx = ProposalContext {
-        neighbors: &sys.neighbors,
-        composition: &sys.comp,
-    };
+    let ctx = sys.ctx();
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     let range = explore_energy_range(&sys.model, &sys.neighbors, &sys.comp, 40, 0.02, &mut rng);
-    println!("# E6: convergence, NbMoTaW N={}", sys.num_sites());
+    writeln!(out, "# E6: convergence, NbMoTaW N={}", sys.num_sites());
 
     // Pre-train a deep kernel at a mid-range temperature (stand-in for the
     // on-the-fly loop; isolates proposal quality from training cost).
@@ -50,11 +45,9 @@ fn main() {
     );
     {
         let mut buffer = SampleBuffer::new(128);
-        let mut eq = MetropolisSampler::new(
+        let mut eq = sys.metropolis(
             900.0,
             Configuration::random(&sys.comp, &mut rng),
-            &sys.model,
-            &sys.neighbors,
             Box::new(LocalSwap::new()),
             2,
         );
@@ -96,32 +89,44 @@ fn main() {
         ),
     ];
 
+    // A Wang–Landau walker over `grid` that never finishes its schedule
+    // (ln f -> 1e-12), from a random configuration drawn with `start`.
+    let wl_walker = |grid, schedule, start, kernel, seed| {
+        let params = WlParams {
+            ln_f_initial: 1.0,
+            ln_f_final: 1e-12,
+            schedule,
+            sweeps_per_check: 10,
+        };
+        let config = Configuration::random(&sys.comp, &mut ChaCha8Rng::seed_from_u64(start));
+        WlWalker::new(
+            grid,
+            params,
+            config,
+            &sys.model,
+            &sys.neighbors,
+            kernel,
+            seed,
+        )
+    };
+
     // --- 1. tunneling time over the full range (1/t schedule keeps the
     // walk progressing regardless of flatness) -------------------------
-    println!("\n# tunneling: round trips between the low/high 30% marks");
+    writeln!(
+        out,
+        "\n# tunneling: round trips between the low/high 30% marks"
+    );
     let span = range.1 - range.0;
     let (lo_thr, hi_thr) = (range.0 + 0.3 * span, range.1 - 0.3 * span);
     let budget_sweeps = 8_000u64;
     let mut rows = Vec::new();
     for (name, factory) in &kernels {
-        let mut rng2 = ChaCha8Rng::seed_from_u64(5);
-        let mut walker = WlWalker::new(
-            EnergyGrid::new(range.0, range.1, 16 * l),
-            WlParams {
-                ln_f_initial: 1.0,
-                ln_f_final: 1e-12,
-                schedule: LnfSchedule::OneOverT {
-                    flatness: 0.7,
-                    reduction: 0.5,
-                },
-                sweeps_per_check: 10,
-            },
-            Configuration::random(&sys.comp, &mut rng2),
-            &sys.model,
-            &sys.neighbors,
-            factory(),
-            9,
-        );
+        let one_over_t = LnfSchedule::OneOverT {
+            flatness: 0.7,
+            reduction: 0.5,
+        };
+        let grid = EnergyGrid::new(range.0, range.1, 16 * l);
+        let mut walker = wl_walker(grid, one_over_t, 5, factory(), 9);
         walker.drive_into_window(&sys.model, &sys.neighbors, 5_000);
         // Half-trip state machine: low → high and high → low each count a
         // half; two halves make a round trip.
@@ -149,34 +154,24 @@ fn main() {
         };
         rows.push(format!("{name},{round_trips},{per_trip}"));
     }
-    print_csv(
+    out.table(
         "kernel,round_trips_in_8000_sweeps,sweeps_per_round_trip",
-        &rows,
+        rows,
     );
 
     // --- 2. ln f stage progress on a mid-range window ------------------
-    println!("\n# stage progress: ln f stages completed in 5,000 sweeps");
+    writeln!(
+        out,
+        "\n# stage progress: ln f stages completed in 5,000 sweeps"
+    );
     let window = EnergyGrid::new(range.0 + 0.3 * span, range.1 - 0.2 * span, 8 * l);
     let mut rows = Vec::new();
     for (name, factory) in &kernels {
-        let mut rng2 = ChaCha8Rng::seed_from_u64(6);
-        let mut walker = WlWalker::new(
-            window.clone(),
-            WlParams {
-                ln_f_initial: 1.0,
-                ln_f_final: 1e-12,
-                schedule: LnfSchedule::Flatness {
-                    flatness: 0.8,
-                    reduction: 0.5,
-                },
-                sweeps_per_check: 10,
-            },
-            Configuration::random(&sys.comp, &mut rng2),
-            &sys.model,
-            &sys.neighbors,
-            factory(),
-            11,
-        );
+        let flatness = LnfSchedule::Flatness {
+            flatness: 0.8,
+            reduction: 0.5,
+        };
+        let mut walker = wl_walker(window.clone(), flatness, 6, factory(), 11);
         assert!(walker.drive_into_window(&sys.model, &sys.neighbors, 5_000));
         for s in 0..5_000u64 {
             walker.sweep(&sys.model, &sys.neighbors, &ctx);
@@ -186,17 +181,15 @@ fn main() {
         }
         rows.push(format!("{name},{},{:.3e}", walker.stages(), walker.ln_f()));
     }
-    print_csv("kernel,stages_completed,final_lnf", &rows);
+    out.table("kernel,stages_completed,final_lnf", rows);
 
     // --- 3. energy autocorrelation at fixed T --------------------------
-    println!("\n# integrated autocorrelation time of E at T = 900 K");
+    writeln!(out, "\n# integrated autocorrelation time of E at T = 900 K");
     let mut rows = Vec::new();
     for (name, factory) in &kernels {
-        let mut sampler = MetropolisSampler::new(
+        let mut sampler = sys.metropolis(
             900.0,
             Configuration::random(&sys.comp, &mut ChaCha8Rng::seed_from_u64(8)),
-            &sys.model,
-            &sys.neighbors,
             factory(),
             17,
         );
@@ -207,5 +200,6 @@ fn main() {
         let tau = integrated_autocorrelation_time(&energies);
         rows.push(format!("{name},{tau:.2}"));
     }
-    print_csv("kernel,tau_int_sweeps", &rows);
+    out.table("kernel,tau_int_sweeps", rows);
+    Ok(())
 }

@@ -4,28 +4,29 @@
 //! abstract highlights) from a single Wang–Landau run via microcanonical
 //! reweighting, and cross-checks two temperatures against direct
 //! Metropolis sampling.
-//!
-//! ```text
-//! cargo run -p dt-bench --release --bin fig_sro [-- --l 3]
-//! ```
 
 use deepthermo::{DeepThermo, DeepThermoConfig, MaterialSpec};
-use dt_bench::{arg, print_csv};
 use dt_lattice::{Configuration, Species, SroAccumulator};
 use dt_metropolis::MetropolisSampler;
 use dt_proposal::{LocalSwap, ProposalContext};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn main() {
-    let l: usize = arg("--l", 3);
+use crate::{Args, Report, Run};
+
+pub fn run(args: &Args, out: &mut Report) -> Run {
+    let l: usize = args.get("--l")?;
     let mut cfg = DeepThermoConfig::quick_demo();
     cfg.material = MaterialSpec::nbmotaw(l);
     cfg.rewl.max_sweeps = 150_000;
     cfg.rewl.wl.ln_f_final = 3e-4;
     cfg.temperatures = dt_thermo::temperature_grid(100.0, 3000.0, 60);
 
-    println!("# E5: SRO(T) of NbMoTaW N={}", cfg.material.num_sites());
+    writeln!(
+        out,
+        "# E5: SRO(T) of NbMoTaW N={}",
+        cfg.material.num_sites()
+    );
     let runner = DeepThermo::from_material(cfg).expect("valid config");
     let report = runner.run().expect("sampling failed");
 
@@ -56,10 +57,13 @@ fn main() {
             .collect::<Vec<_>>()
             .join(",")
     );
-    print_csv(&header, &rows);
+    out.table(&header, rows);
 
     // Cross-check: direct Metropolis at two temperatures.
-    println!("\n# cross-check vs direct Metropolis (Mo-Ta, first shell)");
+    writeln!(
+        out,
+        "\n# cross-check vs direct Metropolis (Mo-Ta, first shell)"
+    );
     let ctx = ProposalContext {
         neighbors: runner.neighbors(),
         composition: runner.composition(),
@@ -108,5 +112,6 @@ fn main() {
             .1;
         rows.push(format!("{t:.0},{reweighted:.4},{direct:.4}"));
     }
-    print_csv("T_K,alpha_reweighted,alpha_direct_metropolis", &rows);
+    out.table("T_K,alpha_reweighted,alpha_direct_metropolis", rows);
+    Ok(())
 }

@@ -2,12 +2,8 @@
 //!
 //! Regenerates the paper's model-accuracy figure: MAE/RMSE/R² versus
 //! training-set size, plus a parity-plot sample (truth vs prediction).
-//!
-//! ```text
-//! cargo run -p dt-bench --release --bin fig_surrogate [-- --l 4]
-//! ```
 
-use dt_bench::{arg, print_csv, HeaSystem};
+use dt_bench::HeaSystem;
 use dt_surrogate::{
     parity_points, Dataset, PairCorrelationDescriptor, SamplingStrategy, SurrogateModel,
     TrainingOptions,
@@ -15,8 +11,10 @@ use dt_surrogate::{
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn main() {
-    let l: usize = arg("--l", 3);
+use crate::{Args, Report, Run};
+
+pub fn run(args: &Args, out: &mut Report) -> Run {
+    let l: usize = args.get("--l")?;
     let sys = HeaSystem::nbmotaw(l);
     let descriptor = PairCorrelationDescriptor {
         num_species: 4,
@@ -24,7 +22,11 @@ fn main() {
     };
     let mut rng = ChaCha8Rng::seed_from_u64(1);
 
-    println!("# E1: surrogate accuracy, NbMoTaW N={}", sys.num_sites());
+    writeln!(
+        out,
+        "# E1: surrogate accuracy, NbMoTaW N={}",
+        sys.num_sites()
+    );
     let mut rows = Vec::new();
     let mut last_model: Option<(SurrogateModel, Dataset)> = None;
     for &size in &[32usize, 64, 128, 256, 512, 1024] {
@@ -53,7 +55,7 @@ fn main() {
         ));
         last_model = Some((model, test));
     }
-    print_csv("train_size,mae_mev_site,rmse_mev_site,r2", &rows);
+    out.table("train_size,mae_mev_site,rmse_mev_site,r2", rows);
 
     // Parity sample from the largest model.
     let (model, test) = last_model.expect("trained");
@@ -64,6 +66,7 @@ fn main() {
         .take(24)
         .map(|&(t, p)| format!("{t:.5},{p:.5}"))
         .collect();
-    println!();
-    print_csv("truth_ev_site,predicted_ev_site", &rows);
+    writeln!(out);
+    out.table("truth_ev_site,predicted_ev_site", rows);
+    Ok(())
 }

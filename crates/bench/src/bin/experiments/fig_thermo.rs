@@ -2,16 +2,13 @@
 //!
 //! Regenerates the U(T) / C_v(T) / S(T) / F(T) curves and the
 //! order–disorder transition estimate.
-//!
-//! ```text
-//! cargo run -p dt-bench --release --bin fig_thermo [-- --l 3]
-//! ```
 
 use deepthermo::{DeepThermo, DeepThermoConfig, MaterialSpec};
-use dt_bench::{arg, print_csv};
 
-fn main() {
-    let l: usize = arg("--l", 3);
+use crate::{Args, Report, Run};
+
+pub fn run(args: &Args, out: &mut Report) -> Run {
+    let l: usize = args.get("--l")?;
     let mut cfg = DeepThermoConfig::quick_demo();
     cfg.material = MaterialSpec::nbmotaw(l);
     cfg.rewl.max_sweeps = 150_000;
@@ -23,7 +20,7 @@ fn main() {
     cfg.temperatures = dt_thermo::temperature_grid(300.0, 3000.0, 109);
     let n = cfg.material.num_sites();
 
-    println!("# E4: thermodynamics of NbMoTaW N={n}");
+    writeln!(out, "# E4: thermodynamics of NbMoTaW N={n}");
     let report = DeepThermo::from_material(cfg)
         .expect("valid config")
         .run()
@@ -43,17 +40,20 @@ fn main() {
             )
         })
         .collect();
-    print_csv("T_K,U_eV_atom,Cv_kB_atom,F_eV_atom,S_kB_atom", &rows);
+    out.table("T_K,U_eV_atom,Cv_kB_atom,F_eV_atom,S_kB_atom", rows);
 
-    println!(
+    writeln!(
+        out,
         "\n# order-disorder transition: T_c = {:.0} K, Cv peak {:.3} kB/atom",
         report.transition_temperature,
         report.cv_peak / n as f64
     );
-    println!(
+    writeln!(
+        out,
         "# S(T_max)/atom = {:.3} kB (ideal mixing ln 4 = {:.3})",
         report.thermo.last().expect("points").s / n as f64,
         4f64.ln()
     );
-    println!("# converged: {}", report.converged);
+    writeln!(out, "# converged: {}", report.converged);
+    Ok(())
 }

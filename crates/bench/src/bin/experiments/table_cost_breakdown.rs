@@ -4,24 +4,24 @@
 //! inference, training, replica exchange, weight allreduce) per GPU on
 //! V100 and MI250X from the performance model, plus measured CPU kernel
 //! timings of the same components on this machine.
-//!
-//! ```text
-//! cargo run -p dt-bench --release --bin table_cost_breakdown
-//! ```
 
-use dt_bench::{print_csv, timed, HeaSystem};
+use dt_bench::{timed, HeaSystem};
 use dt_hamiltonian::EnergyModel;
 use dt_hpc::{GpuSpec, PerfModel, WorkloadShape};
 use dt_lattice::Configuration;
 use dt_proposal::{
-    DeepProposal, DeepProposalConfig, ProposalContext, ProposalKernel, ProposalTrainer,
-    SampleBuffer, TrainerConfig,
+    DeepProposal, DeepProposalConfig, ProposalKernel, ProposalTrainer, SampleBuffer, TrainerConfig,
 };
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-fn main() {
-    println!("# E10: projected per-iteration cost breakdown (paper workload)");
+use crate::{Report, Run};
+
+pub fn run(out: &mut Report) -> Run {
+    writeln!(
+        out,
+        "# E10: projected per-iteration cost breakdown (paper workload)"
+    );
     let shape = WorkloadShape::paper_default();
     let ranks = 1024;
     let mut rows = Vec::new();
@@ -39,19 +39,19 @@ fn main() {
             b.total()
         ));
     }
-    print_csv(
+    out.table(
         "gpu,ranks,energy_eval_s,nn_inference_s,training_s,exchange_s,allreduce_s,total_s",
-        &rows,
+        rows,
     );
 
-    println!("\n# measured CPU kernel timings (this machine, NbMoTaW L=4)");
+    writeln!(
+        out,
+        "\n# measured CPU kernel timings (this machine, NbMoTaW L=4)"
+    );
     let sys = HeaSystem::nbmotaw(4);
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     let config = Configuration::random(&sys.comp, &mut rng);
-    let ctx = ProposalContext {
-        neighbors: &sys.neighbors,
-        composition: &sys.comp,
-    };
+    let ctx = sys.ctx();
 
     let mut rows = Vec::new();
     // Full energy evaluation.
@@ -116,5 +116,6 @@ fn main() {
     });
     rows.push(format!("train_epoch_32cfg,{:.1}", t_train / 5.0 * 1e6));
 
-    print_csv("kernel,microseconds", &rows);
+    out.table("kernel,microseconds", rows);
+    Ok(())
 }

@@ -3,20 +3,19 @@
 //! over converged artifacts (DESIGN.md, "Serving architecture" and
 //! "Serving fleet"), and `fixture` writes a demo artifact.
 //!
-//! [`MODES`] and [`FLAGS`] are the whole interface: the flag table is
-//! the only code that reads argv, and `deepthermo help` is rendered from
-//! the two. A mode's flags are parsed strictly before any work — an
-//! unknown flag, a flag without its value, a value that does not parse
-//! or an unknown kernel is an error. Every mode returns
-//! `Result<(), DeepThermoError>`; `main` renders the error with its full
-//! source chain and exits nonzero.
+//! [`MODES`] and [`FLAGS`] are the whole interface: the flag table,
+//! read through [`deepthermo::cli`], is the only code that reads argv,
+//! and `deepthermo help` is rendered from the two. A mode's flags are
+//! parsed strictly before any work — an unknown flag, a flag without
+//! its value, a value that does not parse or an unknown kernel is an
+//! error. Every mode returns `Result<(), DeepThermoError>`; `main`
+//! renders the error with its full source chain and exits nonzero.
 
-use std::fmt::Display;
 use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
-use std::str::FromStr;
 
+use deepthermo::cli::{self, Args, Flag, Mode};
 use deepthermo::cluster::{self, cluster_err, ClusterSpec, WorkerOutcome};
 use deepthermo::hamiltonian::Material;
 use deepthermo::hpc::{FaultPlan, TcpRendezvous, TcpTransport};
@@ -33,16 +32,16 @@ use dt_serve::{
 const SHARD_RANK_FLAG: &str = "--shard-rank";
 
 // The modes, as bits of `Flag::modes`.
-const RUN: u8 = 1;
-const INFO: u8 = 1 << 1;
-const SERVE: u8 = 1 << 2;
-const ROUTE: u8 = 1 << 3;
-const SHARD: u8 = 1 << 4;
-const FIXTURE: u8 = 1 << 5;
+const RUN: u32 = 1;
+const INFO: u32 = 1 << 1;
+const SERVE: u32 = 1 << 2;
+const ROUTE: u32 = 1 << 3;
+const SHARD: u32 = 1 << 4;
+const FIXTURE: u32 = 1 << 5;
 
 /// Every mode: its name, its bit, and its line of `help`.
 #[rustfmt::skip]
-const MODES: &[(&str, u8, &str)] = &[
+const MODES: &[Mode] = &[
     ("run", RUN, "Sample the configured material and write thermo/DOS/SRO curves."),
     ("info", INFO, "Print the configured material and sampling plan."),
     ("serve", SERVE, "Serve converged artifacts over an HTTP/JSON API; with --shards N, boot a sharded fleet (router + N shard processes) instead of a single server."),
@@ -50,20 +49,6 @@ const MODES: &[(&str, u8, &str)] = &[
     ("shard", SHARD, "Run one shard of a fleet, dialing a router's rendezvous."),
     ("fixture", FIXTURE, "Write a synthetic demo artifact into a registry."),
 ];
-
-/// One flag of the modes in `modes`. A flag whose default differs
-/// between modes has one row per default.
-struct Flag {
-    modes: u8,
-    name: &'static str,
-    /// The value's form, shown in `help` and in parse errors; empty for
-    /// a switch.
-    metavar: &'static str,
-    /// The value when the flag is absent; empty when there is none.
-    default: &'static str,
-    /// Empty for the hidden flags a process re-executes itself with.
-    help: &'static str,
-}
 
 /// Every flag the binary reads, in `help` order.
 #[rustfmt::skip]
@@ -113,142 +98,6 @@ const FLAGS: &[Flag] = &[
     Flag { modes: FIXTURE, name: "--tag", metavar: "NAME", default: "demo", help: "artifact id suffix (fixture-NAME)" },
 ];
 
-/// The row of `name` among the flags of `mode`.
-fn row(mode: u8, name: &str) -> Option<&'static Flag> {
-    FLAGS.iter().find(|f| f.modes & mode != 0 && f.name == name)
-}
-
-fn mode_names(modes: u8) -> String {
-    let names: Vec<&str> = MODES
-        .iter()
-        .filter(|m| m.1 & modes != 0)
-        .map(|m| m.0)
-        .collect();
-    names.join(" / ")
-}
-
-/// The `help` text: the modes, then every visible row of [`FLAGS`],
-/// grouped by the modes that share it.
-fn usage() -> String {
-    let mut out = "deepthermo — deep-learning accelerated parallel Monte Carlo for HEA \
-                   thermodynamics\n\nusage: deepthermo <mode> [flags]\n\nmodes:\n"
-        .to_string();
-    for (name, _, about) in MODES.iter().chain([&("help", 0, "Show this message.")]) {
-        wrap(&mut out, &format!("  {name}"), about, 12);
-    }
-    let mut section = 0;
-    for f in FLAGS.iter().filter(|f| !f.help.is_empty()) {
-        if f.modes != section {
-            section = f.modes;
-            out += &format!("\n{} flags:\n", mode_names(section));
-        }
-        let mut help = f.help.to_string();
-        if !f.default.is_empty() {
-            help += &format!(" (default {})", f.default);
-        }
-        let lead = format!("  {} {}", f.name, f.metavar);
-        wrap(&mut out, lead.trim_end(), &help, 25);
-    }
-    out + "\nendpoints (serve/route): GET /healthz /metrics /v1/artifacts,\n\
-           POST /v1/thermo /v1/sro /v1/predict /v1/shutdown — see DESIGN.md.\n"
-}
-
-/// Append `lead`, then `text` word-wrapped into a column starting at
-/// `column`; a `lead` too wide for the column gets a line of its own.
-fn wrap(out: &mut String, lead: &str, text: &str, column: usize) {
-    const WIDTH: usize = 78;
-    let mut line = format!("{lead:<w$}", w = column - 1);
-    if line.chars().count() >= column {
-        *out += &format!("{line}\n");
-        line = " ".repeat(column - 1);
-    }
-    for word in text.split(' ') {
-        let len = line.chars().count();
-        if len >= column && len + 1 + word.chars().count() > WIDTH {
-            *out += &format!("{line}\n");
-            line = " ".repeat(column - 1);
-        }
-        line = format!("{line} {word}");
-    }
-    *out += &format!("{line}\n");
-}
-
-/// The flags one invocation gave, checked against the rows of its mode.
-struct Args {
-    /// The mode whose rows and defaults this invocation reads.
-    mode: u8,
-    given: Vec<(&'static str, String)>,
-}
-
-impl Args {
-    /// Parse `argv` (the words after the mode) strictly against the rows
-    /// of `mode`.
-    fn parse(mode: u8, argv: &[String]) -> Result<Args, DeepThermoError> {
-        let mut given: Vec<(&'static str, String)> = Vec::new();
-        let mut words = argv.iter();
-        while let Some(word) = words.next() {
-            let Some(flag) = row(mode, word) else {
-                return Err(DeepThermoError::Usage(format!(
-                    "unknown flag {word:?} for `{}`",
-                    mode_names(mode)
-                )));
-            };
-            let value = if flag.metavar.is_empty() {
-                String::new()
-            } else {
-                match words.next() {
-                    Some(v) if !v.starts_with("--") => v.clone(),
-                    _ => {
-                        return Err(DeepThermoError::Usage(format!(
-                            "{} expects {}, got no value",
-                            flag.name, flag.metavar
-                        )))
-                    }
-                }
-            };
-            if given.iter().any(|(name, _)| *name == flag.name) {
-                return Err(DeepThermoError::Usage(format!("{} given twice", flag.name)));
-            }
-            given.push((flag.name, value));
-        }
-        Ok(Args { mode, given })
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.given.iter().any(|(n, _)| *n == name)
-    }
-
-    /// `name`'s value — as given, else its row's default — parsed as
-    /// `T`; `None` when it has neither.
-    fn opt<T: FromStr>(&self, name: &str) -> Result<Option<T>, DeepThermoError>
-    where
-        T::Err: Display,
-    {
-        let flag = row(self.mode, name).expect("every flag read is a row of its mode");
-        let value = match self.given.iter().find(|(n, _)| *n == name) {
-            Some((_, v)) => v.as_str(),
-            None if flag.default.is_empty() => return Ok(None),
-            None => flag.default,
-        };
-        value.parse().map(Some).map_err(|e| {
-            DeepThermoError::Usage(format!(
-                "{name} expects {}, got {value:?}: {e}",
-                flag.metavar
-            ))
-        })
-    }
-
-    /// Like [`Args::opt`], for a flag the mode cannot do without.
-    fn get<T: FromStr>(&self, name: &str) -> Result<T, DeepThermoError>
-    where
-        T::Err: Display,
-    {
-        self.opt(name)?.ok_or_else(|| {
-            DeepThermoError::Usage(format!("`{}` needs {name}", mode_names(self.mode)))
-        })
-    }
-}
-
 fn main() -> ExitCode {
     match dispatch() {
         Ok(()) => ExitCode::SUCCESS,
@@ -270,13 +119,19 @@ fn dispatch() -> Result<(), DeepThermoError> {
         return Err(DeepThermoError::Usage("no mode given".to_string()));
     };
     if matches!(mode.as_str(), "help" | "--help" | "-h") {
-        print!("{}", usage());
+        print!(
+            "deepthermo — deep-learning accelerated parallel Monte Carlo for HEA \
+             thermodynamics\n\nusage: deepthermo <mode> [flags]\n\nmodes:\n{}\n\
+             endpoints (serve/route): GET /healthz /metrics /v1/artifacts,\n\
+             POST /v1/thermo /v1/sro /v1/predict /v1/shutdown — see DESIGN.md.\n",
+            cli::usage(MODES, FLAGS)
+        );
         return Ok(());
     }
     let Some(&(_, bit, _)) = MODES.iter().find(|m| m.0 == mode) else {
         return Err(DeepThermoError::Usage(format!("unknown mode {mode:?}")));
     };
-    let args = Args::parse(bit, flags)?;
+    let args = Args::parse(MODES, FLAGS, bit, flags)?;
     match bit {
         RUN if args.has(cluster::WORKER_RANK_FLAG) => worker(&args),
         RUN => run(&args),
@@ -435,11 +290,7 @@ fn start_router(
 fn shard_child(args: &Args) -> Result<(), DeepThermoError> {
     let rank = args.get(SHARD_RANK_FLAG)?;
     let addr: String = args.get(cluster::RENDEZVOUS_FLAG)?;
-    let shard = Args {
-        mode: SHARD,
-        given: args.given.clone(),
-    };
-    run_shard_process(&shard, rank, &addr, false)
+    run_shard_process(&args.in_mode(SHARD), rank, &addr, false)
 }
 
 /// `shard` mode: one externally managed shard of a fleet whose router

@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod cluster;
 pub mod config;
 pub mod error;
