@@ -150,6 +150,18 @@ fn formats(salt: u64) -> Vec<Format> {
             |b| wire::decode_state(b, 4).ok(),
         ),
         binary(
+            "wire exchange reply",
+            false,
+            wire::encode_exchange_reply((salt % 2 == 0).then_some(finite), -finite, &config),
+            |b| wire::decode_exchange_reply(b, 4).ok(),
+        ),
+        binary(
+            "wire exchange decision",
+            false,
+            wire::encode_exchange_decision((salt % 3 != 0).then_some((finite, &config))),
+            |b| wire::decode_exchange_decision(b, 4).ok(),
+        ),
+        binary(
             "wire f64s",
             false,
             wire::encode_f64s(&[finite, -0.0]),
@@ -209,4 +221,67 @@ proptest! {
             }
         }
     }
+}
+
+/// The exchange payloads end in an unframed state, so the property above
+/// only asserts they never panic; these are the cuts and labels that
+/// must fail outright.
+#[test]
+fn malformed_exchange_payloads_are_typed_errors() {
+    let config = Configuration::from_species([0u8, 1, 2, 3].map(Species).to_vec(), 4);
+    let reply = wire::encode_exchange_reply(Some(0.25), -1.0, &config);
+    // Flag, Δln g and energy are fixed-width: any cut inside them fails.
+    for cut in 0..17 {
+        assert!(
+            matches!(
+                wire::decode_exchange_reply(&reply[..cut], 4),
+                Err(wire::WireError::Truncated { .. })
+            ),
+            "reply cut at {cut}"
+        );
+    }
+    let mut bad = reply.clone();
+    *bad.last_mut().unwrap() = 9;
+    assert_eq!(
+        wire::decode_exchange_reply(&bad, 4),
+        Err(wire::WireError::BadSpecies {
+            species: 9,
+            num_species: 4
+        })
+    );
+    let mut bad = reply;
+    bad[0] = 2;
+    assert_eq!(
+        wire::decode_exchange_reply(&bad, 4),
+        Err(wire::WireError::BadFlag(2))
+    );
+
+    let decision = wire::encode_exchange_decision(Some((-1.0, &config)));
+    for cut in 0..9 {
+        assert!(
+            matches!(
+                wire::decode_exchange_decision(&decision[..cut], 4),
+                Err(wire::WireError::Truncated { .. })
+            ),
+            "decision cut at {cut}"
+        );
+    }
+    let mut bad = decision;
+    *bad.last_mut().unwrap() = 4;
+    assert_eq!(
+        wire::decode_exchange_decision(&bad, 4),
+        Err(wire::WireError::BadSpecies {
+            species: 4,
+            num_species: 4
+        })
+    );
+    assert_eq!(wire::decode_exchange_decision(&[0], 4), Ok(None));
+    assert_eq!(
+        wire::decode_exchange_decision(&[0, 0], 4),
+        Err(wire::WireError::Trailing { extra: 1 })
+    );
+    assert_eq!(
+        wire::decode_exchange_decision(&[7], 4),
+        Err(wire::WireError::BadFlag(7))
+    );
 }

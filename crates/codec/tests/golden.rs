@@ -3,9 +3,10 @@
 //! The fixtures under `tests/fixtures/` were captured from the encoders
 //! as they stood before any format was moved onto `dt-codec`; an encoder
 //! that emits one different byte, or a decoder that stops reading a file
-//! version it used to read, fails here. (`wire_piece.bin` is the one
-//! exception: the single gather message is as new as the codec, and its
-//! fixture pins it from its first version on.)
+//! version it used to read, fails here. (`wire_piece.bin` and the two
+//! `wire_exchange_*.bin` payloads are the exceptions: the single gather
+//! message and the three-message exchange are newer than the codec, and
+//! their fixtures pin them from their first version on.)
 
 mod common;
 
@@ -90,6 +91,17 @@ fn binary_encoders_emit_the_golden_bytes() {
         "wire_state.bin",
         &wire::encode_state(-1.25, &state_config()),
     );
+    // The exchange reply and decision carry the same state body behind
+    // a flag byte (and, in the reply, an `f64` Δln g).
+    assert_golden(
+        "wire_exchange_reply.bin",
+        &wire::encode_exchange_reply(Some(0.5), -1.25, &state_config()),
+    );
+    assert_golden(
+        "wire_exchange_decision.bin",
+        &wire::encode_exchange_decision(Some((-1.25, &state_config()))),
+    );
+    assert_eq!(wire::encode_exchange_decision(None), [0]);
     assert_golden("wire_f64s.bin", &wire::encode_f64s(&common::F64S));
     assert_golden("wire_u64s.bin", &wire::encode_u64s(&common::U64S));
     assert_golden(

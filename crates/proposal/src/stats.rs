@@ -1,13 +1,27 @@
 //! Acceptance bookkeeping per proposal kernel.
 
-use std::collections::BTreeMap;
-
 /// Proposed/accepted counters keyed by kernel name. Mergeable across
 /// walkers so parallel runs can report fleet-wide acceptance rates.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Every Monte Carlo move records into it, so the entries live in a
+/// name-sorted `Vec` with the index of the last hit: a walker that keeps
+/// proposing with one kernel pays one string compare per move. Equality
+/// looks at the counts only.
+#[derive(Debug, Clone, Default)]
 pub struct MoveStats {
-    counts: BTreeMap<String, (u64, u64)>,
+    /// `(kernel, proposed, accepted)`, sorted by kernel name.
+    entries: Vec<(String, u64, u64)>,
+    /// Index of the entry the last record hit.
+    last: usize,
 }
+
+impl PartialEq for MoveStats {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl Eq for MoveStats {}
 
 impl MoveStats {
     /// Empty statistics.
@@ -31,19 +45,27 @@ impl MoveStats {
             accepted <= proposed,
             "{kernel}: accepted {accepted} > proposed {proposed}"
         );
-        // Look up by `&str`: this runs once per Monte Carlo move, and a
-        // name is allocated only the first time it is seen.
-        if let Some(entry) = self.counts.get_mut(kernel) {
-            entry.0 += proposed;
-            entry.1 += accepted;
-        } else {
-            self.counts.insert(kernel.to_string(), (proposed, accepted));
+        let hit = self.entries.get(self.last).is_some_and(|e| e.0 == kernel);
+        if !hit {
+            // A name is allocated only the first time it is seen.
+            self.last = match self.entries.binary_search_by(|e| e.0.as_str().cmp(kernel)) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.entries.insert(i, (kernel.to_string(), 0, 0));
+                    i
+                }
+            };
         }
+        let entry = &mut self.entries[self.last];
+        entry.1 += proposed;
+        entry.2 += accepted;
     }
 
     /// `(proposed, accepted)` for a kernel, zero if unseen.
     pub fn counts(&self, kernel: &str) -> (u64, u64) {
-        self.counts.get(kernel).copied().unwrap_or((0, 0))
+        self.iter()
+            .find(|&(k, _, _)| k == kernel)
+            .map_or((0, 0), |(_, p, a)| (p, a))
     }
 
     /// Acceptance rate of a kernel (`None` before any proposal).
@@ -54,26 +76,24 @@ impl MoveStats {
 
     /// Total proposals across kernels.
     pub fn total_proposed(&self) -> u64 {
-        self.counts.values().map(|&(p, _)| p).sum()
+        self.iter().map(|(_, p, _)| p).sum()
     }
 
     /// Total accepted across kernels.
     pub fn total_accepted(&self) -> u64 {
-        self.counts.values().map(|&(_, a)| a).sum()
+        self.iter().map(|(_, _, a)| a).sum()
     }
 
     /// Merge another walker's statistics into this one.
     pub fn merge(&mut self, other: &MoveStats) {
-        for (k, &(p, a)) in &other.counts {
-            let entry = self.counts.entry(k.clone()).or_insert((0, 0));
-            entry.0 += p;
-            entry.1 += a;
+        for (k, p, a) in other.iter() {
+            self.record_n(k, p, a);
         }
     }
 
     /// Iterate `(kernel, proposed, accepted)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64, u64)> {
-        self.counts.iter().map(|(k, &(p, a))| (k.as_str(), p, a))
+        self.entries.iter().map(|(k, p, a)| (k.as_str(), *p, *a))
     }
 }
 
@@ -107,5 +127,23 @@ mod tests {
         assert_eq!(a.counts("y"), (1, 1));
         let names: Vec<&str> = a.iter().map(|(k, _, _)| k).collect();
         assert_eq!(names, vec!["x", "y"]);
+    }
+
+    #[test]
+    fn order_and_equality_ignore_the_recording_history() {
+        let mut a = MoveStats::new();
+        for name in ["local-swap", "deep", "local-swap", "b", "deep", "zz"] {
+            a.record(name, true);
+        }
+        let mut b = MoveStats::new();
+        b.record_n("zz", 1, 1);
+        b.record_n("b", 1, 1);
+        b.record_n("deep", 2, 2);
+        b.record_n("local-swap", 2, 2);
+        assert_eq!(a, b, "same counts, different last hit");
+        let names: Vec<&str> = a.iter().map(|(k, _, _)| k).collect();
+        assert_eq!(names, vec!["b", "deep", "local-swap", "zz"]);
+        assert_eq!(a.counts("deep"), (2, 2));
+        assert_eq!(a.counts("missing"), (0, 0));
     }
 }

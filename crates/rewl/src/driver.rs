@@ -67,7 +67,8 @@ pub struct RewlConfig {
     /// from the newest complete checkpoint when one dies (`deepthermo run
     /// --recover`). A protocol receive that fails — a dead peer, or an
     /// exhausted deadline — or a converge vote counting fewer than all
-    /// ranks ends this rank's life with [`RewlError::PeerLost`] instead of
+    /// ranks (votes run on the rounds whose outcome can change, so a loss
+    /// surfaces at the next vote or failed receive) ends this rank's life with [`RewlError::PeerLost`] instead of
     /// degrading around the loss, so every manifest the run commits lists
     /// every rank. Honoured by [`run_rewl_on`] only: the thread ranks of
     /// [`run_rewl`] share one process and always degrade. Pair it with

@@ -6,14 +6,20 @@
 //! (1,2), (3,4), … — and within an active pair each lower-window walker
 //! (the *initiator*) is matched to one upper-window walker (the
 //! *responder*) by a round-rotating slot permutation, so every walker
-//! pair of adjacent windows eventually meets. The handshake is
+//! pair of adjacent windows eventually meets. The handshake is three
+//! messages:
 //!
 //! 1. initiator → responder: its current energy `E_a`;
-//! 2. responder → initiator: `[valid, E_b, ln g_b(E_b) − ln g_b(E_a)]`;
+//! 2. responder → initiator: `[valid, ln g_b(E_b) − ln g_b(E_a)]`
+//!    followed by its own `(E_b, configuration)`;
 //! 3. initiator decides with the REWL acceptance rule and sends the
-//!    decision byte;
-//! 4. on acceptance both sides cross-ship `(E, configuration)` and apply
-//!    the swap after validating it lands in their own window.
+//!    decision byte, followed on acceptance by its own
+//!    `(E_a, configuration)`.
+//!
+//! Each side applies the partner's state only after validating that it
+//! lands in its own window. The responder ships its state whether or not
+//! the swap is accepted, which costs one state per rejection and saves a
+//! round trip per acceptance.
 //!
 //! Every receive is deadline-bounded (`recv_resilient`): a dead or silent
 //! partner aborts the attempt — state untouched — instead of hanging the
@@ -34,12 +40,13 @@ use crate::wire;
 pub mod tags {
     /// Initiator's energy opening an exchange handshake.
     pub const EXCH_ENERGY: u64 = 1;
-    /// Responder's `[valid, E_b, Δln g]` reply.
+    /// Responder's `[valid, Δln g]` reply with its `(E_b, configuration)`
+    /// ([`crate::wire::encode_exchange_reply`]).
     pub const EXCH_REPLY: u64 = 2;
-    /// Initiator's accept/reject decision byte.
+    /// Initiator's accept/reject decision, with its `(E_a,
+    /// configuration)` on acceptance
+    /// ([`crate::wire::encode_exchange_decision`]).
     pub const EXCH_DECISION: u64 = 3;
-    /// Cross-shipped `(E, configuration)` payload of an accepted swap.
-    pub const EXCH_CONFIG: u64 = 4;
     /// Walker → window leader: local deep-proposal weights.
     pub const SYNC_PARAMS: u64 = 5;
     /// Window leader → walker: averaged deep-proposal weights.
@@ -208,39 +215,35 @@ pub(crate) fn exchange_as_initiator<T: Transport>(
         wire::encode_f64s(&[walker.energy()]),
     );
     let reply_bytes = recv_resilient(comm, partner, tags::with_round(tags::EXCH_REPLY, round))?;
-    // reply = [valid, E_b, ln_gB(E_b) - ln_gB(E_a)]
-    let reply = wire::decode_f64s(&reply_bytes).unwrap_or_default();
-    let mut accepted = false;
-    if reply.len() == 3 && reply[0] > 0.5 {
-        let e_b = reply[1];
-        if let (Some(g_mine), Some(g_at_b)) = (walker.ln_g_at(walker.energy()), walker.ln_g_at(e_b))
-        {
-            let ln_acc = g_mine - g_at_b + reply[2];
+    // A malformed or invalid reply voids the attempt before any RNG draw.
+    // The partner's state must land in this walker's window, which
+    // `ln_g_at(E_b)` checks before the draw.
+    let mut theirs = None;
+    if let Ok(reply) = wire::decode_exchange_reply(&reply_bytes, m_species) {
+        if let (Some(delta), Some(g_mine), Some(g_at_b)) = (
+            reply.delta_ln_g,
+            walker.ln_g_at(walker.energy()),
+            walker.ln_g_at(reply.energy),
+        ) {
+            let ln_acc = g_mine - g_at_b + delta;
             let u: f64 = rand::RngExt::random(walker.rng_mut());
-            accepted = ln_acc >= 0.0 || u < ln_acc.exp();
+            if ln_acc >= 0.0 || u < ln_acc.exp() {
+                theirs = Some((reply.energy, reply.config));
+            }
         }
     }
+    let mine = theirs.is_some().then(|| (walker.energy(), walker.config()));
     comm.send(
         partner,
         tags::with_round(tags::EXCH_DECISION, round),
-        vec![u8::from(accepted)],
+        wire::encode_exchange_decision(mine),
     );
-    if !accepted {
-        return Ok(false);
-    }
-    let mine = wire::encode_state(walker.energy(), walker.config());
-    comm.send(partner, tags::with_round(tags::EXCH_CONFIG, round), mine);
-    let theirs = recv_resilient(comm, partner, tags::with_round(tags::EXCH_CONFIG, round))?;
-    match wire::decode_state(&theirs, m_species) {
-        // The accepted partner state must land in this walker's window;
-        // a malformed or out-of-window payload voids the swap (the
-        // partner may then hold a duplicate of our configuration, which
-        // is harmless: any in-window configuration is a valid WL state).
-        Ok((e, c)) if walker.ln_g_at(e).is_some() => {
+    match theirs {
+        Some((e, c)) => {
             walker.set_state(c, e);
             Ok(true)
         }
-        _ => Ok(false),
+        None => Ok(false),
     }
 }
 
@@ -256,35 +259,28 @@ pub(crate) fn exchange_as_responder<T: Transport>(
     let e_a = wire::decode_f64s(&e_a_bytes)
         .ok()
         .and_then(|v| v.first().copied());
-    let reply = match e_a {
-        Some(e_a) => match (walker.ln_g_at(e_a), walker.ln_g_at(walker.energy())) {
-            (Some(g_at_a), Some(g_at_mine)) => {
-                vec![1.0, walker.energy(), g_at_mine - g_at_a]
-            }
-            _ => vec![0.0, 0.0, 0.0],
-        },
-        None => vec![0.0, 0.0, 0.0],
-    };
+    let delta = e_a.and_then(|e_a| {
+        let g_at_a = walker.ln_g_at(e_a)?;
+        Some(walker.ln_g_at(walker.energy())? - g_at_a)
+    });
     comm.send(
         initiator,
         tags::with_round(tags::EXCH_REPLY, round),
-        wire::encode_f64s(&reply),
+        wire::encode_exchange_reply(delta, walker.energy(), walker.config()),
     );
     let decision = recv_resilient(
         comm,
         initiator,
         tags::with_round(tags::EXCH_DECISION, round),
     )?;
-    if decision.first() != Some(&1) {
-        return Ok(false);
-    }
     // Only the initiator counts the exchange, so window reports read as
-    // "attempts toward the next window".
-    let mine = wire::encode_state(walker.energy(), walker.config());
-    let theirs = recv_resilient(comm, initiator, tags::with_round(tags::EXCH_CONFIG, round))?;
-    comm.send(initiator, tags::with_round(tags::EXCH_CONFIG, round), mine);
-    match wire::decode_state(&theirs, m_species) {
-        Ok((e, c)) if walker.ln_g_at(e).is_some() => {
+    // "attempts toward the next window". The accepted state must land in
+    // this walker's window; a malformed or out-of-window payload voids
+    // the swap (the initiator then holds a duplicate of our
+    // configuration, which is harmless: any in-window configuration is a
+    // valid WL state).
+    match wire::decode_exchange_decision(&decision, m_species) {
+        Ok(Some((e, c))) if walker.ln_g_at(e).is_some() => {
             walker.set_state(c, e);
             Ok(true)
         }
@@ -310,7 +306,6 @@ mod tests {
             tags::EXCH_ENERGY,
             tags::EXCH_REPLY,
             tags::EXCH_DECISION,
-            tags::EXCH_CONFIG,
             tags::SYNC_PARAMS,
             tags::SYNC_PARAMS_BACK,
             tags::GATHER_PIECE,
@@ -330,7 +325,7 @@ mod tests {
         }
         assert_eq!(seen.len(), all_tags.len() * 2_000);
         // Rounds far beyond any realistic run still stay clear of bit 63.
-        assert!(tags::with_round(tags::EXCH_CONFIG, 1 << 40) < 1 << 63);
+        assert!(tags::with_round(tags::REBALANCE_STATE, 1 << 40) < 1 << 63);
     }
 
     /// The uniform rank→window map of a `w × m` layout.
@@ -514,6 +509,33 @@ mod tests {
             e0.to_bits(),
             "responder holds a's state"
         );
+    }
+
+    /// A reply that does not decode voids the attempt before the
+    /// initiator draws from its stream, and the decision it sends back
+    /// is a bare rejection.
+    #[test]
+    fn malformed_reply_is_declined_without_an_rng_draw() {
+        let (_, nt, comp, h) = system();
+        let grid = EnergyGrid::new(-0.645, -0.155, 24);
+        let results = ThreadCluster::run(2, |comm| {
+            if comm.rank() == 1 {
+                let opener = tags::with_round(tags::EXCH_ENERGY, 5);
+                recv_resilient(&comm, 0, opener).unwrap();
+                // A reply with an out-of-range flag byte.
+                comm.send(0, tags::with_round(tags::EXCH_REPLY, 5), vec![9; 40]);
+                let decision = tags::with_round(tags::EXCH_DECISION, 5);
+                return (recv_resilient(&comm, 0, decision).unwrap(), true);
+            }
+            let mut walker = walker_on(grid.clone(), &h, &nt, &comp, 3);
+            let (e, pos) = (walker.energy(), walker.rng_mut().get_word_pos());
+            let swapped = exchange_as_initiator(&comm, &mut walker, 1, 5, comp.num_species());
+            let untouched =
+                walker.energy().to_bits() == e.to_bits() && walker.rng_mut().get_word_pos() == pos;
+            (Vec::new(), swapped == Ok(false) && untouched)
+        });
+        assert!(results[0].1, "initiator state and stream untouched");
+        assert_eq!(results[1].0, [0], "a bare rejection");
     }
 
     /// Disjoint windows: the responder cannot place the initiator's

@@ -41,7 +41,10 @@
 //! message drops/delays; every protocol receive is timeout-bounded, so a
 //! dead or silent partner degrades an exchange or a weight sync instead
 //! of hanging it; convergence is decided by a collective vote that only
-//! counts survivors. Losses are reported through
+//! counts survivors, taken on the rounds whose outcome can change (the
+//! first round of a life, a round holding a flatness check, a rebalance
+//! round, the sweep-cap round), so a lost rank is noticed at the next
+//! vote or at a failed receive. Losses are reported through
 //! [`WindowReport::lost_walkers`] and [`RewlOutput::lost_ranks`]. With
 //! [`RewlConfig::checkpoint`] set, the cluster additionally snapshots
 //! itself every few rounds (see [`checkpoint`]) and the next run over the
@@ -54,8 +57,8 @@
 //!
 //! With [`RewlConfig::recovery`] on (process clusters, through
 //! [`run_rewl_on`]) a rank does not degrade around a loss: the first
-//! failed protocol receive, or a converge vote that counts fewer than all
-//! ranks, ends its life with [`RewlError::PeerLost`]. The loss spreads as
+//! failed protocol receive, or the next converge vote that counts fewer
+//! than all ranks, ends its life with [`RewlError::PeerLost`]. The loss spreads as
 //! each rank exits, so the whole cluster stops, and its launcher restarts
 //! every rank from the newest complete snapshot through
 //! [`load_resume_point`] — ordinary checkpoint/restart. Rank 0 cannot

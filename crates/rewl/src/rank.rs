@@ -55,6 +55,37 @@ use crate::wire::{self, GatherPiece};
 /// rank's telemetry snapshot (when enabled and the rank finished).
 pub(crate) type RankReturn = (Result<Option<RewlOutput>, RewlError>, Option<RankTelemetry>);
 
+/// Whether `round` is a rebalance round.
+fn rebalance_due(cfg: &RewlConfig, round: u64) -> bool {
+    cfg.rebalance_every > 0 && (round + 1) % cfg.rebalance_every == 0
+}
+
+/// Whether `round` takes the convergence vote: whether the vote's inputs
+/// can have changed since the last one. They change only when
+///
+/// * this is the first round of the rank's life (`first_round`, fresh or
+///   resumed) — nothing has been voted yet;
+/// * a flatness check falls in the round's sweeps `(r·E, (r+1)·E]`, the
+///   one place `ln f` moves;
+/// * it is a rebalance round, where a migrant adopts its donor's `ln f`;
+/// * the sweep cap is reached (`(r+1)·E ≥ max_sweeps`).
+///
+/// A pure function of the round and the config, never of rank-local
+/// state, so every rank — a restored one with an older sweep counter
+/// included — skips the same collectives.
+fn vote_due(cfg: &RewlConfig, first_round: u64, round: u64) -> bool {
+    let every = cfg.exchange_every_sweeps;
+    let check = (cfg.wl.sweeps_per_check as u64).max(1);
+    let (start, end) = (
+        round.saturating_mul(every),
+        (round + 1).saturating_mul(every),
+    );
+    round == first_round
+        || end / check > start / check
+        || rebalance_due(cfg, round)
+        || end >= cfg.max_sweeps
+}
+
 /// Per-rank deep-proposal state.
 struct DeepState {
     deep: DeepProposal,
@@ -177,7 +208,8 @@ enum EnginePhase {
     /// plans at most one migration, and broadcasts the plan (rebalance
     /// rounds only).
     Rebalance,
-    /// Collective convergence poll; decides loop-back vs gather.
+    /// Collective convergence poll on the rounds whose outcome can
+    /// change ([`vote_due`]); decides loop-back vs gather.
     Converge,
     /// Terminal: ship (or collect) the gather pieces.
     Gather,
@@ -615,8 +647,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     /// (and every golden fingerprint) is bit-identical to a build without
     /// this phase.
     fn phase_rebalance(&mut self) -> Result<EnginePhase, RewlError> {
-        let every = self.cfg.rebalance_every;
-        if every == 0 || (self.round + 1) % every != 0 {
+        if !rebalance_due(self.cfg, self.round) {
             return Ok(EnginePhase::Converge);
         }
         let rt = self.walker.round_trip_stats();
@@ -779,8 +810,17 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     /// generation see identical sums, so the stop decision is collective
     /// and no rank can exit the round loop while a peer keeps waiting
     /// for it: `[Σ converged, Σ 1 (= contributors), Σ hit-sweep-cap]`.
-    /// Under fail-stop a vote short of any rank ends every rank's life.
+    /// The vote is taken only on rounds whose outcome can change
+    /// ([`vote_due`]); every other round continues, which is what the
+    /// last vote decided. A degraded run therefore notices a lost rank at
+    /// the next vote or at a failed receive. Under fail-stop a vote short
+    /// of any rank ends every rank's life.
     fn phase_converge(&mut self) -> Result<EnginePhase, RewlError> {
+        let first_round = self.resumed_round.unwrap_or(0);
+        if !vote_due(self.cfg, first_round, self.round) {
+            self.round += 1;
+            return Ok(EnginePhase::Checkpoint);
+        }
         let mut flags = [
             f64::from(u8::from(self.walker.ln_f() <= self.cfg.wl.ln_f_final)),
             1.0,
@@ -1044,5 +1084,79 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             eprintln!("rewl: manifest write at round {round} failed: {e}");
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Replays `phase_sample`'s check cadence round by round over one
+    /// life and compares the rounds where a vote input moves with
+    /// [`vote_due`]: every such round votes, and no other round does.
+    #[test]
+    fn votes_fall_on_every_round_whose_outcome_can_change() {
+        let mut skipped = 0u64;
+        for every in 1..=25u64 {
+            for check in 1..=25u64 {
+                for rebalance_every in [0, 3, 7] {
+                    for max_sweeps in [1, 37, 100, 250] {
+                        let mut cfg = RewlConfig {
+                            exchange_every_sweeps: every,
+                            max_sweeps,
+                            rebalance_every,
+                            ..RewlConfig::default()
+                        };
+                        cfg.wl.sweeps_per_check = check as usize;
+                        for first_round in [0u64, 5, 13] {
+                            // A resumed life restores the counters its
+                            // snapshot took at `first_round`.
+                            let mut sweeps = first_round * every;
+                            let mut since_check = sweeps % check;
+                            for round in first_round.. {
+                                let mut checked = false;
+                                for _ in 0..every {
+                                    sweeps += 1;
+                                    since_check += 1;
+                                    if since_check >= check {
+                                        checked = true;
+                                        since_check = 0;
+                                    }
+                                }
+                                let capped = sweeps >= max_sweeps;
+                                let moved = round == first_round
+                                    || checked
+                                    || rebalance_due(&cfg, round)
+                                    || capped;
+                                assert_eq!(
+                                    vote_due(&cfg, first_round, round),
+                                    moved,
+                                    "E={every} C={check} rebalance={rebalance_every} \
+                                     max={max_sweeps} first={first_round} round={round}"
+                                );
+                                skipped += u64::from(!moved);
+                                if capped {
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(skipped > 0, "some rounds must skip the vote");
+    }
+
+    /// A life resumed at round 12, one sweep per round, a check every
+    /// 10: the first round votes, then only the rounds ending a check.
+    #[test]
+    fn a_resumed_life_votes_first_then_on_check_rounds() {
+        let mut cfg = RewlConfig {
+            exchange_every_sweeps: 1,
+            ..RewlConfig::default()
+        };
+        cfg.wl.sweeps_per_check = 10;
+        let votes: Vec<u64> = (12..40).filter(|&r| vote_due(&cfg, 12, r)).collect();
+        assert_eq!(votes, vec![12, 19, 29, 39]);
     }
 }

@@ -50,6 +50,13 @@ pub enum WireError {
     BadWalker,
     /// A gather piece's rank state failed to decode.
     BadPiece,
+    /// A flag byte is neither 0 nor 1.
+    BadFlag(u8),
+    /// Bytes follow the end of a complete message.
+    Trailing {
+        /// Bytes past the end.
+        extra: usize,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -74,6 +81,8 @@ impl fmt::Display for WireError {
             WireError::BadPhase => write!(f, "unknown telemetry phase name"),
             WireError::BadWalker => write!(f, "malformed walker snapshot"),
             WireError::BadPiece => write!(f, "malformed gather piece"),
+            WireError::BadFlag(b) => write!(f, "flag byte {b} is neither 0 nor 1"),
+            WireError::Trailing { extra } => write!(f, "{extra} bytes past the end of the message"),
         }
     }
 }
@@ -109,10 +118,17 @@ pub fn decode_walker(bytes: &[u8]) -> Result<dt_wanglandau::WalkerCheckpoint, Wi
 
 /// Encode `(energy, configuration)` for a replica-exchange transfer.
 pub fn encode_state(energy: f64, config: &Configuration) -> Vec<u8> {
-    Writer::with_capacity(8 + config.num_sites())
-        .f64(energy)
-        .extend(config.species().iter().map(|s| s.0))
-        .finish()
+    write_state(
+        &mut Writer::with_capacity(8 + config.num_sites()),
+        energy,
+        config,
+    )
+    .finish()
+}
+
+/// Write an [`encode_state`] body: the energy, then one label per site.
+fn write_state<'w>(w: &'w mut Writer, energy: f64, config: &Configuration) -> &'w mut Writer {
+    w.f64(energy).extend(config.species().iter().map(|s| s.0))
 }
 
 /// Decode a [`encode_state`] payload, validating every species label
@@ -122,7 +138,11 @@ pub fn encode_state(energy: f64, config: &Configuration) -> Vec<u8> {
 /// [`WireError::Truncated`] when the energy prefix is missing,
 /// [`WireError::BadSpecies`] on an out-of-range label.
 pub fn decode_state(bytes: &[u8], num_species: usize) -> Result<(f64, Configuration), WireError> {
-    let mut r = Reader::new(bytes);
+    read_state(&mut Reader::new(bytes), num_species)
+}
+
+/// Read an [`encode_state`] body that runs to the end of the message.
+fn read_state(r: &mut Reader<'_>, num_species: usize) -> Result<(f64, Configuration), WireError> {
     let energy = r.f64()?;
     let species = r
         .rest()
@@ -139,6 +159,95 @@ pub fn decode_state(bytes: &[u8], num_species: usize) -> Result<(f64, Configurat
         })
         .collect::<Result<_, _>>()?;
     Ok((energy, Configuration::from_species(species, num_species)))
+}
+
+/// Read a 0/1 flag byte.
+fn read_flag(r: &mut Reader<'_>) -> Result<bool, WireError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        b => Err(WireError::BadFlag(b)),
+    }
+}
+
+/// The responder's answer to an exchange opener: whether it can place
+/// the initiator's energy, and its own state for the initiator to adopt
+/// should the swap be accepted.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExchangeReply {
+    /// `ln g_b(E_b) − ln g_b(E_a)`; `None` when the responder cannot
+    /// place `E_a` (or its own energy) in its window, which voids the
+    /// attempt.
+    pub delta_ln_g: Option<f64>,
+    /// The responder's energy `E_b`.
+    pub energy: f64,
+    /// The responder's configuration.
+    pub config: Configuration,
+}
+
+/// Encode an [`ExchangeReply`]: a validity flag, `Δln g` (zero when
+/// invalid), then the responder's [`encode_state`] body.
+pub fn encode_exchange_reply(
+    delta_ln_g: Option<f64>,
+    energy: f64,
+    config: &Configuration,
+) -> Vec<u8> {
+    let mut w = Writer::with_capacity(17 + config.num_sites());
+    w.u8(u8::from(delta_ln_g.is_some()))
+        .f64(delta_ln_g.unwrap_or(0.0));
+    write_state(&mut w, energy, config).finish()
+}
+
+/// Decode an [`encode_exchange_reply`] payload.
+///
+/// # Errors
+/// [`WireError::Truncated`] on a short header, [`WireError::BadFlag`] on
+/// a validity byte other than 0/1, [`WireError::BadSpecies`] on an
+/// out-of-range label.
+pub fn decode_exchange_reply(bytes: &[u8], num_species: usize) -> Result<ExchangeReply, WireError> {
+    let mut r = Reader::new(bytes);
+    let valid = read_flag(&mut r)?;
+    let delta = r.f64()?;
+    let (energy, config) = read_state(&mut r, num_species)?;
+    Ok(ExchangeReply {
+        delta_ln_g: valid.then_some(delta),
+        energy,
+        config,
+    })
+}
+
+/// Encode the initiator's decision: an accepted flag, then — only when
+/// accepted — the initiator's `(energy, configuration)` as an
+/// [`encode_state`] body.
+pub fn encode_exchange_decision(accepted: Option<(f64, &Configuration)>) -> Vec<u8> {
+    let mut w = Writer::with_capacity(1 + accepted.map_or(0, |(_, c)| 8 + c.num_sites()));
+    w.u8(u8::from(accepted.is_some()));
+    if let Some((energy, config)) = accepted {
+        write_state(&mut w, energy, config);
+    }
+    w.finish()
+}
+
+/// Decode an [`encode_exchange_decision`] payload: `None` for a
+/// rejection, the initiator's state for an acceptance.
+///
+/// # Errors
+/// [`WireError::Truncated`] on an empty payload or an accepted decision
+/// without its energy, [`WireError::BadFlag`] on a flag other than 0/1,
+/// [`WireError::Trailing`] on bytes after a rejection,
+/// [`WireError::BadSpecies`] on an out-of-range label.
+pub fn decode_exchange_decision(
+    bytes: &[u8],
+    num_species: usize,
+) -> Result<Option<(f64, Configuration)>, WireError> {
+    let mut r = Reader::new(bytes);
+    if read_flag(&mut r)? {
+        return read_state(&mut r, num_species).map(Some);
+    }
+    match r.remaining() {
+        0 => Ok(None),
+        extra => Err(WireError::Trailing { extra }),
+    }
 }
 
 /// Encode a vector of `f64`.
@@ -279,6 +388,33 @@ mod tests {
         let (e, back) = decode_state(&bytes, 4).unwrap();
         assert_eq!(e, -1.25);
         assert_eq!(back, c);
+    }
+
+    #[test]
+    fn exchange_payloads_round_trip() {
+        let comp = Composition::equiatomic(4, 32).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let c = Configuration::random(&comp, &mut rng);
+        for delta in [Some(-3.5), None] {
+            let reply = decode_exchange_reply(&encode_exchange_reply(delta, 0.75, &c), 4).unwrap();
+            assert_eq!(
+                reply,
+                ExchangeReply {
+                    delta_ln_g: delta,
+                    energy: 0.75,
+                    config: c.clone()
+                }
+            );
+        }
+        let accepted = encode_exchange_decision(Some((-0.5, &c)));
+        assert_eq!(
+            decode_exchange_decision(&accepted, 4).unwrap(),
+            Some((-0.5, c))
+        );
+        assert_eq!(
+            decode_exchange_decision(&encode_exchange_decision(None), 4),
+            Ok(None)
+        );
     }
 
     #[test]

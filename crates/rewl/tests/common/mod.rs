@@ -1,6 +1,8 @@
 //! The whole-cluster restart loop of `deepthermo run --recover`, in
 //! process: shared by the integration tests that kill ranks under
-//! fail-stop and expect the fault-free answer back.
+//! fail-stop and expect the fault-free answer back, and the telemetry
+//! guard that a run never waited out a receive deadline.
+#![allow(dead_code)]
 
 use dt_hamiltonian::PairHamiltonian;
 use dt_hpc::{FaultPlan, RankOutcome, TcpCluster};
@@ -38,4 +40,21 @@ pub fn run_restarting(
         plan = FaultPlan::none();
     }
     panic!("no life of the cluster completed in {MAX_LIVES} tries");
+}
+
+/// Every gathered rank finished without a single receive deadline
+/// expiring. A run whose ranks disagree on the message schedule still
+/// completes, only late, each wait ending in a timeout; this turns that
+/// slow pass into a failure. Needs [`RewlConfig::telemetry`] on.
+#[track_caller]
+pub fn assert_no_timeouts(out: &RewlOutput) {
+    assert!(!out.telemetry.is_empty(), "telemetry must be on");
+    for snap in &out.telemetry {
+        let timeouts = snap
+            .counters
+            .iter()
+            .find(|(n, _)| n == "comm_timeouts")
+            .map(|(_, v)| *v);
+        assert_eq!(timeouts, Some(0), "rank {} comm_timeouts", snap.rank);
+    }
 }

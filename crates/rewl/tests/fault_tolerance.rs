@@ -2,6 +2,8 @@
 //! must degrade gracefully when walkers die, resume from cluster
 //! checkpoints, and never hang on dropped messages.
 
+mod common;
+
 use std::time::Instant;
 
 use dt_hamiltonian::{exact::ExactDos, PairHamiltonian};
@@ -74,7 +76,9 @@ fn killed_walker_degrades_gracefully() {
     let mut cfg = base_config(3);
     // Rank 3 = window 1, slot 1. Rank 0 (the gather root) must survive.
     cfg.faults = FaultPlan::none().kill_at_round(3, 4);
+    cfg.telemetry = true;
     let out = run_rewl(&h, &nt, &comp, RANGE, &cfg).unwrap();
+    common::assert_no_timeouts(&out);
     assert_eq!(out.lost_ranks, vec![3]);
     assert_eq!(out.windows[0].lost_walkers, 0);
     assert_eq!(out.windows[1].lost_walkers, 1);
@@ -101,7 +105,9 @@ fn checkpointed_run_resumes_after_kill() {
     cfg.checkpoint = Some(CheckpointSpec::new(&dir).every_rounds(5));
     // Kill rank 2 (window 1, slot 0) after the round-10 checkpoint exists.
     cfg.faults = FaultPlan::none().kill_at_round(2, 12);
+    cfg.telemetry = true;
     let crashed = run_rewl(&h, &nt, &comp, RANGE, &cfg).unwrap();
+    common::assert_no_timeouts(&crashed);
     assert_eq!(crashed.lost_ranks, vec![2]);
     assert_eq!(crashed.resumed_from, None);
     assert!(
@@ -114,6 +120,7 @@ fn checkpointed_run_resumes_after_kill() {
     let mut cfg_retry = cfg.clone();
     cfg_retry.faults = FaultPlan::none();
     let out = run_rewl(&h, &nt, &comp, RANGE, &cfg_retry).unwrap();
+    common::assert_no_timeouts(&out);
     assert!(
         out.resumed_from.is_some(),
         "second run must resume from a snapshot"

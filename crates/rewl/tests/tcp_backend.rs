@@ -161,7 +161,8 @@ fn tcp_cluster_checkpoints_and_resumes() {
 
 /// A fail-stop cluster that loses a rank to `plan`, restarted whole
 /// from its newest complete checkpoint (every `cadence` rounds): returns
-/// the healed output, the restarts it took, and the fault-free baseline.
+/// the healed output (telemetry on), the restarts it took, and the
+/// fault-free baseline.
 fn heal(label: &str, cadence: u64, plan: FaultPlan) -> (RewlOutput, u64, RewlOutput) {
     let (_, nt, comp, h) = system();
     let dir = std::env::temp_dir().join(format!("dtrewl-tcp-{label}-{}", std::process::id()));
@@ -172,6 +173,7 @@ fn heal(label: &str, cadence: u64, plan: FaultPlan) -> (RewlOutput, u64, RewlOut
     let mut cfg = base_config(5);
     cfg.checkpoint = Some(CheckpointSpec::new(&dir).every_rounds(cadence));
     cfg.recovery = true;
+    cfg.telemetry = true;
     let (out, restarts) = common::run_restarting(&h, &nt, &comp, RANGE, &cfg, plan);
     let _ = std::fs::remove_dir_all(&dir);
     (out, restarts, baseline)
@@ -186,6 +188,7 @@ fn heal(label: &str, cadence: u64, plan: FaultPlan) -> (RewlOutput, u64, RewlOut
 fn killed_rank_with_recovery_is_bit_identical_to_fault_free() {
     // Rank 1 (window 0, slot 1 — an exchange peer) dies at round 3.
     let (out, restarts, baseline) = heal("recover", 1, FaultPlan::none().kill_at_round(1, 3));
+    common::assert_no_timeouts(&out);
     assert_eq!(restarts, 1, "one whole-cluster restart");
     assert_eq!(out.resumed_from, Some(3));
     assert_eq!(out.lost_ranks, Vec::<usize>::new(), "no rank stays lost");
@@ -199,6 +202,7 @@ fn killed_rank_with_recovery_is_bit_identical_to_fault_free() {
 #[test]
 fn kill_between_checkpoints_resumes_from_the_last_one_bit_identically() {
     let (out, restarts, baseline) = heal("between", 5, FaultPlan::none().kill_at_round(2, 7));
+    common::assert_no_timeouts(&out);
     assert_eq!(restarts, 1);
     assert_eq!(out.resumed_from, Some(5));
     assert_bit_identical(&baseline, &out);
@@ -209,6 +213,7 @@ fn kill_between_checkpoints_resumes_from_the_last_one_bit_identically() {
 #[test]
 fn killed_root_rank_heals_bit_for_bit_through_a_restart() {
     let (out, restarts, baseline) = heal("root", 2, FaultPlan::none().kill_at_round(0, 3));
+    common::assert_no_timeouts(&out);
     assert_eq!(restarts, 1);
     assert_eq!(out.resumed_from, Some(2));
     assert_bit_identical(&baseline, &out);
