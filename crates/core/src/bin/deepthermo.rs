@@ -73,8 +73,8 @@ const FLAGS: &[Flag] = &[
     Flag { modes: RUN, name: "--export-artifact", metavar: "DIR", default: "", help: "also export the run into a serving registry" },
     Flag { modes: RUN, name: "--telemetry", metavar: "", default: "", help: "record per-rank phase timings" },
     Flag { modes: RUN, name: "--cluster", metavar: "tcp:N", default: "", help: "run N ranks as separate processes over loopback TCP (N must equal windows x walkers); the result is bit-identical to the in-process run" },
-    Flag { modes: RUN, name: "--kill", metavar: "R:ROUND", default: "", help: "(with --cluster) crash rank R at exchange round ROUND; without --recover the survivors degrade around it, the one mode whose result differs from a fault-free run" },
-    Flag { modes: RUN, name: "--recover", metavar: "", default: "", help: "(with --cluster) fail-stop + restart: the first lost rank stops the cluster, and every rank restarts from the newest complete checkpoint (every 10 rounds, into --checkpoint or OUT/checkpoints) — the run ends bit-identical to a fault-free one, or with an error, never degraded" },
+    Flag { modes: RUN, name: "--kill", metavar: "R:ROUND", default: "", help: "(with --cluster) crash rank R at exchange round ROUND; the run stops with an error naming the newest complete checkpoint, or restarts under --recover" },
+    Flag { modes: RUN, name: "--recover", metavar: "", default: "", help: "(with --cluster) restart: the first lost rank stops the cluster, and every rank restarts from the newest complete checkpoint (every 10 rounds, into --checkpoint or OUT/checkpoints) — the run ends bit-identical to a fault-free one, or with an error" },
     Flag { modes: RUN, name: "--max-restarts", metavar: "N", default: "3", help: "(with --recover) whole-cluster restarts allowed; one more death is an error" },
     Flag { modes: RUN, name: "--chaos-seed", metavar: "S", default: "", help: "(with --cluster) deterministic multi-fault schedule (kill + message drops/delays) derived entirely from S; recorded into the checkpoint manifest and verified on resume" },
     Flag { modes: RUN, name: "--chaos-rounds", metavar: "N", default: "20", help: "(with --chaos-seed) rounds the schedule spans" },
@@ -420,9 +420,10 @@ fn build_config(args: &Args) -> Result<DeepThermoConfig, DeepThermoError> {
 /// a restart has a snapshot to resume from.
 fn run_config(args: &Args, clustered: bool) -> Result<DeepThermoConfig, DeepThermoError> {
     let mut cfg = build_config(args)?.with_telemetry(args.has("--telemetry"));
-    cfg.rewl.recovery = clustered && args.has("--recover");
     let dir = match args.opt::<PathBuf>("--checkpoint")? {
-        None if cfg.rewl.recovery => Some(args.get::<PathBuf>("--out")?.join("checkpoints")),
+        None if clustered && args.has("--recover") => {
+            Some(args.get::<PathBuf>("--out")?.join("checkpoints"))
+        }
         dir => dir,
     };
     cfg.rewl.checkpoint = dir.map(CheckpointSpec::new);
@@ -468,22 +469,23 @@ fn worker(args: &Args) -> Result<(), DeepThermoError> {
 }
 
 /// Root side of `run --cluster`: spawn the workers, run rank 0, report
-/// per-worker outcomes.
+/// per-worker outcomes. `max_restarts` is `--recover`'s budget, 0
+/// without it.
 fn run_cluster(
     runner: &DeepThermo,
     spec: ClusterSpec,
     plan: FaultPlan,
-    max_restarts: Option<u64>,
+    max_restarts: u64,
 ) -> Result<DeepThermoReport, DeepThermoError> {
     let worker_args: Vec<String> = std::env::args().skip(1).collect();
     println!(
         "cluster: {} ranks as separate processes over loopback TCP (this process is rank 0)",
         spec.size
     );
-    if let Some(n) = max_restarts {
+    if max_restarts > 0 {
         println!(
-            "recovery: supervising the cluster (budget {n} whole-cluster restarts from the \
-             newest complete snapshot)"
+            "--recover: supervising the cluster (budget {max_restarts} whole-cluster restarts \
+             from the newest complete snapshot)"
         );
     }
     let (report, outcomes) =
@@ -492,10 +494,9 @@ fn run_cluster(
         let who = if rank == 0 { "root" } else { "worker" };
         match outcome {
             WorkerOutcome::Completed => {}
-            WorkerOutcome::Killed => {
-                println!("{who} rank {rank} died from the injected fault; survivors degraded")
+            WorkerOutcome::Killed | WorkerOutcome::Failed => {
+                eprintln!("warning: {who} rank {rank} exited abnormally")
             }
-            WorkerOutcome::Failed => eprintln!("warning: {who} rank {rank} exited abnormally"),
             WorkerOutcome::Recovered { respawns } => {
                 println!("{who} rank {rank} recovered after {respawns} supervised respawn(s)")
             }
@@ -555,8 +556,11 @@ fn run(args: &Args) -> Result<(), DeepThermoError> {
     let plan = cluster
         .map(|spec| cluster_fault_plan(args, spec.size))
         .transpose()?;
-    let max_restarts: u64 = args.get("--max-restarts")?;
-    let max_restarts = cfg.rewl.recovery.then_some(max_restarts);
+    let max_restarts = if cluster.is_some() && args.has("--recover") {
+        args.get("--max-restarts")?
+    } else {
+        0
+    };
     let out_dir: PathBuf = args.get("--out")?;
     let export: Option<PathBuf> = args.opt("--export-artifact")?;
     let io_error = |path: PathBuf, e: std::io::Error| DeepThermoError::Io {

@@ -17,19 +17,19 @@
 //! A fault-free cluster run is bit-identical to the thread backend under
 //! the same seed, and `--kill R:ROUND` injects the same simulated rank
 //! death the thread fabric supports — the process exits with
-//! [`KILLED_EXIT_CODE`] and the survivors degrade exactly as they do
-//! in-process.
+//! [`KILLED_EXIT_CODE`].
 //!
-//! With `--recover` every rank runs fail-stop (`RewlConfig::recovery`)
-//! and the root becomes a **supervisor**: the first death it sees — a
-//! worker exit, or rank 0's own `PeerLost` or injected crash — ends the
-//! life of the whole cluster. The supervisor stops every worker, binds a
+//! Every rank is fail-stop, as in-process, and the root is a
+//! **supervisor**: the first death it sees — a worker exit, or rank 0's
+//! own `PeerLost` or injected crash — ends the life of the whole cluster.
+//! Under `--recover` the supervisor then stops every worker, binds a
 //! fresh rendezvous, respawns all workers and re-runs rank 0; every rank
 //! resumes fault-free ([`FaultPlan::none`]) from the newest complete
 //! checkpoint, so the run ends bit-identical to a fault-free one.
-//! Restarts back off exponentially under a budget (`--max-restarts`); a
-//! death past the budget is an error naming the checkpoint to resume
-//! from, never a degraded run (see DESIGN.md, "Fault tolerance").
+//! Restarts back off exponentially under a budget (`--max-restarts`, 0
+//! without `--recover`); a death past the budget is an error naming the
+//! checkpoint a rerun resumes from, never a degraded run (see DESIGN.md,
+//! "Fault tolerance").
 
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
@@ -149,7 +149,7 @@ pub enum WorkerOutcome {
     /// The worker ran its rank to completion.
     Completed,
     /// The worker died from an injected [`SimulatedCrash`] (exit code
-    /// [`KILLED_EXIT_CODE`]); the survivors degraded around it.
+    /// [`KILLED_EXIT_CODE`]), which stopped the cluster.
     Killed,
     /// The worker failed for a real reason (nonzero exit, signal, or a
     /// wait failure).
@@ -197,13 +197,12 @@ struct Life {
 /// program name) each worker is re-launched with; it must rebuild the
 /// same configuration this process holds.
 ///
-/// With `max_restarts` (`--recover`) the first death restarts the whole
-/// cluster — every worker stopped and respawned with the next
+/// The first death ends the life of the cluster. While `max_restarts`
+/// (0 without `--recover`) is not spent, the whole cluster restarts —
+/// every worker stopped and respawned with the next
 /// [`RESPAWN_COUNT_FLAG`] generation, rank 0 re-run — after an
-/// exponential backoff, until that budget is spent. The restart is
-/// attributed to the first rank that died, an injected kill winning a
-/// tie. Without it dead workers are only reaped, and the survivors
-/// degrade around them.
+/// exponential backoff. The death is attributed to the first rank that
+/// died, an injected kill winning a tie.
 ///
 /// Returns the report plus one [`WorkerOutcome`] per rank, rank 0
 /// included.
@@ -217,7 +216,7 @@ pub fn run_cluster_root(
     spec: ClusterSpec,
     plan: FaultPlan,
     worker_args: &[String],
-    max_restarts: Option<u64>,
+    max_restarts: u64,
 ) -> Result<(DeepThermoReport, Vec<WorkerOutcome>), DeepThermoError> {
     spec.validate_against(runner)?;
     let exe = std::env::current_exe().map_err(|e| cluster_err("locate own executable", e))?;
@@ -232,15 +231,7 @@ pub fn run_cluster_root(
         } else {
             FaultPlan::none()
         };
-        let life = run_life(
-            runner,
-            &exe,
-            worker_args,
-            spec.size,
-            restarts,
-            life_plan,
-            max_restarts.is_some(),
-        )?;
+        let life = run_life(runner, &exe, worker_args, spec.size, restarts, life_plan)?;
         let error = match life.root {
             Ok(mut report) => {
                 report.restarts = restarts;
@@ -258,16 +249,22 @@ pub fn run_cluster_root(
             }
             Err(error) => error,
         };
+        // Only a rank 0 that was killed or stopped by a loss makes the
+        // life's deaths the cause; any other error is rank 0's own.
+        if !life.deaths.iter().any(|d| d.rank == 0) {
+            return Err(error);
+        }
         // The first death, an injected kill winning a tie.
         let first = life.deaths.into_iter().min_by_key(|d| (!d.injected, d.at));
-        let (Some(max_restarts), Some(Death { rank, cause, .. })) = (max_restarts, first) else {
-            return Err(error);
-        };
+        let Death { rank, cause, .. } = first.expect("rank 0's death is among them");
         if restarts >= max_restarts {
+            let budget = match max_restarts {
+                0 => String::new(),
+                n => format!(" after {n} restart(s), the budget of --max-restarts"),
+            };
             return Err(DeepThermoError::Cluster {
                 message: format!(
-                    "rank {rank} {cause} after {restarts} restart(s), the budget of \
-                     --max-restarts; {}",
+                    "rank {rank} {cause}{budget}; {}",
                     newest_checkpoint(runner, spec.size)
                 ),
             });
@@ -292,7 +289,7 @@ pub fn run_cluster_root(
 fn newest_checkpoint(runner: &DeepThermo, size: usize) -> String {
     let rewl = &runner.config().rewl;
     let Some(spec) = rewl.checkpoint.as_ref() else {
-        return "no checkpoint directory is configured".to_string();
+        return "no checkpoint directory is configured, so a rerun starts over".to_string();
     };
     match load_resume_point(&spec.dir, config_digest(rewl), size) {
         Some(rp) => format!(
@@ -306,8 +303,8 @@ fn newest_checkpoint(runner: &DeepThermo, size: usize) -> String {
 
 /// One life of the cluster: bind a rendezvous, spawn every worker as
 /// restart generation `generation`, run rank 0 on this thread, and reap
-/// the workers. With `fail_fast` (`--recover`) the first worker death
-/// kills every other worker; rank 0 ending without a report always does.
+/// the workers. The first worker death, or rank 0 ending without a
+/// report, ends the life and stops every other worker.
 fn run_life(
     runner: &DeepThermo,
     exe: &Path,
@@ -315,7 +312,6 @@ fn run_life(
     size: usize,
     generation: u64,
     plan: FaultPlan,
-    fail_fast: bool,
 ) -> Result<Life, DeepThermoError> {
     let rendezvous =
         TcpRendezvous::bind("127.0.0.1:0").map_err(|e| cluster_err("bind rendezvous", e))?;
@@ -341,7 +337,7 @@ fn run_life(
     let abort = AtomicBool::new(false);
     let (root, at, (workers, mut deaths)) = std::thread::scope(|scope| {
         let abort = &abort;
-        let reaper = scope.spawn(move || reap(children, fail_fast, abort));
+        let reaper = scope.spawn(move || reap(children, abort));
         let root = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let transport = rendezvous
                 .into_transport(size)
@@ -426,19 +422,15 @@ fn classify_exit(status: ExitStatus) -> WorkerOutcome {
 const STOP_GRACE: Duration = Duration::from_secs(1);
 
 /// Reap one life's workers (index `rank - 1`) until every one has ended,
-/// recording each death. Once `abort` is raised — or, with `fail_fast`,
-/// once a worker died — the life is over: a worker still running
-/// [`STOP_GRACE`] later is killed and reads `Failed`, not as a death.
-fn reap(
-    mut children: Vec<Child>,
-    fail_fast: bool,
-    abort: &AtomicBool,
-) -> (Vec<WorkerOutcome>, Vec<Death>) {
+/// recording each death. Once `abort` is raised or a worker died the life
+/// is over: a worker still running [`STOP_GRACE`] later is killed and
+/// reads `Failed`, not as a death.
+fn reap(mut children: Vec<Child>, abort: &AtomicBool) -> (Vec<WorkerOutcome>, Vec<Death>) {
     let mut outcomes: Vec<Option<WorkerOutcome>> = vec![None; children.len()];
     let mut deaths = Vec::new();
     let mut over: Option<Instant> = None;
     loop {
-        if abort.load(Ordering::SeqCst) || (fail_fast && !deaths.is_empty()) {
+        if abort.load(Ordering::SeqCst) || !deaths.is_empty() {
             over.get_or_insert_with(Instant::now);
         }
         let kill = over.is_some_and(|t| t.elapsed() >= STOP_GRACE);

@@ -73,8 +73,9 @@ impl std::error::Error for ConfigError {}
 pub enum DeepThermoError {
     /// The run configuration is inconsistent.
     Config(ConfigError),
-    /// The parallel sampler failed unrecoverably (root rank death, a
-    /// whole window lost).
+    /// The parallel sampler failed: a lost rank or message (ranks are
+    /// fail-stop), a root rank death, or a checkpoint directory the run
+    /// cannot use.
     Sampling(RewlError),
     /// A serialized surrogate/proposal model could not be loaded.
     Model(SerializeError),
@@ -95,10 +96,9 @@ pub enum DeepThermoError {
     Material(MaterialError),
     /// A multi-process cluster or serving fleet could not be assembled —
     /// a socket bind, process spawn, or rendezvous handshake failed — or
-    /// one of its processes failed: under `--recover`, a rank died with
-    /// the restart budget spent; in a fleet, a shard exited abnormally.
-    /// (Without `--recover`, rank deaths during sampling are
-    /// degraded-mode events, not errors.)
+    /// one of its processes failed: a rank died with the restart budget
+    /// spent (`--max-restarts` under `--recover`, 0 without); in a
+    /// fleet, a shard exited abnormally.
     Cluster {
         /// What the orchestrator was doing when it failed.
         message: String,

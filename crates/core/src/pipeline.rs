@@ -84,8 +84,9 @@ impl DeepThermo {
     /// # Errors
     /// [`DeepThermoError::Io`] when the checkpoint directory cannot be
     /// created, [`DeepThermoError::Sampling`] when the parallel sampler
-    /// fails unrecoverably, [`DeepThermoError::NoVisitedBins`] when it
-    /// produces nothing to evaluate.
+    /// fails (a lost rank, a checkpoint directory holding another run's
+    /// snapshots), [`DeepThermoError::NoVisitedBins`] when it produces
+    /// nothing to evaluate.
     pub fn run(&self) -> Result<DeepThermoReport, DeepThermoError> {
         self.create_checkpoint_dir()?;
         let range = self.discover_range();
@@ -137,9 +138,9 @@ impl DeepThermo {
     /// directory and a rerun resumes from the newest consistent round.
     ///
     /// # Errors
-    /// Everything [`DeepThermo::run`] can return; rank deaths during
-    /// sampling degrade the run instead of failing it unless rank 0
-    /// itself is lost.
+    /// Everything [`DeepThermo::run`] can return; a rank lost during
+    /// sampling fails every surviving rank with
+    /// [`dt_rewl::RewlError::PeerLost`].
     pub fn run_cluster_rank<T: Transport>(
         &self,
         comm: Communicator<T>,
@@ -296,7 +297,7 @@ impl DeepThermo {
             total_moves: out.total_moves,
             sweeps: out.sweeps,
             stats,
-            lost_ranks: out.lost_ranks,
+            lost_ranks: Vec::new(),
             resumed_from: out.resumed_from,
             restarts: 0,
             walkers_rebalanced: out.walkers_rebalanced,

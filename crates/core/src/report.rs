@@ -52,7 +52,8 @@ pub struct DeepThermoReport {
     pub sweeps: u64,
     /// Merged acceptance statistics across all walkers.
     pub stats: MoveStats,
-    /// Ranks that died during the run (fault tolerance).
+    /// Always empty: a lost rank fails the run (ranks are fail-stop), so
+    /// a report never has one. Kept so existing readers still compile.
     pub lost_ranks: Vec<usize>,
     /// Checkpoint round the run resumed from, if it did.
     pub resumed_from: Option<u64>,
@@ -127,12 +128,6 @@ impl DeepThermoReport {
         ));
         if let Some(round) = self.resumed_from {
             s.push_str(&format!("resumed from checkpoint round {round}\n"));
-        }
-        if !self.lost_ranks.is_empty() {
-            s.push_str(&format!(
-                "ranks lost during the run: {:?}\n",
-                self.lost_ranks
-            ));
         }
         if self.restarts > 0 {
             s.push_str(&format!(
@@ -242,7 +237,6 @@ mod tests {
             stats: MoveStats::new(),
             converged: true,
             ln_f: 1e-4,
-            lost_walkers: 0,
             round_trips: 0,
             round_trip_moves: 0,
         }];

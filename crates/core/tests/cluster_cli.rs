@@ -1,8 +1,8 @@
 //! End-to-end tests of `deepthermo run --cluster tcp:<n>`: the real
 //! binary spawning real worker processes over loopback TCP. The cluster
 //! run must write byte-identical outputs to the in-process run under the
-//! same seed, survive an injected worker kill, and reject a rank count
-//! that does not match the sampling plan.
+//! same seed, fail on an injected worker kill unless it may restart, and
+//! reject a rank count that does not match the sampling plan.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -83,10 +83,13 @@ fn tcp_cluster_cli_matches_the_in_process_run_byte_for_byte() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Without `--recover` a killed worker fails the run: the error names the
+/// dead rank and the checkpoint a rerun would resume from.
 #[test]
-fn tcp_cluster_cli_survives_an_injected_worker_kill() {
+fn tcp_cluster_cli_fails_on_an_injected_worker_kill() {
     let dir = scratch("kill");
     let out_dir = dir.join("out");
+    let ckpt = dir.join("ckpt");
     let mut args: Vec<&str> = BASE.to_vec();
     args.extend_from_slice(&[
         "--seed",
@@ -98,26 +101,28 @@ fn tcp_cluster_cli_survives_an_injected_worker_kill() {
         "--cluster",
         "tcp:4",
         "--kill",
-        "3:4",
+        "3:14",
+        "--checkpoint",
+        ckpt.to_str().unwrap(),
         "--out",
         out_dir.to_str().unwrap(),
     ]);
     let out = deepthermo(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a killed worker must fail the run");
     assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        stderr.contains("rank 3 died from an injected fault"),
+        "the error must name the dead rank:\n{stderr}"
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("worker rank 3 died"),
-        "root must report the injected death:\n{stdout}"
+        stderr.contains("the newest complete checkpoint is round 10"),
+        "the error must name the checkpoint to resume from:\n{stderr}"
     );
-    let summary = String::from_utf8(read(&out_dir, "summary.txt")).unwrap();
     assert!(
-        summary.contains("ranks lost during the run: [3]"),
-        "summary must record the loss:\n{summary}"
+        !stderr.contains("--max-restarts"),
+        "no restart budget was set:\n{stderr}"
     );
+    assert!(!out_dir.join("summary.txt").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

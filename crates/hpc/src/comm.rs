@@ -19,7 +19,7 @@
 //! - per-rank traffic counters ([`Communicator::traffic`]) feed the
 //!   telemetry snapshots.
 //!
-//! A rank death (injected or a genuine panic caught by
+//! A rank's departure (a return or a panic under
 //! [`crate::ThreadCluster::run_with_faults`], or a closed connection on
 //! the TCP backend) is recorded in the survivors' mailboxes: pending
 //! receives from the dead rank fail fast with [`CommError::RankDead`], and
@@ -499,11 +499,14 @@ mod tests {
     #[test]
     fn recv_timeout_expires_on_silence() {
         let results = ThreadCluster::run(2, |comm| {
-            if comm.rank() == 0 {
+            let got = if comm.rank() == 0 {
                 comm.recv_timeout(1, 3, Duration::from_millis(50))
             } else {
                 Ok(vec![]) // rank 1 stays silent but alive
-            }
+            };
+            // Rank 1 stays in the cluster until rank 0's wait is over.
+            comm.barrier().unwrap();
+            got
         });
         assert_eq!(
             results[0],
@@ -535,12 +538,15 @@ mod tests {
         let plan = FaultPlan::none().drop_message(1, 0, 0);
         let started = Instant::now();
         let outcomes = ThreadCluster::run_with_faults(2, plan, |comm| {
-            if comm.rank() == 0 {
+            let got = if comm.rank() == 0 {
                 comm.recv_timeout(1, 9, Duration::from_millis(100))
             } else {
                 comm.send(0, 9, vec![1]); // eaten by the plan
                 Ok(vec![])
-            }
+            };
+            // Rank 1 stays in the cluster until rank 0's wait is over.
+            comm.barrier().unwrap();
+            got
         });
         assert!(
             started.elapsed() < Duration::from_secs(10),
@@ -615,6 +621,33 @@ mod tests {
             }
             dead => panic!("rank 0 died: {dead:?}"),
         }
+    }
+
+    /// A rank that returns departs like one that dies: its buffered
+    /// messages still deliver, then a peer blocked on it gets `RankDead`
+    /// at once instead of waiting out its deadline.
+    #[test]
+    fn returned_rank_departs_after_its_buffered_messages() {
+        let outcomes = ThreadCluster::run_with_faults(2, FaultPlan::none(), |comm| {
+            if comm.rank() == 1 {
+                comm.send(0, 6, vec![5]);
+                return None;
+            }
+            let first = comm.recv_timeout(1, 6, PATIENCE);
+            let started = Instant::now();
+            let second = comm.recv_timeout(1, 6, PATIENCE);
+            Some((first, second, started.elapsed(), comm.is_alive(1)))
+        });
+        let (first, second, waited, alive) = outcomes
+            .into_iter()
+            .next()
+            .and_then(RankOutcome::completed)
+            .flatten()
+            .expect("rank 0 completes");
+        assert_eq!(first, Ok(vec![5]), "a buffered message must survive");
+        assert_eq!(second, Err(CommError::RankDead(1)));
+        assert!(waited < Duration::from_secs(10), "waited {waited:?}");
+        assert!(!alive, "a returned rank is departed");
     }
 
     #[test]
@@ -754,7 +787,11 @@ mod tests {
                 assert!(Instant::now() < deadline, "death never became visible");
                 std::thread::sleep(Duration::from_millis(1));
             }
-            (before, comm.live_count())
+            // Sample before the final barrier: past it, a survivor that
+            // has returned counts as departed too.
+            let after = comm.live_count();
+            comm.barrier().unwrap();
+            (before, after)
         });
         for (rank, outcome) in outcomes.iter().enumerate() {
             if rank == 3 {

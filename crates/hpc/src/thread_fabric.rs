@@ -6,9 +6,9 @@
 //! nothing else is needed to move a message. Receives, liveness and the
 //! collectives are the backend-independent code in [`Transport`]'s
 //! provided methods and [`Communicator`]. [`ThreadCluster::run_with_faults`]
-//! converts a rank panic into [`RankOutcome::Died`] and announces the death
-//! to every survivor's mailbox, which is what unblocks their receives and
-//! lets their collectives complete without the dead rank.
+//! converts a rank panic into [`RankOutcome::Died`] and announces every
+//! departure, return or panic, to every mailbox, which is what unblocks
+//! peers' receives and lets their collectives complete without the rank.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -162,9 +162,9 @@ impl ThreadCluster {
     /// Run a cluster program under a fault plan. A rank that panics —
     /// from an injected [`FaultEvent::KillAtRound`](crate::FaultEvent)
     /// via [`Communicator::poll_faults`], or from a genuine bug — is
-    /// caught at the harness, announced to the survivors (its death
-    /// unblocks their receives and collectives), and reported as
-    /// [`RankOutcome::Died`] instead of tearing the cluster down.
+    /// caught at the harness and reported as [`RankOutcome::Died`]
+    /// instead of tearing the cluster down. Every departed rank, returned
+    /// or dead, is announced to the others, as a closed socket is on TCP.
     pub fn run_with_faults<T, F>(size: usize, plan: FaultPlan, f: F) -> Vec<RankOutcome<T>>
     where
         T: Send,
@@ -178,11 +178,9 @@ impl ThreadCluster {
             };
             let comm = Communicator::new(transport, plan.clone());
             let outcome = run_rank(|| f(comm));
-            if outcome.is_dead() {
-                // Announce the death *before* returning so peers blocked
-                // on this rank unblock promptly.
-                mailboxes.iter().for_each(|mb| mb.mark_dead(rank));
-            }
+            // Announce the departure *before* joining so peers blocked on
+            // this rank unblock promptly.
+            mailboxes.iter().for_each(|mb| mb.mark_dead(rank));
             outcome
         })
     }

@@ -9,14 +9,13 @@
 //!   snapshot does not know about (exchange counters, RNG stream
 //!   position, deep-proposal weights, the SRO accumulator);
 //! * [`RunManifest`] — the per-round commit record rank 0 writes *after*
-//!   every surviving rank has persisted its file. A manifest names the
-//!   round, a digest of the run configuration, and the set of ranks that
+//!   every rank has persisted its file. A manifest names the round, a
+//!   digest of the run configuration, and the set of ranks that
 //!   contributed — a snapshot without its manifest is treated as
 //!   non-existent, which makes the write protocol crash-consistent;
-//! * [`load_resume_point`] — the recovery scan: newest manifest whose
-//!   digest matches and whose listed rank files all decode wins; ranks
-//!   absent from it (they were already dead at checkpoint time) fall back
-//!   to their own newest earlier file, or to a fresh start.
+//! * [`load_resume_point`] — the recovery scan: the newest manifest whose
+//!   digest matches, that lists every rank, and whose rank files all
+//!   decode wins.
 //!
 //! All files are written to a temporary name and atomically renamed into
 //! place, so a crash mid-write can never corrupt an existing snapshot.
@@ -286,8 +285,8 @@ impl RankCheckpoint {
 }
 
 /// The commit record of one cluster snapshot. A snapshot exists iff its
-/// manifest exists: rank 0 writes the manifest only after every surviving
-/// rank confirmed its rank file is on disk (write-data-then-commit).
+/// manifest exists: rank 0 writes the manifest only after every rank
+/// confirmed its rank file is on disk (write-data-then-commit).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunManifest {
     /// Exchange round the snapshot was taken at (start of round).
@@ -296,7 +295,9 @@ pub struct RunManifest {
     pub ranks: usize,
     /// Digest of the run configuration (see [`config_digest`]).
     pub digest: u64,
-    /// Which ranks contributed a rank file to this snapshot.
+    /// Which ranks contributed a rank file to this snapshot. Ranks are
+    /// fail-stop, so a committed snapshot lists every rank; the resume
+    /// scan skips a manifest that does not.
     pub alive: Vec<bool>,
     /// The fault plan (and chaos seed) active when the snapshot was
     /// taken. Recorded so a resume can detect that it is being replayed
@@ -437,14 +438,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The state a resumed run starts from: a committed round plus each
-/// rank's restored state (`None` ⇒ that rank starts fresh).
+/// The state a resumed run starts from: a committed round plus every
+/// rank's restored state.
 #[derive(Debug)]
 pub struct ResumePoint {
     /// Round the winning manifest was committed at.
     pub round: u64,
-    /// Per-rank restored state.
-    pub ranks: Vec<Option<RankCheckpoint>>,
+    /// Every rank's restored state, in rank order.
+    pub ranks: Vec<RankCheckpoint>,
     /// The fault plan recorded in the winning manifest. The driver
     /// rejects a resume whose requested plan disagrees (unless the
     /// request is fault-free — turning injection off for the rerun is
@@ -452,72 +453,47 @@ pub struct ResumePoint {
     pub faults: FaultPlan,
 }
 
-/// The rounds of the files in `dir` named `<prefix><round><suffix>`,
-/// newest first. Unreadable or foreign files are ignored.
-fn rounds_in(dir: &Path, prefix: &str, suffix: &str) -> Vec<u64> {
+/// The rounds of the manifests in `dir`, newest first. Unreadable or
+/// foreign files are ignored.
+fn manifest_rounds(dir: &Path) -> Vec<u64> {
     let mut rounds: Vec<u64> = fs::read_dir(dir)
         .into_iter()
         .flatten()
         .flatten()
         .filter_map(|entry| {
             let name = entry.file_name();
-            let stem = name.to_str()?.strip_prefix(prefix)?.strip_suffix(suffix)?;
-            stem.parse().ok()
+            let stem = name.to_str()?.strip_prefix("manifest-")?;
+            stem.strip_suffix(".txt")?.parse().ok()
         })
         .collect();
     rounds.sort_unstable_by(|a, b| b.cmp(a));
     rounds
 }
 
-/// Newest round (≤ `max_round`) at which `rank` has a decodable rank
-/// file — the fallback for ranks missing from the winning manifest.
-fn newest_rank_checkpoint(
-    dir: &Path,
-    rank: usize,
-    max_round: u64,
-) -> Option<(u64, RankCheckpoint)> {
-    rounds_in(dir, "walker-", &format!("-{rank:04}.txt"))
-        .into_iter()
-        .filter(|&round| round <= max_round)
-        .find_map(|round| Some((round, RankCheckpoint::load(dir, round, rank).ok()?)))
-}
-
-/// Scan `dir` for the newest *consistent* snapshot: a manifest whose
-/// digest and rank count match this run and whose every listed rank file
-/// decodes. Inconsistent or partially-corrupt snapshots are skipped in
-/// favor of older ones. Ranks the manifest lists as dead are restored
-/// from their own newest earlier file when one survives, else `None`.
+/// Scan `dir` for the newest *complete* snapshot: a manifest whose digest
+/// and rank count match this run, that lists every rank, and whose every
+/// rank file decodes. Anything else is skipped in favor of an older
+/// snapshot.
 pub fn load_resume_point(dir: &Path, digest: u64, num_ranks: usize) -> Option<ResumePoint> {
-    'manifests: for round in rounds_in(dir, "manifest-", ".txt") {
-        let Ok(text) = fs::read_to_string(manifest_path(dir, round)) else {
-            continue;
-        };
-        let Ok(manifest) = RunManifest::decode(&text) else {
-            continue;
-        };
-        if manifest.digest != digest || manifest.ranks != num_ranks || manifest.round != round {
-            continue;
+    manifest_rounds(dir).into_iter().find_map(|round| {
+        let text = fs::read_to_string(manifest_path(dir, round)).ok()?;
+        let manifest = RunManifest::decode(&text).ok()?;
+        if manifest.digest != digest
+            || manifest.ranks != num_ranks
+            || manifest.round != round
+            || manifest.alive.contains(&false)
+        {
+            return None;
         }
-        let mut ranks: Vec<Option<RankCheckpoint>> = Vec::with_capacity(num_ranks);
-        for (rank, &alive) in manifest.alive.iter().enumerate() {
-            if alive {
-                match RankCheckpoint::load(dir, round, rank) {
-                    Ok(cp) => ranks.push(Some(cp)),
-                    // A listed file that fails to decode voids the whole
-                    // snapshot — fall back to an older manifest.
-                    Err(_) => continue 'manifests,
-                }
-            } else {
-                ranks.push(newest_rank_checkpoint(dir, rank, round).map(|(_, cp)| cp));
-            }
-        }
-        return Some(ResumePoint {
+        let ranks = (0..num_ranks)
+            .map(|rank| RankCheckpoint::load(dir, round, rank).ok())
+            .collect::<Option<Vec<_>>>()?;
+        Some(ResumePoint {
             round,
             ranks,
             faults: manifest.faults,
-        });
-    }
-    None
+        })
+    })
 }
 
 #[cfg(test)]
@@ -691,7 +667,7 @@ mod tests {
 
         let rp = load_resume_point(&dir, digest, 2).expect("resume point");
         assert_eq!(rp.round, 10);
-        assert!(rp.ranks.iter().all(Option::is_some));
+        assert_eq!(rp.ranks.len(), 2);
 
         // Wrong digest ⇒ nothing to resume.
         assert!(load_resume_point(&dir, digest + 1, 2).is_none());
@@ -701,37 +677,35 @@ mod tests {
     }
 
     #[test]
-    fn dead_rank_falls_back_to_its_newest_earlier_file() {
+    fn manifest_missing_a_rank_is_skipped() {
         let dir = std::env::temp_dir().join(format!("dtrewl-ckpt-dead-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let digest = 7u64;
-
-        // Rank 1 checkpointed at round 5, then died; round 15 snapshot
-        // has rank 0 only.
-        let mut old = sample_rank();
-        old.sweeps = 500;
-        old.write(&dir, 5, 1).unwrap();
-        sample_rank().write(&dir, 15, 0).unwrap();
-        RunManifest {
-            round: 15,
+        let manifest = |round, alive| RunManifest {
+            round,
             ranks: 2,
             digest,
-            alive: vec![true, false],
+            alive,
             faults: FaultPlan::none(),
             assignment: Vec::new(),
+        };
+
+        // Round 5 is complete; round 15 lists rank 0 only, so a resume
+        // from it could not restore rank 1.
+        let mut old = sample_rank();
+        old.sweeps = 500;
+        for rank in 0..2 {
+            old.write(&dir, 5, rank).unwrap();
         }
-        .write(&dir)
-        .unwrap();
+        manifest(5, vec![true, true]).write(&dir).unwrap();
+        sample_rank().write(&dir, 15, 0).unwrap();
+        sample_rank().write(&dir, 15, 1).unwrap();
+        manifest(15, vec![true, false]).write(&dir).unwrap();
 
         let rp = load_resume_point(&dir, digest, 2).expect("resume point");
-        assert_eq!(rp.round, 15);
-        assert_eq!(rp.ranks[1].as_ref().unwrap().sweeps, 500);
-
-        // A rank with no file at all starts fresh.
-        fs::remove_file(rank_path(&dir, 5, 1)).unwrap();
-        let rp = load_resume_point(&dir, digest, 2).expect("resume point");
-        assert!(rp.ranks[1].is_none());
+        assert_eq!(rp.round, 5);
+        assert!(rp.ranks.iter().all(|rc| rc.sweeps == 500));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -17,9 +17,10 @@ use dt_thermo::MicrocanonicalAccumulator;
 use dt_wanglandau::{DosEstimate, EnergyGrid, WlParams, WlWalker};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::path::PathBuf;
 
 use crate::checkpoint::{self, CheckpointSpec, ResumePoint};
-use crate::rank::RankEngine;
+use crate::rank::{fits, RankEngine};
 use crate::spec::KernelSpec;
 use crate::windows::WindowLayout;
 
@@ -53,27 +54,16 @@ pub struct RewlConfig {
     /// its communicator was built with.
     pub faults: FaultPlan,
     /// Periodic cluster checkpointing; `None` disables persistence. When
-    /// set, [`run_rewl`] also *resumes* from the newest consistent
-    /// snapshot found in the directory (see [`crate::checkpoint`]). This
-    /// is the one place a run's checkpoint directory is configured;
-    /// `deepthermo::DeepThermo` creates it up front and fails the run
-    /// when it cannot.
+    /// set, [`run_rewl`] also *resumes* from the newest complete snapshot
+    /// found in the directory (see [`crate::checkpoint`]), and a directory
+    /// that cannot be created or holds another run's snapshots fails the
+    /// run with [`RewlError::CheckpointUnusable`]. This is the one place a
+    /// run's checkpoint directory is configured.
     pub checkpoint: Option<CheckpointSpec>,
     /// Record per-rank phase timings, acceptance counters, and message
     /// traffic into [`RewlOutput::telemetry`]. Off by default; when off
     /// the instrumentation reduces to a single branch per site.
     pub telemetry: bool,
-    /// Fail-stop mode, for clusters whose launcher restarts every rank
-    /// from the newest complete checkpoint when one dies (`deepthermo run
-    /// --recover`). A protocol receive that fails — a dead peer, or an
-    /// exhausted deadline — or a converge vote counting fewer than all
-    /// ranks (votes run on the rounds whose outcome can change, so a loss
-    /// surfaces at the next vote or failed receive) ends this rank's life with [`RewlError::PeerLost`] instead of
-    /// degrading around the loss, so every manifest the run commits lists
-    /// every rank. Honoured by [`run_rewl_on`] only: the thread ranks of
-    /// [`run_rewl`] share one process and always degrade. Pair it with
-    /// `checkpoint`, or a restart starts over from scratch.
-    pub recovery: bool,
     /// Place window boundaries with
     /// [`WindowLayout::equal_diffusion`] instead of the uniform layout,
     /// seeding the cost profile from a deterministic pilot pass
@@ -104,35 +94,24 @@ impl Default for RewlConfig {
             faults: FaultPlan::none(),
             checkpoint: None,
             telemetry: false,
-            recovery: false,
             adaptive_windows: false,
             rebalance_every: 0,
         }
     }
 }
 
-/// Unrecoverable failures of a REWL run.
+/// Failures of a REWL run.
 ///
-/// Degraded-but-survivable situations (a dead non-root walker, a lost
-/// message, a failed checkpoint write) are *not* errors — they are
-/// reported through [`WindowReport::lost_walkers`] and
-/// [`RewlOutput::lost_ranks`]. These variants cover the cases where no
-/// meaningful output exists at all, and fail-stop's refusal to degrade.
+/// Every rank is fail-stop: a lost rank or message ends the run with
+/// [`RewlError::PeerLost`] (or [`RewlError::RootRankDied`]), never with a
+/// degraded answer. Rerunning the same configuration over the same
+/// checkpoint directory resumes from the newest complete snapshot. A
+/// failed checkpoint write is not an error: that round is just not
+/// committed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RewlError {
-    /// Rank 0 — the gather root that assembles the output — died.
-    /// Every other rank is expendable; point fault plans away from
-    /// rank 0.
+    /// Rank 0 — the collective coordinator and gather root — died.
     RootRankDied(String),
-    /// Every walker of one window died or was dropped from the final
-    /// gather, so that window's DOS piece is unrecoverable (resume from
-    /// a checkpoint instead).
-    WindowLost {
-        /// Index of the unrecoverable window.
-        window: usize,
-        /// Walkers the window started with (all lost).
-        walkers: usize,
-    },
     /// The checkpoint directory records a different fault schedule than
     /// this run was asked to inject. Resuming would replay a different
     /// failure history (or re-kill ranks that already died), so the
@@ -146,15 +125,26 @@ pub enum RewlError {
         /// The plan this run was configured with.
         requested: String,
     },
-    /// Fail-stop mode ([`RewlConfig::recovery`]) ended this rank's life:
-    /// a peer died or went silent. Restart every rank from the newest
-    /// complete checkpoint.
+    /// A peer died, went silent past its receive deadline, or sent a
+    /// payload that does not decode, and this rank stopped. Restart every
+    /// rank from the newest complete checkpoint.
     PeerLost {
         /// The rank that was lost (rank 0 when the coordinator died, or
         /// counted a contributor missing that this rank cannot name).
         peer: usize,
         /// The exchange round in which the loss was noticed.
         round: u64,
+    },
+    /// The checkpoint directory cannot serve this run: it cannot be
+    /// created, or its newest complete snapshot was taken on another
+    /// energy grid or observable shape (another material, supercell or
+    /// energy range under the same sampling settings). Use a fresh
+    /// directory.
+    CheckpointUnusable {
+        /// The configured checkpoint directory.
+        dir: PathBuf,
+        /// What is wrong with it.
+        reason: String,
     },
 }
 
@@ -164,10 +154,6 @@ impl std::fmt::Display for RewlError {
             RewlError::RootRankDied(cause) => {
                 write!(f, "rank 0 (the gather root) died: {cause}")
             }
-            RewlError::WindowLost { window, walkers } => write!(
-                f,
-                "window {window}: all {walkers} walkers lost — the DOS piece is unrecoverable"
-            ),
             RewlError::FaultPlanMismatch {
                 recorded,
                 requested,
@@ -179,6 +165,11 @@ impl std::fmt::Display for RewlError {
             RewlError::PeerLost { peer, round } => {
                 write!(f, "lost rank {peer} in round {round} (fail-stop)")
             }
+            RewlError::CheckpointUnusable { dir, reason } => write!(
+                f,
+                "checkpoint directory {} cannot serve this run: {reason}; use a fresh directory",
+                dir.display()
+            ),
         }
     }
 }
@@ -196,13 +187,10 @@ pub struct WindowReport {
     pub exchange_accepted: u64,
     /// Merged proposal statistics of the window's walkers.
     pub stats: MoveStats,
-    /// Did every surviving walker of the window converge?
+    /// Did every walker of the window converge?
     pub converged: bool,
     /// Final `ln f` (max over walkers).
     pub ln_f: f64,
-    /// Walkers of this window that died (or could not be gathered) and
-    /// therefore contribute nothing to the merged DOS.
-    pub lost_walkers: usize,
     /// Completed round trips (lowest ↔ highest window bin) summed over
     /// the window's walkers. Move-count based — deterministic given the
     /// seed, identical across backends.
@@ -234,7 +222,7 @@ pub struct RewlOutput {
     pub mask: Vec<bool>,
     /// Per-window reports.
     pub windows: Vec<WindowReport>,
-    /// Did every surviving walker converge before `max_sweeps`?
+    /// Did every walker converge before `max_sweeps`?
     pub converged: bool,
     /// Sweeps executed per walker.
     pub sweeps: u64,
@@ -244,15 +232,13 @@ pub struct RewlOutput {
     pub sro: MicrocanonicalAccumulator,
     /// Total MC moves across all walkers.
     pub total_moves: u64,
-    /// Ranks that died or were dropped from the final gather.
-    pub lost_ranks: Vec<usize>,
     /// The checkpoint round this run resumed from, when it did.
     pub resumed_from: Option<u64>,
-    /// Per-rank telemetry snapshots (surviving ranks only, in rank
-    /// order). Empty unless [`RewlConfig::telemetry`] was set.
+    /// Per-rank telemetry snapshots, in rank order. Empty unless
+    /// [`RewlConfig::telemetry`] was set.
     pub telemetry: Vec<RankTelemetry>,
     /// Walker migrations applied by dynamic reallocation, summed over
-    /// the gathered ranks (each migration counts once, on the migrant).
+    /// the ranks (each migration counts once, on the migrant).
     /// Zero unless [`RewlConfig::rebalance_every`] was set.
     pub walkers_rebalanced: u64,
 }
@@ -365,43 +351,82 @@ fn build_layout<M: EnergyModel>(
     }
 }
 
-/// Locate the newest usable resume point for this config, creating the
+/// Locate the newest complete resume point for this config, creating the
 /// checkpoint directory as a side effect. `Ok(None)` when checkpointing
-/// is off, the directory is unusable, or no consistent snapshot exists.
+/// is off or no complete snapshot exists.
 ///
 /// # Errors
+/// [`RewlError::CheckpointUnusable`] when the directory cannot be created
+/// or its snapshot does not fit `layout` and `obs_dim` (the digest guards
+/// the sampling settings, not the material or the energy range).
 /// [`RewlError::FaultPlanMismatch`] when the manifest records a different
 /// (non-empty vs different) fault schedule than `requested`. An empty
 /// requested plan resumes anything — "rerun without faults" is the normal
 /// recovery action after a faulty run, and what a restarted cluster does.
 fn find_resume_point(
     cfg: &RewlConfig,
+    layout: &WindowLayout,
+    obs_dim: usize,
     digest: u64,
-    size: usize,
     requested: &FaultPlan,
 ) -> Result<Option<ResumePoint>, RewlError> {
     let Some(spec) = cfg.checkpoint.as_ref() else {
         return Ok(None);
     };
-    if let Err(e) = std::fs::create_dir_all(&spec.dir) {
-        eprintln!(
-            "rewl: cannot create checkpoint dir {}: {e}; checkpointing disabled",
-            spec.dir.display()
-        );
+    let unusable = |reason: String| RewlError::CheckpointUnusable {
+        dir: spec.dir.clone(),
+        reason,
+    };
+    std::fs::create_dir_all(&spec.dir).map_err(|e| unusable(format!("cannot create it: {e}")))?;
+    let size = cfg.num_windows * cfg.walkers_per_window;
+    let Some(rp) = checkpoint::load_resume_point(&spec.dir, digest, size) else {
         return Ok(None);
+    };
+    if *requested != FaultPlan::none() && rp.faults != *requested {
+        return Err(RewlError::FaultPlanMismatch {
+            recorded: rp.faults.encode(),
+            requested: requested.encode(),
+        });
     }
-    match checkpoint::load_resume_point(&spec.dir, digest, size) {
-        Some(rp) => {
-            if *requested != FaultPlan::none() && rp.faults != *requested {
-                return Err(RewlError::FaultPlanMismatch {
-                    recorded: rp.faults.encode(),
-                    requested: requested.encode(),
-                });
-            }
-            Ok(Some(rp))
+    if let Some(reason) = resume_mismatch(&rp, cfg, layout, obs_dim) {
+        return Err(unusable(format!("round {} snapshot: {reason}", rp.round)));
+    }
+    Ok(Some(rp))
+}
+
+/// Why `rp` cannot seed this run's ranks, if it cannot: a rank's window
+/// assignment, walker grid or SRO accumulator does not fit the layout.
+fn resume_mismatch(
+    rp: &ResumePoint,
+    cfg: &RewlConfig,
+    layout: &WindowLayout,
+    obs_dim: usize,
+) -> Option<String> {
+    let size = rp.ranks.len();
+    let global_bins = layout.global_grid().num_bins();
+    for (rank, rc) in rp.ranks.iter().enumerate() {
+        let window = match rc.assignment.as_slice() {
+            [] => rank / cfg.walkers_per_window,
+            a if a.len() == size && a.iter().all(|&w| w < cfg.num_windows) => a[rank],
+            _ => return Some(format!("rank {rank}'s window assignment does not fit")),
+        };
+        let grid = layout.window_grid(window);
+        if !fits(rc, &grid, global_bins, obs_dim) {
+            let w = &rc.walker;
+            return Some(format!(
+                "rank {rank} sampled [{}, {}] in {} bins with {} SRO values per bin, \
+                 but its window {window} is [{}, {}] in {} bins with {obs_dim}",
+                w.e_min,
+                w.e_max,
+                w.num_bins,
+                rc.obs_dim,
+                grid.e_min(),
+                grid.e_max(),
+                grid.num_bins()
+            ));
         }
-        None => Ok(None),
     }
+    None
 }
 
 /// Run REWL on a simulated cluster of `M·W` ranks (threads).
@@ -409,17 +434,18 @@ fn find_resume_point(
 /// `(e_min, e_max)` is the global energy range (discover it with
 /// [`dt_wanglandau::explore_energy_range`]).
 ///
-/// Fault tolerance: with `cfg.faults` the fabric injects failures; dead
-/// walkers are skipped by survivors and reported via
-/// [`WindowReport::lost_walkers`] / [`RewlOutput::lost_ranks`]. With
-/// `cfg.checkpoint` the cluster snapshots itself periodically and this
-/// function resumes from the newest consistent snapshot on the next call.
+/// Fault tolerance is fail-stop: `cfg.faults` injects rank kills and
+/// message drops/delays, and the first loss ends the run with an error.
+/// With `cfg.checkpoint` the cluster snapshots itself periodically, and
+/// calling this again with the same config over the same directory
+/// resumes from the newest complete snapshot — for the local and
+/// random-global kernels, bit-identical to a run that never failed.
 ///
 /// # Errors
-/// [`RewlError::RootRankDied`] when rank 0 (the gather root) dies —
-/// every other rank is expendable — and [`RewlError::WindowLost`] when
-/// an entire window loses all of its walkers, leaving a hole no merge
-/// can bridge.
+/// [`RewlError::RootRankDied`] when rank 0 dies, rank 0's
+/// [`RewlError::PeerLost`] when any other rank or message is lost, and
+/// the checkpoint errors of [`RewlError::CheckpointUnusable`] and
+/// [`RewlError::FaultPlanMismatch`] before any sampling.
 ///
 /// # Panics
 /// Panics when a walker cannot reach its assigned energy window during
@@ -434,7 +460,8 @@ pub fn run_rewl<M: EnergyModel + Sync>(
     let layout = build_layout(model, neighbors, comp, (e_min, e_max), cfg);
     let size = cfg.num_windows * cfg.walkers_per_window;
     let digest = checkpoint::config_digest(cfg);
-    let resume = find_resume_point(cfg, digest, size, &cfg.faults)?;
+    let obs_dim = model.num_shells() * comp.num_species().pow(2);
+    let resume = find_resume_point(cfg, &layout, obs_dim, digest, &cfg.faults)?;
     let resume_ref = resume.as_ref();
 
     let outcomes = ThreadCluster::run_with_faults(size, cfg.faults.clone(), |comm| {
@@ -443,28 +470,25 @@ pub fn run_rewl<M: EnergyModel + Sync>(
         )
         .run()
     });
-    // Rank 0 produced the assembled output; every surviving rank
-    // contributed a telemetry snapshot (when enabled).
+    // Rank 0 produced the assembled output or the error that stopped it;
+    // every rank that finished contributed a telemetry snapshot (when
+    // enabled).
     let mut telemetry = Vec::new();
     let mut root = None;
     for (rank, outcome) in outcomes.into_iter().enumerate() {
         match outcome {
-            RankOutcome::Completed((result, tel)) => {
+            RankOutcome::Completed(Ok((out, tel))) => {
                 telemetry.extend(tel);
-                if rank == 0 {
-                    root = Some(result);
-                }
+                root = root.or(out);
             }
-            RankOutcome::Died { cause } => {
-                if rank == 0 {
-                    return Err(RewlError::RootRankDied(cause));
-                }
+            RankOutcome::Completed(Err(lost)) if rank == 0 => return Err(lost),
+            RankOutcome::Died { cause } if rank == 0 => {
+                return Err(RewlError::RootRankDied(cause));
             }
+            RankOutcome::Completed(Err(_)) | RankOutcome::Died { .. } => {}
         }
     }
-    let mut out = root
-        .expect("rank 0 completes or dies")?
-        .expect("rank 0 assembles the output");
+    let mut out = root.expect("rank 0 assembles the output");
     out.telemetry = telemetry;
     Ok(out)
 }
@@ -495,11 +519,10 @@ pub struct RankRun {
 /// backend under the same seed.
 ///
 /// # Errors
-/// Same failure modes as [`run_rewl`], surfaced on rank 0:
-/// [`RewlError::WindowLost`] when a window loses every walker. (A dead
-/// rank 0 cannot return at all — supervise the process instead.) With
-/// [`RewlConfig::recovery`] set, every rank returns
-/// [`RewlError::PeerLost`] once the cluster has lost a rank.
+/// The failure modes of [`run_rewl`], on every rank: once the cluster
+/// has lost a rank or a message, every surviving rank returns
+/// [`RewlError::PeerLost`]. (A dead rank 0 cannot return at all —
+/// supervise the process instead.)
 ///
 /// # Panics
 /// Panics when a walker cannot reach its assigned energy window during
@@ -520,7 +543,8 @@ pub fn run_rewl_on<M: EnergyModel, T: Transport>(
     );
     let layout = build_layout(model, neighbors, comp, (e_min, e_max), cfg);
     let digest = checkpoint::config_digest(cfg);
-    let resume = find_resume_point(cfg, digest, size, comm.fault_plan())?;
+    let obs_dim = model.num_shells() * comp.num_species().pow(2);
+    let resume = find_resume_point(cfg, &layout, obs_dim, digest, comm.fault_plan())?;
     let (output, telemetry) = RankEngine::new(
         comm,
         model,
@@ -532,9 +556,6 @@ pub fn run_rewl_on<M: EnergyModel, T: Transport>(
         resume.as_ref(),
         true,
     )
-    .run();
-    Ok(RankRun {
-        output: output?,
-        telemetry,
-    })
+    .run()?;
+    Ok(RankRun { output, telemetry })
 }

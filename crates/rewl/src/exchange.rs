@@ -22,10 +22,10 @@
 //! round trip per acceptance.
 //!
 //! Every receive is deadline-bounded (`recv_resilient`): a dead or silent
-//! partner aborts the attempt — state untouched — instead of hanging the
-//! round. Message tags carry the round number
-//! ([`tags::with_round`]) so a straggler's late frames can never be
-//! mistaken for the current round's.
+//! partner fails the attempt — state untouched — with a `CommError`,
+//! which ends the rank, instead of hanging the round. Message tags carry
+//! the round number ([`tags::with_round`]) so a straggler's late frames
+//! can never be mistaken for the current round's.
 
 use std::time::{Duration, Instant};
 
@@ -199,9 +199,8 @@ pub fn exchange_role(
 }
 
 /// The initiator ('a') side of one replica-exchange attempt. Returns
-/// whether the swap was applied locally. Any comm failure aborts the
-/// attempt without touching walker state; the partner, if alive, aborts
-/// symmetrically via its own timeouts.
+/// whether the swap was applied locally. A comm failure fails the
+/// attempt without touching walker state.
 pub(crate) fn exchange_as_initiator<T: Transport>(
     comm: &Communicator<T>,
     walker: &mut WlWalker,

@@ -5,9 +5,9 @@
 //! state in checkpoint form (window `ln g`, visited mask, move statistics,
 //! counters, SRO accumulator totals) — to rank 0 (tag `GATHER_PIECE`).
 //! Rank 0 validates the shape of what arrives — a dead peer, a timeout,
-//! or a malformed message drops that *rank* from the merge, not the run —
-//! averages each window's surviving walkers (aligning their additive
-//! `ln g` constants on co-visited bins), and stitches the windows into the
+//! or a malformed message ends the run like any other lost receive —
+//! averages each window's walkers (aligning their additive `ln g`
+//! constants on co-visited bins), and stitches the windows into the
 //! global density of states.
 
 use std::time::Instant;
@@ -16,48 +16,40 @@ use dt_hpc::{Communicator, Transport};
 use dt_proposal::MoveStats;
 use dt_telemetry::RankTelemetry;
 use dt_thermo::MicrocanonicalAccumulator;
+use dt_wanglandau::EnergyGrid;
 
-use crate::driver::{RewlConfig, RewlError, RewlOutput, WindowReport};
+use crate::driver::{RewlConfig, RewlOutput, WindowReport};
 use crate::exchange::{recv_until, tags};
 use crate::merge::merge_windows;
+use crate::rank::fits;
 use crate::windows::WindowLayout;
 use crate::wire::{self, GatherPiece};
 
-/// Receive one rank's gather contribution and rebuild its SRO
-/// accumulator, validating every shape; any timeout, dead peer, or
-/// malformed payload drops the whole rank. The receive is bounded by the
-/// caller's absolute `deadline` (one budget per collection phase, not per
+/// Receive one rank's gather contribution, on its window's `grid`, and
+/// rebuild its SRO accumulator, validating every shape; `None` on a
+/// timeout, a dead peer, or a malformed payload. The receive is bounded by the caller's
+/// absolute `deadline` (one budget per collection phase, not per
 /// message).
 pub(crate) fn recv_rank_piece<T: Transport>(
     comm: &Communicator<T>,
     other: usize,
-    window_bins: usize,
+    grid: &EnergyGrid,
     global_bins: usize,
     obs_dim: usize,
     deadline: Instant,
-) -> Result<(GatherPiece, MicrocanonicalAccumulator), String> {
-    let bytes = recv_until(comm, other, tags::GATHER_PIECE, deadline).map_err(|e| e.to_string())?;
-    let piece = wire::decode_piece(&bytes).map_err(|e| e.to_string())?;
+) -> Option<(GatherPiece, MicrocanonicalAccumulator)> {
+    let bytes = recv_until(comm, other, tags::GATHER_PIECE, deadline).ok()?;
+    let piece = wire::decode_piece(&bytes).ok()?;
     // Decoding already tied every vector to the counts the piece states.
     let state = &piece.state;
-    if state.walker.num_bins != window_bins {
-        return Err(format!(
-            "piece shape mismatch: {} bins, expected {window_bins}",
-            state.walker.num_bins
-        ));
-    }
-    if state.sro_counts.len() != global_bins || state.obs_dim != obs_dim {
-        return Err(format!(
-            "accumulator shape mismatch: {} bins × {}, expected {global_bins} × {obs_dim}",
-            state.sro_counts.len(),
-            state.obs_dim
-        ));
+    if !fits(state, grid, global_bins, obs_dim) {
+        return None;
     }
     let mut acc = MicrocanonicalAccumulator::new(global_bins, obs_dim);
     for (b, &count) in state.sro_counts.iter().enumerate() {
         acc.record_sum(b, &state.sro_sums[b * obs_dim..(b + 1) * obs_dim], count);
     }
-    Ok((piece, acc))
+    Some((piece, acc))
 }
 
 /// Average the `ln_g` of a window's walkers after aligning their additive
@@ -120,41 +112,31 @@ pub(crate) fn accumulator_totals(
     (sums, counts)
 }
 
-/// Rank 0's final step: average each window's surviving walkers, build
-/// the per-window reports, and merge the windows into the global DOS.
-///
-/// # Errors
-/// [`RewlError::WindowLost`] when a window has no surviving pieces.
+/// Rank 0's final step: average each window's walkers (`per_rank` holds
+/// every rank's piece, in rank order), build the per-window reports, and
+/// merge the windows into the global DOS.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_output(
     layout: &WindowLayout,
     cfg: &RewlConfig,
     assignment: &[usize],
-    per_rank: &[Option<GatherPiece>],
+    per_rank: &[GatherPiece],
     merged_sro: MicrocanonicalAccumulator,
-    lost_ranks: Vec<usize>,
     sweeps: u64,
     resumed_round: Option<u64>,
     telemetry: Vec<RankTelemetry>,
-) -> Result<RewlOutput, RewlError> {
+) -> RewlOutput {
     let mut pieces = Vec::with_capacity(cfg.num_windows);
     let mut reports = Vec::with_capacity(cfg.num_windows);
     for win in 0..cfg.num_windows {
         // Walker reallocation can leave windows with unequal headcounts;
         // group by the final rank→window assignment, not by rank blocks.
-        let started = assignment.iter().filter(|&&a| a == win).count();
         let members: Vec<&GatherPiece> = per_rank
             .iter()
-            .enumerate()
-            .filter(|&(r, _)| assignment[r] == win)
-            .filter_map(|(_, p)| p.as_ref())
+            .zip(assignment)
+            .filter(|&(_, &a)| a == win)
+            .map(|(p, _)| p)
             .collect();
-        if members.is_empty() {
-            return Err(RewlError::WindowLost {
-                window: win,
-                walkers: started,
-            });
-        }
         pieces.push(average_window(&members));
         let mut stats = MoveStats::new();
         let mut attempts = 0u64;
@@ -180,20 +162,15 @@ pub(crate) fn assemble_output(
             stats,
             converged: all_conv,
             ln_f: ln_f_max,
-            lost_walkers: started - members.len(),
             round_trips,
             round_trip_moves,
         });
     }
     let (dos, mask) = merge_windows(layout, &pieces);
-    let total_moves = per_rank
-        .iter()
-        .flatten()
-        .map(|p| p.state.walker.total_moves)
-        .sum();
+    let total_moves = per_rank.iter().map(|p| p.state.walker.total_moves).sum();
     let converged_all = reports.iter().all(|r| r.converged);
-    let walkers_rebalanced = per_rank.iter().flatten().map(|p| p.state.rebalanced).sum();
-    Ok(RewlOutput {
+    let walkers_rebalanced = per_rank.iter().map(|p| p.state.rebalanced).sum();
+    RewlOutput {
         dos,
         mask,
         windows: reports,
@@ -201,9 +178,8 @@ pub(crate) fn assemble_output(
         sweeps,
         sro: merged_sro,
         total_moves,
-        lost_ranks,
         resumed_from: resumed_round,
         telemetry,
         walkers_rebalanced,
-    })
+    }
 }

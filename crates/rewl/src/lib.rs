@@ -36,38 +36,32 @@
 //!
 //! ## Fault tolerance
 //!
-//! [`run_rewl`] is built to survive a lossy cluster: a
-//! [`dt_hpc::FaultPlan`] on [`RewlConfig::faults`] injects rank kills and
-//! message drops/delays; every protocol receive is timeout-bounded, so a
-//! dead or silent partner degrades an exchange or a weight sync instead
-//! of hanging it; convergence is decided by a collective vote that only
-//! counts survivors, taken on the rounds whose outcome can change (the
-//! first round of a life, a round holding a flatness check, a rebalance
-//! round, the sweep-cap round), so a lost rank is noticed at the next
-//! vote or at a failed receive. Losses are reported through
-//! [`WindowReport::lost_walkers`] and [`RewlOutput::lost_ranks`]. With
-//! [`RewlConfig::checkpoint`] set, the cluster additionally snapshots
-//! itself every few rounds (see [`checkpoint`]) and the next run over the
-//! same directory resumes from the newest consistent snapshot. The fault
-//! plan is recorded in the snapshot manifest; a resume that requests a
-//! *different* non-empty plan is refused with
-//! [`RewlError::FaultPlanMismatch`].
+//! Every rank is fail-stop, on both backends. A [`dt_hpc::FaultPlan`]
+//! (on [`RewlConfig::faults`], or the communicator's for [`run_rewl_on`])
+//! injects rank kills and message drops/delays. Every protocol receive is
+//! deadline-bounded, and the first one that fails — a dead peer, an
+//! exhausted deadline, a payload that does not decode — ends the rank
+//! with [`RewlError::PeerLost`]. So does a convergence vote that counts
+//! fewer than every rank; votes are taken on the rounds whose outcome can
+//! change (the first round of a life, a round holding a flatness check, a
+//! rebalance round, the sweep-cap round). The loss spreads as each rank
+//! exits, so the whole cluster stops, and no run returns a degraded
+//! answer.
 //!
-//! ## Fail-stop
-//!
-//! With [`RewlConfig::recovery`] on (process clusters, through
-//! [`run_rewl_on`]) a rank does not degrade around a loss: the first
-//! failed protocol receive, or the next converge vote that counts fewer
-//! than all ranks, ends its life with [`RewlError::PeerLost`]. The loss spreads as
-//! each rank exits, so the whole cluster stops, and its launcher restarts
-//! every rank from the newest complete snapshot through
-//! [`load_resume_point`] — ordinary checkpoint/restart. Rank 0 cannot
-//! commit a snapshot with a rank missing, because the missing
-//! confirmation ends its life first, so every snapshot such a run writes
-//! is complete. For the local and random-global kernels the restarted
-//! run is bit-identical to a fault-free one (see `tests/tcp_backend.rs`);
-//! the deep kernel's sample buffer is not persisted, so its restarts
-//! are not.
+//! Recovery is checkpoint/restart. With [`RewlConfig::checkpoint`] set the
+//! cluster snapshots itself every few rounds (see [`checkpoint`]), and
+//! rank 0 commits a round only when every rank wrote its file. Running
+//! the same configuration again over the same directory — in process,
+//! or a `deepthermo run --recover` supervisor restarting every rank —
+//! resumes from the newest complete snapshot through
+//! [`load_resume_point`]. For the local and random-global kernels the
+//! resumed run is bit-identical to a fault-free one (see
+//! `tests/fault_tolerance.rs` and `tests/tcp_backend.rs`); the deep
+//! kernel's sample buffer is not persisted, so its resumes are not. The
+//! fault plan is recorded in the snapshot manifest: a resume that
+//! requests a *different* non-empty plan is refused with
+//! [`RewlError::FaultPlanMismatch`], and one on another energy grid with
+//! [`RewlError::CheckpointUnusable`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -21,13 +21,14 @@
 //! consumption are identical on every backend, so a fault-free run
 //! produces bit-identical `ln g` regardless of the wire underneath.
 //!
-//! A failed receive degrades the step it belongs to — unless fail-stop
-//! ([`RewlConfig::recovery`], `run_rewl_on` only) is on, where it ends
-//! the rank's life with [`RewlError::PeerLost`] for the launcher to
-//! restart the cluster from its newest complete checkpoint.
+//! Every rank is fail-stop: a failed protocol receive — a dead peer, an
+//! exhausted deadline, a payload that does not decode — ends the rank's
+//! life with [`RewlError::PeerLost`], and so does a vote that counts fewer
+//! than every rank. The run is then restarted from its newest complete
+//! checkpoint.
 
 use dt_hamiltonian::EnergyModel;
-use dt_hpc::{rank_rng, CommError, Communicator, Transport};
+use dt_hpc::{rank_rng, Communicator, Transport};
 use dt_lattice::{sro::ordered_pair_counts, Composition, Configuration, NeighborTable};
 use dt_proposal::{
     DeepProposal, LocalSwap, ProposalContext, ProposalKernel, ProposalMix, ProposalTrainer,
@@ -35,7 +36,7 @@ use dt_proposal::{
 };
 use dt_telemetry::{adaptive_counters, Phase, RankTelemetry, Telemetry};
 use dt_thermo::MicrocanonicalAccumulator;
-use dt_wanglandau::WlWalker;
+use dt_wanglandau::{EnergyGrid, WalkerCheckpoint, WlWalker};
 
 use std::time::Instant;
 
@@ -51,9 +52,28 @@ use crate::windows::WindowLayout;
 use crate::wire::{self, GatherPiece};
 
 /// What one rank hands back to its driver: the assembled output (rank 0
-/// only; `None` elsewhere) or the error that ended the rank, plus this
-/// rank's telemetry snapshot (when enabled and the rank finished).
-pub(crate) type RankReturn = (Result<Option<RewlOutput>, RewlError>, Option<RankTelemetry>);
+/// only; `None` elsewhere) plus this rank's telemetry snapshot (when
+/// enabled), or the error that ended the rank.
+pub(crate) type RankReturn = Result<(Option<RewlOutput>, Option<RankTelemetry>), RewlError>;
+
+/// Whether a walker snapshot was taken on `grid`, bit for bit.
+fn on_grid(cp: &WalkerCheckpoint, grid: &EnergyGrid) -> bool {
+    cp.num_bins == grid.num_bins()
+        && cp.e_min.to_bits() == grid.e_min().to_bits()
+        && cp.e_max.to_bits() == grid.e_max().to_bits()
+}
+
+/// Whether a rank's state fits a window on `grid` and a
+/// `global_bins × obs_dim` SRO accumulator — what a resumed or gathered
+/// state must satisfy.
+pub(crate) fn fits(
+    rc: &RankCheckpoint,
+    grid: &EnergyGrid,
+    global_bins: usize,
+    obs_dim: usize,
+) -> bool {
+    on_grid(&rc.walker, grid) && rc.obs_dim == obs_dim && rc.sro_counts.len() == global_bins
+}
 
 /// Whether `round` is a rebalance round.
 fn rebalance_due(cfg: &RewlConfig, round: u64) -> bool {
@@ -228,9 +248,6 @@ pub(crate) struct RankEngine<'a, M, T: Transport> {
     /// process backends). The thread driver collects snapshots in memory
     /// instead and keeps this off, so its message schedule is unchanged.
     wire_telemetry: bool,
-    /// A failed receive ends this rank's life ([`RewlError::PeerLost`])
-    /// instead of degrading the step.
-    fail_stop: bool,
 
     rank: usize,
     window: usize,
@@ -270,11 +287,11 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     /// Set up this rank's walker (fresh or restored from `resume`),
     /// deep-proposal state, and accumulators. Setup draws from the rank
     /// RNG in a fixed order, so every backend consumes the stream
-    /// identically.
+    /// identically. `resume` has passed `find_resume_point`'s shape checks, so
+    /// every restored piece fits this run's layout.
     ///
-    /// `standalone` marks a rank on a transport of its own
-    /// ([`crate::run_rewl_on`]): it ships telemetry over the wire, and its
-    /// exit is visible to its peers, so fail-stop applies to it.
+    /// `wire_telemetry` marks a rank on a transport of its own
+    /// ([`crate::run_rewl_on`]), which ships its telemetry over the wire.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         comm: Communicator<T>,
@@ -285,7 +302,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         cfg: &'a RewlConfig,
         digest: u64,
         resume: Option<&'a ResumePoint>,
-        standalone: bool,
+        wire_telemetry: bool,
     ) -> Self {
         let rank = comm.rank();
         let w = cfg.walkers_per_window;
@@ -293,10 +310,10 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         // this rank's checkpoint recorded one (rebalancing runs only) —
         // the assignment at the snapshot round, which already folds in
         // every migration applied before the checkpoint.
-        let resumed_rc = resume.and_then(|rp| rp.ranks[rank].as_ref());
+        let resumed_rc = resume.map(|rp| &rp.ranks[rank]);
         let assignment: Vec<usize> = resumed_rc
             .map(|rc| rc.assignment.clone())
-            .filter(|a| a.len() == comm.size() && a.iter().all(|&win| win < cfg.num_windows))
+            .filter(|a| !a.is_empty())
             .unwrap_or_else(|| (0..comm.size()).map(|r| r / w).collect());
         let window = assignment[rank];
         let m_species = comp.num_species();
@@ -316,19 +333,11 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         let mut sweeps = 0u64;
         let mut sweeps_since_check = 0u64;
         let resumed_round = resume.map(|rp| rp.round);
-
-        // A usable per-rank snapshot must have been taken on the same
-        // window grid (the digest guards the config, not the energy range).
-        let rank_state = resumed_rc.filter(|rc| {
-            rc.walker.num_bins == grid.num_bins()
-                && rc.walker.e_min.to_bits() == grid.e_min().to_bits()
-                && rc.walker.e_max.to_bits() == grid.e_max().to_bits()
-        });
-        let (rebalanced, rt_banked_crossings, rt_banked_moves) = rank_state
+        let (rebalanced, rt_banked_crossings, rt_banked_moves) = resumed_rc
             .map(|rc| (rc.rebalanced, rc.rt_banked_crossings, rc.rt_banked_moves))
             .unwrap_or((0, 0, 0));
 
-        let mut walker = match rank_state {
+        let mut walker = match resumed_rc {
             Some(rc) => {
                 // Restore the deep net BEFORE building the kernel so the
                 // walker samples with the trained weights. (The deep
@@ -348,17 +357,12 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
                 exchange_accepted = rc.exchange_accepted;
                 sweeps = rc.sweeps;
                 sweeps_since_check = rc.sweeps_since_check;
-                if rc.obs_dim == obs_dim
-                    && rc.sro_counts.len() == global_bins
-                    && rc.sro_sums.len() == global_bins * obs_dim
-                {
-                    for b in 0..global_bins {
-                        sro.record_sum(
-                            b,
-                            &rc.sro_sums[b * obs_dim..(b + 1) * obs_dim],
-                            rc.sro_counts[b],
-                        );
-                    }
+                for b in 0..global_bins {
+                    sro.record_sum(
+                        b,
+                        &rc.sro_sums[b * obs_dim..(b + 1) * obs_dim],
+                        rc.sro_counts[b],
+                    );
                 }
                 walker
             }
@@ -392,8 +396,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             layout,
             cfg,
             digest,
-            wire_telemetry: standalone,
-            fail_stop: standalone && cfg.recovery,
+            wire_telemetry,
             rank,
             window,
             m_species,
@@ -423,18 +426,14 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     pub(crate) fn run(mut self) -> RankReturn {
         let mut phase = EnginePhase::Checkpoint;
         loop {
-            let next = match phase {
-                EnginePhase::Checkpoint => self.phase_checkpoint(),
-                EnginePhase::Sample => Ok(self.phase_sample()),
-                EnginePhase::Retrain => self.phase_retrain(),
-                EnginePhase::Exchange => self.phase_exchange(),
-                EnginePhase::Rebalance => self.phase_rebalance(),
-                EnginePhase::Converge => self.phase_converge(),
+            phase = match phase {
+                EnginePhase::Checkpoint => self.phase_checkpoint()?,
+                EnginePhase::Sample => self.phase_sample(),
+                EnginePhase::Retrain => self.phase_retrain()?,
+                EnginePhase::Exchange => self.phase_exchange()?,
+                EnginePhase::Rebalance => self.phase_rebalance()?,
+                EnginePhase::Converge => self.phase_converge()?,
                 EnginePhase::Gather => return self.phase_gather(),
-            };
-            phase = match next {
-                Ok(next) => next,
-                Err(lost) => return (Err(lost), None),
             };
         }
     }
@@ -447,14 +446,10 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         }
     }
 
-    /// Judge a protocol receive from `peer`: a failure degrades the step
-    /// (`Ok(None)`), or under fail-stop ends this rank's life.
-    fn received<V>(&self, peer: usize, got: Result<V, CommError>) -> Result<Option<V>, RewlError> {
-        match got {
-            Ok(v) => Ok(Some(v)),
-            Err(_) if self.fail_stop => Err(self.lost(peer)),
-            Err(_) => Ok(None),
-        }
+    /// Judge a protocol receive from `peer`, or the decoding of its
+    /// payload: any failure ends this rank's life.
+    fn received<V, E>(&self, peer: usize, got: Result<V, E>) -> Result<V, RewlError> {
+        got.map_err(|_| self.lost(peer))
     }
 
     /// Start of round: the periodic cluster snapshot (if due), THEN the
@@ -530,8 +525,8 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
                 let _span = self.tel.span(Phase::Allreduce);
                 self.average_weights(&peers, params)?
             };
-            if let (Some(ds), Some(avg)) = (self.deep_state.as_mut(), averaged) {
-                ds.deep.net_mut().set_params(&avg);
+            if let Some(ds) = self.deep_state.as_mut() {
+                ds.deep.net_mut().set_params(&averaged);
             }
             kernel_dirty = true;
         }
@@ -546,44 +541,33 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     /// rank order; the leader is the lowest rank — under the uniform
     /// assignment exactly the classic `window·W` block, and after a
     /// rebalance it follows the walkers to their new windows). Returns the
-    /// weights to adopt, `None` to keep the local ones. A dead leader
-    /// means the window skips syncing; the leader averages over whichever
-    /// members answered. A fixed leader cannot race the failure detector
-    /// the way electing "first live rank" would.
-    fn average_weights(
-        &self,
-        peers: &[usize],
-        params: Vec<f64>,
-    ) -> Result<Option<Vec<f64>>, RewlError> {
+    /// averaged weights every member adopts.
+    fn average_weights(&self, peers: &[usize], params: Vec<f64>) -> Result<Vec<f64>, RewlError> {
         let up = tags::with_round(tags::SYNC_PARAMS, self.round);
         let down = tags::with_round(tags::SYNC_PARAMS_BACK, self.round);
-        // Under fail-stop a dead peer is not skipped: its receive fails.
-        let reachable = |r: usize| self.fail_stop || self.comm.is_alive(r);
+        // A weight vector of exactly this rank's length, or nothing.
+        let len = params.len();
+        let decode = |bytes: &[u8]| {
+            wire::decode_f64s(bytes)
+                .ok()
+                .filter(|v| v.len() == len)
+                .ok_or(())
+        };
         let leader = peers[0];
         if self.rank != leader {
-            if !reachable(leader) {
-                return Ok(None);
-            }
             self.comm.send(leader, up, wire::encode_f64s(&params));
-            let avg = self.received(leader, recv_resilient(&self.comm, leader, down))?;
-            return Ok(avg
-                .and_then(|bytes| wire::decode_f64s(&bytes).ok())
-                .filter(|avg| avg.len() == params.len()));
+            let bytes = self.received(leader, recv_resilient(&self.comm, leader, down))?;
+            return self.received(leader, decode(&bytes));
         }
         let mut acc = params;
-        let mut contributors = 1.0f64;
-        for &other in peers[1..].iter().filter(|&&r| reachable(r)) {
-            let got = self.received(other, recv_resilient(&self.comm, other, up))?;
-            if let Some(theirs) = got
-                .and_then(|bytes| wire::decode_f64s(&bytes).ok())
-                .filter(|theirs| theirs.len() == acc.len())
-            {
-                for (a, b) in acc.iter_mut().zip(theirs) {
-                    *a += b;
-                }
-                contributors += 1.0;
+        for &other in &peers[1..] {
+            let bytes = self.received(other, recv_resilient(&self.comm, other, up))?;
+            let theirs = self.received(other, decode(&bytes))?;
+            for (a, b) in acc.iter_mut().zip(theirs) {
+                *a += b;
             }
         }
+        let contributors = peers.len() as f64;
         for a in &mut acc {
             *a /= contributors;
         }
@@ -591,14 +575,12 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         for &other in &peers[1..] {
             self.comm.send(other, down, payload.clone());
         }
-        Ok(Some(acc))
+        Ok(acc)
     }
 
     /// Replica exchange with this round's paired rank, if the pairing
-    /// function names one and it is alive. Dead partners are skipped
-    /// outright; a partner that dies mid-protocol surfaces as a bounded
-    /// comm error inside the handshake and voids the attempt (fail-stop
-    /// aside, where either ends the rank).
+    /// function names one. A partner lost before or during the handshake
+    /// surfaces as a bounded comm error, which ends this rank.
     fn phase_exchange(&mut self) -> Result<EnginePhase, RewlError> {
         // Without rebalancing the assignment stays the uniform `rank / W`
         // it started as, for which this is the classic slot rotation.
@@ -612,9 +594,6 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             ExchangeRole::Responder { initiator } => (initiator, false),
             ExchangeRole::Idle => return Ok(EnginePhase::Rebalance),
         };
-        if !self.fail_stop && !self.comm.is_alive(peer) {
-            return Ok(EnginePhase::Rebalance);
-        }
         let _span = self.tel.span(Phase::Exchange);
         let (comm, walker, round, m) = (&self.comm, &mut self.walker, self.round, self.m_species);
         let swapped = if initiates {
@@ -623,9 +602,8 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         } else {
             exchange::exchange_as_responder(comm, walker, peer, round, m)
         };
-        // A lost partner or message abandons the exchange with local
-        // state kept. Only the initiator counts accepted swaps.
-        if self.received(peer, swapped)? == Some(true) && initiates {
+        // Only the initiator counts accepted swaps.
+        if self.received(peer, swapped)? && initiates {
             self.exchange_accepted += 1;
         }
         Ok(EnginePhase::Rebalance)
@@ -653,29 +631,26 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         let rt = self.walker.round_trip_stats();
         let sample = [rt.crossings, rt.crossing_moves, rt.pending_moves];
         let plan = if self.rank == 0 {
-            let mut samples: Vec<Option<RtSample>> = vec![None; self.comm.size()];
-            samples[0] = Some(RtSample {
+            let mut samples = Vec::with_capacity(self.comm.size());
+            samples.push(RtSample {
                 crossings: sample[0],
                 crossing_moves: sample[1],
                 pending_moves: sample[2],
             });
-            // One shared deadline bounds the whole collection; a missing
-            // sample just exempts that rank from this round's plan.
+            // One shared deadline bounds the whole collection.
             let deadline = Instant::now() + COLLECT_DEADLINE;
-            for (other, slot) in samples.iter_mut().enumerate().skip(1) {
-                let tag = tags::with_round(tags::RT_STATS, self.round);
-                let got = recv_until(&self.comm, other, tag, deadline);
-                if let Some(bytes) = self.received(other, got)? {
-                    if let Ok(vals) = wire::decode_u64s(&bytes) {
-                        if vals.len() == 3 {
-                            *slot = Some(RtSample {
-                                crossings: vals[0],
-                                crossing_moves: vals[1],
-                                pending_moves: vals[2],
-                            });
-                        }
-                    }
-                }
+            let tag = tags::with_round(tags::RT_STATS, self.round);
+            for other in 1..self.comm.size() {
+                let bytes = self.received(other, recv_until(&self.comm, other, tag, deadline))?;
+                let vals = self.received(other, wire::decode_u64s(&bytes))?;
+                let &[crossings, crossing_moves, pending_moves] = vals.as_slice() else {
+                    return Err(self.lost(other));
+                };
+                samples.push(RtSample {
+                    crossings,
+                    crossing_moves,
+                    pending_moves,
+                });
             }
             let plan = rebalance::plan_rebalance(&self.assignment, self.cfg.num_windows, &samples);
             let payload = wire::encode_u64s(&rebalance::encode_plan(plan));
@@ -691,15 +666,15 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             let stats_tag = tags::with_round(tags::RT_STATS, self.round);
             self.comm.send(0, stats_tag, wire::encode_u64s(&sample));
             let plan_tag = tags::with_round(tags::REBALANCE_PLAN, self.round);
-            let got = self.received(0, recv_resilient(&self.comm, 0, plan_tag))?;
-            // A lost or malformed plan reads as no-op for THIS rank only;
-            // the resulting assignment skew degrades future exchanges
-            // into timeouts (bounded), never a hang — same policy as a
-            // lost exchange message.
-            got.and_then(|bytes| wire::decode_u64s(&bytes).ok())
-                .and_then(|words| {
-                    rebalance::decode_plan(&words, self.comm.size(), self.cfg.num_windows)
-                })
+            let bytes = self.received(0, recv_resilient(&self.comm, 0, plan_tag))?;
+            let words = self.received(0, wire::decode_u64s(&bytes))?;
+            // `[]` is the no-op plan; any other payload must decode.
+            if words.is_empty() {
+                None
+            } else {
+                let plan = rebalance::decode_plan(&words, self.comm.size(), self.cfg.num_windows);
+                Some(self.received(0, plan.ok_or(()))?)
+            }
         };
         if let Some(m) = plan {
             self.apply_rebalance(m)?;
@@ -721,14 +696,14 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             );
         }
         if self.rank == m.migrant {
-            let got = self.received(m.donor, recv_resilient(&self.comm, m.donor, tag))?;
-            match got.and_then(|bytes| wire::decode_walker(&bytes).ok()) {
-                Some(cp) => self.adopt_window(m.to_window, cp),
-                // Donor state never arrived (degraded run): re-enter the
-                // target window from our own configuration so the walker
-                // grid still matches the assignment everyone else holds.
-                None => self.rewindow(m.to_window),
-            }
+            let bytes = self.received(m.donor, recv_resilient(&self.comm, m.donor, tag))?;
+            // The donor's state must sit on the target window's grid.
+            let grid = self.layout.window_grid(m.to_window);
+            let cp = wire::decode_walker(&bytes)
+                .ok()
+                .filter(|cp| on_grid(cp, &grid));
+            let cp = self.received(m.donor, cp.ok_or(()))?;
+            self.adopt_window(cp);
         }
         self.assignment[m.migrant] = m.to_window;
         if self.rank == m.migrant {
@@ -743,16 +718,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     /// state (configuration, energy, `ln g`, histogram, `ln f` schedule)
     /// is copied. Round-trip counters reset; the old window's totals are
     /// banked for cumulative telemetry.
-    fn adopt_window(&mut self, to_window: usize, mut cp: dt_wanglandau::WalkerCheckpoint) {
-        let grid = self.layout.window_grid(to_window);
-        if cp.num_bins != grid.num_bins()
-            || cp.e_min.to_bits() != grid.e_min().to_bits()
-            || cp.e_max.to_bits() != grid.e_max().to_bits()
-        {
-            // A donor on the wrong grid means the plan and our layout
-            // disagree (possible only in degraded runs) — fall back.
-            return self.rewindow(to_window);
-        }
+    fn adopt_window(&mut self, mut cp: WalkerCheckpoint) {
         let old_rt = self.walker.round_trip_stats();
         self.rt_banked_crossings += old_rt.crossings;
         self.rt_banked_moves += old_rt.crossing_moves;
@@ -774,47 +740,15 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         self.rebalanced += 1;
     }
 
-    /// Degraded-path migration: no donor state, so rebuild the walker on
-    /// the target window from its current configuration and walk it in.
-    /// Loses the WL histogram (a fresh estimator) but keeps the cluster's
-    /// assignment consistent; only reachable when messages are being
-    /// lost, where bit-reproducibility is already forfeit.
-    fn rewindow(&mut self, to_window: usize) {
-        let grid = self.layout.window_grid(to_window);
-        let old_rt = self.walker.round_trip_stats();
-        self.rt_banked_crossings += old_rt.crossings;
-        self.rt_banked_moves += old_rt.crossing_moves;
-        self.rt_banked_ns += old_rt.crossing_ns;
-        let word_pos = self.walker.rng_mut().get_word_pos();
-        let stats = self.walker.stats().clone();
-        let walker_seed = self.cfg.seed ^ (self.rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let kernel = build_kernel(&self.cfg.kernel, &self.deep_state);
-        let mut walker = WlWalker::new(
-            grid,
-            self.cfg.wl.clone(),
-            self.walker.config().clone(),
-            self.model,
-            self.neighbors,
-            kernel,
-            walker_seed,
-        );
-        walker.rng_mut().set_word_pos(word_pos);
-        let _ = walker.drive_into_window(self.model, self.neighbors, 20_000);
-        walker.set_stats(stats);
-        walker.set_telemetry(self.tel.clone());
-        self.walker = walker;
-        self.rebalanced += 1;
-    }
-
-    /// Collective convergence poll. All survivors of one allreduce
-    /// generation see identical sums, so the stop decision is collective
+    /// Collective convergence poll. Every rank of one allreduce
+    /// generation sees identical sums, so the stop decision is collective
     /// and no rank can exit the round loop while a peer keeps waiting
     /// for it: `[Σ converged, Σ 1 (= contributors), Σ hit-sweep-cap]`.
     /// The vote is taken only on rounds whose outcome can change
     /// ([`vote_due`]); every other round continues, which is what the
-    /// last vote decided. A degraded run therefore notices a lost rank at
-    /// the next vote or at a failed receive. Under fail-stop a vote short
-    /// of any rank ends every rank's life.
+    /// last vote decided. A lost rank is therefore noticed at the next
+    /// vote or at a failed receive; a vote short of any rank ends every
+    /// rank's life.
     fn phase_converge(&mut self) -> Result<EnginePhase, RewlError> {
         let first_round = self.resumed_round.unwrap_or(0);
         if !vote_due(self.cfg, first_round, self.round) {
@@ -830,22 +764,16 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             let _span = self.tel.span(Phase::Allreduce);
             self.comm.allreduce_sum(&mut flags)
         };
-        if self.received(0, reduced)?.is_none() {
-            // The collective coordinator died. No collective decision is
-            // possible any more; fall through to the gather (sends to a
-            // dead rank 0 are discarded harmlessly).
-            return Ok(EnginePhase::Gather);
-        }
-        let contributors = flags[1].round() as usize;
-        if self.fail_stop && contributors < self.comm.size() {
+        self.received(0, reduced)?;
+        let size = self.comm.size();
+        if (flags[1].round() as usize) < size {
             // Only rank 0 knows whom it counted missing; name the first
             // rank this one sees dead.
-            let size = self.comm.size();
             let peer = (0..size).find(|&r| !self.comm.is_alive(r));
             return Err(self.lost(peer.unwrap_or(0)));
         }
         self.round += 1;
-        if flags[0].round() as usize >= contributors || flags[2] > 0.5 {
+        if flags[0].round() as usize >= size || flags[2] > 0.5 {
             Ok(EnginePhase::Gather)
         } else {
             Ok(EnginePhase::Checkpoint)
@@ -853,7 +781,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     }
 
     /// Terminal phase: non-root ranks ship their piece to rank 0; rank 0
-    /// collects every survivor, merges, and assembles the output.
+    /// collects every rank, merges, and assembles the output.
     fn phase_gather(mut self) -> RankReturn {
         let piece = GatherPiece {
             state: self.rank_checkpoint(),
@@ -873,47 +801,33 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
                         .send(0, tags::GATHER_TELEMETRY, wire::encode_telemetry(snap));
                 }
             }
-            return (Ok(None), snap);
+            return Ok((None, snap));
         }
 
-        // Rank 0: collect every surviving rank (including itself). A rank
-        // that died (or whose payload is missing/corrupt) is dropped from
-        // the merge and recorded as lost — or, under fail-stop, ends the
-        // run.
-        // (Its own accumulator seeds the merge directly, so the totals
-        // its piece carries go unused.)
-        let mut per_rank: Vec<Option<GatherPiece>> = Vec::with_capacity(self.comm.size());
-        per_rank.push(Some(piece));
+        // Rank 0: collect every other rank. (Its own accumulator seeds the
+        // merge directly, so the totals its piece carries go unused.)
+        let mut pieces = Vec::with_capacity(self.comm.size());
+        pieces.push(piece);
         let mut merged_sro = std::mem::replace(&mut self.sro, MicrocanonicalAccumulator::new(1, 1));
-        let mut lost_ranks = Vec::new();
         // ONE deadline bounds the whole collection: every peer is at (or
         // past) the gather already, so their payloads race each other,
-        // not the clock — a flat per-message timeout would overshoot by
-        // ranks × timeout when many peers are lost at once.
+        // not the clock.
         let deadline = Instant::now() + COLLECT_DEADLINE;
         {
             let _span = self.tel.span(Phase::Gather);
             for other in 1..self.comm.size() {
-                let (lo, hi) = self.layout.bin_range(self.assignment[other]);
-                match gather::recv_rank_piece(
+                let grid = self.layout.window_grid(self.assignment[other]);
+                let got = gather::recv_rank_piece(
                     &self.comm,
                     other,
-                    hi - lo,
+                    &grid,
                     self.global_bins,
                     self.obs_dim,
                     deadline,
-                ) {
-                    Ok((piece, acc)) => {
-                        merged_sro.merge(&acc);
-                        per_rank.push(Some(piece));
-                    }
-                    Err(_) if self.fail_stop => return (Err(self.lost(other)), None),
-                    Err(why) => {
-                        eprintln!("rewl: dropping rank {other} from the gather: {why}");
-                        per_rank.push(None);
-                        lost_ranks.push(other);
-                    }
-                }
+                );
+                let (piece, acc) = self.received(other, got.ok_or(()))?;
+                merged_sro.merge(&acc);
+                pieces.push(piece);
             }
         }
         let rank_tel = self.snapshot();
@@ -922,31 +836,23 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         let mut telemetry = Vec::new();
         if wire_tel {
             telemetry.extend(rank_tel.clone());
-            for (other, piece) in per_rank.iter().enumerate().skip(1) {
-                if piece.is_none() {
-                    continue;
-                }
+            for other in 1..self.comm.size() {
                 let got = recv_until(&self.comm, other, tags::GATHER_TELEMETRY, deadline);
-                match self.received(other, got) {
-                    Ok(got) => {
-                        telemetry.extend(got.and_then(|bytes| wire::decode_telemetry(&bytes).ok()))
-                    }
-                    Err(lost) => return (Err(lost), None),
-                }
+                let bytes = self.received(other, got)?;
+                telemetry.push(self.received(other, wire::decode_telemetry(&bytes))?);
             }
         }
-        let result = gather::assemble_output(
+        let out = gather::assemble_output(
             self.layout,
             self.cfg,
             &self.assignment,
-            &per_rank,
+            &pieces,
             merged_sro,
-            lost_ranks,
             self.sweeps,
             self.resumed_round,
             telemetry,
         );
-        (result.map(Some), rank_tel)
+        Ok((Some(out), rank_tel))
     }
 
     /// Snapshot this rank's telemetry, folding in the sampler's acceptance
@@ -1030,7 +936,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     /// commits the round by writing the manifest listing who made it. The
     /// data-then-commit order means a crash anywhere in here leaves
     /// either a complete committed snapshot or garbage no reader will
-    /// trust. Under fail-stop only a snapshot listing every rank commits.
+    /// trust. Only a round every rank wrote commits.
     fn checkpoint_cluster(&mut self, spec: &CheckpointSpec) -> Result<(), RewlError> {
         let round = self.round;
         let rc = self.rank_checkpoint();
@@ -1054,21 +960,14 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         }
         // Rank 0 commits: collect confirmations (one shared deadline for
         // the whole commit round), then write the manifest.
-        let mut alive = vec![false; self.comm.size()];
-        alive[0] = wrote;
+        let mut complete = wrote;
         let deadline = Instant::now() + COLLECT_DEADLINE;
-        for (other, made_it) in alive.iter_mut().enumerate().skip(1) {
-            let meta = recv_until(
-                &self.comm,
-                other,
-                tags::with_round(tags::CKPT_META, round),
-                deadline,
-            );
-            if let Some(meta) = self.received(other, meta)? {
-                *made_it = meta.first() == Some(&1);
-            }
+        let tag = tags::with_round(tags::CKPT_META, round);
+        for other in 1..self.comm.size() {
+            let meta = self.received(other, recv_until(&self.comm, other, tag, deadline))?;
+            complete &= meta.first() == Some(&1);
         }
-        if self.fail_stop && alive.contains(&false) {
+        if !complete {
             // A rank failed to write: leave the round uncommitted.
             return Ok(());
         }
@@ -1076,7 +975,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             round,
             ranks: self.comm.size(),
             digest: self.digest,
-            alive,
+            alive: vec![true; self.comm.size()],
             faults: self.comm.fault_plan().clone(),
             assignment: rc.assignment,
         };

@@ -43,9 +43,10 @@ pub struct Migration {
 pub const REBALANCE_RATIO: f64 = 2.0;
 
 /// Estimated diffusion cost of a window in moves-per-crossing: the mean
-/// over completed crossings of its sampled members, or — when no member
-/// has completed one — the largest open first-passage leg, which is a
-/// measured lower bound on the (still unknown) crossing time.
+/// over completed crossings of its members, or — when no member has
+/// completed one — the largest open first-passage leg, which is a
+/// measured lower bound on the (still unknown) crossing time. An empty
+/// window costs 0, so it is never the slow one.
 fn window_cost(samples: &[(usize, RtSample)]) -> f64 {
     let crossings: u64 = samples.iter().map(|(_, s)| s.crossings).sum();
     let crossing_moves: u64 = samples.iter().map(|(_, s)| s.crossing_moves).sum();
@@ -60,42 +61,32 @@ fn window_cost(samples: &[(usize, RtSample)]) -> f64 {
     }
 }
 
-/// Compute the migration plan for one rebalance round.
-///
-/// `samples[rank]` is `None` for ranks whose sample did not arrive (dead
-/// peers in degraded runs) — those ranks are left untouched. Returns at
-/// most one migration; `None` when windows are balanced within
-/// [`REBALANCE_RATIO`], the fastest window cannot spare a walker, or
-/// fewer than two windows have usable samples.
+/// Compute the migration plan for one rebalance round from every rank's
+/// sample (`samples[rank]`). Returns at most one migration; `None` when
+/// windows are balanced within [`REBALANCE_RATIO`] or the fastest window
+/// cannot spare a walker.
 pub fn plan_rebalance(
     assignment: &[usize],
     num_windows: usize,
-    samples: &[Option<RtSample>],
+    samples: &[RtSample],
 ) -> Option<Migration> {
     assert_eq!(assignment.len(), samples.len());
     if num_windows < 2 {
         return None;
     }
-    // Sampled members per window, in ascending rank order.
+    // Members per window, in ascending rank order.
     let mut members: Vec<Vec<(usize, RtSample)>> = vec![Vec::new(); num_windows];
-    for (rank, sample) in samples.iter().enumerate() {
-        if let Some(s) = sample {
-            members[assignment[rank]].push((rank, *s));
-        }
+    for (rank, &s) in samples.iter().enumerate() {
+        members[assignment[rank]].push((rank, s));
     }
-    let cost: Vec<Option<f64>> = members
-        .iter()
-        .map(|m| (!m.is_empty()).then(|| window_cost(m)))
-        .collect();
+    let cost: Vec<f64> = members.iter().map(|m| window_cost(m)).collect();
     // Slowest window overall; fastest among windows that can give up a
     // walker without going empty. First index wins ties — deterministic.
-    let slow = (0..num_windows)
-        .filter(|&w| cost[w].is_some())
-        .max_by(|&a, &b| cost[a].partial_cmp(&cost[b]).expect("finite"))?;
+    let slow = (0..num_windows).max_by(|&a, &b| cost[a].partial_cmp(&cost[b]).expect("finite"))?;
     let fast = (0..num_windows)
         .filter(|&w| members[w].len() >= 2 && w != slow)
         .min_by(|&a, &b| cost[a].partial_cmp(&cost[b]).expect("finite"))?;
-    let (fast_cost, slow_cost) = (cost[fast].expect("sampled"), cost[slow].expect("sampled"));
+    let (fast_cost, slow_cost) = (cost[fast], cost[slow]);
     if slow_cost <= REBALANCE_RATIO * fast_cost {
         return None;
     }
@@ -103,7 +94,7 @@ pub fn plan_rebalance(
     // retrain-leader and donor identities stable) onto the slow window,
     // seeded from the slow window's lowest-ranked member.
     let migrant = members[fast].last().expect(">= 2 members").0;
-    let donor = members[slow].first().expect("sampled").0;
+    let donor = members[slow].first().expect("a slow window has members").0;
     Some(Migration {
         migrant,
         from_window: fast,
@@ -126,8 +117,9 @@ pub fn encode_plan(plan: Option<Migration>) -> Vec<u64> {
     }
 }
 
-/// Decode a broadcast plan; malformed payloads read as no-op (the
-/// degraded-run policy: an unreadable plan must not kill the rank).
+/// Decode a broadcast plan: `None` for the no-op plan `[]` and for a
+/// malformed payload, which the engine tells apart by length and treats
+/// as a lost coordinator.
 pub fn decode_plan(words: &[u64], num_ranks: usize, num_windows: usize) -> Option<Migration> {
     if words.len() != 4 {
         return None;
@@ -156,12 +148,12 @@ pub fn decode_plan(words: &[u64], num_ranks: usize, num_windows: usize) -> Optio
 mod tests {
     use super::*;
 
-    fn s(crossings: u64, crossing_moves: u64, pending: u64) -> Option<RtSample> {
-        Some(RtSample {
+    fn s(crossings: u64, crossing_moves: u64, pending: u64) -> RtSample {
+        RtSample {
             crossings,
             crossing_moves,
             pending_moves: pending,
-        })
+        }
     }
 
     #[test]
@@ -221,15 +213,6 @@ mod tests {
         assert_eq!(plan.to_window, 1);
         assert_eq!(plan.migrant, 1);
         assert_eq!(plan.donor, 2);
-    }
-
-    #[test]
-    fn missing_samples_are_skipped() {
-        // Rank 1's sample is lost; window 0 still has one usable sample
-        // but can no longer spare a walker (only one *sampled* member).
-        let assignment = vec![0, 0, 1, 1];
-        let samples = vec![s(10, 100, 0), None, s(1, 50_000, 0), s(1, 50_000, 0)];
-        assert_eq!(plan_rebalance(&assignment, 2, &samples), None);
     }
 
     #[test]

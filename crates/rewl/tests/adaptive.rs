@@ -7,9 +7,10 @@
 //! 2. the adaptive protocol is backend-agnostic: thread fabric and
 //!    loopback TCP produce bit-identical output under the same seed;
 //! 3. the adaptive protocol composes with fail-stop restarts: a mid-run
-//!    rank kill under recovery mode converges to exactly the fault-free
-//!    answer, bit for bit — rebalance plans are deterministic given the
-//!    run seed, so the restarted cluster replays the same migrations.
+//!    rank kill, restarted from the checkpoint, converges to exactly the
+//!    fault-free answer, bit for bit — rebalance plans are deterministic
+//!    given the run seed, so the restarted cluster replays the same
+//!    migrations.
 
 mod common;
 
@@ -81,30 +82,6 @@ fn run_over_tcp(cfg: &RewlConfig, plan: FaultPlan) -> RewlOutput {
     root.expect("rank 0 assembles the output")
 }
 
-/// Every scientific bit of two outputs must match.
-fn assert_bit_identical(a: &RewlOutput, b: &RewlOutput) {
-    assert_eq!(a.dos.grid().num_bins(), b.dos.grid().num_bins());
-    for bin in 0..a.dos.grid().num_bins() {
-        assert_eq!(
-            a.dos.ln_g_bin(bin).to_bits(),
-            b.dos.ln_g_bin(bin).to_bits(),
-            "ln g differs at bin {bin}"
-        );
-    }
-    assert_eq!(a.mask, b.mask);
-    for bin in 0..a.sro.num_bins() {
-        assert_eq!(a.sro.count(bin), b.sro.count(bin), "sro count bin {bin}");
-    }
-    assert_eq!(a.converged, b.converged);
-    assert_eq!(a.sweeps, b.sweeps);
-    assert_eq!(a.total_moves, b.total_moves);
-    assert_eq!(a.lost_ranks, b.lost_ranks);
-    assert_eq!(a.walkers_rebalanced, b.walkers_rebalanced);
-    for (wa, wb) in a.windows.iter().zip(b.windows.iter()) {
-        assert_eq!(wa, wb, "window report differs");
-    }
-}
-
 /// The pilot pass is a pure function of (system, layout, seed): same
 /// seed, same per-window costs, bit for bit — every rank can compute it
 /// locally without communication.
@@ -162,12 +139,12 @@ fn adaptive_tcp_run_matches_thread_backend_bit_for_bit() {
     let cfg = adaptive_config(7);
     let thread_out = run_rewl(&h, &nt, &comp, RANGE, &cfg).unwrap();
     let tcp_out = run_over_tcp(&cfg, FaultPlan::none());
-    assert_bit_identical(&thread_out, &tcp_out);
+    common::assert_bit_identical(&thread_out, &tcp_out);
 }
 
 /// The adaptive protocol composes with fail-stop restarts: adaptive
-/// windows + periodic rebalancing + a mid-run rank kill under recovery
-/// mode must converge to exactly the fault-free answer. This pins two
+/// windows + periodic rebalancing + a mid-run rank kill restarted from
+/// the checkpoint must converge to exactly the fault-free answer. This pins two
 /// properties at once: rebalance plans are deterministic given the run
 /// seed, and a restarted rank restores its window assignment (possibly
 /// migrated) from its checkpoint.
@@ -181,7 +158,6 @@ fn adaptive_recovery_run_is_bit_identical_to_fault_free() {
 
     let mut cfg = adaptive_config(5);
     cfg.checkpoint = Some(CheckpointSpec::new(&dir).every_rounds(1));
-    cfg.recovery = true;
     // Rank 1 dies at round 3 — the round right after a rebalance round
     // (cadence 2 fires at rounds 1, 3, 5, ...), so the restarted cluster
     // must restore a possibly-migrated assignment from the round-3
@@ -189,8 +165,7 @@ fn adaptive_recovery_run_is_bit_identical_to_fault_free() {
     let plan = FaultPlan::none().kill_at_round(1, 3);
     let (out, restarts) = common::run_restarting(&h, &nt, &comp, RANGE, &cfg, plan);
 
-    assert_eq!(out.lost_ranks, Vec::<usize>::new(), "no rank stays lost");
     assert_eq!(restarts, 1, "one whole-cluster restart");
-    assert_bit_identical(&baseline, &out);
+    common::assert_bit_identical(&baseline, &out);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,8 @@
 //! The whole-cluster restart loop of `deepthermo run --recover`, in
-//! process: shared by the integration tests that kill ranks under
-//! fail-stop and expect the fault-free answer back, and the telemetry
-//! guard that a run never waited out a receive deadline.
+//! process: shared by the integration tests that kill ranks and expect
+//! the fault-free answer back, with the bit-identity check they compare
+//! by, and the telemetry guard that a run never waited out a receive
+//! deadline.
 #![allow(dead_code)]
 
 use dt_hamiltonian::PairHamiltonian;
@@ -56,5 +57,40 @@ pub fn assert_no_timeouts(out: &RewlOutput) {
             .find(|(n, _)| n == "comm_timeouts")
             .map(|(_, v)| *v);
         assert_eq!(timeouts, Some(0), "rank {} comm_timeouts", snap.rank);
+    }
+}
+
+/// Every scientific bit of two outputs must match.
+#[track_caller]
+pub fn assert_bit_identical(a: &RewlOutput, b: &RewlOutput) {
+    assert_eq!(a.dos.grid().num_bins(), b.dos.grid().num_bins());
+    for bin in 0..a.dos.grid().num_bins() {
+        assert_eq!(
+            a.dos.ln_g_bin(bin).to_bits(),
+            b.dos.ln_g_bin(bin).to_bits(),
+            "ln g differs at bin {bin}"
+        );
+    }
+    assert_eq!(a.mask, b.mask);
+    assert_eq!(a.sro.num_bins(), b.sro.num_bins());
+    for bin in 0..a.sro.num_bins() {
+        assert_eq!(a.sro.count(bin), b.sro.count(bin), "sro count bin {bin}");
+        let (ma, mb) = (a.sro.bin_mean(bin), b.sro.bin_mean(bin));
+        match (ma, mb) {
+            (Some(ma), Some(mb)) => {
+                for (va, vb) in ma.iter().zip(mb.iter()) {
+                    assert_eq!(va.to_bits(), vb.to_bits(), "sro mean bin {bin}");
+                }
+            }
+            (None, None) => {}
+            _ => panic!("sro visited-mask differs at bin {bin}"),
+        }
+    }
+    assert_eq!(a.converged, b.converged);
+    assert_eq!(a.sweeps, b.sweeps);
+    assert_eq!(a.total_moves, b.total_moves);
+    assert_eq!(a.walkers_rebalanced, b.walkers_rebalanced);
+    for (wa, wb) in a.windows.iter().zip(b.windows.iter()) {
+        assert_eq!(wa, wb, "window report differs");
     }
 }

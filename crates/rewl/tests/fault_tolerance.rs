@@ -1,15 +1,19 @@
-//! Fault-tolerance integration: REWL runs on a lossy simulated cluster
-//! must degrade gracefully when walkers die, resume from cluster
-//! checkpoints, and never hang on dropped messages.
+//! Fault-tolerance integration on the thread backend: every rank is
+//! fail-stop, so a lost walker or message fails the run with a typed
+//! error, never a hang or a degraded answer, and rerunning over the
+//! checkpoint directory resumes to the fault-free result bit for bit.
 
 mod common;
 
-use std::time::Instant;
+use std::path::PathBuf;
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 use dt_hamiltonian::{exact::ExactDos, PairHamiltonian};
-use dt_hpc::FaultPlan;
+use dt_hpc::{FaultEvent, FaultPlan};
 use dt_lattice::{Composition, Structure, Supercell};
-use dt_rewl::{run_rewl, CheckpointSpec, KernelSpec, RewlConfig};
+use dt_rewl::exchange::tags;
+use dt_rewl::{run_rewl, CheckpointSpec, KernelSpec, RewlConfig, RewlError, RewlOutput};
 use dt_wanglandau::{LnfSchedule, WlParams};
 
 /// BCC 2×2×2, 2 species, one attractive first-shell pair: small enough to
@@ -53,6 +57,49 @@ fn base_config(seed: u64) -> RewlConfig {
     }
 }
 
+/// `base_config` stopped at `ln f = 1e-3`: enough rounds to checkpoint,
+/// fail and resume, for the tests that compare bits, not accuracy.
+fn quick_config(seed: u64) -> RewlConfig {
+    let mut cfg = base_config(seed);
+    cfg.wl.ln_f_final = 1e-3;
+    cfg.max_sweeps = 60_000;
+    cfg
+}
+
+/// The fault-free `quick_config(3)` run the fail-stop tests compare with.
+fn baseline() -> &'static RewlOutput {
+    static BASELINE: OnceLock<RewlOutput> = OnceLock::new();
+    BASELINE.get_or_init(|| {
+        let (_, nt, comp, h) = system();
+        run_rewl(&h, &nt, &comp, RANGE, &quick_config(3)).unwrap()
+    })
+}
+
+/// A fresh checkpoint directory for the test `label`.
+fn temp_dir_for(label: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dtrewl-ft-{label}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Run `cfg` under `faults`, expect it to fail with `PeerLost`, then
+/// rerun it fault-free over the same checkpoint directory and return the
+/// rerun's output (telemetry on, no receive deadline expired).
+fn fail_then_rerun(cfg: &RewlConfig, faults: FaultPlan) -> RewlOutput {
+    let (_, nt, comp, h) = system();
+    let mut faulty = cfg.clone();
+    faulty.faults = faults;
+    match run_rewl(&h, &nt, &comp, RANGE, &faulty) {
+        Err(RewlError::PeerLost { .. }) => {}
+        other => panic!("expected PeerLost, got {other:?}"),
+    }
+    let mut rerun = cfg.clone();
+    rerun.telemetry = true;
+    let out = run_rewl(&h, &nt, &comp, RANGE, &rerun).unwrap();
+    common::assert_no_timeouts(&out);
+    out
+}
+
 /// Max |Δ ln g| between a REWL output and exact enumeration.
 fn compare_to_exact(out: &dt_rewl::RewlOutput, comp: &Composition, h: &PairHamiltonian) -> f64 {
     let (_, nt, _, _) = system();
@@ -68,33 +115,24 @@ fn compare_to_exact(out: &dt_rewl::RewlOutput, comp: &Composition, h: &PairHamil
     max_err
 }
 
-/// Killing one walker early leaves its window to the survivor: the run
-/// completes, records the loss, and the merged DOS stays accurate.
+/// Killing a walker fails the run with `PeerLost`; rerunning over the
+/// checkpoint directory resumes from the round-5 snapshot and ends
+/// bit-identical to the fault-free run.
 #[test]
-fn killed_walker_degrades_gracefully() {
-    let (_, nt, comp, h) = system();
-    let mut cfg = base_config(3);
-    // Rank 3 = window 1, slot 1. Rank 0 (the gather root) must survive.
-    cfg.faults = FaultPlan::none().kill_at_round(3, 4);
-    cfg.telemetry = true;
-    let out = run_rewl(&h, &nt, &comp, RANGE, &cfg).unwrap();
-    common::assert_no_timeouts(&out);
-    assert_eq!(out.lost_ranks, vec![3]);
-    assert_eq!(out.windows[0].lost_walkers, 0);
-    assert_eq!(out.windows[1].lost_walkers, 1);
-    assert!(out.converged, "survivors should still converge");
-    assert!(
-        out.windows[0].exchange_attempts > 0,
-        "exchange must keep running against the surviving slot"
-    );
-    let err = compare_to_exact(&out, &comp, &h);
-    assert!(err < 0.8, "degraded DOS err {err}");
+fn killed_walker_fails_the_run_and_the_rerun_is_bit_identical() {
+    let dir = temp_dir_for("kill");
+    let mut cfg = quick_config(3);
+    cfg.checkpoint = Some(CheckpointSpec::new(&dir).every_rounds(5));
+    // Rank 3 = window 1, slot 1.
+    let out = fail_then_rerun(&cfg, FaultPlan::none().kill_at_round(3, 7));
+    assert_eq!(out.resumed_from, Some(5));
+    common::assert_bit_identical(baseline(), &out);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A checkpointed run that loses a rank can be rerun over the same
-/// directory: the rerun resumes from the newest consistent snapshot,
-/// revives the lost rank from its last written state, and converges to
-/// the exact DOS with nothing lost.
+/// A checkpointed run that loses a rank fails, and can be rerun over the
+/// same directory: the rerun resumes from the newest complete snapshot
+/// and converges to the exact DOS.
 #[test]
 fn checkpointed_run_resumes_after_kill() {
     let (_, nt, comp, h) = system();
@@ -106,17 +144,17 @@ fn checkpointed_run_resumes_after_kill() {
     // Kill rank 2 (window 1, slot 0) after the round-10 checkpoint exists.
     cfg.faults = FaultPlan::none().kill_at_round(2, 12);
     cfg.telemetry = true;
-    let crashed = run_rewl(&h, &nt, &comp, RANGE, &cfg).unwrap();
-    common::assert_no_timeouts(&crashed);
-    assert_eq!(crashed.lost_ranks, vec![2]);
-    assert_eq!(crashed.resumed_from, None);
+    match run_rewl(&h, &nt, &comp, RANGE, &cfg) {
+        Err(RewlError::PeerLost { .. }) => {}
+        other => panic!("expected PeerLost, got {other:?}"),
+    }
     assert!(
         std::fs::read_dir(&dir).unwrap().count() > 0,
         "checkpoints must have been written"
     );
 
     // Same config, same directory, faults cleared: the rerun must resume
-    // rather than start over, and must recover the lost walker.
+    // rather than start over.
     let mut cfg_retry = cfg.clone();
     cfg_retry.faults = FaultPlan::none();
     let out = run_rewl(&h, &nt, &comp, RANGE, &cfg_retry).unwrap();
@@ -125,8 +163,6 @@ fn checkpointed_run_resumes_after_kill() {
         out.resumed_from.is_some(),
         "second run must resume from a snapshot"
     );
-    assert_eq!(out.lost_ranks, Vec::<usize>::new());
-    assert_eq!(out.windows[1].lost_walkers, 0);
     assert!(out.converged);
     let err = compare_to_exact(&out, &comp, &h);
     assert!(err < 0.6, "resumed DOS err {err}");
@@ -151,8 +187,7 @@ fn resume_under_different_fault_plan_is_refused() {
     cfg.checkpoint = Some(CheckpointSpec::new(&dir).every_rounds(2));
     // A plan whose kill never fires: recorded into every manifest.
     cfg.faults = FaultPlan::none().kill_at_round(3, 999_999);
-    let first = run_rewl(&h, &nt, &comp, RANGE, &cfg).unwrap();
-    assert!(first.lost_ranks.is_empty());
+    run_rewl(&h, &nt, &comp, RANGE, &cfg).unwrap();
 
     // Same directory, different schedule: refused before any work.
     let mut cfg_other = cfg.clone();
@@ -175,29 +210,75 @@ fn resume_under_different_fault_plan_is_refused() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Dropped protocol messages surface as bounded timeouts, never hangs:
-/// both sides of a broken exchange abandon it and the run completes well
-/// inside the fabric's watchdog.
+/// A message lost for good is a loss like a death: the receiver's
+/// deadline (about 6 s of retries) runs out, the run fails with
+/// `PeerLost` instead of hanging, and the fault-free rerun from the
+/// round-5 snapshot matches the fault-free run bit for bit.
 #[test]
 fn dropped_messages_never_hang_the_run() {
-    let (_, nt, comp, h) = system();
-    let mut cfg = base_config(3);
-    // Round 0 pairs rank 0 with rank 2: drop the very first 0→2 message
-    // (the exchange-energy request) and a later 2→0 protocol message.
-    cfg.faults = FaultPlan::none()
-        .drop_message(0, 2, 0)
-        .drop_message(2, 0, 1);
+    let dir = temp_dir_for("drop");
+    let mut cfg = quick_config(3);
+    cfg.checkpoint = Some(CheckpointSpec::new(&dir).every_rounds(5));
+    // Rank 1 initiates toward rank 3 in every even round: drop its
+    // round-6 opener.
+    let plan = FaultPlan::new(vec![FaultEvent::DropMessage {
+        from: 1,
+        to: 3,
+        tag: Some(tags::with_round(tags::EXCH_ENERGY, 6)),
+        nth_match: 0,
+    }]);
     let start = Instant::now();
-    let out = run_rewl(&h, &nt, &comp, RANGE, &cfg).unwrap();
+    let out = fail_then_rerun(&cfg, plan);
     let elapsed = start.elapsed();
     assert!(
-        elapsed.as_secs() < 120,
-        "lossy run took {elapsed:?}; recv timeouts are not bounding waits"
+        elapsed < Duration::from_secs(60),
+        "lossy run and rerun took {elapsed:?}; receive deadlines are not bounding waits"
     );
-    assert_eq!(out.lost_ranks, Vec::<usize>::new());
-    assert!(out.converged);
-    let err = compare_to_exact(&out, &comp, &h);
-    assert!(err < 0.6, "DOS err {err} after dropped messages");
+    assert_eq!(out.resumed_from, Some(5));
+    common::assert_bit_identical(baseline(), &out);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot taken on one energy range cannot seed a run on another:
+/// the digest covers the sampling settings only, so the run checks
+/// every restored walker against the layout and refuses the directory.
+#[test]
+fn resume_on_a_different_energy_grid_is_refused() {
+    let (_, nt, comp, h) = system();
+    let dir = temp_dir_for("grid");
+    let mut cfg = quick_config(9);
+    cfg.checkpoint = Some(CheckpointSpec::new(&dir).every_rounds(2));
+    run_rewl(&h, &nt, &comp, RANGE, &cfg).unwrap();
+    let shifted = (RANGE.0 - 0.05, RANGE.1);
+    match run_rewl(&h, &nt, &comp, shifted, &cfg) {
+        Err(RewlError::CheckpointUnusable { dir: at, reason }) => {
+            assert_eq!(at, dir);
+            assert!(
+                reason.contains("rank 0 sampled [-0.645"),
+                "reason: {reason}"
+            );
+        }
+        other => panic!("expected CheckpointUnusable, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint directory that cannot be created fails the run up
+/// front: a run without snapshots could not be restarted.
+#[test]
+fn uncreatable_checkpoint_directory_is_refused() {
+    let (_, nt, comp, h) = system();
+    let file = temp_dir_for("file");
+    std::fs::write(&file, "not a directory").unwrap();
+    let mut cfg = quick_config(3);
+    cfg.checkpoint = Some(CheckpointSpec::new(file.join("ck")));
+    match run_rewl(&h, &nt, &comp, RANGE, &cfg) {
+        Err(RewlError::CheckpointUnusable { reason, .. }) => {
+            assert!(reason.contains("cannot create"), "reason: {reason}");
+        }
+        other => panic!("expected CheckpointUnusable, got {other:?}"),
+    }
+    let _ = std::fs::remove_file(&file);
 }
 
 /// Rank 0 is the gather root: losing it is unrecoverable and surfaces
