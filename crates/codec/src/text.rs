@@ -74,6 +74,11 @@ impl Writer {
         self.0.push_str(text);
     }
 
+    /// The document so far.
+    pub fn text(&self) -> &str {
+        &self.0
+    }
+
     /// The finished document.
     pub fn finish(self) -> String {
         self.0
@@ -254,6 +259,27 @@ impl<'a> Reader<'a> {
         self.rest
     }
 
+    /// The next `len` bytes after the current line: an embedded document
+    /// whose length a line stated. Reading resumes on the line after it,
+    /// so it must end in a newline ([`TextError::Truncated`] when fewer
+    /// bytes remain).
+    pub fn block(&mut self, len: usize, what: &'static str) -> Result<&'a str, TextError> {
+        if !self.cur.trim().is_empty() {
+            return Err(self.malformed("trailing token"));
+        }
+        if len > self.rest.len() {
+            return Err(TextError::Truncated);
+        }
+        let block = self.rest.get(..len).ok_or_else(|| self.malformed(what))?;
+        if !block.ends_with('\n') {
+            return Err(self.malformed(what));
+        }
+        self.rest = &self.rest[len..];
+        self.cur = "";
+        self.line_no += block.matches('\n').count();
+        Ok(block)
+    }
+
     /// The next token of the current line, not consumed.
     pub fn peek(&self) -> Option<&'a str> {
         self.cur.split_whitespace().next()
@@ -293,11 +319,13 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// Exactly `digits` hex digits — never fewer, so a value cut short
-    /// by truncation cannot pass for a smaller one.
+    /// Exactly `digits` lowercase hex digits — never fewer, so a value
+    /// cut short by truncation cannot pass for a smaller one, and never
+    /// uppercase, which no writer emits.
     fn hex(&mut self, digits: usize, what: &'static str) -> Result<u128, TextError> {
         let tok = self.token(what)?;
-        if tok.len() != digits || !tok.bytes().all(|b| b.is_ascii_hexdigit()) {
+        let digit = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+        if tok.len() != digits || !tok.bytes().all(digit) {
             return Err(self.malformed(what));
         }
         u128::from_str_radix(tok, 16).map_err(|_| self.malformed(what))
@@ -412,6 +440,29 @@ mod tests {
     }
 
     #[test]
+    fn blocks_are_taken_by_length() {
+        let text = "dtx v1\nblock 8\ninner\nx\nnext 1\n";
+        let mut r = Reader::new(text, "dtx", &[1]).unwrap();
+        let len = r.line("block").unwrap().dec("len").unwrap();
+        assert_eq!(
+            r.clone().block(9, "b").err(),
+            Some(TextError::Malformed { line: 2, what: "b" })
+        );
+        assert_eq!(r.clone().block(99, "b").err(), Some(TextError::Truncated));
+        assert_eq!(r.block(len, "b").unwrap(), "inner\nx\n");
+        assert_eq!(r.line("next").unwrap().dec::<u8>("n").unwrap(), 1);
+        assert_eq!(
+            r.malformed("m"),
+            TextError::Malformed { line: 5, what: "m" }
+        );
+        assert!(r.at_end());
+        // Tokens left on the length's own line are not skipped.
+        let mut r = Reader::new("dtx v1\nblock 2 extra\nx\n", "dtx", &[1]).unwrap();
+        r.line("block").unwrap().token("len").unwrap();
+        assert!(r.block(2, "b").is_err());
+    }
+
+    #[test]
     fn headers_are_checked() {
         assert_eq!(
             Reader::new("", "dtx", &[1]).unwrap_err(),
@@ -468,6 +519,7 @@ mod tests {
         bad("3ff0", |r| r.hex_f64("v").is_err());
         bad("3ff00000000000000", |r| r.hex_u64("v").is_err());
         bad("+ff0000000000000", |r| r.hex_u64("v").is_err());
+        bad("3FF0000000000000", |r| r.hex_u64("v").is_err());
         bad("deadbeef", |r| r.hex_u128("v").is_err());
         bad(" ", |r| r.hex_u64("v").is_err());
         bad("x", |r| r.dec::<u64>("v").is_err());

@@ -5,7 +5,7 @@
 use dt_hpc::FaultPlan;
 use dt_nn::{Activation, Mlp};
 use dt_proposal::MoveStats;
-use dt_rewl::{GatherPiece, RankCheckpoint, RunManifest};
+use dt_rewl::{GatherPiece, RankCheckpoint, ResumePoint};
 use dt_serve::{Artifact, ArtifactManifest};
 use dt_telemetry::{Phase, PhaseStat, RankTelemetry};
 use dt_thermo::MicrocanonicalAccumulator;
@@ -83,22 +83,14 @@ pub fn piece() -> GatherPiece {
     }
 }
 
-pub fn manifest_full() -> RunManifest {
-    RunManifest {
+/// A two-rank cluster snapshot of `rank_full()` and `rank_plain()`,
+/// recorded under a chaos plan.
+pub fn snapshot() -> ResumePoint {
+    ResumePoint {
         round: 40,
-        ranks: 4,
         digest: 0x1234_5678_9abc_def0,
-        alive: vec![true, true, false, true],
         faults: FaultPlan::chaos(11, 4, 20).kill_at_round(2, 7),
-        assignment: vec![0, 1, 1, 1],
-    }
-}
-
-pub fn manifest_plain() -> RunManifest {
-    RunManifest {
-        faults: FaultPlan::none(),
-        assignment: Vec::new(),
-        ..manifest_full()
+        ranks: vec![rank_full(), rank_plain()],
     }
 }
 

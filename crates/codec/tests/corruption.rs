@@ -10,17 +10,20 @@
 //! The truncation half is asserted for the formats that delimit
 //! themselves (an `end` sentinel, counted rows, fixed-width hex, a length
 //! prefix). The others carry an unframed tail — a packed vector, a
-//! request body, an optional last line — and rely on their carrier for
-//! length: a TCP frame, or the atomic rename a manifest is committed
-//! with. For those a shorter prefix is a shorter valid message, so only
+//! request body — and rely on their carrier, a TCP frame, for length.
+//! For those a shorter prefix is a shorter valid message, so only
 //! "never panics" is asserted.
+//!
+//! The cluster snapshot (`dtrewl`) is held to more: it carries a checksum
+//! over its bytes, so every truncation and every single-byte flip must
+//! decode to an error.
 
 mod common;
 
 use std::fmt::Debug;
 
 use dt_lattice::{Configuration, Species};
-use dt_rewl::{wire, GatherPiece, RankCheckpoint, RunManifest};
+use dt_rewl::{wire, GatherPiece, RankCheckpoint, ResumePoint};
 use dt_serve::{artifact, shard};
 use dt_surrogate::SurrogateModel;
 use dt_wanglandau::WalkerCheckpoint;
@@ -88,12 +91,6 @@ fn formats(salt: u64) -> Vec<Format> {
             ..common::rank_plain()
         };
     }
-    let mut manifest = common::manifest_full();
-    manifest.round = salt >> 30;
-    manifest.digest = salt;
-    if salt % 3 == 0 {
-        manifest = common::manifest_plain();
-    }
     let mut art = common::artifact();
     art.ln_g[2] = finite;
     let mut telemetry = common::telemetry();
@@ -112,7 +109,6 @@ fn formats(salt: u64) -> Vec<Format> {
     vec![
         text("dtwl", true, walker.encode(), WalkerCheckpoint::decode),
         text("dtrewlrank", true, rank.encode(), RankCheckpoint::decode),
-        text("dtrewl", false, manifest.encode(), RunManifest::decode),
         text("dtnn", true, dt_nn::save_mlp(&common::mlp()), |t| {
             dt_nn::load_mlp(t).map(|m| dt_nn::save_mlp(&m))
         }),
@@ -195,7 +191,39 @@ fn formats(salt: u64) -> Vec<Format> {
     ]
 }
 
+/// A snapshot salted by the case: its round and digest, one rank's
+/// state, and whether a fault plan is recorded.
+fn snapshot(salt: u64) -> ResumePoint {
+    let mut rp = common::snapshot();
+    rp.round = salt >> 30;
+    rp.digest = salt;
+    rp.ranks[1].sweeps = salt >> 20;
+    if salt % 3 == 0 {
+        rp.faults = dt_hpc::FaultPlan::none();
+    }
+    rp
+}
+
 proptest! {
+    #[test]
+    fn every_cut_and_flip_of_a_snapshot_is_a_typed_error(
+        salt in any::<u64>(),
+        flip in 1u8..=255,
+    ) {
+        let bytes = snapshot(salt).encode().into_bytes();
+        let decode = |b: &[u8]| ResumePoint::decode(&String::from_utf8_lossy(b));
+        prop_assert!(decode(&bytes).is_ok());
+        for cut in 0..bytes.len() {
+            prop_assert!(decode(&bytes[..cut]).is_err(), "prefix of {} bytes decoded", cut);
+        }
+        let mut flipped = bytes.clone();
+        for i in 0..bytes.len() {
+            flipped[i] ^= flip;
+            prop_assert!(decode(&flipped).is_err(), "flip {:#04x} at byte {} decoded", flip, i);
+            flipped[i] ^= flip;
+        }
+    }
+
     #[test]
     fn truncation_never_misdecodes_and_flips_never_panic(
         salt in any::<u64>(),

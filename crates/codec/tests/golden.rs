@@ -13,7 +13,7 @@ mod common;
 use std::path::PathBuf;
 
 use dt_lattice::{Configuration, Species};
-use dt_rewl::{wire, RankCheckpoint, RunManifest};
+use dt_rewl::{wire, RankCheckpoint, ResumePoint};
 use dt_serve::{shard, Artifact};
 use dt_surrogate::SurrogateModel;
 use dt_wanglandau::WalkerCheckpoint;
@@ -55,14 +55,7 @@ fn text_encoders_emit_the_golden_bytes() {
         "dtrewlrank_plain.txt",
         common::rank_plain().encode().as_bytes(),
     );
-    assert_golden(
-        "dtrewl_full.txt",
-        common::manifest_full().encode().as_bytes(),
-    );
-    assert_golden(
-        "dtrewl_plain.txt",
-        common::manifest_plain().encode().as_bytes(),
-    );
+    assert_golden("dtrewl_v2.txt", common::snapshot().encode().as_bytes());
     assert_golden("dtnn.txt", dt_nn::save_mlp(&common::mlp()).as_bytes());
     // The serve fixture's surrogate is the one `dtsur` producer that
     // needs no training run.
@@ -142,8 +135,25 @@ fn older_file_versions_still_decode() {
     expect.coll_gens = [0; 3];
     expect.walker = walker_v1;
     assert_eq!(old, expect);
+}
 
-    // A manifest from before the recovery layer: no `faults` line.
-    let old = RunManifest::decode(&fixture_text("dtrewl_no_faults.txt")).unwrap();
-    assert_eq!(old, common::manifest_plain());
+/// The snapshot carries each rank's pinned `dtrewlrank` bytes verbatim,
+/// each behind its length, and a sum over every byte before the `sum`
+/// line — checked here against the layout, not the encoder.
+#[test]
+fn snapshot_embeds_the_pinned_rank_images() {
+    let text = fixture_text("dtrewl_v2.txt");
+    let full = fixture_text("dtrewlrank_full.txt");
+    let plain = fixture_text("dtrewlrank_plain.txt");
+    let images = format!("rank {}\n{full}rank {}\n{plain}", full.len(), plain.len());
+    let (body, tail) = text.rsplit_once("sum ").unwrap();
+    let header =
+        "dtrewl v2\nround 40\nranks 2\ndigest 123456789abcdef0\nfaults seed=000000000000000b ";
+    assert!(body.starts_with(header));
+    assert!(body.ends_with(&images));
+    assert_eq!(
+        tail,
+        format!("{:016x}\nend\n", dt_codec::fnv1a(body.as_bytes()))
+    );
+    assert_eq!(ResumePoint::decode(&text).unwrap(), common::snapshot());
 }

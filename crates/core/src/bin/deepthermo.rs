@@ -76,7 +76,7 @@ const FLAGS: &[Flag] = &[
     Flag { modes: RUN, name: "--kill", metavar: "R:ROUND", default: "", help: "(with --cluster) crash rank R at exchange round ROUND; the run stops with an error naming the newest complete checkpoint, or restarts under --recover" },
     Flag { modes: RUN, name: "--recover", metavar: "", default: "", help: "(with --cluster) restart: the first lost rank stops the cluster, and every rank restarts from the newest complete checkpoint (every 10 rounds, into --checkpoint or OUT/checkpoints) — the run ends bit-identical to a fault-free one, or with an error" },
     Flag { modes: RUN, name: "--max-restarts", metavar: "N", default: "3", help: "(with --recover) whole-cluster restarts allowed; one more death is an error" },
-    Flag { modes: RUN, name: "--chaos-seed", metavar: "S", default: "", help: "(with --cluster) deterministic multi-fault schedule (kill + message drops/delays) derived entirely from S; recorded into the checkpoint manifest and verified on resume" },
+    Flag { modes: RUN, name: "--chaos-seed", metavar: "S", default: "", help: "(with --cluster) deterministic multi-fault schedule (kill + message drops/delays) derived entirely from S; recorded into every checkpoint snapshot and verified on resume" },
     Flag { modes: RUN, name: "--chaos-rounds", metavar: "N", default: "20", help: "(with --chaos-seed) rounds the schedule spans" },
     Flag { modes: RUN, name: cluster::WORKER_RANK_FLAG, metavar: "R", default: "", help: "" },
     Flag { modes: RUN, name: cluster::RESPAWN_COUNT_FLAG, metavar: "G", default: "0", help: "" },

@@ -189,8 +189,8 @@ impl<T: Transport> Communicator<T> {
     }
 
     /// The fault plan this communicator was built with. Drivers record it
-    /// into run manifests so a resume can verify the same failure schedule
-    /// is being replayed.
+    /// into checkpoint snapshots so a resume can verify the same failure
+    /// schedule is being replayed.
     pub fn fault_plan(&self) -> &FaultPlan {
         self.faults.plan()
     }

@@ -249,7 +249,7 @@ impl FaultPlan {
         plan
     }
 
-    /// Serialize to a single-line text form (embedded in run manifests):
+    /// Serialize to a single-line text form (embedded in snapshots):
     /// `seed=<hex|-> <event> <event> …` with colon-separated event
     /// fields. Empty plans encode as `seed=- none`.
     pub fn encode(&self) -> String {

@@ -2,46 +2,52 @@
 //!
 //! Production REWL campaigns on real machines outlive node failures by
 //! periodically persisting every rank's state and restarting from the
-//! newest *consistent* snapshot. This module provides the three pieces:
+//! newest snapshot. This module provides the three pieces:
 //!
-//! * [`RankCheckpoint`] — one rank's full resumable state: the embedded
-//!   [`WalkerCheckpoint`] plus the driver-level counters a plain walker
-//!   snapshot does not know about (exchange counters, RNG stream
-//!   position, deep-proposal weights, the SRO accumulator);
-//! * [`RunManifest`] — the per-round commit record rank 0 writes *after*
-//!   every rank has persisted its file. A manifest names the round, a
-//!   digest of the run configuration, and the set of ranks that
-//!   contributed — a snapshot without its manifest is treated as
-//!   non-existent, which makes the write protocol crash-consistent;
-//! * [`load_resume_point`] — the recovery scan: the newest manifest whose
-//!   digest matches, that lists every rank, and whose rank files all
-//!   decode wins.
+//! * [`RankCheckpoint`] — one rank's full resumable state (`dtrewlrank`):
+//!   the embedded [`WalkerCheckpoint`] plus the driver-level counters a
+//!   plain walker snapshot does not know about (exchange counters, RNG
+//!   stream position, deep-proposal weights, the SRO accumulator);
+//! * [`ResumePoint`] — one cluster snapshot (`dtrewl` v2): the round, the
+//!   configuration digest, the fault plan and every rank's
+//!   `dtrewlrank` image. At a snapshot round every rank ships its image
+//!   to rank 0 over the gather's path, and rank 0 writes the round as one
+//!   file, `round-<round>.dtrewl`;
+//! * [`load_resume_point`] — the recovery scan: the newest snapshot that
+//!   decodes wins, unless another run wrote it.
 //!
-//! All files are written to a temporary name and atomically renamed into
-//! place, so a crash mid-write can never corrupt an existing snapshot.
-//! The formats are versioned line-oriented text with hex-encoded IEEE-754
-//! (like `dt-nn`'s model format), so restores are bit-exact.
+//! A snapshot is written to a temporary name, synced, atomically renamed
+//! into place, and the directory synced, so a crash mid-write never
+//! leaves a partial file under a snapshot's name. Its `sum` line
+//! (FNV-1a over every byte before it) and `end` sentinel turn a torn or
+//! corrupted file into a typed [`CkptError`], and the scan falls back to
+//! the next older snapshot. The formats are versioned line-oriented text
+//! with hex-encoded IEEE-754 (like `dt-nn`'s model format), so restores
+//! are bit-exact.
 
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use dt_codec::text::{Hex64, Reader, Writer};
-use dt_codec::TextError;
+use dt_codec::{fnv1a, TextError};
 use dt_hpc::FaultPlan;
 use dt_proposal::MoveStats;
 use dt_wanglandau::WalkerCheckpoint;
 
 use crate::driver::RewlConfig;
 
-/// Format version of both the manifest and the rank file.
+/// Format version of the rank image (`dtrewlrank`).
 const VERSION: u32 = 1;
+/// Format version of the cluster snapshot (`dtrewl`); v1 was the
+/// per-round manifest of the older per-rank layout.
+const SNAPSHOT_VERSION: u32 = 2;
 
 /// Where and how often a REWL run checkpoints itself.
 #[derive(Debug, Clone)]
 pub struct CheckpointSpec {
-    /// Directory holding manifests and rank files (created on demand).
+    /// Directory holding the snapshot files (created on demand).
     pub dir: PathBuf,
     /// Snapshot every this many exchange rounds.
     pub every_rounds: u64,
@@ -67,13 +73,17 @@ impl CheckpointSpec {
     }
 }
 
-/// Errors from checkpoint persistence.
-#[derive(Debug)]
+/// Why a checkpoint does not decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CkptError {
-    /// Filesystem failure.
-    Io(io::Error),
     /// Header missing or wrong version.
     BadHeader,
+    /// The file ends before its last line.
+    Truncated,
+    /// Bytes follow the `end` sentinel.
+    Trailing,
+    /// The bytes do not match their recorded checksum.
+    BadSum,
     /// A field was malformed or missing.
     Malformed(String),
 }
@@ -81,8 +91,10 @@ pub enum CkptError {
 impl fmt::Display for CkptError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CkptError::Io(e) => write!(f, "checkpoint io: {e}"),
             CkptError::BadHeader => write!(f, "bad checkpoint header"),
+            CkptError::Truncated => write!(f, "truncated checkpoint"),
+            CkptError::Trailing => write!(f, "bytes after the checkpoint's end"),
+            CkptError::BadSum => write!(f, "checkpoint checksum mismatch"),
             CkptError::Malformed(w) => write!(f, "malformed checkpoint: {w}"),
         }
     }
@@ -90,16 +102,11 @@ impl fmt::Display for CkptError {
 
 impl std::error::Error for CkptError {}
 
-impl From<io::Error> for CkptError {
-    fn from(e: io::Error) -> Self {
-        CkptError::Io(e)
-    }
-}
-
 impl From<TextError> for CkptError {
     fn from(e: TextError) -> Self {
         match e {
             TextError::BadHeader | TextError::UnsupportedVersion(_) => CkptError::BadHeader,
+            TextError::Truncated => CkptError::Truncated,
             e => CkptError::Malformed(e.to_string()),
         }
     }
@@ -264,136 +271,111 @@ impl RankCheckpoint {
             walker,
         })
     }
-
-    /// Persist atomically as `dir/walker-<round>-<rank>.txt`.
-    ///
-    /// # Errors
-    /// Propagates filesystem failures.
-    pub fn write(&self, dir: &Path, round: u64, rank: usize) -> Result<(), CkptError> {
-        write_atomic(&rank_path(dir, round, rank), &self.encode())?;
-        Ok(())
-    }
-
-    /// Load `dir/walker-<round>-<rank>.txt`.
-    ///
-    /// # Errors
-    /// [`CkptError`] on missing, unreadable, or malformed files.
-    pub fn load(dir: &Path, round: u64, rank: usize) -> Result<Self, CkptError> {
-        let text = fs::read_to_string(rank_path(dir, round, rank))?;
-        RankCheckpoint::decode(&text)
-    }
 }
 
-/// The commit record of one cluster snapshot. A snapshot exists iff its
-/// manifest exists: rank 0 writes the manifest only after every rank
-/// confirmed its rank file is on disk (write-data-then-commit).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunManifest {
+/// One cluster snapshot: the round it was taken at, the run it belongs
+/// to, and every rank's state. Rank 0 writes it as one `dtrewl` v2 file
+/// per snapshot round, and a resume starts every rank from it.
+#[derive(Debug, PartialEq)]
+pub struct ResumePoint {
     /// Exchange round the snapshot was taken at (start of round).
     pub round: u64,
-    /// Total ranks of the run (`M · W`), dead or alive.
-    pub ranks: usize,
     /// Digest of the run configuration (see [`config_digest`]).
     pub digest: u64,
-    /// Which ranks contributed a rank file to this snapshot. Ranks are
-    /// fail-stop, so a committed snapshot lists every rank; the resume
-    /// scan skips a manifest that does not.
-    pub alive: Vec<bool>,
     /// The fault plan (and chaos seed) active when the snapshot was
-    /// taken. Recorded so a resume can detect that it is being replayed
-    /// under a *different* injected-fault schedule — a chaos run is only
-    /// deterministic when resumed under the plan it started with.
+    /// taken. The driver rejects a resume whose requested plan disagrees
+    /// (unless the request is fault-free — turning injection off for the
+    /// rerun is always safe): a chaos run is only deterministic when
+    /// resumed under the plan it started with.
     pub faults: FaultPlan,
-    /// The rank→window assignment at the snapshot round, recording the
-    /// net effect of every rebalance plan applied so far. Empty on runs
-    /// without dynamic reallocation — the manifest stays byte-identical
-    /// to earlier versions.
-    pub assignment: Vec<usize>,
+    /// Every rank's state, in rank order.
+    pub ranks: Vec<RankCheckpoint>,
 }
 
-impl RunManifest {
-    /// Serialize to the versioned text format.
+impl ResumePoint {
+    /// Serialize to the `dtrewl` v2 text format: `round`, `ranks`,
+    /// `digest`, `faults`, then per rank a `rank <bytes>` line followed
+    /// by that many bytes of its exact `dtrewlrank` encoding, then a
+    /// `sum` line (FNV-1a over every byte before it) and `end`.
     pub fn encode(&self) -> String {
-        let mut w = Writer::new("dtrewl", VERSION);
+        let mut w = Writer::new("dtrewl", SNAPSHOT_VERSION);
         w.line("round").dec(self.round);
-        w.line("ranks").dec(self.ranks);
+        w.line("ranks").dec(self.ranks.len());
         w.line("digest").hex_u64(self.digest);
-        w.line("alive").mask(&self.alive);
         w.line("faults").dec(self.faults.encode());
-        if !self.assignment.is_empty() {
-            w.line("assign").decs(&self.assignment);
+        for rc in &self.ranks {
+            let image = rc.encode();
+            w.line("rank").dec(image.len());
+            w.embed(&image);
         }
+        let sum = fnv1a(w.text().as_bytes());
+        w.line("sum").hex_u64(sum);
+        w.line("end");
         w.finish()
     }
 
-    /// Restore from [`RunManifest::encode`] output.
+    /// Restore from [`ResumePoint::encode`] output.
     ///
     /// # Errors
-    /// [`CkptError`] on structural problems.
+    /// [`CkptError::Truncated`] when the file ends early,
+    /// [`CkptError::Trailing`] when bytes follow `end`,
+    /// [`CkptError::BadSum`] when the bytes do not match their sum, and
+    /// the other variants on structural problems.
     pub fn decode(text: &str) -> Result<Self, CkptError> {
-        let mut r = Reader::new(text, "dtrewl", &[VERSION])?;
+        let mut r = Reader::new(text, "dtrewl", &[SNAPSHOT_VERSION])?;
         let round = r.line("round")?.dec("round")?;
-        let ranks: usize = r.line("ranks")?.dec("ranks")?;
+        let num_ranks: usize = r.line("ranks")?.dec("ranks")?;
         let digest = r.line("digest")?.hex_u64("digest")?;
-        let alive = r.line("alive")?.mask("alive mask")?;
-        if alive.len() != ranks {
-            return Err(malformed("alive mask length mismatch"));
+        r.line("faults")?;
+        let faults = FaultPlan::decode(r.rest_of_line())
+            .map_err(|e| malformed(format!("bad fault plan: {e}")))?;
+        let images = (0..num_ranks)
+            .map(|_| {
+                let len = r.line("rank")?.dec("image length")?;
+                r.block(len, "rank image")
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let summed = &text[..text.len() - r.rest().len()];
+        if r.line("sum")?.hex_u64("sum")? != fnv1a(summed.as_bytes()) {
+            return Err(CkptError::BadSum);
         }
-        // Optional (manifests from before the recovery layer lack it):
-        // the fault plan active when the snapshot was taken.
-        let faults = if r.try_line("faults")? {
-            FaultPlan::decode(r.rest_of_line())
-                .map_err(|e| malformed(format!("bad fault plan: {e}")))?
-        } else {
-            FaultPlan::none()
-        };
-        // Optional trailing line: the rank→window assignment (runs with
-        // dynamic reallocation only).
-        let mut assignment: Vec<usize> = Vec::new();
-        if r.try_line("assign")? {
-            assignment = r.rest_with("assignment", Reader::dec)?;
+        match r.rest() {
+            "end\n" => {}
+            rest if rest.starts_with("end\n") => return Err(CkptError::Trailing),
+            rest if "end\n".starts_with(rest) => return Err(CkptError::Truncated),
+            _ => return Err(malformed("missing end sentinel")),
         }
-        if !assignment.is_empty() && assignment.len() != ranks {
-            return Err(malformed("assignment length mismatch"));
-        }
-        Ok(RunManifest {
+        let ranks = images
+            .into_iter()
+            .enumerate()
+            .map(|(rank, image)| {
+                RankCheckpoint::decode(image).map_err(|e| malformed(format!("rank {rank}: {e}")))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(ResumePoint {
             round,
-            ranks,
             digest,
-            alive,
             faults,
-            assignment,
+            ranks,
         })
     }
 
-    /// Persist atomically as `dir/manifest-<round>.txt`.
+    /// Persist as `dir/round-<round>.dtrewl`: written to a temporary
+    /// sibling and synced, then atomically renamed into place and the
+    /// directory synced, so readers never see a half-written snapshot and
+    /// after a crash the name holds all of it or nothing.
     ///
     /// # Errors
     /// Propagates filesystem failures.
-    pub fn write(&self, dir: &Path) -> Result<(), CkptError> {
-        write_atomic(&manifest_path(dir, self.round), &self.encode())?;
-        Ok(())
+    pub(crate) fn write(&self, dir: &Path) -> io::Result<()> {
+        let name = format!("round-{:012}.dtrewl", self.round);
+        let tmp = dir.join(format!("{name}.tmp"));
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(self.encode().as_bytes())?;
+        file.sync_all()?;
+        fs::rename(&tmp, dir.join(name))?;
+        fs::File::open(dir)?.sync_all()
     }
-}
-
-/// Path of a rank file within a checkpoint directory.
-pub fn rank_path(dir: &Path, round: u64, rank: usize) -> PathBuf {
-    dir.join(format!("walker-{round:012}-{rank:04}.txt"))
-}
-
-/// Path of a manifest within a checkpoint directory.
-pub fn manifest_path(dir: &Path, round: u64) -> PathBuf {
-    dir.join(format!("manifest-{round:012}.txt"))
-}
-
-/// Write `contents` to `path` via a temporary sibling and an atomic
-/// rename, so readers never observe a half-written file.
-fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    fs::write(&tmp, contents)?;
-    fs::rename(&tmp, path)
 }
 
 /// Digest of the configuration fields that determine checkpoint
@@ -429,71 +411,63 @@ pub fn config_digest(cfg: &RewlConfig) -> u64 {
     fnv1a(stable.as_bytes())
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The state a resumed run starts from: a committed round plus every
-/// rank's restored state.
-#[derive(Debug)]
-pub struct ResumePoint {
-    /// Round the winning manifest was committed at.
-    pub round: u64,
-    /// Every rank's restored state, in rank order.
-    pub ranks: Vec<RankCheckpoint>,
-    /// The fault plan recorded in the winning manifest. The driver
-    /// rejects a resume whose requested plan disagrees (unless the
-    /// request is fault-free — turning injection off for the rerun is
-    /// always safe).
-    pub faults: FaultPlan,
-}
-
-/// The rounds of the manifests in `dir`, newest first. Unreadable or
-/// foreign files are ignored.
-fn manifest_rounds(dir: &Path) -> Vec<u64> {
-    let mut rounds: Vec<u64> = fs::read_dir(dir)
-        .into_iter()
-        .flatten()
-        .flatten()
-        .filter_map(|entry| {
-            let name = entry.file_name();
-            let stem = name.to_str()?.strip_prefix("manifest-")?;
-            stem.strip_suffix(".txt")?.parse().ok()
-        })
-        .collect();
-    rounds.sort_unstable_by(|a, b| b.cmp(a));
-    rounds
-}
-
-/// Scan `dir` for the newest *complete* snapshot: a manifest whose digest
-/// and rank count match this run, that lists every rank, and whose every
-/// rank file decodes. Anything else is skipped in favor of an older
-/// snapshot.
-pub fn load_resume_point(dir: &Path, digest: u64, num_ranks: usize) -> Option<ResumePoint> {
-    manifest_rounds(dir).into_iter().find_map(|round| {
-        let text = fs::read_to_string(manifest_path(dir, round)).ok()?;
-        let manifest = RunManifest::decode(&text).ok()?;
-        if manifest.digest != digest
-            || manifest.ranks != num_ranks
-            || manifest.round != round
-            || manifest.alive.contains(&false)
+/// The newest snapshot in `dir` that decodes; `Ok(None)` when there is
+/// none. A snapshot that does not decode (torn, truncated, a bad sum) is
+/// skipped for the next older one.
+///
+/// # Errors
+/// Why the directory cannot serve this run: it holds the per-rank files
+/// of the older layout, or its newest snapshot was written by another
+/// configuration (another digest or rank count) — resuming would mix
+/// two runs, and checkpointing into it would overwrite the other run's
+/// snapshots.
+pub(crate) fn find_snapshot(
+    dir: &Path,
+    digest: u64,
+    num_ranks: usize,
+) -> Result<Option<ResumePoint>, String> {
+    let mut names = Vec::new();
+    for entry in fs::read_dir(dir).into_iter().flatten().flatten() {
+        let Ok(name) = entry.file_name().into_string() else {
+            continue;
+        };
+        if (name.starts_with("manifest-") || name.starts_with("walker-")) && name.ends_with(".txt")
         {
-            return None;
+            return Err(format!(
+                "it holds {name}, from the per-rank snapshot layout (manifest-*.txt, \
+                 walker-*.txt) of older versions, which this version does not read"
+            ));
         }
-        let ranks = (0..num_ranks)
-            .map(|rank| RankCheckpoint::load(dir, round, rank).ok())
-            .collect::<Option<Vec<_>>>()?;
-        Some(ResumePoint {
-            round,
-            ranks,
-            faults: manifest.faults,
-        })
-    })
+        if name.starts_with("round-") && name.ends_with(".dtrewl") {
+            names.push(name);
+        }
+    }
+    // Rounds are zero-padded, so the names sort newest first.
+    names.sort_unstable_by(|a, b| b.cmp(a));
+    for name in names {
+        let text = fs::read_to_string(dir.join(&name)).unwrap_or_default();
+        let Ok(rp) = ResumePoint::decode(&text) else {
+            continue;
+        };
+        if rp.digest != digest || rp.ranks.len() != num_ranks {
+            return Err(format!(
+                "{name} records configuration digest {} over {} ranks, \
+                 but this run's is {} over {num_ranks}",
+                Hex64(rp.digest),
+                rp.ranks.len(),
+                Hex64(digest)
+            ));
+        }
+        return Ok(Some(rp));
+    }
+    Ok(None)
+}
+
+/// The newest snapshot in `dir` that this run (`digest`, `num_ranks`)
+/// can resume from; `None` when there is none or the directory cannot
+/// serve this run (the driver reports why).
+pub fn load_resume_point(dir: &Path, digest: u64, num_ranks: usize) -> Option<ResumePoint> {
+    find_snapshot(dir, digest, num_ranks).ok().flatten()
 }
 
 #[cfg(test)]
@@ -570,44 +544,61 @@ mod tests {
         assert!(RankCheckpoint::decode(&tampered).is_err());
     }
 
-    #[test]
-    fn manifest_round_trip_and_rejection() {
-        let m = RunManifest {
-            round: 40,
-            ranks: 4,
-            digest: 0x1234_5678_9abc_def0,
-            alive: vec![true, true, false, true],
-            faults: FaultPlan::none().kill_at_round(2, 7),
-            assignment: Vec::new(),
-        };
-        assert_eq!(RunManifest::decode(&m.encode()).unwrap(), m);
-        assert!(matches!(
-            RunManifest::decode("nope"),
-            Err(CkptError::BadHeader)
-        ));
-        let tampered = m.encode().replace("alive 1101", "alive 110");
-        assert!(RunManifest::decode(&tampered).is_err());
+    fn snapshot(round: u64, digest: u64, ranks: Vec<RankCheckpoint>) -> ResumePoint {
+        ResumePoint {
+            round,
+            digest,
+            faults: FaultPlan::none(),
+            ranks,
+        }
+    }
+
+    /// A fresh scratch directory for the test `label`.
+    fn scratch(label: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dtrewl-ckpt-{label}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
-    fn alive_mask_accepts_only_zero_and_one() {
-        // Nothing but `0` may pass for "rank absent".
-        let text = RunManifest {
-            round: 1,
-            ranks: 4,
-            digest: 2,
-            alive: vec![true, true, false, true],
-            faults: FaultPlan::none(),
-            assignment: Vec::new(),
+    fn snapshot_round_trip_and_rejection() {
+        let mut plain = sample_rank();
+        plain.deep_params = None;
+        let rp = ResumePoint {
+            faults: FaultPlan::chaos(11, 4, 20).kill_at_round(2, 7),
+            ..snapshot(40, 0x1234_5678_9abc_def0, vec![sample_rank(), plain])
+        };
+        let text = rp.encode();
+        let back = ResumePoint::decode(&text).unwrap();
+        assert_eq!(back, rp);
+        assert_eq!(back.faults.chaos_seed(), Some(11));
+        // Each rank's exact image sits behind its length line.
+        for rc in &rp.ranks {
+            let image = rc.encode();
+            assert!(text.contains(&format!("rank {}\n{image}", image.len())));
         }
-        .encode();
-        for bad in ["alive 11x1", "alive 1121", "alive 11 1"] {
-            let tampered = text.replace("alive 1101", bad);
-            assert!(matches!(
-                RunManifest::decode(&tampered),
-                Err(CkptError::Malformed(_))
-            ));
-        }
+        assert!(matches!(
+            ResumePoint::decode("nope"),
+            Err(CkptError::BadHeader)
+        ));
+        let cut = text.strip_suffix("end\n").unwrap();
+        assert!(matches!(
+            ResumePoint::decode(cut),
+            Err(CkptError::Truncated)
+        ));
+        assert!(matches!(
+            ResumePoint::decode(&format!("{text}x")),
+            Err(CkptError::Trailing)
+        ));
+        let flipped = text.replacen("counters 12", "counters 13", 1);
+        assert!(matches!(
+            ResumePoint::decode(&flipped),
+            Err(CkptError::BadSum)
+        ));
+        // The per-rank manifest of the older layout is not a snapshot.
+        let v1 = "dtrewl v1\nround 40\nranks 1\ndigest 0000000000000001\n";
+        assert!(matches!(ResumePoint::decode(v1), Err(CkptError::BadHeader)));
     }
 
     #[test]
@@ -630,82 +621,60 @@ mod tests {
 
     #[test]
     fn resume_scan_prefers_newest_consistent_snapshot() {
-        let dir = std::env::temp_dir().join(format!("dtrewl-ckpt-scan-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("scan");
         let digest = 42u64;
-
-        // Round 10: complete snapshot of 2 ranks.
-        for rank in 0..2 {
-            sample_rank().write(&dir, 10, rank).unwrap();
-        }
-        RunManifest {
-            round: 10,
-            ranks: 2,
-            digest,
-            alive: vec![true, true],
-            faults: FaultPlan::none(),
-            assignment: Vec::new(),
-        }
-        .write(&dir)
+        let mut old = sample_rank();
+        old.sweeps = 500;
+        snapshot(10, digest, vec![old.clone(), old])
+            .write(&dir)
+            .unwrap();
+        // Round 20 is torn mid-image, round 30 fails its sum: both are
+        // skipped in favour of round 10.
+        let text = snapshot(20, digest, vec![sample_rank(); 2]).encode();
+        fs::write(
+            dir.join("round-000000000020.dtrewl"),
+            &text[..text.len() / 2],
+        )
         .unwrap();
-
-        // Round 20: manifest lists rank 1 but its file is corrupt — the
-        // whole snapshot must be skipped.
-        sample_rank().write(&dir, 20, 0).unwrap();
-        fs::write(rank_path(&dir, 20, 1), "corrupt").unwrap();
-        RunManifest {
-            round: 20,
-            ranks: 2,
-            digest,
-            alive: vec![true, true],
-            faults: FaultPlan::none(),
-            assignment: Vec::new(),
-        }
-        .write(&dir)
+        let text = snapshot(30, digest, vec![sample_rank(); 2]).encode();
+        fs::write(
+            dir.join("round-000000000030.dtrewl"),
+            text.replacen("counters 12 4 1234", "counters 12 4 1235", 1),
+        )
         .unwrap();
+        // Leftover temporaries and unrelated files are not snapshots.
+        fs::write(dir.join("round-000000000040.dtrewl.tmp"), "partial").unwrap();
+        fs::write(dir.join("notes.txt"), "not a snapshot").unwrap();
 
         let rp = load_resume_point(&dir, digest, 2).expect("resume point");
         assert_eq!(rp.round, 10);
-        assert_eq!(rp.ranks.len(), 2);
-
-        // Wrong digest ⇒ nothing to resume.
-        assert!(load_resume_point(&dir, digest + 1, 2).is_none());
-        // Wrong rank count ⇒ nothing to resume.
-        assert!(load_resume_point(&dir, digest, 3).is_none());
+        assert!(rp.ranks.iter().all(|rc| rc.sweeps == 500));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn manifest_missing_a_rank_is_skipped() {
-        let dir = std::env::temp_dir().join(format!("dtrewl-ckpt-dead-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let digest = 7u64;
-        let manifest = |round, alive| RunManifest {
-            round,
-            ranks: 2,
-            digest,
-            alive,
-            faults: FaultPlan::none(),
-            assignment: Vec::new(),
-        };
-
-        // Round 5 is complete; round 15 lists rank 0 only, so a resume
-        // from it could not restore rank 1.
-        let mut old = sample_rank();
-        old.sweeps = 500;
-        for rank in 0..2 {
-            old.write(&dir, 5, rank).unwrap();
-        }
-        manifest(5, vec![true, true]).write(&dir).unwrap();
-        sample_rank().write(&dir, 15, 0).unwrap();
-        sample_rank().write(&dir, 15, 1).unwrap();
-        manifest(15, vec![true, false]).write(&dir).unwrap();
-
-        let rp = load_resume_point(&dir, digest, 2).expect("resume point");
-        assert_eq!(rp.round, 5);
-        assert!(rp.ranks.iter().all(|rc| rc.sweeps == 500));
+    fn snapshot_of_another_run_is_refused() {
+        let dir = scratch("foreign");
+        snapshot(10, 42, vec![sample_rank(); 2])
+            .write(&dir)
+            .unwrap();
+        assert!(find_snapshot(&dir, 42, 2).unwrap().is_some());
+        let why = find_snapshot(&dir, 43, 2).unwrap_err();
+        assert!(
+            why.contains("digest 000000000000002a over 2 ranks")
+                && why.contains("000000000000002b over 2"),
+            "{why}"
+        );
+        let why = find_snapshot(&dir, 42, 3).unwrap_err();
+        assert!(
+            why.contains("over 2 ranks") && why.contains("over 3"),
+            "{why}"
+        );
+        assert!(load_resume_point(&dir, 43, 2).is_none());
+        // The older per-rank layout is named, never read.
+        fs::write(dir.join("manifest-000000000040.txt"), "dtrewl v1\n").unwrap();
+        let why = find_snapshot(&dir, 42, 2).unwrap_err();
+        assert!(why.contains("manifest-000000000040.txt"), "{why}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -755,27 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn manifest_assignment_line_round_trips_and_is_optional() {
-        let m = RunManifest {
-            round: 6,
-            ranks: 4,
-            digest: 1,
-            alive: vec![true; 4],
-            faults: FaultPlan::none(),
-            assignment: vec![0, 1, 1, 1],
-        };
-        assert_eq!(RunManifest::decode(&m.encode()).unwrap(), m);
-        // Non-rebalancing manifests carry no assign line.
-        let mut plain = m.clone();
-        plain.assignment = Vec::new();
-        assert!(!plain.encode().contains("assign "));
-        assert_eq!(RunManifest::decode(&plain.encode()).unwrap(), plain);
-        // A recorded assignment must cover every rank.
-        let bad = m.encode().replace("assign 0 1 1 1", "assign 0 1");
-        assert!(RunManifest::decode(&bad).is_err());
-    }
-
-    #[test]
     fn adaptive_fields_extend_the_digest_only_when_enabled() {
         let base = RewlConfig::default();
         let mut adaptive = base.clone();
@@ -794,39 +742,14 @@ mod tests {
     }
 
     #[test]
-    fn manifest_fault_line_is_optional_and_round_trips() {
-        let m = RunManifest {
-            round: 3,
-            ranks: 2,
-            digest: 9,
-            alive: vec![true, true],
-            faults: FaultPlan::chaos(11, 4, 20),
-            assignment: Vec::new(),
-        };
-        let back = RunManifest::decode(&m.encode()).unwrap();
-        assert_eq!(back.faults, m.faults);
-        assert_eq!(back.faults.chaos_seed(), Some(11));
-        // Pre-recovery manifests carry no faults line ⇒ empty plan.
-        let legacy: String = m
-            .encode()
-            .lines()
-            .filter(|l| !l.starts_with("faults "))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let back = RunManifest::decode(&legacy).unwrap();
-        assert!(back.faults.is_empty());
-    }
-
-    #[test]
     fn atomic_write_replaces_existing_file() {
-        let dir = std::env::temp_dir().join(format!("dtrewl-ckpt-atomic-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("m.txt");
-        write_atomic(&path, "one").unwrap();
-        write_atomic(&path, "two").unwrap();
-        assert_eq!(fs::read_to_string(&path).unwrap(), "two");
-        assert!(!dir.join("m.txt.tmp").exists());
+        let dir = scratch("atomic");
+        snapshot(7, 1, vec![sample_rank()]).write(&dir).unwrap();
+        let second = snapshot(7, 2, vec![sample_rank()]);
+        second.write(&dir).unwrap();
+        let path = dir.join("round-000000000007.dtrewl");
+        assert_eq!(fs::read_to_string(&path).unwrap(), second.encode());
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "no temporary left");
         let _ = fs::remove_dir_all(&dir);
     }
 }
@@ -990,13 +913,13 @@ mod ckpt_proptests {
             }
         }
 
-        /// Manifests round-trip for arbitrary shapes, including recorded
-        /// chaos plans.
+        /// Snapshots round-trip for arbitrary shapes, including
+        /// recorded chaos plans.
         #[test]
-        fn manifest_round_trips(
+        fn snapshot_round_trips(
             round in 0u64..1 << 40,
             digest in any::<u64>(),
-            alive in proptest::collection::vec(any::<bool>(), 1..9),
+            ranks in proptest::collection::vec(arb_rank_checkpoint(), 0..4),
             chaos in prop_oneof![
                 (any::<u64>(), 2usize..6, 1u64..100).prop_map(Some),
                 Just(None),
@@ -1006,23 +929,9 @@ mod ckpt_proptests {
                 Some((seed, ranks, rounds)) => FaultPlan::chaos(seed, ranks, rounds),
                 None => FaultPlan::none(),
             };
-            // Half the cases record a rank→window assignment (as a
-            // rebalancing run would), the other half leave it implied.
-            let assignment: Vec<usize> = if digest % 2 == 0 {
-                alive.iter().map(|&a| usize::from(a)).collect()
-            } else {
-                Vec::new()
-            };
-            let m = RunManifest {
-                round,
-                ranks: alive.len(),
-                digest,
-                alive,
-                faults,
-                assignment,
-            };
-            let back = RunManifest::decode(&m.encode()).unwrap();
-            prop_assert_eq!(back, m);
+            let rp = ResumePoint { round, digest, faults, ranks };
+            let back = ResumePoint::decode(&rp.encode()).unwrap();
+            prop_assert_eq!(back, rp);
         }
     }
 }

@@ -105,9 +105,8 @@ impl Default for RewlConfig {
 /// Every rank is fail-stop: a lost rank or message ends the run with
 /// [`RewlError::PeerLost`] (or [`RewlError::RootRankDied`]), never with a
 /// degraded answer. Rerunning the same configuration over the same
-/// checkpoint directory resumes from the newest complete snapshot. A
-/// failed checkpoint write is not an error: that round is just not
-/// committed.
+/// checkpoint directory resumes from the newest snapshot. A failed
+/// checkpoint write is not an error: that round just has no snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RewlError {
     /// Rank 0 — the collective coordinator and gather root — died.
@@ -119,7 +118,7 @@ pub enum RewlError {
     /// plan at all (an empty plan resumes anything), or point the run at
     /// a fresh checkpoint directory.
     FaultPlanMismatch {
-        /// The plan recorded in the newest committed manifest
+        /// The plan recorded in the newest snapshot
         /// ([`FaultPlan::encode`] form).
         recorded: String,
         /// The plan this run was configured with.
@@ -127,7 +126,7 @@ pub enum RewlError {
     },
     /// A peer died, went silent past its receive deadline, or sent a
     /// payload that does not decode, and this rank stopped. Restart every
-    /// rank from the newest complete checkpoint.
+    /// rank from the newest checkpoint.
     PeerLost {
         /// The rank that was lost (rank 0 when the coordinator died, or
         /// counted a contributor missing that this rank cannot name).
@@ -136,10 +135,11 @@ pub enum RewlError {
         round: u64,
     },
     /// The checkpoint directory cannot serve this run: it cannot be
-    /// created, or its newest complete snapshot was taken on another
-    /// energy grid or observable shape (another material, supercell or
-    /// energy range under the same sampling settings). Use a fresh
-    /// directory.
+    /// created, it holds the per-rank snapshot layout of older versions,
+    /// or its newest snapshot belongs to another run — another
+    /// configuration digest or rank count, or another energy grid or
+    /// observable shape (another material, supercell or energy range
+    /// under the same sampling settings). Use a fresh directory.
     CheckpointUnusable {
         /// The configured checkpoint directory.
         dir: PathBuf,
@@ -351,15 +351,17 @@ fn build_layout<M: EnergyModel>(
     }
 }
 
-/// Locate the newest complete resume point for this config, creating the
+/// Locate the newest resume point for this config, creating the
 /// checkpoint directory as a side effect. `Ok(None)` when checkpointing
-/// is off or no complete snapshot exists.
+/// is off or no snapshot decodes.
 ///
 /// # Errors
-/// [`RewlError::CheckpointUnusable`] when the directory cannot be created
-/// or its snapshot does not fit `layout` and `obs_dim` (the digest guards
-/// the sampling settings, not the material or the energy range).
-/// [`RewlError::FaultPlanMismatch`] when the manifest records a different
+/// [`RewlError::CheckpointUnusable`] when the directory cannot be
+/// created, holds the older per-rank layout, or its newest snapshot was
+/// written by another configuration or does not fit `layout` and
+/// `obs_dim` (the digest guards the sampling settings, not the material
+/// or the energy range).
+/// [`RewlError::FaultPlanMismatch`] when the snapshot records a different
 /// (non-empty vs different) fault schedule than `requested`. An empty
 /// requested plan resumes anything — "rerun without faults" is the normal
 /// recovery action after a faulty run, and what a restarted cluster does.
@@ -379,7 +381,7 @@ fn find_resume_point(
     };
     std::fs::create_dir_all(&spec.dir).map_err(|e| unusable(format!("cannot create it: {e}")))?;
     let size = cfg.num_windows * cfg.walkers_per_window;
-    let Some(rp) = checkpoint::load_resume_point(&spec.dir, digest, size) else {
+    let Some(rp) = checkpoint::find_snapshot(&spec.dir, digest, size).map_err(unusable)? else {
         return Ok(None);
     };
     if *requested != FaultPlan::none() && rp.faults != *requested {

@@ -53,8 +53,9 @@ pub mod tags {
     pub const SYNC_PARAMS_BACK: u64 = 6;
     /// Gather: a rank's whole contribution, one framed message.
     pub const GATHER_PIECE: u64 = 7;
-    /// Checkpoint-commit confirmation to rank 0.
-    pub const CKPT_META: u64 = 13;
+    /// Checkpoint: a rank's image for the round's snapshot, one framed
+    /// [`crate::wire::GatherPiece`] to rank 0.
+    pub const CKPT_IMAGE: u64 = 13;
     /// Gather: a rank's telemetry snapshot (multi-process backends only).
     pub const GATHER_TELEMETRY: u64 = 14;
     /// Rebalance: a rank's round-trip sample for the planner (rank 0).
@@ -76,7 +77,7 @@ const RECV_BASE: Duration = Duration::from_millis(100);
 /// Retries with doubling timeout: total patience ≈ 6.3 s before a peer
 /// is written off for this protocol step.
 const RECV_RETRIES: u32 = 6;
-/// Patience for the final gather and checkpoint commits, where peers are
+/// Patience for the final gather and checkpoint images, where peers are
 /// known to be at (or past) the same protocol point.
 pub(crate) const COLLECT_DEADLINE: Duration = Duration::from_secs(30);
 
@@ -308,7 +309,7 @@ mod tests {
             tags::SYNC_PARAMS,
             tags::SYNC_PARAMS_BACK,
             tags::GATHER_PIECE,
-            tags::CKPT_META,
+            tags::CKPT_IMAGE,
             tags::GATHER_TELEMETRY,
             tags::RT_STATS,
             tags::REBALANCE_PLAN,

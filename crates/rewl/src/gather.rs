@@ -3,7 +3,8 @@
 //!
 //! Every rank ends its run by shipping one [`GatherPiece`] — its final
 //! state in checkpoint form (window `ln g`, visited mask, move statistics,
-//! counters, SRO accumulator totals) — to rank 0 (tag `GATHER_PIECE`).
+//! counters, SRO accumulator totals) — to rank 0 (tag `GATHER_PIECE`;
+//! a checkpoint round ships the same piece under `CKPT_IMAGE`).
 //! Rank 0 validates the shape of what arrives — a dead peer, a timeout,
 //! or a malformed message ends the run like any other lost receive —
 //! averages each window's walkers (aligning their additive `ln g`
@@ -18,38 +19,46 @@ use dt_telemetry::RankTelemetry;
 use dt_thermo::MicrocanonicalAccumulator;
 use dt_wanglandau::EnergyGrid;
 
+use crate::checkpoint::RankCheckpoint;
 use crate::driver::{RewlConfig, RewlOutput, WindowReport};
-use crate::exchange::{recv_until, tags};
+use crate::exchange::recv_until;
 use crate::merge::merge_windows;
 use crate::rank::fits;
 use crate::windows::WindowLayout;
 use crate::wire::{self, GatherPiece};
 
-/// Receive one rank's gather contribution, on its window's `grid`, and
-/// rebuild its SRO accumulator, validating every shape; `None` on a
-/// timeout, a dead peer, or a malformed payload. The receive is bounded by the caller's
-/// absolute `deadline` (one budget per collection phase, not per
-/// message).
+/// Receive one rank's piece under `tag` — its final gather contribution,
+/// or its image for a checkpoint round — validating that it fits its
+/// window's `grid`; `None` on a timeout, a dead peer, or a malformed
+/// payload. The receive is bounded by the caller's absolute `deadline`
+/// (one budget per collection phase, not per message).
 pub(crate) fn recv_rank_piece<T: Transport>(
     comm: &Communicator<T>,
     other: usize,
+    tag: u64,
     grid: &EnergyGrid,
     global_bins: usize,
     obs_dim: usize,
     deadline: Instant,
-) -> Option<(GatherPiece, MicrocanonicalAccumulator)> {
-    let bytes = recv_until(comm, other, tags::GATHER_PIECE, deadline).ok()?;
+) -> Option<GatherPiece> {
+    let bytes = recv_until(comm, other, tag, deadline).ok()?;
     let piece = wire::decode_piece(&bytes).ok()?;
     // Decoding already tied every vector to the counts the piece states.
-    let state = &piece.state;
-    if !fits(state, grid, global_bins, obs_dim) {
-        return None;
-    }
+    fits(&piece.state, grid, global_bins, obs_dim).then_some(piece)
+}
+
+/// The SRO accumulator a rank's state carries as per-bin totals (the
+/// inverse of [`accumulator_totals`]). The state must [`fits`] it.
+pub(crate) fn accumulator_from(
+    rc: &RankCheckpoint,
+    global_bins: usize,
+    obs_dim: usize,
+) -> MicrocanonicalAccumulator {
     let mut acc = MicrocanonicalAccumulator::new(global_bins, obs_dim);
-    for (b, &count) in state.sro_counts.iter().enumerate() {
-        acc.record_sum(b, &state.sro_sums[b * obs_dim..(b + 1) * obs_dim], count);
+    for (b, &count) in rc.sro_counts.iter().enumerate() {
+        acc.record_sum(b, &rc.sro_sums[b * obs_dim..(b + 1) * obs_dim], count);
     }
-    Some((piece, acc))
+    acc
 }
 
 /// Average the `ln_g` of a window's walkers after aligning their additive

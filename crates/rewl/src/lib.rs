@@ -49,19 +49,21 @@
 //! answer.
 //!
 //! Recovery is checkpoint/restart. With [`RewlConfig::checkpoint`] set the
-//! cluster snapshots itself every few rounds (see [`checkpoint`]), and
-//! rank 0 commits a round only when every rank wrote its file. Running
-//! the same configuration again over the same directory — in process,
-//! or a `deepthermo run --recover` supervisor restarting every rank —
-//! resumes from the newest complete snapshot through
-//! [`load_resume_point`]. For the local and random-global kernels the
-//! resumed run is bit-identical to a fault-free one (see
-//! `tests/fault_tolerance.rs` and `tests/tcp_backend.rs`); the deep
-//! kernel's sample buffer is not persisted, so its resumes are not. The
-//! fault plan is recorded in the snapshot manifest: a resume that
-//! requests a *different* non-empty plan is refused with
-//! [`RewlError::FaultPlanMismatch`], and one on another energy grid with
-//! [`RewlError::CheckpointUnusable`].
+//! cluster snapshots itself every few rounds (see [`checkpoint`]): every
+//! rank ships its state to rank 0, which writes the round as one file
+//! holding every rank's image under a checksum. Running the same
+//! configuration again over the same directory — in process, or a
+//! `deepthermo run --recover` supervisor restarting every rank — resumes
+//! from the newest snapshot that decodes through [`load_resume_point`].
+//! For the local and random-global kernels the resumed run is
+//! bit-identical to a fault-free one (see `tests/fault_tolerance.rs` and
+//! `tests/tcp_backend.rs`); the deep kernel's sample buffer is not
+//! persisted, so its resumes are not. The fault plan is recorded in each
+//! snapshot: a resume that requests a *different* non-empty plan is
+//! refused with [`RewlError::FaultPlanMismatch`]. A directory holding
+//! another run's snapshots (another configuration digest, rank count or
+//! energy grid), or the per-rank files older versions wrote, is refused
+//! with [`RewlError::CheckpointUnusable`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -77,9 +79,7 @@ pub mod spec;
 pub mod windows;
 pub mod wire;
 
-pub use checkpoint::{
-    load_resume_point, CheckpointSpec, CkptError, RankCheckpoint, ResumePoint, RunManifest,
-};
+pub use checkpoint::{load_resume_point, CheckpointSpec, CkptError, RankCheckpoint, ResumePoint};
 pub use driver::pilot_window_costs;
 pub use driver::{run_rewl, run_rewl_on, RankRun, RewlConfig, RewlError, RewlOutput, WindowReport};
 pub use exchange::{exchange_role, ExchangeRole};

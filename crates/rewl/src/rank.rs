@@ -40,12 +40,12 @@ use dt_wanglandau::{EnergyGrid, WalkerCheckpoint, WlWalker};
 
 use std::time::Instant;
 
-use crate::checkpoint::{CheckpointSpec, RankCheckpoint, ResumePoint, RunManifest};
+use crate::checkpoint::{CheckpointSpec, RankCheckpoint, ResumePoint};
 use crate::driver::{RewlConfig, RewlError, RewlOutput};
 use crate::exchange::{
     self, exchange_role, recv_resilient, recv_until, tags, ExchangeRole, COLLECT_DEADLINE,
 };
-use crate::gather::{self, accumulator_totals};
+use crate::gather::{self, accumulator_from, accumulator_totals};
 use crate::rebalance::{self, Migration, RtSample};
 use crate::spec::{DeepSpec, KernelSpec};
 use crate::windows::WindowLayout;
@@ -357,13 +357,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
                 exchange_accepted = rc.exchange_accepted;
                 sweeps = rc.sweeps;
                 sweeps_since_check = rc.sweeps_since_check;
-                for b in 0..global_bins {
-                    sro.record_sum(
-                        b,
-                        &rc.sro_sums[b * obs_dim..(b + 1) * obs_dim],
-                        rc.sro_counts[b],
-                    );
-                }
+                sro = accumulator_from(rc, global_bins, obs_dim);
                 walker
             }
             None => {
@@ -454,7 +448,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
 
     /// Start of round: the periodic cluster snapshot (if due), THEN the
     /// fault poll, so a rank killed at a snapshot round has already
-    /// written and confirmed its file and the round still commits.
+    /// shipped its image and the round is still written.
     /// (Checkpoint writes consume no walker RNG, so snapshots cannot
     /// perturb the stream.)
     fn phase_checkpoint(&mut self) -> Result<EnginePhase, RewlError> {
@@ -816,17 +810,12 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         {
             let _span = self.tel.span(Phase::Gather);
             for other in 1..self.comm.size() {
-                let grid = self.layout.window_grid(self.assignment[other]);
-                let got = gather::recv_rank_piece(
-                    &self.comm,
-                    other,
-                    &grid,
+                let piece = self.recv_piece(other, tags::GATHER_PIECE, deadline)?;
+                merged_sro.merge(&accumulator_from(
+                    &piece.state,
                     self.global_bins,
                     self.obs_dim,
-                    deadline,
-                );
-                let (piece, acc) = self.received(other, got.ok_or(()))?;
-                merged_sro.merge(&acc);
+                ));
                 pieces.push(piece);
             }
         }
@@ -932,55 +921,59 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         }
     }
 
-    /// One cluster snapshot: every rank persists its state, then rank 0
-    /// commits the round by writing the manifest listing who made it. The
-    /// data-then-commit order means a crash anywhere in here leaves
-    /// either a complete committed snapshot or garbage no reader will
-    /// trust. Only a round every rank wrote commits.
+    /// Rank 0's receive of `other`'s piece under `tag`, validated against
+    /// the window `other` holds: a missing or bad piece ends the life.
+    fn recv_piece(
+        &self,
+        other: usize,
+        tag: u64,
+        deadline: Instant,
+    ) -> Result<GatherPiece, RewlError> {
+        let grid = self.layout.window_grid(self.assignment[other]);
+        let got = gather::recv_rank_piece(
+            &self.comm,
+            other,
+            tag,
+            &grid,
+            self.global_bins,
+            self.obs_dim,
+            deadline,
+        );
+        self.received(other, got.ok_or(()))
+    }
+
+    /// One cluster snapshot: every non-root rank ships its image to rank
+    /// 0 (one message), and rank 0 writes every rank's image into the
+    /// round's one snapshot file. A missing or bad image ends the life
+    /// like any lost receive; a failed write is reported, and the round
+    /// simply has no snapshot.
     fn checkpoint_cluster(&mut self, spec: &CheckpointSpec) -> Result<(), RewlError> {
         let round = self.round;
-        let rc = self.rank_checkpoint();
-        let wrote = match rc.write(&spec.dir, round, self.rank) {
-            Ok(()) => true,
-            Err(e) => {
-                eprintln!(
-                    "rewl: rank {}: checkpoint write at round {round} failed: {e}",
-                    self.rank
-                );
-                false
-            }
-        };
+        let tag = tags::with_round(tags::CKPT_IMAGE, round);
+        let state = self.rank_checkpoint();
         if self.rank != 0 {
-            self.comm.send(
-                0,
-                tags::with_round(tags::CKPT_META, round),
-                vec![u8::from(wrote)],
-            );
+            let image = GatherPiece {
+                state,
+                reserved: [0; 3],
+            };
+            self.comm.send(0, tag, wire::encode_piece(&image));
             return Ok(());
         }
-        // Rank 0 commits: collect confirmations (one shared deadline for
-        // the whole commit round), then write the manifest.
-        let mut complete = wrote;
+        // One deadline bounds the whole collection, as in the gather.
         let deadline = Instant::now() + COLLECT_DEADLINE;
-        let tag = tags::with_round(tags::CKPT_META, round);
+        let mut ranks = Vec::with_capacity(self.comm.size());
+        ranks.push(state);
         for other in 1..self.comm.size() {
-            let meta = self.received(other, recv_until(&self.comm, other, tag, deadline))?;
-            complete &= meta.first() == Some(&1);
+            ranks.push(self.recv_piece(other, tag, deadline)?.state);
         }
-        if !complete {
-            // A rank failed to write: leave the round uncommitted.
-            return Ok(());
-        }
-        let manifest = RunManifest {
+        let snapshot = ResumePoint {
             round,
-            ranks: self.comm.size(),
             digest: self.digest,
-            alive: vec![true; self.comm.size()],
             faults: self.comm.fault_plan().clone(),
-            assignment: rc.assignment,
+            ranks,
         };
-        if let Err(e) = manifest.write(&spec.dir) {
-            eprintln!("rewl: manifest write at round {round} failed: {e}");
+        if let Err(e) = snapshot.write(&spec.dir) {
+            eprintln!("rewl: checkpoint write at round {round} failed: {e}");
         }
         Ok(())
     }

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 use dt_hamiltonian::{exact::ExactDos, PairHamiltonian};
 use dt_hpc::{FaultEvent, FaultPlan};
 use dt_lattice::{Composition, Structure, Supercell};
+use dt_rewl::checkpoint::config_digest;
 use dt_rewl::exchange::tags;
 use dt_rewl::{run_rewl, CheckpointSpec, KernelSpec, RewlConfig, RewlError, RewlOutput};
 use dt_wanglandau::{LnfSchedule, WlParams};
@@ -185,7 +186,7 @@ fn resume_under_different_fault_plan_is_refused() {
     cfg.wl.ln_f_final = 1e-3; // converge quickly; this test is about startup
     cfg.max_sweeps = 60_000;
     cfg.checkpoint = Some(CheckpointSpec::new(&dir).every_rounds(2));
-    // A plan whose kill never fires: recorded into every manifest.
+    // A plan whose kill never fires: recorded into every snapshot.
     cfg.faults = FaultPlan::none().kill_at_round(3, 999_999);
     run_rewl(&h, &nt, &comp, RANGE, &cfg).unwrap();
 
@@ -255,6 +256,112 @@ fn resume_on_a_different_energy_grid_is_refused() {
             assert_eq!(at, dir);
             assert!(
                 reason.contains("rank 0 sampled [-0.645"),
+                "reason: {reason}"
+            );
+        }
+        other => panic!("expected CheckpointUnusable, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The newest snapshot round in `dir`.
+fn newest_round(dir: &std::path::Path) -> u64 {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| {
+            let name = e.unwrap().file_name().into_string().unwrap();
+            name.strip_prefix("round-")?
+                .strip_suffix(".dtrewl")?
+                .parse()
+                .ok()
+        })
+        .max()
+        .expect("a snapshot")
+}
+
+/// A corrupt newest snapshot is skipped: the rerun resumes from the one
+/// before it and still ends bit-identical to the uninterrupted run.
+#[test]
+fn corrupt_newest_snapshot_resumes_from_the_older_one() {
+    let (_, nt, comp, h) = system();
+    let dir = temp_dir_for("corrupt");
+    let mut cfg = quick_config(3);
+    cfg.checkpoint = Some(CheckpointSpec::new(&dir).every_rounds(5));
+    let first = run_rewl(&h, &nt, &comp, RANGE, &cfg).unwrap();
+    common::assert_bit_identical(baseline(), &first);
+    let newest = newest_round(&dir);
+    assert!(newest >= 10, "want two snapshots, newest is round {newest}");
+    let path = dir.join(format!("round-{newest:012}.dtrewl"));
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&path, bytes).unwrap();
+    let out = run_rewl(&h, &nt, &comp, RANGE, &cfg).unwrap();
+    assert_eq!(out.resumed_from, Some(newest - 5));
+    common::assert_bit_identical(baseline(), &out);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A directory holding another configuration's snapshots is refused
+/// instead of being resumed into or overwritten, and the error names
+/// both digests.
+#[test]
+fn snapshots_of_another_configuration_are_refused() {
+    let (_, nt, comp, h) = system();
+    let dir = temp_dir_for("foreign");
+    let mut cfg = quick_config(9);
+    cfg.checkpoint = Some(CheckpointSpec::new(&dir).every_rounds(2));
+    run_rewl(&h, &nt, &comp, RANGE, &cfg).unwrap();
+    let files = |dir: &std::path::Path| {
+        let mut v: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        v.sort();
+        v
+    };
+    let before = files(&dir);
+    let mut other = cfg.clone();
+    other.seed = 10;
+    match run_rewl(&h, &nt, &comp, RANGE, &other) {
+        Err(RewlError::CheckpointUnusable { dir: at, reason }) => {
+            assert_eq!(at, dir);
+            let digest = |c: &RewlConfig| format!("{:016x}", config_digest(c));
+            assert!(
+                reason.contains(&digest(&cfg)) && reason.contains(&digest(&other)),
+                "reason: {reason}"
+            );
+        }
+        other => panic!("expected CheckpointUnusable, got {other:?}"),
+    }
+    assert!(
+        files(&dir) == before,
+        "the other run's snapshots must be untouched"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A directory in the per-rank layout of older versions (a `dtrewl` v1
+/// manifest) gets a typed error naming that layout, not a migration.
+#[test]
+fn per_rank_layout_of_older_versions_is_refused() {
+    let (_, nt, comp, h) = system();
+    let dir = temp_dir_for("v1");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("manifest-000000000040.txt"),
+        include_str!("../../codec/tests/fixtures/dtrewl_full.txt"),
+    )
+    .unwrap();
+    let mut cfg = quick_config(3);
+    cfg.checkpoint = Some(CheckpointSpec::new(&dir));
+    match run_rewl(&h, &nt, &comp, RANGE, &cfg) {
+        Err(RewlError::CheckpointUnusable { reason, .. }) => {
+            assert!(
+                reason.contains("manifest-000000000040.txt") && reason.contains("per-rank"),
                 "reason: {reason}"
             );
         }

@@ -1,7 +1,7 @@
 //! The per-rank message budget of a REWL run, pinned in closed form on
 //! both backends: three driver messages per replica exchange (the
 //! initiator's opener and decision, the responder's reply), one
-//! checkpoint confirmation per snapshot and one gather piece from every
+//! checkpoint image per snapshot and one gather piece from every
 //! non-root rank — and a convergence vote only on the rounds whose
 //! outcome can change.
 //!
@@ -95,10 +95,10 @@ fn assert_budget(label: &str, out: &RewlOutput) {
         let sends = counter(snap, "comm_sends");
         let expected = if snap.rank == 0 {
             // Opener + decision per exchange; rank 0 only receives the
-            // snapshot confirmations and the gather.
+            // snapshot images and the gather.
             2 * exchanges
         } else {
-            // Reply per exchange, a confirmation per snapshot, the piece.
+            // Reply per exchange, an image per snapshot, the piece.
             exchanges + snapshots + 1
         };
         assert_eq!(sends, expected, "{label}: rank {} comm_sends", snap.rank);

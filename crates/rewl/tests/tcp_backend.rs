@@ -154,7 +154,7 @@ fn heal(label: &str, cadence: u64, plan: FaultPlan) -> (RewlOutput, u64, RewlOut
 
 /// The self-healing gate: a tcp cluster that loses a walker mid-run,
 /// restarted whole from the round-3 snapshot the victim
-/// confirmed before it died, must converge to exactly the fault-free
+/// shipped its image to before it died, must converge to exactly the fault-free
 /// answer, bit for bit — no lost ranks, no degraded windows, same DOS,
 /// same SRO, same move counts.
 #[test]

@@ -1,7 +1,8 @@
 //! Synthetic artifacts for tests and benchmarks.
 //!
 //! A real artifact takes a converged REWL run to produce; tests and the
-//! `bench_serve` load generator need one in milliseconds. The fixture
+//! load generators (`bench_e2e`'s serve workloads, `experiments
+//! bench_serve_sharded`) need one in milliseconds. The fixture
 //! is a physically plausible stand-in: a smooth dome-shaped `ln g(E)`
 //! over a BCC NbMoTaW supercell, a populated SRO accumulator, and a
 //! small (untrained) surrogate network — enough to exercise every

@@ -12,21 +12,15 @@
 //! removing a shard only reassigns the keys that mapped to its points,
 //! roughly `1/n` of the keyspace.
 
-/// FNV-1a (64-bit) with a splitmix64 finalizer. FNV alone is stable and
-/// dependency-free but avalanches poorly on short, similar strings —
-/// vnode labels differ in a few trailing digits, and the raw hashes
-/// cluster badly enough to skew shard loads 4x. The finalizer mixes
-/// every input bit into every output bit; the composition stays fully
-/// deterministic across processes.
+/// FNV-1a (64-bit, [`dt_codec::fnv1a`]) with a splitmix64 finalizer. FNV
+/// alone is stable and dependency-free but avalanches poorly on short,
+/// similar strings — vnode labels differ in a few trailing digits, and
+/// the raw hashes cluster badly enough to skew shard loads 4x. The
+/// finalizer mixes every input bit into every output bit; the
+/// composition stays fully deterministic across processes.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
     // splitmix64 finalizer (Stafford variant 13).
+    let mut h = dt_codec::fnv1a(bytes);
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h ^= h >> 27;
