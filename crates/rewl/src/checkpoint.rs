@@ -565,14 +565,9 @@ mod tests {
     fn snapshot_round_trip_and_rejection() {
         let mut plain = sample_rank();
         plain.deep_params = None;
-        let rp = ResumePoint {
-            faults: FaultPlan::chaos(11, 4, 20).kill_at_round(2, 7),
-            ..snapshot(40, 0x1234_5678_9abc_def0, vec![sample_rank(), plain])
-        };
+        let rp = snapshot(40, 0x1234_5678_9abc_def0, vec![sample_rank(), plain]);
         let text = rp.encode();
-        let back = ResumePoint::decode(&text).unwrap();
-        assert_eq!(back, rp);
-        assert_eq!(back.faults.chaos_seed(), Some(11));
+        assert_eq!(ResumePoint::decode(&text).unwrap(), rp);
         // Each rank's exact image sits behind its length line.
         for rc in &rp.ranks {
             let image = rc.encode();
@@ -599,6 +594,32 @@ mod tests {
         // The per-rank manifest of the older layout is not a snapshot.
         let v1 = "dtrewl v1\nround 40\nranks 1\ndigest 0000000000000001\n";
         assert!(matches!(ResumePoint::decode(v1), Err(CkptError::BadHeader)));
+    }
+
+    #[test]
+    fn snapshot_faults_line_is_mandatory_and_round_trips() {
+        for faults in [
+            FaultPlan::none(),
+            FaultPlan::chaos(11, 4, 20).kill_at_round(2, 7),
+        ] {
+            let rp = ResumePoint {
+                faults,
+                ..snapshot(40, 7, vec![sample_rank()])
+            };
+            let text = rp.encode();
+            let back = ResumePoint::decode(&text).unwrap();
+            assert_eq!(back.faults, rp.faults);
+            assert_eq!(back.faults.chaos_seed(), rp.faults.chaos_seed());
+            // Unlike the older manifest's, the faults line cannot be
+            // left out, and a plan that does not parse is refused.
+            let faults_line = format!("faults {}\n", rp.faults.encode());
+            assert!(text.contains(&faults_line));
+            assert!(ResumePoint::decode(&text.replacen(&faults_line, "", 1)).is_err());
+            assert!(matches!(
+                ResumePoint::decode(&text.replacen(&faults_line, "faults bogus\n", 1)),
+                Err(CkptError::Malformed(_))
+            ));
+        }
     }
 
     #[test]
