@@ -19,13 +19,14 @@
 //! - per-rank traffic counters ([`Communicator::traffic`]) feed the
 //!   telemetry snapshots.
 //!
-//! A rank's departure (a return or a panic under
+//! Failure is fail-stop, and it is decided here, once for every caller. A
+//! rank's departure (a return or a panic under
 //! [`crate::ThreadCluster::run_with_faults`], or a closed connection on
-//! the TCP backend) is recorded in the survivors' mailboxes: pending
-//! receives from the dead rank fail fast with [`CommError::RankDead`], and
-//! in-flight collectives complete over the survivors instead of
-//! deadlocking — unless the dead rank is the coordinator, which fails them
-//! with [`CommError::RankDead`]`(0)`.
+//! the TCP backend) is recorded in its peers' mailboxes, so a receive
+//! from the departed rank fails fast with [`CommError::RankDead`]. A
+//! collective never completes without one of its contributors: it
+//! returns the [`CommError`] naming the rank it lost, and a contribution
+//! of the wrong shape is [`CommError::Malformed`], never a panic.
 //!
 //! There is deliberately no infallible `recv` wrapper: a dead peer must
 //! surface as a [`CommError`] at the call site, never as a panic deep in
@@ -52,6 +53,25 @@ pub enum CommError {
     },
     /// The peer rank is dead and no matching message remains in flight.
     RankDead(usize),
+    /// A collective frame arrived that does not have the shape the call
+    /// expects: the contributor and this rank have diverged.
+    Malformed {
+        /// Rank the frame came from.
+        from: usize,
+        /// Collective tag the frame arrived on.
+        tag: u64,
+    },
+}
+
+impl CommError {
+    /// The rank this error names: the one waited for, the dead one, or
+    /// the sender of the malformed frame.
+    pub fn peer(&self) -> usize {
+        match *self {
+            CommError::Timeout { from, .. } | CommError::Malformed { from, .. } => from,
+            CommError::RankDead(rank) => rank,
+        }
+    }
 }
 
 impl std::fmt::Display for CommError {
@@ -61,6 +81,12 @@ impl std::fmt::Display for CommError {
                 write!(f, "timed out waiting for tag {tag} from rank {from}")
             }
             CommError::RankDead(rank) => write!(f, "rank {rank} is dead"),
+            CommError::Malformed { from, tag } => {
+                write!(
+                    f,
+                    "malformed collective frame on tag {tag} from rank {from}"
+                )
+            }
         }
     }
 }
@@ -116,7 +142,8 @@ pub struct TrafficSnapshot {
 
 /// Upper bound on every blocking collective wait, so that no wait — even
 /// one reached through an unexpected interleaving — is unbounded. Generous
-/// enough that it only trips on genuine deadlocks.
+/// enough that it only trips on a contributor that is alive but stuck; it
+/// then fails the call with [`CommError::Timeout`].
 const WATCHDOG: Duration = Duration::from_secs(300);
 
 /// Collective tags live above bit 63; driver tags (`with_round`
@@ -171,16 +198,6 @@ impl<T: Transport> Communicator<T> {
     /// Number of ranks in the cluster (including dead ones).
     pub fn size(&self) -> usize {
         self.transport.size()
-    }
-
-    /// Whether `rank` is still alive.
-    pub fn is_alive(&self, rank: usize) -> bool {
-        self.transport.is_alive(rank)
-    }
-
-    /// Number of ranks currently alive.
-    pub fn live_count(&self) -> usize {
-        self.transport.live_count()
     }
 
     /// The underlying transport.
@@ -261,12 +278,14 @@ impl<T: Transport> Communicator<T> {
     /// # Errors
     /// [`CommError::RankDead`] if `from` is dead with nothing in flight.
     pub fn try_recv(&self, from: usize, tag: u64) -> Result<Option<Vec<u8>>, CommError> {
-        match self.transport.try_recv(from, tag) {
-            Ok(Some(payload)) => {
+        // A deadline that has already passed: the receive takes what is
+        // deliverable now, and its timeout means nothing was.
+        match self.transport.recv_timeout(from, tag, Duration::ZERO) {
+            Ok(payload) => {
                 self.count_recv(payload.len());
                 Ok(Some(payload))
             }
-            Ok(None) => Ok(None),
+            Err(CommError::Timeout { .. }) => Ok(None),
             Err(e) => Err(self.count_recv_error(e)),
         }
     }
@@ -293,73 +312,68 @@ impl<T: Transport> Communicator<T> {
         }
     }
 
-    /// Block until every *live* rank has entered the barrier. A rank that
-    /// dies while others wait releases the barrier over the survivors.
-    /// SPMD, like [`Self::allreduce_sum`], of which it is the zero-element
-    /// case on tags and a generation counter of its own.
+    /// Block until every rank has entered the barrier. SPMD, like
+    /// [`Self::allreduce_sum`], of which it is the zero-element case on
+    /// tags and a generation counter of its own.
     ///
     /// # Errors
-    /// [`CommError::RankDead`]`(0)` when the coordinator died.
+    /// Those of [`Self::allreduce_sum`].
     pub fn barrier(&self) -> Result<(), CommError> {
-        self.reduce(0, [K_BARRIER_ARRIVE, K_BARRIER_RELEASE], "barrier", &mut [])
+        self.reduce(0, [K_BARRIER_ARRIVE, K_BARRIER_RELEASE], &mut [])
     }
 
-    /// Element-wise sum allreduce over the *live* ranks: after the call
-    /// every surviving rank's `data` holds the sum over all survivors'
-    /// contributions, added in rank order — bit-identical on every rank
-    /// and every backend. SPMD: every live rank must make the same
-    /// collective calls in the same order, with equal lengths.
+    /// Element-wise sum allreduce: after the call every rank's `data`
+    /// holds the sum over all ranks' contributions, added in rank order —
+    /// bit-identical on every rank and every backend. SPMD: every rank
+    /// must make the same collective calls in the same order, with equal
+    /// lengths.
     ///
-    /// Rank 0 coordinates and skips a dead contributor. The frames
-    /// travel on reserved tags straight through the transport: the fault
-    /// plan and the traffic counters see driver messages only.
+    /// Rank 0 coordinates. The frames travel on reserved tags straight
+    /// through the transport: the fault plan and the traffic counters see
+    /// driver messages only.
     ///
     /// # Errors
-    /// [`CommError::RankDead`]`(0)` when the coordinator died; `data` is
-    /// left untouched in that case.
+    /// Fail-stop: the call completes over every rank or not at all, and
+    /// `data` is left untouched when it fails. Rank 0's call fails with
+    /// the first contributor it cannot use — [`CommError::RankDead`]`(r)`,
+    /// [`CommError::Timeout`] after the 300 s watchdog, or
+    /// [`CommError::Malformed`] for a frame of the wrong length — and
+    /// sends no result. Any other rank's call fails with
+    /// [`CommError::RankDead`]`(0)` once the coordinator has stopped (the
+    /// way a caller answers rank 0's error), or with the coordinator's
+    /// [`CommError::Timeout`] / [`CommError::Malformed`].
     pub fn allreduce_sum(&self, data: &mut [f64]) -> Result<(), CommError> {
-        self.reduce(1, [K_REDUCE_CONTRIB, K_REDUCE_RESULT], "allreduce", data)
+        self.reduce(1, [K_REDUCE_CONTRIB, K_REDUCE_RESULT], data)
     }
 
-    fn reduce(
-        &self,
-        slot: usize,
-        [up, down]: [u64; 2],
-        what: &str,
-        data: &mut [f64],
-    ) -> Result<(), CommError> {
+    fn reduce(&self, slot: usize, [up, down]: [u64; 2], data: &mut [f64]) -> Result<(), CommError> {
         let generation = self.coll_gens[slot].fetch_add(1, Ordering::SeqCst);
         let (up, down) = (coll_tag(up, generation), coll_tag(down, generation));
-        let t = &self.transport;
+        let (t, len) = (&self.transport, data.len());
+        let receive = |from: usize, tag: u64| {
+            let bytes = t.recv_timeout(from, tag, WATCHDOG)?;
+            Reader::new(&bytes)
+                .rest_f64s()
+                .ok()
+                .filter(|v| v.len() == len)
+                .ok_or(CommError::Malformed { from, tag })
+        };
         if t.rank() != 0 {
             t.send(0, up, Writer::new().f64s(data).finish(), None);
-            return match t.recv_timeout(0, down, WATCHDOG) {
-                Ok(bytes) => {
-                    data.copy_from_slice(&reduce_payload(&bytes, data.len()));
-                    Ok(())
-                }
-                Err(CommError::RankDead(_)) => Err(CommError::RankDead(0)),
-                Err(CommError::Timeout { .. }) => {
-                    panic!("rank {}: {what} watchdog expired", t.rank())
-                }
-            };
+            let sum = receive(0, down)?;
+            data.copy_from_slice(&sum);
+            return Ok(());
         }
+        let mut sum = data.to_vec();
         for r in 1..t.size() {
-            // A dead contributor is skipped; a watchdog timeout is a
-            // protocol violation.
-            match t.recv_timeout(r, up, WATCHDOG) {
-                Ok(bytes) => {
-                    let theirs = reduce_payload(&bytes, data.len());
-                    data.iter_mut().zip(theirs).for_each(|(a, x)| *a += x);
-                }
-                Err(CommError::RankDead(_)) => {}
-                Err(CommError::Timeout { .. }) => panic!("rank 0: {what} watchdog expired"),
-            }
+            let theirs = receive(r, up)?;
+            sum.iter_mut().zip(theirs).for_each(|(a, x)| *a += x);
         }
-        let bytes = Writer::new().f64s(data).finish();
+        let bytes = Writer::new().f64s(&sum).finish();
         for r in 1..t.size() {
             t.send(r, down, bytes.clone(), None);
         }
+        data.copy_from_slice(&sum);
         Ok(())
     }
 
@@ -380,17 +394,11 @@ impl<T: Transport> Communicator<T> {
                     .dead_peer_errors
                     .fetch_add(1, Ordering::Relaxed);
             }
+            // Only the collectives decode frames, and they count nothing.
+            CommError::Malformed { .. } => {}
         }
         e
     }
-}
-
-/// An allreduce payload: exactly `len` packed `f64`s, or the ranks have
-/// diverged.
-fn reduce_payload(bytes: &[u8], len: usize) -> Vec<f64> {
-    let v = Reader::new(bytes).rest_f64s().unwrap_or_default();
-    assert_eq!(v.len(), len, "allreduce length mismatch across ranks");
-    v
 }
 
 #[cfg(test)]
@@ -636,7 +644,12 @@ mod tests {
             let first = comm.recv_timeout(1, 6, PATIENCE);
             let started = Instant::now();
             let second = comm.recv_timeout(1, 6, PATIENCE);
-            Some((first, second, started.elapsed(), comm.is_alive(1)))
+            Some((
+                first,
+                second,
+                started.elapsed(),
+                comm.transport().is_alive(1),
+            ))
         });
         let (first, second, waited, alive) = outcomes
             .into_iter()
@@ -650,12 +663,12 @@ mod tests {
         assert!(!alive, "a returned rank is departed");
     }
 
+    /// A contributor that dies before entering the collectives fails
+    /// them, fail-stop: rank 0's barrier names the dead rank, and once
+    /// rank 0 has stopped on that, every other rank's names rank 0.
     #[test]
-    fn collectives_complete_over_survivors_after_death() {
-        // Rank 2 dies before ever entering the collectives; the other
-        // three must still complete barrier + allreduce, with the sum
-        // covering survivors only.
-        fn body<T: Transport>(comm: Communicator<T>) -> f64 {
+    fn collectives_fail_stop_when_a_contributor_dies() {
+        fn body<T: Transport>(comm: Communicator<T>) -> Result<(), CommError> {
             if comm.rank() == 2 {
                 // Give peers a chance to block in the barrier first, so
                 // the death must actively release them.
@@ -663,25 +676,52 @@ mod tests {
                 comm.poll_faults(0);
                 unreachable!();
             }
-            comm.barrier().unwrap();
-            let mut v = vec![1.0];
-            comm.allreduce_sum(&mut v).unwrap();
-            v[0]
+            comm.barrier()?;
+            comm.allreduce_sum(&mut [1.0])
         }
         let plan = FaultPlan::none().kill_at_round(2, 0);
+        let started = Instant::now();
         for outcomes in [
             ThreadCluster::run_with_faults(4, plan.clone(), body),
             TcpCluster::run_loopback(4, plan, body),
         ] {
             assert!(outcomes[2].is_dead());
             for (rank, outcome) in outcomes.iter().enumerate() {
-                if rank == 2 {
-                    continue;
-                }
+                let expected = match rank {
+                    0 => CommError::RankDead(2),
+                    2 => continue,
+                    _ => CommError::RankDead(0),
+                };
                 match outcome {
-                    RankOutcome::Completed(sum) => assert_eq!(*sum, 3.0),
+                    RankOutcome::Completed(r) => assert_eq!(r, &Err(expected), "rank {rank}"),
                     dead => panic!("rank {rank} died: {dead:?}"),
                 }
+            }
+        }
+        assert!(started.elapsed() < Duration::from_secs(10));
+    }
+
+    /// A contribution of the wrong length is a typed error on rank 0
+    /// naming its sender, not a panic.
+    #[test]
+    fn malformed_contribution_is_a_typed_error_on_both_backends() {
+        fn body<T: Transport>(comm: Communicator<T>) -> Result<(), CommError> {
+            if comm.rank() == 1 {
+                let tag = coll_tag(K_REDUCE_CONTRIB, 0);
+                comm.transport().send(0, tag, vec![0; 7], None);
+                return Ok(());
+            }
+            comm.allreduce_sum(&mut [1.0])
+        }
+        for outcomes in [
+            ThreadCluster::run_with_faults(2, FaultPlan::none(), body),
+            TcpCluster::run_loopback(2, FaultPlan::none(), body),
+        ] {
+            match &outcomes[0] {
+                RankOutcome::Completed(Err(CommError::Malformed { from: 1, tag })) => {
+                    assert_eq!(*tag, coll_tag(K_REDUCE_CONTRIB, 0));
+                }
+                other => panic!("rank 0: expected Malformed from rank 1, got {other:?}"),
             }
         }
     }
@@ -766,45 +806,5 @@ mod tests {
         assert_eq!(t1.recvs, 1);
         assert_eq!(t1.recv_bytes, 16);
         assert_eq!(t1.timeouts, 1);
-    }
-
-    #[test]
-    fn live_count_tracks_deaths() {
-        let plan = FaultPlan::none().kill_at_round(3, 1);
-        let outcomes = ThreadCluster::run_with_faults(4, plan, |comm| {
-            comm.poll_faults(0); // round 0: nobody dies
-                                 // Sample before the barrier: rank 3 cannot die until every
-                                 // rank has passed it, so all ranks must observe 4 here.
-            let before = comm.live_count();
-            comm.barrier().unwrap();
-            if comm.rank() == 3 {
-                comm.poll_faults(1);
-                unreachable!();
-            }
-            // Wait until the death is visible, deadline-bounded.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while comm.is_alive(3) {
-                assert!(Instant::now() < deadline, "death never became visible");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            // Sample before the final barrier: past it, a survivor that
-            // has returned counts as departed too.
-            let after = comm.live_count();
-            comm.barrier().unwrap();
-            (before, after)
-        });
-        for (rank, outcome) in outcomes.iter().enumerate() {
-            if rank == 3 {
-                assert!(outcome.is_dead());
-                continue;
-            }
-            match outcome {
-                RankOutcome::Completed((before, after)) => {
-                    assert_eq!(*before, 4);
-                    assert_eq!(*after, 3);
-                }
-                dead => panic!("rank {rank} died: {dead:?}"),
-            }
-        }
     }
 }

@@ -31,9 +31,10 @@
 //!
 //! For robustness work the runtime also simulates an *unreliable* cluster:
 //! [`FaultPlan`] injects deterministic message drops/delays and rank
-//! kills, receives are deadline-bounded ([`CommError`]), and
-//! [`ThreadCluster::run_with_faults`] converts rank panics into
-//! [`RankOutcome::Died`] while survivors keep running.
+//! kills, and [`ThreadCluster::run_with_faults`] converts rank panics into
+//! [`RankOutcome::Died`]. Failure is fail-stop: every receive is
+//! deadline-bounded, and a receive or collective that loses a peer
+//! returns the [`CommError`] naming it instead of completing without it.
 
 pub mod comm;
 pub mod fault;

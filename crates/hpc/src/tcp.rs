@@ -3,7 +3,7 @@
 //!
 //! Implements the same [`Transport`] contract as the thread backend —
 //! a send ends in the destination rank's [`Mailbox`], a death is marked in
-//! the survivors' — so everything above it (collectives, fault injection,
+//! its peers' — so everything above it (collectives, fault injection,
 //! timeouts, the exchange protocol, checkpointing) is the same code over
 //! genuine inter-process message passing (`deepthermo run --cluster
 //! tcp:<n>`).
@@ -342,7 +342,7 @@ impl TcpCluster {
     /// Run a cluster program over loopback sockets under a fault plan.
     /// Mirrors [`crate::ThreadCluster::run_with_faults`]: a panicking
     /// rank becomes [`RankOutcome::Died`] and its dropped transport's
-    /// disconnects announce the death to the survivors.
+    /// disconnects announce the death to its peers.
     pub fn run_loopback<T, F>(size: usize, plan: FaultPlan, f: F) -> Vec<RankOutcome<T>>
     where
         T: Send,

@@ -7,8 +7,8 @@
 //! collectives are the backend-independent code in [`Transport`]'s
 //! provided methods and [`Communicator`]. [`ThreadCluster::run_with_faults`]
 //! converts a rank panic into [`RankOutcome::Died`] and announces every
-//! departure, return or panic, to every mailbox, which is what unblocks
-//! peers' receives and lets their collectives complete without the rank.
+//! departure, return or panic, to every mailbox, which is what fails
+//! peers' receives and collectives waiting on the rank.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;

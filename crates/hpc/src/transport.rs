@@ -8,19 +8,20 @@
 //!
 //! * [`crate::ThreadTransport`] — a rank is a thread, a send pushes a
 //!   `Vec<u8>` straight into the destination rank's mailbox, and the
-//!   cluster harness announces a death to every mailbox when a rank
-//!   panics;
+//!   cluster harness announces a departure to every mailbox when a rank
+//!   returns or panics;
 //! * [`crate::TcpTransport`] — real `std::net` loopback sockets with
 //!   length-prefixed frames, one connection per peer pair; per-peer reader
 //!   threads feed the rank's mailbox and a closed connection is the death
 //!   notice. Enables true multi-process runs (`deepthermo run --cluster
 //!   tcp:<n>`).
 //!
-//! Receiving, liveness queries and the collectives are the same code on
-//! both.
+//! Receiving, the liveness query and the collectives are the same code
+//! on both; a receive from a departed peer fails with
+//! [`CommError::RankDead`], which is how the rank program learns of it.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -59,24 +60,10 @@ pub trait Transport: Send {
     /// This rank's mailbox: what it has been sent, and whom it knows dead.
     fn mailbox(&self) -> &Mailbox;
 
-    /// Whether `rank` is still alive.
+    /// Whether `rank` is still alive, as far as this rank has seen (the
+    /// serving router's shard-health check).
     fn is_alive(&self, rank: usize) -> bool {
         !self.mailbox().is_dead(rank)
-    }
-
-    /// Number of ranks currently alive.
-    fn live_count(&self) -> usize {
-        self.mailbox().live_count()
-    }
-
-    /// Non-blocking receive: `Ok(Some(..))` if a deliverable message is
-    /// queued, `Ok(None)` if not.
-    ///
-    /// # Errors
-    /// [`CommError::RankDead`] when `from` is dead and no matching
-    /// message remains buffered or in flight.
-    fn try_recv(&self, from: usize, tag: u64) -> Result<Option<Vec<u8>>, CommError> {
-        self.mailbox().try_take(from, tag)
     }
 
     /// Blocking receive with a deadline. Already-buffered messages from a
@@ -109,7 +96,6 @@ pub struct Mailbox {
     queues: Mutex<HashMap<MsgKey, VecDeque<Envelope>>>,
     signal: Condvar,
     dead: Vec<AtomicBool>,
-    live: AtomicUsize,
 }
 
 impl Mailbox {
@@ -119,7 +105,6 @@ impl Mailbox {
             queues: Mutex::default(),
             signal: Condvar::new(),
             dead: (0..size).map(|_| AtomicBool::new(false)).collect(),
-            live: AtomicUsize::new(size),
         }
     }
 
@@ -142,24 +127,15 @@ impl Mailbox {
         self.dead[rank].load(Ordering::SeqCst)
     }
 
-    /// Number of ranks this rank believes alive.
-    pub(crate) fn live_count(&self) -> usize {
-        self.live.load(Ordering::SeqCst)
-    }
-
     /// Record that `rank` died and wake every waiter, so receives from the
     /// corpse fail fast. Idempotent.
     ///
     /// The flag flips under the queue lock, so a receiver is either
     /// before its liveness check or already parked on the signal — the
-    /// wakeup cannot fall between the two. The live count moves first:
-    /// whoever reads the new flag reads the matching count.
+    /// wakeup cannot fall between the two.
     pub(crate) fn mark_dead(&self, rank: usize) {
         let _queues = lock(&self.queues);
-        if !self.dead[rank].load(Ordering::SeqCst) {
-            self.live.fetch_sub(1, Ordering::SeqCst);
-            self.dead[rank].store(true, Ordering::SeqCst);
-        }
+        self.dead[rank].store(true, Ordering::SeqCst);
         self.signal.notify_all();
     }
 
@@ -179,20 +155,6 @@ impl Mailbox {
             queues.remove(&key);
         }
         Some(payload)
-    }
-
-    /// Non-blocking take; semantics of [`Transport::try_recv`].
-    fn try_take(&self, from: usize, tag: u64) -> Result<Option<Vec<u8>>, CommError> {
-        let mut queues = lock(&self.queues);
-        if let Some(payload) = Self::pop_ready(&mut queues, (from, tag), Instant::now()) {
-            return Ok(Some(payload));
-        }
-        // Delayed messages still in flight are not recalled by the
-        // sender's death.
-        if !queues.contains_key(&(from, tag)) && self.is_dead(from) {
-            return Err(CommError::RankDead(from));
-        }
-        Ok(None)
     }
 
     /// Blocking take with a deadline; semantics of

@@ -298,20 +298,8 @@ impl ResumePoint {
     /// by that many bytes of its exact `dtrewlrank` encoding, then a
     /// `sum` line (FNV-1a over every byte before it) and `end`.
     pub fn encode(&self) -> String {
-        let mut w = Writer::new("dtrewl", SNAPSHOT_VERSION);
-        w.line("round").dec(self.round);
-        w.line("ranks").dec(self.ranks.len());
-        w.line("digest").hex_u64(self.digest);
-        w.line("faults").dec(self.faults.encode());
-        for rc in &self.ranks {
-            let image = rc.encode();
-            w.line("rank").dec(image.len());
-            w.embed(&image);
-        }
-        let sum = fnv1a(w.text().as_bytes());
-        w.line("sum").hex_u64(sum);
-        w.line("end");
-        w.finish()
+        let images: Vec<String> = self.ranks.iter().map(RankCheckpoint::encode).collect();
+        encode_snapshot(self.round, self.digest, &self.faults, &images)
     }
 
     /// Restore from [`ResumePoint::encode`] output.
@@ -359,23 +347,47 @@ impl ResumePoint {
             ranks,
         })
     }
+}
 
-    /// Persist as `dir/round-<round>.dtrewl`: written to a temporary
-    /// sibling and synced, then atomically renamed into place and the
-    /// directory synced, so readers never see a half-written snapshot and
-    /// after a crash the name holds all of it or nothing.
-    ///
-    /// # Errors
-    /// Propagates filesystem failures.
-    pub(crate) fn write(&self, dir: &Path) -> io::Result<()> {
-        let name = format!("round-{:012}.dtrewl", self.round);
-        let tmp = dir.join(format!("{name}.tmp"));
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(self.encode().as_bytes())?;
-        file.sync_all()?;
-        fs::rename(&tmp, dir.join(name))?;
-        fs::File::open(dir)?.sync_all()
+/// The [`ResumePoint::encode`] text of a snapshot round from every
+/// rank's exact `dtrewlrank` image, in rank order. Rank 0 passes the
+/// images as the other ranks sent them, without re-encoding.
+pub(crate) fn encode_snapshot(
+    round: u64,
+    digest: u64,
+    faults: &FaultPlan,
+    images: &[String],
+) -> String {
+    let mut w = Writer::new("dtrewl", SNAPSHOT_VERSION);
+    w.line("round").dec(round);
+    w.line("ranks").dec(images.len());
+    w.line("digest").hex_u64(digest);
+    w.line("faults").dec(faults.encode());
+    for image in images {
+        w.line("rank").dec(image.len());
+        w.embed(image);
     }
+    let sum = fnv1a(w.text().as_bytes());
+    w.line("sum").hex_u64(sum);
+    w.line("end");
+    w.finish()
+}
+
+/// Persist a snapshot's `text` as `dir/round-<round>.dtrewl`: written to
+/// a temporary sibling and synced, then atomically renamed into place and
+/// the directory synced, so readers never see a half-written snapshot and
+/// after a crash the name holds all of it or nothing.
+///
+/// # Errors
+/// Propagates filesystem failures.
+pub(crate) fn write_snapshot(dir: &Path, round: u64, text: &str) -> io::Result<()> {
+    let name = format!("round-{round:012}.dtrewl");
+    let tmp = dir.join(format!("{name}.tmp"));
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(text.as_bytes())?;
+    file.sync_all()?;
+    fs::rename(&tmp, dir.join(name))?;
+    fs::File::open(dir)?.sync_all()
 }
 
 /// Digest of the configuration fields that determine checkpoint
@@ -473,6 +485,13 @@ pub fn load_resume_point(dir: &Path, digest: u64, num_ranks: usize) -> Option<Re
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ResumePoint {
+        /// Write this snapshot the way rank 0 writes a round.
+        fn write(&self, dir: &Path) -> io::Result<()> {
+            write_snapshot(dir, self.round, &self.encode())
+        }
+    }
 
     fn sample_walker() -> WalkerCheckpoint {
         WalkerCheckpoint {

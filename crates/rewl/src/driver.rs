@@ -6,7 +6,8 @@
 //! final merge). This module only decides *where* the ranks run:
 //! [`run_rewl`] spawns them as threads on the in-memory fabric, while
 //! [`run_rewl_on`] runs exactly one rank on a caller-supplied transport
-//! (e.g. a TCP worker process).
+//! (e.g. a TCP worker process). Either way each rank runs the same
+//! `RankEngine` over one `Setup`: a layout and resume point computed once.
 
 use dt_hamiltonian::EnergyModel;
 use dt_hpc::{Communicator, FaultPlan, RankOutcome, ThreadCluster, Transport};
@@ -128,8 +129,9 @@ pub enum RewlError {
     /// payload that does not decode, and this rank stopped. Restart every
     /// rank from the newest checkpoint.
     PeerLost {
-        /// The rank that was lost (rank 0 when the coordinator died, or
-        /// counted a contributor missing that this rank cannot name).
+        /// The rank that was lost: the one a receive waited for, or the
+        /// contributor a convergence vote lost — rank 0 names it, every
+        /// other rank names rank 0, which stopped on it.
         peer: usize,
         /// The exchange round in which the loss was noticed.
         round: u64,
@@ -351,6 +353,49 @@ fn build_layout<M: EnergyModel>(
     }
 }
 
+/// What every rank of one run shares, computed once before any rank
+/// starts: the inputs, the window layout, the configuration digest and
+/// the snapshot to resume from.
+pub(crate) struct Setup<'a, M> {
+    pub(crate) model: &'a M,
+    pub(crate) neighbors: &'a NeighborTable,
+    pub(crate) comp: &'a Composition,
+    pub(crate) cfg: &'a RewlConfig,
+    pub(crate) layout: WindowLayout,
+    pub(crate) digest: u64,
+    pub(crate) resume: Option<ResumePoint>,
+}
+
+impl<'a, M: EnergyModel> Setup<'a, M> {
+    /// Build the layout and find the resume point; `requested` is the
+    /// fault plan the ranks will run under.
+    ///
+    /// # Errors
+    /// Those of [`find_resume_point`].
+    fn new(
+        model: &'a M,
+        neighbors: &'a NeighborTable,
+        comp: &'a Composition,
+        range: (f64, f64),
+        cfg: &'a RewlConfig,
+        requested: &FaultPlan,
+    ) -> Result<Self, RewlError> {
+        let layout = build_layout(model, neighbors, comp, range, cfg);
+        let digest = checkpoint::config_digest(cfg);
+        let obs_dim = model.num_shells() * comp.num_species().pow(2);
+        let resume = find_resume_point(cfg, &layout, obs_dim, digest, requested)?;
+        Ok(Setup {
+            model,
+            neighbors,
+            comp,
+            cfg,
+            layout,
+            digest,
+            resume,
+        })
+    }
+}
+
 /// Locate the newest resume point for this config, creating the
 /// checkpoint directory as a side effect. `Ok(None)` when checkpointing
 /// is off or no snapshot decodes.
@@ -433,7 +478,7 @@ fn resume_mismatch(
 
 /// Run REWL on a simulated cluster of `M·W` ranks (threads).
 ///
-/// `(e_min, e_max)` is the global energy range (discover it with
+/// `range` is the global energy range `(e_min, e_max)` (discover it with
 /// [`dt_wanglandau::explore_energy_range`]).
 ///
 /// Fault tolerance is fail-stop: `cfg.faults` injects rank kills and
@@ -456,43 +501,20 @@ pub fn run_rewl<M: EnergyModel + Sync>(
     model: &M,
     neighbors: &NeighborTable,
     comp: &Composition,
-    (e_min, e_max): (f64, f64),
+    range: (f64, f64),
     cfg: &RewlConfig,
 ) -> Result<RewlOutput, RewlError> {
-    let layout = build_layout(model, neighbors, comp, (e_min, e_max), cfg);
+    let setup = Setup::new(model, neighbors, comp, range, cfg, &cfg.faults)?;
     let size = cfg.num_windows * cfg.walkers_per_window;
-    let digest = checkpoint::config_digest(cfg);
-    let obs_dim = model.num_shells() * comp.num_species().pow(2);
-    let resume = find_resume_point(cfg, &layout, obs_dim, digest, &cfg.faults)?;
-    let resume_ref = resume.as_ref();
-
     let outcomes = ThreadCluster::run_with_faults(size, cfg.faults.clone(), |comm| {
-        RankEngine::new(
-            comm, model, neighbors, comp, &layout, cfg, digest, resume_ref, false,
-        )
-        .run()
+        RankEngine::new(comm, &setup).run()
     });
-    // Rank 0 produced the assembled output or the error that stopped it;
-    // every rank that finished contributed a telemetry snapshot (when
-    // enabled).
-    let mut telemetry = Vec::new();
-    let mut root = None;
-    for (rank, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            RankOutcome::Completed(Ok((out, tel))) => {
-                telemetry.extend(tel);
-                root = root.or(out);
-            }
-            RankOutcome::Completed(Err(lost)) if rank == 0 => return Err(lost),
-            RankOutcome::Died { cause } if rank == 0 => {
-                return Err(RewlError::RootRankDied(cause));
-            }
-            RankOutcome::Completed(Err(_)) | RankOutcome::Died { .. } => {}
-        }
+    // Rank 0 assembled the output, or returned the error that stopped it.
+    match outcomes.into_iter().next() {
+        Some(RankOutcome::Completed(run)) => Ok(run?.output.expect("rank 0 assembles the output")),
+        Some(RankOutcome::Died { cause }) => Err(RewlError::RootRankDied(cause)),
+        None => unreachable!("a cluster has a rank 0"),
     }
-    let mut out = root.expect("rank 0 assembles the output");
-    out.telemetry = telemetry;
-    Ok(out)
 }
 
 /// What [`run_rewl_on`] hands back for one rank of a cluster.
@@ -534,7 +556,7 @@ pub fn run_rewl_on<M: EnergyModel, T: Transport>(
     model: &M,
     neighbors: &NeighborTable,
     comp: &Composition,
-    (e_min, e_max): (f64, f64),
+    range: (f64, f64),
     cfg: &RewlConfig,
 ) -> Result<RankRun, RewlError> {
     let size = cfg.num_windows * cfg.walkers_per_window;
@@ -543,21 +565,6 @@ pub fn run_rewl_on<M: EnergyModel, T: Transport>(
         size,
         "communicator size must equal num_windows × walkers_per_window"
     );
-    let layout = build_layout(model, neighbors, comp, (e_min, e_max), cfg);
-    let digest = checkpoint::config_digest(cfg);
-    let obs_dim = model.num_shells() * comp.num_species().pow(2);
-    let resume = find_resume_point(cfg, &layout, obs_dim, digest, comm.fault_plan())?;
-    let (output, telemetry) = RankEngine::new(
-        comm,
-        model,
-        neighbors,
-        comp,
-        &layout,
-        cfg,
-        digest,
-        resume.as_ref(),
-        true,
-    )
-    .run()?;
-    Ok(RankRun { output, telemetry })
+    let setup = Setup::new(model, neighbors, comp, range, cfg, comm.fault_plan())?;
+    RankEngine::new(comm, &setup).run()
 }

@@ -21,13 +21,13 @@
 //! the swap is accepted, which costs one state per rejection and saves a
 //! round trip per acceptance.
 //!
-//! Every receive is deadline-bounded (`recv_resilient`): a dead or silent
-//! partner fails the attempt — state untouched — with a `CommError`,
-//! which ends the rank, instead of hanging the round. Message tags carry
-//! the round number ([`tags::with_round`]) so a straggler's late frames
-//! can never be mistaken for the current round's.
+//! Each receive is a single wait of at most `PATIENCE` (6.3 s): a dead or
+//! silent partner fails the attempt — state untouched — with a
+//! `CommError`, which ends the rank, instead of hanging the round.
+//! Message tags carry the round number ([`tags::with_round`]) so a
+//! straggler's late frames can never be mistaken for the current round's.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dt_hpc::{CommError, Communicator, Transport};
 use dt_wanglandau::WlWalker;
@@ -56,7 +56,7 @@ pub mod tags {
     /// Checkpoint: a rank's image for the round's snapshot, one framed
     /// [`crate::wire::GatherPiece`] to rank 0.
     pub const CKPT_IMAGE: u64 = 13;
-    /// Gather: a rank's telemetry snapshot (multi-process backends only).
+    /// Gather: a rank's telemetry snapshot (telemetry runs only).
     pub const GATHER_TELEMETRY: u64 = 14;
     /// Rebalance: a rank's round-trip sample for the planner (rank 0).
     pub const RT_STATS: u64 = 15;
@@ -72,62 +72,14 @@ pub mod tags {
     }
 }
 
-/// First receive timeout of the bounded retry schedule.
-const RECV_BASE: Duration = Duration::from_millis(100);
-/// Retries with doubling timeout: total patience ≈ 6.3 s before a peer
-/// is written off for this protocol step.
-const RECV_RETRIES: u32 = 6;
-/// Patience for the final gather and checkpoint images, where peers are
-/// known to be at (or past) the same protocol point.
+/// How long one protocol receive waits for its peer before the peer is
+/// written off (fail-stop).
+pub(crate) const PATIENCE: Duration = Duration::from_millis(6300);
+/// How long rank 0 waits for one collection from every other rank, a
+/// deadline shared by the whole collection: every peer is at (or past)
+/// the same protocol point, so their messages race each other, not the
+/// clock.
 pub(crate) const COLLECT_DEADLINE: Duration = Duration::from_secs(30);
-
-/// Deadline-bounded receive with exponential backoff. Returns the first
-/// hard failure: a dead peer immediately, a timeout after the full retry
-/// budget. Never blocks unboundedly.
-pub(crate) fn recv_resilient<T: Transport>(
-    comm: &Communicator<T>,
-    from: usize,
-    tag: u64,
-) -> Result<Vec<u8>, CommError> {
-    let mut timeout = RECV_BASE;
-    let mut last = CommError::Timeout { from, tag };
-    for _ in 0..RECV_RETRIES {
-        match comm.recv_timeout(from, tag, timeout) {
-            Ok(bytes) => return Ok(bytes),
-            Err(dead @ CommError::RankDead(_)) => return Err(dead),
-            Err(timed_out) => last = timed_out,
-        }
-        timeout *= 2;
-    }
-    Err(last)
-}
-
-/// Receive against a SHARED absolute deadline — the collection form of
-/// [`recv_resilient`], for gather-style phases where rank 0 drains many
-/// peers in sequence. A flat per-message timeout there overshoots by
-/// `ranks × timeout` in the worst case; one deadline bounds the whole
-/// phase instead. Backoff still doubles between attempts (capped), and a
-/// dead peer fails immediately.
-pub(crate) fn recv_until<T: Transport>(
-    comm: &Communicator<T>,
-    from: usize,
-    tag: u64,
-    deadline: Instant,
-) -> Result<Vec<u8>, CommError> {
-    let mut timeout = RECV_BASE;
-    loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(CommError::Timeout { from, tag });
-        }
-        match comm.recv_timeout(from, tag, timeout.min(remaining)) {
-            Ok(bytes) => return Ok(bytes),
-            Err(dead @ CommError::RankDead(_)) => return Err(dead),
-            Err(_) => {}
-        }
-        timeout = (timeout * 2).min(Duration::from_secs(2));
-    }
-}
 
 /// A rank's role in one exchange round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,7 +166,8 @@ pub(crate) fn exchange_as_initiator<T: Transport>(
         tags::with_round(tags::EXCH_ENERGY, round),
         wire::encode_f64s(&[walker.energy()]),
     );
-    let reply_bytes = recv_resilient(comm, partner, tags::with_round(tags::EXCH_REPLY, round))?;
+    let reply_tag = tags::with_round(tags::EXCH_REPLY, round);
+    let reply_bytes = comm.recv_timeout(partner, reply_tag, PATIENCE)?;
     // A malformed or invalid reply voids the attempt before any RNG draw.
     // The partner's state must land in this walker's window, which
     // `ln_g_at(E_b)` checks before the draw.
@@ -255,7 +208,8 @@ pub(crate) fn exchange_as_responder<T: Transport>(
     round: u64,
     m_species: usize,
 ) -> Result<bool, CommError> {
-    let e_a_bytes = recv_resilient(comm, initiator, tags::with_round(tags::EXCH_ENERGY, round))?;
+    let opener = tags::with_round(tags::EXCH_ENERGY, round);
+    let e_a_bytes = comm.recv_timeout(initiator, opener, PATIENCE)?;
     let e_a = wire::decode_f64s(&e_a_bytes)
         .ok()
         .and_then(|v| v.first().copied());
@@ -268,11 +222,8 @@ pub(crate) fn exchange_as_responder<T: Transport>(
         tags::with_round(tags::EXCH_REPLY, round),
         wire::encode_exchange_reply(delta, walker.energy(), walker.config()),
     );
-    let decision = recv_resilient(
-        comm,
-        initiator,
-        tags::with_round(tags::EXCH_DECISION, round),
-    )?;
+    let decision_tag = tags::with_round(tags::EXCH_DECISION, round);
+    let decision = comm.recv_timeout(initiator, decision_tag, PATIENCE)?;
     // Only the initiator counts the exchange, so window reports read as
     // "attempts toward the next window". The accepted state must land in
     // this walker's window; a malformed or out-of-window payload voids
@@ -521,11 +472,11 @@ mod tests {
         let results = ThreadCluster::run(2, |comm| {
             if comm.rank() == 1 {
                 let opener = tags::with_round(tags::EXCH_ENERGY, 5);
-                recv_resilient(&comm, 0, opener).unwrap();
+                comm.recv_timeout(0, opener, PATIENCE).unwrap();
                 // A reply with an out-of-range flag byte.
                 comm.send(0, tags::with_round(tags::EXCH_REPLY, 5), vec![9; 40]);
                 let decision = tags::with_round(tags::EXCH_DECISION, 5);
-                return (recv_resilient(&comm, 0, decision).unwrap(), true);
+                return (comm.recv_timeout(0, decision, PATIENCE).unwrap(), true);
             }
             let mut walker = walker_on(grid.clone(), &h, &nt, &comp, 3);
             let (e, pos) = (walker.energy(), walker.rng_mut().get_word_pos());

@@ -1,54 +1,29 @@
-//! The final gather: rank pieces, window averaging, accumulator
-//! reduction, and output assembly at rank 0.
+//! The final gather: window averaging, accumulator reduction, and output
+//! assembly at rank 0.
 //!
-//! Every rank ends its run by shipping one [`GatherPiece`] — its final
-//! state in checkpoint form (window `ln g`, visited mask, move statistics,
-//! counters, SRO accumulator totals) — to rank 0 (tag `GATHER_PIECE`;
-//! a checkpoint round ships the same piece under `CKPT_IMAGE`).
-//! Rank 0 validates the shape of what arrives — a dead peer, a timeout,
-//! or a malformed message ends the run like any other lost receive —
-//! averages each window's walkers (aligning their additive `ln g`
-//! constants on co-visited bins), and stitches the windows into the
-//! global density of states.
+//! Every rank ends its run by shipping one [`crate::GatherPiece`] — its
+//! final state in checkpoint form (window `ln g`, visited mask, move
+//! statistics, counters, SRO accumulator totals) — to rank 0 (tag
+//! `GATHER_PIECE`; a checkpoint round ships the same piece under
+//! `CKPT_IMAGE`). Rank 0 receives them through its one collection
+//! (`RankEngine::collect`), which validates the shape of what arrives —
+//! a dead peer, a timeout, or a malformed message ends the run like any
+//! other lost receive. This module then averages each window's walkers
+//! (aligning their additive `ln g` constants on co-visited bins), and
+//! stitches the windows into the global density of states.
 
-use std::time::Instant;
-
-use dt_hpc::{Communicator, Transport};
 use dt_proposal::MoveStats;
 use dt_telemetry::RankTelemetry;
 use dt_thermo::MicrocanonicalAccumulator;
-use dt_wanglandau::EnergyGrid;
 
 use crate::checkpoint::RankCheckpoint;
 use crate::driver::{RewlConfig, RewlOutput, WindowReport};
-use crate::exchange::recv_until;
 use crate::merge::merge_windows;
-use crate::rank::fits;
 use crate::windows::WindowLayout;
-use crate::wire::{self, GatherPiece};
-
-/// Receive one rank's piece under `tag` — its final gather contribution,
-/// or its image for a checkpoint round — validating that it fits its
-/// window's `grid`; `None` on a timeout, a dead peer, or a malformed
-/// payload. The receive is bounded by the caller's absolute `deadline`
-/// (one budget per collection phase, not per message).
-pub(crate) fn recv_rank_piece<T: Transport>(
-    comm: &Communicator<T>,
-    other: usize,
-    tag: u64,
-    grid: &EnergyGrid,
-    global_bins: usize,
-    obs_dim: usize,
-    deadline: Instant,
-) -> Option<GatherPiece> {
-    let bytes = recv_until(comm, other, tag, deadline).ok()?;
-    let piece = wire::decode_piece(&bytes).ok()?;
-    // Decoding already tied every vector to the counts the piece states.
-    fits(&piece.state, grid, global_bins, obs_dim).then_some(piece)
-}
 
 /// The SRO accumulator a rank's state carries as per-bin totals (the
-/// inverse of [`accumulator_totals`]). The state must [`fits`] it.
+/// inverse of [`accumulator_totals`]). The state must fit it
+/// (`rank::fits`).
 pub(crate) fn accumulator_from(
     rc: &RankCheckpoint,
     global_bins: usize,
@@ -63,8 +38,8 @@ pub(crate) fn accumulator_from(
 
 /// Average the `ln_g` of a window's walkers after aligning their additive
 /// constants on co-visited bins; mask is the union of visited bins.
-pub(crate) fn average_window(members: &[&GatherPiece]) -> (Vec<f64>, Vec<bool>) {
-    let walkers: Vec<_> = members.iter().map(|p| &p.state.walker).collect();
+pub(crate) fn average_window(members: &[&RankCheckpoint]) -> (Vec<f64>, Vec<bool>) {
+    let walkers: Vec<_> = members.iter().map(|rc| &rc.walker).collect();
     let reference = walkers[0];
     let bins = reference.ln_g.len();
     let mut sum = vec![0.0f64; bins];
@@ -122,14 +97,14 @@ pub(crate) fn accumulator_totals(
 }
 
 /// Rank 0's final step: average each window's walkers (`per_rank` holds
-/// every rank's piece, in rank order), build the per-window reports, and
-/// merge the windows into the global DOS.
+/// every rank's final state, in rank order), build the per-window
+/// reports, and merge the windows into the global DOS.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_output(
     layout: &WindowLayout,
     cfg: &RewlConfig,
     assignment: &[usize],
-    per_rank: &[GatherPiece],
+    per_rank: &[RankCheckpoint],
     merged_sro: MicrocanonicalAccumulator,
     sweeps: u64,
     resumed_round: Option<u64>,
@@ -140,7 +115,7 @@ pub(crate) fn assemble_output(
     for win in 0..cfg.num_windows {
         // Walker reallocation can leave windows with unequal headcounts;
         // group by the final rank→window assignment, not by rank blocks.
-        let members: Vec<&GatherPiece> = per_rank
+        let members: Vec<&RankCheckpoint> = per_rank
             .iter()
             .zip(assignment)
             .filter(|&(_, &a)| a == win)
@@ -154,7 +129,7 @@ pub(crate) fn assemble_output(
         let mut ln_f_max = 0.0f64;
         let mut round_trips = 0u64;
         let mut round_trip_moves = 0u64;
-        for p in members.iter().map(|p| &p.state) {
+        for p in &members {
             stats.merge(&p.stats);
             attempts += p.exchange_attempts;
             accepted += p.exchange_accepted;
@@ -176,9 +151,9 @@ pub(crate) fn assemble_output(
         });
     }
     let (dos, mask) = merge_windows(layout, &pieces);
-    let total_moves = per_rank.iter().map(|p| p.state.walker.total_moves).sum();
+    let total_moves = per_rank.iter().map(|rc| rc.walker.total_moves).sum();
     let converged_all = reports.iter().all(|r| r.converged);
-    let walkers_rebalanced = per_rank.iter().map(|p| p.state.rebalanced).sum();
+    let walkers_rebalanced = per_rank.iter().map(|rc| rc.rebalanced).sum();
     RewlOutput {
         dos,
         mask,

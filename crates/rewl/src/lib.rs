@@ -39,12 +39,13 @@
 //! Every rank is fail-stop, on both backends. A [`dt_hpc::FaultPlan`]
 //! (on [`RewlConfig::faults`], or the communicator's for [`run_rewl_on`])
 //! injects rank kills and message drops/delays. Every protocol receive is
-//! deadline-bounded, and the first one that fails — a dead peer, an
-//! exhausted deadline, a payload that does not decode — ends the rank
-//! with [`RewlError::PeerLost`]. So does a convergence vote that counts
-//! fewer than every rank; votes are taken on the rounds whose outcome can
-//! change (the first round of a life, a round holding a flatness check, a
-//! rebalance round, the sweep-cap round). The loss spreads as each rank
+//! one deadline-bounded receive, and the first one that fails — a dead
+//! peer, an expired deadline, a payload that does not decode — ends the
+//! rank with [`RewlError::PeerLost`]. So does a convergence vote that
+//! loses a rank: the collective fails instead of completing without it
+//! (see [`dt_hpc::Communicator::allreduce_sum`]). Votes are taken on the
+//! rounds whose outcome can change (the first round of a life, a round
+//! holding a flatness check, a rebalance round, the sweep-cap round). The loss spreads as each rank
 //! exits, so the whole cluster stops, and no run returns a degraded
 //! answer.
 //!

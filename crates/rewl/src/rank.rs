@@ -22,10 +22,10 @@
 //! produces bit-identical `ln g` regardless of the wire underneath.
 //!
 //! Every rank is fail-stop: a failed protocol receive — a dead peer, an
-//! exhausted deadline, a payload that does not decode — ends the rank's
-//! life with [`RewlError::PeerLost`], and so does a vote that counts fewer
-//! than every rank. The run is then restarted from its newest complete
-//! checkpoint.
+//! expired deadline, a payload that does not decode — ends the rank's
+//! life with [`RewlError::PeerLost`], and so does a failed vote (the
+//! collective fails rather than complete without a rank). The run is then
+//! restarted from its newest complete checkpoint.
 
 use dt_hamiltonian::EnergyModel;
 use dt_hpc::{rank_rng, Communicator, Transport};
@@ -40,21 +40,14 @@ use dt_wanglandau::{EnergyGrid, WalkerCheckpoint, WlWalker};
 
 use std::time::Instant;
 
-use crate::checkpoint::{CheckpointSpec, RankCheckpoint, ResumePoint};
-use crate::driver::{RewlConfig, RewlError, RewlOutput};
-use crate::exchange::{
-    self, exchange_role, recv_resilient, recv_until, tags, ExchangeRole, COLLECT_DEADLINE,
-};
+use crate::checkpoint::{self, CheckpointSpec, RankCheckpoint};
+use crate::driver::{RankRun, RewlConfig, RewlError, Setup};
+use crate::exchange::{self, exchange_role, tags, ExchangeRole, COLLECT_DEADLINE, PATIENCE};
 use crate::gather::{self, accumulator_from, accumulator_totals};
 use crate::rebalance::{self, Migration, RtSample};
 use crate::spec::{DeepSpec, KernelSpec};
 use crate::windows::WindowLayout;
 use crate::wire::{self, GatherPiece};
-
-/// What one rank hands back to its driver: the assembled output (rank 0
-/// only; `None` elsewhere) plus this rank's telemetry snapshot (when
-/// enabled), or the error that ended the rank.
-pub(crate) type RankReturn = Result<(Option<RewlOutput>, Option<RankTelemetry>), RewlError>;
 
 /// Whether a walker snapshot was taken on `grid`, bit for bit.
 fn on_grid(cp: &WalkerCheckpoint, grid: &EnergyGrid) -> bool {
@@ -244,10 +237,6 @@ pub(crate) struct RankEngine<'a, M, T: Transport> {
     layout: &'a WindowLayout,
     cfg: &'a RewlConfig,
     digest: u64,
-    /// Ship telemetry snapshots over the wire at gather time (multi-
-    /// process backends). The thread driver collects snapshots in memory
-    /// instead and keeps this off, so its message schedule is unchanged.
-    wire_telemetry: bool,
 
     rank: usize,
     window: usize,
@@ -284,26 +273,21 @@ pub(crate) struct RankEngine<'a, M, T: Transport> {
 }
 
 impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
-    /// Set up this rank's walker (fresh or restored from `resume`),
-    /// deep-proposal state, and accumulators. Setup draws from the rank
-    /// RNG in a fixed order, so every backend consumes the stream
-    /// identically. `resume` has passed `find_resume_point`'s shape checks, so
-    /// every restored piece fits this run's layout.
-    ///
-    /// `wire_telemetry` marks a rank on a transport of its own
-    /// ([`crate::run_rewl_on`]), which ships its telemetry over the wire.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        comm: Communicator<T>,
-        model: &'a M,
-        neighbors: &'a NeighborTable,
-        comp: &'a Composition,
-        layout: &'a WindowLayout,
-        cfg: &'a RewlConfig,
-        digest: u64,
-        resume: Option<&'a ResumePoint>,
-        wire_telemetry: bool,
-    ) -> Self {
+    /// Set up this rank's walker (fresh or restored from the run's resume
+    /// point), deep-proposal state, and accumulators. Setup draws from the
+    /// rank RNG in a fixed order, so every backend consumes the stream
+    /// identically. The resume point has passed `find_resume_point`'s
+    /// shape checks, so every restored piece fits this run's layout.
+    pub(crate) fn new(comm: Communicator<T>, setup: &'a Setup<'a, M>) -> Self {
+        let Setup {
+            model,
+            neighbors,
+            comp,
+            cfg,
+            digest,
+            ..
+        } = *setup;
+        let (layout, resume) = (&setup.layout, setup.resume.as_ref());
         let rank = comm.rank();
         let w = cfg.walkers_per_window;
         // Rank→window assignment: uniform on a fresh start, or — when
@@ -390,7 +374,6 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             layout,
             cfg,
             digest,
-            wire_telemetry,
             rank,
             window,
             m_species,
@@ -417,7 +400,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     }
 
     /// Drive the state machine to completion.
-    pub(crate) fn run(mut self) -> RankReturn {
+    pub(crate) fn run(mut self) -> Result<RankRun, RewlError> {
         let mut phase = EnginePhase::Checkpoint;
         loop {
             phase = match phase {
@@ -444,6 +427,47 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     /// payload: any failure ends this rank's life.
     fn received<V, E>(&self, peer: usize, got: Result<V, E>) -> Result<V, RewlError> {
         got.map_err(|_| self.lost(peer))
+    }
+
+    /// One protocol receive from `peer` under `tag`, waiting at most
+    /// [`PATIENCE`]; a failure ends this rank's life.
+    fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, RewlError> {
+        self.received(peer, self.comm.recv_timeout(peer, tag, PATIENCE))
+    }
+
+    /// Rank 0's one way to collect: `own` value first, then a message
+    /// under `tag` from every other rank, in rank order, all within one
+    /// [`COLLECT_DEADLINE`], each turned into a value by `accept` (`None`
+    /// when it does not decode or fit). The first rank that is dead, late
+    /// or malformed ends this rank's life.
+    fn collect<V>(
+        &self,
+        own: V,
+        tag: u64,
+        accept: impl Fn(usize, &[u8]) -> Option<V>,
+    ) -> Result<Vec<V>, RewlError> {
+        let deadline = Instant::now() + COLLECT_DEADLINE;
+        let others = (1..self.comm.size()).map(|other| {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            let bytes = self.received(other, self.comm.recv_timeout(other, tag, wait))?;
+            self.received(other, accept(other, &bytes).ok_or(()))
+        });
+        std::iter::once(Ok(own)).chain(others).collect()
+    }
+
+    /// The state `other` shipped as a [`GatherPiece`] in `bytes`, with
+    /// the `dtrewlrank` image it was decoded from, if it decodes and fits
+    /// the window `other` holds.
+    fn fitting_piece<'b>(
+        &self,
+        other: usize,
+        bytes: &'b [u8],
+    ) -> Option<(RankCheckpoint, &'b str)> {
+        let image = wire::piece_image(bytes).ok()?;
+        let state = RankCheckpoint::decode(image).ok()?;
+        let grid = self.layout.window_grid(self.assignment[other]);
+        // Decoding already tied every vector to the counts the state gives.
+        fits(&state, &grid, self.global_bins, self.obs_dim).then_some((state, image))
     }
 
     /// Start of round: the periodic cluster snapshot (if due), THEN the
@@ -550,12 +574,12 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         let leader = peers[0];
         if self.rank != leader {
             self.comm.send(leader, up, wire::encode_f64s(&params));
-            let bytes = self.received(leader, recv_resilient(&self.comm, leader, down))?;
+            let bytes = self.recv(leader, down)?;
             return self.received(leader, decode(&bytes));
         }
         let mut acc = params;
         for &other in &peers[1..] {
-            let bytes = self.received(other, recv_resilient(&self.comm, other, up))?;
+            let bytes = self.recv(other, up)?;
             let theirs = self.received(other, decode(&bytes))?;
             for (a, b) in acc.iter_mut().zip(theirs) {
                 *a += b;
@@ -624,43 +648,22 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         }
         let rt = self.walker.round_trip_stats();
         let sample = [rt.crossings, rt.crossing_moves, rt.pending_moves];
+        let stats_tag = tags::with_round(tags::RT_STATS, self.round);
+        let plan_tag = tags::with_round(tags::REBALANCE_PLAN, self.round);
         let plan = if self.rank == 0 {
-            let mut samples = Vec::with_capacity(self.comm.size());
-            samples.push(RtSample {
-                crossings: sample[0],
-                crossing_moves: sample[1],
-                pending_moves: sample[2],
-            });
-            // One shared deadline bounds the whole collection.
-            let deadline = Instant::now() + COLLECT_DEADLINE;
-            let tag = tags::with_round(tags::RT_STATS, self.round);
-            for other in 1..self.comm.size() {
-                let bytes = self.received(other, recv_until(&self.comm, other, tag, deadline))?;
-                let vals = self.received(other, wire::decode_u64s(&bytes))?;
-                let &[crossings, crossing_moves, pending_moves] = vals.as_slice() else {
-                    return Err(self.lost(other));
-                };
-                samples.push(RtSample {
-                    crossings,
-                    crossing_moves,
-                    pending_moves,
-                });
-            }
+            let samples = self.collect(RtSample::from(sample), stats_tag, |_, bytes| {
+                let words: [u64; 3] = wire::decode_u64s(bytes).ok()?.try_into().ok()?;
+                Some(words.into())
+            })?;
             let plan = rebalance::plan_rebalance(&self.assignment, self.cfg.num_windows, &samples);
             let payload = wire::encode_u64s(&rebalance::encode_plan(plan));
             for other in 1..self.comm.size() {
-                self.comm.send(
-                    other,
-                    tags::with_round(tags::REBALANCE_PLAN, self.round),
-                    payload.clone(),
-                );
+                self.comm.send(other, plan_tag, payload.clone());
             }
             plan
         } else {
-            let stats_tag = tags::with_round(tags::RT_STATS, self.round);
             self.comm.send(0, stats_tag, wire::encode_u64s(&sample));
-            let plan_tag = tags::with_round(tags::REBALANCE_PLAN, self.round);
-            let bytes = self.received(0, recv_resilient(&self.comm, 0, plan_tag))?;
+            let bytes = self.recv(0, plan_tag)?;
             let words = self.received(0, wire::decode_u64s(&bytes))?;
             // `[]` is the no-op plan; any other payload must decode.
             if words.is_empty() {
@@ -690,7 +693,7 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             );
         }
         if self.rank == m.migrant {
-            let bytes = self.received(m.donor, recv_resilient(&self.comm, m.donor, tag))?;
+            let bytes = self.recv(m.donor, tag)?;
             // The donor's state must sit on the target window's grid.
             let grid = self.layout.window_grid(m.to_window);
             let cp = wire::decode_walker(&bytes)
@@ -737,12 +740,12 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
     /// Collective convergence poll. Every rank of one allreduce
     /// generation sees identical sums, so the stop decision is collective
     /// and no rank can exit the round loop while a peer keeps waiting
-    /// for it: `[Σ converged, Σ 1 (= contributors), Σ hit-sweep-cap]`.
-    /// The vote is taken only on rounds whose outcome can change
-    /// ([`vote_due`]); every other round continues, which is what the
-    /// last vote decided. A lost rank is therefore noticed at the next
-    /// vote or at a failed receive; a vote short of any rank ends every
-    /// rank's life.
+    /// for it: `[Σ converged, Σ hit-sweep-cap]`. The vote is taken only
+    /// on rounds whose outcome can change ([`vote_due`]); every other
+    /// round continues, which is what the last vote decided. A lost rank
+    /// is therefore noticed at the next vote or at a failed receive: the
+    /// allreduce fails instead of completing without it, naming the lost
+    /// rank on rank 0 and rank 0 on every other rank.
     fn phase_converge(&mut self) -> Result<EnginePhase, RewlError> {
         let first_round = self.resumed_round.unwrap_or(0);
         if !vote_due(self.cfg, first_round, self.round) {
@@ -751,97 +754,81 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         }
         let mut flags = [
             f64::from(u8::from(self.walker.ln_f() <= self.cfg.wl.ln_f_final)),
-            1.0,
             f64::from(u8::from(self.sweeps >= self.cfg.max_sweeps)),
         ];
         let reduced = {
             let _span = self.tel.span(Phase::Allreduce);
             self.comm.allreduce_sum(&mut flags)
         };
-        self.received(0, reduced)?;
-        let size = self.comm.size();
-        if (flags[1].round() as usize) < size {
-            // Only rank 0 knows whom it counted missing; name the first
-            // rank this one sees dead.
-            let peer = (0..size).find(|&r| !self.comm.is_alive(r));
-            return Err(self.lost(peer.unwrap_or(0)));
-        }
+        reduced.map_err(|e| self.lost(e.peer()))?;
         self.round += 1;
-        if flags[0].round() as usize >= size || flags[2] > 0.5 {
+        if flags[0].round() as usize >= self.comm.size() || flags[1] > 0.5 {
             Ok(EnginePhase::Gather)
         } else {
             Ok(EnginePhase::Checkpoint)
         }
     }
 
-    /// Terminal phase: non-root ranks ship their piece to rank 0; rank 0
+    /// Terminal phase: non-root ranks ship their piece (and, in a
+    /// telemetry run, their telemetry snapshot) to rank 0; rank 0
     /// collects every rank, merges, and assembles the output.
-    fn phase_gather(mut self) -> RankReturn {
-        let piece = GatherPiece {
-            state: self.rank_checkpoint(),
-            reserved: [0; 3],
-        };
-        let wire_tel = self.wire_telemetry && self.tel.is_enabled();
+    fn phase_gather(mut self) -> Result<RankRun, RewlError> {
+        let state = self.rank_checkpoint();
         if self.rank != 0 {
             {
                 let _span = self.tel.span(Phase::Gather);
+                let piece = GatherPiece {
+                    state,
+                    reserved: [0; 3],
+                };
                 self.comm
                     .send(0, tags::GATHER_PIECE, wire::encode_piece(&piece));
             }
-            let snap = self.snapshot();
-            if wire_tel {
-                if let Some(snap) = snap.as_ref() {
-                    self.comm
-                        .send(0, tags::GATHER_TELEMETRY, wire::encode_telemetry(snap));
-                }
+            let telemetry = self.snapshot();
+            if let Some(snap) = telemetry.as_ref() {
+                self.comm
+                    .send(0, tags::GATHER_TELEMETRY, wire::encode_telemetry(snap));
             }
-            return Ok((None, snap));
+            return Ok(RankRun {
+                output: None,
+                telemetry,
+            });
         }
 
         // Rank 0: collect every other rank. (Its own accumulator seeds the
-        // merge directly, so the totals its piece carries go unused.)
-        let mut pieces = Vec::with_capacity(self.comm.size());
-        pieces.push(piece);
+        // merge directly, so the totals its state carries go unused.)
         let mut merged_sro = std::mem::replace(&mut self.sro, MicrocanonicalAccumulator::new(1, 1));
-        // ONE deadline bounds the whole collection: every peer is at (or
-        // past) the gather already, so their payloads race each other,
-        // not the clock.
-        let deadline = Instant::now() + COLLECT_DEADLINE;
-        {
+        let states = {
             let _span = self.tel.span(Phase::Gather);
-            for other in 1..self.comm.size() {
-                let piece = self.recv_piece(other, tags::GATHER_PIECE, deadline)?;
-                merged_sro.merge(&accumulator_from(
-                    &piece.state,
-                    self.global_bins,
-                    self.obs_dim,
-                ));
-                pieces.push(piece);
+            let states = self.collect(state, tags::GATHER_PIECE, |other, bytes| {
+                Some(self.fitting_piece(other, bytes)?.0)
+            })?;
+            for rc in &states[1..] {
+                merged_sro.merge(&accumulator_from(rc, self.global_bins, self.obs_dim));
             }
-        }
+            states
+        };
         let rank_tel = self.snapshot();
-        // Multi-process backends gather telemetry over the wire (the
-        // thread driver collects the in-memory snapshots instead).
-        let mut telemetry = Vec::new();
-        if wire_tel {
-            telemetry.extend(rank_tel.clone());
-            for other in 1..self.comm.size() {
-                let got = recv_until(&self.comm, other, tags::GATHER_TELEMETRY, deadline);
-                let bytes = self.received(other, got)?;
-                telemetry.push(self.received(other, wire::decode_telemetry(&bytes))?);
-            }
-        }
+        let telemetry = match rank_tel.clone() {
+            Some(own) => self.collect(own, tags::GATHER_TELEMETRY, |_, bytes| {
+                wire::decode_telemetry(bytes).ok()
+            })?,
+            None => Vec::new(),
+        };
         let out = gather::assemble_output(
             self.layout,
             self.cfg,
             &self.assignment,
-            &pieces,
+            &states,
             merged_sro,
             self.sweeps,
             self.resumed_round,
             telemetry,
         );
-        Ok((Some(out), rank_tel))
+        Ok(RankRun {
+            output: Some(out),
+            telemetry: rank_tel,
+        })
     }
 
     /// Snapshot this rank's telemetry, folding in the sampler's acceptance
@@ -921,32 +908,11 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
         }
     }
 
-    /// Rank 0's receive of `other`'s piece under `tag`, validated against
-    /// the window `other` holds: a missing or bad piece ends the life.
-    fn recv_piece(
-        &self,
-        other: usize,
-        tag: u64,
-        deadline: Instant,
-    ) -> Result<GatherPiece, RewlError> {
-        let grid = self.layout.window_grid(self.assignment[other]);
-        let got = gather::recv_rank_piece(
-            &self.comm,
-            other,
-            tag,
-            &grid,
-            self.global_bins,
-            self.obs_dim,
-            deadline,
-        );
-        self.received(other, got.ok_or(()))
-    }
-
     /// One cluster snapshot: every non-root rank ships its image to rank
-    /// 0 (one message), and rank 0 writes every rank's image into the
-    /// round's one snapshot file. A missing or bad image ends the life
-    /// like any lost receive; a failed write is reported, and the round
-    /// simply has no snapshot.
+    /// 0 (one message), and rank 0 writes every rank's image, as it
+    /// arrived, into the round's one snapshot file. A missing or bad image
+    /// ends the life like any lost receive; a failed write is reported,
+    /// and the round simply has no snapshot.
     fn checkpoint_cluster(&mut self, spec: &CheckpointSpec) -> Result<(), RewlError> {
         let round = self.round;
         let tag = tags::with_round(tags::CKPT_IMAGE, round);
@@ -959,20 +925,12 @@ impl<'a, M: EnergyModel, T: Transport> RankEngine<'a, M, T> {
             self.comm.send(0, tag, wire::encode_piece(&image));
             return Ok(());
         }
-        // One deadline bounds the whole collection, as in the gather.
-        let deadline = Instant::now() + COLLECT_DEADLINE;
-        let mut ranks = Vec::with_capacity(self.comm.size());
-        ranks.push(state);
-        for other in 1..self.comm.size() {
-            ranks.push(self.recv_piece(other, tag, deadline)?.state);
-        }
-        let snapshot = ResumePoint {
-            round,
-            digest: self.digest,
-            faults: self.comm.fault_plan().clone(),
-            ranks,
-        };
-        if let Err(e) = snapshot.write(&spec.dir) {
+        let images = self.collect(state.encode(), tag, |other, bytes| {
+            Some(self.fitting_piece(other, bytes)?.1.to_owned())
+        })?;
+        let faults = self.comm.fault_plan();
+        let text = checkpoint::encode_snapshot(round, self.digest, faults, &images);
+        if let Err(e) = checkpoint::write_snapshot(&spec.dir, round, &text) {
             eprintln!("rewl: checkpoint write at round {round} failed: {e}");
         }
         Ok(())

@@ -24,6 +24,18 @@ pub struct RtSample {
     pub pending_moves: u64,
 }
 
+impl From<[u64; 3]> for RtSample {
+    /// A sample from its wire words `[crossings, crossing_moves,
+    /// pending_moves]`.
+    fn from([crossings, crossing_moves, pending_moves]: [u64; 3]) -> Self {
+        RtSample {
+            crossings,
+            crossing_moves,
+            pending_moves,
+        }
+    }
+}
+
 /// One planned walker migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Migration {

@@ -306,16 +306,26 @@ pub fn encode_piece(p: &GatherPiece) -> Vec<u8> {
 pub fn decode_piece(bytes: &[u8]) -> Result<GatherPiece, WireError> {
     let mut r = Reader::new(bytes);
     let reserved = [r.u64()?, r.u64()?, r.u64()?];
-    let text = std::str::from_utf8(r.rest()).map_err(|_| WireError::BadUtf8)?;
     Ok(GatherPiece {
-        state: RankCheckpoint::decode(text).map_err(|_| WireError::BadPiece)?,
+        state: RankCheckpoint::decode(piece_image(bytes)?).map_err(|_| WireError::BadPiece)?,
         reserved,
     })
 }
 
-/// Encode one rank's telemetry snapshot for a cross-process gather (the
-/// TCP backend ships these to rank 0; the thread backend passes them in
-/// memory).
+/// The `dtrewlrank` text an [`encode_piece`] payload carries, undecoded:
+/// the image rank 0 writes into a snapshot as it arrived.
+///
+/// # Errors
+/// [`WireError::Truncated`] on a short payload, [`WireError::BadUtf8`]
+/// when the text is not UTF-8.
+pub(crate) fn piece_image(bytes: &[u8]) -> Result<&str, WireError> {
+    let mut r = Reader::new(bytes);
+    r.take(3 * 8)?; // the reserved words
+    std::str::from_utf8(r.rest()).map_err(|_| WireError::BadUtf8)
+}
+
+/// Encode one rank's telemetry snapshot for the gather: every non-root
+/// rank of a telemetry run ships one to rank 0, on every backend.
 pub fn encode_telemetry(tel: &RankTelemetry) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64(tel.rank as u64).u32(tel.phases.len() as u32);

@@ -240,6 +240,22 @@ fn dropped_messages_never_hang_the_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A late message is not a lost one: rank 1's first reply, held 300 ms,
+/// arrives inside rank 0's one receive deadline, so no deadline expires
+/// and the run matches the undelayed run bit for bit.
+#[test]
+fn delayed_message_is_waited_for_without_a_timeout() {
+    let (_, nt, comp, h) = system();
+    let mut cfg = quick_config(3);
+    cfg.walkers_per_window = 1;
+    cfg.telemetry = true;
+    let undelayed = run_rewl(&h, &nt, &comp, RANGE, &cfg).unwrap();
+    cfg.faults = FaultPlan::none().delay_message(1, 0, 0, Duration::from_millis(300));
+    let delayed = run_rewl(&h, &nt, &comp, RANGE, &cfg).unwrap();
+    common::assert_no_timeouts(&delayed);
+    common::assert_bit_identical(&undelayed, &delayed);
+}
+
 /// A snapshot taken on one energy range cannot seed a run on another:
 /// the digest covers the sampling settings only, so the run checks
 /// every restored walker against the layout and refuses the directory.

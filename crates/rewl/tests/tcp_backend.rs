@@ -6,6 +6,8 @@
 
 mod common;
 
+use std::time::Duration;
+
 use dt_hamiltonian::PairHamiltonian;
 use dt_hpc::{FaultEvent, FaultPlan, RankOutcome, TcpCluster};
 use dt_lattice::{Composition, Structure, Supercell};
@@ -205,6 +207,21 @@ fn dropped_exchange_message_heals_bit_for_bit_through_a_restart() {
     assert_eq!(restarts, 1);
     assert_eq!(out.resumed_from, Some(5));
     common::assert_bit_identical(&baseline, &out);
+}
+
+/// A late message is not a lost one, over TCP too: rank 1's first
+/// reply, held 300 ms, arrives inside rank 0's one receive deadline, so
+/// no deadline expires and the run matches the undelayed run bit for bit.
+#[test]
+fn delayed_message_is_waited_for_without_a_timeout() {
+    let mut cfg = base_config(5);
+    cfg.walkers_per_window = 1;
+    cfg.telemetry = true;
+    let undelayed = run_over_tcp(&cfg, FaultPlan::none());
+    let plan = FaultPlan::none().delay_message(1, 0, 0, Duration::from_millis(300));
+    let delayed = run_over_tcp(&cfg, plan);
+    common::assert_no_timeouts(&delayed);
+    common::assert_bit_identical(&undelayed, &delayed);
 }
 
 /// Telemetry flows back over the wire: rank 0's output carries a
