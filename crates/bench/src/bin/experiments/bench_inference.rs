@@ -84,18 +84,7 @@ pub fn run(args: &Args, out: &mut Report) -> Run {
     let pairs = args.get::<NonZeroUsize>("--pairs")?.get();
     let reps = args.get::<NonZeroUsize>("--reps")?.get();
     let passes = args.get::<NonZeroUsize>("--passes")?.get();
-    // The packed vector kernel is compiled out below AVX (see
-    // dt-nn::infer); without it only the scalar-tile engine runs, so the
-    // default gate drops accordingly. CI builds with
-    // `-C target-cpu=x86-64-v3` and pins `--gate 3.0`.
-    let avx = cfg!(target_feature = "avx");
     let gate: f64 = args.get("--gate")?;
-    if !avx {
-        eprintln!(
-            "note: compiled without AVX; packed kernel inactive \
-             (build with RUSTFLAGS=\"-C target-cpu=x86-64-v3\" for full speed)"
-        );
-    }
 
     let sys = HeaSystem::nbmotaw(l);
     let ctx = sys.ctx();
@@ -258,6 +247,9 @@ pub fn run(args: &Args, out: &mut Report) -> Run {
             ),
         ],
     );
+    // Recorded because AVX doubles dt-nn's kernel tile width (8 columns
+    // instead of 4); CI runs this at `-C target-cpu=x86-64-v3`.
+    let avx = cfg!(target_feature = "avx");
     out.record(
         "l,k,hidden,pairs,reps,passes,avx,bit_identical,replay_speedup,training_speedup,gate",
         vec![format!(

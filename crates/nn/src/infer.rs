@@ -13,14 +13,15 @@
 //!   batch arrives) and are never shrunk, so a warmed scratch performs
 //!   **zero heap allocations** per forward. One scratch per walker/thread;
 //!   it is `Clone` so per-rank state can be snapshotted freely.
-//! * [`linear_forward_fused`] (doc-hidden) — a register-tiled `X · Wᵀ`
-//!   kernel with the bias add and activation fused into the store. Each
-//!   output element is accumulated in the **same sequential k-order** as
-//!   the naive [`Matrix::matmul_transpose_b`] path, so results are
-//!   bit-identical to [`crate::Mlp::forward`]; the speedup comes from
-//!   running several independent accumulator chains at once (the naive
-//!   dot product is latency-bound on the single accumulator) and from not
-//!   touching the allocator.
+//! * `linear_forward` (crate-private) — the one forward kernel, for
+//!   every batch size on every build: a tiled `X · Wᵀ` over weights
+//!   repacked into zero-padded `J_TILE`-column tiles, with the bias add
+//!   and activation fused into the store. Each output element is
+//!   accumulated in the **same sequential k-order** as the naive
+//!   [`Matrix::matmul_transpose_b`] path, so results are bit-identical
+//!   to [`crate::Mlp::forward`]; the speedup comes from running the tile's
+//!   columns as vector lanes (the naive dot product is latency-bound on
+//!   its single accumulator) and from not touching the allocator.
 //!
 //! Batching rules (see DESIGN.md, "Inference engine"): whenever every
 //! input row is known upfront — teacher-forced replay, reverse
@@ -89,7 +90,7 @@ pub(crate) fn grow<T: Clone + Default>(buf: &mut Vec<T>, need: usize) {
 }
 
 /// Column-major (input-index-major) repack of *every* layer's weights,
-/// concatenated in layer order, so multi-row forwards read contiguous
+/// concatenated in layer order, so every forward reads contiguous
 /// weight lanes. Cached across calls and keyed by the `Mlp` weight
 /// version it was built from (0 = none): repacking happens once per
 /// weight update, not once per layer per forward.
@@ -129,125 +130,7 @@ impl PackedWeights {
     }
 }
 
-/// Fused `out = act(x · wᵀ + bias)` over the first `rows` rows of `x`.
-///
-/// `x` is row-major `rows × w.cols()`; `out` receives row-major
-/// `rows × w.rows()` (any tail beyond that is left untouched). The k-loop
-/// for each output element is sequential, matching the accumulation order
-/// of [`Matrix::matmul_transpose_b`] exactly, so this is bit-identical to
-/// the layer-by-layer reference path while the 2×4 register tile keeps
-/// 8 independent accumulator chains in flight.
-///
-/// Internal kernel of [`crate::Mlp::forward_into`]; call that instead.
-///
-/// # Panics
-/// Panics when `x` is shorter than `rows × w.cols()`, `bias` does not
-/// match `w.rows()`, or `out` is shorter than `rows × w.rows()`.
-#[doc(hidden)]
-pub fn linear_forward_fused(
-    x: &[f64],
-    rows: usize,
-    w: &Matrix,
-    bias: &[f64],
-    act: Activation,
-    out: &mut [f64],
-) {
-    let in_dim = w.cols();
-    let out_dim = w.rows();
-    assert!(x.len() >= rows * in_dim, "input slice too short");
-    assert_eq!(bias.len(), out_dim, "bias length mismatch");
-    assert!(out.len() >= rows * out_dim, "output slice too short");
-    let wd = w.data();
-
-    let mut i = 0;
-    // 2-row × 4-column register tiles.
-    while i + 2 <= rows {
-        let x0 = &x[i * in_dim..][..in_dim];
-        let x1 = &x[(i + 1) * in_dim..][..in_dim];
-        let mut j = 0;
-        while j + 4 <= out_dim {
-            let w0 = &wd[j * in_dim..][..in_dim];
-            let w1 = &wd[(j + 1) * in_dim..][..in_dim];
-            let w2 = &wd[(j + 2) * in_dim..][..in_dim];
-            let w3 = &wd[(j + 3) * in_dim..][..in_dim];
-            let (mut a00, mut a01, mut a02, mut a03) = (0.0, 0.0, 0.0, 0.0);
-            let (mut a10, mut a11, mut a12, mut a13) = (0.0, 0.0, 0.0, 0.0);
-            for k in 0..in_dim {
-                let v0 = x0[k];
-                let v1 = x1[k];
-                let b0 = w0[k];
-                let b1 = w1[k];
-                let b2 = w2[k];
-                let b3 = w3[k];
-                a00 += v0 * b0;
-                a01 += v0 * b1;
-                a02 += v0 * b2;
-                a03 += v0 * b3;
-                a10 += v1 * b0;
-                a11 += v1 * b1;
-                a12 += v1 * b2;
-                a13 += v1 * b3;
-            }
-            out[i * out_dim + j] = act.apply(a00 + bias[j]);
-            out[i * out_dim + j + 1] = act.apply(a01 + bias[j + 1]);
-            out[i * out_dim + j + 2] = act.apply(a02 + bias[j + 2]);
-            out[i * out_dim + j + 3] = act.apply(a03 + bias[j + 3]);
-            out[(i + 1) * out_dim + j] = act.apply(a10 + bias[j]);
-            out[(i + 1) * out_dim + j + 1] = act.apply(a11 + bias[j + 1]);
-            out[(i + 1) * out_dim + j + 2] = act.apply(a12 + bias[j + 2]);
-            out[(i + 1) * out_dim + j + 3] = act.apply(a13 + bias[j + 3]);
-            j += 4;
-        }
-        while j < out_dim {
-            let wj = &wd[j * in_dim..][..in_dim];
-            let mut a0 = 0.0;
-            let mut a1 = 0.0;
-            for k in 0..in_dim {
-                a0 += x0[k] * wj[k];
-                a1 += x1[k] * wj[k];
-            }
-            out[i * out_dim + j] = act.apply(a0 + bias[j]);
-            out[(i + 1) * out_dim + j] = act.apply(a1 + bias[j]);
-            j += 1;
-        }
-        i += 2;
-    }
-    // Odd trailing row: 1-row × 4-column tiles.
-    if i < rows {
-        let x0 = &x[i * in_dim..][..in_dim];
-        let mut j = 0;
-        while j + 4 <= out_dim {
-            let w0 = &wd[j * in_dim..][..in_dim];
-            let w1 = &wd[(j + 1) * in_dim..][..in_dim];
-            let w2 = &wd[(j + 2) * in_dim..][..in_dim];
-            let w3 = &wd[(j + 3) * in_dim..][..in_dim];
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
-            for k in 0..in_dim {
-                let v = x0[k];
-                a0 += v * w0[k];
-                a1 += v * w1[k];
-                a2 += v * w2[k];
-                a3 += v * w3[k];
-            }
-            out[i * out_dim + j] = act.apply(a0 + bias[j]);
-            out[i * out_dim + j + 1] = act.apply(a1 + bias[j + 1]);
-            out[i * out_dim + j + 2] = act.apply(a2 + bias[j + 2]);
-            out[i * out_dim + j + 3] = act.apply(a3 + bias[j + 3]);
-            j += 4;
-        }
-        while j < out_dim {
-            let wj = &wd[j * in_dim..][..in_dim];
-            let mut a = 0.0;
-            for k in 0..in_dim {
-                a += x0[k] * wj[k];
-            }
-            out[i * out_dim + j] = act.apply(a + bias[j]);
-            j += 1;
-        }
-    }
-}
-
-/// Column-tile width of [`linear_forward_fused_packed`]: 8 with AVX
+/// Column-tile width of [`linear_forward`]: 8 with AVX
 /// (two 256-bit accumulator lanes per row), 4 on the SSE2 baseline
 /// (two 128-bit lanes — a 2×8 tile spills there and runs slower).
 /// Compile-time only; results are bit-identical either way.
@@ -263,31 +146,25 @@ const J_TILE: usize = 4;
 /// vector shape for *every* output width (a narrow tail tile defeats
 /// LLVM's SLP vectorizer and runs scalar).
 ///
-/// Internal sizing helper of [`crate::Mlp::forward_into`]'s scratch.
-#[doc(hidden)]
-pub fn packed_len(in_dim: usize, out_dim: usize) -> usize {
+pub(crate) fn packed_len(in_dim: usize, out_dim: usize) -> usize {
     in_dim * out_dim.div_ceil(J_TILE) * J_TILE
 }
 
 /// Repack `w` (row-major `out_dim × in_dim`) into the tile-blocked
-/// layout [`linear_forward_fused_packed`] consumes: the output columns
+/// layout [`linear_forward`] consumes: the output columns
 /// are cut into [`J_TILE`]-wide tiles (the last tile zero-padded past
 /// `out_dim`), and each tile stores its weights input-index-major —
 /// `J_TILE` contiguous values per input index `k`.
 ///
 /// The kernel's inner loop therefore walks the packed buffer strictly
 /// sequentially: no index arithmetic, no strided loads, and bounds
-/// checks vanish into `chunks_exact` — the scalar tiled kernel is
-/// capped by scalar FP-add throughput, which batched workloads outgrow.
-/// Padding columns accumulate zeros the epilogue never reads, so real
-/// outputs keep the exact sequential k-order of the reference path.
-///
-/// Internal kernel of [`crate::Mlp::forward_into`]; call that instead.
+/// checks vanish into `chunks_exact`. Padding columns accumulate zeros
+/// the epilogue never reads, so real outputs keep the exact sequential
+/// k-order of the reference path.
 ///
 /// # Panics
 /// Panics when `wt` is shorter than [`packed_len`]`(w.cols(), w.rows())`.
-#[doc(hidden)]
-pub fn pack_weights_transposed(w: &Matrix, wt: &mut [f64]) {
+pub(crate) fn pack_weights_transposed(w: &Matrix, wt: &mut [f64]) {
     let in_dim = w.cols();
     let out_dim = w.rows();
     assert!(
@@ -313,26 +190,23 @@ pub fn pack_weights_transposed(w: &Matrix, wt: &mut [f64]) {
     }
 }
 
-/// Fused `out = act(x · wᵀ + bias)` over packed weights
-/// (see [`pack_weights_transposed`]).
+/// Fused `out = act(x · wᵀ + bias)` over the first `rows` rows of `x`,
+/// with `w` packed by [`pack_weights_transposed`].
 ///
-/// Semantically identical to [`linear_forward_fused`] — every output
-/// element accumulates in the same sequential k-order, so results stay
-/// bit-identical to the reference path — but the inner loop walks
-/// `out_dim`-contiguous packed weights, turning the 8-column tile into
-/// vector mul/add lanes instead of eight scalar chains. Used by
-/// [`Mlp::forward_into`] for multi-row batches, where the
-/// `in_dim × out_dim` repack cost amortizes across rows.
-///
-/// Internal kernel of [`crate::Mlp::forward_into`]; call that instead.
+/// `x` is row-major `rows × in_dim`; `out` receives row-major
+/// `rows × out_dim` (any tail beyond that is left untouched). Every
+/// output element accumulates in the same sequential k-order as
+/// [`Matrix::matmul_transpose_b`], so results are bit-identical to the
+/// reference path for any `rows ≥ 1`, while the inner loop walks the
+/// packed weights contiguously and runs the `J_TILE` columns as vector
+/// mul/add lanes.
 ///
 /// # Panics
 /// Panics when `x` is shorter than `rows × in_dim`, `wt` is shorter than
-/// `in_dim × out_dim`, `bias` does not match `out_dim`, or `out` is
-/// shorter than `rows × out_dim`.
-#[doc(hidden)]
+/// [`packed_len`]`(in_dim, out_dim)`, `bias` does not match `out_dim`, or
+/// `out` is shorter than `rows × out_dim`.
 #[allow(clippy::too_many_arguments)]
-pub fn linear_forward_fused_packed(
+pub(crate) fn linear_forward(
     x: &[f64],
     rows: usize,
     wt: &[f64],
@@ -463,53 +337,14 @@ mod tests {
     }
 
     #[test]
-    fn fused_kernel_is_bit_identical_to_reference() {
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
-        use rand::RngExt;
-        for &(rows, in_dim, out_dim) in &[
-            (1usize, 1usize, 1usize),
-            (1, 7, 5),
-            (2, 8, 4),
-            (3, 31, 64),
-            (5, 64, 64),
-            (8, 13, 3),
-        ] {
-            for act in [Activation::Relu, Activation::Tanh, Activation::Identity] {
-                let x = Matrix::from_vec(
-                    rows,
-                    in_dim,
-                    (0..rows * in_dim)
-                        .map(|_| rng.random::<f64>() * 4.0 - 2.0)
-                        .collect(),
-                );
-                let w = Matrix::from_vec(
-                    out_dim,
-                    in_dim,
-                    (0..out_dim * in_dim)
-                        .map(|_| rng.random::<f64>() * 2.0 - 1.0)
-                        .collect(),
-                );
-                let bias: Vec<f64> = (0..out_dim).map(|_| rng.random::<f64>() - 0.5).collect();
-                let want = reference(&x, &w, &bias, act);
-                let mut got = vec![f64::NAN; rows * out_dim];
-                linear_forward_fused(x.data(), rows, &w, &bias, act, &mut got);
-                for (g, e) in got.iter().zip(want.data()) {
-                    assert_eq!(
-                        g.to_bits(),
-                        e.to_bits(),
-                        "{rows}x{in_dim}x{out_dim} {act:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn packed_kernel_is_bit_identical_to_reference() {
         let mut rng = ChaCha8Rng::seed_from_u64(43);
         use rand::RngExt;
         for &(rows, in_dim, out_dim) in &[
-            (2usize, 1usize, 1usize),
+            (1usize, 1usize, 1usize),
+            (1, 7, 5),
+            (1, 15, 32),
+            (2, 1, 1),
             (2, 7, 5),
             (2, 8, 4),
             (3, 31, 64),
@@ -538,16 +373,7 @@ mod tests {
                 let mut wt = vec![f64::NAN; packed_len(in_dim, out_dim)];
                 pack_weights_transposed(&w, &mut wt);
                 let mut got = vec![f64::NAN; rows * out_dim];
-                linear_forward_fused_packed(
-                    x.data(),
-                    rows,
-                    &wt,
-                    in_dim,
-                    out_dim,
-                    &bias,
-                    act,
-                    &mut got,
-                );
+                linear_forward(x.data(), rows, &wt, in_dim, out_dim, &bias, act, &mut got);
                 for (g, e) in got.iter().zip(want.data()) {
                     assert_eq!(
                         g.to_bits(),

@@ -17,7 +17,7 @@ pub enum Activation {
 
 impl Activation {
     /// Apply the activation to one value. This is the scalar kernel both
-    /// the reference [`crate::Mlp::forward`] and the fused kernels build
+    /// the reference [`crate::Mlp::forward`] and the forward kernel build
     /// on, so the two are bit-identical by construction.
     #[inline]
     pub fn apply(self, v: f64) -> f64 {

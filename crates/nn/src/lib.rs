@@ -19,13 +19,12 @@
 //! allocation-free [`Mlp::forward_into`] (fed from a [`ForwardScratch`];
 //! see the [`infer`] module), which produces bit-identical results per
 //! row for any batch size `rows ≥ 1`. [`Mlp::forward`] is its allocating
-//! reference twin, kept for diagnostics and tests; the fused row kernels
-//! underneath `forward_into` are implementation details and no longer
-//! part of the public API.
+//! reference twin, kept for diagnostics and tests; the one forward
+//! kernel underneath `forward_into` is crate-private.
 //!
 //! Training has **one step** on the same engine (see the [`train`]
 //! module): [`Mlp::forward_train`] runs `forward_into`'s loop and
-//! kernels but keeps every layer's output in a caller-owned
+//! kernel but keeps every layer's output in a caller-owned
 //! [`TrainScratch`], and [`Mlp::backward`] accumulates `gw`/`gb` from
 //! them — bit-identical to the textbook [`Matrix`] products, and
 //! allocation-free once the scratch is warm. Batches, targets and
@@ -70,10 +69,10 @@ pub use infer::ForwardScratch;
 pub use layer::{Activation, Linear};
 pub use loss::{
     log_softmax_masked, log_softmax_masked_into, mse_loss, sample_categorical,
-    softmax_cross_entropy, softmax_cross_entropy_masked, softmax_cross_entropy_masked_flat,
+    softmax_cross_entropy_masked_flat,
 };
 pub use matrix::Matrix;
 pub use mlp::Mlp;
-pub use optim::{Adam, Sgd};
-pub use serialize::{load_mlp, load_mlp_from_file, save_mlp, save_mlp_to_file, NnFormatError};
+pub use optim::Adam;
+pub use serialize::{load_mlp, save_mlp, NnFormatError};
 pub use train::TrainScratch;

@@ -9,8 +9,6 @@
 
 use rand::{Rng, RngExt};
 
-use crate::matrix::Matrix;
-
 /// Mean-squared-error loss over all elements.
 ///
 /// Returns the loss and writes `dL/d_pred`, already divided by the
@@ -73,30 +71,15 @@ pub fn log_softmax_masked_into(logits: &[f64], mask: Option<&[bool]>, out: &mut 
     }));
 }
 
-/// Softmax cross-entropy over a batch with integer targets.
-///
-/// Returns `(mean loss, dL/d_logits)`.
-pub fn softmax_cross_entropy(logits: &Matrix, targets: &[usize]) -> (f64, Matrix) {
-    cross_entropy_matrix(logits, targets, MaskSource::None)
-}
-
-/// Masked softmax cross-entropy: per-row class masks (e.g. exhausted
-/// species during constrained decoding). Targets must be allowed by their
-/// row's mask.
-pub fn softmax_cross_entropy_masked(
-    logits: &Matrix,
-    targets: &[usize],
-    masks: &[Vec<bool>],
-) -> (f64, Matrix) {
-    assert_eq!(masks.len(), targets.len(), "mask count mismatch");
-    cross_entropy_matrix(logits, targets, MaskSource::Rows(masks))
-}
-
-/// [`softmax_cross_entropy_masked`] over flat row-major buffers — the
-/// form the proposal trainer feeds: `logits`, `masks` and `grad` hold
-/// `targets.len()` rows of equal width, `logp` is per-row scratch for
+/// Masked softmax cross-entropy over flat row-major buffers — the form
+/// the proposal trainer feeds: `logits`, `masks` and `grad` hold
+/// `targets.len()` rows of equal width, and each row's mask names its
+/// allowed classes (e.g. species whose composition count is exhausted
+/// during constrained decoding are masked out). Targets must be allowed
+/// by their row's mask. `logp` is per-row scratch for
 /// [`log_softmax_masked_into`]. Returns the mean loss and writes
-/// `dL/d_logits` into `grad`; allocation-free once `logp` holds one row.
+/// `dL/d_logits` into `grad` (zero for masked classes); allocation-free
+/// once `logp` holds one row.
 pub fn softmax_cross_entropy_masked_flat(
     logits: &[f64],
     targets: &[usize],
@@ -104,64 +87,22 @@ pub fn softmax_cross_entropy_masked_flat(
     logp: &mut Vec<f64>,
     grad: &mut [f64],
 ) -> f64 {
-    assert_eq!(masks.len(), logits.len(), "flat mask length mismatch");
-    cross_entropy_rows(logits, targets, MaskSource::Flat(masks), logp, grad)
-}
-
-/// Where per-row class masks come from, if anywhere.
-enum MaskSource<'a> {
-    None,
-    Rows(&'a [Vec<bool>]),
-    Flat(&'a [bool]),
-}
-
-impl<'a> MaskSource<'a> {
-    fn row(&self, r: usize, cols: usize) -> Option<&'a [bool]> {
-        match self {
-            MaskSource::None => None,
-            MaskSource::Rows(m) => Some(m[r].as_slice()),
-            MaskSource::Flat(m) => Some(&m[r * cols..(r + 1) * cols]),
-        }
-    }
-}
-
-fn cross_entropy_matrix(
-    logits: &Matrix,
-    targets: &[usize],
-    masks: MaskSource<'_>,
-) -> (f64, Matrix) {
-    assert_eq!(logits.rows(), targets.len(), "target count mismatch");
-    let mut grad = Matrix::zeros(logits.rows(), logits.cols());
-    let mut logp = Vec::with_capacity(logits.cols());
-    let loss = cross_entropy_rows(logits.data(), targets, masks, &mut logp, grad.data_mut());
-    (loss, grad)
-}
-
-fn cross_entropy_rows(
-    logits: &[f64],
-    targets: &[usize],
-    masks: MaskSource<'_>,
-    logp: &mut Vec<f64>,
-    grad: &mut [f64],
-) -> f64 {
     let rows = targets.len();
     assert!(rows > 0, "empty batch");
     assert_eq!(logits.len() % rows, 0, "target count mismatch");
+    assert_eq!(masks.len(), logits.len(), "flat mask length mismatch");
     assert_eq!(grad.len(), logits.len(), "gradient shape mismatch");
     let cols = logits.len() / rows;
     let mut loss = 0.0;
-    for (r, ((&t, row), g_row)) in targets
+    for (r, (((&t, row), mask), g_row)) in targets
         .iter()
         .zip(logits.chunks_exact(cols))
+        .zip(masks.chunks_exact(cols))
         .zip(grad.chunks_exact_mut(cols))
         .enumerate()
     {
-        let mask = masks.row(r, cols);
-        log_softmax_masked_into(row, mask, logp);
-        debug_assert!(
-            mask.is_none_or(|m| m[t]),
-            "target {t} masked out in row {r}"
-        );
+        log_softmax_masked_into(row, Some(mask), logp);
+        debug_assert!(mask[t], "target {t} masked out in row {r}");
         loss -= logp[t];
         for (c, (g, &lp)) in g_row.iter_mut().zip(logp.iter()).enumerate() {
             *g = if lp == f64::NEG_INFINITY {
@@ -246,32 +187,39 @@ mod tests {
         let _ = log_softmax_masked(&[1.0, 2.0], Some(&[false, false]));
     }
 
+    /// Mean loss and gradient of [`softmax_cross_entropy_masked_flat`].
+    fn cross_entropy(logits: &[f64], targets: &[usize], masks: &[bool]) -> (f64, Vec<f64>) {
+        let mut grad = vec![f64::NAN; logits.len()];
+        let loss =
+            softmax_cross_entropy_masked_flat(logits, targets, masks, &mut Vec::new(), &mut grad);
+        (loss, grad)
+    }
+
     #[test]
     fn cross_entropy_gradient_matches_finite_difference() {
-        let logits = Matrix::from_rows(&[&[0.2, -0.1, 0.5], &[1.0, 0.0, -1.0]]);
+        let logits = [0.2, -0.1, 0.5, 1.0, 0.0, -1.0];
         let targets = [2usize, 0];
-        let (_, grad) = softmax_cross_entropy(&logits, &targets);
+        let masks = [true; 6];
+        let (_, grad) = cross_entropy(&logits, &targets, &masks);
         let eps = 1e-6;
-        for (r, c) in [(0usize, 0usize), (0, 2), (1, 1)] {
-            let mut up = logits.clone();
-            up[(r, c)] += eps;
-            let mut dn = logits.clone();
-            dn[(r, c)] -= eps;
-            let (lu, _) = softmax_cross_entropy(&up, &targets);
-            let (ld, _) = softmax_cross_entropy(&dn, &targets);
+        for i in [0usize, 2, 4] {
+            let mut up = logits;
+            up[i] += eps;
+            let mut dn = logits;
+            dn[i] -= eps;
+            let (lu, _) = cross_entropy(&up, &targets, &masks);
+            let (ld, _) = cross_entropy(&dn, &targets, &masks);
             let fd = (lu - ld) / (2.0 * eps);
-            assert!((grad[(r, c)] - fd).abs() < 1e-6, "({r},{c})");
+            assert!((grad[i] - fd).abs() < 1e-6, "logit {i}");
         }
     }
 
     #[test]
     fn masked_cross_entropy_ignores_masked_classes() {
-        let logits = Matrix::from_rows(&[&[9.0, 0.0, 0.0]]);
-        let masks = vec![vec![false, true, true]];
-        let (loss, grad) = softmax_cross_entropy_masked(&logits, &[1], &masks);
+        let (loss, grad) = cross_entropy(&[9.0, 0.0, 0.0], &[1], &[false, true, true]);
         // With class 0 masked, classes 1/2 are symmetric: loss = ln 2.
         assert!((loss - 2.0f64.ln()).abs() < 1e-12);
-        assert_eq!(grad[(0, 0)], 0.0);
+        assert_eq!(grad[0], 0.0);
     }
 
     #[test]

@@ -204,11 +204,6 @@ impl Matrix {
         sums
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|&v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Map every element.
     pub fn map<F: Fn(f64) -> f64>(&self, f: F) -> Matrix {
         Matrix {
@@ -306,11 +301,5 @@ mod tests {
         let c = a.matmul(&b);
         assert!(c[(0, 0)].is_nan(), "NaN must propagate, got {}", c[(0, 0)]);
         assert_eq!(c[(0, 1)], 1.0);
-    }
-
-    #[test]
-    fn frobenius_norm_known() {
-        let m = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(m.frobenius_norm(), 5.0);
     }
 }

@@ -1,12 +1,16 @@
 //! Multi-layer perceptrons.
+//!
+//! Inference ([`Mlp::forward_into`]) and training ([`Mlp::forward_train`])
+//! share one forward loop, and that loop calls one kernel — the packed
+//! `J_TILE` kernel of [`crate::infer`] — for every batch size on every
+//! build. [`Mlp::forward`] is the allocating reference it matches bit for
+//! bit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::Rng;
 
-use crate::infer::{
-    linear_forward_fused, linear_forward_fused_packed, packed_len, ForwardScratch, PackedWeights,
-};
+use crate::infer::{linear_forward, packed_len, ForwardScratch, PackedWeights};
 use crate::layer::{Activation, Linear};
 use crate::matrix::Matrix;
 
@@ -139,8 +143,8 @@ impl Mlp {
     /// [`Mlp::in_dim`]; the returned slice holds `rows` rows of width
     /// [`Mlp::out_dim`], borrowed from `scratch`. Each output row is
     /// bit-identical to [`Mlp::forward`] on that row alone, *regardless
-    /// of the batch size* — every fused kernel underneath accumulates in
-    /// the same sequential k-order — which is what lets callers batch
+    /// of the batch size* — the one kernel underneath accumulates in the
+    /// same sequential k-order — which is what lets callers batch
     /// work across walkers without perturbing any Markov chain. A scratch
     /// warmed by [`ForwardScratch::reserve`] — or by a first call at the
     /// largest batch size — makes this perform **zero heap allocations**.
@@ -182,15 +186,10 @@ impl Mlp {
         ring: &'a mut [Vec<f64>],
     ) -> &'a [f64] {
         assert!(x.len() >= rows * self.in_dim(), "input rows too short");
-        // Multi-row batch: repack every layer's weights so the column
-        // loop vectorizes. The pack is cached across forwards and
-        // invalidated only when the weights change, so its cost
-        // amortizes over entire sampling runs, not just one batch.
-        // Bit-identical to the scalar tile. Without AVX the vector
-        // lanes are too narrow to beat the scalar tile's eight
-        // accumulator chains, so the packed path is compiled out on
-        // baseline targets.
-        let packed_w = (rows >= 2 && cfg!(target_feature = "avx")).then(|| packed.refresh(self));
+        // The repack is cached across forwards and invalidated only when
+        // the weights change, so its cost amortizes over entire sampling
+        // runs, not one batch.
+        let packed_w = packed.refresh(self);
         let slots = ring.len();
         let mut off = 0;
         for (i, layer) in self.layers.iter().enumerate() {
@@ -208,22 +207,18 @@ impl Mlp {
                     (hi[0].as_slice(), lo[cur].as_mut_slice())
                 }
             };
-            if let Some(packed_w) = packed_w {
-                let wn = packed_len(layer.w.cols(), layer.w.rows());
-                linear_forward_fused_packed(
-                    src,
-                    rows,
-                    &packed_w[off..off + wn],
-                    layer.w.cols(),
-                    layer.w.rows(),
-                    &layer.b,
-                    act,
-                    dst,
-                );
-                off += wn;
-            } else {
-                linear_forward_fused(src, rows, &layer.w, &layer.b, act, dst);
-            }
+            let wn = packed_len(layer.w.cols(), layer.w.rows());
+            linear_forward(
+                src,
+                rows,
+                &packed_w[off..off + wn],
+                layer.w.cols(),
+                layer.w.rows(),
+                &layer.b,
+                act,
+                dst,
+            );
+            off += wn;
         }
         &ring[(self.layers.len() - 1) % slots][..rows * self.out_dim()]
     }
@@ -305,7 +300,7 @@ impl Mlp {
 mod tests {
     use super::*;
     use crate::loss::mse_loss;
-    use crate::optim::Sgd;
+    use crate::optim::Adam;
     use crate::train::TrainScratch;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -378,7 +373,7 @@ mod tests {
         let mut mlp = Mlp::new(&[1, 8, 1], Activation::Tanh, Activation::Identity, &mut rng);
         let xs: Vec<f64> = (0..16).map(|i| i as f64 / 8.0 - 1.0).collect();
         let y: Vec<f64> = xs.iter().map(|&v| v * v).collect();
-        let mut sgd = Sgd::new(0.05);
+        let mut adam = Adam::with_lr(0.01);
         let mut scratch = TrainScratch::new();
         let mut grad = [0.0; 16];
         let mut first = None;
@@ -388,7 +383,7 @@ mod tests {
             let loss = mse_loss(out, &y, &mut grad);
             mlp.zero_grad();
             mlp.backward(&xs, &grad, &mut scratch);
-            sgd.step(&mut mlp);
+            adam.step(&mut mlp);
             first.get_or_insert(loss);
             last = loss;
         }

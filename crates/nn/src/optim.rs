@@ -1,62 +1,7 @@
-//! Optimizers: SGD (with momentum) and Adam.
+//! The optimizer: Adam.
 
 use crate::matrix::Matrix;
 use crate::mlp::Mlp;
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: Vec<(Matrix, Vec<f64>)>,
-}
-
-impl Sgd {
-    /// SGD without momentum.
-    pub fn new(lr: f64) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with classical momentum.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Apply one update from the accumulated gradients.
-    pub fn step(&mut self, mlp: &mut Mlp) {
-        if self.velocity.is_empty() {
-            self.velocity = mlp
-                .layers()
-                .iter()
-                .map(|l| (Matrix::zeros(l.w.rows(), l.w.cols()), vec![0.0; l.b.len()]))
-                .collect();
-        }
-        for (layer, (vw, vb)) in mlp.layers_mut().iter_mut().zip(&mut self.velocity) {
-            for ((w, &g), v) in layer
-                .w
-                .data_mut()
-                .iter_mut()
-                .zip(layer.gw.data())
-                .zip(vw.data_mut())
-            {
-                *v = self.momentum * *v - self.lr * g;
-                *w += *v;
-            }
-            for ((b, &g), v) in layer.b.iter_mut().zip(&layer.gb).zip(vb.iter_mut()) {
-                *v = self.momentum * *v - self.lr * g;
-                *b += *v;
-            }
-        }
-    }
-}
 
 /// Adam (Kingma & Ba) with bias correction.
 #[derive(Debug, Clone)]
@@ -166,7 +111,8 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn train(opt_is_adam: bool, steps: usize) -> f64 {
+    #[test]
+    fn adam_learns_xor() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let mut mlp = Mlp::new(
             &[2, 12, 1],
@@ -184,34 +130,19 @@ mod tests {
             -0.5, 0.5,
         ];
         let y: Vec<f64> = x.chunks(2).map(|p| p[0] * p[1]).collect();
-        let mut sgd = Sgd::with_momentum(0.05, 0.9);
         let mut adam = Adam::with_lr(0.01);
         let mut scratch = TrainScratch::new();
         let mut grad = [0.0; 6];
         let mut last = 0.0;
-        for _ in 0..steps {
+        for _ in 0..600 {
             let out = mlp.forward_train(&x, 6, &mut scratch);
             let loss = mse_loss(out, &y, &mut grad);
             mlp.zero_grad();
             mlp.backward(&x, &grad, &mut scratch);
-            if opt_is_adam {
-                adam.step(&mut mlp);
-            } else {
-                sgd.step(&mut mlp);
-            }
+            adam.step(&mut mlp);
             last = loss;
         }
-        last
-    }
-
-    #[test]
-    fn adam_learns_xor() {
-        assert!(train(true, 600) < 1e-2);
-    }
-
-    #[test]
-    fn sgd_momentum_learns_xor() {
-        assert!(train(false, 800) < 5e-2);
+        assert!(last < 1e-2, "{last}");
     }
 
     #[test]

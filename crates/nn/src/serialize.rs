@@ -18,7 +18,7 @@ use crate::mlp::Mlp;
 /// Format version written at the head of every serialized model.
 const FORMAT_VERSION: u32 = 1;
 
-/// Errors from [`load_mlp`] and the file round-trip helpers.
+/// Errors from [`load_mlp`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NnFormatError {
     /// The header line is missing or malformed.
@@ -29,10 +29,6 @@ pub enum NnFormatError {
     Malformed(String),
     /// The data ended early.
     Truncated,
-    /// Reading or writing the model file failed. The message carries the
-    /// rendered `std::io::Error` (stored as text so this enum stays
-    /// `Clone + PartialEq`).
-    Io(String),
 }
 
 impl fmt::Display for NnFormatError {
@@ -42,7 +38,6 @@ impl fmt::Display for NnFormatError {
             NnFormatError::UnsupportedVersion(v) => write!(f, "unsupported model version {v}"),
             NnFormatError::Malformed(what) => write!(f, "malformed model data: {what}"),
             NnFormatError::Truncated => write!(f, "model data truncated"),
-            NnFormatError::Io(what) => write!(f, "model file I/O failed: {what}"),
         }
     }
 }
@@ -57,12 +52,6 @@ impl From<TextError> for NnFormatError {
             TextError::Truncated => NnFormatError::Truncated,
             e @ TextError::Malformed { .. } => NnFormatError::Malformed(e.to_string()),
         }
-    }
-}
-
-impl From<std::io::Error> for NnFormatError {
-    fn from(e: std::io::Error) -> Self {
-        NnFormatError::Io(e.to_string())
     }
 }
 
@@ -98,9 +87,18 @@ pub fn load_mlp(text: &str) -> Result<Mlp, NnFormatError> {
     if num_layers == 0 {
         return Err(NnFormatError::Malformed("zero layers".into()));
     }
-    let mut layers = Vec::new();
-    for _ in 0..num_layers {
+    let mut layers: Vec<Linear> = Vec::new();
+    for i in 0..num_layers {
         let [out_dim, in_dim]: [usize; 2] = r.line("layer")?.decs("layer shape")?;
+        if let Some(prev) = layers.last() {
+            if in_dim != prev.out_dim() {
+                return Err(NnFormatError::Malformed(format!(
+                    "layer {i} takes {in_dim} inputs but layer {} gives {}",
+                    i - 1,
+                    prev.out_dim()
+                )));
+            }
+        }
         // Sized by the rows actually present, never by the claimed shape.
         let mut values = |n: usize| -> Result<Vec<f64>, NnFormatError> {
             let mut out = Vec::new();
@@ -114,24 +112,6 @@ pub fn load_mlp(text: &str) -> Result<Mlp, NnFormatError> {
         layers.push(Linear::from_params(Matrix::from_vec(out_dim, in_dim, w), b));
     }
     Ok(Mlp::from_parts(layers, hidden, output))
-}
-
-/// Write an MLP to `path` in the versioned text format.
-///
-/// # Errors
-/// Returns [`NnFormatError::Io`] if the file cannot be written.
-pub fn save_mlp_to_file(mlp: &Mlp, path: impl AsRef<std::path::Path>) -> Result<(), NnFormatError> {
-    std::fs::write(path, save_mlp(mlp))?;
-    Ok(())
-}
-
-/// Read an MLP previously written by [`save_mlp_to_file`].
-///
-/// # Errors
-/// Returns [`NnFormatError::Io`] if the file cannot be read, or any other
-/// [`NnFormatError`] if its contents are not a valid model.
-pub fn load_mlp_from_file(path: impl AsRef<std::path::Path>) -> Result<Mlp, NnFormatError> {
-    load_mlp(&std::fs::read_to_string(path)?)
 }
 
 #[cfg(test)]
@@ -193,20 +173,26 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip_and_io_errors() {
-        let mlp = sample_mlp();
-        let dir = std::env::temp_dir().join("dtnn-serialize-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.dtnn");
-        save_mlp_to_file(&mlp, &path).unwrap();
-        let back = load_mlp_from_file(&path).unwrap();
-        assert_eq!(back.dims(), mlp.dims());
-        let missing = dir.join("does-not-exist.dtnn");
-        assert!(matches!(
-            load_mlp_from_file(&missing),
-            Err(NnFormatError::Io(_))
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+    fn rejects_layers_that_do_not_chain() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        // A hidden width of 8 feeding a layer that reads 4 (which would
+        // silently drop outputs), and of 4 feeding one that reads 5 (which
+        // would panic at the first forward).
+        for (first, second) in [([3, 8], [4, 2]), ([3, 4], [5, 2])] {
+            let a = Mlp::new(&first, Activation::Relu, Activation::Identity, &mut rng);
+            let b = Mlp::new(&second, Activation::Relu, Activation::Identity, &mut rng);
+            let layers = vec![a.layers()[0].clone(), b.layers()[0].clone()];
+            let text = save_mlp(&Mlp::from_parts(
+                layers,
+                Activation::Relu,
+                Activation::Identity,
+            ));
+            let err = load_mlp(&text).unwrap_err();
+            assert!(
+                matches!(&err, NnFormatError::Malformed(what) if what.contains("layer 1")),
+                "{first:?},{second:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

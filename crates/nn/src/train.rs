@@ -2,7 +2,7 @@
 //! [`Mlp::forward_into`].
 //!
 //! [`Mlp::forward_train`] runs the inference engine's forward loop and
-//! fused row kernels over a ring of one buffer per layer, so every
+//! forward kernel over a ring of one buffer per layer, so every
 //! layer's output survives for [`Mlp::backward`]; a grow-only
 //! [`TrainScratch`] owned by the caller holds those, two gradient
 //! ping-pong buffers and the dW/db temporaries, so a warmed step never

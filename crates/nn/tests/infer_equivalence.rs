@@ -3,10 +3,7 @@
 //! network shape, activation pairing, and batch size — the deep
 //! proposal's Metropolis–Hastings log-probabilities depend on it.
 
-use dt_nn::{
-    log_softmax_masked, log_softmax_masked_into, softmax_cross_entropy_masked,
-    softmax_cross_entropy_masked_flat, Activation, ForwardScratch, Matrix, Mlp,
-};
+use dt_nn::{log_softmax_masked, log_softmax_masked_into, Activation, ForwardScratch, Matrix, Mlp};
 use proptest::prelude::*;
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -103,48 +100,6 @@ proptest! {
         log_softmax_masked_into(&logits, Some(&mask), &mut got);
         for (g, e) in got.iter().zip(&want) {
             prop_assert_eq!(g.to_bits(), e.to_bits());
-        }
-    }
-
-    /// Flat-mask cross-entropy equals the per-row-Vec form exactly
-    /// (loss and gradient).
-    #[test]
-    fn flat_mask_cross_entropy_matches_rows(
-        seed in any::<u64>(),
-        rows in 1usize..6,
-        cols in 2usize..6,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let logits = Matrix::from_vec(
-            rows,
-            cols,
-            (0..rows * cols).map(|_| rng.random::<f64>() * 4.0 - 2.0).collect(),
-        );
-        let mut masks_rows = Vec::new();
-        let mut masks_flat = Vec::new();
-        let mut targets = Vec::new();
-        for _ in 0..rows {
-            let mut m: Vec<bool> = (0..cols).map(|_| rng.random::<f64>() < 0.7).collect();
-            if !m.iter().any(|&b| b) {
-                m[0] = true;
-            }
-            let allowed: Vec<usize> = (0..cols).filter(|&c| m[c]).collect();
-            targets.push(allowed[rng.random_range(0..allowed.len())]);
-            masks_flat.extend_from_slice(&m);
-            masks_rows.push(m);
-        }
-        let (loss_a, grad_a) = softmax_cross_entropy_masked(&logits, &targets, &masks_rows);
-        let mut grad_b = vec![f64::NAN; rows * cols];
-        let loss_b = softmax_cross_entropy_masked_flat(
-            logits.data(),
-            &targets,
-            &masks_flat,
-            &mut Vec::new(),
-            &mut grad_b,
-        );
-        prop_assert_eq!(loss_a.to_bits(), loss_b.to_bits());
-        for (a, b) in grad_a.data().iter().zip(&grad_b) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 }

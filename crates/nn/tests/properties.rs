@@ -3,8 +3,8 @@
 //! arbitrary shapes.
 
 use dt_nn::{
-    load_mlp, log_softmax_masked, mse_loss, save_mlp, softmax_cross_entropy, Activation, Matrix,
-    Mlp, TrainScratch,
+    load_mlp, log_softmax_masked, mse_loss, save_mlp, softmax_cross_entropy_masked_flat,
+    Activation, Matrix, Mlp, TrainScratch,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -50,7 +50,8 @@ proptest! {
     }
 
     /// Cross-entropy gradients match central finite differences for random
-    /// logits/targets.
+    /// logits, masks and allowed targets; masked classes get a zero
+    /// gradient.
     #[test]
     fn cross_entropy_gradient_is_exact(
         rows in 1usize..4,
@@ -59,22 +60,36 @@ proptest! {
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         use rand::RngExt;
-        let data: Vec<f64> = (0..rows * cols).map(|_| rng.random::<f64>() * 4.0 - 2.0).collect();
-        let logits = Matrix::from_vec(rows, cols, data);
-        let targets: Vec<usize> = (0..rows).map(|_| rng.random_range(0..cols)).collect();
-        let (_, grad) = softmax_cross_entropy(&logits, &targets);
-        let eps = 1e-6;
-        for r in 0..rows {
-            for c in 0..cols {
-                let mut up = logits.clone();
-                up[(r, c)] += eps;
-                let mut dn = logits.clone();
-                dn[(r, c)] -= eps;
-                let fd = (softmax_cross_entropy(&up, &targets).0
-                    - softmax_cross_entropy(&dn, &targets).0)
-                    / (2.0 * eps);
-                prop_assert!((grad[(r, c)] - fd).abs() < 1e-5);
+        let logits: Vec<f64> = (0..rows * cols).map(|_| rng.random::<f64>() * 4.0 - 2.0).collect();
+        let mut masks = Vec::with_capacity(rows * cols);
+        let mut targets = Vec::with_capacity(rows);
+        for _ in 0..rows {
+            let mut m: Vec<bool> = (0..cols).map(|_| rng.random::<f64>() < 0.7).collect();
+            if !m.iter().any(|&b| b) {
+                m[0] = true;
             }
+            let allowed: Vec<usize> = (0..cols).filter(|&c| m[c]).collect();
+            targets.push(allowed[rng.random_range(0..allowed.len())]);
+            masks.extend_from_slice(&m);
+        }
+        let loss = |logits: &[f64], grad: &mut [f64]| {
+            softmax_cross_entropy_masked_flat(logits, &targets, &masks, &mut Vec::new(), grad)
+        };
+        let mut grad = vec![f64::NAN; rows * cols];
+        loss(&logits, &mut grad);
+        let mut scratch = vec![0.0; rows * cols];
+        let eps = 1e-6;
+        for i in 0..rows * cols {
+            if !masks[i] {
+                prop_assert_eq!(grad[i], 0.0);
+                continue;
+            }
+            let mut up = logits.clone();
+            up[i] += eps;
+            let mut dn = logits.clone();
+            dn[i] -= eps;
+            let fd = (loss(&up, &mut scratch) - loss(&dn, &mut scratch)) / (2.0 * eps);
+            prop_assert!((grad[i] - fd).abs() < 1e-5);
         }
     }
 

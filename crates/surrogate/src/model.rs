@@ -27,6 +27,11 @@ pub enum SerializeError {
         /// Feature dimension implied by the descriptor line.
         descriptor: usize,
     },
+    /// The embedded network does not output one energy per row.
+    OutputWidth {
+        /// Output dimension of the deserialized network.
+        net_out: usize,
+    },
     /// The embedded network failed to deserialize.
     Net(NnFormatError),
     /// Reading or writing the model file failed. The message carries the
@@ -45,6 +50,9 @@ impl std::fmt::Display for SerializeError {
                 f,
                 "network input dim {net_in} does not match descriptor dim {descriptor}"
             ),
+            SerializeError::OutputWidth { net_out } => {
+                write!(f, "network output dim {net_out} is not 1")
+            }
             SerializeError::Net(e) => write!(f, "embedded network: {e}"),
             SerializeError::Io(what) => write!(f, "surrogate file I/O failed: {what}"),
         }
@@ -258,7 +266,9 @@ impl SurrogateModel {
     ///
     /// # Errors
     /// [`SerializeError::DimensionMismatch`] when the network's input
-    /// width is not the descriptor's feature count.
+    /// width is not the descriptor's feature count, and
+    /// [`SerializeError::OutputWidth`] when it outputs more or less than
+    /// one value per row.
     pub fn from_parts(
         descriptor: PairCorrelationDescriptor,
         net: Mlp,
@@ -279,6 +289,11 @@ impl SurrogateModel {
             return Err(SerializeError::DimensionMismatch {
                 net_in: width,
                 descriptor: dim,
+            });
+        }
+        if net.out_dim() != 1 {
+            return Err(SerializeError::OutputWidth {
+                net_out: net.out_dim(),
             });
         }
         Ok(SurrogateModel {
@@ -575,6 +590,31 @@ mod tests {
             SurrogateModel::load(&tampered).unwrap_err(),
             SerializeError::DimensionMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn rejects_a_network_that_is_not_scalar() {
+        let (model, _, _, _) = trained();
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let in_dim = model.descriptor().dim();
+        let net = Mlp::new(
+            &[in_dim, 4, 2],
+            Activation::Tanh,
+            Activation::Identity,
+            &mut rng,
+        );
+        assert_eq!(
+            SurrogateModel::from_parts(model.descriptor(), net.clone(), 0.0, 1.0).unwrap_err(),
+            SerializeError::OutputWidth { net_out: 2 }
+        );
+        // The same network embedded in a served artifact's text.
+        let text = model.save();
+        let start = text.find("dtnn v").expect("embedded network");
+        let tampered = format!("{}{}", &text[..start], dt_nn::save_mlp(&net));
+        assert_eq!(
+            SurrogateModel::load(&tampered).unwrap_err(),
+            SerializeError::OutputWidth { net_out: 2 }
+        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Phase span timers and the per-rank [`Telemetry`] handle.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -70,18 +69,12 @@ impl Phase {
     }
 }
 
-/// One phase's accumulation slot.
-#[derive(Debug, Default)]
-struct PhaseSlot {
-    total_ns: AtomicU64,
-    count: AtomicU64,
-    hist: Histogram,
-}
-
-/// Shared interior of an enabled [`Telemetry`] handle.
+/// Shared interior of an enabled [`Telemetry`] handle. Each phase's
+/// slot is one nanosecond [`Histogram`], whose sum and count are the
+/// phase's total time and span count.
 #[derive(Debug)]
 struct TelemetryInner {
-    phases: [PhaseSlot; Phase::COUNT],
+    phases: [Histogram; Phase::COUNT],
     registry: MetricsRegistry,
 }
 
@@ -143,10 +136,7 @@ impl Telemetry {
     /// Record `ns` nanoseconds against `phase` directly.
     pub fn record_ns(&self, phase: Phase, ns: u64) {
         if let Some(inner) = self.inner.as_deref() {
-            let slot = &inner.phases[phase as usize];
-            slot.total_ns.fetch_add(ns, Ordering::Relaxed);
-            slot.count.fetch_add(1, Ordering::Relaxed);
-            slot.hist.record(ns);
+            inner.phases[phase as usize].record(ns);
         }
     }
 
@@ -176,13 +166,13 @@ impl Telemetry {
         let (counters, gauges) = match self.inner.as_deref() {
             Some(inner) => {
                 for p in Phase::ALL {
-                    let slot = &inner.phases[p as usize];
+                    let hist = &inner.phases[p as usize];
                     phases.push(PhaseStat {
                         phase: p,
-                        total_s: slot.total_ns.load(Ordering::Relaxed) as f64 * 1e-9,
-                        count: slot.count.load(Ordering::Relaxed),
-                        p50_s: slot.hist.quantile(0.5) * 1e-9,
-                        p99_s: slot.hist.quantile(0.99) * 1e-9,
+                        total_s: hist.sum() as f64 * 1e-9,
+                        count: hist.count(),
+                        p50_s: hist.quantile(0.5) * 1e-9,
+                        p99_s: hist.quantile(0.99) * 1e-9,
                     });
                 }
                 (
@@ -205,16 +195,13 @@ impl Telemetry {
 /// [`Telemetry::span`]; inert when the handle is disabled.
 #[must_use = "a span records on drop; binding it to _ drops it immediately"]
 pub struct SpanGuard<'a> {
-    slot: Option<(&'a PhaseSlot, Instant)>,
+    slot: Option<(&'a Histogram, Instant)>,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if let Some((slot, start)) = self.slot.take() {
-            let ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            slot.total_ns.fetch_add(ns, Ordering::Relaxed);
-            slot.count.fetch_add(1, Ordering::Relaxed);
-            slot.hist.record(ns);
+            slot.record(start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
         }
     }
 }
