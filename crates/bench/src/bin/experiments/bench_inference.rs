@@ -247,9 +247,9 @@ pub fn run(args: &Args, out: &mut Report) -> Run {
             ),
         ],
     );
-    // Recorded because AVX doubles dt-nn's kernel tile width (8 columns
-    // instead of 4); CI runs this at `-C target-cpu=x86-64-v3`.
-    let avx = cfg!(target_feature = "avx");
+    // Recorded because a CPU with AVX runs dt-nn's AVX copy of the
+    // kernels, at twice the tile width (8 columns instead of 4).
+    let avx = dt_nn::kernel_path().starts_with("avx");
     out.record(
         "l,k,hidden,pairs,reps,passes,avx,bit_identical,replay_speedup,training_speedup,gate",
         vec![format!(

@@ -21,7 +21,9 @@ use deepthermo::hamiltonian::Material;
 use deepthermo::hpc::{FaultPlan, TcpRendezvous, TcpTransport};
 use deepthermo::proposal::DeepProposalConfig;
 use deepthermo::rewl::{CheckpointSpec, DeepSpec, KernelSpec};
-use deepthermo::{DeepThermo, DeepThermoConfig, DeepThermoError, DeepThermoReport, MaterialSpec};
+use deepthermo::{
+    ConfigError, DeepThermo, DeepThermoConfig, DeepThermoError, DeepThermoReport, MaterialSpec,
+};
 use dt_serve::{
     run_shard, ArtifactRegistry, Router, RouterConfig, ServeConfig, ServeHandle, ServeStats,
     Server, ShardConfig,
@@ -411,6 +413,18 @@ fn build_config(args: &Args) -> Result<DeepThermoConfig, DeepThermoError> {
     };
     cfg.rewl.adaptive_windows = args.has("--adaptive-windows");
     cfg.rewl.rebalance_every = args.get("--rebalance-every")?;
+    // `--k` is the one kernel field a flag sets, so name the flag; every
+    // other inconsistency surfaces from `DeepThermo::from_material`.
+    if let Err(ConfigError::BadKernelSetting {
+        field: "random.k" | "deep.proposal.k",
+        value,
+        expected,
+    }) = cfg.validate()
+    {
+        return Err(DeepThermoError::Usage(format!(
+            "--k must be {expected}, got {value}"
+        )));
+    }
     Ok(cfg)
 }
 
@@ -535,6 +549,7 @@ fn info(args: &Args) -> Result<(), DeepThermoError> {
         runner.config().rewl.walkers_per_window
     );
     println!("kernel: {}", runner.config().rewl.kernel.label());
+    println!("nn kernel: {}", deepthermo::nn::kernel_path());
     Ok(())
 }
 

@@ -168,7 +168,58 @@ impl DeepThermoConfig {
         if self.temperatures.is_empty() {
             return Err(ConfigError::NoTemperatures);
         }
-        Ok(())
+        validate_kernel(&self.rewl.kernel)
+    }
+}
+
+/// Reject a kernel the sampler would panic on at its first proposal,
+/// retrain or sample: every field is checked here, before any rank starts.
+fn validate_kernel(kernel: &KernelSpec) -> Result<(), ConfigError> {
+    const SITES: &str = "at least 2";
+    const POSITIVE: &str = "at least 1";
+    const FRACTION: &str = "in (0, 1)";
+    let check = |field, value: f64, ok: bool, expected| {
+        if ok {
+            Ok(())
+        } else {
+            Err(ConfigError::BadKernelSetting {
+                field,
+                value,
+                expected,
+            })
+        }
+    };
+    let fraction = |w: f64| w > 0.0 && w < 1.0;
+    match kernel {
+        KernelSpec::LocalSwap => Ok(()),
+        KernelSpec::RandomGlobal { k, weight } => {
+            check("random.k", *k as f64, *k >= 2, SITES)?;
+            check("random.weight", *weight, fraction(*weight), FRACTION)
+        }
+        KernelSpec::Deep(d) => {
+            let k = d.proposal.k;
+            check("deep.proposal.k", k as f64, k >= 2, SITES)?;
+            check(
+                "deep.deep_weight",
+                d.deep_weight,
+                fraction(d.deep_weight),
+                FRACTION,
+            )?;
+            let counts = [
+                ("deep.trainer.k", d.trainer.k as u64),
+                (
+                    "deep.trainer.configs_per_batch",
+                    d.trainer.configs_per_batch as u64,
+                ),
+                ("deep.train_every_sweeps", d.train_every_sweeps),
+                ("deep.sample_every_sweeps", d.sample_every_sweeps),
+                ("deep.buffer_capacity", d.buffer_capacity as u64),
+            ];
+            for (field, n) in counts {
+                check(field, n as f64, n >= 1, POSITIVE)?;
+            }
+            Ok(())
+        }
     }
 }
 
@@ -233,6 +284,69 @@ mod tests {
         assert_eq!(
             rejects(|c| c.temperatures.clear()),
             ConfigError::NoTemperatures
+        );
+        let bad = |field, value, expected| ConfigError::BadKernelSetting {
+            field,
+            value,
+            expected,
+        };
+        fn deep(c: &mut DeepThermoConfig) -> &mut dt_rewl::DeepSpec {
+            match &mut c.rewl.kernel {
+                KernelSpec::Deep(d) => d,
+                _ => unreachable!("the standard config runs deep proposals"),
+            }
+        }
+        assert_eq!(
+            rejects(|c| deep(c).proposal.k = 1),
+            bad("deep.proposal.k", 1.0, "at least 2")
+        );
+        assert_eq!(
+            rejects(|c| deep(c).proposal.k = 0),
+            bad("deep.proposal.k", 0.0, "at least 2")
+        );
+        assert_eq!(
+            rejects(|c| deep(c).deep_weight = 1.0),
+            bad("deep.deep_weight", 1.0, "in (0, 1)")
+        );
+        assert_eq!(
+            rejects(|c| deep(c).deep_weight = 0.0),
+            bad("deep.deep_weight", 0.0, "in (0, 1)")
+        );
+        assert_eq!(
+            rejects(|c| deep(c).trainer.k = 0),
+            bad("deep.trainer.k", 0.0, "at least 1")
+        );
+        assert_eq!(
+            rejects(|c| deep(c).trainer.configs_per_batch = 0),
+            bad("deep.trainer.configs_per_batch", 0.0, "at least 1")
+        );
+        assert_eq!(
+            rejects(|c| deep(c).train_every_sweeps = 0),
+            bad("deep.train_every_sweeps", 0.0, "at least 1")
+        );
+        assert_eq!(
+            rejects(|c| deep(c).sample_every_sweeps = 0),
+            bad("deep.sample_every_sweeps", 0.0, "at least 1")
+        );
+        assert_eq!(
+            rejects(|c| deep(c).buffer_capacity = 0),
+            bad("deep.buffer_capacity", 0.0, "at least 1")
+        );
+        assert_eq!(
+            rejects(|c| c.rewl.kernel = KernelSpec::RandomGlobal { k: 1, weight: 0.2 }),
+            bad("random.k", 1.0, "at least 2")
+        );
+        assert_eq!(
+            rejects(|c| c.rewl.kernel = KernelSpec::RandomGlobal { k: 4, weight: -0.5 }),
+            bad("random.weight", -0.5, "in (0, 1)")
+        );
+        assert_eq!(
+            rejects(|c| c.rewl.kernel = KernelSpec::RandomGlobal {
+                k: 4,
+                weight: f64::NAN
+            })
+            .to_string(),
+            "kernel setting random.weight must be in (0, 1), got NaN"
         );
     }
 }

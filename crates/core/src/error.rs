@@ -45,6 +45,17 @@ pub enum ConfigError {
     /// The temperature grid is empty, so no thermodynamic curve can be
     /// evaluated.
     NoTemperatures,
+    /// A setting of the proposal kernel the sampler cannot run with,
+    /// e.g. a deep or random update of fewer than 2 sites.
+    BadKernelSetting {
+        /// The field of [`KernelSpec`](dt_rewl::KernelSpec), e.g.
+        /// `"deep.proposal.k"` or `"random.weight"`.
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+        /// What the field must be, e.g. `"at least 2"`.
+        expected: &'static str,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -62,6 +73,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::EmptyComposition => write!(f, "the material declares no species"),
             ConfigError::EmptySupercell => write!(f, "supercell edge L must be at least 1"),
             ConfigError::NoTemperatures => write!(f, "the temperature grid is empty"),
+            ConfigError::BadKernelSetting {
+                field,
+                value,
+                expected,
+            } => write!(f, "kernel setting {field} must be {expected}, got {value}"),
         }
     }
 }

@@ -50,6 +50,16 @@ fn an_unknown_kernel_is_rejected() {
 }
 
 #[test]
+fn a_kernel_update_of_one_site_is_rejected() {
+    for kernel in ["deep", "random"] {
+        rejects(
+            &["info", "--kernel", kernel, "--k", "1"],
+            &["--k", "at least 2", "got 1"],
+        );
+    }
+}
+
+#[test]
 fn a_dangling_checkpoint_flag_is_rejected() {
     let out = std::env::temp_dir().join(format!("dt-cli-args-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out);

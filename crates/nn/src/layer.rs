@@ -43,6 +43,7 @@ impl Activation {
     /// the `Matrix` reference, reading the preactivation, let its
     /// gradient through. Neither surfaces it — Relu's forward is where a
     /// NaN is lost.)
+    #[inline(always)]
     pub fn backward_in_place(self, out: &[f64], grad: &mut [f64]) {
         debug_assert_eq!(out.len(), grad.len());
         match self {

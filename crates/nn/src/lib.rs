@@ -30,6 +30,23 @@
 //! allocation-free once the scratch is warm. Batches, targets and
 //! gradients are flat row-major slices.
 //!
+//! Both passes are compiled twice from one source: an SSE2 baseline
+//! copy and, on x86_64, an AVX twin whose forward kernel tiles 8 output
+//! columns instead of 4. Each call picks the copy the CPU supports
+//! (std's cached feature detection), so one binary runs on every host
+//! and every copy yields the same bits; [`kernel_path`] names the copy
+//! a host runs.
+//!
+//! # `unsafe`
+//!
+//! `#![deny(unsafe_code)]` holds for the whole crate except four scoped
+//! allows: the two AVX twins, `Mlp::forward_ring_avx` (`mlp.rs`) and
+//! `Mlp::backward_avx` (`train.rs`), and their one call site each. The
+//! twins are `unsafe fn` because `#[target_feature]` on a safe function
+//! needs a newer compiler than the workspace's `rust-version`; they are
+//! safe to call exactly when the CPU has AVX, which each call site
+//! checks just before the call (`// SAFETY:` comments there).
+//!
 //! ```
 //! use dt_nn::{Activation, Adam, Mlp, TrainScratch};
 //! use rand::SeedableRng;
@@ -54,7 +71,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod infer;
 pub mod layer;
@@ -65,7 +82,7 @@ pub mod optim;
 pub mod serialize;
 pub mod train;
 
-pub use infer::ForwardScratch;
+pub use infer::{kernel_path, ForwardScratch};
 pub use layer::{Activation, Linear};
 pub use loss::{
     log_softmax_masked, log_softmax_masked_into, mse_loss, sample_categorical,

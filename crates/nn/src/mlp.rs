@@ -2,15 +2,19 @@
 //!
 //! Inference ([`Mlp::forward_into`]) and training ([`Mlp::forward_train`])
 //! share one forward loop, and that loop calls one kernel — the packed
-//! `J_TILE` kernel of [`crate::infer`] — for every batch size on every
-//! build. [`Mlp::forward`] is the allocating reference it matches bit for
-//! bit.
+//! tile kernel of [`crate::infer`] — for every batch size. The loop and
+//! its kernel are compiled twice from one source, an SSE2 baseline at
+//! 4-wide tiles and an AVX twin at 8-wide tiles, and each call picks
+//! the copy the CPU supports. [`Mlp::forward`] is the allocating
+//! reference both match bit for bit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::Rng;
 
-use crate::infer::{linear_forward, packed_len, ForwardScratch, PackedWeights};
+#[cfg(target_arch = "x86_64")]
+use crate::infer::avx_detected;
+use crate::infer::{linear_forward, packed_len, ForwardScratch, PackedWeights, J_AVX, J_BASE};
 use crate::layer::{Activation, Linear};
 use crate::matrix::Matrix;
 
@@ -170,15 +174,57 @@ impl Mlp {
         }
     }
 
-    /// The one forward loop, under inference and training alike: layer
-    /// `i` reads `x` (`i = 0`) or the previous slot and writes
+    /// The forward pass, under inference and training alike: layer `i`
+    /// reads `x` (`i = 0`) or the previous slot and writes
     /// `ring[i % ring.len()]`. A ring of two ping-pongs
     /// ([`Mlp::forward_into`]); a ring of one buffer per layer keeps
     /// every layer's output for the backward pass
     /// ([`Mlp::forward_train`]). Every slot must already hold `rows` rows
     /// of the widest layer writing to it. Returns the last layer's
     /// output.
+    ///
+    /// Runs the AVX copy ([`J_AVX`]-wide tiles) when the CPU has AVX and
+    /// the SSE2 baseline ([`J_BASE`]-wide) otherwise; both yield the
+    /// same bits.
+    #[allow(unsafe_code)]
     pub(crate) fn forward_ring<'a>(
+        &self,
+        x: &[f64],
+        rows: usize,
+        packed: &mut PackedWeights,
+        ring: &'a mut [Vec<f64>],
+    ) -> &'a [f64] {
+        #[cfg(target_arch = "x86_64")]
+        if avx_detected() {
+            // SAFETY: `forward_ring_avx` only enables AVX, which
+            // `avx_detected` has just found on this CPU.
+            return unsafe { self.forward_ring_avx(x, rows, packed, ring) };
+        }
+        self.forward_tiled::<J_BASE>(x, rows, packed, ring)
+    }
+
+    /// [`Mlp::forward_ring`]'s AVX twin: the same loop and kernel,
+    /// compiled with 256-bit vectors at the 8-wide tile.
+    ///
+    /// # Safety
+    /// The CPU must support AVX.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    #[allow(unsafe_code)]
+    unsafe fn forward_ring_avx<'a>(
+        &self,
+        x: &[f64],
+        rows: usize,
+        packed: &mut PackedWeights,
+        ring: &'a mut [Vec<f64>],
+    ) -> &'a [f64] {
+        self.forward_tiled::<J_AVX>(x, rows, packed, ring)
+    }
+
+    /// The one forward loop, at column-tile width `J`; inlined into each
+    /// copy of [`Mlp::forward_ring`] so each compiles its own kernel.
+    #[inline(always)]
+    pub(crate) fn forward_tiled<'a, const J: usize>(
         &self,
         x: &[f64],
         rows: usize,
@@ -187,9 +233,9 @@ impl Mlp {
     ) -> &'a [f64] {
         assert!(x.len() >= rows * self.in_dim(), "input rows too short");
         // The repack is cached across forwards and invalidated only when
-        // the weights change, so its cost amortizes over entire sampling
-        // runs, not one batch.
-        let packed_w = packed.refresh(self);
+        // the weights (or the tile width) change, so its cost amortizes
+        // over entire sampling runs, not one batch.
+        let packed_w = packed.refresh(self, J);
         let slots = ring.len();
         let mut off = 0;
         for (i, layer) in self.layers.iter().enumerate() {
@@ -207,8 +253,8 @@ impl Mlp {
                     (hi[0].as_slice(), lo[cur].as_mut_slice())
                 }
             };
-            let wn = packed_len(layer.w.cols(), layer.w.rows());
-            linear_forward(
+            let wn = packed_len(layer.w.cols(), layer.w.rows(), J);
+            linear_forward::<J>(
                 src,
                 rows,
                 &packed_w[off..off + wn],

@@ -3,7 +3,10 @@
 //!
 //! [`Mlp::forward_train`] runs the inference engine's forward loop and
 //! forward kernel over a ring of one buffer per layer, so every
-//! layer's output survives for [`Mlp::backward`]; a grow-only
+//! layer's output survives for [`Mlp::backward`]. Like the forward
+//! pass, the backward pass has an SSE2 baseline copy and an AVX twin
+//! compiled from one body, and each call picks the copy the CPU
+//! supports; the bits are the same either way. A grow-only
 //! [`TrainScratch`] owned by the caller holds those, two gradient
 //! ping-pong buffers and the dW/db temporaries, so a warmed step never
 //! touches the allocator.
@@ -25,6 +28,8 @@
 //! * The first layer's dX is never formed: nothing reads the gradient
 //!   with respect to the input features.
 
+#[cfg(target_arch = "x86_64")]
+use crate::infer::avx_detected;
 use crate::infer::{grow, PackedWeights};
 use crate::matrix::Matrix;
 use crate::mlp::Mlp;
@@ -105,7 +110,33 @@ impl Mlp {
     /// Panics when `scratch` does not hold a forward pass through a
     /// network of this depth, or `x` / `grad_out` are shorter than its
     /// rows.
+    #[allow(unsafe_code)]
     pub fn backward(&mut self, x: &[f64], grad_out: &[f64], scratch: &mut TrainScratch) {
+        #[cfg(target_arch = "x86_64")]
+        if avx_detected() {
+            // SAFETY: `backward_avx` only enables AVX, which
+            // `avx_detected` has just found on this CPU.
+            return unsafe { self.backward_avx(x, grad_out, scratch) };
+        }
+        self.backward_body(x, grad_out, scratch)
+    }
+
+    /// [`Mlp::backward`]'s AVX twin: the same body, compiled with
+    /// 256-bit vectors.
+    ///
+    /// # Safety
+    /// The CPU must support AVX.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    #[allow(unsafe_code)]
+    unsafe fn backward_avx(&mut self, x: &[f64], grad_out: &[f64], scratch: &mut TrainScratch) {
+        self.backward_body(x, grad_out, scratch)
+    }
+
+    /// The backward pass's one body; inlined into each copy of
+    /// [`Mlp::backward`] so each compiles its own loops.
+    #[inline(always)]
+    fn backward_body(&mut self, x: &[f64], grad_out: &[f64], scratch: &mut TrainScratch) {
         let rows = scratch.rows;
         let depth = self.layers().len();
         assert_eq!(
@@ -158,6 +189,7 @@ impl Mlp {
 /// indices of its nonzero entries without a branch, and the axpy loop
 /// runs over that list: one mispredicted loop exit per row instead of
 /// one per skipped entry.
+#[inline(always)]
 fn param_grads(
     g: &[f64],
     x: &[f64],
@@ -197,6 +229,7 @@ const C_TILE: usize = 8;
 /// accumulator chains, each weight row segment loaded once per row pair.
 /// The column tile is the outer loop so its `w.rows() × C_TILE` weight
 /// block stays in L1 while the rows stream past.
+#[inline(always)]
 pub(crate) fn input_grad(g: &[f64], w: &Matrix, dx: &mut [f64]) {
     let (out_dim, in_dim) = (w.rows(), w.cols());
     let wd = w.data();
@@ -245,5 +278,112 @@ pub(crate) fn input_grad(g: &[f64], w: &Matrix, dx: &mut [f64]) {
             dx0[c0..c0 + width].copy_from_slice(&a0[..width]);
         }
         c0 += C_TILE;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::infer::{J_AVX, J_BASE};
+    use crate::layer::Activation;
+    use rand::{RngExt, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// Which copy of the two passes a step runs.
+    #[derive(Debug, Clone, Copy)]
+    enum Path {
+        /// The SSE2 baseline: 4-wide forward tiles.
+        Base,
+        /// The 8-wide tile shape without AVX — runs on every host.
+        Wide,
+        /// `forward_train` + `backward` as callers run them: the AVX
+        /// twins on a host with AVX.
+        Dispatched,
+    }
+
+    /// One `forward_train` + `backward` step through `path`: the bits of
+    /// the outputs, then of every layer's `gw` and `gb`.
+    fn step(
+        mlp: &mut Mlp,
+        x: &[f64],
+        rows: usize,
+        grad_out: &[f64],
+        scratch: &mut TrainScratch,
+        path: Path,
+    ) -> Vec<u64> {
+        let out = match path {
+            Path::Dispatched => mlp.forward_train(x, rows, scratch),
+            Path::Base | Path::Wide => {
+                scratch.reserve(mlp, rows);
+                scratch.rows = rows;
+                let TrainScratch { packed, acts, .. } = scratch;
+                match path {
+                    Path::Base => mlp.forward_tiled::<J_BASE>(x, rows, packed, acts),
+                    _ => mlp.forward_tiled::<J_AVX>(x, rows, packed, acts),
+                }
+            }
+        };
+        let mut bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+        mlp.zero_grad();
+        match path {
+            Path::Dispatched => mlp.backward(x, grad_out, scratch),
+            Path::Base | Path::Wide => mlp.backward_body(x, grad_out, scratch),
+        }
+        for layer in mlp.layers() {
+            bits.extend(layer.gw.data().iter().map(|v| v.to_bits()));
+            bits.extend(layer.gb.iter().map(|v| v.to_bits()));
+        }
+        bits
+    }
+
+    #[test]
+    fn both_copies_of_each_pass_are_bit_identical() {
+        if !crate::kernel_path().starts_with("avx") {
+            eprintln!("note: no AVX on this host; `Path::Dispatched` runs the baseline, not the AVX twins");
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(37);
+        let acts = [Activation::Relu, Activation::Tanh, Activation::Identity];
+        // One scratch for every copy: a cache keyed by weight version
+        // alone would feed one width's packing to the other.
+        let mut scratch = TrainScratch::new();
+        for dims in [
+            &[5usize, 3, 2][..],
+            &[15, 32, 32, 4],
+            &[24, 8, 1],
+            &[7, 9, 21, 13, 3],
+        ] {
+            for (a, &hidden) in acts.iter().enumerate() {
+                let out_act = acts[(a + 1) % acts.len()];
+                let mut mlp = Mlp::new(dims, hidden, out_act, &mut rng);
+                let (in_dim, out_dim) = (mlp.in_dim(), mlp.out_dim());
+                for rows in [1usize, 2, 3, 5, 8, 13, 31, 64, 70] {
+                    let x: Vec<f64> = (0..rows * in_dim)
+                        .map(|_| rng.random::<f64>() * 4.0 - 2.0)
+                        .collect();
+                    // Every fourth gradient entry is exactly zero, which
+                    // `param_grads` skips.
+                    let grad_out: Vec<f64> = (0..rows * out_dim)
+                        .map(|i| {
+                            let g = rng.random::<f64>() - 0.5;
+                            if i % 4 == 3 {
+                                0.0
+                            } else {
+                                g
+                            }
+                        })
+                        .collect();
+                    let want = step(&mut mlp, &x, rows, &grad_out, &mut scratch, Path::Base);
+                    // Base → 8-wide → dispatched → base: the packed cache
+                    // switches width both ways.
+                    for path in [Path::Wide, Path::Dispatched, Path::Base] {
+                        let got = step(&mut mlp, &x, rows, &grad_out, &mut scratch, path);
+                        assert_eq!(
+                            got, want,
+                            "{dims:?} {hidden:?}/{out_act:?} rows {rows} {path:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
