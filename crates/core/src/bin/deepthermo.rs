@@ -415,7 +415,7 @@ fn build_config(args: &Args) -> Result<DeepThermoConfig, DeepThermoError> {
     cfg.rewl.rebalance_every = args.get("--rebalance-every")?;
     // `--k` is the one kernel field a flag sets, so name the flag; every
     // other inconsistency surfaces from `DeepThermo::from_material`.
-    if let Err(ConfigError::BadKernelSetting {
+    if let Err(ConfigError::BadSetting {
         field: "random.k" | "deep.proposal.k",
         value,
         expected,

@@ -168,7 +168,41 @@ impl DeepThermoConfig {
         if self.temperatures.is_empty() {
             return Err(ConfigError::NoTemperatures);
         }
+        // A zero exchange cadence would sweep zero times per round and
+        // never end; a zero observation or checkpoint cadence would divide
+        // by zero on every rank.
+        let checkpoint_every = self.rewl.checkpoint.as_ref().map_or(1, |c| c.every_rounds);
+        let cadences = [
+            (
+                "rewl.exchange_every_sweeps",
+                self.rewl.exchange_every_sweeps,
+            ),
+            ("rewl.observe_every_sweeps", self.rewl.observe_every_sweeps),
+            ("rewl.checkpoint.every_rounds", checkpoint_every),
+        ];
+        for (field, n) in cadences {
+            check(field, n as f64, n >= 1, POSITIVE)?;
+        }
         validate_kernel(&self.rewl.kernel)
+    }
+}
+
+const POSITIVE: &str = "at least 1";
+
+fn check(
+    field: &'static str,
+    value: f64,
+    ok: bool,
+    expected: &'static str,
+) -> Result<(), ConfigError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(ConfigError::BadSetting {
+            field,
+            value,
+            expected,
+        })
     }
 }
 
@@ -176,19 +210,7 @@ impl DeepThermoConfig {
 /// retrain or sample: every field is checked here, before any rank starts.
 fn validate_kernel(kernel: &KernelSpec) -> Result<(), ConfigError> {
     const SITES: &str = "at least 2";
-    const POSITIVE: &str = "at least 1";
     const FRACTION: &str = "in (0, 1)";
-    let check = |field, value: f64, ok: bool, expected| {
-        if ok {
-            Ok(())
-        } else {
-            Err(ConfigError::BadKernelSetting {
-                field,
-                value,
-                expected,
-            })
-        }
-    };
     let fraction = |w: f64| w > 0.0 && w < 1.0;
     match kernel {
         KernelSpec::LocalSwap => Ok(()),
@@ -285,7 +307,7 @@ mod tests {
             rejects(|c| c.temperatures.clear()),
             ConfigError::NoTemperatures
         );
-        let bad = |field, value, expected| ConfigError::BadKernelSetting {
+        let bad = |field, value, expected| ConfigError::BadSetting {
             field,
             value,
             expected,
@@ -346,7 +368,24 @@ mod tests {
                 weight: f64::NAN
             })
             .to_string(),
-            "kernel setting random.weight must be in (0, 1), got NaN"
+            "setting random.weight must be in (0, 1), got NaN"
+        );
+        assert_eq!(
+            rejects(|c| c.rewl.exchange_every_sweeps = 0),
+            bad("rewl.exchange_every_sweeps", 0.0, "at least 1")
+        );
+        assert_eq!(
+            rejects(|c| c.rewl.observe_every_sweeps = 0),
+            bad("rewl.observe_every_sweeps", 0.0, "at least 1")
+        );
+        assert_eq!(
+            rejects(|c| {
+                c.rewl.checkpoint = Some(dt_rewl::CheckpointSpec {
+                    dir: "unused".into(),
+                    every_rounds: 0,
+                })
+            }),
+            bad("rewl.checkpoint.every_rounds", 0.0, "at least 1")
         );
     }
 }

@@ -8,9 +8,10 @@
 //! `deepthermo` binary returns [`DeepThermoError`], which wraps the typed
 //! errors of the sub-crates (sampling, materials, model serialization,
 //! serving) plus configuration, command-line, cluster and I/O failures of
-//! the pipeline itself. Degraded but survivable situations (dead walkers,
-//! lost messages) are *not* errors; they are reported inside the
-//! [`DeepThermoReport`](crate::DeepThermoReport).
+//! the pipeline itself. Sampling is fail-stop: a lost rank, an expired
+//! deadline or an undecodable message ends the run with
+//! [`DeepThermoError::Sampling`], and a rerun over the same checkpoint
+//! directory resumes from the newest complete snapshot.
 
 use std::path::PathBuf;
 
@@ -45,11 +46,13 @@ pub enum ConfigError {
     /// The temperature grid is empty, so no thermodynamic curve can be
     /// evaluated.
     NoTemperatures,
-    /// A setting of the proposal kernel the sampler cannot run with,
-    /// e.g. a deep or random update of fewer than 2 sites.
-    BadKernelSetting {
-        /// The field of [`KernelSpec`](dt_rewl::KernelSpec), e.g.
-        /// `"deep.proposal.k"` or `"random.weight"`.
+    /// A sampler setting the run cannot proceed with: a proposal kernel
+    /// field, e.g. a deep or random update of fewer than 2 sites, or a
+    /// zero exchange, observation or checkpoint cadence.
+    BadSetting {
+        /// The field, e.g. `"deep.proposal.k"` or `"random.weight"` of
+        /// [`KernelSpec`](dt_rewl::KernelSpec), or
+        /// `"rewl.exchange_every_sweeps"`.
         field: &'static str,
         /// The rejected value.
         value: f64,
@@ -73,11 +76,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::EmptyComposition => write!(f, "the material declares no species"),
             ConfigError::EmptySupercell => write!(f, "supercell edge L must be at least 1"),
             ConfigError::NoTemperatures => write!(f, "the temperature grid is empty"),
-            ConfigError::BadKernelSetting {
+            ConfigError::BadSetting {
                 field,
                 value,
                 expected,
-            } => write!(f, "kernel setting {field} must be {expected}, got {value}"),
+            } => write!(f, "setting {field} must be {expected}, got {value}"),
         }
     }
 }

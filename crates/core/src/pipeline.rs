@@ -226,14 +226,7 @@ impl DeepThermo {
         let ln_g_range = dos.ln_g_range(Some(&out.mask));
 
         // Visited (E, ln g) pairs drive every canonical sum.
-        let mut energies = Vec::new();
-        let mut ln_g = Vec::new();
-        for (bin, &vis) in out.mask.iter().enumerate() {
-            if vis {
-                energies.push(dos.grid().center(bin));
-                ln_g.push(dos.ln_g_bin(bin));
-            }
-        }
+        let (energies, ln_g) = dos.grid().visited_dos(dos.ln_g(), &out.mask);
         if energies.is_empty() {
             return Err(DeepThermoError::NoVisitedBins);
         }
@@ -241,33 +234,32 @@ impl DeepThermo {
         let (tc, cv_peak) = find_cv_peak(&thermo);
 
         // SRO(T) for every unlike first-shell pair by canonical
-        // reweighting of the microcanonical pair probabilities.
+        // reweighting of the microcanonical pair probabilities: one
+        // reweighting per temperature serves every pair.
         let m = self.comp.num_species();
         let fractions = self.comp.fractions();
-        let grid_energies: Vec<f64> = (0..dos.grid().num_bins())
-            .map(|b| dos.grid().center(b))
-            .collect();
-        let grid_ln_g: Vec<f64> = (0..dos.grid().num_bins())
-            .map(|b| {
-                if out.mask[b] {
-                    dos.ln_g_bin(b)
-                } else {
-                    f64::NEG_INFINITY
-                }
+        let (grid_energies, grid_ln_g) = dos.grid().masked_dos(dos.ln_g(), &out.mask);
+        let means: Vec<Vec<f64>> = self
+            .cfg
+            .temperatures
+            .iter()
+            .map(|&t| {
+                let beta = 1.0 / (KB_EV_PER_K * t);
+                out.sro.canonical_average(&grid_energies, &grid_ln_g, beta)
             })
             .collect();
         let mut sro_curves = Vec::new();
         for a in 0..m as u8 {
             for b in (a + 1)..m as u8 {
-                let mut points = Vec::with_capacity(self.cfg.temperatures.len());
-                for &t in &self.cfg.temperatures {
-                    let beta = 1.0 / (KB_EV_PER_K * t);
-                    let mean = out.sro.canonical_average(&grid_energies, &grid_ln_g, beta);
+                let ca_cb = fractions[a as usize] * fractions[b as usize];
+                let points = self
+                    .cfg
+                    .temperatures
+                    .iter()
+                    .zip(&means)
                     // First shell directed probability p(a, b).
-                    let p = mean[a as usize * m + b as usize];
-                    let ca_cb = fractions[a as usize] * fractions[b as usize];
-                    points.push((t, 1.0 - p / ca_cb));
-                }
+                    .map(|(&t, mean)| (t, 1.0 - mean[a as usize * m + b as usize] / ca_cb))
+                    .collect();
                 let species = self.cfg.material.material().species();
                 let label = format!("{}-{}", species.name(Species(a)), species.name(Species(b)));
                 sro_curves.push(SroCurve {

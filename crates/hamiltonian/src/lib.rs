@@ -27,5 +27,5 @@ pub mod pair;
 
 pub use material::{Material, MaterialError};
 pub use model::{DeltaWorkspace, EnergyModel};
-pub use nbmotaw::{nbmotaw, nbmotaw_species, KB_EV_PER_K};
+pub use nbmotaw::{nbmotaw, KB_EV_PER_K};
 pub use pair::PairHamiltonian;

@@ -10,7 +10,7 @@
 //! dataset — DeepThermo's sampling behaviour depends on the *shape* of the
 //! energy landscape, which this set preserves.
 
-use dt_lattice::{Species, SpeciesSet};
+use dt_lattice::Species;
 
 use crate::pair::PairHamiltonian;
 
@@ -28,11 +28,6 @@ pub mod elements {
     pub const TA: Species = Species(2);
     /// Tungsten.
     pub const W: Species = Species(3);
-}
-
-/// The ordered species set (Nb, Mo, Ta, W).
-pub fn nbmotaw_species() -> SpeciesSet {
-    SpeciesSet::nb_mo_ta_w()
 }
 
 /// Two-shell EPI Hamiltonian for equiatomic NbMoTaW on BCC (eV per pair).

@@ -176,18 +176,6 @@ impl FaultPlan {
         &self.events
     }
 
-    /// A reproducible one-victim plan: derive the victim rank and kill
-    /// round from `seed`. `max_round` bounds the kill round (exclusive,
-    /// min 1 so a kill always fires).
-    pub fn seeded_kill(seed: u64, num_ranks: usize, max_round: u64) -> Self {
-        assert!(num_ranks > 0);
-        let a = splitmix(seed);
-        let b = splitmix(a);
-        let rank = (a % num_ranks as u64) as usize;
-        let round = b % max_round.max(1);
-        FaultPlan::none().kill_at_round(rank, round)
-    }
-
     /// Sever the `a`↔`b` link for rounds `[from_round, until_round)`.
     pub fn partition(mut self, a: usize, b: usize, from_round: u64, until_round: u64) -> Self {
         self.events.push(FaultEvent::Partition {
@@ -468,22 +456,6 @@ impl FaultRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seeded_kill_is_reproducible_and_in_range() {
-        for seed in 0..50u64 {
-            let a = FaultPlan::seeded_kill(seed, 4, 10);
-            let b = FaultPlan::seeded_kill(seed, 4, 10);
-            assert_eq!(a, b);
-            match a.events()[0] {
-                FaultEvent::KillAtRound { rank, round } => {
-                    assert!(rank < 4);
-                    assert!(round < 10);
-                }
-                ref other => panic!("unexpected event {other:?}"),
-            }
-        }
-    }
 
     #[test]
     fn kill_due_fires_at_and_after_round() {

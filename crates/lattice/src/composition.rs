@@ -157,21 +157,6 @@ impl Composition {
             .collect()
     }
 
-    /// The ideal (infinite-temperature) configurational entropy per atom in
-    /// units of `k_B`: `-Σ c_a ln c_a`. For an equiatomic quaternary alloy
-    /// this is `ln 4 ≈ 1.386`, which sets the `~e^{10,000}` scale of the
-    /// density of states the paper evaluates.
-    pub fn ideal_entropy_per_atom(&self) -> f64 {
-        self.counts
-            .iter()
-            .filter(|&&c| c > 0)
-            .map(|&c| {
-                let x = c as f64 / self.total as f64;
-                -x * x.ln()
-            })
-            .sum()
-    }
-
     /// Natural log of the multinomial number of configurations,
     /// `ln [ N! / Π_a N_a! ]`, computed with `ln Γ` so it is exact in
     /// floating point even for thousands of sites. This is the exact value
@@ -282,12 +267,6 @@ mod tests {
         assert!((s - 1.0).abs() < 1e-12);
         assert!((c.fraction(Species(2)) - 0.5).abs() < 1e-12);
         assert_eq!(c.fraction(Species(7)), 0.0);
-    }
-
-    #[test]
-    fn ideal_entropy_equiatomic_is_ln_n() {
-        let c = Composition::equiatomic(4, 400).unwrap();
-        assert!((c.ideal_entropy_per_atom() - 4.0f64.ln()).abs() < 1e-12);
     }
 
     #[test]

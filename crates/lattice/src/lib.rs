@@ -12,8 +12,8 @@
 //!   shared by every Monte Carlo walker,
 //! * [`Configuration`] — a species assignment with fixed (canonical)
 //!   composition and cheap swap/reassign updates,
-//! * [`sro`] — Warren–Cowley short-range-order and B2 long-range-order
-//!   parameters used to characterize the order–disorder transition.
+//! * [`sro`] — Warren–Cowley short-range-order parameters used to
+//!   characterize the order–disorder transition.
 //!
 //! Everything is deterministic and `Send + Sync` so walkers can share the
 //! immutable geometry across threads (one walker per simulated GPU).
@@ -40,7 +40,6 @@
 pub mod composition;
 pub mod config;
 pub mod error;
-pub mod kspace;
 pub mod neighbors;
 pub mod species;
 pub mod sro;
@@ -52,7 +51,7 @@ pub use config::Configuration;
 pub use error::LatticeError;
 pub use neighbors::NeighborTable;
 pub use species::{Species, SpeciesSet};
-pub use sro::{LongRangeOrder, SroAccumulator, WarrenCowley};
+pub use sro::{SroAccumulator, WarrenCowley};
 pub use structure::Structure;
 pub use supercell::Supercell;
 

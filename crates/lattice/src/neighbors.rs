@@ -260,13 +260,6 @@ impl NeighborTable {
         &self.data[start..start + self.coordination[shell]]
     }
 
-    /// All neighbors of `site` across every stored shell, shell-major.
-    #[inline]
-    pub fn all_neighbors(&self, site: SiteId) -> &[SiteId] {
-        let block = site as usize * self.site_stride;
-        &self.data[block..block + self.site_stride]
-    }
-
     /// Total directed pair count in `shell` (= `N · z_s`).
     pub fn directed_pair_count(&self, shell: usize) -> usize {
         self.num_sites * self.coordination[shell]
@@ -276,12 +269,6 @@ impl NeighborTable {
     pub fn pairs(&self, shell: usize) -> impl Iterator<Item = (SiteId, SiteId)> + '_ {
         (0..self.num_sites as SiteId)
             .flat_map(move |i| self.neighbors(i, shell).iter().map(move |&j| (i, j)))
-    }
-
-    /// Approximate heap size in bytes (used by the HPC performance model to
-    /// cost memory traffic).
-    pub fn heap_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<SiteId>()
     }
 }
 
@@ -380,13 +367,6 @@ mod tests {
         assert_eq!(t.pairs(0).count(), t.directed_pair_count(0));
         assert_eq!(t.pairs(0).count(), cell.num_sites() * 8);
         assert_eq!(t.pairs(1).count(), cell.num_sites() * 6);
-    }
-
-    #[test]
-    fn heap_bytes_positive() {
-        let cell = Supercell::cubic(Structure::bcc(), 2);
-        let t = cell.neighbor_table(2);
-        assert_eq!(t.heap_bytes(), cell.num_sites() * 14 * 4);
     }
 
     #[test]

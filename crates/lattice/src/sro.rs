@@ -1,18 +1,14 @@
-//! Order parameters: Warren–Cowley short-range order and B2 long-range
-//! order.
+//! Warren–Cowley short-range order.
 //!
-//! These are the observables DeepThermo uses to characterize the
+//! This is the observable DeepThermo uses to characterize the
 //! order–disorder phase transition of NbMoTaW: the Warren–Cowley parameter
 //! `α_s(a,b)` measures chemical short-range order in coordination shell `s`
-//! (negative = a–b attraction/ordering, positive = repulsion/clustering),
-//! and the B2 long-range-order parameter measures sublattice segregation on
-//! the BCC lattice.
+//! (negative = a–b attraction/ordering, positive = repulsion/clustering).
 
 use crate::composition::Composition;
 use crate::config::Configuration;
 use crate::neighbors::NeighborTable;
 use crate::species::Species;
-use crate::supercell::Supercell;
 use crate::SiteId;
 
 /// Warren–Cowley short-range-order parameters for every shell and ordered
@@ -62,28 +58,6 @@ impl WarrenCowley {
     /// Flat `[a*m+b]` view of one shell's parameters.
     pub fn shell(&self, shell: usize) -> &[f64] {
         &self.alpha[shell]
-    }
-
-    /// Root-mean-square of the off-diagonal parameters of one shell — a
-    /// scalar "amount of chemical order" summary.
-    pub fn rms_off_diagonal(&self, shell: usize) -> f64 {
-        let m = self.num_species;
-        let mut acc = 0.0;
-        let mut n = 0usize;
-        for a in 0..m {
-            for b in 0..m {
-                if a != b {
-                    let v = self.alpha[shell][a * m + b];
-                    acc += v * v;
-                    n += 1;
-                }
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            (acc / n as f64).sqrt()
-        }
     }
 }
 
@@ -191,56 +165,11 @@ impl SroAccumulator {
     }
 }
 
-/// B2 long-range order: per-species sublattice imbalance on a 2-sublattice
-/// (BCC) supercell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LongRangeOrder {
-    /// `η_a = (N_a^{(0)} - N_a^{(1)}) / N_a` per species.
-    pub eta: Vec<f64>,
-}
-
-impl LongRangeOrder {
-    /// Compute the B2 LRO parameters of a configuration.
-    ///
-    /// # Panics
-    /// Panics unless the supercell has exactly two sublattices.
-    pub fn compute(config: &Configuration, cell: &Supercell) -> Self {
-        assert_eq!(cell.atoms_per_cell(), 2, "B2 LRO needs 2 sublattices");
-        let m = config.num_species();
-        let mut per_sub = vec![[0i64; 2]; m];
-        for site in 0..cell.num_sites() as SiteId {
-            let s = config.species_at(site).index();
-            per_sub[s][cell.sublattice(site)] += 1;
-        }
-        let eta = per_sub
-            .iter()
-            .map(|&[n0, n1]| {
-                let total = n0 + n1;
-                if total == 0 {
-                    0.0
-                } else {
-                    (n0 - n1) as f64 / total as f64
-                }
-            })
-            .collect();
-        LongRangeOrder { eta }
-    }
-
-    /// Composition-weighted RMS of the per-species parameters — a scalar
-    /// order parameter in `[0, 1]`.
-    pub fn scalar(&self, comp: &Composition) -> f64 {
-        let mut acc = 0.0;
-        for (i, &e) in self.eta.iter().enumerate() {
-            acc += comp.fraction(Species(i as u8)) * e * e;
-        }
-        acc.sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::structure::Structure;
+    use crate::supercell::Supercell;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -296,19 +225,6 @@ mod tests {
                 .sum();
             assert!(s.abs() < 1e-9, "sum rule violated: {s}");
         }
-    }
-
-    #[test]
-    fn lro_of_b2_is_one_and_of_segregated_random_small() {
-        let (cell, _, comp) = setup(4);
-        let b2 = Configuration::b2_ordered(&cell, 4);
-        let lro = LongRangeOrder::compute(&b2, &cell);
-        assert!((lro.scalar(&comp) - 1.0).abs() < 1e-12);
-
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let rand_cfg = Configuration::random(&comp, &mut rng);
-        let lro_r = LongRangeOrder::compute(&rand_cfg, &cell);
-        assert!(lro_r.scalar(&comp) < 0.3);
     }
 
     #[test]

@@ -61,13 +61,6 @@ impl Structure {
     pub fn basis(&self) -> &[[f64; 3]] {
         &self.basis
     }
-
-    /// For BCC, basis index 0 / 1 are the two interpenetrating simple-cubic
-    /// sublattices used to define B2 long-range order. For other structures
-    /// the basis index plays the same role.
-    pub fn num_sublattices(&self) -> usize {
-        self.basis.len()
-    }
 }
 
 #[cfg(test)]

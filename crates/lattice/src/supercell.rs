@@ -89,8 +89,8 @@ impl Supercell {
         (x, y, z, b)
     }
 
-    /// The sublattice (basis index) of a site — used for B2 long-range
-    /// order on BCC.
+    /// The sublattice (basis index) of a site — on BCC, the two
+    /// sublattices of the B2-ordered configuration.
     #[inline]
     pub fn sublattice(&self, site: SiteId) -> usize {
         site as usize % self.atoms_per_cell()

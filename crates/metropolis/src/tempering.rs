@@ -81,11 +81,6 @@ impl ParallelTempering {
         }
     }
 
-    /// Number of replicas.
-    pub fn num_replicas(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// Access a replica.
     pub fn replica(&self, i: usize) -> &MetropolisSampler {
         &self.replicas[i]

@@ -215,36 +215,17 @@ pub struct Artifact {
 }
 
 impl Artifact {
-    /// Visited `(energies, ln_g)` pairs — the exact inputs
-    /// `DeepThermo::evaluate` feeds `canonical_curve`.
+    /// Visited `(energies, ln_g)` pairs ([`EnergyGrid::visited_dos`]) —
+    /// the exact inputs `DeepThermo::evaluate` feeds `canonical_curve`.
     pub fn visited_dos(&self) -> (Vec<f64>, Vec<f64>) {
-        let mut energies = Vec::new();
-        let mut ln_g = Vec::new();
-        for (bin, &vis) in self.mask.iter().enumerate() {
-            if vis {
-                energies.push(self.grid.center(bin));
-                ln_g.push(self.ln_g[bin]);
-            }
-        }
-        (energies, ln_g)
+        self.grid.visited_dos(&self.ln_g, &self.mask)
     }
 
-    /// Full-grid `(energies, ln_g)` with unvisited bins at `-inf` — the
-    /// exact inputs the pipeline feeds `canonical_average` for SRO.
+    /// Full-grid `(energies, ln_g)` with unvisited bins at `-inf`
+    /// ([`EnergyGrid::masked_dos`]) — the exact inputs the pipeline feeds
+    /// `canonical_average` for SRO.
     pub fn grid_dos_masked(&self) -> (Vec<f64>, Vec<f64>) {
-        let energies: Vec<f64> = (0..self.grid.num_bins())
-            .map(|b| self.grid.center(b))
-            .collect();
-        let ln_g: Vec<f64> = (0..self.grid.num_bins())
-            .map(|b| {
-                if self.mask[b] {
-                    self.ln_g[b]
-                } else {
-                    f64::NEG_INFINITY
-                }
-            })
-            .collect();
-        (energies, ln_g)
+        self.grid.masked_dos(&self.ln_g, &self.mask)
     }
 
     /// Write this artifact into `registry_dir/<id>/`, creating or

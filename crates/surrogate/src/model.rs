@@ -11,7 +11,7 @@ use crate::dataset::Dataset;
 use crate::descriptor::PairCorrelationDescriptor;
 use crate::metrics::{mae, r_squared, rmse};
 
-/// Errors from [`SurrogateModel::load`] and the file round-trip helpers.
+/// Errors from [`SurrogateModel::load`] and [`SurrogateModel::from_parts`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SerializeError {
     /// The `dtsur` header line is missing or names an unknown version.
@@ -34,10 +34,6 @@ pub enum SerializeError {
     },
     /// The embedded network failed to deserialize.
     Net(NnFormatError),
-    /// Reading or writing the model file failed. The message carries the
-    /// rendered `std::io::Error` (stored as text so this enum stays
-    /// `Clone + PartialEq`).
-    Io(String),
 }
 
 impl std::fmt::Display for SerializeError {
@@ -54,7 +50,6 @@ impl std::fmt::Display for SerializeError {
                 write!(f, "network output dim {net_out} is not 1")
             }
             SerializeError::Net(e) => write!(f, "embedded network: {e}"),
-            SerializeError::Io(what) => write!(f, "surrogate file I/O failed: {what}"),
         }
     }
 }
@@ -80,12 +75,6 @@ impl From<TextError> for SerializeError {
 impl From<NnFormatError> for SerializeError {
     fn from(e: NnFormatError) -> Self {
         SerializeError::Net(e)
-    }
-}
-
-impl From<std::io::Error> for SerializeError {
-    fn from(e: std::io::Error) -> Self {
-        SerializeError::Io(e.to_string())
     }
 }
 
@@ -344,26 +333,6 @@ impl SurrogateModel {
         SurrogateModel::from_parts(descriptor, net, y_mean, y_std)
     }
 
-    /// Write the model to `path` ([`SurrogateModel::save`] format).
-    ///
-    /// # Errors
-    /// Returns [`SerializeError::Io`] if the file cannot be written.
-    pub fn save_to_file(&self, path: impl AsRef<std::path::Path>) -> Result<(), SerializeError> {
-        std::fs::write(path, self.save())?;
-        Ok(())
-    }
-
-    /// Read a model previously written by [`SurrogateModel::save_to_file`].
-    ///
-    /// # Errors
-    /// Returns [`SerializeError::Io`] if the file cannot be read, or any
-    /// other [`SerializeError`] if its contents are not a valid model.
-    pub fn load_from_file(
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<SurrogateModel, SerializeError> {
-        SurrogateModel::load(&std::fs::read_to_string(path)?)
-    }
-
     fn delta_via_features(
         &self,
         config: &Configuration,
@@ -615,22 +584,6 @@ mod tests {
             SurrogateModel::load(&tampered).unwrap_err(),
             SerializeError::OutputWidth { net_out: 2 }
         );
-    }
-
-    #[test]
-    fn file_round_trip_and_io_errors() {
-        let (model, _, _, _) = trained();
-        let dir = std::env::temp_dir().join("dtsur-serialize-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.dtsur");
-        model.save_to_file(&path).unwrap();
-        let back = SurrogateModel::load_from_file(&path).unwrap();
-        assert_eq!(back.save(), model.save());
-        assert!(matches!(
-            SurrogateModel::load_from_file(dir.join("missing.dtsur")),
-            Err(SerializeError::Io(_))
-        ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

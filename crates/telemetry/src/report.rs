@@ -35,17 +35,6 @@ pub struct PhaseStat {
     pub p99_s: f64,
 }
 
-impl PhaseStat {
-    /// Mean span duration in seconds, or 0 when no spans were recorded.
-    pub fn mean_s(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_s / self.count as f64
-        }
-    }
-}
-
 /// One rank's telemetry snapshot: phase timings plus named
 /// counters/gauges. Produced by `Telemetry::snapshot`; a disabled
 /// handle snapshots to empty vectors.
@@ -78,16 +67,6 @@ impl RankTelemetry {
     /// The value of the named gauge, if present.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
-    }
-
-    /// Total seconds across all phases except [`Phase::MoveBatch`]
-    /// (which *contains* ΔE/inference time and would double-count).
-    pub fn total_phase_s(&self) -> f64 {
-        self.phases
-            .iter()
-            .filter(|s| s.phase != Phase::MoveBatch)
-            .map(|s| s.total_s)
-            .sum()
     }
 
     /// This snapshot as one JSON object (one JSONL line, no trailing

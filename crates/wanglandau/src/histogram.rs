@@ -79,6 +79,31 @@ impl EnergyGrid {
         (0..self.num_bins).map(|b| self.center(b)).collect()
     }
 
+    /// The visited `(energies, ln g)` pairs of a DOS on this grid, in bin
+    /// order: the inputs of every canonical sum (`canonical_curve` in
+    /// `DeepThermo::evaluate` and in the serving layer).
+    pub fn visited_dos(&self, ln_g: &[f64], mask: &[bool]) -> (Vec<f64>, Vec<f64>) {
+        let mut energies = Vec::new();
+        let mut visited_ln_g = Vec::new();
+        for (bin, &vis) in mask.iter().enumerate() {
+            if vis {
+                energies.push(self.center(bin));
+                visited_ln_g.push(ln_g[bin]);
+            }
+        }
+        (energies, visited_ln_g)
+    }
+
+    /// The full-grid `(energies, ln g)` of a DOS on this grid with
+    /// unvisited bins at `-inf`: the inputs of every SRO reweighting
+    /// (`canonical_average`).
+    pub fn masked_dos(&self, ln_g: &[f64], mask: &[bool]) -> (Vec<f64>, Vec<f64>) {
+        let masked_ln_g = (0..self.num_bins)
+            .map(|b| if mask[b] { ln_g[b] } else { f64::NEG_INFINITY })
+            .collect();
+        (self.centers(), masked_ln_g)
+    }
+
     /// The sub-grid covering bins `[lo, hi)` (used to carve REWL windows
     /// that share bin boundaries with the global grid).
     pub fn slice(&self, lo: usize, hi: usize) -> EnergyGrid {

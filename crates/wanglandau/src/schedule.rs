@@ -143,15 +143,6 @@ impl ScheduleState {
             }
         }
     }
-
-    /// The flatness threshold of a schedule (for histogram checks).
-    pub fn flatness_threshold(schedule: LnfSchedule) -> f64 {
-        match schedule {
-            LnfSchedule::Flatness { flatness, .. } | LnfSchedule::OneOverT { flatness, .. } => {
-                flatness
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -213,16 +204,5 @@ mod tests {
         let lnf = st.ln_f();
         st.advance(schedule, true, 1_000_001, 10);
         assert!(st.ln_f() <= lnf);
-    }
-
-    #[test]
-    fn threshold_extraction() {
-        assert_eq!(
-            ScheduleState::flatness_threshold(LnfSchedule::Flatness {
-                flatness: 0.8,
-                reduction: 0.5
-            }),
-            0.8
-        );
     }
 }
