@@ -26,7 +26,8 @@
 //!   of the paper's scaling tables (experiments E7/E8/E10).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// The only unsafe code is the scoped `poll(2)` binding in `sys`.
+#![deny(unsafe_code)]
 
 //!
 //! For robustness work the runtime also simulates an *unreliable* cluster:
@@ -42,6 +43,7 @@ pub mod gpu;
 pub mod perf;
 pub mod rngstream;
 pub mod scaling;
+pub mod sys;
 pub mod tcp;
 pub mod thread_fabric;
 pub mod transport;

@@ -3,9 +3,9 @@
 //!
 //! A rank is a thread and a send is a push of the `Vec<u8>` into the
 //! destination rank's [`Mailbox`]; the cluster shares every mailbox, so
-//! nothing else is needed to move a message. Receives, liveness and the
-//! collectives are the backend-independent code in [`Transport`]'s
-//! provided methods and [`Communicator`]. [`ThreadCluster::run_with_faults`]
+//! nothing else is needed to move a message. Receives and liveness are
+//! [`Transport`]'s provided methods over the mailbox, and the collectives
+//! are [`Communicator`]'s. [`ThreadCluster::run_with_faults`]
 //! converts a rank panic into [`RankOutcome::Died`] and announces every
 //! departure, return or panic, to every mailbox, which is what fails
 //! peers' receives and collectives waiting on the rank.
@@ -170,7 +170,7 @@ impl ThreadCluster {
         T: Send,
         F: Fn(Communicator<ThreadTransport>) -> T + Sync,
     {
-        let mailboxes: Arc<[Mailbox]> = (0..size).map(|_| Mailbox::new(size)).collect();
+        let mailboxes: Arc<[Mailbox]> = (0..size).map(|_| Mailbox::new(size, |_| false)).collect();
         spawn_ranks(size, |rank| {
             let transport = ThreadTransport {
                 rank,

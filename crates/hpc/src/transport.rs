@@ -11,13 +11,14 @@
 //!   cluster harness announces a departure to every mailbox when a rank
 //!   returns or panics;
 //! * [`crate::TcpTransport`] — real `std::net` loopback sockets with
-//!   length-prefixed frames, one connection per peer pair; per-peer reader
-//!   threads feed the rank's mailbox and a closed connection is the death
-//!   notice. Enables true multi-process runs (`deepthermo run --cluster
+//!   length-prefixed frames, one connection per peer pair; the thread
+//!   that waits for a message reads its peer's socket into the rank's
+//!   mailbox itself, and the end of a socket is the death notice.
+//!   Enables true multi-process runs (`deepthermo run --cluster
 //!   tcp:<n>`).
 //!
-//! Receiving, the liveness query and the collectives are the same code
-//! on both; a receive from a departed peer fails with
+//! The mailbox, its deadlines and the collectives are the same code on
+//! both; a receive from a departed peer fails with
 //! [`CommError::RankDead`], which is how the rank program learns of it.
 
 use std::collections::{HashMap, VecDeque};
@@ -38,13 +39,15 @@ pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// A message-passing backend connecting `size` ranks.
 ///
-/// Implementations provide tagged point-to-point sends into the
+/// Implementations provide tagged point-to-point sends that end in the
 /// destination's [`Mailbox`] with per-`(peer, tag)` FIFO order, and mark
 /// peers dead in their own rank's mailbox when they notice a death.
 ///
-/// Sends are non-blocking and buffered (MPI eager protocol); sends to
-/// dead ranks are silently discarded. `delay` (injected by the fault
-/// layer) holds a message for the given duration before it becomes
+/// Sends are buffered (MPI eager protocol): they never wait for a
+/// matching receive, only — on TCP, past the socket buffers — for the
+/// receiver to read, and a send that waits keeps receiving meanwhile.
+/// Sends to dead ranks are silently discarded. `delay` (injected by the
+/// fault layer) holds a message for the given duration before it becomes
 /// receivable.
 pub trait Transport: Send {
     /// This rank's id.
@@ -81,28 +84,68 @@ pub trait Transport: Send {
 /// Key of a pending message: (source rank, tag).
 type MsgKey = (usize, u64);
 
-/// A buffered message; `deliver_at` is in the future for delayed sends.
+/// A buffered message; delayed sends carry the instant they mature.
 struct Envelope {
-    deliver_at: Instant,
+    deliver_at: Option<Instant>,
     payload: Vec<u8>,
 }
 
+/// Who may read the socket a peer's messages arrive on (TCP backend).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Nobody is reading it: the next thread that needs it takes it.
+    Free,
+    /// One thread is reading it; the others wait on the mailbox signal.
+    Taken,
+    /// Nothing more will arrive on it: there is no socket (the thread
+    /// backend, our own rank), or its end has been read.
+    Closed,
+}
+
+/// What [`Mailbox::next`] tells a receiver to do.
+pub(crate) enum Next {
+    /// The message.
+    Deliver(Vec<u8>),
+    /// The caller now holds the peer's read slot. It reads until the
+    /// instant (`None`: only what is ready now) and hands the slot back
+    /// with [`Mailbox::release`].
+    Read(Option<Instant>),
+}
+
+/// What the mailbox lock guards.
+struct Inbox {
+    queues: HashMap<MsgKey, VecDeque<Envelope>>,
+    /// Read slot per peer.
+    slots: Vec<Slot>,
+    /// Threads parked on the signal; a change nobody waits for wakes
+    /// nobody.
+    waiters: usize,
+}
+
 /// One rank's mailbox: per-`(peer, tag)` FIFO queues, the rank's view of
-/// which peers are dead, and one wakeup signal for both. Every backend
-/// holds one per rank — the thread cluster shares them all so a send is a
-/// push into the destination's, the TCP transport feeds its own from
-/// per-peer reader threads.
+/// which peers are dead, who is reading which peer's socket, and one
+/// wakeup signal for all three. Every backend holds one per rank — the
+/// thread cluster shares them all so a send is a push into the
+/// destination's; the TCP transport's receiving threads fill their own.
 pub struct Mailbox {
-    queues: Mutex<HashMap<MsgKey, VecDeque<Envelope>>>,
+    inbox: Mutex<Inbox>,
     signal: Condvar,
     dead: Vec<AtomicBool>,
 }
 
 impl Mailbox {
-    /// The mailbox of one rank of a `size`-rank cluster, everyone alive.
-    pub(crate) fn new(size: usize) -> Self {
+    /// The mailbox of one rank of a `size`-rank cluster, everyone alive,
+    /// with a socket to read behind each peer in `sockets`.
+    pub(crate) fn new(size: usize, sockets: impl Fn(usize) -> bool) -> Self {
+        let slots = (0..size)
+            .map(|r| if sockets(r) { Slot::Free } else { Slot::Closed })
+            .collect();
         Mailbox {
-            queues: Mutex::default(),
+            inbox: Mutex::new(Inbox {
+                queues: HashMap::new(),
+                slots,
+                waiters: 0,
+            }),
             signal: Condvar::new(),
             dead: (0..size).map(|_| AtomicBool::new(false)).collect(),
         }
@@ -111,15 +154,45 @@ impl Mailbox {
     /// Enqueue a message from `from`, receivable once `delay` has passed,
     /// and wake any waiter.
     pub(crate) fn push(&self, from: usize, tag: u64, payload: Vec<u8>, delay: Duration) {
-        let deliver_at = Instant::now() + delay;
-        lock(&self.queues)
-            .entry((from, tag))
-            .or_default()
-            .push_back(Envelope {
-                deliver_at,
-                payload,
-            });
-        self.signal.notify_all();
+        self.stash(from, [(tag, payload, delay)]);
+    }
+
+    /// [`Self::push`] for a batch of messages from one peer, in order.
+    pub(crate) fn stash(
+        &self,
+        from: usize,
+        frames: impl IntoIterator<Item = (u64, Vec<u8>, Duration)>,
+    ) {
+        let mut inbox = lock(&self.inbox);
+        Self::enqueue(&mut inbox, from, frames);
+        self.wake(inbox);
+    }
+
+    fn enqueue(
+        inbox: &mut Inbox,
+        from: usize,
+        frames: impl IntoIterator<Item = (u64, Vec<u8>, Duration)>,
+    ) {
+        for (tag, payload, delay) in frames {
+            inbox
+                .queues
+                .entry((from, tag))
+                .or_default()
+                .push_back(Envelope {
+                    deliver_at: (!delay.is_zero()).then(|| Instant::now() + delay),
+                    payload,
+                });
+        }
+    }
+
+    /// Release the lock, then wake every waiter if there is one. A waiter
+    /// woken under the lock would only block on it again.
+    fn wake(&self, inbox: MutexGuard<'_, Inbox>) {
+        let waiting = inbox.waiters > 0;
+        drop(inbox);
+        if waiting {
+            self.signal.notify_all();
+        }
     }
 
     /// Whether this rank knows `rank` to be dead.
@@ -130,26 +203,29 @@ impl Mailbox {
     /// Record that `rank` died and wake every waiter, so receives from the
     /// corpse fail fast. Idempotent.
     ///
-    /// The flag flips under the queue lock, so a receiver is either
-    /// before its liveness check or already parked on the signal — the
-    /// wakeup cannot fall between the two.
+    /// The flag flips under the lock, so a receiver is either before its
+    /// liveness check or already counted among the waiters — the wakeup
+    /// cannot fall between the two.
     pub(crate) fn mark_dead(&self, rank: usize) {
-        let _queues = lock(&self.queues);
+        let inbox = lock(&self.inbox);
         self.dead[rank].store(true, Ordering::SeqCst);
-        self.signal.notify_all();
+        self.wake(inbox);
     }
 
-    /// Pop the first deliverable message of `key`. A queue goes with its
-    /// last message: every exchange round and collective generation uses
-    /// a fresh tag, so a drained queue left in the map would never be
-    /// used again and the map would grow with the length of the run.
+    /// Pop the first message of `key` deliverable at `cutoff`. A queue
+    /// goes with its last message: every exchange round and collective
+    /// generation uses a fresh tag, so a drained queue left in the map
+    /// would never be used again and the map would grow with the length
+    /// of the run.
     fn pop_ready(
         queues: &mut HashMap<MsgKey, VecDeque<Envelope>>,
         key: MsgKey,
-        now: Instant,
+        cutoff: Instant,
     ) -> Option<Vec<u8>> {
         let q = queues.get_mut(&key)?;
-        let pos = q.iter().position(|m| m.deliver_at <= now)?;
+        let pos = q
+            .iter()
+            .position(|m| m.deliver_at.is_none_or(|t| t <= cutoff))?;
         let payload = q.remove(pos).expect("position just found").payload;
         if q.is_empty() {
             queues.remove(&key);
@@ -157,42 +233,115 @@ impl Mailbox {
         Some(payload)
     }
 
-    /// Blocking take with a deadline; semantics of
-    /// [`Transport::recv_timeout`].
+    /// One step of a receive of `(from, tag)` due by `deadline`: the
+    /// message if it is here, the read slot of `from` if it is free, or
+    /// else a wait on the signal until one of those or the deadline.
+    /// `probed` says the caller has already read the socket once; after
+    /// the deadline the slot is only handed out to a caller that has not.
+    /// A peer marked dead before its socket's end was read (a failed
+    /// write) is read once more, for whatever it sent before dying.
+    ///
+    /// # Errors
+    /// Those of [`Transport::recv_timeout`].
+    pub(crate) fn next(
+        &self,
+        from: usize,
+        tag: u64,
+        deadline: Instant,
+        probed: bool,
+    ) -> Result<Next, CommError> {
+        let mut inbox = lock(&self.inbox);
+        loop {
+            // A delayed message that matures after the deadline misses
+            // this receive, however late the thread gets to look.
+            let now = Instant::now();
+            let cutoff = now.min(deadline);
+            if let Some(payload) = Self::pop_ready(&mut inbox.queues, (from, tag), cutoff) {
+                return Ok(Next::Deliver(payload));
+            }
+            let earliest_delayed = inbox
+                .queues
+                .get(&(from, tag))
+                .and_then(|q| q.iter().filter_map(|m| m.deliver_at).min());
+            let wake_at = earliest_delayed.map_or(deadline, |t| t.min(deadline));
+            let dead = self.is_dead(from);
+            let read = match inbox.slots[from] {
+                Slot::Free if dead => Some(None),
+                Slot::Free if now < deadline => Some(Some(wake_at)),
+                Slot::Free if !probed => Some(None),
+                Slot::Closed if dead && earliest_delayed.is_none() => {
+                    return Err(CommError::RankDead(from));
+                }
+                _ => None,
+            };
+            if let Some(until) = read {
+                inbox.slots[from] = Slot::Taken;
+                return Ok(Next::Read(until));
+            }
+            if now >= deadline {
+                return Err(CommError::Timeout { from, tag });
+            }
+            // Sleep until whichever comes first: the deadline or the
+            // moment a delayed message matures. Arrivals, released slots
+            // and death notices wake every waiter, so re-check on every
+            // wakeup.
+            let nap = wake_at
+                .saturating_duration_since(now)
+                .max(Duration::from_millis(1));
+            inbox.waiters += 1;
+            inbox = self
+                .signal
+                .wait_timeout(inbox, nap)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            inbox.waiters -= 1;
+        }
+    }
+
+    /// Take the read slot of every peer whose socket nobody is reading.
+    pub(crate) fn claim_free(&self) -> Vec<usize> {
+        let mut inbox = lock(&self.inbox);
+        let free: Vec<usize> = (0..inbox.slots.len())
+            .filter(|&r| inbox.slots[r] == Slot::Free)
+            .collect();
+        free.iter().for_each(|&r| inbox.slots[r] = Slot::Taken);
+        free
+    }
+
+    /// Take `from`'s read slot if nobody is reading its socket.
+    pub(crate) fn claim(&self, from: usize) -> bool {
+        let mut inbox = lock(&self.inbox);
+        let free = inbox.slots[from] == Slot::Free;
+        if free {
+            inbox.slots[from] = Slot::Taken;
+        }
+        free
+    }
+
+    /// Hand back `from`'s read slot with the frames read under it, in
+    /// order. `closed`: the socket's end was read, so `from` is dead —
+    /// marked only now, after every frame read before the end is queued.
+    pub(crate) fn release(&self, from: usize, frames: Vec<(u64, Vec<u8>, Duration)>, closed: bool) {
+        let mut inbox = lock(&self.inbox);
+        Self::enqueue(&mut inbox, from, frames);
+        inbox.slots[from] = if closed { Slot::Closed } else { Slot::Free };
+        if closed {
+            self.dead[from].store(true, Ordering::SeqCst);
+        }
+        self.wake(inbox);
+    }
+
+    /// Blocking take with a deadline, for a mailbox with no socket
+    /// behind it; semantics of [`Transport::recv_timeout`].
     fn take_deadline(
         &self,
         from: usize,
         tag: u64,
         timeout: Duration,
     ) -> Result<Vec<u8>, CommError> {
-        let deadline = Instant::now() + timeout;
-        let mut queues = lock(&self.queues);
-        loop {
-            let now = Instant::now();
-            if let Some(payload) = Self::pop_ready(&mut queues, (from, tag), now) {
-                return Ok(payload);
-            }
-            let earliest_delayed = queues
-                .get(&(from, tag))
-                .and_then(|q| q.iter().map(|m| m.deliver_at).min());
-            if earliest_delayed.is_none() && self.is_dead(from) {
-                return Err(CommError::RankDead(from));
-            }
-            if now >= deadline {
-                return Err(CommError::Timeout { from, tag });
-            }
-            // Sleep until whichever comes first: the deadline or the
-            // moment a delayed message matures. Death notices wake every
-            // waiter, so re-check on every wakeup.
-            let nap = earliest_delayed
-                .map_or(deadline, |t| t.min(deadline))
-                .saturating_duration_since(now)
-                .max(Duration::from_millis(1));
-            queues = self
-                .signal
-                .wait_timeout(queues, nap)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+        match self.next(from, tag, Instant::now() + timeout, true)? {
+            Next::Deliver(payload) => Ok(payload),
+            Next::Read(_) => unreachable!("no socket behind this mailbox"),
         }
     }
 }
@@ -201,7 +350,7 @@ impl Mailbox {
 impl Mailbox {
     /// Number of `(peer, tag)` queues currently holding messages.
     pub(crate) fn pending_queues(&self) -> usize {
-        lock(&self.queues).len()
+        lock(&self.inbox).queues.len()
     }
 }
 

@@ -1,7 +1,11 @@
 //! Integration tests of the TCP transport: the same cluster semantics as
 //! the thread backend, exercised over real loopback sockets (rendezvous,
-//! framing, reader threads, death by disconnect). The death-handling
-//! cases are rank programs generic over the backend and run on both.
+//! framing, death by disconnect). No thread reads a socket but one that
+//! waits: a receive reads its peer's socket itself, threads that share a
+//! transport take turns at it, and a send that would block reads every
+//! peer's while it waits — which the large-message and shared-transport
+//! cases below pin. The cases that the API allows are rank programs
+//! generic over the backend and run on both.
 
 use std::time::{Duration, Instant};
 
@@ -248,4 +252,132 @@ fn oversize_frame_header_is_connection_death_not_an_allocation() {
     assert_eq!(after_bogus, Err(CommError::RankDead(1)));
     assert!(!alive);
     drop(mesh);
+}
+
+/// A deterministic payload of `len` bytes, different for each `seed`.
+fn payload(seed: usize, len: usize) -> Vec<u8> {
+    let block: Vec<u8> = (0..=255u8)
+        .map(|b| b.wrapping_mul(31) ^ seed as u8)
+        .collect();
+    let mut bytes = Vec::with_capacity(len + block.len());
+    while bytes.len() < len {
+        bytes.extend_from_slice(&block);
+    }
+    bytes.truncate(len);
+    bytes
+}
+
+/// Every rank sends more than the socket buffers hold before it
+/// receives anything: two ranks 16 MiB each way, then a 3-rank ring of
+/// 8 MiB per hop. A send that waited for its receiver without reading
+/// its own incoming bytes would hang here.
+#[test]
+fn sends_larger_than_the_socket_buffers_complete_before_any_receive() {
+    fn ring<T: Transport>(comm: Communicator<T>, len: usize) -> bool {
+        let (me, size) = (comm.rank(), comm.size());
+        let (next, prev) = ((me + 1) % size, (me + size - 1) % size);
+        comm.send(next, 4, payload(me, len));
+        comm.recv_timeout(prev, 4, PATIENCE) == Ok(payload(prev, len))
+    }
+    for (size, len) in [(2, 16 << 20), (3, 8 << 20)] {
+        assert!(ThreadCluster::run(size, |comm| ring(comm, len))
+            .into_iter()
+            .all(|ok| ok));
+        for outcome in TcpCluster::run_loopback(size, FaultPlan::none(), |comm| ring(comm, len)) {
+            assert_eq!(outcome.completed(), Some(true), "{size} ranks over TCP");
+        }
+    }
+}
+
+/// Rank 0 waits for rank 1, which waits for rank 2, which first sends
+/// rank 0 more than the socket buffers hold. A receive that read only
+/// the socket of the peer it waits for would leave the three waiting on
+/// each other forever; one that has waited a while reads every socket.
+#[test]
+fn a_waiting_receive_reads_a_peer_blocked_sending_to_it() {
+    fn body<T: Transport>(comm: Communicator<T>) -> bool {
+        const BIG: usize = 16 << 20;
+        match comm.rank() {
+            0 => {
+                let relayed = comm.recv_timeout(1, 3, PATIENCE);
+                relayed == Ok(vec![2]) && comm.recv_timeout(2, 1, PATIENCE) == Ok(payload(2, BIG))
+            }
+            1 => {
+                let token = comm.recv_timeout(2, 2, PATIENCE).unwrap();
+                comm.send(0, 3, token);
+                true
+            }
+            _ => {
+                comm.send(0, 1, payload(2, BIG));
+                comm.send(1, 2, vec![2]);
+                true
+            }
+        }
+    }
+    assert!(ThreadCluster::run(3, body).into_iter().all(|ok| ok));
+    for outcome in TcpCluster::run_loopback(3, FaultPlan::none(), body) {
+        assert_eq!(outcome.completed(), Some(true));
+    }
+}
+
+/// Eight threads share rank 0's transport, as the router's workers do,
+/// and each waits for a tag of its own from rank 1, which answers in
+/// reverse order and then exits. Every thread gets its own message, and
+/// its next receive fails with `RankDead(1)` long before its deadline.
+#[test]
+fn threads_sharing_a_transport_each_get_their_own_message_then_the_death() {
+    const THREADS: u64 = 8;
+    const READY: u64 = 100;
+    type Answers = Vec<(
+        Result<Vec<u8>, CommError>,
+        Result<Vec<u8>, CommError>,
+        Duration,
+    )>;
+    fn body<T: Transport + Sync>(comm: Communicator<T>) -> Answers {
+        let transport = comm.transport();
+        if comm.rank() == 1 {
+            for i in 0..THREADS {
+                transport.recv_timeout(0, READY + i, PATIENCE).unwrap();
+            }
+            // Let every asker park in its receive before the answers come.
+            std::thread::sleep(Duration::from_millis(50));
+            for i in (0..THREADS).rev() {
+                transport.send(0, i, vec![i as u8], None);
+            }
+            return Vec::new();
+        }
+        std::thread::scope(|scope| {
+            let askers: Vec<_> = (0..THREADS)
+                .map(|i| {
+                    scope.spawn(move || {
+                        transport.send(1, READY + i, Vec::new(), None);
+                        let answer = transport.recv_timeout(1, i, PATIENCE);
+                        let started = Instant::now();
+                        let after = transport.recv_timeout(1, THREADS + i, PATIENCE);
+                        (answer, after, started.elapsed())
+                    })
+                })
+                .collect();
+            askers.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+    for outcomes in [
+        ThreadCluster::run_with_faults(2, FaultPlan::none(), body),
+        TcpCluster::run_loopback(2, FaultPlan::none(), body),
+    ] {
+        let results = outcomes
+            .into_iter()
+            .next()
+            .unwrap()
+            .completed()
+            .expect("rank 0");
+        for (i, (answer, after, waited)) in results.into_iter().enumerate() {
+            assert_eq!(answer, Ok(vec![i as u8]), "thread {i}");
+            assert_eq!(after, Err(CommError::RankDead(1)), "thread {i}");
+            assert!(
+                waited < Duration::from_secs(10),
+                "thread {i} waited {waited:?}"
+            );
+        }
+    }
 }

@@ -47,9 +47,8 @@
 //! diagram.
 
 #![warn(missing_docs)]
-// The only unsafe in the crate is the scoped three-line poll(2) FFI
-// binding in `reactor::sys`.
-#![deny(unsafe_code)]
+// The reactor's poll(2) binding lives in dt-hpc (`dt_hpc::sys`).
+#![forbid(unsafe_code)]
 
 pub mod api;
 pub mod artifact;

@@ -30,9 +30,8 @@
 //! deadlines (`503` when stale), and handler panics are contained
 //! (`500`).
 //!
-//! This module owns the crate's only `unsafe` code: the three-line FFI
-//! binding to `poll(2)` in the private `sys` module — `std` links libc
-//! on every Unix target, so no external crate is needed.
+//! `poll(2)` itself is [`dt_hpc::sys`], the workspace's one binding to
+//! it, which the TCP transport shares.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -46,6 +45,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dt_hpc::sys::{poll_fds, PollFd, POLLIN, POLLOUT};
 use dt_hpc::{TcpTransport, Transport};
 use dt_telemetry::MetricsRegistry;
 
@@ -55,63 +55,6 @@ use crate::http::{
 use crate::server::{ServeConfig, ServeHandle};
 use crate::shard::encode_response;
 use crate::ServeError;
-
-/// The three-line `poll(2)` binding. `#![deny(unsafe_code)]` holds for
-/// the rest of the crate; this module carries the single scoped allow.
-mod sys {
-    #![allow(unsafe_code)]
-
-    use std::ffi::{c_int, c_ulong};
-    use std::io;
-    use std::os::unix::io::RawFd;
-
-    /// Readable (POSIX `POLLIN`).
-    pub const POLLIN: i16 = 0x001;
-    /// Writable (POSIX `POLLOUT`).
-    pub const POLLOUT: i16 = 0x004;
-
-    /// Mirror of C `struct pollfd` (`<poll.h>`).
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        /// File descriptor to watch.
-        pub fd: RawFd,
-        /// Requested events.
-        pub events: i16,
-        /// Returned events (`POLLERR`/`POLLHUP`/`POLLNVAL` may appear
-        /// even when unrequested).
-        pub revents: i16,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-    }
-
-    /// Block until an fd is ready or `timeout_ms` elapses. `EINTR` is
-    /// reported as zero ready fds — the caller's loop just re-polls.
-    pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-        // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
-        // pollfd records, valid for the whole call; the kernel writes
-        // only the `revents` fields.
-        let rc = unsafe {
-            poll(
-                fds.as_mut_ptr(),
-                fds.len() as c_ulong,
-                c_int::from(timeout_ms),
-            )
-        };
-        if rc < 0 {
-            let e = io::Error::last_os_error();
-            if e.kind() == io::ErrorKind::Interrupted {
-                return Ok(0);
-            }
-            return Err(e);
-        }
-        Ok(rc as usize)
-    }
-}
-
-use sys::{poll_fds, PollFd, POLLIN, POLLOUT};
 
 /// What the engine serves: one request in, one response out, plus the
 /// drain flag and the counter registry. [`crate::api::AppState`] (a

@@ -250,23 +250,6 @@ impl DosEstimate {
         self.ln_g[bin] += ln_f;
     }
 
-    /// Shift all values so the minimum over `mask`-true bins is zero.
-    /// With no mask, uses all bins.
-    pub fn normalize_min(&mut self, mask: Option<&[bool]>) {
-        let min = self
-            .ln_g
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| mask.is_none_or(|m| m[i]))
-            .map(|(_, &v)| v)
-            .fold(f64::INFINITY, f64::min);
-        if min.is_finite() {
-            for v in &mut self.ln_g {
-                *v -= min;
-            }
-        }
-    }
-
     /// Shift all values so `ln Σ_bins g(E) = ln_total` over `mask`-true
     /// bins — e.g. to impose the exact total configuration count
     /// `ln Σ g = ln(N!/Π N_a!)`.
@@ -375,12 +358,9 @@ mod tests {
     }
 
     #[test]
-    fn dos_normalize_min_and_total() {
+    fn dos_normalize_total() {
         let grid = EnergyGrid::new(0.0, 3.0, 3);
         let mut dos = DosEstimate::from_parts(grid, vec![5.0, 7.0, 6.0]);
-        dos.normalize_min(None);
-        assert_eq!(dos.ln_g(), &[0.0, 2.0, 1.0]);
-
         // Impose ln Σ g = ln 100.
         dos.normalize_total(100.0f64.ln(), None);
         let total: f64 = dos.ln_g().iter().map(|&v| v.exp()).sum();

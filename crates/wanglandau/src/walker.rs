@@ -274,8 +274,8 @@ impl WlWalker {
         self.rt_leg_start = Some(Instant::now());
     }
 
-    /// First-passage / round-trip statistics accumulated since birth,
-    /// restore, or the last [`WlWalker::reset_round_trip_stats`].
+    /// First-passage / round-trip statistics accumulated since birth or
+    /// restore.
     pub fn round_trip_stats(&self) -> RoundTripStats {
         RoundTripStats {
             crossings: self.rt_crossings,
@@ -283,20 +283,6 @@ impl WlWalker {
             pending_moves: self.total_moves - self.rt_leg_start_moves,
             crossing_ns: self.rt_crossing_ns,
         }
-    }
-
-    /// Clear round-trip statistics — used when the walker is reassigned
-    /// to a different window, where old-window legs are meaningless.
-    pub fn reset_round_trip_stats(&mut self) {
-        self.rt_last_boundary = 0;
-        self.rt_crossings = 0;
-        self.rt_crossing_moves = 0;
-        self.rt_leg_start_moves = self.total_moves;
-        // The explored-extreme boundaries are NOT reset: they mirror the
-        // histogram's ever-visited mask (which has no reset), so a
-        // checkpoint taken after a reset still restores exactly.
-        self.rt_crossing_ns = 0;
-        self.rt_leg_start = None;
     }
 
     /// One sweep = `num_sites` proposals.
@@ -747,14 +733,6 @@ mod tests {
         assert_eq!(rt2.crossing_moves, rt.crossing_moves);
         assert_eq!(rt2.pending_moves, rt.pending_moves);
         assert_eq!(rt2.crossing_ns, 0);
-        // A reset clears the counters and restarts the pending leg.
-        let mut w2 = w;
-        w2.reset_round_trip_stats();
-        let rt3 = w2.round_trip_stats();
-        assert_eq!(
-            (rt3.crossings, rt3.crossing_moves, rt3.pending_moves),
-            (0, 0, 0)
-        );
     }
 
     #[test]

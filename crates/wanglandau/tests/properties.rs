@@ -72,27 +72,21 @@ proptest! {
     }
 
     /// DOS normalization: `normalize_total` imposes the requested total
-    /// and `normalize_min` zeroes the minimum, for any ln g values.
+    /// and keeps the shape, for any ln g values.
     #[test]
     fn dos_normalizations(
         ln_g in proptest::collection::vec(-50.0f64..50.0, 2..30),
         ln_total in -10.0f64..20.0,
     ) {
         let grid = EnergyGrid::new(0.0, 1.0, ln_g.len());
-        let mut dos = DosEstimate::from_parts(grid.clone(), ln_g.clone());
+        let mut dos = DosEstimate::from_parts(grid, ln_g.clone());
         dos.normalize_total(ln_total, None);
         let total: f64 = dos.ln_g().iter().map(|&v| v.exp()).sum();
         prop_assert!((total.ln() - ln_total).abs() < 1e-9);
-
-        let mut dos2 = DosEstimate::from_parts(grid, ln_g.clone());
-        dos2.normalize_min(None);
-        let min = dos2.ln_g().iter().copied().fold(f64::INFINITY, f64::min);
-        prop_assert!(min.abs() < 1e-12);
-        // Shape (differences) preserved by both normalizations.
+        // Shape (differences) preserved.
         for w in 0..ln_g.len() - 1 {
             let orig = ln_g[w + 1] - ln_g[w];
             prop_assert!((dos.ln_g()[w + 1] - dos.ln_g()[w] - orig).abs() < 1e-9);
-            prop_assert!((dos2.ln_g()[w + 1] - dos2.ln_g()[w] - orig).abs() < 1e-9);
         }
     }
 }
