@@ -85,8 +85,8 @@ const FLAGS: &[Flag] = &[
     Flag { modes: RUN | SERVE, name: cluster::RENDEZVOUS_FLAG, metavar: "HOST:PORT", default: "", help: "" },
     Flag { modes: SERVE, name: SHARD_RANK_FLAG, metavar: "R", default: "", help: "" },
     Flag { modes: SERVE | ROUTE, name: "--addr", metavar: "HOST:PORT", default: "127.0.0.1:8080", help: "listen address" },
-    Flag { modes: SERVE | ROUTE, name: "--serve-workers", metavar: "N", default: "4", help: "worker threads" },
-    Flag { modes: SERVE | ROUTE, name: "--queue-depth", metavar: "N", default: "128", help: "bounded admission queue" },
+    Flag { modes: SERVE, name: "--serve-workers", metavar: "N", default: "4", help: "worker threads" },
+    Flag { modes: SERVE | ROUTE, name: "--queue-depth", metavar: "N", default: "128", help: "bounded admission queue (a router: requests in flight to its shards)" },
     Flag { modes: SERVE | ROUTE | SHARD, name: "--cache", metavar: "N", default: "256", help: "/v1/thermo LRU cache entries" },
     Flag { modes: SERVE | SHARD, name: "--registry", metavar: "DIR", default: "deepthermo-registry", help: "artifact registry to load" },
     Flag { modes: SERVE, name: "--shards", metavar: "N", default: "0", help: "boot a fleet: this process becomes the router and re-executes itself as N shard processes, each owning a disjoint hash-ring slice of the registry; 0 = single server" },
@@ -160,11 +160,12 @@ fn load_registry(args: &Args) -> Result<ArtifactRegistry, DeepThermoError> {
     Ok(registry)
 }
 
-/// The HTTP front-door configuration shared by `serve` and `route`.
+/// The HTTP front-door configuration shared by `serve` and `route`. A
+/// router has no workers: `serve --shards N` passes `--serve-workers` on
+/// to its shard processes.
 fn serve_config(args: &Args) -> Result<ServeConfig, DeepThermoError> {
     Ok(ServeConfig {
         addr: args.get("--addr")?,
-        workers: args.get("--serve-workers")?,
         queue_depth: args.get("--queue-depth")?,
         cache_capacity: args.get("--cache")?,
         ..ServeConfig::default()
@@ -184,11 +185,12 @@ fn print_serve_stats(stats: &ServeStats) {
 
 fn serve(args: &Args) -> Result<(), DeepThermoError> {
     let shards: usize = args.get("--shards")?;
-    let config = serve_config(args)?;
+    let mut config = serve_config(args)?;
     let registry = load_registry(args)?;
     if shards > 0 {
         return serve_fleet(&registry, shards, config);
     }
+    config.workers = args.get("--serve-workers")?;
     let loaded: Vec<String> = registry.ids().iter().map(|s| s.to_string()).collect();
     let handle = Server::start(registry, config)?;
     println!(

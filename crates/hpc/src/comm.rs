@@ -13,8 +13,7 @@
 //!   backend sums in the same (rank) order and fails the same way;
 //! - a [`crate::FaultPlan`] can drop or delay specific messages and crash
 //!   ranks at chosen rounds, deterministically;
-//! - every receive has a deadline-bounded form
-//!   ([`Communicator::recv_timeout`], [`Communicator::try_recv`])
+//! - every receive is deadline-bounded ([`Communicator::recv_timeout`]),
 //!   returning [`CommError`] instead of hanging;
 //! - per-rank traffic counters ([`Communicator::traffic`]) feed the
 //!   telemetry snapshots.
@@ -272,24 +271,6 @@ impl<T: Transport> Communicator<T> {
         self.transport.send(to, tag, data, delay);
     }
 
-    /// Non-blocking receive: `Ok(Some(..))` if a deliverable message is
-    /// queued, `Ok(None)` if not.
-    ///
-    /// # Errors
-    /// [`CommError::RankDead`] if `from` is dead with nothing in flight.
-    pub fn try_recv(&self, from: usize, tag: u64) -> Result<Option<Vec<u8>>, CommError> {
-        // A deadline that has already passed: the receive takes what is
-        // deliverable now, and its timeout means nothing was.
-        match self.transport.recv_timeout(from, tag, Duration::ZERO) {
-            Ok(payload) => {
-                self.count_recv(payload.len());
-                Ok(Some(payload))
-            }
-            Err(CommError::Timeout { .. }) => Ok(None),
-            Err(e) => Err(self.count_recv_error(e)),
-        }
-    }
-
     /// Blocking receive with a deadline. Already-buffered messages from a
     /// dead sender are still delivered first.
     ///
@@ -524,24 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_is_nonblocking() {
-        let results = ThreadCluster::run(2, |comm| {
-            if comm.rank() == 0 {
-                // The peer sends only after the barrier, so this poll
-                // finds nothing — and returns instead of waiting.
-                let empty = comm.try_recv(1, 5);
-                comm.barrier().unwrap();
-                (empty, comm.recv_timeout(1, 5, PATIENCE))
-            } else {
-                comm.barrier().unwrap();
-                comm.send(0, 5, vec![42]);
-                (Ok(None), Ok(vec![]))
-            }
-        });
-        assert_eq!(results[0], (Ok(None), Ok(vec![42])));
-    }
-
-    #[test]
     fn dropped_message_surfaces_timeout_not_hang() {
         let plan = FaultPlan::none().drop_message(1, 0, 0);
         let started = Instant::now();
@@ -768,7 +731,8 @@ mod tests {
                 // so after this barrier message `i` is there or was eaten.
                 comm.barrier().unwrap();
                 if comm.rank() == 0 {
-                    arrived.push(comm.try_recv(1, 10 + i).unwrap().is_some());
+                    // A deadline already passed takes only what is there.
+                    arrived.push(comm.recv_timeout(1, 10 + i, Duration::ZERO).is_ok());
                 }
             }
             (arrived, comm.traffic())

@@ -29,47 +29,41 @@
 //!
 //! ## Receiving
 //!
-//! No thread reads a socket but one that waits for a message from it,
-//! and the transport spawns no thread: a TCP rank is one thread (plus
-//! whatever threads its program shares the transport with). A receive of
+//! A TCP transport belongs to one thread, and it spawns none: a TCP rank
+//! is one thread, which reads its sockets itself. A receive of
 //! `(from, tag)` takes the message from the [`Mailbox`] if it is there.
-//! Otherwise it takes `from`'s *read slot* and reads that socket itself,
-//! into a per-peer buffer, until its frame comes or its deadline passes
-//! (a blocking `read(2)` bounded by `SO_RCVTIMEO`). Frames for other
-//! tags go to the mailbox on the way, for the threads waiting on them. A
-//! frame cut short by the deadline stays in the buffer for the next
-//! read. Threads that find the slot taken wait on the mailbox's signal;
-//! the slot changes hands under the mailbox lock, so whoever needs it
-//! next takes it the moment it is released. One message is one wake-up:
-//! the sender's write wakes the receiving thread itself. A receive that
-//! has waited 20 ms alone reads every socket nobody else is reading for
-//! as long, then its own again, and so on: a peer blocked sending to us
-//! while the peer we wait for waits on it must not deadlock the three.
+//! Otherwise it reads `from`'s socket through that peer's
+//! [`FrameDecoder`] until its frame comes or its deadline passes (a
+//! blocking `read(2)` bounded by `SO_RCVTIMEO`), queueing frames for
+//! other tags on the way. A frame cut short by the deadline stays in the
+//! decoder for the next read. A receive that has waited 20 ms on its own
+//! peer reads every socket for as long, then its own again, and so on: a
+//! peer blocked sending to us while the peer we wait for waits on it
+//! must not deadlock the three.
 //!
 //! **Death** is the end of a socket: EOF, a broken connection, or a
-//! header that fails its bound. The reader marks the peer dead only
-//! after every frame read before the end is in the mailbox, and that
-//! unblocks pending receives with [`CommError::RankDead`] — process exit
-//! (clean or crashed) is death notification, no extra protocol needed.
-//! Orderly TCP shutdown delivers buffered frames before the EOF, so
-//! messages sent just before a rank exits still arrive. A death is seen
-//! when a socket is read — by a receive or a blocked send, or by
-//! [`Transport::is_alive`], which probes a socket nobody is reading with
-//! a zero-timeout `poll(2)` (the serving router's health check) — or
-//! when a write fails, which marks the peer dead itself.
+//! header that fails its bound. The peer is marked dead only after every
+//! frame read before the end is in the mailbox, and that fails pending
+//! receives with [`CommError::RankDead`] — process exit (clean or
+//! crashed) is death notification, no extra protocol needed. Orderly TCP
+//! shutdown delivers buffered frames before the EOF, so messages sent
+//! just before a rank exits still arrive. A death is seen when a socket
+//! is read — by a receive or a blocked send — or when a write fails,
+//! which reads what the peer sent before it died and marks it dead.
 //!
 //! **Sends drain.** A write that cannot finish — the peer's socket
-//! buffers are full — reads every socket nobody else is reading into the
-//! mailbox while it waits (`poll(2)` for writable or readable). Two
-//! ranks that each send more than the buffers hold before they receive
-//! would otherwise wait on each other forever. Writes wait at most
-//! `SO_SNDTIMEO` before they return; `O_NONBLOCK` is never set, as it
-//! would be on a descriptor that the other direction shares.
+//! buffers are full — reads every socket into the mailbox while it waits
+//! (`poll(2)` for writable or readable). Two ranks that each send more
+//! than the buffers hold before they receive would otherwise wait on
+//! each other forever. Writes wait at most `SO_SNDTIMEO` before they
+//! return; `O_NONBLOCK` is never set, as it would be on a descriptor that
+//! the other direction shares.
 //!
 //! The mesh is fixed for the life of a run: a dead peer stays dead. Getting
 //! past a death — restarting every rank from the newest complete
 //! checkpoint — is the job of whoever launched the processes.
 
+use std::cell::RefCell;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -176,46 +170,34 @@ fn accept_mesh(
 }
 
 /// A rank's handle to the socket mesh — the TCP backend of [`Transport`].
+/// It belongs to one thread (see the module docs).
 pub struct TcpTransport {
     rank: usize,
     size: usize,
-    /// Filled by this rank's own receiving threads (see the module docs).
+    /// Filled by this rank's own reads (see the module docs).
     mailbox: Mailbox,
     /// One connection per peer (`None` at our own index).
     peers: Vec<Option<Peer>>,
 }
 
-/// One peer's connection. Sends and receives share the socket: sends
-/// take turns on `sending`, and only the holder of the peer's read slot
-/// in the [`Mailbox`] touches `inbound`, so that lock is never contended.
+/// One peer's connection: sends and receives share the socket.
 struct Peer {
     stream: TcpStream,
-    sending: Mutex<()>,
-    inbound: Mutex<Inbound>,
+    inbound: RefCell<Inbound>,
 }
-
-/// A frame off the wire: `(tag, payload, delay)`.
-type Frame = (u64, Vec<u8>, Duration);
 
 /// How long a write waits for buffer space before it returns what it
 /// wrote, so a blocked send gets to read its peers' sockets.
 const SEND_WAIT: Duration = Duration::from_millis(1);
 
 /// How long a receive reads its own peer's socket alone before it reads
-/// every free one for as long (see the module docs). Also the longest
-/// `poll(2)` nap of a blocked send, which holds read slots while it naps.
+/// every one for as long (see the module docs). Also the longest
+/// `poll(2)` nap of a blocked send.
 const NAP: Duration = Duration::from_millis(20);
 
-/// Read size, and the buffer a connection shrinks back to once a larger
+/// Read size, and the buffer a decoder shrinks back to once a larger
 /// frame has gone through.
 const READ_CHUNK: usize = 64 << 10;
-
-// Compile-time proof the transport is shareable across threads; the
-// serving fleet hands one `Arc<TcpTransport>` to every router worker.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<TcpTransport>();
-};
 
 impl TcpTransport {
     /// Join a cluster as worker `rank` by dialing rank 0's rendezvous at
@@ -262,33 +244,87 @@ impl TcpTransport {
         Ok(TcpTransport {
             rank,
             size,
-            mailbox: Mailbox::new(size, |r| peers[r].is_some()),
+            mailbox: Mailbox::new(size),
             peers,
         })
     }
 
-    fn peer(&self, rank: usize) -> &Peer {
-        self.peers[rank].as_ref().expect("a read slot has a socket")
+    /// Hand over the mesh's sockets, one per peer (`None` at our own
+    /// index), as plain blocking sockets, for a program that drives them
+    /// itself: the serving fleet uses the mesh to bootstrap only. Call it
+    /// before any receive, as bytes already read stay behind.
+    ///
+    /// # Errors
+    /// A socket whose timeouts cannot be cleared.
+    pub fn into_streams(mut self) -> io::Result<Vec<Option<TcpStream>>> {
+        std::mem::take(&mut self.peers)
+            .into_iter()
+            .map(|peer| {
+                peer.map(|p| {
+                    p.stream.set_write_timeout(None)?;
+                    p.stream.set_read_timeout(None)?;
+                    Ok(p.stream)
+                })
+                .transpose()
+            })
+            .collect()
     }
 
-    /// Read `from`'s socket under its read slot (see [`Peer::read`]) and
-    /// hand the slot back with what was read; whether a frame tagged
-    /// `want` came. A peer already marked dead by a failed write is read
-    /// to the end of what it holds, and its slot closes with it.
+    fn peer(&self, rank: usize) -> &Peer {
+        self.peers[rank].as_ref().expect("a socket to read")
+    }
+
+    /// Whether `rank`'s socket may still bring something: it exists and
+    /// its end has not been read.
+    fn readable(&self, rank: usize) -> bool {
+        self.peers[rank].is_some() && !self.mailbox.is_dead(rank)
+    }
+
+    /// Read `from`'s socket into the mailbox: until a frame tagged `want`
+    /// is among what came, or until `until` passes (`None`: only what is
+    /// ready now). Whether it came. The socket's end marks `from` dead,
+    /// after every frame read before it is queued.
+    ///
+    /// A header that fails its bound is a corrupt or hostile stream:
+    /// nothing after it can be trusted to be framed, so the connection
+    /// ends there exactly as at EOF — before any buffer is sized from it.
     fn read_peer(&self, from: usize, until: Option<Instant>, want: Option<u64>) -> bool {
-        let (frames, end) = self
-            .peer(from)
-            .read(until, want, |f| self.mailbox.stash(from, f));
-        let came = frames.iter().any(|f| Some(f.0) == want);
-        let closed = end || (until.is_none() && self.mailbox.is_dead(from));
-        self.mailbox.release(from, frames, closed);
-        came
+        let peer = self.peer(from);
+        let mut inbound = peer.inbound.borrow_mut();
+        let mut came = false;
+        loop {
+            loop {
+                match inbound.frames.next_frame() {
+                    Ok(Some(f)) => {
+                        came |= Some(f.tag) == want;
+                        self.mailbox.push(from, f.tag, f.payload, f.delay);
+                    }
+                    Ok(None) => break,
+                    Err(FrameTooLarge) => {
+                        self.mailbox.mark_dead(from);
+                        return came;
+                    }
+                }
+            }
+            if came {
+                return true;
+            }
+            match inbound.fill(&peer.stream, until) {
+                Fill::Bytes => {}
+                Fill::End => {
+                    self.mailbox.mark_dead(from);
+                    return false;
+                }
+                Fill::Nothing if until.is_some_and(|t| Instant::now() < t) => {}
+                Fill::Nothing => return false,
+            }
+        }
     }
 
     /// Write `frame` to `stream` whole. A write that cannot finish reads
-    /// every socket nobody else is reading into the mailbox while it
-    /// waits: two ranks that each send more than the socket buffers hold
-    /// before they receive would otherwise wait on each other forever.
+    /// every socket into the mailbox while it waits: two ranks that each
+    /// send more than the socket buffers hold before they receive would
+    /// otherwise wait on each other forever.
     fn write_frame(&self, stream: &TcpStream, mut frame: &[u8]) -> io::Result<()> {
         while !frame.is_empty() {
             match (&*stream).write(frame) {
@@ -304,18 +340,14 @@ impl TcpTransport {
         Ok(())
     }
 
-    /// Wait up to `nap` for a socket nobody else is reading to have bytes
-    /// (or `writable` to take some), then read what each holds into the
-    /// mailbox.
+    /// Wait up to `nap` for a socket to have bytes (or `writable` to take
+    /// some), then read what each holds into the mailbox.
     fn drain(&self, writable: Option<&TcpStream>, nap: Duration) {
-        let claimed = self.mailbox.claim_free();
-        if claimed.is_empty() && writable.is_none() {
-            return;
-        }
+        let live: Vec<usize> = (0..self.size).filter(|&r| self.readable(r)).collect();
         let mut fds: Vec<PollFd> = writable
             .map(|s| (s, POLLOUT))
             .into_iter()
-            .chain(claimed.iter().map(|&r| (&self.peer(r).stream, POLLIN)))
+            .chain(live.iter().map(|&r| (&self.peer(r).stream, POLLIN)))
             .map(|(s, events)| PollFd {
                 fd: s.as_raw_fd(),
                 events,
@@ -323,8 +355,11 @@ impl TcpTransport {
             })
             .collect();
         let _ = poll_fds(&mut fds, nap.as_millis().max(1) as i32);
-        for from in claimed {
-            self.read_peer(from, None, None);
+        let polled = &fds[usize::from(writable.is_some())..];
+        for (&from, fd) in live.iter().zip(polled) {
+            if fd.revents != 0 {
+                self.read_peer(from, None, None);
+            }
         }
     }
 }
@@ -335,62 +370,15 @@ impl Peer {
         stream.set_write_timeout(Some(SEND_WAIT))?;
         Ok(Peer {
             stream,
-            sending: Mutex::new(()),
-            inbound: Mutex::new(Inbound::default()),
+            inbound: RefCell::new(Inbound::default()),
         })
-    }
-
-    /// Read frames off the socket while holding its read slot: until a
-    /// frame tagged `want` is among them, or until `until` passes
-    /// (`None`: until nothing more is ready). Frames for other receivers
-    /// go to `stash` as they come. Returns the frames not yet stashed and
-    /// whether the socket's end was read.
-    ///
-    /// A header that fails its bound is a corrupt or hostile stream:
-    /// nothing after it can be trusted to be framed, so the connection
-    /// ends there exactly as at EOF — before any buffer is sized from it.
-    fn read(
-        &self,
-        until: Option<Instant>,
-        want: Option<u64>,
-        stash: impl Fn(Vec<Frame>),
-    ) -> (Vec<Frame>, bool) {
-        let mut inbound = lock(&self.inbound);
-        let mut frames = Vec::new();
-        loop {
-            let mut mine = false;
-            loop {
-                match inbound.frame() {
-                    Ok(Some(frame)) => {
-                        mine |= Some(frame.0) == want;
-                        frames.push(frame);
-                    }
-                    Ok(None) => break,
-                    Err(()) => return (frames, true),
-                }
-            }
-            if mine {
-                return (frames, false);
-            }
-            if !frames.is_empty() {
-                stash(std::mem::take(&mut frames));
-            }
-            match inbound.fill(&self.stream, until) {
-                Fill::Bytes => {}
-                Fill::End => return (frames, true),
-                Fill::Nothing if until.is_some_and(|t| Instant::now() < t) => {}
-                Fill::Nothing => return (frames, false),
-            }
-        }
     }
 }
 
-/// Bytes read off one connection and not yet framed: `buf[start..end]`.
-/// A frame cut short by a receive's timeout waits here for its rest.
+/// The receiving half of one connection.
+#[derive(Default)]
 struct Inbound {
-    buf: Vec<u8>,
-    start: usize,
-    end: usize,
+    frames: FrameDecoder,
     /// The `SO_RCVTIMEO` last set on the socket.
     timeout: Option<Duration>,
 }
@@ -403,19 +391,8 @@ enum Fill {
     End,
 }
 
-impl Default for Inbound {
-    fn default() -> Self {
-        Inbound {
-            buf: vec![0; READ_CHUNK],
-            start: 0,
-            end: 0,
-            timeout: None,
-        }
-    }
-}
-
 impl Inbound {
-    /// One `read(2)` into the buffer. With `until` it blocks until bytes
+    /// One `read(2)` into the decoder. With `until` it blocks until bytes
     /// come or `until` passes, bounded by `SO_RCVTIMEO`; with `None` it
     /// reads only when `poll(2)` says bytes (or the end) are ready.
     fn fill(&mut self, stream: &TcpStream, until: Option<Instant>) -> Fill {
@@ -446,15 +423,9 @@ impl Inbound {
                 return Fill::Nothing;
             }
         }
-        if self.end == self.buf.len() {
-            self.make_room(READ_CHUNK);
-        }
-        match (&*stream).read(&mut self.buf[self.end..]) {
+        match self.frames.read_from(stream) {
             Ok(0) => Fill::End,
-            Ok(n) => {
-                self.end += n;
-                Fill::Bytes
-            }
+            Ok(_) => Fill::Bytes,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -466,26 +437,73 @@ impl Inbound {
             Err(_) => Fill::End,
         }
     }
+}
 
-    /// Move the unframed bytes to the front, with room for `extra` more.
-    fn make_room(&mut self, extra: usize) {
-        self.buf.copy_within(self.start..self.end, 0);
-        self.end -= self.start;
-        self.start = 0;
-        if self.buf.len() < self.end + extra {
-            self.buf.resize(self.end + extra, 0);
+/// A frame off the wire.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame {
+    /// The tag it was sent under.
+    pub tag: u64,
+    /// How long the receiver holds it before delivery (fault injection).
+    pub delay: Duration,
+    /// The message.
+    pub payload: Vec<u8>,
+}
+
+/// A frame header naming a payload over [`MAX_FRAME_BYTES`]: a corrupt or
+/// hostile stream, nothing after which can be trusted to be framed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameTooLarge;
+
+/// The one decoder of the frame format (see the module docs), without a
+/// socket: bytes go in through [`Self::read_from`], whole frames come out
+/// of [`Self::next_frame`]. A frame cut short by a read's timeout waits
+/// here for its rest. The TCP transport, the serving router and its
+/// shards each read their sockets through one decoder per connection.
+pub struct FrameDecoder {
+    /// Bytes read and not yet framed: `buf[start..end]`.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl Default for FrameDecoder {
+    fn default() -> Self {
+        FrameDecoder {
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            end: 0,
         }
     }
+}
 
-    /// The next whole frame in the buffer; `Err` for a header that fails
-    /// its bound.
-    fn frame(&mut self) -> Result<Option<Frame>, ()> {
+impl FrameDecoder {
+    /// One `read` from `src` into the buffer; `Ok(0)` is the end of the
+    /// stream.
+    ///
+    /// # Errors
+    /// Those of the read.
+    pub fn read_from(&mut self, mut src: impl Read) -> io::Result<usize> {
+        if self.end == self.buf.len() {
+            self.make_room(READ_CHUNK);
+        }
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// The next whole frame in the buffer, if one is.
+    ///
+    /// # Errors
+    /// [`FrameTooLarge`] for a header over its bound, before any buffer
+    /// is sized from it.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameTooLarge> {
         let unframed = self.end - self.start;
         if unframed < FRAME_HEADER_BYTES {
             return Ok(None);
         }
         let head = &self.buf[self.start..self.start + FRAME_HEADER_BYTES];
-        let (len, tag, delay_us) = decode_frame_header(head).ok_or(())?;
+        let (len, tag, delay_us) = decode_frame_header(head).ok_or(FrameTooLarge)?;
         let whole = FRAME_HEADER_BYTES + len;
         if unframed < whole {
             if self.buf.len() - self.start < whole {
@@ -502,7 +520,21 @@ impl Inbound {
                 self.buf = vec![0; READ_CHUNK];
             }
         }
-        Ok(Some((tag, payload, Duration::from_micros(delay_us))))
+        Ok(Some(Frame {
+            tag,
+            delay: Duration::from_micros(delay_us),
+            payload,
+        }))
+    }
+
+    /// Move the unframed bytes to the front, with room for `extra` more.
+    fn make_room(&mut self, extra: usize) {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.buf.len() < self.end + extra {
+            self.buf.resize(self.end + extra, 0);
+        }
     }
 }
 
@@ -527,10 +559,11 @@ impl Transport for TcpTransport {
             return;
         };
         let frame = encode_frame(tag, delay.as_micros() as u64, &data);
-        let _turn = lock(&peer.sending);
         if self.write_frame(&peer.stream, &frame).is_err() {
-            // A broken connection: the peer is gone. The message is
-            // dropped like any send to the dead.
+            // A broken connection: the peer is gone. What it sent before
+            // is read first; the message is dropped like any send to the
+            // dead.
+            self.read_peer(to, None, None);
             self.mailbox.mark_dead(to);
         }
     }
@@ -539,36 +572,32 @@ impl Transport for TcpTransport {
         &self.mailbox
     }
 
-    /// Probes `rank`'s socket without blocking (unless another thread is
-    /// reading it), so a peer that died since the last receive from it
-    /// is seen.
-    fn is_alive(&self, rank: usize) -> bool {
-        if !self.mailbox.is_dead(rank) && self.mailbox.claim(rank) {
-            self.read_peer(rank, None, None);
-        }
-        !self.mailbox.is_dead(rank)
-    }
-
     fn recv_timeout(&self, from: usize, tag: u64, timeout: Duration) -> Result<Vec<u8>, CommError> {
         let deadline = Instant::now() + timeout;
         let mut probed = false;
         loop {
-            match self.mailbox.next(from, tag, deadline, probed)? {
-                Next::Deliver(payload) => return Ok(payload),
-                Next::Read(until) => {
-                    probed = true;
-                    // `from`'s socket alone for a while, then every free
-                    // one for a while, until the message or `until`.
-                    let alone = until.map(|t| t.min(Instant::now() + NAP));
-                    if !self.read_peer(from, alone, Some(tag)) && alone != until {
-                        let left = until.map_or(Duration::ZERO, |t| {
-                            t.saturating_duration_since(Instant::now())
-                        });
-                        if !left.is_zero() {
-                            self.drain(None, left.min(NAP));
-                        }
-                    }
+            let until = match self.mailbox.next(from, tag, deadline) {
+                Ok(Next::Deliver(payload)) => return Ok(payload),
+                Ok(Next::Wait(until)) => Some(until),
+                // A receive past its deadline still reads once what is
+                // ready.
+                Err(CommError::Timeout { .. }) if !probed => None,
+                Err(e) => return Err(e),
+            };
+            probed = true;
+            // `from`'s socket alone for a while, then every socket for a
+            // while, until the message or `until`.
+            if self.readable(from) {
+                let alone = until.map(|t| t.min(Instant::now() + NAP));
+                if self.read_peer(from, alone, Some(tag)) || alone == until {
+                    continue;
                 }
+            }
+            let left = until.map_or(Duration::ZERO, |t| {
+                t.saturating_duration_since(Instant::now())
+            });
+            if !left.is_zero() {
+                self.drain(None, left.min(NAP));
             }
         }
     }

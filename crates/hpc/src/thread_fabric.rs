@@ -170,7 +170,7 @@ impl ThreadCluster {
         T: Send,
         F: Fn(Communicator<ThreadTransport>) -> T + Sync,
     {
-        let mailboxes: Arc<[Mailbox]> = (0..size).map(|_| Mailbox::new(size, |_| false)).collect();
+        let mailboxes: Arc<[Mailbox]> = (0..size).map(|_| Mailbox::new(size)).collect();
         spawn_ranks(size, |rank| {
             let transport = ThreadTransport {
                 rank,

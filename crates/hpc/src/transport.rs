@@ -11,9 +11,10 @@
 //!   cluster harness announces a departure to every mailbox when a rank
 //!   returns or panics;
 //! * [`crate::TcpTransport`] — real `std::net` loopback sockets with
-//!   length-prefixed frames, one connection per peer pair; the thread
-//!   that waits for a message reads its peer's socket into the rank's
-//!   mailbox itself, and the end of a socket is the death notice.
+//!   length-prefixed frames, one connection per peer pair; the one
+//!   thread a TCP transport belongs to reads its peers' sockets into the
+//!   rank's mailbox itself when it waits for a message, and the end of a
+//!   socket is the death notice.
 //!   Enables true multi-process runs (`deepthermo run --cluster
 //!   tcp:<n>`).
 //!
@@ -63,8 +64,8 @@ pub trait Transport: Send {
     /// This rank's mailbox: what it has been sent, and whom it knows dead.
     fn mailbox(&self) -> &Mailbox;
 
-    /// Whether `rank` is still alive, as far as this rank has seen (the
-    /// serving router's shard-health check).
+    /// Whether `rank` is still alive, as far as this rank has seen: its
+    /// death has not reached this rank's mailbox.
     fn is_alive(&self, rank: usize) -> bool {
         !self.mailbox().is_dead(rank)
     }
@@ -90,43 +91,28 @@ struct Envelope {
     payload: Vec<u8>,
 }
 
-/// Who may read the socket a peer's messages arrive on (TCP backend).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    /// Nobody is reading it: the next thread that needs it takes it.
-    Free,
-    /// One thread is reading it; the others wait on the mailbox signal.
-    Taken,
-    /// Nothing more will arrive on it: there is no socket (the thread
-    /// backend, our own rank), or its end has been read.
-    Closed,
-}
-
-/// What [`Mailbox::next`] tells a receiver to do.
+/// What [`Mailbox::next`] finds for a receiver.
 pub(crate) enum Next {
     /// The message.
     Deliver(Vec<u8>),
-    /// The caller now holds the peer's read slot. It reads until the
-    /// instant (`None`: only what is ready now) and hands the slot back
-    /// with [`Mailbox::release`].
-    Read(Option<Instant>),
+    /// Nothing deliverable yet: look again by this instant (the deadline,
+    /// or sooner when a delayed message for the key matures).
+    Wait(Instant),
 }
 
 /// What the mailbox lock guards.
 struct Inbox {
     queues: HashMap<MsgKey, VecDeque<Envelope>>,
-    /// Read slot per peer.
-    slots: Vec<Slot>,
     /// Threads parked on the signal; a change nobody waits for wakes
     /// nobody.
     waiters: usize,
 }
 
 /// One rank's mailbox: per-`(peer, tag)` FIFO queues, the rank's view of
-/// which peers are dead, who is reading which peer's socket, and one
-/// wakeup signal for all three. Every backend holds one per rank — the
-/// thread cluster shares them all so a send is a push into the
-/// destination's; the TCP transport's receiving threads fill their own.
+/// which peers are dead, and one wakeup signal for both. Every backend
+/// holds one per rank — the thread cluster shares them all so a send is
+/// a push into the destination's; a TCP transport fills its own as it
+/// reads its sockets.
 pub struct Mailbox {
     inbox: Mutex<Inbox>,
     signal: Condvar,
@@ -134,16 +120,11 @@ pub struct Mailbox {
 }
 
 impl Mailbox {
-    /// The mailbox of one rank of a `size`-rank cluster, everyone alive,
-    /// with a socket to read behind each peer in `sockets`.
-    pub(crate) fn new(size: usize, sockets: impl Fn(usize) -> bool) -> Self {
-        let slots = (0..size)
-            .map(|r| if sockets(r) { Slot::Free } else { Slot::Closed })
-            .collect();
+    /// The mailbox of one rank of a `size`-rank cluster, everyone alive.
+    pub(crate) fn new(size: usize) -> Self {
         Mailbox {
             inbox: Mutex::new(Inbox {
                 queues: HashMap::new(),
-                slots,
                 waiters: 0,
             }),
             signal: Condvar::new(),
@@ -154,35 +135,16 @@ impl Mailbox {
     /// Enqueue a message from `from`, receivable once `delay` has passed,
     /// and wake any waiter.
     pub(crate) fn push(&self, from: usize, tag: u64, payload: Vec<u8>, delay: Duration) {
-        self.stash(from, [(tag, payload, delay)]);
-    }
-
-    /// [`Self::push`] for a batch of messages from one peer, in order.
-    pub(crate) fn stash(
-        &self,
-        from: usize,
-        frames: impl IntoIterator<Item = (u64, Vec<u8>, Duration)>,
-    ) {
         let mut inbox = lock(&self.inbox);
-        Self::enqueue(&mut inbox, from, frames);
+        inbox
+            .queues
+            .entry((from, tag))
+            .or_default()
+            .push_back(Envelope {
+                deliver_at: (!delay.is_zero()).then(|| Instant::now() + delay),
+                payload,
+            });
         self.wake(inbox);
-    }
-
-    fn enqueue(
-        inbox: &mut Inbox,
-        from: usize,
-        frames: impl IntoIterator<Item = (u64, Vec<u8>, Duration)>,
-    ) {
-        for (tag, payload, delay) in frames {
-            inbox
-                .queues
-                .entry((from, tag))
-                .or_default()
-                .push_back(Envelope {
-                    deliver_at: (!delay.is_zero()).then(|| Instant::now() + delay),
-                    payload,
-                });
-        }
     }
 
     /// Release the lock, then wake every waiter if there is one. A waiter
@@ -233,60 +195,70 @@ impl Mailbox {
         Some(payload)
     }
 
-    /// One step of a receive of `(from, tag)` due by `deadline`: the
-    /// message if it is here, the read slot of `from` if it is free, or
-    /// else a wait on the signal until one of those or the deadline.
-    /// `probed` says the caller has already read the socket once; after
-    /// the deadline the slot is only handed out to a caller that has not.
-    /// A peer marked dead before its socket's end was read (a failed
-    /// write) is read once more, for whatever it sent before dying.
+    /// What a receive of `(from, tag)` due by `deadline` finds now.
     ///
     /// # Errors
     /// Those of [`Transport::recv_timeout`].
-    pub(crate) fn next(
-        &self,
+    pub(crate) fn next(&self, from: usize, tag: u64, deadline: Instant) -> Result<Next, CommError> {
+        Self::next_in(
+            &mut lock(&self.inbox),
+            self.is_dead(from),
+            from,
+            tag,
+            deadline,
+        )
+    }
+
+    /// [`Self::next`] under the lock; `dead`: `from` is known dead.
+    fn next_in(
+        inbox: &mut Inbox,
+        dead: bool,
         from: usize,
         tag: u64,
         deadline: Instant,
-        probed: bool,
     ) -> Result<Next, CommError> {
+        // A delayed message that matures after the deadline misses this
+        // receive, however late the thread gets to look.
+        let now = Instant::now();
+        if let Some(payload) = Self::pop_ready(&mut inbox.queues, (from, tag), now.min(deadline)) {
+            return Ok(Next::Deliver(payload));
+        }
+        let earliest_delayed = inbox
+            .queues
+            .get(&(from, tag))
+            .and_then(|q| q.iter().filter_map(|m| m.deliver_at).min());
+        if dead && earliest_delayed.is_none() {
+            return Err(CommError::RankDead(from));
+        }
+        if now >= deadline {
+            return Err(CommError::Timeout { from, tag });
+        }
+        Ok(Next::Wait(
+            earliest_delayed.map_or(deadline, |t| t.min(deadline)),
+        ))
+    }
+
+    /// Blocking take with a deadline, for a mailbox that other threads
+    /// fill; semantics of [`Transport::recv_timeout`].
+    fn take_deadline(
+        &self,
+        from: usize,
+        tag: u64,
+        timeout: Duration,
+    ) -> Result<Vec<u8>, CommError> {
+        let deadline = Instant::now() + timeout;
         let mut inbox = lock(&self.inbox);
         loop {
-            // A delayed message that matures after the deadline misses
-            // this receive, however late the thread gets to look.
-            let now = Instant::now();
-            let cutoff = now.min(deadline);
-            if let Some(payload) = Self::pop_ready(&mut inbox.queues, (from, tag), cutoff) {
-                return Ok(Next::Deliver(payload));
-            }
-            let earliest_delayed = inbox
-                .queues
-                .get(&(from, tag))
-                .and_then(|q| q.iter().filter_map(|m| m.deliver_at).min());
-            let wake_at = earliest_delayed.map_or(deadline, |t| t.min(deadline));
-            let dead = self.is_dead(from);
-            let read = match inbox.slots[from] {
-                Slot::Free if dead => Some(None),
-                Slot::Free if now < deadline => Some(Some(wake_at)),
-                Slot::Free if !probed => Some(None),
-                Slot::Closed if dead && earliest_delayed.is_none() => {
-                    return Err(CommError::RankDead(from));
-                }
-                _ => None,
+            let wake_at = match Self::next_in(&mut inbox, self.is_dead(from), from, tag, deadline)?
+            {
+                Next::Deliver(payload) => return Ok(payload),
+                Next::Wait(wake_at) => wake_at,
             };
-            if let Some(until) = read {
-                inbox.slots[from] = Slot::Taken;
-                return Ok(Next::Read(until));
-            }
-            if now >= deadline {
-                return Err(CommError::Timeout { from, tag });
-            }
             // Sleep until whichever comes first: the deadline or the
-            // moment a delayed message matures. Arrivals, released slots
-            // and death notices wake every waiter, so re-check on every
-            // wakeup.
+            // moment a delayed message matures. Arrivals and death
+            // notices wake every waiter, so re-check on every wakeup.
             let nap = wake_at
-                .saturating_duration_since(now)
+                .saturating_duration_since(Instant::now())
                 .max(Duration::from_millis(1));
             inbox.waiters += 1;
             inbox = self
@@ -295,53 +267,6 @@ impl Mailbox {
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
             inbox.waiters -= 1;
-        }
-    }
-
-    /// Take the read slot of every peer whose socket nobody is reading.
-    pub(crate) fn claim_free(&self) -> Vec<usize> {
-        let mut inbox = lock(&self.inbox);
-        let free: Vec<usize> = (0..inbox.slots.len())
-            .filter(|&r| inbox.slots[r] == Slot::Free)
-            .collect();
-        free.iter().for_each(|&r| inbox.slots[r] = Slot::Taken);
-        free
-    }
-
-    /// Take `from`'s read slot if nobody is reading its socket.
-    pub(crate) fn claim(&self, from: usize) -> bool {
-        let mut inbox = lock(&self.inbox);
-        let free = inbox.slots[from] == Slot::Free;
-        if free {
-            inbox.slots[from] = Slot::Taken;
-        }
-        free
-    }
-
-    /// Hand back `from`'s read slot with the frames read under it, in
-    /// order. `closed`: the socket's end was read, so `from` is dead —
-    /// marked only now, after every frame read before the end is queued.
-    pub(crate) fn release(&self, from: usize, frames: Vec<(u64, Vec<u8>, Duration)>, closed: bool) {
-        let mut inbox = lock(&self.inbox);
-        Self::enqueue(&mut inbox, from, frames);
-        inbox.slots[from] = if closed { Slot::Closed } else { Slot::Free };
-        if closed {
-            self.dead[from].store(true, Ordering::SeqCst);
-        }
-        self.wake(inbox);
-    }
-
-    /// Blocking take with a deadline, for a mailbox with no socket
-    /// behind it; semantics of [`Transport::recv_timeout`].
-    fn take_deadline(
-        &self,
-        from: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Vec<u8>, CommError> {
-        match self.next(from, tag, Instant::now() + timeout, true)? {
-            Next::Deliver(payload) => Ok(payload),
-            Next::Read(_) => unreachable!("no socket behind this mailbox"),
         }
     }
 }

@@ -1,11 +1,10 @@
 //! Integration tests of the TCP transport: the same cluster semantics as
 //! the thread backend, exercised over real loopback sockets (rendezvous,
-//! framing, death by disconnect). No thread reads a socket but one that
-//! waits: a receive reads its peer's socket itself, threads that share a
-//! transport take turns at it, and a send that would block reads every
-//! peer's while it waits — which the large-message and shared-transport
-//! cases below pin. The cases that the API allows are rank programs
-//! generic over the backend and run on both.
+//! framing, death by disconnect). A TCP transport belongs to one thread,
+//! which reads its sockets itself: a receive reads its peer's socket, and
+//! a send that would block reads every peer's while it waits — which the
+//! large-message and three-rank cases below pin. The cases that the API
+//! allows are rank programs generic over the backend and run on both.
 
 use std::time::{Duration, Instant};
 
@@ -317,67 +316,5 @@ fn a_waiting_receive_reads_a_peer_blocked_sending_to_it() {
     assert!(ThreadCluster::run(3, body).into_iter().all(|ok| ok));
     for outcome in TcpCluster::run_loopback(3, FaultPlan::none(), body) {
         assert_eq!(outcome.completed(), Some(true));
-    }
-}
-
-/// Eight threads share rank 0's transport, as the router's workers do,
-/// and each waits for a tag of its own from rank 1, which answers in
-/// reverse order and then exits. Every thread gets its own message, and
-/// its next receive fails with `RankDead(1)` long before its deadline.
-#[test]
-fn threads_sharing_a_transport_each_get_their_own_message_then_the_death() {
-    const THREADS: u64 = 8;
-    const READY: u64 = 100;
-    type Answers = Vec<(
-        Result<Vec<u8>, CommError>,
-        Result<Vec<u8>, CommError>,
-        Duration,
-    )>;
-    fn body<T: Transport + Sync>(comm: Communicator<T>) -> Answers {
-        let transport = comm.transport();
-        if comm.rank() == 1 {
-            for i in 0..THREADS {
-                transport.recv_timeout(0, READY + i, PATIENCE).unwrap();
-            }
-            // Let every asker park in its receive before the answers come.
-            std::thread::sleep(Duration::from_millis(50));
-            for i in (0..THREADS).rev() {
-                transport.send(0, i, vec![i as u8], None);
-            }
-            return Vec::new();
-        }
-        std::thread::scope(|scope| {
-            let askers: Vec<_> = (0..THREADS)
-                .map(|i| {
-                    scope.spawn(move || {
-                        transport.send(1, READY + i, Vec::new(), None);
-                        let answer = transport.recv_timeout(1, i, PATIENCE);
-                        let started = Instant::now();
-                        let after = transport.recv_timeout(1, THREADS + i, PATIENCE);
-                        (answer, after, started.elapsed())
-                    })
-                })
-                .collect();
-            askers.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    }
-    for outcomes in [
-        ThreadCluster::run_with_faults(2, FaultPlan::none(), body),
-        TcpCluster::run_loopback(2, FaultPlan::none(), body),
-    ] {
-        let results = outcomes
-            .into_iter()
-            .next()
-            .unwrap()
-            .completed()
-            .expect("rank 0");
-        for (i, (answer, after, waited)) in results.into_iter().enumerate() {
-            assert_eq!(answer, Ok(vec![i as u8]), "thread {i}");
-            assert_eq!(after, Err(CommError::RankDead(1)), "thread {i}");
-            assert!(
-                waited < Duration::from_secs(10),
-                "thread {i} waited {waited:?}"
-            );
-        }
     }
 }

@@ -27,11 +27,13 @@
 //!   engine exits.
 //! * [`Router`] / [`shard`] — the horizontal-scale tier: a router
 //!   consistent-hashes artifact ids ([`HashRing`]) onto N shard
-//!   processes, each owning a disjoint slice of the registry, over the
-//!   `dt-hpc` TCP mesh (rendezvous bootstrap, framed RPC, liveness).
-//!   The router runs the same engine and returns the same
-//!   [`ServeHandle`]; a shard submits forwarded requests to the same
-//!   worker pool, so all three serve with one set of semantics.
+//!   processes, each owning a disjoint slice of the registry,
+//!   bootstrapped over the `dt-hpc` TCP mesh and framed by its codec;
+//!   a shard's liveness is its socket. The router runs the same event
+//!   loop, its shard sockets in the same poll set and no workers, and
+//!   returns the same [`ServeHandle`]; a shard submits forwarded
+//!   requests to the same worker pool, so all three serve with one set
+//!   of semantics.
 //! * [`ResponseCache`] — single-flight LRU response cache for
 //!   `POST /v1/thermo`; `canonical_curve` is pure, so identical
 //!   `(artifact, T-grid)` requests are served from memory, and

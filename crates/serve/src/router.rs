@@ -1,31 +1,44 @@
 //! The router tier: one HTTP front door for a fleet of shards.
 //!
-//! The router runs the same readiness-driven engine as the standalone
-//! server ([`crate::reactor`]) but with a different application behind
-//! it: instead of evaluating thermodynamics locally, it consistent-
-//! hashes the artifact id in each request onto a shard
-//! ([`crate::ring::HashRing`]) and forwards the request over the dt-hpc
-//! mesh (rank 0 = router, ranks `1..=N` = shards; see [`crate::shard`]
-//! for the wire protocol). Fan-out endpoints (`/metrics`,
-//! `/v1/artifacts`, `/v1/shutdown`) query every live shard and merge.
+//! The router runs the same readiness-driven event loop as the
+//! standalone server ([`crate::reactor`]), but with its shard links as
+//! the backend instead of a worker pool: it consistent-hashes the
+//! artifact id in each request onto a shard ([`crate::ring::HashRing`])
+//! and writes the request frame to that shard's socket (rank 0 = router,
+//! ranks `1..=N` = shards; see [`crate::shard`] for the wire protocol).
+//! The shard sockets sit in the reactor's one `poll(2)` set: the router
+//! routes on the reactor thread, writes each frame from a per-link buffer
+//! under `POLLOUT`, and hands a reply frame to the connection waiting on
+//! its `req_id`. It has no threads of its own. Fan-out endpoints
+//! (`/metrics`, `/v1/artifacts`, `/v1/shutdown`) ask every live shard at
+//! once and merge once the last has answered.
 //!
-//! Failure routing is slice-local by construction: a dead shard turns
-//! *its* keys into `503 shard down` while every other slice keeps
-//! serving — the property the fleet integration tests pin down.
+//! Failure routing is slice-local by construction: a dead shard — seen
+//! at its own socket's end — turns *its* keys into `503 shard down`
+//! while every other slice keeps serving, the property the fleet
+//! integration tests pin down. A shard that has not answered by
+//! [`RouterConfig::rpc_deadline`] costs its request `504` (its late reply
+//! is dropped), a reply that does not decode costs it `502`, and a frame
+//! header over its bound ends that shard's link.
 
-use std::collections::BTreeMap;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::{BTreeMap, HashMap};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpStream};
+use std::os::unix::io::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dt_hpc::{CommError, TcpRendezvous, TcpTransport, Transport};
+use dt_hpc::sys::{PollFd, POLLIN, POLLOUT};
+use dt_hpc::tcp::{encode_frame, FrameDecoder};
+use dt_hpc::{TcpRendezvous, TcpTransport, Transport};
 use dt_telemetry::{parse_json, push_f64, push_json_string, JsonValue, MetricsRegistry};
 
 use crate::api::no_route;
 use crate::artifact::ArtifactRegistry;
 use crate::http::{serialize_request, Request, Response};
-use crate::reactor::{start_engine, App};
+use crate::reactor::{start_engine, write_some, Admit, Backend, Completion, Control};
 use crate::ring::HashRing;
 use crate::server::{ServeConfig, ServeHandle, ServeStats};
 use crate::shard::{
@@ -36,10 +49,11 @@ use crate::ServeError;
 /// Tuning for the router tier.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// The HTTP front-door engine configuration (listen address,
-    /// workers, queue depth, ...).
+    /// The HTTP front-door configuration: listen address, and the
+    /// `queue_depth` of requests in flight to shards (a router has no
+    /// workers, so it ignores `workers` and `queue_deadline`).
     pub serve: ServeConfig,
-    /// How long one router→shard RPC may take before the client gets
+    /// How long a request may wait on shards before the client gets
     /// `504 Gateway Timeout`.
     pub rpc_deadline: Duration,
 }
@@ -53,106 +67,318 @@ impl Default for RouterConfig {
     }
 }
 
-/// Shared router state: the mesh, the ring, and request-id allocation.
-struct RouterState {
-    transport: Arc<TcpTransport>,
-    ring: HashRing,
-    /// Response tags; starts at 1 and stays far below [`TAG_REQ`].
-    next_id: AtomicU64,
+/// What the router's owner shares with its reactor: the counters and the
+/// drain flag.
+struct Shared {
     metrics: MetricsRegistry,
     draining: AtomicBool,
-    started: Instant,
-    rpc_deadline: Duration,
 }
 
-impl RouterState {
-    fn shards(&self) -> usize {
-        self.ring.shards()
+impl Control for Shared {
+    fn shutdown_requested(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
     }
 
+    /// Shards first, then the front door: the reactor sees the flag and
+    /// drains the shards, the same path as `POST /v1/shutdown`.
+    fn shutdown(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+    }
+
+    fn metrics(&self) -> &MetricsRegistry {
+        &self.metrics
+    }
+}
+
+/// The router's socket to one shard.
+struct Link {
+    stream: TcpStream,
+    frames: FrameDecoder,
+    /// Request frames not yet written, from `sent` on.
+    out: Vec<u8>,
+    sent: usize,
+    /// The socket has ended: the shard is gone for good.
+    down: bool,
+}
+
+/// What a request asks of shards.
+enum Ask {
+    /// The shard owning the request's artifact, with the request.
+    Forward(usize, Vec<u8>),
+    Metrics,
+    Artifacts,
+    Shutdown,
+}
+
+impl Ask {
+    /// The op and raw request it sends.
+    fn request(&self) -> (u8, &[u8]) {
+        match self {
+            Ask::Forward(_, raw) => (OP_HTTP, raw),
+            Ask::Metrics => (OP_HTTP, b"GET /metrics HTTP/1.1\r\n\r\n"),
+            Ask::Artifacts => (OP_HTTP, b"GET /v1/artifacts HTTP/1.1\r\n\r\n"),
+            Ask::Shutdown => (OP_DRAIN, b""),
+        }
+    }
+}
+
+/// A request waiting on shards.
+struct Call {
+    /// The connection it answers, and whether to close that after;
+    /// `None` for the router's own drain.
+    to: Option<(u64, bool)>,
+    ask: Ask,
+    /// Each asked shard and its answer, `None` while owed.
+    replies: Vec<(usize, Option<Response>)>,
+    deadline: Instant,
+}
+
+/// The router's backend on the reactor thread: the shard links and the
+/// requests waiting on them.
+struct Shards {
+    shared: Arc<Shared>,
+    ring: HashRing,
+    links: Vec<Link>,
+    /// Requests waiting on shards, by `req_id`; the reply to `req_id`
+    /// from shard `s` fills that call's slot for `s`.
+    calls: HashMap<u64, Call>,
+    /// The last `req_id` handed out; ids stay far below [`TAG_REQ`].
+    last_id: u64,
+    /// Whether the shards have been asked to drain.
+    drain_asked: bool,
+    started: Instant,
+    rpc_deadline: Duration,
+    queue_depth: usize,
+}
+
+impl Shards {
     fn live_shards(&self) -> usize {
-        (1..=self.shards())
-            .filter(|&r| self.transport.is_alive(r))
-            .count()
+        self.links.iter().filter(|l| !l.down).count()
     }
 
-    /// One RPC to shard `rank` (1-based): send, await the reply tagged
-    /// with our request id, decode. Every failure maps to the gateway
-    /// status a client of a broken backend expects.
-    fn rpc(&self, rank: usize, op: u8, raw: &[u8]) -> Response {
-        if !self.transport.is_alive(rank) {
-            self.metrics.counter("route_shard_down").inc();
-            return Response::error(503, &format!("shard {} is down", rank - 1));
-        }
-        let req_id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        self.transport
-            .send(rank, TAG_REQ, encode_rpc(req_id, op, raw), None);
-        match self.transport.recv_timeout(rank, req_id, self.rpc_deadline) {
-            Ok(payload) => decode_response(&payload).unwrap_or_else(|| {
-                self.metrics.counter("route_bad_frames").inc();
-                Response::error(502, "undecodable shard response")
-            }),
-            Err(CommError::RankDead(_)) => {
-                self.metrics.counter("route_shard_down").inc();
-                Response::error(503, &format!("shard {} died mid-request", rank - 1))
+    /// What to ask of shards for `req`, or the router's own answer.
+    /// Nothing changes here but the drain flag, so a panic while routing
+    /// costs only this request.
+    fn route(&self, req: &Request) -> Result<Ask, Response> {
+        match (req.method.as_str(), req.target.as_str()) {
+            ("GET", "/healthz") => Err(self.healthz()),
+            ("GET", "/metrics") => Ok(Ask::Metrics),
+            ("GET", "/v1/artifacts") => Ok(Ask::Artifacts),
+            ("POST", "/v1/thermo" | "/v1/sro" | "/v1/predict") => {
+                let shard = match extract_artifact_id(&req.body) {
+                    Some(id) => self.ring.shard_for(&id),
+                    // No parseable id: any shard produces the right 4xx.
+                    // Prefer a live one so malformed bodies still get
+                    // their 400 while part of the fleet is down.
+                    None => (0..self.links.len())
+                        .find(|&s| !self.links[s].down)
+                        .unwrap_or(0),
+                };
+                Ok(Ask::Forward(shard, serialize_request(req)))
             }
-            Err(_) => {
-                self.metrics.counter("route_timeouts").inc();
-                Response::error(504, &format!("shard {} timed out", rank - 1))
+            // The first shutdown asks the shards; later ones only hear
+            // that the fleet is draining.
+            ("POST", "/v1/shutdown") if self.shared.draining.swap(true, Ordering::SeqCst) => {
+                Err(Response::json(200, "{\"status\":\"draining\"}"))
             }
+            ("POST", "/v1/shutdown") => Ok(Ask::Shutdown),
+            _ => Err(no_route(req)),
         }
-    }
-
-    /// Forward `req` to the shard owning its artifact id, tagging the
-    /// reply with which shard served it.
-    fn forward(&self, req: &Request) -> Response {
-        let shard = match extract_artifact_id(&req.body) {
-            Some(id) => self.ring.shard_for(&id),
-            // No parseable id: any shard produces the right 4xx. Prefer
-            // a live one so malformed bodies still get their 400 while
-            // part of the fleet is down.
-            None => (0..self.shards())
-                .find(|&s| self.transport.is_alive(s + 1))
-                .unwrap_or(0),
-        };
-        self.metrics.counter("route_forwarded").inc();
-        let mut resp = self.rpc(shard + 1, OP_HTTP, &serialize_request(req));
-        resp.extra_headers.push(("x-shard", shard.to_string()));
-        resp
     }
 
     fn healthz(&self) -> Response {
-        let mut body = String::from("{\"status\":");
-        push_json_string(
-            &mut body,
-            if self.draining.load(Ordering::SeqCst) {
-                "draining"
-            } else {
-                "ok"
-            },
-        );
-        body.push_str(&format!(
-            ",\"role\":\"router\",\"shards\":{},\"live_shards\":{},\"uptime_s\":",
-            self.shards(),
+        let status = if self.shared.shutdown_requested() {
+            "draining"
+        } else {
+            "ok"
+        };
+        let mut body = format!(
+            "{{\"status\":\"{status}\",\"role\":\"router\",\"shards\":{},\"live_shards\":{},\"uptime_s\":",
+            self.links.len(),
             self.live_shards()
-        ));
+        );
         push_f64(&mut body, self.started.elapsed().as_secs_f64());
         body.push('}');
         Response::json(200, body)
     }
 
-    /// Fan out `GET /metrics`, summing every shard's counters into one
-    /// fleet-wide view and embedding each shard's full snapshot.
-    fn metrics_fanout(&self) -> Response {
+    /// Send `ask` to its shards, as the call that answers `to`. Its
+    /// answer, when no shard is left to wait on.
+    fn call(&mut self, to: Option<(u64, bool)>, ask: Ask) -> Option<Response> {
+        self.last_id += 1;
+        let id = self.last_id;
+        let (op, raw) = ask.request();
+        let frame = encode_frame(TAG_REQ, 0, &encode_rpc(id, op, raw));
+        let asked = match ask {
+            Ask::Forward(shard, _) => shard..shard + 1,
+            _ => 0..self.links.len(),
+        };
+        let call = Call {
+            to,
+            ask,
+            replies: asked.clone().map(|s| (s, None)).collect(),
+            deadline: Instant::now() + self.rpc_deadline,
+        };
+        self.calls.insert(id, call);
+        for s in asked {
+            if self.links[s].down {
+                self.fail(s, 503, "is down", "route_shard_down");
+            } else {
+                self.links[s].out.extend_from_slice(&frame);
+                self.flush(s);
+            }
+        }
+        self.finish(id).map(|(_, resp)| resp)
+    }
+
+    /// Write what shard `s`'s socket takes of its frames without
+    /// blocking.
+    fn flush(&mut self, s: usize) {
+        let link = &mut self.links[s];
+        if !write_some(&link.stream, &link.out, &mut link.sent) {
+            return self.lose(s, 503, "died mid-request", "route_shard_down");
+        }
+        if link.sent == link.out.len() {
+            link.out.clear();
+            link.sent = 0;
+        }
+    }
+
+    /// Answer every request still waiting on shard `s` with `status`,
+    /// counting each in `counter`.
+    fn fail(&mut self, s: usize, status: u16, why: &str, counter: &'static str) {
+        for call in self.calls.values_mut() {
+            for (_, slot) in call
+                .replies
+                .iter_mut()
+                .filter(|r| r.0 == s && r.1.is_none())
+            {
+                self.shared.metrics.counter(counter).inc();
+                *slot = Some(Response::error(status, &format!("shard {s} {why}")));
+            }
+        }
+    }
+
+    /// Shard `s`'s socket has ended: [`Self::fail`] what waits on it, and
+    /// never ask it again.
+    fn lose(&mut self, s: usize, status: u16, why: &str, counter: &'static str) {
+        let link = &mut self.links[s];
+        link.down = true;
+        link.out = Vec::new();
+        let _ = link.stream.shutdown(std::net::Shutdown::Both);
+        self.fail(s, status, why, counter);
+    }
+
+    /// Read what shard `s` sent, and hand each reply to its call. A reply
+    /// nobody waits for any more (its request timed out) is dropped.
+    fn read(&mut self, s: usize) {
+        loop {
+            let link = &mut self.links[s];
+            match link.frames.read_from(&link.stream) {
+                Ok(0) => return self.lose(s, 503, "died mid-request", "route_shard_down"),
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return self.lose(s, 503, "died mid-request", "route_shard_down"),
+            }
+            loop {
+                let frame = match self.links[s].frames.next_frame() {
+                    Ok(Some(frame)) => frame,
+                    Ok(None) => break,
+                    // Nothing after a header over its bound is framed.
+                    Err(_) => return self.lose(s, 502, "sent a bad frame", "route_bad_frames"),
+                };
+                let slot = self
+                    .calls
+                    .get_mut(&frame.tag)
+                    .and_then(|call| call.replies.iter_mut().find(|r| r.0 == s && r.1.is_none()));
+                if let Some((_, slot)) = slot {
+                    *slot = Some(decode_response(&frame.payload).unwrap_or_else(|| {
+                        self.shared.metrics.counter("route_bad_frames").inc();
+                        Response::error(502, "undecodable shard response")
+                    }));
+                }
+            }
+        }
+    }
+
+    /// Call `id`, with its response, once every shard it asked has
+    /// answered.
+    fn finish(&mut self, id: u64) -> Option<(Option<(u64, bool)>, Response)> {
+        if self.calls[&id].replies.iter().any(|r| r.1.is_none()) {
+            return None;
+        }
+        let call = self.calls.remove(&id)?;
+        let mut replies = call
+            .replies
+            .into_iter()
+            .map(|(s, r)| (s, r.expect("answered")));
+        let resp = match call.ask {
+            Ask::Forward(shard, _) => {
+                let (_, mut resp) = replies.next().expect("one shard asked");
+                resp.extra_headers.push(("x-shard", shard.to_string()));
+                resp
+            }
+            Ask::Metrics => self.merge_metrics(replies),
+            Ask::Artifacts => {
+                let mut count = 0u64;
+                let mut slices = Vec::new();
+                // A down shard hides its slice; the listing stays partial
+                // rather than failing wholesale.
+                for (_, resp) in replies.filter(|r| r.1.status == 200) {
+                    if let Ok(v) = parse_json(&resp.body) {
+                        count += v.get("count").and_then(JsonValue::as_u64).unwrap_or(0);
+                    }
+                    // Our own canonical body shape: {"count":N,"artifacts":[...]}.
+                    if let (Some(start), Some(end)) =
+                        (resp.body.find("\"artifacts\":["), resp.body.rfind(']'))
+                    {
+                        let inner = &resp.body[start + "\"artifacts\":[".len()..end];
+                        if !inner.is_empty() {
+                            slices.push(inner.to_string());
+                        }
+                    }
+                }
+                Response::json(
+                    200,
+                    format!(
+                        "{{\"count\":{count},\"live_shards\":{},\"artifacts\":[{}]}}",
+                        self.live_shards(),
+                        slices.join(",")
+                    ),
+                )
+            }
+            Ask::Shutdown => {
+                let summaries: Vec<String> = replies
+                    .map(|(shard, resp)| match resp.status {
+                        200 => format!("{{\"shard\":{shard},\"drained\":{}}}", resp.body),
+                        503 => format!("{{\"shard\":{shard},\"status\":\"down\"}}"),
+                        _ => format!("{{\"shard\":{shard},\"status\":\"unreachable\"}}"),
+                    })
+                    .collect();
+                let metrics = &self.shared.metrics;
+                let mut body = format!(
+                    "{{\"status\":\"draining\",\"router\":{{\"requests_total\":{},\"route_forwarded\":{},\"uptime_s\":",
+                    metrics.counter("requests_total").get(),
+                    metrics.counter("route_forwarded").get(),
+                );
+                push_f64(&mut body, self.started.elapsed().as_secs_f64());
+                body.push_str(&format!("}},\"shards\":[{}]}}", summaries.join(",")));
+                Response::json(200, body)
+            }
+        };
+        if call.to.is_some() {
+            self.count_status(&resp);
+        }
+        Some((call.to, resp))
+    }
+
+    /// Sum every shard's counters into one fleet-wide view and embed
+    /// each shard's full snapshot.
+    fn merge_metrics(&self, replies: impl Iterator<Item = (usize, Response)>) -> Response {
         let mut fleet: BTreeMap<String, u64> = BTreeMap::new();
         let mut shard_sections = Vec::new();
-        for shard in 0..self.shards() {
-            let rank = shard + 1;
-            if !self.transport.is_alive(rank) {
-                shard_sections.push(format!("{{\"shard\":{shard},\"status\":\"down\"}}"));
-                continue;
-            }
-            let resp = self.rpc(rank, OP_HTTP, b"GET /metrics HTTP/1.1\r\n\r\n");
+        for (shard, resp) in replies {
             if resp.status != 200 {
                 shard_sections.push(format!("{{\"shard\":{shard},\"status\":\"down\"}}"));
                 continue;
@@ -171,130 +397,119 @@ impl RouterState {
                 resp.body
             ));
         }
-        let mut body = String::from("{\"router\":{\"counters\":{");
-        for (i, (name, value)) in self.metrics.counter_values().iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            push_json_string(&mut body, name);
-            body.push_str(&format!(":{value}"));
-        }
-        body.push_str("}},\"fleet_counters\":{");
-        for (i, (name, value)) in fleet.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            push_json_string(&mut body, name);
-            body.push_str(&format!(":{value}"));
-        }
-        body.push_str(&format!("}},\"shards\":[{}]}}", shard_sections.join(",")));
+        let mut body = String::from("{\"router\":{\"counters\":");
+        push_counters(&mut body, self.shared.metrics.counter_values());
+        body.push_str("},\"fleet_counters\":");
+        push_counters(&mut body, fleet);
+        body.push_str(&format!(",\"shards\":[{}]}}", shard_sections.join(",")));
         Response::json(200, body)
     }
 
-    /// Fan out `GET /v1/artifacts` and splice the slices back into one
-    /// flat listing, so the fleet presents as one big registry.
-    fn artifacts_fanout(&self) -> Response {
-        let mut count = 0u64;
-        let mut slices = Vec::new();
-        for shard in 0..self.shards() {
-            let resp = self.rpc(shard + 1, OP_HTTP, b"GET /v1/artifacts HTTP/1.1\r\n\r\n");
-            if resp.status != 200 {
-                // A down shard hides its slice; the listing stays
-                // partial rather than failing wholesale.
-                continue;
-            }
-            if let Ok(v) = parse_json(&resp.body) {
-                count += v.get("count").and_then(JsonValue::as_u64).unwrap_or(0);
-            }
-            // Our own canonical body shape: {"count":N,"artifacts":[...]}.
-            if let (Some(start), Some(end)) =
-                (resp.body.find("\"artifacts\":["), resp.body.rfind(']'))
-            {
-                let inner = &resp.body[start + "\"artifacts\":[".len()..end];
-                if !inner.is_empty() {
-                    slices.push(inner.to_string());
-                }
-            }
-        }
-        Response::json(
-            200,
-            format!(
-                "{{\"count\":{count},\"live_shards\":{},\"artifacts\":[{}]}}",
-                self.live_shards(),
-                slices.join(",")
-            ),
-        )
-    }
-
-    /// Drain the whole fleet: flip our own flag first (the front door
-    /// stops accepting immediately), then ask every live shard to drain
-    /// and collect its summary. The reply goes out only after every
-    /// reachable shard has reported drained.
-    fn fleet_shutdown(&self) -> Response {
-        let already = self.draining.swap(true, Ordering::SeqCst);
-        if already {
-            return Response::json(200, "{\"status\":\"draining\"}");
-        }
-        let mut summaries = Vec::new();
-        for shard in 0..self.shards() {
-            let rank = shard + 1;
-            if !self.transport.is_alive(rank) {
-                summaries.push(format!("{{\"shard\":{shard},\"status\":\"down\"}}"));
-                continue;
-            }
-            let resp = self.rpc(rank, OP_DRAIN, &[]);
-            if resp.status == 200 {
-                summaries.push(format!("{{\"shard\":{shard},\"drained\":{}}}", resp.body));
-            } else {
-                summaries.push(format!("{{\"shard\":{shard},\"status\":\"unreachable\"}}"));
-            }
-        }
-        let mut body = format!(
-            "{{\"status\":\"draining\",\"router\":{{\"requests_total\":{},\"route_forwarded\":{},\"uptime_s\":",
-            self.metrics.counter("requests_total").get(),
-            self.metrics.counter("route_forwarded").get(),
-        );
-        push_f64(&mut body, self.started.elapsed().as_secs_f64());
-        body.push_str(&format!("}},\"shards\":[{}]}}", summaries.join(",")));
-        Response::json(200, body)
-    }
-
-    fn route(&self, req: &Request) -> Response {
-        match (req.method.as_str(), req.target.as_str()) {
-            ("GET", "/healthz") => self.healthz(),
-            ("GET", "/metrics") => self.metrics_fanout(),
-            ("GET", "/v1/artifacts") => self.artifacts_fanout(),
-            ("POST", "/v1/thermo" | "/v1/sro" | "/v1/predict") => self.forward(req),
-            ("POST", "/v1/shutdown") => self.fleet_shutdown(),
-            _ => no_route(req),
+    /// Count an error answer by its class.
+    fn count_status(&self, resp: &Response) {
+        match resp.status {
+            500.. => self.shared.metrics.counter("responses_5xx").inc(),
+            400.. => self.shared.metrics.counter("responses_4xx").inc(),
+            _ => {}
         }
     }
 }
 
-impl App for RouterState {
-    fn handle(&self, req: &Request) -> Response {
-        self.metrics.counter("requests_total").inc();
-        let resp = self.route(req);
-        if resp.status >= 500 {
-            self.metrics.counter("responses_5xx").inc();
-        } else if resp.status >= 400 {
-            self.metrics.counter("responses_4xx").inc();
+/// Write `counters` as one JSON object.
+fn push_counters(body: &mut String, counters: impl IntoIterator<Item = (String, u64)>) {
+    body.push('{');
+    for (i, (name, value)) in counters.into_iter().enumerate() {
+        if i > 0 {
+            body.push(',');
         }
-        resp
+        push_json_string(body, &name);
+        body.push_str(&format!(":{value}"));
+    }
+    body.push('}');
+}
+
+impl Backend for Shards {
+    fn submit(&mut self, token: u64, req: Request) -> Admit {
+        let route = catch_unwind(AssertUnwindSafe(|| self.route(&req))).unwrap_or_else(|_| {
+            self.shared.metrics.counter("handler_panics").inc();
+            Err(Response::error(500, "internal error"))
+        });
+        if route.is_ok() && self.calls.len() >= self.queue_depth {
+            return Admit::Full;
+        }
+        self.shared.metrics.counter("requests_total").inc();
+        let ask = match route {
+            Err(resp) => {
+                self.count_status(&resp);
+                return Admit::Now(resp);
+            }
+            Ok(ask) => ask,
+        };
+        if let Ask::Forward(..) = ask {
+            self.shared.metrics.counter("route_forwarded").inc();
+        }
+        self.drain_asked |= matches!(ask, Ask::Shutdown);
+        match self.call(Some((token, req.wants_close())), ask) {
+            Some(resp) => Admit::Now(resp),
+            None => Admit::Queued,
+        }
     }
 
-    fn shutdown_requested(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
+    fn poll_set(&self, fds: &mut Vec<PollFd>) {
+        for link in self.links.iter().filter(|l| !l.down) {
+            let writing = if link.out.is_empty() { 0 } else { POLLOUT };
+            fds.push(PollFd {
+                fd: link.stream.as_raw_fd(),
+                events: POLLIN | writing,
+                revents: 0,
+            });
+        }
     }
 
-    /// Shards first, then the front door — the same path as
-    /// `POST /v1/shutdown`.
-    fn shutdown(&self) {
-        let _ = self.fleet_shutdown();
+    fn ready(&mut self, fds: &[PollFd], done: &mut Vec<Completion>) {
+        // `fds` are the links that were up at `poll_set`, in order.
+        let mut polled = fds.iter();
+        for s in 0..self.links.len() {
+            if self.links[s].down {
+                continue;
+            }
+            let revents = polled.next().map_or(0, |fd| fd.revents);
+            if revents & POLLOUT != 0 {
+                self.flush(s);
+            }
+            if revents & !POLLOUT != 0 && !self.links[s].down {
+                self.read(s);
+            }
+        }
+        // Answers still owed past the deadline time out.
+        let now = Instant::now();
+        for call in self.calls.values_mut().filter(|c| c.deadline <= now) {
+            for (s, slot) in call.replies.iter_mut().filter(|r| r.1.is_none()) {
+                self.shared.metrics.counter("route_timeouts").inc();
+                *slot = Some(Response::error(504, &format!("shard {s} timed out")));
+            }
+        }
+        let ids: Vec<u64> = self.calls.keys().copied().collect();
+        for id in ids {
+            if let Some((Some((token, close)), response)) = self.finish(id) {
+                done.push(Completion {
+                    token,
+                    response,
+                    close,
+                });
+            }
+        }
     }
 
-    fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+    /// Ask every shard to drain, unless `POST /v1/shutdown` already has.
+    fn drain(&mut self) {
+        if !std::mem::replace(&mut self.drain_asked, true) {
+            self.call(None, Ask::Shutdown);
+        }
+    }
+
+    fn busy(&self) -> bool {
+        self.calls.values().any(|c| c.to.is_none())
     }
 }
 
@@ -314,40 +529,68 @@ fn extract_artifact_id(body: &[u8]) -> Option<String> {
 pub struct Router;
 
 impl Router {
-    /// Start the HTTP engine over an already-connected fleet mesh.
-    /// `transport` must be rank 0 of a `(shards + 1)`-size transport.
-    /// The returned handle's [`ServeHandle::shutdown`] drains every
-    /// shard before the front door; its [`ServeHandle::join`] reports
-    /// the front door's stats (shards exit on their own once drained,
-    /// or once the router's transport drops).
+    /// Open the HTTP front door over an already-connected fleet mesh,
+    /// whose shard sockets the router then drives itself. `transport`
+    /// must be rank 0 of a `(shards + 1)`-size transport. The returned
+    /// handle's [`ServeHandle::shutdown`] drains every shard before the
+    /// front door; its [`ServeHandle::join`] reports the front door's
+    /// stats (shards exit on their own once drained, or once the
+    /// router's sockets close).
     ///
     /// # Errors
-    /// [`ServeError::BadConfig`] when called off rank 0 or with no
-    /// shards; engine bind/config errors otherwise.
+    /// [`ServeError::BadConfig`] when called off rank 0, with no shards
+    /// or with a zero queue depth; [`ServeError::Bind`] when the front
+    /// door or a shard socket cannot be set up.
     pub fn start(transport: TcpTransport, config: RouterConfig) -> Result<ServeHandle, ServeError> {
         if transport.rank() != 0 {
             return Err(ServeError::BadConfig(
                 "the router must be rank 0 of the fleet mesh".into(),
             ));
         }
-        if transport.size() < 2 {
+        if transport.size() < 2 || config.serve.queue_depth == 0 {
             return Err(ServeError::BadConfig(
-                "a fleet needs at least one shard".into(),
+                "a fleet needs at least one shard and a queue depth > 0".into(),
             ));
         }
-        let state = Arc::new(RouterState {
-            ring: HashRing::new(transport.size() - 1),
-            transport: Arc::new(transport),
-            next_id: AtomicU64::new(0),
+        let socket_err = |e: std::io::Error| ServeError::Bind {
+            addr: "the fleet mesh".into(),
+            message: e.to_string(),
+        };
+        let links = transport
+            .into_streams()
+            .map_err(socket_err)?
+            .into_iter()
+            .flatten()
+            .map(|stream| {
+                stream.set_nonblocking(true)?;
+                Ok(Link {
+                    stream,
+                    frames: FrameDecoder::default(),
+                    out: Vec::new(),
+                    sent: 0,
+                    down: false,
+                })
+            })
+            .collect::<std::io::Result<Vec<Link>>>()
+            .map_err(socket_err)?;
+        let shared = Arc::new(Shared {
             metrics: MetricsRegistry::new(),
             draining: AtomicBool::new(false),
+        });
+        let shards = Shards {
+            shared: Arc::clone(&shared),
+            ring: HashRing::new(links.len()),
+            links,
+            calls: HashMap::new(),
+            last_id: 0,
+            drain_asked: false,
             started: Instant::now(),
             rpc_deadline: config.rpc_deadline,
-        });
-        start_engine(state, &config.serve)
+            queue_depth: config.serve.queue_depth,
+        };
+        start_engine(shared, &config.serve.addr, shards)
     }
 }
-
 /// An in-process fleet — router plus `N` shard threads wired over real
 /// loopback TCP — for integration tests and benchmarks. Each shard
 /// slices the same `registry` by the shared hash ring, exactly as the
@@ -420,10 +663,9 @@ impl Fleet {
         self.router.local_addr()
     }
 
-    /// Abruptly kill shard `index` (0-based): its thread exits without
-    /// draining or replying, tearing down its mesh connections. Within
-    /// the transport's failure-detection window the router will answer
-    /// `503` for that slice only.
+    /// Abruptly kill shard `index` (0-based): its thread stops receiving
+    /// and exits without a drain summary, closing its socket. The router
+    /// sees the socket's end and answers `503` for that slice only.
     pub fn kill_shard(&self, index: usize) {
         self.kills[index].store(true, Ordering::SeqCst);
     }

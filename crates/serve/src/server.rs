@@ -6,8 +6,9 @@
 //! this module binds it to [`AppState`] (the registry + endpoints) and
 //! keeps the public `Server`/`ServeHandle`/`ServeStats` surface that
 //! the CLI, benches, and tests use. The router tier
-//! ([`crate::router`]) drives the very same engine with its own
-//! application state and gets the same [`ServeHandle`] back.
+//! ([`crate::router`]) drives the very same event loop over its shard
+//! links instead of a worker pool and gets the same [`ServeHandle`]
+//! back.
 //!
 //! Backpressure is explicit: the request queue is bounded (queue full
 //! answers `429`), every queued request carries its enqueue time (a
@@ -28,7 +29,7 @@ use dt_telemetry::MetricsRegistry;
 use crate::api::AppState;
 use crate::artifact::ArtifactRegistry;
 use crate::http::{Request, Response};
-use crate::reactor::{start_engine, App};
+use crate::reactor::{start_engine, App, Control, Pool};
 use crate::ServeError;
 
 /// Tuning knobs for a [`Server`] (and, through
@@ -37,13 +38,19 @@ use crate::ServeError;
 pub struct ServeConfig {
     /// Listen address, e.g. `"127.0.0.1:8080"` (`:0` picks a free port).
     pub addr: String,
-    /// Worker threads handling parsed requests.
+    /// Worker threads handling parsed requests. A router ignores it: it
+    /// has no workers, and its shards have theirs, each per its
+    /// [`crate::ShardConfig`].
     pub workers: usize,
     /// Bounded queue depth between the reactor and the workers;
-    /// requests beyond this return `429`.
+    /// requests beyond this return `429`. For a router, the most
+    /// requests it has in flight to its shards at once, with `429`
+    /// beyond that.
     pub queue_depth: usize,
     /// Longest a request may wait in the queue before a worker answers
-    /// `503` instead of doing stale work.
+    /// `503` instead of doing stale work. A router ignores it: it has no
+    /// queue, and a shard that is slow to answer costs the request `504`
+    /// after [`crate::RouterConfig::rpc_deadline`].
     pub queue_deadline: Duration,
     /// `/v1/thermo` response cache capacity (0 disables caching). A
     /// router ignores it: its shards cache, each per its
@@ -69,7 +76,8 @@ impl Default for ServeConfig {
 pub struct ServeStats {
     /// Connections accepted by the reactor.
     pub connections_admitted: u64,
-    /// Requests rejected with `429` because the worker queue was full.
+    /// Requests rejected with `429` because the worker queue (a router:
+    /// its requests in flight to shards) was full.
     pub queue_rejections: u64,
     /// Requests answered `503` after exceeding the queue deadline.
     pub deadline_expired: u64,
@@ -96,7 +104,9 @@ impl App for AppState {
     fn handle(&self, req: &Request) -> Response {
         AppState::handle(self, req)
     }
+}
 
+impl Control for AppState {
     fn shutdown_requested(&self) -> bool {
         AppState::shutdown_requested(self)
     }
@@ -128,14 +138,15 @@ impl Server {
         config: ServeConfig,
     ) -> Result<ServeHandle, ServeError> {
         let state = Arc::new(AppState::new(registry, config.cache_capacity)?);
-        start_engine(state, &config)
+        let pool = Pool::start(state.clone(), &config)?;
+        start_engine(state, &config.addr, pool)
     }
 }
 
 /// A running server or router: the application it serves plus the
 /// reactor thread to join.
 pub struct ServeHandle {
-    pub(crate) app: Arc<dyn App>,
+    pub(crate) control: Arc<dyn Control>,
     pub(crate) addr: SocketAddr,
     pub(crate) reactor: JoinHandle<()>,
 }
@@ -147,17 +158,19 @@ impl ServeHandle {
     }
 
     /// Begin a graceful drain: stop accepting, finish what's queued and
-    /// in flight. A router drains every shard first. Idempotent;
-    /// `POST /v1/shutdown` takes the same path.
+    /// in flight. A router also asks every shard to drain, and its front
+    /// door closes (and [`Self::join`] returns) only once every
+    /// reachable shard has answered. Idempotent; `POST /v1/shutdown`
+    /// takes the same path.
     pub fn shutdown(&self) {
-        self.app.shutdown();
+        self.control.shutdown();
     }
 
     /// Wait for the drain to complete and report lifetime stats.
     /// Requests admitted before shutdown are all answered first.
     pub fn join(self) -> ServeStats {
         let _ = self.reactor.join();
-        ServeStats::from_metrics(self.app.metrics())
+        ServeStats::from_metrics(self.control.metrics())
     }
 }
 

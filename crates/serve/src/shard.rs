@@ -1,13 +1,15 @@
-//! A shard process: one slice of the registry served over the dt-hpc
-//! mesh.
+//! A shard process: one slice of the registry served to the router.
 //!
-//! The fleet reuses the cluster transport instead of inventing a second
-//! RPC stack: the router is rank 0 and every shard is a rank `1..=N` of
-//! an `(N+1)`-size [`TcpTransport`] bootstrapped through the same
+//! The fleet bootstraps over the cluster transport instead of inventing
+//! a second one: the router is rank 0 and every shard is a rank `1..=N`
+//! of an `(N+1)`-size [`TcpTransport`] built through the same
 //! [`dt_hpc::TcpRendezvous`] the REWL driver uses. Shard registration
-//! *is* rendezvous (the mesh forms when all ranks connect), liveness
-//! *is* the transport's EOF detection, and the router→shard
-//! hop rides the existing framed wire codec.
+//! *is* rendezvous (the mesh forms when all ranks connect). Then each
+//! side takes its sockets out of the transport
+//! ([`TcpTransport::into_streams`]) and drives them itself, framed by
+//! the transport's codec ([`FrameDecoder`], [`encode_frame`]): a shard
+//! keeps only its socket to the router, and liveness is that socket's
+//! end.
 //!
 //! On startup a shard loads the full registry directory, builds the
 //! same [`HashRing`] as the router, and retains only the artifacts the
@@ -24,18 +26,23 @@
 //!   ids stay below bit 62, so they can never collide with `TAG_REQ`
 //!   or the transport's collective tag bit.
 //!
-//! The receive loop only decodes, parses and submits: requests run on
-//! the HTTP engine's worker pool ([`crate::reactor`]) with its
-//! semantics — a full queue (1 024 jobs) answers `429`, a job that
-//! waited past the default queue deadline answers `503`, and a handler
-//! panic answers `500`.
+//! One receive thread reads the router's socket through a decoder and
+//! only decodes, parses and submits: requests run on the HTTP engine's
+//! worker pool ([`crate::reactor`]) with its semantics — a full queue
+//! (1 024 jobs) answers `429`, a job that waited past the default queue
+//! deadline answers `503`, and a handler panic answers `500`. The
+//! workers write their reply frames on the same socket, a whole frame at
+//! a time under its lock.
 
+use std::io::{ErrorKind, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use dt_codec::bin::{Reader, Writer};
-use dt_hpc::{CommError, TcpTransport, Transport};
+use dt_hpc::tcp::{encode_frame, FrameDecoder};
+use dt_hpc::{TcpTransport, Transport};
 
 use crate::api::AppState;
 use crate::artifact::ArtifactRegistry;
@@ -128,8 +135,8 @@ pub struct ShardConfig {
     /// `/v1/thermo` response cache capacity (0 disables caching).
     pub cache_capacity: usize,
     /// Chaos hook: when this flag flips, the receive loop exits abruptly
-    /// — no drain, no reply — as if the process were killed. The
-    /// transport teardown is what the router's liveness then observes.
+    /// — no drain, no reply — as if the process were killed. The end of
+    /// its socket is what the router then sees.
     pub kill: Option<Arc<AtomicBool>>,
 }
 
@@ -146,6 +153,24 @@ impl Default for ShardConfig {
 /// Jobs a shard holds for its workers before answering `429`.
 const SHARD_QUEUE_DEPTH: usize = 1024;
 
+/// How long the receive thread blocks in one read before it looks at
+/// the kill flag again.
+const KILL_CHECK: Duration = Duration::from_millis(100);
+
+/// A shard's socket to the router, written by its receive thread and its
+/// workers: a whole reply frame at a time, under the lock.
+pub(crate) type Link = Arc<Mutex<TcpStream>>;
+
+/// Write `resp` to the router as the reply to `req_id`. A router that is
+/// gone reads nothing; the receive thread sees its socket's end.
+pub(crate) fn reply_on(link: &Mutex<TcpStream>, req_id: u64, resp: &Response) {
+    let frame = encode_frame(req_id, 0, &encode_response(resp));
+    let _ = link
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .write_all(&frame);
+}
+
 /// What one shard did over its lifetime, reported when it exits.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShardStats {
@@ -157,8 +182,8 @@ pub struct ShardStats {
     pub handler_panics: u64,
 }
 
-/// Serve this rank's slice of `registry` over `transport` until the
-/// router drains us, dies, or the chaos kill flag flips.
+/// Serve this rank's slice of `registry` to the router until it drains
+/// us, dies, or the chaos kill flag flips.
 ///
 /// `transport` must be a connected fleet mesh with this shard at rank
 /// `>= 1`; rank 0 is the router. The full registry is passed in and
@@ -167,7 +192,8 @@ pub struct ShardStats {
 ///
 /// # Errors
 /// [`ServeError::BadConfig`] when called on rank 0 or with zero
-/// workers, or any [`AppState::new`] error from the sliced registry.
+/// workers, any [`AppState::new`] error from the sliced registry, or
+/// [`ServeError::Bind`] when the router's socket cannot be set up.
 pub fn run_shard(
     transport: TcpTransport,
     mut registry: ArtifactRegistry,
@@ -186,9 +212,20 @@ pub fn run_shard(
     let owned = registry.len();
 
     let state = Arc::new(AppState::new(registry, config.cache_capacity)?);
-    let transport = Arc::new(transport);
-    // The engine's own worker pool: workers answer straight onto the
-    // transport (sends are thread-safe and buffered).
+    let socket_err = |e: std::io::Error| ServeError::Bind {
+        addr: "the fleet mesh".into(),
+        message: e.to_string(),
+    };
+    // The router's socket is all a shard keeps of the mesh.
+    let router = transport
+        .into_streams()
+        .map_err(socket_err)?
+        .swap_remove(0)
+        .expect("a shard has a socket to rank 0");
+    router
+        .set_read_timeout(Some(KILL_CHECK))
+        .map_err(socket_err)?;
+    let link: Link = Arc::new(Mutex::new(router.try_clone().map_err(socket_err)?));
     let workers = Workers::start(
         state.clone(),
         config.workers,
@@ -196,16 +233,13 @@ pub fn run_shard(
         ServeConfig::default().queue_deadline,
     )?;
     let rejected = state.metrics.counter("queue_rejections");
-    let reply = |req_id: u64, resp: &Response| {
-        transport.send(0, req_id, encode_response(resp), None);
-    };
 
     // `Some(req_id)` when the router asked us to drain.
-    let drain = loop {
+    let mut frames = FrameDecoder::default();
+    let drain = 'serve: loop {
         // Abrupt death: stop receiving, no drain summary. Once the
-        // queued jobs are answered, dropping the last transport handle
-        // tears the sockets down, which is how the router learns this
-        // slice is gone.
+        // queued jobs are answered, the socket closes, which is how the
+        // router learns this slice is gone.
         if config
             .kill
             .as_ref()
@@ -213,39 +247,53 @@ pub fn run_shard(
         {
             break None;
         }
-        match transport.recv_timeout(0, TAG_REQ, Duration::from_millis(100)) {
-            Ok(payload) => {
-                let Some((req_id, op, raw)) = decode_rpc(&payload) else {
-                    continue; // undecodable frame: drop it
-                };
-                if op == OP_DRAIN {
-                    break Some(req_id);
-                }
-                match try_parse_request(raw, MAX_BODY_BYTES) {
-                    Ok(Some((req, _))) => {
-                        let job = Job {
-                            req,
-                            enqueued: Instant::now(),
-                            reply: Reply::Rpc {
-                                req_id,
-                                transport: Arc::clone(&transport),
-                            },
-                        };
-                        if !workers.submit(job) {
-                            rejected.inc();
-                            reply(
-                                req_id,
-                                &Response::error(429, "service saturated, retry later"),
-                            );
-                        }
-                    }
-                    Ok(None) => reply(req_id, &Response::error(400, "truncated forwarded request")),
-                    Err(e) => reply(req_id, &Response::error(400, &e.to_string())),
-                }
+        loop {
+            let frame = match frames.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                // A header over its bound: nothing after it is framed.
+                Err(_) => break 'serve None,
+            };
+            let Some((req_id, op, raw)) = decode_rpc(&frame.payload) else {
+                continue; // undecodable frame: drop it
+            };
+            if op == OP_DRAIN {
+                break 'serve Some(req_id);
             }
-            // Quiet interval: keep serving while the router lives.
-            Err(CommError::Timeout { .. }) if transport.is_alive(0) => {}
+            match try_parse_request(raw, MAX_BODY_BYTES) {
+                Ok(Some((req, _))) => {
+                    let job = Job {
+                        req,
+                        enqueued: Instant::now(),
+                        reply: Reply::Rpc {
+                            req_id,
+                            link: Arc::clone(&link),
+                        },
+                    };
+                    if !workers.submit(job) {
+                        rejected.inc();
+                        let saturated = Response::error(429, "service saturated, retry later");
+                        reply_on(&link, req_id, &saturated);
+                    }
+                }
+                Ok(None) => reply_on(
+                    &link,
+                    req_id,
+                    &Response::error(400, "truncated forwarded request"),
+                ),
+                Err(e) => reply_on(&link, req_id, &Response::error(400, &e.to_string())),
+            }
+        }
+        match frames.read_from(&router) {
             // Router gone (its connection closed): nothing left to serve.
+            Ok(0) => break None,
+            Ok(_) => {}
+            // Quiet interval: keep serving while the router lives.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
             Err(_) => break None,
         }
     };
@@ -255,8 +303,9 @@ pub fn run_shard(
     state.request_shutdown();
     workers.finish();
     if let Some(req_id) = drain {
-        reply(req_id, &Response::json(200, state.drain_summary()));
+        reply_on(&link, req_id, &Response::json(200, state.drain_summary()));
     }
+    let _ = router.shutdown(Shutdown::Both);
 
     Ok(ShardStats {
         artifacts: owned,
