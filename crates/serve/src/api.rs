@@ -33,7 +33,7 @@ use dt_telemetry::{parse_json, push_f64, push_json_string, JsonValue, MetricsReg
 use dt_thermo::{try_canonical_curve, ThermoPoint, KB_EV_PER_K};
 
 use crate::artifact::{Artifact, ArtifactRegistry};
-use crate::cache::{FillOutcome, ResponseCache};
+use crate::cache::{CacheKey, ResponseCache};
 use crate::http::{Request, Response};
 use crate::ServeError;
 
@@ -121,6 +121,29 @@ impl AppState {
     pub fn handle(&self, req: &Request) -> Response {
         let start = Instant::now();
         let (latency, resp) = self.route(req);
+        self.record(latency, &resp, start);
+        resp
+    }
+
+    /// [`Self::handle`]'s answer to `req`, with the same metrics
+    /// recorded, when it is a `/v1/thermo` request that needs no
+    /// evaluation: its body is cached, or it is refused. `None`, and
+    /// nothing recorded, for a miss or any other request. A thread that
+    /// reads requests can answer these without handing them to a
+    /// worker.
+    pub(crate) fn handle_unevaluated(&self, req: &Request) -> Option<Response> {
+        if (req.method.as_str(), req.target.as_str()) != ("POST", "/v1/thermo") {
+            return None;
+        }
+        let start = Instant::now();
+        let resp = self.thermo_lookup(&req.body).err()?;
+        self.record("latency_thermo_ns", &resp, start);
+        Some(resp)
+    }
+
+    /// Count one answered request in `requests_total`, its status class
+    /// and the `latency` histogram.
+    fn record(&self, latency: &'static str, resp: &Response, start: Instant) {
         self.metrics.counter("requests_total").inc();
         if resp.status >= 500 {
             self.metrics.counter("responses_5xx").inc();
@@ -130,7 +153,6 @@ impl AppState {
         self.metrics
             .histogram(latency)
             .record(start.elapsed().as_nanos() as u64);
-        resp
     }
 
     /// The response plus the latency histogram it is recorded in.
@@ -257,56 +279,58 @@ impl AppState {
         body
     }
 
-    fn thermo(&self, body: &[u8]) -> Response {
-        let v = match parse_body(body) {
-            Ok(v) => v,
-            Err(resp) => return resp,
-        };
-        let artifact = match self.lookup_artifact(&v) {
-            Ok(a) => a,
-            Err(resp) => return resp,
-        };
-        let temps = match requested_temperatures(&v) {
-            Ok(t) => t,
-            Err(resp) => return resp,
-        };
-
+    /// The first half of `/v1/thermo`, before any evaluation: parse the
+    /// body, find the artifact and the grid, build the key and look it
+    /// up. A request that needs no evaluation is answered here (`Err`):
+    /// with the cached body, or with its error.
+    fn thermo_lookup(&self, body: &[u8]) -> Result<ThermoMiss<'_>, Response> {
+        let v = parse_body(body)?;
+        let artifact = self.lookup_artifact(&v)?;
+        let temps = requested_temperatures(&v)?;
         // The curve is a pure function of (artifact, T-grid): key the
         // cache on the exact bit patterns so distinct grids never
         // collide and identical grids always hit.
         let key = ResponseCache::key(&artifact.manifest.id, &temps);
+        if let Some(body) = self.cache.get(&key) {
+            self.metrics.counter("thermo_cache_hits").inc();
+            return Err(thermo_response(body, "hit"));
+        }
+        Ok(ThermoMiss {
+            artifact,
+            temps,
+            key,
+        })
+    }
+
+    fn thermo(&self, body: &[u8]) -> Response {
+        let ThermoMiss {
+            artifact,
+            temps,
+            key,
+        } = match self.thermo_lookup(body) {
+            Ok(miss) => miss,
+            Err(answer) => return answer,
+        };
         // Single-flight fill: under a cold-key stampede, one caller
         // evaluates the curve while every concurrent twin parks on the
         // flight and shares the body — `thermo_evaluations` counts
         // actual evaluations, which the E14 gate pins to one per key.
-        let (result, outcome) = self.cache.get_or_fill(&key, || {
+        let (result, led) = self.cache.fill(&key, || {
             self.metrics.counter("thermo_evaluations").inc();
             let (energies, ln_g) = artifact.visited_dos();
             let curve = try_canonical_curve(&energies, &ln_g, &temps, KB_EV_PER_K)
                 .map_err(|e| Response::error(422, &e.to_string()))?;
             Ok(thermo_body(&artifact.manifest.id, &curve))
         });
-        let cache_state = match outcome {
-            FillOutcome::Hit => {
-                self.metrics.counter("thermo_cache_hits").inc();
-                "hit"
-            }
-            FillOutcome::Miss => {
-                self.metrics.counter("thermo_cache_misses").inc();
-                "miss"
-            }
-            FillOutcome::Coalesced => {
-                self.metrics.counter("thermo_coalesced").inc();
-                "coalesced"
-            }
+        let cache_state = if led {
+            self.metrics.counter("thermo_cache_misses").inc();
+            "miss"
+        } else {
+            self.metrics.counter("thermo_coalesced").inc();
+            "coalesced"
         };
         match result {
-            Ok(body) => {
-                let mut resp = Response::json(200, body);
-                resp.extra_headers
-                    .push(("x-cache", cache_state.to_string()));
-                resp
-            }
+            Ok(body) => thermo_response(body, cache_state),
             Err(resp) => resp,
         }
     }
@@ -476,6 +500,21 @@ impl AppState {
             .get(id)
             .ok_or_else(|| Response::error(404, &format!("unknown artifact {id:?}")))
     }
+}
+
+/// A parsed `/v1/thermo` request whose body the cache does not hold.
+struct ThermoMiss<'a> {
+    artifact: &'a Artifact,
+    temps: Vec<f64>,
+    key: CacheKey,
+}
+
+/// A curve body as `/v1/thermo` sends it, saying how the cache served it.
+fn thermo_response(body: String, cache_state: &str) -> Response {
+    let mut resp = Response::json(200, body);
+    resp.extra_headers
+        .push(("x-cache", cache_state.to_string()));
+    resp
 }
 
 /// The answer to a request no endpoint takes: `405` on a known path

@@ -109,17 +109,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 }
 
-/// How a [`ResponseCache::get_or_fill`] call was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FillOutcome {
-    /// Served from the LRU.
-    Hit,
-    /// This caller led the fill (ran the computation).
-    Miss,
-    /// Another caller's in-flight fill supplied the value.
-    Coalesced,
-}
-
 /// What [`ResponseCache`] is keyed by: see the module docs for the
 /// layout and why it is shared.
 pub type CacheKey = Arc<[u8]>;
@@ -153,32 +142,29 @@ impl ResponseCache {
         key.into()
     }
 
-    /// Serve `key` from the LRU, or compute it with `fill` — at most
-    /// one concurrent fill per key; late arrivals park and share the
-    /// leader's result. The leader publishes into the LRU *before* the
-    /// flight closes, so a racer sees either the flight or the cached
-    /// body, never neither.
-    pub fn get_or_fill<F>(&self, key: &CacheKey, fill: F) -> (Result<String, Response>, FillOutcome)
+    /// The body cached for `key`, now the most recently used.
+    pub fn get(&self, key: &CacheKey) -> Option<String> {
+        self.lru.lock().expect("cache lock").get(key).cloned()
+    }
+
+    /// Compute `key`'s body with `fill` after [`Self::get`] missed, and
+    /// whether this caller led the fill (ran `fill`). At most one fill
+    /// per key runs at a time: late arrivals park and share the leader's
+    /// result. The leader publishes into the LRU *before* the flight
+    /// closes, so a racer sees either the flight or the cached body,
+    /// never neither.
+    pub fn fill<F>(&self, key: &CacheKey, fill: F) -> (Result<String, Response>, bool)
     where
         F: FnOnce() -> Result<String, Response>,
     {
-        if let Some(body) = self.lru.lock().expect("cache lock").get(key) {
-            return (Ok(body.clone()), FillOutcome::Hit);
-        }
-        let (result, led) = self.flight.run(key, fill, |result| {
+        self.flight.run(key, fill, |result| {
             if let Ok(body) = result {
                 self.lru
                     .lock()
                     .expect("cache lock")
                     .put(Arc::clone(key), body.clone());
             }
-        });
-        let outcome = if led {
-            FillOutcome::Miss
-        } else {
-            FillOutcome::Coalesced
-        };
-        (result, outcome)
+        })
     }
 
     /// Number of cached bodies.
@@ -198,6 +184,21 @@ mod tests {
 
     fn key(id: &str) -> CacheKey {
         ResponseCache::key(id, &[])
+    }
+
+    /// What `/v1/thermo` does with the cache, and its `x-cache` word.
+    fn get_or_fill(
+        cache: &ResponseCache,
+        key: &CacheKey,
+        fill: impl FnOnce() -> Result<String, Response>,
+    ) -> (Result<String, Response>, &'static str) {
+        match cache.get(key) {
+            Some(body) => (Ok(body), "hit"),
+            None => match cache.fill(key, fill) {
+                (result, true) => (result, "miss"),
+                (result, false) => (result, "coalesced"),
+            },
+        }
     }
 
     #[test]
@@ -285,39 +286,39 @@ mod tests {
     fn every_table_shares_the_one_key_allocation() {
         let cache = ResponseCache::new(4);
         let key = ResponseCache::key("a", &[300.0]);
-        let (_, outcome) = cache.get_or_fill(&key, || Ok("body".to_string()));
-        assert_eq!(outcome, FillOutcome::Miss);
+        let (_, outcome) = get_or_fill(&cache, &key, || Ok("body".to_string()));
+        assert_eq!(outcome, "miss");
         // Ours, the LRU map's and the recency index's; the flight's
         // two are gone with the flight.
         assert_eq!(Arc::strong_count(&key), 3);
         // A hit through a freshly built equal key moves the entry's own
         // key to the front of the index; the caller's is not retained.
         let again = ResponseCache::key("a", &[300.0]);
-        let (_, outcome) = cache.get_or_fill(&again, || panic!("must not refill"));
-        assert_eq!(outcome, FillOutcome::Hit);
+        let (_, outcome) = get_or_fill(&cache, &again, || panic!("must not refill"));
+        assert_eq!(outcome, "hit");
         assert_eq!((Arc::strong_count(&key), Arc::strong_count(&again)), (3, 1));
     }
 
     #[test]
     fn response_cache_hits_after_one_fill() {
         let cache = ResponseCache::new(4);
-        let (r, o) = cache.get_or_fill(&key("k"), || Ok("body".to_string()));
-        assert_eq!((r.unwrap().as_str(), o), ("body", FillOutcome::Miss));
-        let (r, o) = cache.get_or_fill(&key("k"), || panic!("must not refill"));
-        assert_eq!((r.unwrap().as_str(), o), ("body", FillOutcome::Hit));
+        let (r, o) = get_or_fill(&cache, &key("k"), || Ok("body".to_string()));
+        assert_eq!((r.unwrap().as_str(), o), ("body", "miss"));
+        let (r, o) = get_or_fill(&cache, &key("k"), || panic!("must not refill"));
+        assert_eq!((r.unwrap().as_str(), o), ("body", "hit"));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn fill_errors_are_not_cached() {
         let cache = ResponseCache::new(4);
-        let (r, o) = cache.get_or_fill(&key("bad"), || Err(Response::error(422, "nope")));
-        assert_eq!(o, FillOutcome::Miss);
+        let (r, o) = get_or_fill(&cache, &key("bad"), || Err(Response::error(422, "nope")));
+        assert_eq!(o, "miss");
         assert_eq!(r.unwrap_err().status, 422);
         assert!(cache.is_empty());
         // The next caller recomputes (and may succeed).
-        let (r, o) = cache.get_or_fill(&key("bad"), || Ok("fine".to_string()));
-        assert_eq!((r.unwrap().as_str(), o), ("fine", FillOutcome::Miss));
+        let (r, o) = get_or_fill(&cache, &key("bad"), || Ok("fine".to_string()));
+        assert_eq!((r.unwrap().as_str(), o), ("fine", "miss"));
     }
 
     #[test]
@@ -335,7 +336,7 @@ mod tests {
                 let start = Arc::clone(&start);
                 std::thread::spawn(move || {
                     start.wait();
-                    cache.get_or_fill(&key("cold"), || {
+                    get_or_fill(&cache, &key("cold"), || {
                         fills.fetch_add(1, Ordering::SeqCst);
                         std::thread::sleep(std::time::Duration::from_millis(50));
                         Ok("v".to_string())
@@ -356,12 +357,12 @@ mod tests {
     #[test]
     fn zero_capacity_response_cache_still_coalesces() {
         let cache = ResponseCache::new(0);
-        let (r, o) = cache.get_or_fill(&key("k"), || Ok("x".to_string()));
-        assert_eq!((r.unwrap().as_str(), o), ("x", FillOutcome::Miss));
+        let (r, o) = get_or_fill(&cache, &key("k"), || Ok("x".to_string()));
+        assert_eq!((r.unwrap().as_str(), o), ("x", "miss"));
         // Nothing persisted...
         assert!(cache.is_empty());
         // ...so the next sequential caller refills.
-        let (_, o) = cache.get_or_fill(&key("k"), || Ok("x".to_string()));
-        assert_eq!(o, FillOutcome::Miss);
+        let (_, o) = get_or_fill(&cache, &key("k"), || Ok("x".to_string()));
+        assert_eq!(o, "miss");
     }
 }

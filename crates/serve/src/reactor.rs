@@ -3,14 +3,15 @@
 //! shard.
 //!
 //! ```text
-//!            accept + read + parse            bounded job queue
+//!            accept + read + parse            bounded job queue, one wake per job
 //! clients ──▶ reactor thread ──submit──▶ [queue] ──pop──▶ worker × N
 //!               ▲    │ full? 429, close    ▲         │ waited > deadline? 503
 //!               │    │ parse error? 4xx    │         │ panic? 500
 //!               │    └─ poll(2) over       │         ├─ Reply::Conn ─┐
 //!               │      nonblocking sockets │         └─ Reply::Rpc ──┼─▶ link → router
-//!               └──── completions (mpsc + wake pipe) ◀───────────────┘
-//! router link ─▶ shard receive thread ─submit┘
+//!               └──── completions (mpsc + wake pipe) ◀───────────────┘   ▲
+//! router link ─▶ shard receive thread ─┬───┘ miss                        │
+//!                                      └─ hit: answered on this thread ──┘
 //!
 //! router:  clients ──▶ reactor thread ──frame──▶ shard links ─┐ (in the same
 //!                        ▲  routes, fans out    reply frames  │  poll set)
@@ -19,12 +20,15 @@
 //!
 //! One reactor thread owns the sockets: it runs `poll(2)` over its
 //! accepted connections, reads whatever bytes are ready, and feeds the
-//! incremental parser ([`crate::http::try_parse_request`]). Only a
-//! *complete* request reaches the reactor's `Backend`, which answers it
-//! at once or later, so ten thousand idle connections cost ten thousand
-//! buffers, not ten thousand threads. The reactor serializes each response into its
-//! connection's write buffer and drains it under `POLLOUT`, so a wedged
-//! client cannot stall anything but itself.
+//! incremental parser ([`crate::http::try_parse_request`]). `poll(2)` is
+//! level-triggered, so a read that leaves room in its buffer is a
+//! socket's last until the next poll: no read is made only to hear
+//! `EAGAIN`. Only a *complete* request reaches the reactor's `Backend`,
+//! which answers it at once or later, so ten thousand idle connections
+//! cost ten thousand buffers, not ten thousand threads. The reactor
+//! serializes each response into its connection's write buffer and
+//! drains it under `POLLOUT`, so a wedged client cannot stall anything
+//! but itself.
 //!
 //! A standalone server's backend is `Pool`: the worker pool, whose
 //! workers return responses over a completion channel and wake the
@@ -32,26 +36,29 @@
 //! ([`crate::router`]), whose sockets join the same poll set: the router
 //! computes nothing, so it has no workers.
 //!
-//! `Workers` is the only worker pool in the crate. Each `Job` says where
-//! its answer goes: `Reply::Conn` back to the reactor, or `Reply::Rpc`
-//! onto the shard's link to the router, which is how a shard
-//! ([`crate::shard`]) serves the router's requests with the engine's
-//! semantics: the queue is bounded (`429` when full), queued jobs carry
-//! deadlines (`503` when stale), and handler panics are contained
-//! (`500`).
+//! `Workers` is the only worker pool in the crate: its threads wait on
+//! one condvar, and each queued job wakes one of them. Each `Job` says
+//! where its answer goes: `Reply::Conn` back to the reactor, or
+//! `Reply::Rpc` onto the shard's link to the router, which is how a
+//! shard ([`crate::shard`]) evaluates the router's requests with the
+//! engine's semantics: the queue is bounded (`429` when full), queued
+//! jobs carry deadlines (`503` when stale), and handler panics are
+//! contained (`500`). A shard's receive thread answers a cache hit
+//! itself, so a hit never waits in the queue and neither bound applies
+//! to it.
 //!
 //! `poll(2)` itself is [`dt_hpc::sys`], the workspace's one binding to
 //! it, which the TCP transport shares.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -167,11 +174,57 @@ pub(crate) struct Completions {
     wake: Arc<UnixStream>,
 }
 
+/// The bounded job queue: one condvar wakes one worker per job.
+struct JobQueue {
+    /// The queued jobs, and whether the queue is closed.
+    state: Mutex<(VecDeque<Job>, bool)>,
+    ready: Condvar,
+    depth: usize,
+}
+
+impl JobQueue {
+    /// Queue `job`; `false` (and the job dropped) when `depth` jobs
+    /// already wait.
+    fn push(&self, job: Job) -> bool {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if state.0.len() >= self.depth {
+            return false;
+        }
+        state.0.push_back(job);
+        drop(state);
+        self.ready.notify_one();
+        true
+    }
+
+    /// The oldest job, blocking until one comes; `None` once the queue is
+    /// closed and empty.
+    fn pop(&self) -> Option<Job> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(job) = state.0.pop_front() {
+                return Some(job);
+            }
+            if state.1 {
+                return None;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn close(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).1 = true;
+        self.ready.notify_all();
+    }
+}
+
 /// The worker pool: `N` threads taking jobs off one bounded queue.
 /// Dropping it closes the queue without waiting; [`Workers::finish`]
 /// also waits.
 pub(crate) struct Workers {
-    queue: SyncSender<Job>,
+    queue: Arc<JobQueue>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -193,44 +246,52 @@ impl Workers {
                 "workers and queue_depth must be > 0".into(),
             ));
         }
-        let (queue, jobs) = sync_channel(queue_depth);
-        let jobs = Arc::new(Mutex::new(jobs));
-        let threads = (0..workers)
-            .map(|i| {
-                let (jobs, app) = (Arc::clone(&jobs), Arc::clone(&app));
-                std::thread::Builder::new()
-                    .name(format!("dt-serve-worker-{i}"))
-                    .spawn(move || work(&jobs, &*app, deadline))
-                    .map_err(|e| ServeError::BadConfig(format!("spawning worker: {e}")))
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(Workers { queue, threads })
+        let mut pool = Workers {
+            queue: Arc::new(JobQueue {
+                state: Mutex::new((VecDeque::with_capacity(queue_depth), false)),
+                ready: Condvar::new(),
+                depth: queue_depth,
+            }),
+            threads: Vec::with_capacity(workers),
+        };
+        for i in 0..workers {
+            let (queue, app) = (Arc::clone(&pool.queue), Arc::clone(&app));
+            let thread = std::thread::Builder::new()
+                .name(format!("dt-serve-worker-{i}"))
+                .spawn(move || work(&queue, &*app, deadline))
+                .map_err(|e| ServeError::BadConfig(format!("spawning worker: {e}")))?;
+            pool.threads.push(thread);
+        }
+        Ok(pool)
     }
 
     /// Queue `job` for a worker; `false` (and the job dropped) when
     /// `queue_depth` jobs already wait.
     pub(crate) fn submit(&self, job: Job) -> bool {
-        self.queue.try_send(job).is_ok()
+        self.queue.push(job)
     }
 
     /// Answer every queued job, then stop the workers.
-    pub(crate) fn finish(self) {
-        drop(self.queue);
-        for thread in self.threads {
+    pub(crate) fn finish(mut self) {
+        self.queue.close();
+        for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
     }
 }
 
+impl Drop for Workers {
+    fn drop(&mut self) {
+        self.queue.close();
+    }
+}
+
 /// One worker's whole life: answer jobs until the queue closes and is
 /// empty.
-fn work(jobs: &Mutex<Receiver<Job>>, app: &dyn App, deadline: Duration) {
+fn work(queue: &JobQueue, app: &dyn App, deadline: Duration) {
     let expired = app.metrics().counter("deadline_expired");
     let panics = app.metrics().counter("handler_panics");
-    loop {
-        let Ok(job) = jobs.lock().unwrap_or_else(PoisonError::into_inner).recv() else {
-            return;
-        };
+    while let Some(job) = queue.pop() {
         let (response, close) = if job.enqueued.elapsed() > deadline {
             expired.inc();
             (Response::error(503, "queue deadline exceeded"), true)
@@ -591,8 +652,12 @@ fn reactor_loop<B: Backend>(listener: TcpListener, control: &dyn Control, backen
     }
 }
 
-/// Pull whatever bytes are ready into `conn.rbuf`. Returns `false`
+/// Pull the bytes that are ready into `conn.rbuf`. Returns `false`
 /// when the connection died mid-read with nothing in flight.
+///
+/// A read that leaves room in its chunk has taken all the socket held,
+/// so it is the last: `poll(2)` is level-triggered and reports whatever
+/// comes later, and the read that could only say `EAGAIN` is never made.
 fn read_ready(conn: &mut Conn) -> bool {
     let mut chunk = [0u8; 4096];
     loop {
@@ -605,7 +670,7 @@ fn read_ready(conn: &mut Conn) -> bool {
             }
             Ok(n) => {
                 conn.rbuf.extend_from_slice(&chunk[..n]);
-                if conn.rbuf.len() >= READ_HIGH_WATER {
+                if n < chunk.len() || conn.rbuf.len() >= READ_HIGH_WATER {
                     return true;
                 }
             }

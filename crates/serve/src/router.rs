@@ -22,7 +22,7 @@
 //! header over its bound ends that shard's link.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,7 +42,7 @@ use crate::reactor::{start_engine, write_some, Admit, Backend, Completion, Contr
 use crate::ring::HashRing;
 use crate::server::{ServeConfig, ServeHandle, ServeStats};
 use crate::shard::{
-    decode_response, encode_rpc, run_shard, ShardConfig, ShardStats, OP_DRAIN, OP_HTTP, TAG_REQ,
+    encode_rpc, run_shard, take_response, ShardConfig, ShardStats, OP_DRAIN, OP_HTTP, TAG_REQ,
 };
 use crate::ServeError;
 
@@ -270,17 +270,23 @@ impl Shards {
     }
 
     /// Read what shard `s` sent, and hand each reply to its call. A reply
-    /// nobody waits for any more (its request timed out) is dropped.
+    /// nobody waits for any more (its request timed out) is dropped. A
+    /// read that leaves room in the decoder has taken all the socket held
+    /// and is the last, as in [`crate::reactor`]'s client reads.
     fn read(&mut self, s: usize) {
         loop {
             let link = &mut self.links[s];
-            match link.frames.read_from(&link.stream) {
+            let mut socket = Measured {
+                stream: &link.stream,
+                offered: 0,
+            };
+            let filled = match link.frames.read_from(&mut socket) {
                 Ok(0) => return self.lose(s, 503, "died mid-request", "route_shard_down"),
-                Ok(_) => {}
+                Ok(n) => n == socket.offered,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => true,
                 Err(_) => return self.lose(s, 503, "died mid-request", "route_shard_down"),
-            }
+            };
             loop {
                 let frame = match self.links[s].frames.next_frame() {
                     Ok(Some(frame)) => frame,
@@ -293,11 +299,14 @@ impl Shards {
                     .get_mut(&frame.tag)
                     .and_then(|call| call.replies.iter_mut().find(|r| r.0 == s && r.1.is_none()));
                 if let Some((_, slot)) = slot {
-                    *slot = Some(decode_response(&frame.payload).unwrap_or_else(|| {
+                    *slot = Some(take_response(frame.payload).unwrap_or_else(|| {
                         self.shared.metrics.counter("route_bad_frames").inc();
                         Response::error(502, "undecodable shard response")
                     }));
                 }
+            }
+            if !filled {
+                return;
             }
         }
     }
@@ -412,6 +421,20 @@ impl Shards {
             400.. => self.shared.metrics.counter("responses_4xx").inc(),
             _ => {}
         }
+    }
+}
+
+/// A socket whose reads remember how much room they were offered, so
+/// the caller of a read through a [`FrameDecoder`] can tell a short one.
+struct Measured<'a> {
+    stream: &'a TcpStream,
+    offered: usize,
+}
+
+impl Read for Measured<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.offered = buf.len();
+        self.stream.read(buf)
     }
 }
 

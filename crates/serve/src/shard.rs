@@ -11,6 +11,8 @@
 //! keeps only its socket to the router, and liveness is that socket's
 //! end.
 //!
+//! [`encode_frame`]: dt_hpc::tcp::encode_frame
+//!
 //! On startup a shard loads the full registry directory, builds the
 //! same [`HashRing`] as the router, and retains only the artifacts the
 //! ring assigns to it — shard `i` is rank `i+1` and owns exactly the
@@ -26,22 +28,30 @@
 //!   ids stay below bit 62, so they can never collide with `TAG_REQ`
 //!   or the transport's collective tag bit.
 //!
-//! One receive thread reads the router's socket through a decoder and
-//! only decodes, parses and submits: requests run on the HTTP engine's
-//! worker pool ([`crate::reactor`]) with its semantics — a full queue
-//! (1 024 jobs) answers `429`, a job that waited past the default queue
-//! deadline answers `503`, and a handler panic answers `500`. The
-//! workers write their reply frames on the same socket, a whole frame at
-//! a time under its lock.
+//! One receive thread reads the router's socket through a decoder,
+//! decodes and parses each request, and itself answers every
+//! `/v1/thermo` request whose body the response cache holds, or that it
+//! must refuse (`AppState::handle_unevaluated`): same body, same
+//! `x-cache: hit`, same metrics as a worker's answer, and a panic there
+//! answers `500` and is counted in `handler_panics`. Every other request
+//! (a miss, which evaluates, and the other endpoints) goes to the HTTP
+//! engine's worker pool ([`crate::reactor`]) with its semantics: a full
+//! queue (1 024 jobs) answers `429`, a job that waited past the default
+//! queue deadline answers `503`, and a handler panic answers `500`. A
+//! hit never waits in that queue, so neither its depth nor its
+//! deadline ever applies to one. The receive thread and the workers
+//! write their reply frames on the same socket, a whole frame at a time
+//! under its lock, each frame written into one buffer.
 
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use dt_codec::bin::{Reader, Writer};
-use dt_hpc::tcp::{encode_frame, FrameDecoder};
+use dt_hpc::tcp::{FrameDecoder, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
 use dt_hpc::{TcpTransport, Transport};
 
 use crate::api::AppState;
@@ -79,13 +89,39 @@ pub fn decode_rpc(payload: &[u8]) -> Option<(u64, u8, &[u8])> {
 /// Encode a [`Response`] for the shard→router hop:
 /// `[status:u16][ct_len:u16][ct][n_extra:u16]([k_len:u16][k][v_len:u16][v])*[body]`.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut w = Writer::with_capacity(16 + resp.body.len());
+    put_response(&mut Writer::with_capacity(64 + resp.body.len()), resp).finish()
+}
+
+/// Append `resp` in [`encode_response`]'s layout, the one layout of a
+/// reply payload.
+fn put_response<'w>(w: &'w mut Writer, resp: &Response) -> &'w mut Writer {
     w.u16(resp.status).str16(resp.content_type);
     w.u16(resp.extra_headers.len() as u16);
     for (k, v) in &resp.extra_headers {
         w.str16(k).str16(v);
     }
-    w.raw(resp.body.as_bytes()).finish()
+    w.raw(resp.body.as_bytes())
+}
+
+/// The whole frame that answers `req_id` with `resp`, written into one
+/// buffer: the bytes of `encode_frame(req_id, 0, &encode_response(resp))`.
+///
+/// # Panics
+/// When the payload is longer than [`MAX_FRAME_BYTES`], as
+/// [`dt_hpc::tcp::encode_frame`] does.
+pub(crate) fn reply_frame(req_id: u64, resp: &Response) -> Vec<u8> {
+    let mut w = Writer::with_capacity(FRAME_HEADER_BYTES + 64 + resp.body.len());
+    // The payload's length is known once it is written; the header's
+    // first field is patched then.
+    w.u32(0).u64(req_id).u64(0);
+    let mut frame = put_response(&mut w, resp).finish();
+    let len = frame.len() - FRAME_HEADER_BYTES;
+    assert!(
+        len <= MAX_FRAME_BYTES,
+        "frame payload of {len} bytes exceeds MAX_FRAME_BYTES"
+    );
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    frame
 }
 
 /// [`Response`] carries `&'static` names; map decoded strings back onto
@@ -109,7 +145,13 @@ fn intern_header_key(k: &str) -> Option<&'static str> {
 
 /// Decode a shard→router response frame; `None` when truncated.
 pub fn decode_response(payload: &[u8]) -> Option<Response> {
-    let mut r = Reader::new(payload);
+    take_response(payload.to_vec())
+}
+
+/// [`decode_response`] of a payload the caller gives up: the body is
+/// the payload's own buffer, its head cut off, not a copy.
+pub(crate) fn take_response(mut payload: Vec<u8>) -> Option<Response> {
+    let mut r = Reader::new(&payload);
     let status = r.u16().ok()?;
     let content_type = intern_content_type(r.str16().ok()?);
     let mut extra_headers = Vec::new();
@@ -119,9 +161,11 @@ pub fn decode_response(payload: &[u8]) -> Option<Response> {
             extra_headers.push((k, v.to_string()));
         }
     }
+    let head = payload.len() - r.remaining();
+    payload.drain(..head);
     Some(Response {
         status,
-        body: String::from_utf8(r.rest().to_vec()).ok()?,
+        body: String::from_utf8(payload).ok()?,
         content_type,
         extra_headers,
     })
@@ -164,7 +208,7 @@ pub(crate) type Link = Arc<Mutex<TcpStream>>;
 /// Write `resp` to the router as the reply to `req_id`. A router that is
 /// gone reads nothing; the receive thread sees its socket's end.
 pub(crate) fn reply_on(link: &Mutex<TcpStream>, req_id: u64, resp: &Response) {
-    let frame = encode_frame(req_id, 0, &encode_response(resp));
+    let frame = reply_frame(req_id, resp);
     let _ = link
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
@@ -233,6 +277,7 @@ pub fn run_shard(
         ServeConfig::default().queue_deadline,
     )?;
     let rejected = state.metrics.counter("queue_rejections");
+    let panics = state.metrics.counter("handler_panics");
 
     // `Some(req_id)` when the router asked us to drain.
     let mut frames = FrameDecoder::default();
@@ -262,6 +307,17 @@ pub fn run_shard(
             }
             match try_parse_request(raw, MAX_BODY_BYTES) {
                 Ok(Some((req, _))) => {
+                    // A cache hit or a refusal is answered here, as a
+                    // worker would answer it; what evaluates is queued.
+                    let now = catch_unwind(AssertUnwindSafe(|| state.handle_unevaluated(&req)))
+                        .unwrap_or_else(|_| {
+                            panics.inc();
+                            Some(Response::error(500, "internal error"))
+                        });
+                    if let Some(resp) = now {
+                        reply_on(&link, req_id, &resp);
+                        continue;
+                    }
                     let job = Job {
                         req,
                         enqueued: Instant::now(),
@@ -337,6 +393,30 @@ mod tests {
         assert_eq!(back.body, "{\"ok\":true}");
         assert_eq!(back.content_type, "application/json");
         assert_eq!(back.extra_headers, vec![("x-cache", "hit".to_string())]);
+    }
+
+    #[test]
+    fn the_one_buffer_reply_frame_is_the_framed_encoding() {
+        let mut with_headers = Response::json(200, "{\"t\":[1e3,2e3]}");
+        with_headers
+            .extra_headers
+            .push(("x-cache", "hit".to_string()));
+        with_headers
+            .extra_headers
+            .push(("retry-after", "1".to_string()));
+        let plain = Response::error(404, "unknown artifact \"z\"");
+        let empty = Response {
+            status: 503,
+            body: String::new(),
+            content_type: "text/plain",
+            extra_headers: Vec::new(),
+        };
+        for (req_id, resp) in [(1, with_headers), (7 << 40, plain), (0, empty)] {
+            let framed = dt_hpc::tcp::encode_frame(req_id, 0, &encode_response(&resp));
+            assert_eq!(reply_frame(req_id, &resp), framed, "{}", resp.status);
+            let back = take_response(framed[FRAME_HEADER_BYTES..].to_vec()).unwrap();
+            assert_eq!((back.status, back.body), (resp.status, resp.body));
+        }
     }
 
     #[test]

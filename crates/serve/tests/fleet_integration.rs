@@ -437,3 +437,126 @@ fn killing_one_shard_degrades_only_its_key_slice() {
     let (router_stats, _) = fleet.join();
     assert_eq!(router_stats.handler_panics, 0);
 }
+
+/// The shard section of a router `/metrics` body for shard `index`.
+fn shard_section(metrics: &JsonValue, index: u64) -> &JsonValue {
+    metrics
+        .get("shards")
+        .and_then(JsonValue::as_array)
+        .unwrap()
+        .iter()
+        .find(|s| s.get("shard").and_then(JsonValue::as_u64) == Some(index))
+        .and_then(|s| s.get("metrics"))
+        .unwrap()
+}
+
+#[test]
+fn a_cache_hit_is_answered_while_both_workers_evaluate() {
+    const BURST: usize = 48;
+    let registry = fleet_registry(4);
+    let fleet = launch(2, &registry);
+    let addr = fleet.local_addr();
+    let [id, _] = ids_per_shard(&registry);
+    let warm = format!("{{\"artifact\":\"{id}\",\"temperatures\":[600,1200]}}");
+    let (status, headers, warmed) = post(addr, "/v1/thermo", &warm);
+    assert_eq!(status, 200, "{warmed}");
+    assert_eq!(header(&headers, "x-cache"), Some("miss"));
+
+    // A burst of cold grids on the same shard: each is an evaluation of
+    // 4 096 temperatures, so both of its workers are held and the queue
+    // fills behind them.
+    let done = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let burst: Vec<_> = (0..BURST)
+        .map(|i| {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            let body =
+                format!("{{\"artifact\":\"{id}\",\"t_min\":{},\"t_max\":3000,\"num_t\":4096}}", 300 + i);
+            conn.write_all(
+                format!(
+                    "POST /v1/thermo HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+                    body.len()
+                )
+                .as_bytes(),
+            )
+            .unwrap();
+            let done = std::sync::Arc::clone(&done);
+            std::thread::spawn(move || {
+                let (status, _, _) = read_response(&mut BufReader::new(conn));
+                done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                status
+            })
+        })
+        .collect();
+    // Let the router forward the burst before the hit.
+    std::thread::sleep(Duration::from_millis(20));
+    let (status, headers, body) = post(addr, "/v1/thermo", &warm);
+    let finished = done.load(std::sync::atomic::Ordering::SeqCst);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(header(&headers, "x-cache"), Some("hit"));
+    assert_eq!(body, warmed);
+    assert!(
+        finished < BURST / 2,
+        "the hit waited behind {finished} of {BURST} evaluations"
+    );
+    for t in burst {
+        assert_eq!(t.join().unwrap(), 200);
+    }
+    let (router_stats, shard_stats) = fleet.join();
+    assert_eq!(router_stats.handler_panics, 0);
+    for s in shard_stats {
+        assert_eq!(s.unwrap().handler_panics, 0);
+    }
+}
+
+#[test]
+fn hits_count_in_the_metrics_as_worker_answers_do() {
+    const HITS: u64 = 5;
+    let registry = fleet_registry(4);
+    let fleet = launch(2, &registry);
+    let addr = fleet.local_addr();
+    let [id, _] = ids_per_shard(&registry);
+    let query = format!("{{\"artifact\":\"{id}\",\"temperatures\":[450,900,1800]}}");
+    let (status, _, body) = post(addr, "/v1/thermo", &query);
+    assert_eq!(status, 200, "{body}");
+
+    let snapshot = || {
+        let (status, _, body) = get(addr, "/metrics");
+        assert_eq!(status, 200, "{body}");
+        parse_json(&body).unwrap()
+    };
+    let fleet_counter = |v: &JsonValue, name: &str| {
+        v.get("fleet_counters")
+            .and_then(|c| c.get(name))
+            .and_then(JsonValue::as_u64)
+            .unwrap_or(0)
+    };
+    let thermo_count = |v: &JsonValue| {
+        shard_section(v, 0)
+            .get("latency")
+            .and_then(|l| l.get("latency_thermo_ns"))
+            .and_then(|h| h.get("count"))
+            .and_then(JsonValue::as_u64)
+            .unwrap()
+    };
+    let before = snapshot();
+    for _ in 0..HITS {
+        let (status, headers, body) = post(addr, "/v1/thermo", &query);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(header(&headers, "x-cache"), Some("hit"));
+    }
+    let after = snapshot();
+    assert_eq!(
+        fleet_counter(&after, "thermo_cache_hits") - fleet_counter(&before, "thermo_cache_hits"),
+        HITS
+    );
+    // Each shard counts the first `/metrics` once its snapshot is taken.
+    assert_eq!(
+        fleet_counter(&after, "requests_total") - fleet_counter(&before, "requests_total"),
+        HITS + 2
+    );
+    assert_eq!(thermo_count(&after) - thermo_count(&before), HITS);
+    assert_eq!(fleet_counter(&after, "thermo_evaluations"), 1);
+    fleet.join();
+}

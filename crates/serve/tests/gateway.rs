@@ -249,3 +249,43 @@ fn metrics_with_two_silent_shards_waits_one_deadline_not_two() {
     }
     fleet.finish();
 }
+
+#[test]
+fn a_reply_frame_in_two_parts_reaches_the_client_whole() {
+    let mut fleet = hand_fleet(1, Duration::from_secs(10));
+    let conn = client(fleet.router.local_addr());
+    (&conn).write_all(&thermo_request(true)).unwrap();
+    let (req_id, _, _) = next_request(&mut fleet.shards[0]);
+    // A body longer than one read of the router's decoder, and a frame
+    // whose second half comes after the router read the first.
+    let body = format!("{{\"pad\":\"{}\"}}", "x".repeat(100_000));
+    let frame = encode_frame(
+        req_id,
+        0,
+        &encode_response(&Response::json(200, body.clone())),
+    );
+    let (first, second) = frame.split_at(frame.len() / 2);
+    fleet.shards[0].write_all(first).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    fleet.shards[0].write_all(second).unwrap();
+    assert_eq!(read_response(&conn), (200, body));
+    fleet.finish();
+}
+
+#[test]
+fn a_request_in_two_writes_is_forwarded_whole() {
+    let mut fleet = hand_fleet(1, Duration::from_secs(10));
+    let conn = client(fleet.router.local_addr());
+    let request = thermo_request(true);
+    let (head, rest) = request.split_at(request.len() - 10);
+    (&conn).write_all(head).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    (&conn).write_all(rest).unwrap();
+    let (req_id, op, raw) = next_request(&mut fleet.shards[0]);
+    assert_eq!(op, OP_HTTP);
+    assert!(raw.ends_with(b"\"temperatures\":[900]}"), "{raw:?}");
+    let answer = Response::json(200, "{\"whole\":true}");
+    reply(&mut fleet.shards[0], req_id, &encode_response(&answer));
+    assert_eq!(read_response(&conn), (200, "{\"whole\":true}".to_string()));
+    fleet.finish();
+}
